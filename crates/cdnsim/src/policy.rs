@@ -220,11 +220,18 @@ impl PolicySim {
         let seed = self.seed;
         let institutional = self.institutional;
         let mut acc: Vec<DayEntry> = Vec::new();
+        // Position of each host's entry in `acc` (insertion order is
+        // part of the emitted log, so the entries themselves stay put).
+        const ABSENT: u16 = u16::MAX;
+        let mut slot_of = [ABSENT; 256];
         let mut push = |host: u8, hits: u32, pop: HostPopulation| {
-            if let Some(e) = acc.iter_mut().find(|e| e.host == host) {
-                e.hits = e.hits.saturating_add(hits);
-            } else {
+            let slot = &mut slot_of[host as usize];
+            if *slot == ABSENT {
+                *slot = acc.len() as u16;
                 acc.push(DayEntry { host, hits, pop });
+            } else {
+                let e = &mut acc[*slot as usize];
+                e.hits = e.hits.saturating_add(hits);
             }
         };
         match self.policy {

@@ -11,6 +11,7 @@ use ipactive_probe::{ProbeTarget, ServiceSet};
 use ipactive_rir::{CountryCode, Delegation, DelegationDb, Rir};
 use rand::RngExt;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// One Autonomous System of the synthetic Internet.
 #[derive(Debug, Clone)]
@@ -632,13 +633,14 @@ impl Universe {
             if rows[h].is_empty() {
                 continue;
             }
-            let mut d = daily[h].clone();
-            d.sort_unstable();
+            // The samples are not read again, so select in place.
+            let d = &mut daily[h];
+            let mid = d.len() / 2;
             ip_traffic.push(IpTraffic {
                 host: h as u8,
                 days_active: rows[h].count() as u8,
                 total_hits: totals[h],
-                median_daily_hits: d[d.len() / 2],
+                median_daily_hits: *d.select_nth_unstable(mid).1,
             });
         }
         if ip_traffic.is_empty() {
@@ -671,9 +673,13 @@ impl Universe {
         blocks.sort_by_key(|(b, _)| *b);
         // Canonical order, matching WeeklyDatasetBuilder::finish — so
         // direct builds and collector outputs compare by `==`.
-        for week in &mut week_hits {
-            week.sort_unstable();
-        }
+        let week_hits = week_hits
+            .into_iter()
+            .map(|mut week| {
+                week.sort_unstable();
+                Arc::new(week)
+            })
+            .collect();
         WeeklyDataset { num_weeks: cfg.weeks, blocks, week_hits, coverage: None }
     }
 

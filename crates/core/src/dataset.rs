@@ -335,6 +335,10 @@ impl DailyDataset {
 /// Accumulator used by collectors to build a [`DailyDataset`] from a
 /// stream of `(day, addr, hits)` and `(day, addr, ua_hash)` records —
 /// in any order.
+///
+/// One-shot callers [`finish`](Self::finish) it; a long-lived caller
+/// keeps it, [`grow`](Self::grow)s the window as days arrive, folds
+/// only the new records and publishes [`snapshot`](Self::snapshot)s.
 #[derive(Debug, Default)]
 pub struct DailyDatasetBuilder {
     num_days: usize,
@@ -349,32 +353,83 @@ struct BlockAcc {
     ua_hashes: std::collections::HashSet<u64>,
 }
 
+impl BlockAcc {
+    /// The block's finished record; `None` for a block that never
+    /// recorded a hit. `scratch` is the median buffer, reused across
+    /// every address of a build.
+    fn record(&mut self, block: Block24, scratch: &mut Vec<u32>) -> Option<BlockRecord> {
+        if self.ips.is_empty() {
+            return None;
+        }
+        let mut rows: Box<[DayBits; 256]> = Box::new([DayBits::new(); 256]);
+        let mut ip_traffic = Vec::with_capacity(self.ips.len());
+        for (&host, ip) in &mut self.ips {
+            rows[host as usize] = ip.bits;
+            ip_traffic.push(IpTraffic {
+                host,
+                days_active: ip.bits.count() as u8,
+                total_hits: ip.total,
+                median_daily_hits: ip.median(scratch),
+            });
+        }
+        ip_traffic.sort_unstable_by_key(|t| t.host);
+        Some(BlockRecord {
+            block,
+            rows,
+            total_hits: self.total_hits,
+            ua_samples: self.ua_samples,
+            ua_unique: self.ua_hashes.len() as u32,
+            ip_traffic,
+        })
+    }
+}
+
 #[derive(Debug, Default)]
 struct IpAcc {
     bits: DayBits,
-    /// `(day, hits)` per active day, in arrival order.
-    daily: Vec<(u8, u32)>,
+    /// Hits per active day in ascending day order: `hits[i]` belongs
+    /// to the `i`-th set bit of `bits`, so the day is not stored again.
+    hits: Vec<u32>,
     total: u64,
+    /// Median of `hits` when last asked for; `stale` once a sample has
+    /// changed since, so a snapshot pays only for addresses that moved.
+    median: u32,
+    stale: bool,
 }
 
 impl IpAcc {
+    /// Adds `hits` to `day`'s sample, creating it if the day is new.
+    fn add(&mut self, day: usize, hits: u32) {
+        let rank = self.bits.count_range(0, day) as usize;
+        if self.bits.get(day) {
+            self.hits[rank] = self.hits[rank].saturating_add(hits);
+        } else {
+            self.bits.set(day);
+            self.hits.insert(rank, hits);
+        }
+        self.stale = true;
+    }
+
     /// Combines another accumulator for the same address: days active
     /// in both sum their hit counts, days active in one carry over.
     fn merge(&mut self, other: IpAcc) {
-        for (day, hits) in other.daily {
-            if self.bits.get(day as usize) {
-                let slot = self
-                    .daily
-                    .iter_mut()
-                    .find(|(d, _)| *d == day)
-                    .expect("bit set implies a daily sample exists");
-                slot.1 = slot.1.saturating_add(hits);
-            } else {
-                self.bits.set(day as usize);
-                self.daily.push((day, hits));
-            }
+        for (day, hits) in other.bits.iter().zip(other.hits) {
+            self.add(day, hits);
         }
         self.total += other.total;
+    }
+
+    /// Median hits over the active days, by selection: the element a
+    /// full sort would leave at `len / 2`.
+    fn median(&mut self, scratch: &mut Vec<u32>) -> u32 {
+        if self.stale {
+            scratch.clear();
+            scratch.extend_from_slice(&self.hits);
+            let mid = scratch.len() / 2;
+            self.median = *scratch.select_nth_unstable(mid).1;
+            self.stale = false;
+        }
+        self.median
     }
 }
 
@@ -383,6 +438,18 @@ impl DailyDatasetBuilder {
     pub fn new(num_days: usize) -> Self {
         assert!(num_days <= DayBits::CAPACITY, "window exceeds {} days", DayBits::CAPACITY);
         DailyDatasetBuilder { num_days, blocks: HashMap::new() }
+    }
+
+    /// Widens the window to `num_days` days, keeping everything
+    /// recorded so far: the builder then equals one created with
+    /// `new(num_days)` and fed the same records.
+    ///
+    /// # Panics
+    /// If `num_days` exceeds 128 or would shrink the window.
+    pub fn grow(&mut self, num_days: usize) {
+        assert!(num_days <= DayBits::CAPACITY, "window exceeds {} days", DayBits::CAPACITY);
+        assert!(num_days >= self.num_days, "a window only grows");
+        self.num_days = num_days;
     }
 
     /// Records `hits` successful requests from `addr` on `day`.
@@ -395,19 +462,7 @@ impl DailyDatasetBuilder {
         let acc = self.blocks.entry(Block24::of(addr)).or_default();
         acc.total_hits += hits;
         let ip = acc.ips.entry(addr.host_index()).or_default();
-        let clamped = hits.min(u32::MAX as u64) as u32;
-        if ip.bits.get(day) {
-            // Accumulate into the existing sample for this day.
-            let slot = ip
-                .daily
-                .iter_mut()
-                .find(|(d, _)| *d as usize == day)
-                .expect("bit set implies a daily sample exists");
-            slot.1 = slot.1.saturating_add(clamped);
-        } else {
-            ip.bits.set(day);
-            ip.daily.push((day as u8, clamped));
-        }
+        ip.add(day, hits.min(u32::MAX as u64) as u32);
         ip.total += hits;
     }
 
@@ -471,45 +526,39 @@ impl DailyDatasetBuilder {
     /// survives, and the salvaged dataset must still agree with the
     /// clean one wherever activity agrees.
     pub fn finish(self) -> DailyDataset {
-        let mut blocks: Vec<BlockRecord> = self
-            .blocks
-            .into_iter()
-            .filter(|(_, acc)| !acc.ips.is_empty())
-            .map(|(block, acc)| {
-                let mut rows: Box<[DayBits; 256]> = Box::new([DayBits::new(); 256]);
-                let mut ip_traffic = Vec::with_capacity(acc.ips.len());
-                for (host, ip) in acc.ips {
-                    rows[host as usize] = ip.bits;
-                    let mut daily: Vec<u32> = ip.daily.iter().map(|&(_, h)| h).collect();
-                    daily.sort_unstable();
-                    let median = daily[daily.len() / 2];
-                    ip_traffic.push(IpTraffic {
-                        host,
-                        days_active: ip.bits.count() as u8,
-                        total_hits: ip.total,
-                        median_daily_hits: median,
-                    });
-                }
-                ip_traffic.sort_unstable_by_key(|t| t.host);
-                BlockRecord {
-                    block,
-                    rows,
-                    total_hits: acc.total_hits,
-                    ua_samples: acc.ua_samples,
-                    ua_unique: acc.ua_hashes.len() as u32,
-                    ip_traffic,
-                }
-            })
+        // Consuming, so each accumulator is freed as soon as its
+        // record exists and the two never coexist in full.
+        Self::dataset(self.num_days, self.blocks.into_iter())
+    }
+
+    /// The dataset [`finish`](Self::finish) would produce now, with
+    /// the builder left intact to take more records. The snapshot owns
+    /// every row it holds; later records never reach it. `&mut` only
+    /// to keep each address's median once computed: the next snapshot
+    /// recomputes it for the addresses that took a record in between.
+    pub fn snapshot(&mut self) -> DailyDataset {
+        Self::dataset(self.num_days, self.blocks.iter_mut().map(|(&block, acc)| (block, acc)))
+    }
+
+    fn dataset<A: std::borrow::BorrowMut<BlockAcc>>(
+        num_days: usize,
+        accs: impl Iterator<Item = (Block24, A)>,
+    ) -> DailyDataset {
+        let mut scratch = Vec::new();
+        let mut blocks: Vec<BlockRecord> = accs
+            .filter_map(|(block, mut acc)| acc.borrow_mut().record(block, &mut scratch))
             .collect();
         blocks.sort_unstable_by_key(|r| r.block);
-        DailyDataset { num_days: self.num_days, blocks, coverage: None }
+        DailyDataset { num_days, blocks, coverage: None }
     }
 }
 
 /// The weekly dataset: per-block week-bitsets over `num_weeks` weeks,
 /// plus per-week per-address hit totals (as a multiset — the traffic
 /// consolidation analysis needs values, not identities; collectors
-/// keep each week's values sorted so datasets compare by `==`).
+/// keep each week's values sorted so datasets compare by `==`). A
+/// week's values sit behind an `Arc` so that successive snapshots of
+/// one live builder share the weeks that did not change.
 ///
 /// As with [`DailyDataset`], equality compares the observed data only
 /// — the [`WeeklyDataset::coverage`] annotation is provenance.
@@ -521,7 +570,7 @@ pub struct WeeklyDataset {
     /// address `i` was active in week `w`. Sorted by block.
     pub blocks: Vec<(Block24, Box<[u64; 256]>)>,
     /// `week_hits[w]` = per-active-address total hits in week `w`.
-    pub week_hits: Vec<Vec<u64>>,
+    pub week_hits: Vec<Arc<Vec<u64>>>,
     /// Data-completeness annotation from a supervised collection run
     /// (slots are week indices); `None` outside supervised paths.
     pub coverage: Option<Coverage>,
@@ -691,30 +740,86 @@ impl WeeklyDataset {
         }
         let mut week_hits = self.week_hits;
         for (mine, theirs) in week_hits.iter_mut().zip(other.week_hits) {
-            mine.extend(theirs);
+            let mine = Arc::make_mut(mine);
+            mine.extend_from_slice(&theirs);
             mine.sort_unstable();
         }
         WeeklyDataset { num_weeks, blocks, week_hits, coverage }
     }
 }
 
-/// Accumulator for [`WeeklyDataset`].
+/// Accumulator for [`WeeklyDataset`]; like [`DailyDatasetBuilder`] it
+/// can be finished once or kept, grown and snapshotted.
 #[derive(Debug, Default)]
 pub struct WeeklyDatasetBuilder {
     num_weeks: usize,
     blocks: HashMap<Block24, Box<[u64; 256]>>,
-    week_hits: Vec<Vec<u64>>,
+    week_hits: Vec<WeekHits>,
+}
+
+/// One week's hit multiset inside the builder.
+#[derive(Debug)]
+enum WeekHits {
+    /// Taking records, in arrival order.
+    Open(Vec<u64>),
+    /// Sorted once and shared with every snapshot since; a later
+    /// record copies it back out, so a snapshot never changes.
+    Sorted(Arc<Vec<u64>>),
+}
+
+impl WeekHits {
+    /// The multiset as a vector to append to.
+    fn open(&mut self) -> &mut Vec<u64> {
+        if let WeekHits::Sorted(shared) = self {
+            let hits = Arc::try_unwrap(std::mem::take(shared)).unwrap_or_else(|s| (*s).clone());
+            *self = WeekHits::Open(hits);
+        }
+        match self {
+            WeekHits::Open(hits) => hits,
+            WeekHits::Sorted(_) => unreachable!("just opened"),
+        }
+    }
+
+    /// The multiset in canonical order, sorting it if records arrived
+    /// since it was last asked for.
+    fn sorted(&mut self) -> Arc<Vec<u64>> {
+        if let WeekHits::Open(hits) = self {
+            hits.sort_unstable();
+            *self = WeekHits::Sorted(Arc::new(std::mem::take(hits)));
+        }
+        match self {
+            WeekHits::Sorted(shared) => shared.clone(),
+            WeekHits::Open(_) => unreachable!("just sorted"),
+        }
+    }
 }
 
 impl WeeklyDatasetBuilder {
     /// Creates a builder for `num_weeks` weeks (≤ 64).
     pub fn new(num_weeks: usize) -> Self {
+        let mut builder = WeeklyDatasetBuilder::default();
+        builder.grow(num_weeks);
+        builder
+    }
+
+    /// Widens the window to `num_weeks` weeks, keeping everything
+    /// recorded so far.
+    ///
+    /// # Panics
+    /// If `num_weeks` exceeds 64 or would shrink the window.
+    pub fn grow(&mut self, num_weeks: usize) {
         assert!(num_weeks <= 64, "week bitsets hold at most 64 weeks");
-        WeeklyDatasetBuilder {
-            num_weeks,
-            blocks: HashMap::new(),
-            week_hits: vec![Vec::new(); num_weeks],
-        }
+        assert!(num_weeks >= self.num_weeks, "a window only grows");
+        self.num_weeks = num_weeks;
+        self.week_hits.resize_with(num_weeks, || WeekHits::Open(Vec::new()));
+    }
+
+    /// Makes room for exactly `additional` more records in week `w`,
+    /// for a caller that knows how many it is about to fold: a week
+    /// grown record by record leaves a trail of outgrown buffers and
+    /// up to a half of slack in a multiset that is then kept for good.
+    pub fn reserve_week(&mut self, w: usize, additional: usize) {
+        self.week_hits[w].open().reserve_exact(additional);
     }
 
     /// Records that `addr` was active in week `w` with `hits` total
@@ -729,7 +834,7 @@ impl WeeklyDatasetBuilder {
             .entry(Block24::of(addr))
             .or_insert_with(|| Box::new([0u64; 256]));
         rows[addr.host_index() as usize] |= 1u64 << w;
-        self.week_hits[w].push(hits);
+        self.week_hits[w].open().push(hits);
     }
 
     /// Folds another builder's accumulated records into this one —
@@ -756,8 +861,8 @@ impl WeeklyDatasetBuilder {
                 }
             }
         }
-        for (mine, theirs) in self.week_hits.iter_mut().zip(other.week_hits) {
-            mine.extend(theirs);
+        for (mine, mut theirs) in self.week_hits.iter_mut().zip(other.week_hits) {
+            mine.open().append(theirs.open());
         }
     }
 
@@ -766,18 +871,34 @@ impl WeeklyDatasetBuilder {
     /// builders fed the same records (in any order, through any
     /// merge tree) finish into `==` datasets. Activity-free blocks
     /// (all-zero rows) are dropped, mirroring the daily builder.
-    pub fn finish(self) -> WeeklyDataset {
-        let mut blocks: Vec<(Block24, Box<[u64; 256]>)> = self
-            .blocks
-            .into_iter()
-            .filter(|(_, rows)| rows.iter().any(|&b| b != 0))
-            .collect();
+    pub fn finish(mut self) -> WeeklyDataset {
+        let week_hits = self.sorted_week_hits();
+        Self::dataset(self.num_weeks, self.blocks.into_iter().collect(), week_hits)
+    }
+
+    /// The dataset [`finish`](Self::finish) would produce now, with
+    /// the builder left intact to take more records. Block rows are
+    /// copied; a week's hits are sorted in place the first time a
+    /// snapshot wants them (hence `&mut`) and from then on shared, not
+    /// copied or sorted again, until that week takes another record.
+    pub fn snapshot(&mut self) -> WeeklyDataset {
+        let week_hits = self.sorted_week_hits();
+        let blocks = self.blocks.iter().map(|(&block, rows)| (block, rows.clone())).collect();
+        Self::dataset(self.num_weeks, blocks, week_hits)
+    }
+
+    fn sorted_week_hits(&mut self) -> Vec<Arc<Vec<u64>>> {
+        self.week_hits.iter_mut().map(WeekHits::sorted).collect()
+    }
+
+    fn dataset(
+        num_weeks: usize,
+        mut blocks: Vec<(Block24, Box<[u64; 256]>)>,
+        week_hits: Vec<Arc<Vec<u64>>>,
+    ) -> WeeklyDataset {
+        blocks.retain(|(_, rows)| rows.iter().any(|&b| b != 0));
         blocks.sort_unstable_by_key(|(b, _)| *b);
-        let mut week_hits = self.week_hits;
-        for week in &mut week_hits {
-            week.sort_unstable();
-        }
-        WeeklyDataset { num_weeks: self.num_weeks, blocks, week_hits, coverage: None }
+        WeeklyDataset { num_weeks, blocks, week_hits, coverage: None }
     }
 }
 
@@ -952,8 +1073,8 @@ mod tests {
         assert!(ds.week_set(51).contains(addr("10.0.0.1")));
         assert_eq!(ds.window_union(0..52).len(), 2);
         assert_eq!(ds.window_union(1..10).len(), 0);
-        assert_eq!(ds.week_hits[0], vec![100]);
-        assert_eq!(ds.week_hits[10], vec![5]);
+        assert_eq!(*ds.week_hits[0], vec![100]);
+        assert_eq!(*ds.week_hits[10], vec![5]);
     }
 
     #[test]
@@ -1055,6 +1176,85 @@ mod tests {
         assert_eq!(t.days_active, 2);
         assert_eq!(t.total_hits, 11);
         assert_eq!(t.median_daily_hits, 10); // sorted day totals [1, 10]
+    }
+
+    #[test]
+    fn out_of_order_and_repeated_days_keep_samples_by_day() {
+        // Days arrive 5, 1, 3, then 1 again: the median must be over
+        // the per-day sums {1: 4+6, 3: 2, 5: 7}, whatever the order.
+        let mut b = DailyDatasetBuilder::new(8);
+        let a = addr("10.0.0.5");
+        for (day, hits) in [(5, 7), (1, 4), (3, 2), (1, 6)] {
+            b.record_hits(day, a, hits);
+        }
+        let t = b.finish().blocks[0].ip_traffic[0];
+        assert_eq!((t.days_active, t.total_hits, t.median_daily_hits), (3, 19, 7));
+    }
+
+    #[test]
+    fn grown_builder_snapshots_equal_fresh_batch_builds() {
+        // A live builder grown a day at a time: every snapshot equals
+        // a fresh builder over the same records, and stays what it was
+        // while the builder moves on.
+        let records = tiny_daily_records();
+        let mut live = DailyDatasetBuilder::new(0);
+        let mut snapshots = Vec::new();
+        for days in 1..=7 {
+            live.grow(days);
+            let mut fresh = DailyDatasetBuilder::new(days);
+            for &(d, a, h) in &records {
+                if d == days - 1 {
+                    live.record_hits(d, a, h);
+                }
+                if d < days {
+                    fresh.record_hits(d, a, h);
+                }
+            }
+            let expect = fresh.finish();
+            assert_eq!(live.snapshot(), expect, "{days} days");
+            assert_eq!(live.snapshot(), expect, "a second snapshot changes nothing");
+            snapshots.push((live.snapshot(), expect));
+        }
+        for (snapshot, expect) in &snapshots {
+            assert_eq!(snapshot, expect, "a snapshot moved after it was taken");
+        }
+        assert_eq!(live.finish(), snapshots.pop().unwrap().1);
+    }
+
+    #[test]
+    fn grown_weekly_builder_shares_closed_weeks_with_its_snapshots() {
+        let mut live = WeeklyDatasetBuilder::new(0);
+        let mut snapshots = Vec::new();
+        for w in 0..4usize {
+            live.grow(w + 1);
+            live.reserve_week(w, 3); // a capacity hint changes nothing
+            for h in [9u64, 1, 5] {
+                live.record_week(w, addr("10.0.0.1"), h + w as u64);
+            }
+            snapshots.push(live.snapshot());
+        }
+        let last = snapshots.last().unwrap();
+        for (w, snapshot) in snapshots.iter().enumerate() {
+            assert_eq!(snapshot.num_weeks, w + 1);
+            assert_eq!(*snapshot.week_hits[w], vec![1 + w as u64, 5 + w as u64, 9 + w as u64]);
+            // Sorted once, then carried: every later snapshot holds
+            // the very same allocation.
+            assert!(Arc::ptr_eq(&snapshot.week_hits[w], &last.week_hits[w]));
+        }
+        // A late record for a closed week copies it out again; the
+        // snapshots already taken keep what they had.
+        live.record_week(0, addr("10.0.0.2"), 3);
+        let reopened = live.snapshot();
+        assert_eq!(*reopened.week_hits[0], vec![1, 3, 5, 9]);
+        assert_eq!(*last.week_hits[0], vec![1, 5, 9]);
+        assert!(Arc::ptr_eq(&reopened.week_hits[1], &last.week_hits[1]));
+        assert_eq!(live.finish(), reopened);
+    }
+
+    #[test]
+    #[should_panic(expected = "window exceeds 128 days")]
+    fn growing_past_the_day_matrix_panics() {
+        DailyDatasetBuilder::new(128).grow(129);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! ## Architecture
 //!
 //! * [`Observatory`] — snapshot-isolated ingest. Each
-//!   [`Observatory::ingest_day`] publishes a new immutable
+//!   [`Observatory::ingest_day`] folds the arriving day — and only
+//!   that day — into the observatory's live dataset builders and
+//!   publishes a snapshot of them as a new immutable
 //!   [`EpochSnapshot`] by an atomic `Arc` swap; the new epoch's
 //!   [`AnalysisCtx`](ipactive_core::AnalysisCtx) carries forward every
 //!   cache slot the previous epoch materialized (appending a day adds

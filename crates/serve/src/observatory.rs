@@ -1,26 +1,42 @@
 //! Snapshot-isolated ingest: epoch-versioned immutable views of the
 //! analysis engine.
 //!
-//! The observatory owns an append-only list of per-day activity logs.
-//! Ingesting a day rebuilds the fixed-width datasets from the full
-//! replay (the dataset builders are order-insensitive, so the rebuilt
-//! dataset is *equal* to what a batch build over the same records
-//! produces — the property the snapshot-isolation differential tests
-//! pin) and publishes a new [`EpochSnapshot`] whose
-//! [`AnalysisCtx`] is seeded from the previous epoch's cache via
-//! [`AnalysisCtx::extended_from`]. Readers pin an epoch with
-//! [`Observatory::pin`] — a cheap `Arc` clone — and keep querying it
-//! unperturbed no matter how many epochs publish behind them.
+//! The observatory owns one live [`DailyDatasetBuilder`] and one live
+//! [`WeeklyDatasetBuilder`] — the same accumulators, fed through the
+//! same `record_hits` / `record_week`, that a batch build uses once
+//! and throws away. Ingesting a day widens their window, folds *only
+//! the arriving records* and publishes a snapshot of the builder, so
+//! ingest costs what the new day costs however much history came
+//! before. The builders are order-insensitive and a snapshot is what
+//! `finish()` would return at that moment, so the published dataset is
+//! *equal* to a batch build over the same records — the property the
+//! snapshot-isolation and incremental-equals-batch suites pin at every
+//! epoch. Each new [`EpochSnapshot`]'s [`AnalysisCtx`] is seeded from
+//! the previous epoch's cache via [`AnalysisCtx::extended_from`].
+//! Readers pin an epoch with [`Observatory::pin`] — a cheap `Arc` clone
+//! — and keep querying it unperturbed no matter how many epochs publish
+//! behind them: a snapshot owns its rows and never aliases the
+//! accumulator.
 //!
 //! Weekly data follows the *complete weeks only* rule: week `w` covers
-//! days `7w..7w+7` and exists once its seventh day lands. Earlier
-//! weeks never change when a day appends, so weekly cache slots carry
-//! forward under the same reasoning as daily ones.
+//! days `7w..7w+7` and exists once its seventh day lands. Until then
+//! the week's day logs wait in a buffer of at most six; the seventh
+//! folds all of them into the weekly builder and a new weekly dataset
+//! is published. The other six ingests in seven reuse the previous
+//! `Arc<WeeklyDataset>`, and a closed week's sorted hit multiset is
+//! shared between the builder and every later dataset rather than
+//! copied or sorted again. Earlier weeks never change when a day
+//! appends, so weekly cache slots carry forward under the same
+//! reasoning as daily ones.
+//!
+//! Nothing else of the history is retained: no day log outlives its
+//! week, and what the builders keep per address is its day bitmap and
+//! one hit count per active day.
 
 use ipactive_core::{
     AnalysisCtx, Coverage, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder,
 };
-use ipactive_net::{ActiveSet, Addr, PrefixDensity, TieredSet};
+use ipactive_net::{ActiveSet, Addr, DayBits, PrefixDensity, TieredSet};
 use ipactive_obs::{Event, EventKind, Registry};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,9 +186,16 @@ impl<S: ActiveSet> EpochSnapshot<S> {
 }
 
 /// What the ingest half of the observatory owns, behind one mutex:
-/// the authoritative replay log and its coverage annotations.
+/// the live accumulators every published dataset is a snapshot of, the
+/// day logs of the week still open, and the coverage annotations.
 struct IngestState {
-    days: Vec<DayLog>,
+    daily: DailyDatasetBuilder,
+    weekly: WeeklyDatasetBuilder,
+    /// Logs of the days since the last complete week (at most six):
+    /// weekly records exist for complete weeks only, so these wait for
+    /// their seventh day and are dropped once folded.
+    open_week: Vec<DayLog>,
+    /// Per-ingested-day feed completeness; its length is the day count.
     fractions: Vec<f64>,
 }
 
@@ -195,7 +218,12 @@ impl<S: ActiveSet> Observatory<S> {
         let weekly = Arc::new(WeeklyDatasetBuilder::new(0).finish());
         let engine = AnalysisCtx::new_with_obs(daily, weekly, registry);
         Observatory {
-            ingest: Mutex::new(IngestState { days: Vec::new(), fractions: Vec::new() }),
+            ingest: Mutex::new(IngestState {
+                daily: DailyDatasetBuilder::new(0),
+                weekly: WeeklyDatasetBuilder::new(0),
+                open_week: Vec::new(),
+                fractions: Vec::new(),
+            }),
             current: RwLock::new(Arc::new(EpochSnapshot {
                 epoch: 0,
                 engine: Arc::new(engine),
@@ -219,6 +247,12 @@ impl<S: ActiveSet> Observatory<S> {
     }
 
     /// Ingests one fully-collected day and publishes a new epoch.
+    ///
+    /// # Panics
+    /// Like every ingest entry point, if the day would be the 129th:
+    /// the activity matrix holds [`DayBits::CAPACITY`] days. The batch
+    /// is refused whole before anything is recorded, so the observatory
+    /// keeps serving its current epoch and takes later calls.
     pub fn ingest_day(&self, log: DayLog) -> Arc<EpochSnapshot<S>> {
         self.ingest_day_with_coverage(log, 1.0)
     }
@@ -241,40 +275,62 @@ impl<S: ActiveSet> Observatory<S> {
     }
 
     fn ingest_batch(&self, batch: Vec<(DayLog, f64)>) -> Arc<EpochSnapshot<S>> {
-        // The ingest lock serializes writers for the whole rebuild;
+        // The ingest lock serializes writers for the whole fold;
         // readers never take it.
         let mut state = self.ingest.lock().expect("ingest lock poisoned");
-        for (log, fraction) in batch {
-            state.days.push(log);
-            state.fractions.push(fraction.clamp(0.0, 1.0));
+        let first = state.fractions.len();
+        let count = first + batch.len();
+        if count > DayBits::CAPACITY {
+            // Refuse before touching anything, and let go of the lock
+            // first so the refusal does not poison it.
+            drop(state);
+            panic!(
+                "ingest refused: {count} days exceed the {}-day activity matrix",
+                DayBits::CAPACITY
+            );
         }
-        let count = state.days.len();
 
-        // Replay into fresh fixed-width datasets. Builders are
-        // order-insensitive and commutative, so this is *equal* to a
-        // batch build over the same records — the byte-identity
-        // anchor. Cost is O(total records); the expensive state (every
-        // materialized activity set) carries forward below instead of
-        // being recomputed.
-        let mut db = DailyDatasetBuilder::new(count);
-        for (d, log) in state.days.iter().enumerate() {
+        // Fold only the arriving records into the live accumulators,
+        // through the very calls a batch build makes. Builders are
+        // order-insensitive and a snapshot is what `finish()` would
+        // return now, so each published dataset is *equal* to a batch
+        // build over every record so far — the byte-identity anchor.
+        // The expensive state (every materialized activity set)
+        // carries forward below instead of being recomputed.
+        let state = &mut *state;
+        let (mut records, mut weekly_records) = (0u64, 0u64);
+        state.daily.grow(count);
+        for (d, (log, fraction)) in (first..).zip(batch) {
             for &(addr, hits) in &log.hits {
-                db.record_hits(d, addr, hits);
+                state.daily.record_hits(d, addr, hits);
             }
-        }
-        let daily = Arc::new(db.finish());
-        let weeks = count / 7;
-        let mut wb = WeeklyDatasetBuilder::new(weeks);
-        for w in 0..weeks {
-            for d in w * 7..w * 7 + 7 {
-                for &(addr, hits) in &state.days[d].hits {
-                    wb.record_week(w, addr, hits);
+            records += log.hits.len() as u64;
+            state.fractions.push(fraction.clamp(0.0, 1.0));
+            state.open_week.push(log);
+            if state.open_week.len() == 7 {
+                let w = d / 7;
+                state.weekly.grow(w + 1);
+                // One exact allocation for the week's multiset, which
+                // every later epoch shares.
+                let records = state.open_week.iter().map(|log| log.hits.len()).sum();
+                state.weekly.reserve_week(w, records);
+                for log in state.open_week.drain(..) {
+                    for &(addr, hits) in &log.hits {
+                        state.weekly.record_week(w, addr, hits);
+                    }
+                    weekly_records += log.hits.len() as u64;
                 }
             }
         }
-        let weekly = Arc::new(wb.finish());
 
         let prev = self.pin();
+        let daily = Arc::new(state.daily.snapshot());
+        let weekly = if count / 7 > prev.weeks() {
+            Arc::new(state.weekly.snapshot())
+        } else {
+            // No week closed: the weekly dataset carries over as it is.
+            prev.weekly().clone()
+        };
         let engine = AnalysisCtx::extended_from(&prev.engine, daily, weekly, &self.registry);
         let stall = self.compose_stall_us.load(Ordering::SeqCst);
         engine.set_compose_stall(Duration::from_micros(stall));
@@ -289,6 +345,10 @@ impl<S: ActiveSet> Observatory<S> {
         *self.current.write().expect("epoch lock poisoned") = snapshot.clone();
         self.registry.gauge("serve.epoch").set(snapshot.epoch as i64);
         self.registry.gauge("serve.days").set(count as i64);
+        // Ingest cost as an exact count: every record is folded once
+        // into each builder, whatever the history behind it.
+        self.registry.counter("serve.ingest.records").add(records);
+        self.registry.counter("serve.ingest.weekly_records").add(weekly_records);
         self.registry.emit(
             Event::new(EventKind::EpochPublish)
                 .day(count as u16)
