@@ -286,21 +286,101 @@ pub fn validate_topology(workers: usize, collectors: usize) -> io::Result<()> {
     Ok(())
 }
 
-/// Folds one decoded record into a daily builder (ignoring cadence
-/// markers) — the single definition every collector path shares.
-pub(crate) fn fold_daily(record: Record, builder: &mut DailyDatasetBuilder) {
+/// The slot (day or week index) a record belongs to, if it carries
+/// payload. Cadence markers and stream terminators have none.
+fn record_slot(record: &Record) -> Option<u16> {
+    match record {
+        Record::Hits { day, .. } | Record::UaSample { day, .. } => Some(*day),
+        Record::BlockDay(bd) => Some(bd.day),
+        Record::DayStart { .. } | Record::Finish => None,
+    }
+}
+
+/// Whether a window of `num_slots` days (or weeks) can hold `record`.
+/// A frame can be intact on the wire and still name a slot no dataset
+/// of this window has; collectors refuse such a record instead of
+/// handing it to a builder, whose own window assert would panic.
+fn in_window(record: &Record, num_slots: usize) -> bool {
+    !matches!(record_slot(record), Some(slot) if usize::from(slot) >= num_slots)
+}
+
+/// Folds one decoded record into a daily builder over `num_days` days
+/// (ignoring cadence markers) — the single definition every collector
+/// path shares. `false` if the record lies outside the window: nothing
+/// was folded, and the caller counts a skipped frame, not a record.
+pub(crate) fn fold_daily(
+    record: Record,
+    num_days: usize,
+    builder: &mut DailyDatasetBuilder,
+) -> bool {
+    if !in_window(&record, num_days) {
+        return false;
+    }
     match record {
         Record::Hits { day, addr, hits } => builder.record_hits(day as usize, addr, hits),
         Record::UaSample { day, addr, ua_hash } => builder.record_ua(day as usize, addr, ua_hash),
         Record::BlockDay(bd) => {
-            for rec in bd.unpack() {
-                if let Record::Hits { day, addr, hits } = rec {
-                    builder.record_hits(day as usize, addr, hits);
-                }
+            for &(host, hits) in &bd.entries {
+                builder.record_hits(bd.day as usize, bd.block.addr(host), hits);
             }
         }
         Record::DayStart { .. } | Record::Finish => {}
     }
+    true
+}
+
+/// Weekly twin of [`fold_daily`]: the `day` field of a weekly log's
+/// [`Record::Hits`] carries the week index; other records fold to
+/// nothing.
+pub(crate) fn fold_weekly(
+    record: Record,
+    num_weeks: usize,
+    builder: &mut WeeklyDatasetBuilder,
+) -> bool {
+    if !in_window(&record, num_weeks) {
+        return false;
+    }
+    if let Record::Hits { day, addr, hits } = record {
+        builder.record_week(day as usize, addr, hits);
+    }
+    true
+}
+
+/// What draining one stream came to.
+pub(crate) struct Drained {
+    /// Records folded.
+    pub(crate) records: u64,
+    /// Frames lost: damaged ones the reader skipped plus intact ones
+    /// the fold refused as outside the window.
+    pub(crate) skipped: u64,
+    /// Resynchronization scans the reader needed.
+    pub(crate) resyncs: u64,
+    /// The error that ended the stream early, if one did; what was
+    /// folded before it stands.
+    pub(crate) error: Option<ipactive_logfmt::FrameError>,
+}
+
+/// Reads `reader` to its end through `fold` (`false` = record refused)
+/// — the one decode loop under every collector generation.
+pub(crate) fn drain<R: Read>(
+    reader: &mut FrameReader<R>,
+    mut fold: impl FnMut(Record) -> bool,
+) -> Drained {
+    let (mut records, mut refused) = (0u64, 0u64);
+    let error = loop {
+        match reader.read() {
+            Ok(Some(record)) => {
+                if fold(record) {
+                    records += 1;
+                } else {
+                    refused += 1;
+                }
+            }
+            Ok(None) => break None,
+            Err(e) => break Some(e),
+        }
+    };
+    Drained { records, skipped: reader.skipped() + refused, resyncs: reader.resyncs(), error }
 }
 
 /// Serializes one block's daily-window records into `writer`.
@@ -478,14 +558,29 @@ pub fn collect_from_store<F: ipactive_logfmt::Fs>(
     num_days: usize,
 ) -> Result<(DailyDataset, PipelineStats), ipactive_logfmt::StoreError> {
     let mut builder = DailyDatasetBuilder::new(num_days);
+    let stats = collect_store(store, |record| fold_daily(record, num_days, &mut builder))?;
+    Ok((builder.finish(), stats))
+}
+
+/// Folds every stored day through `fold` (`false` = record refused),
+/// tolerating damaged days.
+fn collect_store<F: ipactive_logfmt::Fs>(
+    store: &ipactive_logfmt::LogStore<F>,
+    mut fold: impl FnMut(Record) -> bool,
+) -> Result<PipelineStats, ipactive_logfmt::StoreError> {
     let mut stats = PipelineStats::default();
-    stats.frames_skipped = store.for_each_day(|_, records| {
+    let mut refused = 0;
+    let damaged = store.for_each_day(|_, records| {
         for record in records {
-            stats.records_read += 1;
-            fold_daily(record, &mut builder);
+            if fold(record) {
+                stats.records_read += 1;
+            } else {
+                refused += 1;
+            }
         }
     })?;
-    Ok((builder.finish(), stats))
+    stats.frames_skipped = damaged + refused;
+    Ok(stats)
 }
 
 /// Like [`collect_from_store`], but verifies the store first with an
@@ -524,26 +619,8 @@ pub fn collect_weekly_from_store<F: ipactive_logfmt::Fs>(
     num_weeks: usize,
 ) -> Result<(WeeklyDataset, PipelineStats), ipactive_logfmt::StoreError> {
     let mut builder = WeeklyDatasetBuilder::new(num_weeks);
-    let mut stats = PipelineStats::default();
-    stats.frames_skipped = store.for_each_day(|_, records| {
-        for record in records {
-            stats.records_read += 1;
-            if let Record::Hits { day, addr, hits } = record {
-                builder.record_week(day as usize, addr, hits);
-            }
-        }
-    })?;
+    let stats = collect_store(store, |record| fold_weekly(record, num_weeks, &mut builder))?;
     Ok((builder.finish(), stats))
-}
-
-/// The slot (day or week index) a record belongs to, if it carries
-/// payload. Cadence markers and stream terminators have none.
-fn record_slot(record: &Record) -> Option<u16> {
-    match record {
-        Record::Hits { day, .. } | Record::UaSample { day, .. } => Some(*day),
-        Record::BlockDay(bd) => Some(bd.day),
-        Record::DayStart { .. } | Record::Finish => None,
-    }
 }
 
 /// Decodes one shard's retained buffers (as produced by
@@ -615,17 +692,8 @@ pub fn collect_weekly<R: Read>(
     input: R,
     num_weeks: usize,
 ) -> Result<(WeeklyDataset, PipelineStats), ipactive_logfmt::FrameError> {
-    let mut reader = FrameReader::new(input, ReadMode::Tolerant);
     let mut builder = WeeklyDatasetBuilder::new(num_weeks);
-    let mut stats = PipelineStats::default();
-    while let Some(record) = reader.read()? {
-        stats.records_read += 1;
-        if let Record::Hits { day, addr, hits } = record {
-            builder.record_week(day as usize, addr, hits);
-        }
-    }
-    stats.frames_skipped = reader.skipped();
-    stats.resyncs = reader.resyncs();
+    let stats = collect_stream(input, |record| fold_weekly(record, num_weeks, &mut builder))?;
     Ok((builder.finish(), stats))
 }
 
@@ -638,63 +706,36 @@ pub fn collect_daily<R: Read>(
     input: R,
     num_days: usize,
 ) -> Result<(DailyDataset, PipelineStats), ipactive_logfmt::FrameError> {
-    let mut reader = FrameReader::new(input, ReadMode::Tolerant);
     let mut builder = DailyDatasetBuilder::new(num_days);
-    let mut stats = PipelineStats::default();
-    while let Some(record) = reader.read()? {
-        stats.records_read += 1;
-        fold_daily(record, &mut builder);
-    }
-    stats.frames_skipped = reader.skipped();
-    stats.resyncs = reader.resyncs();
+    let stats = collect_stream(input, |record| fold_daily(record, num_days, &mut builder))?;
     Ok((builder.finish(), stats))
 }
 
-/// Decodes one shard buffer into `builder`, never failing: damaged
+/// Drains one whole log tolerantly through `fold`; an unrecoverable
+/// stream is the caller's error.
+fn collect_stream<R: Read>(
+    input: R,
+    fold: impl FnMut(Record) -> bool,
+) -> Result<PipelineStats, ipactive_logfmt::FrameError> {
+    let drained = drain(&mut FrameReader::new(input, ReadMode::Tolerant), fold);
+    match drained.error {
+        Some(e) => Err(e),
+        None => Ok(PipelineStats {
+            records_read: drained.records,
+            frames_skipped: drained.skipped,
+            resyncs: drained.resyncs,
+            ..PipelineStats::default()
+        }),
+    }
+}
+
+/// Decodes one shard buffer through `fold`, never failing: damaged
 /// frames are skipped, unrecoverable streams abandoned and counted.
 /// Tallies accumulate in locals and flush into `meters` once at the
 /// end, so the decode loop stays registry-free.
-fn drain_shard_buffer(buf: &[u8], builder: &mut DailyDatasetBuilder, meters: &ShardMeters) {
-    let mut records = 0u64;
-    let mut decode_error = false;
-    let mut reader = FrameReader::new(buf, ReadMode::Tolerant);
-    loop {
-        match reader.read() {
-            Ok(Some(record)) => {
-                records += 1;
-                fold_daily(record, builder);
-            }
-            Ok(None) => break,
-            Err(_) => {
-                decode_error = true;
-                break;
-            }
-        }
-    }
-    meters.flush_buffer(buf.len(), records, reader.skipped(), reader.resyncs(), decode_error);
-}
-
-/// Weekly counterpart of [`drain_shard_buffer`].
-fn drain_shard_buffer_weekly(buf: &[u8], builder: &mut WeeklyDatasetBuilder, meters: &ShardMeters) {
-    let mut records = 0u64;
-    let mut decode_error = false;
-    let mut reader = FrameReader::new(buf, ReadMode::Tolerant);
-    loop {
-        match reader.read() {
-            Ok(Some(record)) => {
-                records += 1;
-                if let Record::Hits { day, addr, hits } = record {
-                    builder.record_week(day as usize, addr, hits);
-                }
-            }
-            Ok(None) => break,
-            Err(_) => {
-                decode_error = true;
-                break;
-            }
-        }
-    }
-    meters.flush_buffer(buf.len(), records, reader.skipped(), reader.resyncs(), decode_error);
+fn drain_shard_buffer(buf: &[u8], fold: impl FnMut(Record) -> bool, meters: &ShardMeters) {
+    let d = drain(&mut FrameReader::new(buf, ReadMode::Tolerant), fold);
+    meters.flush_buffer(buf.len(), d.records, d.skipped, d.resyncs, d.error.is_some());
 }
 
 /// Assembles the final report as a *view over a registry snapshot*:
@@ -778,7 +819,8 @@ pub fn parallel_pipeline_obs(
                     let _span = registry.span(collector_span_path(prefix, shard));
                     let mut builder = DailyDatasetBuilder::new(num_days);
                     for buf in rx.iter() {
-                        drain_shard_buffer(&buf, &mut builder, &meters);
+                        let fold = |r| fold_daily(r, num_days, &mut builder);
+                        drain_shard_buffer(&buf, fold, &meters);
                     }
                     builder
                 })
@@ -871,7 +913,8 @@ pub fn parallel_pipeline_weekly_obs(
                     let _span = registry.span(collector_span_path(prefix, shard));
                     let mut builder = WeeklyDatasetBuilder::new(num_weeks);
                     for buf in rx.iter() {
-                        drain_shard_buffer_weekly(&buf, &mut builder, &meters);
+                        let fold = |r| fold_weekly(r, num_weeks, &mut builder);
+                        drain_shard_buffer(&buf, fold, &meters);
                     }
                     builder
                 })
@@ -975,7 +1018,7 @@ pub fn collect_daily_sharded_obs(
                 scope.spawn(move |_| {
                     let _span = registry.span(collector_span_path(prefix, shard));
                     let mut builder = DailyDatasetBuilder::new(num_days);
-                    drain_shard_buffer(buf, &mut builder, &meters);
+                    drain_shard_buffer(buf, |r| fold_daily(r, num_days, &mut builder), &meters);
                     builder
                 })
             })
@@ -1018,7 +1061,7 @@ pub fn collect_weekly_sharded_obs(
                 scope.spawn(move |_| {
                     let _span = registry.span(collector_span_path(prefix, shard));
                     let mut builder = WeeklyDatasetBuilder::new(num_weeks);
-                    drain_shard_buffer_weekly(buf, &mut builder, &meters);
+                    drain_shard_buffer(buf, |r| fold_weekly(r, num_weeks, &mut builder), &meters);
                     builder
                 })
             })
@@ -1149,7 +1192,7 @@ mod tests {
             let mut reader = FrameReader::new(buf, ReadMode::Strict);
             let mut builder = DailyDatasetBuilder::new(num_days);
             while let Some(rec) = reader.read().unwrap() {
-                fold_daily(rec, &mut builder);
+                assert!(fold_daily(rec, num_days, &mut builder));
             }
             builder.finish()
         };
@@ -1158,6 +1201,34 @@ mod tests {
         assert_eq!(a, b, "flat and packed encodings must fold to equal datasets");
         assert_datasets_equal(&a, &b);
         assert_datasets_equal(&a, &u.build_daily());
+    }
+
+    #[test]
+    fn emitted_shards_are_byte_identical_to_three_part_framing() {
+        // The writer assembles a frame in one scratch and writes it
+        // once; the bytes must be what sync + length, payload and CRC
+        // written one after the other always were.
+        let u = universe();
+        let mut packed = Vec::new();
+        emit_daily_logs_packed(&u, &mut packed).unwrap(); // multi-byte lengths
+        let mut streams = emit_daily_shards(&u, 3).unwrap();
+        streams.extend(emit_weekly_shards(&u, 2).unwrap());
+        streams.push(packed);
+        for stream in &streams {
+            let records = FrameReader::new(&stream[..], ReadMode::Strict).read_all().unwrap();
+            assert!(!records.is_empty());
+            let mut expect = Vec::with_capacity(stream.len());
+            for record in records.iter().chain([&Record::Finish]) {
+                let mut payload = Vec::new();
+                record.encode(&mut payload);
+                expect.push(0xA5);
+                ipactive_logfmt::encode_u64(&mut expect, payload.len() as u64);
+                expect.extend_from_slice(&payload);
+                expect.extend_from_slice(&ipactive_logfmt::crc32(&payload).to_le_bytes());
+            }
+            assert!(*stream == expect, "emitted stream differs from three-part framing");
+        }
+        assert!(streams.last().unwrap().windows(2).any(|w| w[0] == 0xA5 && w[1] >= 0x80));
     }
 
     #[test]

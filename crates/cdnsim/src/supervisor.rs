@@ -34,8 +34,8 @@
 //!   completeness < 1.0 for exactly the shards that lost data.
 
 use crate::pipeline::{
-    assemble_report, collector_span_path, emit_block_daily, emit_block_weekly, fold_daily,
-    shard_of, validate_topology, PipelineReport, ShardMeters,
+    assemble_report, collector_span_path, drain, emit_block_daily, emit_block_weekly, fold_daily,
+    fold_weekly, shard_of, validate_topology, Drained, PipelineReport, ShardMeters,
 };
 use crate::universe::Universe;
 use ipactive_core::{
@@ -387,61 +387,56 @@ impl SupervisedReport {
     }
 }
 
-/// What one decode attempt observed.
-#[derive(Default)]
-struct AttemptResult {
-    records: u64,
-    skipped: u64,
-    resyncs: u64,
-    decode_error: bool,
-    quarantine: Vec<QuarantinedFrame>,
-}
-
 /// Cadence-generic fold target: the supervisor logic is identical for
 /// daily and weekly runs; only the builder differs.
 trait Sink: Send + Sized {
     type Out: Send;
     fn new(slots: usize) -> Self;
-    fn fold(&mut self, record: Record);
+    /// Folds one record; `false` if it lies outside the window.
+    fn fold(&mut self, record: Record) -> bool;
     fn merge(&mut self, other: Self);
     fn finish(self, coverage: Coverage) -> Self::Out;
 }
 
-struct DailySink(DailyDatasetBuilder);
+struct DailySink {
+    builder: DailyDatasetBuilder,
+    num_days: usize,
+}
 
 impl Sink for DailySink {
     type Out = DailyDataset;
-    fn new(slots: usize) -> Self {
-        DailySink(DailyDatasetBuilder::new(slots))
+    fn new(num_days: usize) -> Self {
+        DailySink { builder: DailyDatasetBuilder::new(num_days), num_days }
     }
-    fn fold(&mut self, record: Record) {
-        fold_daily(record, &mut self.0);
+    fn fold(&mut self, record: Record) -> bool {
+        fold_daily(record, self.num_days, &mut self.builder)
     }
     fn merge(&mut self, other: Self) {
-        self.0.merge(other.0);
+        self.builder.merge(other.builder);
     }
     fn finish(self, coverage: Coverage) -> DailyDataset {
-        self.0.finish().with_coverage(coverage)
+        self.builder.finish().with_coverage(coverage)
     }
 }
 
-struct WeeklySink(WeeklyDatasetBuilder);
+struct WeeklySink {
+    builder: WeeklyDatasetBuilder,
+    num_weeks: usize,
+}
 
 impl Sink for WeeklySink {
     type Out = WeeklyDataset;
-    fn new(slots: usize) -> Self {
-        WeeklySink(WeeklyDatasetBuilder::new(slots))
+    fn new(num_weeks: usize) -> Self {
+        WeeklySink { builder: WeeklyDatasetBuilder::new(num_weeks), num_weeks }
     }
-    fn fold(&mut self, record: Record) {
-        if let Record::Hits { day, addr, hits } = record {
-            self.0.record_week(day as usize, addr, hits);
-        }
+    fn fold(&mut self, record: Record) -> bool {
+        fold_weekly(record, self.num_weeks, &mut self.builder)
     }
     fn merge(&mut self, other: Self) {
-        self.0.merge(other.0);
+        self.builder.merge(other.builder);
     }
     fn finish(self, coverage: Coverage) -> WeeklyDataset {
-        self.0.finish().with_coverage(coverage)
+        self.builder.finish().with_coverage(coverage)
     }
 }
 
@@ -492,27 +487,15 @@ fn emit_shard_buffers(
 /// Decodes one attempt's view of a buffer into a fresh sink. Runs
 /// tolerantly; quarantine capture is enabled only when the caller is
 /// on its salvage (final) attempt.
-fn drain_attempt<S: Sink>(buf: &[u8], slots: usize, capture: bool) -> (S, AttemptResult) {
+fn drain_attempt<S: Sink>(
+    buf: &[u8],
+    slots: usize,
+    capture: bool,
+) -> (S, Drained, Vec<QuarantinedFrame>) {
     let mut reader = FrameReader::new(buf, ReadMode::Tolerant).capture_quarantine(capture);
     let mut sink = S::new(slots);
-    let mut res = AttemptResult::default();
-    loop {
-        match reader.read() {
-            Ok(Some(record)) => {
-                res.records += 1;
-                sink.fold(record);
-            }
-            Ok(None) => break,
-            Err(_) => {
-                res.decode_error = true;
-                break;
-            }
-        }
-    }
-    res.skipped = reader.skipped();
-    res.resyncs = reader.resyncs();
-    res.quarantine = reader.take_quarantine();
-    (sink, res)
+    let res = drain(&mut reader, |record| sink.fold(record));
+    (sink, res, reader.take_quarantine())
 }
 
 /// The stable lowercase token a fault kind carries in journal event
@@ -656,7 +639,7 @@ fn supervise_buffer<S: Sink>(
                 let attempt_run = catch_unwind(AssertUnwindSafe(|| {
                     drain_attempt::<S>(data, slots, final_attempt)
                 }));
-                let Ok((sink, res)) = attempt_run else {
+                let Ok((sink, res, quarantine)) = attempt_run else {
                     // A genuine decode panic: contained, partial state
                     // discarded, attempt charged.
                     if final_attempt {
@@ -668,7 +651,8 @@ fn supervise_buffer<S: Sink>(
                 // swallowed at least one frame while scanning for the
                 // next sync byte — `skipped` does not move, so a decode
                 // with resyncs is lossy even when nothing else fired.
-                let clean = res.skipped == 0 && res.resyncs == 0 && !res.decode_error;
+                let decode_error = res.error.is_some();
+                let clean = res.skipped == 0 && res.resyncs == 0 && !decode_error;
                 if clean {
                     acc.merge(sink);
                     meters.add_clean_records(res.records);
@@ -686,9 +670,9 @@ fn supervise_buffer<S: Sink>(
                     // record that survived CRC and dead-letter the
                     // frames that did not.
                     acc.merge(sink);
-                    meters.add_salvage(res.records, res.skipped, res.resyncs, res.decode_error);
+                    meters.add_salvage(res.records, res.skipped, res.resyncs, decode_error);
                     let quarantined = registry.counter(format!("{prefix}.quarantined_frames"));
-                    for frame in res.quarantine {
+                    for frame in quarantine {
                         quarantined.inc();
                         registry.emit(
                             Event::new(EventKind::Quarantine)
@@ -703,7 +687,7 @@ fn supervise_buffer<S: Sink>(
                     // lost to the desync scan; the true count is
                     // unknowable, so this lower-bounds the loss rather
                     // than ignoring it.
-                    let failed = res.skipped + res.resyncs + u64::from(res.decode_error);
+                    let failed = res.skipped + res.resyncs + u64::from(decode_error);
                     let total = res.records + failed;
                     let completeness =
                         if total == 0 { 0.0 } else { res.records as f64 / total as f64 };

@@ -342,18 +342,101 @@ impl DailyDataset {
 #[derive(Debug, Default)]
 pub struct DailyDatasetBuilder {
     num_days: usize,
-    blocks: HashMap<Block24, BlockAcc>,
+    blocks: BlockTable<BlockAcc>,
 }
 
-#[derive(Debug, Default)]
+/// Per-block accumulators found by position, not by hashing every
+/// record: accumulators sit in a `Vec` in first-arrival order, a hash
+/// index maps a block to its position, and the position last asked
+/// for is remembered. Logs are block-major, so nearly every record
+/// names the block the previous one did and is served by one compare.
+/// The memo is only a shortcut to what the index would answer — an
+/// accumulator never moves once pushed — so any arrival order gives
+/// the same accumulators, merely slower.
+#[derive(Debug)]
+struct BlockTable<A> {
+    accs: Vec<(Block24, A)>,
+    index: HashMap<Block24, u32>,
+    last: usize,
+}
+
+impl<A> Default for BlockTable<A> {
+    fn default() -> Self {
+        BlockTable { accs: Vec::new(), index: HashMap::new(), last: 0 }
+    }
+}
+
+impl<A> BlockTable<A> {
+    /// The accumulator of `block`, made by `new` if this is the
+    /// block's first record.
+    fn acc(&mut self, block: Block24, new: impl FnOnce() -> A) -> &mut A {
+        if !matches!(self.accs.get(self.last), Some((b, _)) if *b == block) {
+            self.last = self.position(block, new);
+        }
+        &mut self.accs[self.last].1
+    }
+
+    /// Where the index has `block`, appending an accumulator made by
+    /// `new` for a block it has not.
+    fn position(&mut self, block: Block24, new: impl FnOnce() -> A) -> usize {
+        let next = self.accs.len();
+        let at = *self.index.entry(block).or_insert(next as u32) as usize;
+        if at == next {
+            self.accs.push((block, new()));
+        }
+        at
+    }
+
+    /// Folds another table in: a block new to this one moves over, a
+    /// block both hold is combined by `both`.
+    fn merge(&mut self, other: BlockTable<A>, mut both: impl FnMut(&mut A, A)) {
+        for (block, acc) in other.accs {
+            let mut acc = Some(acc);
+            let at = self.position(block, || acc.take().expect("taken once"));
+            if let Some(acc) = acc {
+                both(&mut self.accs[at].1, acc);
+            }
+        }
+    }
+}
+
+/// No address of the block at this host index has an accumulator yet.
+const ABSENT: u16 = u16::MAX;
+
+#[derive(Debug)]
 struct BlockAcc {
-    ips: HashMap<u8, IpAcc>,
+    /// Per-address accumulators in first-arrival order.
+    ips: Vec<(u8, IpAcc)>,
+    /// Position in `ips` of each host's accumulator, or [`ABSENT`].
+    slot_of: [u16; 256],
     total_hits: u64,
     ua_samples: u64,
     ua_hashes: std::collections::HashSet<u64>,
 }
 
+impl Default for BlockAcc {
+    fn default() -> Self {
+        BlockAcc {
+            ips: Vec::new(),
+            slot_of: [ABSENT; 256],
+            total_hits: 0,
+            ua_samples: 0,
+            ua_hashes: Default::default(),
+        }
+    }
+}
+
 impl BlockAcc {
+    /// The accumulator of address `host`, created on first use.
+    fn ip(&mut self, host: u8) -> &mut IpAcc {
+        let slot = &mut self.slot_of[host as usize];
+        if *slot == ABSENT {
+            *slot = self.ips.len() as u16;
+            self.ips.push((host, IpAcc::default()));
+        }
+        &mut self.ips[*slot as usize].1
+    }
+
     /// The block's finished record; `None` for a block that never
     /// recorded a hit. `scratch` is the median buffer, reused across
     /// every address of a build.
@@ -363,10 +446,10 @@ impl BlockAcc {
         }
         let mut rows: Box<[DayBits; 256]> = Box::new([DayBits::new(); 256]);
         let mut ip_traffic = Vec::with_capacity(self.ips.len());
-        for (&host, ip) in &mut self.ips {
-            rows[host as usize] = ip.bits;
+        for (host, ip) in &mut self.ips {
+            rows[*host as usize] = ip.bits;
             ip_traffic.push(IpTraffic {
-                host,
+                host: *host,
                 days_active: ip.bits.count() as u8,
                 total_hits: ip.total,
                 median_daily_hits: ip.median(scratch),
@@ -437,7 +520,7 @@ impl DailyDatasetBuilder {
     /// Creates a builder for a window of `num_days` days (≤ 128).
     pub fn new(num_days: usize) -> Self {
         assert!(num_days <= DayBits::CAPACITY, "window exceeds {} days", DayBits::CAPACITY);
-        DailyDatasetBuilder { num_days, blocks: HashMap::new() }
+        DailyDatasetBuilder { num_days, blocks: BlockTable::default() }
     }
 
     /// Widens the window to `num_days` days, keeping everything
@@ -459,16 +542,16 @@ impl DailyDatasetBuilder {
         if hits == 0 {
             return; // activity is defined by successful requests
         }
-        let acc = self.blocks.entry(Block24::of(addr)).or_default();
+        let acc = self.blocks.acc(Block24::of(addr), BlockAcc::default);
         acc.total_hits += hits;
-        let ip = acc.ips.entry(addr.host_index()).or_default();
+        let ip = acc.ip(addr.host_index());
         ip.add(day, hits.min(u32::MAX as u64) as u32);
         ip.total += hits;
     }
 
     /// Records one sampled User-Agent observation.
     pub fn record_ua(&mut self, _day: usize, addr: Addr, ua_hash: u64) {
-        let acc = self.blocks.entry(Block24::of(addr)).or_default();
+        let acc = self.blocks.acc(Block24::of(addr), BlockAcc::default);
         acc.ua_samples += 1;
         acc.ua_hashes.insert(ua_hash);
     }
@@ -490,29 +573,14 @@ impl DailyDatasetBuilder {
             self.num_days, other.num_days,
             "cannot merge builders over different windows"
         );
-        for (block, acc) in other.blocks {
-            match self.blocks.entry(block) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(acc);
-                }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    let mine = slot.get_mut();
-                    mine.total_hits += acc.total_hits;
-                    mine.ua_samples += acc.ua_samples;
-                    mine.ua_hashes.extend(acc.ua_hashes);
-                    for (host, ip) in acc.ips {
-                        match mine.ips.entry(host) {
-                            std::collections::hash_map::Entry::Vacant(slot) => {
-                                slot.insert(ip);
-                            }
-                            std::collections::hash_map::Entry::Occupied(mut slot) => {
-                                slot.get_mut().merge(ip);
-                            }
-                        }
-                    }
-                }
+        self.blocks.merge(other.blocks, |mine, acc| {
+            mine.total_hits += acc.total_hits;
+            mine.ua_samples += acc.ua_samples;
+            mine.ua_hashes.extend(acc.ua_hashes);
+            for (host, ip) in acc.ips {
+                mine.ip(host).merge(ip);
             }
-        }
+        });
     }
 
     /// Finalizes into an immutable dataset.
@@ -528,7 +596,7 @@ impl DailyDatasetBuilder {
     pub fn finish(self) -> DailyDataset {
         // Consuming, so each accumulator is freed as soon as its
         // record exists and the two never coexist in full.
-        Self::dataset(self.num_days, self.blocks.into_iter())
+        Self::dataset(self.num_days, self.blocks.accs.into_iter())
     }
 
     /// The dataset [`finish`](Self::finish) would produce now, with
@@ -537,7 +605,7 @@ impl DailyDatasetBuilder {
     /// to keep each address's median once computed: the next snapshot
     /// recomputes it for the addresses that took a record in between.
     pub fn snapshot(&mut self) -> DailyDataset {
-        Self::dataset(self.num_days, self.blocks.iter_mut().map(|(&block, acc)| (block, acc)))
+        Self::dataset(self.num_days, self.blocks.accs.iter_mut().map(|(block, acc)| (*block, acc)))
     }
 
     fn dataset<A: std::borrow::BorrowMut<BlockAcc>>(
@@ -753,7 +821,7 @@ impl WeeklyDataset {
 #[derive(Debug, Default)]
 pub struct WeeklyDatasetBuilder {
     num_weeks: usize,
-    blocks: HashMap<Block24, Box<[u64; 256]>>,
+    blocks: BlockTable<Box<[u64; 256]>>,
     week_hits: Vec<WeekHits>,
 }
 
@@ -829,10 +897,7 @@ impl WeeklyDatasetBuilder {
         if hits == 0 {
             return;
         }
-        let rows = self
-            .blocks
-            .entry(Block24::of(addr))
-            .or_insert_with(|| Box::new([0u64; 256]));
+        let rows = self.blocks.acc(Block24::of(addr), || Box::new([0u64; 256]));
         rows[addr.host_index() as usize] |= 1u64 << w;
         self.week_hits[w].open().push(hits);
     }
@@ -849,18 +914,11 @@ impl WeeklyDatasetBuilder {
             self.num_weeks, other.num_weeks,
             "cannot merge builders over different week counts"
         );
-        for (block, rows) in other.blocks {
-            match self.blocks.entry(block) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(rows);
-                }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    for (mine, theirs) in slot.get_mut().iter_mut().zip(rows.iter()) {
-                        *mine |= theirs;
-                    }
-                }
+        self.blocks.merge(other.blocks, |mine, rows| {
+            for (mine, theirs) in mine.iter_mut().zip(rows.iter()) {
+                *mine |= theirs;
             }
-        }
+        });
         for (mine, mut theirs) in self.week_hits.iter_mut().zip(other.week_hits) {
             mine.open().append(theirs.open());
         }
@@ -873,7 +931,7 @@ impl WeeklyDatasetBuilder {
     /// (all-zero rows) are dropped, mirroring the daily builder.
     pub fn finish(mut self) -> WeeklyDataset {
         let week_hits = self.sorted_week_hits();
-        Self::dataset(self.num_weeks, self.blocks.into_iter().collect(), week_hits)
+        Self::dataset(self.num_weeks, self.blocks.accs, week_hits)
     }
 
     /// The dataset [`finish`](Self::finish) would produce now, with
@@ -883,8 +941,7 @@ impl WeeklyDatasetBuilder {
     /// copied or sorted again, until that week takes another record.
     pub fn snapshot(&mut self) -> WeeklyDataset {
         let week_hits = self.sorted_week_hits();
-        let blocks = self.blocks.iter().map(|(&block, rows)| (block, rows.clone())).collect();
-        Self::dataset(self.num_weeks, blocks, week_hits)
+        Self::dataset(self.num_weeks, self.blocks.accs.clone(), week_hits)
     }
 
     fn sorted_week_hits(&mut self) -> Vec<Arc<Vec<u64>>> {
@@ -1249,6 +1306,172 @@ mod tests {
         assert_eq!(*last.week_hits[0], vec![1, 5, 9]);
         assert!(Arc::ptr_eq(&reopened.week_hits[1], &last.week_hits[1]));
         assert_eq!(live.finish(), reopened);
+    }
+
+    /// One record: `(day or week, addr, hits)`.
+    type Rec = (usize, Addr, u64);
+
+    /// Records over four blocks with shared host indices, repeated
+    /// days and repeated `(day, addr)` pairs, block-major the way a
+    /// log emits them.
+    fn block_major_records() -> Vec<Rec> {
+        let mut recs = Vec::new();
+        for block in [7u32, 3, 900, 4] {
+            let block = Block24::new(0x0A_0000 + block);
+            for host in [0u8, 1, 9, 200, 255, 9] {
+                for day in [0usize, 5, 2, 5, 11] {
+                    let hits =
+                        1 + u64::from(host) * 3 + day as u64 * 17 + u64::from(block.id() % 5);
+                    recs.push((day, block.addr(host), hits));
+                }
+            }
+        }
+        recs
+    }
+
+    /// The same records in arrival orders a builder must not care
+    /// about: as emitted, blocks interleaved record by record
+    /// (A, B, A, B…: every record misses the last-block memo), and two
+    /// seeded shuffles.
+    fn arrival_orders() -> Vec<(&'static str, Vec<Rec>)> {
+        let major = block_major_records();
+        let per_block = major.len() / 4;
+        let interleaved: Vec<Rec> = (0..per_block)
+            .flat_map(|i| (0..4).map(move |b| b * per_block + i))
+            .map(|i| major[i])
+            .collect();
+        let shuffled = |mut x: u64| {
+            let mut recs = major.clone();
+            for i in (1..recs.len()).rev() {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                recs.swap(i, (x >> 33) as usize % (i + 1));
+            }
+            recs
+        };
+        vec![
+            ("interleaved", interleaved),
+            ("shuffled", shuffled(2015)),
+            ("reshuffled", shuffled(0xFEED)),
+            ("block-major", major),
+        ]
+    }
+
+    /// Folds `recs` through `ways` builders dealt round-robin in runs
+    /// of `run` records, then merges them left to right or as a
+    /// right-leaning tree.
+    fn fold_and_merge<B>(
+        recs: &[Rec],
+        ways: usize,
+        run: usize,
+        right_leaning: bool,
+        new: impl Fn() -> B,
+        fold: impl Fn(&mut B, Rec),
+        merge: impl Fn(&mut B, B),
+    ) -> B {
+        let mut parts: Vec<B> = (0..ways).map(|_| new()).collect();
+        for (i, &rec) in recs.iter().enumerate() {
+            fold(&mut parts[(i / run) % ways], rec);
+        }
+        if right_leaning {
+            let mut acc = parts.pop().unwrap();
+            while let Some(mut left) = parts.pop() {
+                merge(&mut left, acc);
+                acc = left;
+            }
+            acc
+        } else {
+            let mut it = parts.into_iter();
+            let mut acc = it.next().unwrap();
+            for part in it {
+                merge(&mut acc, part);
+            }
+            acc
+        }
+    }
+
+    #[test]
+    fn daily_builders_finish_equal_for_any_arrival_order_and_merge_tree() {
+        let ua = |b: &mut DailyDatasetBuilder, (day, a, hits): Rec| {
+            b.record_hits(day, a, hits);
+            if hits % 2 == 0 {
+                b.record_ua(day, a, hits % 7); // few distinct hashes, many repeats
+            }
+        };
+        let mut expect = DailyDatasetBuilder::new(12);
+        for rec in block_major_records() {
+            ua(&mut expect, rec);
+        }
+        let expect = expect.finish();
+        assert_eq!(expect.blocks.len(), 4);
+        for b in &expect.blocks {
+            assert_eq!((b.ip_traffic.len(), b.ua_samples > 0), (5, true), "{}", b.block);
+        }
+        for (name, recs) in arrival_orders() {
+            for (ways, run) in [(1, 1), (2, 1), (2, 7), (3, 1), (3, 4), (3, 50)] {
+                for right_leaning in [false, true] {
+                    let got = fold_and_merge(
+                        &recs,
+                        ways,
+                        run,
+                        right_leaning,
+                        || DailyDatasetBuilder::new(12),
+                        ua,
+                        |a, b| a.merge(b),
+                    );
+                    assert_eq!(got.finish(), expect, "{name}, {ways}-way, runs of {run}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weekly_builders_finish_equal_for_any_arrival_order_and_merge_tree() {
+        let mut expect = WeeklyDatasetBuilder::new(12);
+        for (w, a, hits) in block_major_records() {
+            expect.record_week(w, a, hits);
+        }
+        let expect = expect.finish();
+        assert_eq!(expect.blocks.len(), 4);
+        for (name, recs) in arrival_orders() {
+            for (ways, run) in [(1, 1), (2, 1), (2, 7), (3, 1), (3, 4), (3, 50)] {
+                for right_leaning in [false, true] {
+                    let got = fold_and_merge(
+                        &recs,
+                        ways,
+                        run,
+                        right_leaning,
+                        || WeeklyDatasetBuilder::new(12),
+                        |b, (w, a, hits)| b.record_week(w, a, hits),
+                        |a, b| a.merge(b),
+                    );
+                    assert_eq!(got.finish(), expect, "{name}, {ways}-way, runs of {run}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snapshots_after_each_batch_equal_fresh_builds_in_any_arrival_order() {
+        for (name, recs) in arrival_orders() {
+            let mut live_daily = DailyDatasetBuilder::new(12);
+            let mut live_weekly = WeeklyDatasetBuilder::new(12);
+            for (batch, upto) in (0..=recs.len()).step_by(13).enumerate() {
+                for &(slot, a, hits) in &recs[upto.saturating_sub(13)..upto] {
+                    live_daily.record_hits(slot, a, hits);
+                    live_weekly.record_week(slot, a, hits);
+                }
+                let mut fresh_daily = DailyDatasetBuilder::new(12);
+                let mut fresh_weekly = WeeklyDatasetBuilder::new(12);
+                // The fresh builders take the prefix backwards: another
+                // order again, and one that starts on another block.
+                for &(slot, a, hits) in recs[..upto].iter().rev() {
+                    fresh_daily.record_hits(slot, a, hits);
+                    fresh_weekly.record_week(slot, a, hits);
+                }
+                assert_eq!(live_daily.snapshot(), fresh_daily.finish(), "{name}, batch {batch}");
+                assert_eq!(live_weekly.snapshot(), fresh_weekly.finish(), "{name}, batch {batch}");
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! mid-frame" and catch gross desynchronization cheaply.
 
 use crate::record::{DecodeError, Record};
-use crate::varint::{decode_u64, encode_u64, VarintError};
+use crate::varint::{decode_u64, encode_u64_at_end, VarintError, MAX_LEN};
 use crate::crc::crc32;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 /// Frame sync byte. A value unlikely to begin valid varint runs.
 pub(crate) const SYNC: u8 = 0xA5;
@@ -38,38 +39,40 @@ pub enum ReadMode {
     Tolerant,
 }
 
+/// Widest frame header: the sync byte plus a full-width length varint.
+const HEADER_MAX: usize = 1 + MAX_LEN;
+
 /// Streaming writer of framed [`Record`]s.
 pub struct FrameWriter<W: Write> {
     inner: W,
+    // Persistent frame scratch: `write` is the hottest path in the
+    // pipeline, and a fresh Vec per record was a measurable allocator
+    // tax.
     scratch: Vec<u8>,
-    // Persistent header scratch (sync byte + varint length, ≤ 11
-    // bytes): `write` is the hottest path in the pipeline, and a
-    // fresh Vec per record was a measurable allocator tax.
-    header: Vec<u8>,
     written: u64,
 }
 
 impl<W: Write> FrameWriter<W> {
     /// Wraps a byte sink.
     pub fn new(inner: W) -> Self {
-        FrameWriter {
-            inner,
-            scratch: Vec::with_capacity(64),
-            header: Vec::with_capacity(11),
-            written: 0,
-        }
+        FrameWriter { inner, scratch: Vec::with_capacity(64), written: 0 }
     }
 
     /// Writes one record as a frame.
     pub fn write(&mut self, rec: &Record) -> io::Result<()> {
+        // The payload goes behind a gap wide enough for any header;
+        // once its length is known the header is laid right-aligned
+        // into the gap, so the frame is contiguous and leaves in one
+        // write.
         self.scratch.clear();
+        self.scratch.resize(HEADER_MAX, 0);
         rec.encode(&mut self.scratch);
-        self.header.clear();
-        self.header.push(SYNC);
-        encode_u64(&mut self.header, self.scratch.len() as u64);
-        self.inner.write_all(&self.header)?;
-        self.inner.write_all(&self.scratch)?;
-        self.inner.write_all(&crc32(&self.scratch).to_le_bytes())?;
+        let (gap, payload) = self.scratch.split_at_mut(HEADER_MAX);
+        let frame_at = encode_u64_at_end(gap, payload.len() as u64) - 1;
+        gap[frame_at] = SYNC;
+        let crc = crc32(payload);
+        self.scratch.extend_from_slice(&crc.to_le_bytes());
+        self.inner.write_all(&self.scratch[frame_at..])?;
         self.written += 1;
         Ok(())
     }
@@ -172,10 +175,25 @@ pub struct QuarantinedFrame {
     pub reason: QuarantineReason,
 }
 
+/// Size of a reader's read-ahead buffer. The largest frame
+/// (`HEADER_MAX + MAX_PAYLOAD + 4` bytes) fits twice over, so a frame
+/// is always parsed from one contiguous slice and refills stay large.
+const READ_BUF: usize = 128 * 1024;
+
 /// Streaming reader of framed [`Record`]s.
 ///
 /// `read()` returns `Ok(None)` when the stream ends cleanly: either at
 /// a [`Record::Finish`] marker or at EOF on a frame boundary.
+///
+/// The reader buffers for itself: it takes bytes from the source in
+/// large reads into one fixed buffer and parses each frame — sync,
+/// length, payload, CRC — in place from it, so an undamaged stream is
+/// decoded without a heap allocation per frame and the source needs no
+/// `BufReader` of its own. The source may therefore be read past the
+/// last frame delivered; [`FrameReader::position`] and quarantine
+/// offsets count the bytes frames consumed, never the read-ahead, and
+/// what is delivered does not depend on how the source chunks its
+/// reads.
 ///
 /// In tolerant mode the reader can additionally *quarantine* what it
 /// skips: enable capture with [`FrameReader::capture_quarantine`] and
@@ -185,10 +203,17 @@ pub struct QuarantinedFrame {
 pub struct FrameReader<R: Read> {
     inner: R,
     mode: ReadMode,
+    /// Read-ahead: `buf[start..end]` came off `inner` and no frame has
+    /// consumed it yet. Bytes just before `start` stay readable until
+    /// the next refill, which is what quarantine capture copies from.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
     skipped: u64,
     resyncs: u64,
     truncated: bool,
     finished: bool,
+    /// Stream offset of `buf[start]`.
     pos: u64,
     capture: bool,
     quarantine: Vec<QuarantinedFrame>,
@@ -200,6 +225,9 @@ impl<R: Read> FrameReader<R> {
         FrameReader {
             inner,
             mode,
+            buf: vec![0; READ_BUF],
+            start: 0,
+            end: 0,
             skipped: 0,
             resyncs: 0,
             truncated: false,
@@ -231,7 +259,9 @@ impl<R: Read> FrameReader<R> {
         self.truncated
     }
 
-    /// Current byte offset in the stream (bytes consumed so far).
+    /// Current byte offset in the stream: the bytes frames (and
+    /// skipped garbage) have consumed so far. The reader may have
+    /// taken more than that from the source.
     pub fn position(&self) -> u64 {
         self.pos
     }
@@ -252,41 +282,53 @@ impl<R: Read> FrameReader<R> {
         std::mem::take(&mut self.quarantine)
     }
 
-    fn quarantine_push(&mut self, offset: u64, reason: QuarantineReason, bytes: &[u8]) {
+    /// Counts one damaged frame and, with capture on, retains its
+    /// content — a range of `buf` not yet refilled over — capped.
+    fn skip_frame(&mut self, offset: u64, reason: QuarantineReason, content: Range<usize>) {
+        self.skipped += 1;
         if self.capture {
-            let captured = bytes[..bytes.len().min(QUARANTINE_CAPTURE_CAP)].to_vec();
+            let content = &self.buf[content];
+            let captured = content[..content.len().min(QUARANTINE_CAPTURE_CAP)].to_vec();
             self.quarantine.push(QuarantinedFrame { offset, captured, reason });
         }
     }
 
-    fn read_byte(&mut self) -> io::Result<Option<u8>> {
-        let mut b = [0u8; 1];
-        loop {
-            match self.inner.read(&mut b) {
-                Ok(0) => return Ok(None),
-                Ok(_) => {
-                    self.pos += 1;
-                    return Ok(Some(b[0]));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+    /// Whether `n` unconsumed bytes are buffered, reading ahead if
+    /// not; `false` means the stream ends before the `n`-th.
+    #[inline]
+    fn ensure(&mut self, n: usize) -> io::Result<bool> {
+        if self.end - self.start >= n {
+            return Ok(true);
+        }
+        self.refill(n)
+    }
+
+    #[cold]
+    fn refill(&mut self, n: usize) -> io::Result<bool> {
+        debug_assert!(n <= READ_BUF);
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        while self.end < n {
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Ok(false),
+                Ok(got) => self.end += got,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
+        Ok(true)
     }
 
-    fn read_exact_or_trunc(&mut self, buf: &mut [u8]) -> Result<(), FrameError> {
-        match self.inner.read_exact(buf) {
-            Ok(()) => {
-                self.pos += buf.len() as u64;
-                Ok(())
-            }
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(FrameError::TruncatedFrame),
-            Err(e) => Err(FrameError::Io(e)),
-        }
+    #[inline]
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        self.pos += n as u64;
     }
 
     /// Reads the next record, `Ok(None)` at clean end of stream.
     pub fn read(&mut self) -> Result<Option<Record>, FrameError> {
+        let tolerant = self.mode == ReadMode::Tolerant;
         loop {
             if self.finished {
                 return Ok(None);
@@ -294,154 +336,146 @@ impl<R: Read> FrameReader<R> {
             // Offset of the frame (or garbage run) about to be read.
             let frame_start = self.pos;
             // Sync byte, or EOF on a frame boundary.
-            let sync = match self.read_byte()? {
-                None => return Ok(None),
-                Some(b) => b,
-            };
+            if !self.ensure(1)? {
+                return Ok(None);
+            }
+            let sync = self.buf[self.start];
+            self.consume(1);
             if sync != SYNC {
-                match self.mode {
-                    ReadMode::Strict => return Err(FrameError::LostSync { found: sync }),
-                    ReadMode::Tolerant => {
-                        // Scan forward to the next sync byte. A false
-                        // positive (0xA5 inside data) is harmless: its
-                        // CRC will not verify and we scan again.
-                        self.resyncs += 1;
-                        // Accumulate the garbage run only when capture
-                        // is on: `Vec::new()` never allocates, so the
-                        // capture-off path stays zero overhead.
-                        let mut run = if self.capture { vec![sync] } else { Vec::new() };
-                        let ended = loop {
-                            match self.read_byte()? {
-                                None => break true,
-                                Some(b) if b == SYNC => break false,
-                                Some(b) => {
-                                    if self.capture && run.len() < QUARANTINE_CAPTURE_CAP {
-                                        run.push(b);
-                                    }
-                                }
-                            }
-                        };
-                        self.quarantine_push(frame_start, QuarantineReason::Desync, &run);
-                        if ended {
-                            return Ok(None);
-                        }
-                    }
+                if !tolerant {
+                    return Err(FrameError::LostSync { found: sync });
+                }
+                // Scan forward to the next sync byte. A false positive
+                // (0xA5 inside data) is harmless: its CRC will not
+                // verify and we scan again.
+                self.resyncs += 1;
+                if self.scan_to_sync(frame_start, sync)? {
+                    return Ok(None);
                 }
             }
-            // Payload length (varint, byte-at-a-time off the reader).
-            let mut len_raw = Vec::with_capacity(4);
-            let len = match self.read_len(&mut len_raw) {
-                Ok(len) => len,
-                Err(e) => match self.mode {
-                    ReadMode::Strict => return Err(e),
-                    ReadMode::Tolerant => match e {
-                        // Mid-stream garbage: drop the frame and rescan.
-                        FrameError::BadLength(_) => {
-                            self.skipped += 1;
-                            self.quarantine_push(
-                                frame_start,
-                                QuarantineReason::BadLength,
-                                &len_raw,
-                            );
-                            continue;
-                        }
-                        // EOF inside the length field: stream over.
-                        FrameError::TruncatedFrame => {
-                            self.skipped += 1;
-                            self.truncated = true;
-                            self.quarantine_push(
-                                frame_start,
-                                QuarantineReason::Truncated,
-                                &len_raw,
-                            );
-                            return Ok(None);
-                        }
-                        other => return Err(other),
-                    },
-                },
+            // Payload length.
+            let len_start = self.pos;
+            let len = self.read_len();
+            let len_field = self.start - (self.pos - len_start) as usize..self.start;
+            let len = match len {
+                Ok(len) if len <= MAX_PAYLOAD => len as usize,
+                Ok(len) if !tolerant => return Err(FrameError::OversizedFrame(len)),
+                // Mid-stream garbage: drop the frame and rescan from
+                // here.
+                Ok(_) => {
+                    self.skip_frame(frame_start, QuarantineReason::Oversized, len_field);
+                    continue;
+                }
+                Err(FrameError::BadLength(_)) if tolerant => {
+                    self.skip_frame(frame_start, QuarantineReason::BadLength, len_field);
+                    continue;
+                }
+                // EOF inside the length field: stream over.
+                Err(FrameError::TruncatedFrame) if tolerant => {
+                    self.skip_frame(frame_start, QuarantineReason::Truncated, len_field);
+                    self.truncated = true;
+                    return Ok(None);
+                }
+                Err(e) => return Err(e),
             };
-            if len > MAX_PAYLOAD {
-                match self.mode {
-                    ReadMode::Strict => return Err(FrameError::OversizedFrame(len)),
-                    ReadMode::Tolerant => {
-                        self.skipped += 1;
-                        self.quarantine_push(frame_start, QuarantineReason::Oversized, &len_raw);
-                        continue; // rescan from here
-                    }
+            // Payload and checksum.
+            if !self.ensure(len + 4)? {
+                // The stream ends inside the frame. Cut inside the
+                // payload, nothing of it counts as consumed; cut inside
+                // the checksum, the payload does. Either way what was
+                // read ahead of the cut is dropped: the stream is over.
+                let kept = if self.end - self.start >= len { len } else { 0 };
+                self.consume(kept);
+                let payload = self.start - kept..self.start;
+                self.start = self.end;
+                if !tolerant {
+                    return Err(FrameError::TruncatedFrame);
                 }
+                self.skip_frame(frame_start, QuarantineReason::Truncated, payload);
+                self.truncated = true;
+                return Ok(None);
             }
-            let mut payload = vec![0u8; len as usize];
-            if let Err(e) = self.read_exact_or_trunc(&mut payload) {
-                match (self.mode, e) {
-                    (ReadMode::Tolerant, FrameError::TruncatedFrame) => {
-                        self.skipped += 1;
-                        self.truncated = true;
-                        self.quarantine_push(frame_start, QuarantineReason::Truncated, &[]);
-                        return Ok(None);
-                    }
-                    (_, e) => return Err(e),
-                }
-            }
-            let mut crc_bytes = [0u8; 4];
-            if let Err(e) = self.read_exact_or_trunc(&mut crc_bytes) {
-                match (self.mode, e) {
-                    (ReadMode::Tolerant, FrameError::TruncatedFrame) => {
-                        self.skipped += 1;
-                        self.truncated = true;
-                        self.quarantine_push(frame_start, QuarantineReason::Truncated, &payload);
-                        return Ok(None);
-                    }
-                    (_, e) => return Err(e),
-                }
-            }
-            let crc_ok = crc32(&payload) == u32::from_le_bytes(crc_bytes);
-            if !crc_ok {
-                match self.mode {
-                    ReadMode::Strict => return Err(FrameError::BadChecksum),
-                    ReadMode::Tolerant => {
-                        self.skipped += 1;
-                        self.quarantine_push(frame_start, QuarantineReason::BadChecksum, &payload);
-                        continue;
-                    }
-                }
-            }
-            match Record::decode(&payload) {
+            let payload_at = self.start;
+            let (payload, crc) = self.buf[payload_at..payload_at + len + 4].split_at(len);
+            let crc = u32::from_le_bytes([crc[0], crc[1], crc[2], crc[3]]);
+            let outcome = if crc32(payload) != crc {
+                Err((FrameError::BadChecksum, QuarantineReason::BadChecksum))
+            } else {
+                Record::decode(payload)
+                    .map_err(|e| (FrameError::BadRecord(e), QuarantineReason::BadRecord))
+            };
+            self.consume(len + 4);
+            match outcome {
                 Ok(Record::Finish) => {
                     self.finished = true;
                     return Ok(None);
                 }
                 Ok(rec) => return Ok(Some(rec)),
-                Err(e) => match self.mode {
-                    ReadMode::Strict => return Err(FrameError::BadRecord(e)),
-                    ReadMode::Tolerant => {
-                        self.skipped += 1;
-                        self.quarantine_push(frame_start, QuarantineReason::BadRecord, &payload);
-                        continue;
-                    }
-                },
+                Err((error, _)) if !tolerant => return Err(error),
+                Err((_, reason)) => {
+                    self.skip_frame(frame_start, reason, payload_at..payload_at + len)
+                }
             }
         }
     }
 
-    fn read_len(&mut self, raw: &mut Vec<u8>) -> Result<u64, FrameError> {
-        // Collect up to MAX varint bytes from the reader, then decode.
-        // `raw` receives every byte consumed, so callers can quarantine
-        // the malformed header on failure.
+    /// Consumes a garbage run up to and including the next sync byte
+    /// and quarantines it (`first` is the run's already consumed first
+    /// byte); `true` if the stream ended before a sync byte turned up.
+    fn scan_to_sync(&mut self, run_start: u64, first: u8) -> io::Result<bool> {
+        // `Vec::new()` never allocates, so the capture-off path stays
+        // zero overhead.
+        let mut run = if self.capture { vec![first] } else { Vec::new() };
+        let ended = loop {
+            if !self.ensure(1)? {
+                break true;
+            }
+            let ahead = &self.buf[self.start..self.end];
+            let sync_at = ahead.iter().position(|&b| b == SYNC);
+            let garbage = sync_at.unwrap_or(ahead.len());
+            if self.capture {
+                let room = QUARANTINE_CAPTURE_CAP - run.len();
+                run.extend_from_slice(&ahead[..garbage.min(room)]);
+            }
+            self.consume(garbage + usize::from(sync_at.is_some()));
+            if sync_at.is_some() {
+                break false;
+            }
+        };
+        if self.capture {
+            self.quarantine.push(QuarantinedFrame {
+                offset: run_start,
+                captured: run,
+                reason: QuarantineReason::Desync,
+            });
+        }
+        Ok(ended)
+    }
+
+    /// Parses the length varint in place, consuming exactly the bytes
+    /// the field occupies — also when it is malformed or cut short, so
+    /// the caller can quarantine them.
+    fn read_len(&mut self) -> Result<u64, FrameError> {
+        let mut n = 0;
         loop {
-            let b = match self.read_byte()? {
-                None => return Err(FrameError::TruncatedFrame),
-                Some(b) => b,
-            };
-            raw.push(b);
+            if !self.ensure(n + 1)? {
+                self.consume(n);
+                return Err(FrameError::TruncatedFrame);
+            }
+            let b = self.buf[self.start + n];
+            n += 1;
             if b & 0x80 == 0 {
                 break;
             }
-            if raw.len() >= crate::varint::MAX_LEN {
+            if n >= MAX_LEN {
+                self.consume(n);
                 return Err(FrameError::BadLength(VarintError::Overflow));
             }
         }
-        let mut slice = &raw[..];
-        decode_u64(&mut slice).map_err(FrameError::BadLength)
+        let mut field = &self.buf[self.start..self.start + n];
+        let len = decode_u64(&mut field).map_err(FrameError::BadLength);
+        self.consume(n);
+        len
     }
 
     /// Drains the stream into a vector (convenience for tests/tools).
@@ -706,6 +740,24 @@ mod tests {
         assert_eq!(r.position(), 0);
         r.read_all().unwrap();
         assert_eq!(r.position(), buf.len() as u64);
+    }
+
+    #[test]
+    fn position_counts_frames_consumed_not_bytes_read_ahead() {
+        // The whole stream fits the read buffer and is taken from the
+        // source by the first read; the position still moves a frame
+        // at a time.
+        let records = sample_records();
+        let buf = encode_stream(&records);
+        let mut r = FrameReader::new(&buf[..], ReadMode::Strict);
+        let mut consumed = 0;
+        for rec in &records {
+            assert_eq!(r.read().unwrap().as_ref(), Some(rec));
+            let mut frame = Vec::new();
+            FrameWriter::new(&mut frame).write(rec).unwrap();
+            consumed += frame.len() as u64;
+            assert_eq!(r.position(), consumed);
+        }
     }
 
     #[test]

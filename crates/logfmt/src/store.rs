@@ -35,7 +35,7 @@ use crate::manifest::{gen_day_file_name, Manifest, ManifestError};
 use crate::vfs::{Fs, FsFile, RealFs};
 use crate::{FrameError, FrameReader, FrameWriter, ReadMode, Record};
 use ipactive_obs::{metrics::DECADE_BOUNDS, Counter, Event, EventKind, Histogram, Registry};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -621,7 +621,7 @@ impl<F: Fs> LogStore<F> {
     ) -> Result<(Vec<Record>, DayDamage), StoreError> {
         let path = self.day_path(day);
         let file = self.fs.open_read(&path).map_err(|e| StoreError::io(Some(day), &path, e))?;
-        let mut reader = FrameReader::new(BufReader::new(file), mode);
+        let mut reader = FrameReader::new(file, mode);
         let records = reader
             .read_all()
             .map_err(|source| StoreError::Frame { day, path: path.clone(), source })?;

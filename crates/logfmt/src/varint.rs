@@ -29,6 +29,23 @@ impl fmt::Display for VarintError {
 
 impl std::error::Error for VarintError {}
 
+/// Writes the LEB128 encoding of `v` into the tail of `buf`, ending
+/// exactly at its end, and returns the index the encoding starts at —
+/// for a length prefix laid down in front of data already in place.
+///
+/// # Panics
+/// If `buf` is shorter than the encoding (at most [`MAX_LEN`] bytes).
+pub(crate) fn encode_u64_at_end(buf: &mut [u8], v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros() as usize;
+    let len = bits.div_ceil(7);
+    let start = buf.len() - len;
+    for (i, byte) in buf[start..].iter_mut().enumerate() {
+        let more = if i + 1 < len { 0x80 } else { 0 };
+        *byte = (v >> (7 * i)) as u8 & 0x7F | more;
+    }
+    start
+}
+
 /// Appends the LEB128 encoding of `v` to `buf`.
 pub fn encode_u64<B: BufMut>(buf: &mut B, mut v: u64) {
     loop {
@@ -85,6 +102,18 @@ mod tests {
         assert_eq!(roundtrip(16_384), 3);
         assert_eq!(roundtrip(u32::MAX as u64), 5);
         assert_eq!(roundtrip(u64::MAX), 10);
+    }
+
+    #[test]
+    fn encoding_at_end_matches_appending() {
+        for v in [0, 1, 127, 128, 300, 16_383, 16_384, 65_536, u32::MAX as u64, u64::MAX] {
+            let mut appended = Vec::new();
+            encode_u64(&mut appended, v);
+            let mut buf = [0xEEu8; MAX_LEN + 2];
+            let start = encode_u64_at_end(&mut buf, v);
+            assert_eq!(&buf[start..], &appended[..], "{v}");
+            assert!(buf[..start].iter().all(|&b| b == 0xEE), "{v}: wrote before its start");
+        }
     }
 
     #[test]

@@ -75,3 +75,470 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Reader differential: what the reader delivers is a function of the
+// byte stream alone — not of how the source chunks its reads — and is
+// what the byte-at-a-time reader it replaced delivered.
+// ---------------------------------------------------------------------
+
+use ipactive_logfmt::{crc32, BlockDay, QuarantineReason, QuarantinedFrame, QUARANTINE_CAPTURE_CAP};
+use ipactive_net::Block24;
+use std::io::Read;
+
+const SYNC: u8 = 0xA5;
+const MAX_PAYLOAD: u64 = 1 << 16;
+
+/// A source that hands out at most `chunk` bytes a call.
+struct Chunked<'a> {
+    data: &'a [u8],
+    chunk: usize,
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.chunk.min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// Everything a caller can observe of one reader run to its end: each
+/// `read()` result in order (errors by their `Debug` text, strict mode
+/// keeps reading after one), then the counters.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    reads: Vec<Result<Record, String>>,
+    skipped: u64,
+    resyncs: u64,
+    truncated_tail: bool,
+    position: u64,
+    quarantine: Vec<QuarantinedFrame>,
+}
+
+fn observe<R: Read>(source: R, mode: ReadMode, stream_len: usize) -> Observed {
+    let mut reader = FrameReader::new(source, mode).capture_quarantine(true);
+    let mut reads = Vec::new();
+    // Every call consumes a byte or ends the stream, so this bound is
+    // never reached; it turns a reader that spins into a failure.
+    for _ in 0..=stream_len + 1 {
+        match reader.read() {
+            Ok(Some(rec)) => reads.push(Ok(rec)),
+            Ok(None) => break,
+            Err(e) => reads.push(Err(format!("{e:?}"))),
+        }
+    }
+    assert!(matches!(reader.read(), Ok(None)), "reader did not come to rest");
+    Observed {
+        reads,
+        skipped: reader.skipped(),
+        resyncs: reader.resyncs(),
+        truncated_tail: reader.truncated_tail(),
+        position: reader.position(),
+        quarantine: reader.take_quarantine(),
+    }
+}
+
+/// The reference: the frame grammar read one byte at a time straight
+/// off a slice, the way the reader worked before it buffered. Kept as
+/// the oracle for delivered records, counters, position and
+/// quarantine.
+struct Oracle<'a> {
+    data: &'a [u8],
+    at: usize,
+    tolerant: bool,
+    out: Observed,
+    finished: bool,
+}
+
+impl Oracle<'_> {
+    fn run(data: &[u8], mode: ReadMode) -> Observed {
+        let mut o = Oracle {
+            data,
+            at: 0,
+            tolerant: mode == ReadMode::Tolerant,
+            out: Observed {
+                reads: Vec::new(),
+                skipped: 0,
+                resyncs: 0,
+                truncated_tail: false,
+                position: 0,
+                quarantine: Vec::new(),
+            },
+            finished: false,
+        };
+        while o.frame() {}
+        o.out
+    }
+
+    fn byte(&mut self) -> Option<u8> {
+        let b = self.data.get(self.at).copied()?;
+        self.at += 1;
+        self.out.position += 1;
+        Some(b)
+    }
+
+    fn skip(&mut self, offset: u64, reason: QuarantineReason, bytes: &[u8]) {
+        self.out.skipped += 1;
+        self.quarantine(offset, reason, bytes);
+    }
+
+    fn quarantine(&mut self, offset: u64, reason: QuarantineReason, bytes: &[u8]) {
+        let captured = bytes[..bytes.len().min(QUARANTINE_CAPTURE_CAP)].to_vec();
+        self.out.quarantine.push(QuarantinedFrame { offset, captured, reason });
+    }
+
+    /// A stream cut inside a frame is over: the rest is gone without
+    /// counting towards the position.
+    fn truncated(&mut self, offset: u64, bytes: &[u8]) -> bool {
+        self.at = self.data.len();
+        if self.tolerant {
+            self.skip(offset, QuarantineReason::Truncated, bytes);
+            self.out.truncated_tail = true;
+        } else {
+            self.out.reads.push(Err("TruncatedFrame".into()));
+        }
+        self.tolerant // strict mode reads on and finds the end
+    }
+
+    /// One `read()` call's worth; `false` once the stream is over.
+    fn frame(&mut self) -> bool {
+        if self.finished {
+            return false;
+        }
+        let frame_start = self.out.position;
+        let Some(sync) = self.byte() else { return false };
+        if sync != SYNC {
+            if !self.tolerant {
+                self.out.reads.push(Err(format!("LostSync {{ found: {sync} }}")));
+                return true;
+            }
+            self.out.resyncs += 1;
+            let mut run = vec![sync];
+            let ended = loop {
+                match self.byte() {
+                    None => break true,
+                    Some(SYNC) => break false,
+                    Some(b) => run.push(b),
+                }
+            };
+            self.quarantine(frame_start, QuarantineReason::Desync, &run);
+            if ended {
+                return false;
+            }
+        }
+        let mut raw = Vec::new();
+        let len = loop {
+            let Some(b) = self.byte() else {
+                return !self.truncated(frame_start, &raw);
+            };
+            raw.push(b);
+            if b & 0x80 == 0 {
+                break decode_u64(&mut &raw[..]);
+            }
+            if raw.len() >= 10 {
+                break Err(ipactive_logfmt::VarintError::Overflow);
+            }
+        };
+        let len = match len {
+            Ok(len) if len <= MAX_PAYLOAD => len as usize,
+            Ok(len) => {
+                if self.tolerant {
+                    self.skip(frame_start, QuarantineReason::Oversized, &raw);
+                } else {
+                    self.out.reads.push(Err(format!("OversizedFrame({len})")));
+                }
+                return true;
+            }
+            Err(e) => {
+                if self.tolerant {
+                    self.skip(frame_start, QuarantineReason::BadLength, &raw);
+                } else {
+                    self.out.reads.push(Err(format!("BadLength({e:?})")));
+                }
+                return true;
+            }
+        };
+        let rest = &self.data[self.at..];
+        if rest.len() < len {
+            return !self.truncated(frame_start, &[]);
+        }
+        let payload = rest[..len].to_vec();
+        self.at += len;
+        self.out.position += len as u64;
+        let rest = &self.data[self.at..];
+        if rest.len() < 4 {
+            return !self.truncated(frame_start, &payload);
+        }
+        let crc = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
+        self.at += 4;
+        self.out.position += 4;
+        let failure = if crc32_bytewise(&payload) != crc {
+            Some(("BadChecksum".to_string(), QuarantineReason::BadChecksum))
+        } else {
+            match Record::decode(&payload) {
+                Ok(Record::Finish) => {
+                    self.finished = true;
+                    return false;
+                }
+                Ok(rec) => {
+                    self.out.reads.push(Ok(rec));
+                    return true;
+                }
+                Err(e) => Some((format!("BadRecord({e:?})"), QuarantineReason::BadRecord)),
+            }
+        };
+        let (error, reason) = failure.expect("delivered records returned above");
+        if self.tolerant {
+            self.skip(frame_start, reason, &payload);
+        } else {
+            self.out.reads.push(Err(error));
+        }
+        true
+    }
+}
+
+/// CRC-32/ISO-HDLC one bit at a time: the definition, no tables.
+fn crc32_bytewise(data: &[u8]) -> u32 {
+    let mut crc = u32::MAX;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
+/// Holds every chunking of `stream`, in both modes, to the oracle.
+fn assert_chunking_invariant(stream: &[u8]) -> Result<(), TestCaseError> {
+    for mode in [ReadMode::Strict, ReadMode::Tolerant] {
+        let want = Oracle::run(stream, mode);
+        prop_assert_eq!(&observe(stream, mode, stream.len()), &want, "whole slice, {:?}", mode);
+        for chunk in [1, 7, 4096] {
+            let got = observe(Chunked { data: stream, chunk }, mode, stream.len());
+            prop_assert_eq!(&got, &want, "{} bytes a read, {:?}", chunk, mode);
+        }
+    }
+    Ok(())
+}
+
+/// One way transport or storage damages a stream, placed by a fraction
+/// of its length.
+#[derive(Debug, Clone)]
+enum Damage {
+    Flip(f64, u8),
+    Insert(f64, Vec<u8>),
+    Delete(f64, usize),
+    Truncate(f64),
+}
+
+impl Damage {
+    fn apply(&self, buf: &mut Vec<u8>) {
+        let at = |frac: f64| (buf.len() as f64 * frac) as usize;
+        match self {
+            Damage::Flip(f, mask) => {
+                let pos = at(*f).min(buf.len() - 1);
+                buf[pos] ^= mask;
+            }
+            Damage::Insert(f, bytes) => {
+                let pos = at(*f);
+                buf.splice(pos..pos, bytes.iter().copied());
+            }
+            Damage::Delete(f, n) => {
+                let pos = at(*f);
+                let end = (pos + n).min(buf.len());
+                buf.drain(pos..end);
+            }
+            Damage::Truncate(f) => {
+                let pos = at(*f);
+                buf.truncate(pos);
+            }
+        }
+    }
+}
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        (0.0f64..1.0, 1u8..=255).prop_map(|(f, m)| Damage::Flip(f, m)),
+        (0.0f64..1.0, prop::collection::vec(any::<u8>(), 1..12))
+            .prop_map(|(f, b)| Damage::Insert(f, b)),
+        // Sync bytes and continuation bytes are what framing trips on.
+        (0.0f64..1.0, 1usize..4).prop_map(|(f, n)| Damage::Insert(f, vec![SYNC; n])),
+        (0.0f64..1.0, 1usize..12).prop_map(|(f, n)| Damage::Insert(f, vec![0xFF; n])),
+        (0.0f64..1.0, 1usize..20).prop_map(|(f, n)| Damage::Delete(f, n)),
+        (0.0f64..1.0).prop_map(Damage::Truncate),
+    ]
+}
+
+/// Records of every kind and size, packed block days included.
+fn arb_any_record() -> impl Strategy<Value = Record> {
+    prop_oneof![
+        arb_record(),
+        arb_record(),
+        (any::<u16>(), any::<u32>(), prop::collection::vec(1u64..u64::MAX, 0..=256)).prop_map(
+            |(day, block, hits)| {
+                // Spread the entries over the hosts, ascending.
+                let step = 256 / hits.len().max(1);
+                let entries =
+                    hits.iter().enumerate().map(|(i, &h)| ((i * step) as u8, h)).collect();
+                Record::BlockDay(Box::new(BlockDay::new(day, Block24::new(block >> 8), entries)))
+            }
+        ),
+    ]
+}
+
+fn encode_stream(records: &[Record], finish: bool) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let mut w = FrameWriter::new(&mut buf);
+    for r in records {
+        w.write(r).unwrap();
+    }
+    if finish {
+        w.finish().unwrap();
+    }
+    buf
+}
+
+/// A hand-laid frame around an arbitrary payload.
+fn raw_frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = vec![SYNC];
+    encode_u64(&mut frame, payload.len() as u64);
+    frame.extend_from_slice(payload);
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame
+}
+
+proptest! {
+    #[test]
+    fn clean_streams_read_the_same_however_chunked(
+        records in prop::collection::vec(arb_any_record(), 0..60),
+        finish in any::<bool>(),
+    ) {
+        let stream = encode_stream(&records, finish);
+        assert_chunking_invariant(&stream)?;
+        let got = observe(Chunked { data: &stream, chunk: 7 }, ReadMode::Strict, stream.len());
+        let want: Vec<Result<Record, String>> = records.into_iter().map(Ok).collect();
+        prop_assert_eq!(got.reads, want);
+        prop_assert_eq!(got.position, stream.len() as u64);
+    }
+
+    #[test]
+    fn damaged_streams_read_the_same_however_chunked(
+        records in prop::collection::vec(arb_any_record(), 1..40),
+        damage in prop::collection::vec(arb_damage(), 1..4),
+    ) {
+        let mut stream = encode_stream(&records, true);
+        for d in &damage {
+            if !stream.is_empty() {
+                d.apply(&mut stream);
+            }
+        }
+        assert_chunking_invariant(&stream)?;
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_and_read_the_same_however_chunked(
+        noise in prop::collection::vec(any::<u8>(), 0..600),
+        // Dense in the bytes framing reacts to.
+        grammar in prop::collection::vec(
+            prop_oneof![Just(SYNC), Just(0x00u8), Just(0x01), Just(0x04), Just(0x80), Just(0xFF)],
+            0..200,
+        ),
+    ) {
+        assert_chunking_invariant(&noise)?;
+        assert_chunking_invariant(&grammar)?;
+    }
+}
+
+#[test]
+fn a_frame_of_exactly_max_payload_is_read_in_place() {
+    // No record is that large, so the payload is junk behind a valid
+    // CRC: the reader must take it as one whole frame (BadRecord, not
+    // Oversized or Truncated) and deliver what follows it. One byte
+    // more is over the limit.
+    let tail = encode_stream(&[Record::DayStart { day: 7 }], true);
+    for (len, reason) in [
+        (MAX_PAYLOAD as usize, QuarantineReason::BadRecord),
+        (MAX_PAYLOAD as usize + 1, QuarantineReason::Oversized),
+    ] {
+        let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8 | 0x08).collect();
+        let mut stream = encode_stream(&[Record::DayStart { day: 1 }], false);
+        let frame_at = stream.len() as u64;
+        stream.extend_from_slice(&raw_frame(&payload));
+        stream.extend_from_slice(&tail);
+        for chunk in [1, 7, 4096, usize::MAX] {
+            let got = observe(Chunked { data: &stream, chunk }, ReadMode::Tolerant, stream.len());
+            assert_eq!(got.quarantine[0].reason, reason, "{len} bytes, chunk {chunk}");
+            assert_eq!(got.quarantine[0].offset, frame_at);
+            assert_eq!(got.reads[0], Ok(Record::DayStart { day: 1 }));
+            if reason == QuarantineReason::BadRecord {
+                assert_eq!(got.reads[1..], [Ok(Record::DayStart { day: 7 })]);
+                assert_eq!((got.skipped, got.resyncs), (1, 0));
+                assert_eq!(got.position, stream.len() as u64);
+                assert_eq!(got.quarantine[0].captured, payload[..QUARANTINE_CAPTURE_CAP]);
+            }
+        }
+        for mode in [ReadMode::Strict, ReadMode::Tolerant] {
+            assert_eq!(Oracle::run(&stream, mode), observe(&stream[..], mode, stream.len()));
+        }
+    }
+}
+
+#[test]
+fn frames_straddling_refill_boundaries_round_trip() {
+    // Over a megabyte of frames from 4 bytes to 2.6 KB: whatever size
+    // (at most 256 KiB) the reader's buffer has, frames of every kind
+    // end up across its refill boundaries, at every chunking.
+    let mut records = Vec::new();
+    let mut x = 0x2015_u64;
+    while records.len() < 4000 {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let n = (x >> 33) as usize % 257;
+        let entries = (0..n).map(|i| (i as u8, x.rotate_left(i as u32) | 1)).collect();
+        records.push(Record::BlockDay(Box::new(BlockDay::new(
+            (x >> 20) as u16,
+            Block24::new((x >> 40) as u32),
+            entries,
+        ))));
+        records.push(Record::Hits { day: n as u16, addr: Addr::new(x as u32), hits: x >> 7 });
+        records.push(Record::DayStart { day: n as u16 });
+    }
+    let stream = encode_stream(&records, true);
+    assert!(stream.len() > 4 * 256 * 1024, "stream too short: {}", stream.len());
+    let want: Vec<Result<Record, String>> = records.into_iter().map(Ok).collect();
+    for chunk in [7, 4096, 100_000, usize::MAX] {
+        let got = observe(Chunked { data: &stream, chunk }, ReadMode::Strict, stream.len());
+        assert!(got.reads == want, "chunk {chunk}: records differ");
+        assert_eq!(got.position, stream.len() as u64);
+        assert_eq!((got.skipped, got.resyncs, got.truncated_tail), (0, 0, false));
+    }
+    // And with damage on both sides of every 64 KiB mark.
+    let mut dirty = stream.clone();
+    for mark in (65_536..dirty.len()).step_by(65_536) {
+        dirty[mark - 1] ^= 0x40;
+        dirty[mark + 1] ^= 0x01;
+    }
+    for mode in [ReadMode::Strict, ReadMode::Tolerant] {
+        let want = Oracle::run(&dirty, mode);
+        for chunk in [4096, 100_000, usize::MAX] {
+            let got = observe(Chunked { data: &dirty, chunk }, mode, dirty.len());
+            assert!(got == want, "chunk {chunk}, {mode:?}: damaged read differs from the oracle");
+        }
+    }
+}
+
+#[test]
+fn crc32_equals_the_bitwise_definition_at_every_length_and_alignment() {
+    let bytes: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8).collect();
+    for start in 0..8 {
+        for len in 0..=64 {
+            let data = &bytes[start..start + len];
+            assert_eq!(crc32(data), crc32_bytewise(data), "start {start}, len {len}");
+        }
+    }
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32(b""), 0);
+    assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+}

@@ -9,10 +9,13 @@
 //! exactly their slice of the direct build.
 
 use ipactive::cdnsim::{
-    collect_daily_sharded, collect_weekly_sharded, emit_daily_shards, emit_weekly_shards,
-    shard_of, Universe, UniverseConfig,
+    collect_daily, collect_daily_sharded, collect_weekly, collect_weekly_sharded,
+    emit_daily_shards, emit_weekly_shards, shard_of, supervised_collect_daily, FaultPlan,
+    RetryPolicy, Universe, UniverseConfig,
 };
 use ipactive::core::DailyDataset;
+use ipactive::logfmt::{BlockDay, FrameWriter, Record};
+use ipactive::net::{Addr, Block24};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -177,4 +180,96 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// A frame can be intact — sync, length, CRC, record grammar all good —
+// and still name a day or week the window does not have. That is the
+// collector's to refuse, not the builder's to assert on: the record is
+// counted as a skipped frame, never as read, and the drain goes on.
+// ---------------------------------------------------------------------
+
+const WINDOW: usize = 112;
+
+fn addr(host: u8) -> Addr {
+    Block24::new(0x0A_0000).addr(host)
+}
+
+/// Two good records around out-of-window ones of every kind that
+/// carries a day, CRC-valid, in one stream.
+fn stream_with_out_of_window_frames() -> Vec<u8> {
+    let mut w = FrameWriter::new(Vec::new());
+    for record in [
+        Record::Hits { day: 3, addr: addr(1), hits: 10 },
+        Record::Hits { day: 200, addr: addr(2), hits: 5 },
+        Record::Hits { day: WINDOW as u16, addr: addr(2), hits: 5 },
+        Record::UaSample { day: 200, addr: addr(1), ua_hash: 42 },
+        Record::BlockDay(Box::new(BlockDay::new(u16::MAX, Block24::new(9), vec![(4, 1)]))),
+        Record::Hits { day: WINDOW as u16 - 1, addr: addr(3), hits: 7 },
+    ] {
+        w.write(&record).unwrap();
+    }
+    w.finish().unwrap()
+}
+
+#[test]
+fn out_of_window_records_are_skipped_not_folded_daily() {
+    let stream = stream_with_out_of_window_frames();
+    let (dataset, stats) = collect_daily(&stream[..], WINDOW).unwrap();
+    assert_eq!((stats.records_read, stats.frames_skipped, stats.resyncs), (2, 4, 0));
+    assert_eq!(dataset.total_active(), 2);
+    let block = &dataset.blocks[0];
+    assert_eq!((dataset.blocks.len(), block.total_hits, block.ua_samples), (1, 17, 0));
+
+    // The sharded entry point promises never to panic and never to
+    // poison other shards: the bad frames stay on their collector.
+    let clean = {
+        let mut w = FrameWriter::new(Vec::new());
+        w.write(&Record::Hits { day: 0, addr: Block24::new(77).addr(5), hits: 1 }).unwrap();
+        w.finish().unwrap()
+    };
+    let (sharded, report) = collect_daily_sharded(&[clean, stream], WINDOW);
+    assert_eq!(sharded.total_active(), 3);
+    let per: Vec<_> =
+        report.per_collector.iter().map(|c| (c.records_read, c.frames_skipped)).collect();
+    assert_eq!(per, [(1, 0), (2, 4)]);
+    assert_eq!((report.totals.records_read, report.totals.frames_skipped), (3, 4));
+    assert!(report.per_collector.iter().all(|c| c.decode_errors == 0 && c.resyncs == 0));
+}
+
+#[test]
+fn out_of_window_records_are_skipped_not_folded_weekly() {
+    // The same stream read as a weekly log over 52 weeks: `day` carries
+    // the week, so 3 is in, 111 and the rest are out.
+    let stream = stream_with_out_of_window_frames();
+    let (dataset, stats) = collect_weekly(&stream[..], 52).unwrap();
+    assert_eq!((stats.records_read, stats.frames_skipped), (1, 5));
+    assert_eq!(dataset.total_active(), 1);
+    assert_eq!(*dataset.week_hits[3], vec![10]);
+
+    let (sharded, report) = collect_weekly_sharded(&[stream.clone(), stream], 52);
+    assert_eq!(sharded.total_active(), 1);
+    assert_eq!(*sharded.week_hits[3], vec![10, 10]);
+    assert_eq!((report.totals.records_read, report.totals.frames_skipped), (2, 10));
+    assert!(report.per_collector.iter().all(|c| c.decode_errors == 0));
+}
+
+#[test]
+fn the_supervisor_refuses_to_call_an_out_of_window_decode_clean() {
+    // No retry can repair a record the sender got wrong: the buffer is
+    // salvaged on the last attempt — the good records kept, the loss
+    // on the books — rather than passed as complete or lost whole.
+    let buffers = vec![vec![stream_with_out_of_window_frames()]];
+    let (dataset, report) =
+        supervised_collect_daily(&buffers, WINDOW, &RetryPolicy::instant(2), &FaultPlan::none())
+            .unwrap();
+    assert_eq!(dataset.total_active(), 2);
+    assert_eq!(report.retries(), 2);
+    assert!(!report.fully_recovered());
+    let outcome = &report.outcomes[0];
+    assert!((outcome.completeness() - 2.0 / 6.0).abs() < 1e-12, "{}", outcome.completeness());
+    let stats = &report.report.per_collector[0];
+    assert_eq!((stats.records_read, stats.frames_skipped, stats.decode_errors), (2, 4, 0));
+    // Nothing was wrong with the bytes, so nothing is dead-lettered.
+    assert!(report.quarantine.is_empty());
 }
