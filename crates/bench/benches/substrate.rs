@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ipactive_cdnsim::{
-    collect_daily, collect_daily_sharded, emit_daily_logs, emit_daily_shards, parallel_pipeline,
+    collect_daily_sharded, collect_stream, emit_logs, emit_shards, stream_pipeline, Daily,
     Universe, UniverseConfig,
 };
 use ipactive_probe::{IcmpScanner, PortScanner};
@@ -40,16 +40,17 @@ fn bench_probing(c: &mut Criterion) {
 fn bench_pipeline(c: &mut Criterion) {
     let u = universe();
     let mut encoded = Vec::new();
-    emit_daily_logs(u, &mut encoded).unwrap();
+    emit_logs::<Daily>(u, &mut encoded).unwrap();
     c.bench_function("logfmt_emit_daily", |b| {
         b.iter(|| {
             let mut buf = Vec::with_capacity(encoded.len());
-            emit_daily_logs(u, &mut buf).unwrap();
+            emit_logs::<Daily>(u, &mut buf).unwrap();
             black_box(buf.len())
         })
     });
     c.bench_function("logfmt_collect_daily", |b| {
-        b.iter(|| black_box(collect_daily(&encoded[..], u.config().daily_days).unwrap().1))
+        let days = u.config().daily_days;
+        b.iter(|| black_box(collect_stream::<Daily>(&encoded[..], days).unwrap().1))
     });
 }
 
@@ -62,11 +63,14 @@ fn bench_sharded_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("sharded_pipeline");
     for (workers, collectors) in [(1usize, 1usize), (4, 1), (4, 2), (4, 4)] {
         group.bench_function(format!("end_to_end_w{workers}_c{collectors}"), |b| {
-            b.iter(|| black_box(parallel_pipeline(u, workers, collectors).1.totals))
+            b.iter(|| {
+                let registry = ipactive_obs::Registry::new();
+                black_box(stream_pipeline::<Daily>(u, workers, collectors, &registry).1.totals)
+            })
         });
     }
     for collectors in [1usize, 2, 4] {
-        let shards = emit_daily_shards(u, collectors).unwrap();
+        let shards = emit_shards::<Daily>(u, collectors).unwrap();
         group.bench_function(format!("collect_stage_c{collectors}"), |b| {
             b.iter(|| black_box(collect_daily_sharded(&shards, u.config().daily_days).1.totals))
         });
@@ -80,7 +84,7 @@ fn bench_sharded_pipeline(c: &mut Criterion) {
 /// be zero-cost — the generic is monomorphized, the trait has no
 /// dynamic dispatch) shows up as a diff against pre-refactor numbers.
 fn bench_store(c: &mut Criterion) {
-    use ipactive_cdnsim::{collect_from_store, persist_daily, persist_daily_atomic};
+    use ipactive_cdnsim::{collect_store, persist_daily, persist_daily_atomic};
     use ipactive_logfmt::LogStore;
 
     let u = universe();
@@ -107,7 +111,7 @@ fn bench_store(c: &mut Criterion) {
         let store = LogStore::open(&dir).unwrap();
         persist_daily(u, &store).unwrap();
         group.bench_function("collect_from_store_realfs", |b| {
-            b.iter(|| black_box(collect_from_store(&store, num_days).unwrap().1))
+            b.iter(|| black_box(collect_store::<Daily>(&store, num_days).unwrap().1))
         });
         group.bench_function("fsck_dry_run_realfs", |b| {
             b.iter(|| {

@@ -16,10 +16,8 @@ pub mod worker_cli;
 pub use ipactive_core::engine::{AnalysisCtx, CacheStats};
 
 use ipactive_cdnsim::{
-    emit_daily_shard_buffers, emit_weekly_shard_buffers, monthly_counts, parallel_pipeline_obs,
-    parallel_pipeline_weekly_obs, supervised_collect_daily_obs, supervised_collect_weekly_obs,
-    FaultPlan, GrowthModel, PipelineReport, RetryPolicy, SupervisedReport, Universe,
-    UniverseConfig,
+    emit_shard_buffers, monthly_counts, stream_pipeline, supervised_collect, Daily, FaultPlan,
+    GrowthModel, PipelineReport, RetryPolicy, SupervisedReport, Universe, UniverseConfig, Weekly,
 };
 use ipactive_obs::{Registry, SnapshotMode, SpanSnapshot, TraceContext, TraceId};
 use ipactive_core::par::{self, Parallelism};
@@ -275,11 +273,11 @@ impl Repro {
         let universe = Universe::generate(scale.config(seed));
         let (daily, daily_report) = {
             let _span = registry.span("repro.pipeline.daily");
-            parallel_pipeline_obs(&universe, workers, collectors, &registry)
+            stream_pipeline::<Daily>(&universe, workers, collectors, &registry)
         };
         let (weekly, weekly_report) = {
             let _span = registry.span("repro.pipeline.weekly");
-            parallel_pipeline_weekly_obs(&universe, workers, collectors, &registry)
+            stream_pipeline::<Weekly>(&universe, workers, collectors, &registry)
         };
         let repro = Repro::assemble(universe, daily, weekly, seed, registry);
         (repro, PipelineRunSummary { daily: daily_report, weekly: weekly_report })
@@ -302,15 +300,15 @@ impl Repro {
     ) -> std::io::Result<(Repro, SupervisedRunSummary)> {
         let registry = Registry::new();
         let universe = Universe::generate(scale.config(seed));
-        let daily_buffers = emit_daily_shard_buffers(&universe, workers, collectors)?;
-        let weekly_buffers = emit_weekly_shard_buffers(&universe, workers, collectors)?;
+        let daily_buffers = emit_shard_buffers::<Daily>(&universe, workers, collectors)?;
+        let weekly_buffers = emit_shard_buffers::<Weekly>(&universe, workers, collectors)?;
         let buffers_per_shard =
             daily_buffers.iter().map(Vec::len).max().unwrap_or(0);
         let plan = FaultPlan::scatter(seed, collectors, buffers_per_shard, faults);
         let policy = RetryPolicy::default();
         let (daily, daily_report) = {
             let _span = registry.span("repro.supervised.daily");
-            supervised_collect_daily_obs(
+            supervised_collect::<Daily>(
                 &daily_buffers,
                 universe.config().daily_days,
                 &policy,
@@ -320,7 +318,7 @@ impl Repro {
         };
         let (weekly, weekly_report) = {
             let _span = registry.span("repro.supervised.weekly");
-            supervised_collect_weekly_obs(
+            supervised_collect::<Weekly>(
                 &weekly_buffers,
                 universe.config().weeks,
                 &policy,

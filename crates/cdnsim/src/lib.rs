@@ -46,20 +46,16 @@ pub use behavior::SeedMixer;
 pub use config::{AsKind, CountryProfile, UniverseConfig, COUNTRY_PROFILES};
 pub use growth::{monthly_counts, GrowthModel};
 pub use pipeline::{
-    collect_daily, collect_daily_sharded, collect_daily_sharded_obs, collect_from_store,
-    collect_from_store_checked, collect_weekly, collect_weekly_from_store,
-    collect_weekly_sharded, collect_weekly_sharded_obs, emit_daily_logs, emit_daily_logs_packed,
-    emit_daily_shards, emit_weekly_logs, emit_weekly_shards, parallel_pipeline,
-    parallel_pipeline_obs, parallel_pipeline_weekly, parallel_pipeline_weekly_obs, persist_daily,
-    persist_daily_atomic, shard_of, slot_batches_from_buffers, validate_topology, CollectorStats,
-    PipelineReport, PipelineStats, DAILY_PREFIX, WEEKLY_PREFIX,
+    collect_daily, collect_daily_sharded, collect_from_store, collect_store,
+    collect_store_checked, collect_stream, collect_weekly_sharded, emit_daily_logs_packed,
+    emit_daily_shards, emit_logs, emit_shard_buffers, emit_shards, emit_weekly_shards,
+    parallel_pipeline, persist_daily, persist_daily_atomic, shard_of, slot_batches_from_buffers,
+    stream_pipeline, validate_topology, Cadence, CollectorStats, Daily, PipelineReport,
+    PipelineStats, Weekly,
 };
 pub use supervisor::{
-    emit_daily_shard_buffers, emit_weekly_shard_buffers, recover_daily_from_store,
-    supervised_collect_daily, supervised_collect_daily_obs, supervised_collect_weekly,
-    supervised_collect_weekly_obs, BufferOutcome, DeadLetter, Fault, FaultKind, FaultPlan,
-    RetryPolicy, ShardOutcome, SupervisedReport, SUPERVISOR_DAILY_PREFIX,
-    SUPERVISOR_WEEKLY_PREFIX,
+    supervised_collect, supervised_collect_daily, BufferOutcome, DeadLetter, Fault, FaultKind,
+    FaultPlan, RetryPolicy, ShardOutcome, SupervisedReport,
 };
 pub use policy::{AssignmentPolicy, DayEntry, HostPopulation, PolicySim};
 pub use universe::{AsEntry, BlockEntry, PopulationSummary, Universe};

@@ -3,29 +3,49 @@
 //!
 //! Mirrors the paper's data path ("a log entry is created, which is
 //! then processed and aggregated through a distributed data collection
-//! framework", Section 3.2): edge workers serialize per-address daily
+//! framework", Section 3.2): edge workers serialize per-address
 //! aggregates into the `ipactive-logfmt` framed stream; collectors
-//! decode and fold them into a [`DailyDataset`]. The pipeline and the
-//! direct [`Universe::build_daily`] generator produce *identical*
-//! datasets — a property the tests pin down — so analyses don't care
-//! which path produced their input.
+//! decode and fold them into a dataset. The pipeline and the direct
+//! [`Universe::build_daily`] / [`Universe::build_weekly`] generators
+//! produce *identical* datasets — a property the tests pin down — so
+//! analyses don't care which path produced their input.
+//!
+//! # One body per step, one cadence parameter
+//!
+//! The paper's daily and weekly datasets come off the same logs
+//! aggregated at two cadences, so every step is written once over a
+//! [`Cadence`] — [`Daily`] or [`Weekly`], which name the builder, the
+//! dataset, the window-checked fold, the per-block emitter and the
+//! metric prefixes: [`emit_logs`], [`emit_shards`],
+//! [`emit_shard_buffers`], [`collect_stream`], [`collect_store`],
+//! [`stream_pipeline`] and
+//! [`supervised_collect`](crate::supervised_collect). The functions
+//! with a cadence in their name are one-line instantiations of these,
+//! kept because the benchmark links them by name.
 //!
 //! # Sharded topology
 //!
-//! [`parallel_pipeline`] runs `workers × collectors` threads: each
-//! edge worker serializes its slice of the universe into one buffer
-//! *per collector*, routing every `/24` block to the collector that
+//! [`stream_pipeline`] runs `workers × collectors` threads: each edge
+//! worker serializes its slice of the universe into one buffer *per
+//! collector*, routing every `/24` block to the collector that
 //! [`shard_of`] hashes it to. Each collector folds its own partial
-//! [`DailyDatasetBuilder`]; the partials are merged (builder-level
-//! merge is commutative and associative) and finished once. Because
-//! blocks are partitioned by hash, no two collectors ever see the
-//! same block — the merge is exact, and the result is byte-identical
-//! to the single-collector and direct builds regardless of worker
-//! count, collector count, or arrival order.
+//! builder; the partials are merged (builder-level merge is
+//! commutative and associative) and finished once. Because blocks are
+//! partitioned by hash, no two collectors ever see the same block —
+//! the merge is exact, and the result is byte-identical to the
+//! single-collector and direct builds regardless of worker count,
+//! collector count, or arrival order.
 
+use crate::policy::PolicySim;
+use crate::supervisor::{supervise, FaultPlan, RetryPolicy};
 use crate::universe::{BlockEntry, Universe};
-use ipactive_core::{DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder};
-use ipactive_logfmt::{FrameReader, FrameWriter, ReadMode, Record};
+use ipactive_core::{
+    Coverage, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder,
+};
+use ipactive_logfmt::{
+    BlockDay, FrameError, FrameReader, FrameWriter, Fs, FsckReport, LogStore, ReadMode, Record,
+    StoreError,
+};
 use ipactive_net::Block24;
 use ipactive_obs::{self as obs, Event, EventKind, Registry};
 use std::io::{self, Read, Write};
@@ -67,18 +87,12 @@ pub struct CollectorStats {
     pub elapsed: Duration,
 }
 
-/// Throughput in records per second, `0.0` when no time elapsed —
-/// the single definition shared by every report type, delegated to
-/// [`ipactive_obs::rate`] so the observability plane and the pipeline
-/// reports can never disagree on the degenerate cases.
-pub(crate) fn rate(records: u64, elapsed: Duration) -> f64 {
-    obs::rate(records, elapsed)
-}
-
 impl CollectorStats {
-    /// Decode throughput of this collector, in records per second.
+    /// Decode throughput of this collector, in records per second
+    /// (`0.0` when no time elapsed — [`ipactive_obs::rate`], so the
+    /// observability plane and the reports agree on that case).
     pub fn records_per_sec(&self) -> f64 {
-        rate(self.records_read, self.elapsed)
+        obs::rate(self.records_read, self.elapsed)
     }
 
     /// Rebuilds one collector's view from a registry snapshot — the
@@ -100,15 +114,6 @@ impl CollectorStats {
     }
 }
 
-/// Metric prefix for daily-cadence pipeline runs. One registry can
-/// carry one daily and one weekly run side by side without the counter
-/// families colliding; reports read cumulative counters under their
-/// prefix, so reuse a fresh registry (or a fresh prefix) per run.
-pub const DAILY_PREFIX: &str = "pipeline.daily";
-
-/// Metric prefix for weekly-cadence pipeline runs.
-pub const WEEKLY_PREFIX: &str = "pipeline.weekly";
-
 /// Metric name for one per-shard counter: `<prefix>.shard.<i>.<field>`.
 fn shard_metric(prefix: &str, shard: usize, field: &str) -> String {
     format!("{prefix}.shard.{shard}.{field}")
@@ -123,9 +128,9 @@ pub(crate) fn collector_span_path(prefix: &str, shard: usize) -> String {
 
 /// Pre-fetched counter handles for one collector shard. Handles are
 /// resolved once per shard (registry lock taken at setup, not in the
-/// decode loop); the drain paths accumulate into locals and flush once
-/// per buffer, so the hot loop costs exactly what the old `+=` fields
-/// did.
+/// decode loop); [`drain`] accumulates into locals and the collector
+/// books them once per buffer, so the hot loop costs exactly what the
+/// old `+=` fields did.
 pub(crate) struct ShardMeters {
     registry: Registry,
     shard: u32,
@@ -151,67 +156,34 @@ impl ShardMeters {
         }
     }
 
-    /// Flushes one drained buffer's tallies into the registry, emitting
-    /// journal events for the noteworthy conditions (resyncs mean the
-    /// stream position itself was in doubt; a decode error means the
-    /// rest of the buffer was abandoned).
-    pub(crate) fn flush_buffer(
-        &self,
-        buf_len: usize,
-        records: u64,
-        skipped: u64,
-        resyncs: u64,
-        decode_error: bool,
-    ) {
-        self.buffers.inc();
-        self.bytes.add(buf_len as u64);
-        self.records.add(records);
-        if skipped > 0 {
-            self.frames_skipped.add(skipped);
-        }
-        if resyncs > 0 {
-            self.resyncs.add(resyncs);
-            self.registry.emit(
-                Event::new(EventKind::Resync)
-                    .shard(self.shard)
-                    .detail(format!("{resyncs} resync scans in one shard buffer")),
-            );
-        }
-        if decode_error {
-            self.decode_errors.inc();
-        }
-    }
-
     /// Counts one buffer's arrival (delivery and payload size) without
-    /// touching decode outcomes — the supervisor charges arrival and
-    /// decode separately because a buffer may take several attempts.
+    /// touching decode outcomes — arrival and decode are charged
+    /// separately because a supervised buffer may take several
+    /// attempts and only the one that reaches the dataset is booked.
     pub(crate) fn count_buffer(&self, buf_len: usize) {
         self.buffers.inc();
         self.bytes.add(buf_len as u64);
     }
 
-    /// Credits a fully clean decode's records.
-    pub(crate) fn add_clean_records(&self, records: u64) {
-        self.records.add(records);
-    }
-
-    /// Credits a terminal salvage decode: surviving records plus the
-    /// damage tallies, with the same resync journal event the pipeline
-    /// drain emits.
-    pub(crate) fn add_salvage(&self, records: u64, skipped: u64, resyncs: u64, decode_error: bool) {
-        self.records.add(records);
-        if skipped > 0 {
-            self.frames_skipped.add(skipped);
+    /// Books the decode that reached the dataset: its records plus the
+    /// damage tallies, with a journal event for the noteworthy
+    /// condition (resyncs mean the stream position itself was in
+    /// doubt; a decode error means the rest of the buffer was
+    /// abandoned).
+    pub(crate) fn add_decode(&self, d: &Drained) {
+        self.records.add(d.records);
+        if d.skipped > 0 {
+            self.frames_skipped.add(d.skipped);
         }
-        if resyncs > 0 {
-            self.resyncs.add(resyncs);
+        if d.resyncs > 0 {
+            self.resyncs.add(d.resyncs);
             self.registry.emit(
                 Event::new(EventKind::Resync)
                     .shard(self.shard)
-                    .detail(format!("{resyncs} resync scans in one shard buffer")),
+                    .detail(format!("{} resync scans in one shard buffer", d.resyncs)),
             );
         }
-        if decode_error {
+        if d.error.is_some() {
             self.decode_errors.inc();
         }
     }
@@ -244,7 +216,7 @@ impl PipelineReport {
 
     /// End-to-end throughput, in records accepted per second.
     pub fn records_per_sec(&self) -> f64 {
-        rate(self.totals.records_read, self.elapsed)
+        obs::rate(self.totals.records_read, self.elapsed)
     }
 }
 
@@ -304,46 +276,182 @@ fn in_window(record: &Record, num_slots: usize) -> bool {
     !matches!(record_slot(record), Some(slot) if usize::from(slot) >= num_slots)
 }
 
-/// Folds one decoded record into a daily builder over `num_days` days
-/// (ignoring cadence markers) — the single definition every collector
-/// path shares. `false` if the record lies outside the window: nothing
-/// was folded, and the caller counts a skipped frame, not a record.
-pub(crate) fn fold_daily(
-    record: Record,
-    num_days: usize,
-    builder: &mut DailyDatasetBuilder,
-) -> bool {
-    if !in_window(&record, num_days) {
-        return false;
-    }
-    match record {
-        Record::Hits { day, addr, hits } => builder.record_hits(day as usize, addr, hits),
-        Record::UaSample { day, addr, ua_hash } => builder.record_ua(day as usize, addr, ua_hash),
-        Record::BlockDay(bd) => {
-            for &(host, hits) in &bd.entries {
-                builder.record_hits(bd.day as usize, bd.block.addr(host), hits);
-            }
-        }
-        Record::DayStart { .. } | Record::Finish => {}
-    }
-    true
+/// The cadence a log is aggregated at — everything that differs
+/// between collecting the paper's daily and its weekly dataset. Every
+/// collection step is one body generic over this trait; [`Daily`] and
+/// [`Weekly`] are its two implementations.
+pub trait Cadence {
+    /// The accumulator records fold into.
+    type Builder: Send;
+    /// The immutable dataset a builder finishes into.
+    type Dataset: Send;
+    /// Metric prefix of unsupervised pipeline runs. One registry can
+    /// carry one daily and one weekly run side by side without the
+    /// counter families colliding; reports read cumulative counters
+    /// under their prefix, so reuse a fresh registry per run.
+    const PIPELINE_PREFIX: &'static str;
+    /// Metric prefix of supervised runs.
+    const SUPERVISOR_PREFIX: &'static str;
+
+    /// Length, in slots of this cadence, of `universe`'s window.
+    fn slots(universe: &Universe) -> usize;
+
+    /// An empty builder over a window of `slots` days (or weeks).
+    fn new(slots: usize) -> Self::Builder;
+
+    /// Folds one decoded record into `builder` (ignoring cadence
+    /// markers) — the single definition every collector shares.
+    /// `false` if the record lies outside the `slots`-long window:
+    /// nothing was folded, and the caller counts a skipped frame, not
+    /// a record.
+    fn fold(record: Record, slots: usize, builder: &mut Self::Builder) -> bool;
+
+    /// Folds `other`'s accumulated records into `into` (commutative
+    /// and associative up to [`finish`](Self::finish)).
+    fn merge(into: &mut Self::Builder, other: Self::Builder);
+
+    /// Finalizes `builder`, attaching `coverage` when the run that
+    /// filled it kept one.
+    fn finish(builder: Self::Builder, coverage: Option<Coverage>) -> Self::Dataset;
+
+    /// Serializes one block's records over the window into `writer`.
+    fn emit_block<W: Write>(
+        universe: &Universe,
+        e: &BlockEntry,
+        writer: &mut FrameWriter<W>,
+    ) -> io::Result<()>;
 }
 
-/// Weekly twin of [`fold_daily`]: the `day` field of a weekly log's
-/// [`Record::Hits`] carries the week index; other records fold to
-/// nothing.
-pub(crate) fn fold_weekly(
-    record: Record,
-    num_weeks: usize,
-    builder: &mut WeeklyDatasetBuilder,
-) -> bool {
-    if !in_window(&record, num_weeks) {
-        return false;
+/// The daily cadence: 112 days of per-address hits and UA samples.
+#[derive(Debug, Clone, Copy)]
+pub struct Daily;
+
+/// The weekly cadence: 52 weeks of per-address hit totals. A weekly
+/// log's [`Record::Hits`] carries the week index in its `day` field.
+#[derive(Debug, Clone, Copy)]
+pub struct Weekly;
+
+impl Cadence for Daily {
+    type Builder = DailyDatasetBuilder;
+    type Dataset = DailyDataset;
+    const PIPELINE_PREFIX: &'static str = "pipeline.daily";
+    const SUPERVISOR_PREFIX: &'static str = "supervisor.daily";
+
+    fn slots(universe: &Universe) -> usize {
+        universe.config().daily_days
     }
-    if let Record::Hits { day, addr, hits } = record {
-        builder.record_week(day as usize, addr, hits);
+
+    fn new(num_days: usize) -> DailyDatasetBuilder {
+        DailyDatasetBuilder::new(num_days)
     }
-    true
+
+    fn fold(record: Record, num_days: usize, builder: &mut DailyDatasetBuilder) -> bool {
+        if !in_window(&record, num_days) {
+            return false;
+        }
+        match record {
+            Record::Hits { day, addr, hits } => builder.record_hits(day as usize, addr, hits),
+            Record::UaSample { day, addr, ua_hash } => {
+                builder.record_ua(day as usize, addr, ua_hash)
+            }
+            Record::BlockDay(bd) => {
+                for &(host, hits) in &bd.entries {
+                    builder.record_hits(bd.day as usize, bd.block.addr(host), hits);
+                }
+            }
+            Record::DayStart { .. } | Record::Finish => {}
+        }
+        true
+    }
+
+    fn merge(into: &mut DailyDatasetBuilder, other: DailyDatasetBuilder) {
+        into.merge(other);
+    }
+
+    fn finish(builder: DailyDatasetBuilder, coverage: Option<Coverage>) -> DailyDataset {
+        DailyDataset { coverage, ..builder.finish() }
+    }
+
+    fn emit_block<W: Write>(
+        universe: &Universe,
+        e: &BlockEntry,
+        writer: &mut FrameWriter<W>,
+    ) -> io::Result<()> {
+        let cfg = universe.config();
+        let sims = universe.block_sims(e);
+        for d in 0..cfg.daily_days {
+            let t = cfg.daily_offset + d;
+            for entry in universe.entries_on(e, &sims, t) {
+                let addr = e.block.addr(entry.host);
+                writer.write(&Record::Hits { day: d as u16, addr, hits: entry.hits as u64 })?;
+                for ua in universe.ua_samples_for(e, t, &entry) {
+                    writer.write(&Record::UaSample { day: d as u16, addr, ua_hash: ua })?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Cadence for Weekly {
+    type Builder = WeeklyDatasetBuilder;
+    type Dataset = WeeklyDataset;
+    const PIPELINE_PREFIX: &'static str = "pipeline.weekly";
+    const SUPERVISOR_PREFIX: &'static str = "supervisor.weekly";
+
+    fn slots(universe: &Universe) -> usize {
+        universe.config().weeks
+    }
+
+    fn new(num_weeks: usize) -> WeeklyDatasetBuilder {
+        WeeklyDatasetBuilder::new(num_weeks)
+    }
+
+    fn fold(record: Record, num_weeks: usize, builder: &mut WeeklyDatasetBuilder) -> bool {
+        if !in_window(&record, num_weeks) {
+            return false;
+        }
+        if let Record::Hits { day, addr, hits } = record {
+            builder.record_week(day as usize, addr, hits);
+        }
+        true
+    }
+
+    fn merge(into: &mut WeeklyDatasetBuilder, other: WeeklyDatasetBuilder) {
+        into.merge(other);
+    }
+
+    fn finish(builder: WeeklyDatasetBuilder, coverage: Option<Coverage>) -> WeeklyDataset {
+        WeeklyDataset { coverage, ..builder.finish() }
+    }
+
+    /// One [`Record::Hits`] per active `(address, week)`.
+    fn emit_block<W: Write>(
+        universe: &Universe,
+        e: &BlockEntry,
+        writer: &mut FrameWriter<W>,
+    ) -> io::Result<()> {
+        let cfg = universe.config();
+        let sims = universe.block_sims(e);
+        for w in 0..cfg.weeks {
+            let mut acc = [0u64; 256];
+            for dow in 0..7usize {
+                for entry in universe.entries_on(e, &sims, w * 7 + dow) {
+                    acc[entry.host as usize] += entry.hits as u64;
+                }
+            }
+            for (host, &hits) in acc.iter().enumerate() {
+                if hits > 0 {
+                    writer.write(&Record::Hits {
+                        day: w as u16,
+                        addr: e.block.addr(host as u8),
+                        hits,
+                    })?;
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// What draining one stream came to.
@@ -357,11 +465,11 @@ pub(crate) struct Drained {
     pub(crate) resyncs: u64,
     /// The error that ended the stream early, if one did; what was
     /// folded before it stands.
-    pub(crate) error: Option<ipactive_logfmt::FrameError>,
+    pub(crate) error: Option<FrameError>,
 }
 
 /// Reads `reader` to its end through `fold` (`false` = record refused)
-/// — the one decode loop under every collector generation.
+/// — the one decode loop under every collector.
 pub(crate) fn drain<R: Read>(
     reader: &mut FrameReader<R>,
     mut fold: impl FnMut(Record) -> bool,
@@ -383,105 +491,65 @@ pub(crate) fn drain<R: Read>(
     Drained { records, skipped: reader.skipped() + refused, resyncs: reader.resyncs(), error }
 }
 
-/// Serializes one block's daily-window records into `writer`.
-pub(crate) fn emit_block_daily<W: Write>(
-    universe: &Universe,
-    e: &BlockEntry,
-    writer: &mut FrameWriter<W>,
-) -> io::Result<()> {
-    let cfg = universe.config();
-    let sims = universe.block_sims(e);
-    for d in 0..cfg.daily_days {
-        let t = cfg.daily_offset + d;
-        for entry in universe.entries_on(e, &sims, t) {
-            let addr = e.block.addr(entry.host);
-            writer.write(&Record::Hits { day: d as u16, addr, hits: entry.hits as u64 })?;
-            for ua in universe.ua_samples_for(e, t, &entry) {
-                writer.write(&Record::UaSample { day: d as u16, addr, ua_hash: ua })?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Serializes one block's weekly totals into `writer`: one
-/// [`Record::Hits`] per active `(address, week)` whose `day` field
-/// carries the week index.
-pub(crate) fn emit_block_weekly<W: Write>(
-    universe: &Universe,
-    e: &BlockEntry,
-    writer: &mut FrameWriter<W>,
-) -> io::Result<()> {
-    let cfg = universe.config();
-    let sims = universe.block_sims(e);
-    for w in 0..cfg.weeks {
-        let mut acc = [0u64; 256];
-        for dow in 0..7usize {
-            for entry in universe.entries_on(e, &sims, w * 7 + dow) {
-                acc[entry.host as usize] += entry.hits as u64;
-            }
-        }
-        for (host, &hits) in acc.iter().enumerate() {
-            if hits > 0 {
-                writer.write(&Record::Hits {
-                    day: w as u16,
-                    addr: e.block.addr(host as u8),
-                    hits,
-                })?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Serializes the universe's daily-window logs into `out`.
+/// Serializes the universe's logs at cadence `C` into `out`.
 ///
-/// Records are emitted block-major (each block's days consecutively);
-/// day indices are carried in every record, so the collector is
-/// order-independent. Returns the number of records written.
-pub fn emit_daily_logs<W: Write>(universe: &Universe, out: W) -> io::Result<u64> {
+/// Records are emitted block-major (each block's slots consecutively);
+/// slot indices are carried in every record, so the collector is
+/// order-independent (the framing layer is cadence-agnostic: a weekly
+/// log's `day` field is a week index, which [`collect_stream`] at the
+/// same cadence reads back as one). Returns the number of records
+/// written.
+pub fn emit_logs<C: Cadence>(universe: &Universe, out: impl Write) -> io::Result<u64> {
     let mut writer = FrameWriter::new(out);
     for e in &universe.blocks {
-        emit_block_daily(universe, e, &mut writer)?;
+        C::emit_block(universe, e, &mut writer)?;
     }
     let written = writer.frames_written() + 1; // +1 for the Finish frame
     writer.finish()?;
     Ok(written)
 }
 
-/// Like [`emit_daily_logs`], but batches each block's day into one
-/// packed [`Record::BlockDay`] frame instead of per-address records
-/// (UA samples stay per-record). Collectors decode both forms into
-/// identical datasets; the packed stream is several times smaller —
-/// see the `ablation_packed_records` benchmark.
+/// Appends one block's packed records for observation day `d` to
+/// `out`: a [`Record::UaSample`] per sample, then — if any address
+/// was active — one [`Record::BlockDay`] holding the day's hits. The
+/// unit both the packed stream and the store persist paths write.
+fn push_packed_day(
+    universe: &Universe,
+    e: &BlockEntry,
+    sims: &(PolicySim, Option<(usize, PolicySim)>),
+    d: usize,
+    out: &mut Vec<Record>,
+) {
+    let t = universe.config().daily_offset + d;
+    let mut entries: Vec<(u8, u64)> = Vec::new();
+    for entry in universe.entries_on(e, sims, t) {
+        entries.push((entry.host, entry.hits as u64));
+        let addr = e.block.addr(entry.host);
+        for ua in universe.ua_samples_for(e, t, &entry) {
+            out.push(Record::UaSample { day: d as u16, addr, ua_hash: ua });
+        }
+    }
+    if !entries.is_empty() {
+        entries.sort_unstable_by_key(|&(h, _)| h);
+        out.push(Record::BlockDay(Box::new(BlockDay::new(d as u16, e.block, entries))));
+    }
+}
+
+/// Like [`emit_logs`] at the daily cadence, but batches each block's
+/// day into one packed [`Record::BlockDay`] frame instead of
+/// per-address records (UA samples stay per-record). Collectors decode
+/// both forms into identical datasets; the packed stream is several
+/// times smaller — see the `ablation_packed_records` benchmark.
 pub fn emit_daily_logs_packed<W: Write>(universe: &Universe, out: W) -> io::Result<u64> {
-    use ipactive_logfmt::BlockDay;
     let mut writer = FrameWriter::new(out);
-    let cfg = universe.config();
+    let mut records = Vec::new();
     for e in &universe.blocks {
         let sims = universe.block_sims(e);
-        for d in 0..cfg.daily_days {
-            let t = cfg.daily_offset + d;
-            let mut entries: Vec<(u8, u64)> = Vec::new();
-            for entry in universe.entries_on(e, &sims, t) {
-                entries.push((entry.host, entry.hits as u64));
-                for ua in universe.ua_samples_for(e, t, &entry) {
-                    writer.write(&Record::UaSample {
-                        day: d as u16,
-                        addr: e.block.addr(entry.host),
-                        ua_hash: ua,
-                    })?;
-                }
+        for d in 0..universe.config().daily_days {
+            push_packed_day(universe, e, &sims, d, &mut records);
+            for record in records.drain(..) {
+                writer.write(&record)?;
             }
-            if entries.is_empty() {
-                continue;
-            }
-            entries.sort_unstable_by_key(|&(h, _)| h);
-            writer.write(&Record::BlockDay(Box::new(BlockDay::new(
-                d as u16,
-                e.block,
-                entries,
-            ))))?;
         }
     }
     let written = writer.frames_written() + 1;
@@ -489,46 +557,82 @@ pub fn emit_daily_logs_packed<W: Write>(universe: &Universe, out: W) -> io::Resu
     Ok(written)
 }
 
-/// Builds the record stream for one observation day of the universe —
-/// the unit both store persist paths write.
+/// Serializes `blocks` into one frame stream per collector, each
+/// block routed to the collector [`shard_of`] names — what one edge
+/// worker does with its slice of the universe.
+fn route_blocks<C: Cadence>(
+    universe: &Universe,
+    blocks: &[BlockEntry],
+    collectors: usize,
+) -> io::Result<Vec<FrameWriter<Vec<u8>>>> {
+    let mut writers: Vec<FrameWriter<Vec<u8>>> =
+        (0..collectors).map(|_| FrameWriter::new(Vec::new())).collect();
+    for e in blocks {
+        C::emit_block(universe, e, &mut writers[shard_of(e.block, collectors)])?;
+    }
+    Ok(writers)
+}
+
+/// Serializes the universe's logs into `collectors` shard buffers,
+/// each holding exactly the blocks [`shard_of`] routes to that
+/// collector — the edge half of [`stream_pipeline`] exposed for replay
+/// and fault-injection testing against the sharded collectors.
+pub fn emit_shards<C: Cadence>(universe: &Universe, collectors: usize) -> io::Result<Vec<Vec<u8>>> {
+    validate_topology(1, collectors)?;
+    route_blocks::<C>(universe, &universe.blocks, collectors)?
+        .into_iter()
+        .map(FrameWriter::finish)
+        .collect()
+}
+
+/// [`emit_shards`] at the daily cadence (kept by name for the
+/// benchmark).
+pub fn emit_daily_shards(universe: &Universe, collectors: usize) -> io::Result<Vec<Vec<u8>>> {
+    emit_shards::<Daily>(universe, collectors)
+}
+
+/// [`emit_shards`] at the weekly cadence (kept by name for the
+/// benchmark).
+pub fn emit_weekly_shards(universe: &Universe, collectors: usize) -> io::Result<Vec<Vec<u8>>> {
+    emit_shards::<Weekly>(universe, collectors)
+}
+
+/// Serializes the universe's logs the way `workers` edge threads
+/// would: each worker slice produces one buffer per collector shard,
+/// and `result[shard]` lists that shard's buffers in worker order.
+/// These retained buffers are what
+/// [`supervised_collect`](crate::supervised_collect) replays on retry.
+pub fn emit_shard_buffers<C: Cadence>(
+    universe: &Universe,
+    workers: usize,
+    collectors: usize,
+) -> io::Result<Vec<Vec<Vec<u8>>>> {
+    validate_topology(workers, collectors)?;
+    let chunk = universe.blocks.len().div_ceil(workers).max(1);
+    let mut out: Vec<Vec<Vec<u8>>> = vec![Vec::new(); collectors];
+    for worker_blocks in universe.blocks.chunks(chunk) {
+        let writers = route_blocks::<C>(universe, worker_blocks, collectors)?;
+        for (shard, writer) in out.iter_mut().zip(writers) {
+            shard.push(writer.finish()?);
+        }
+    }
+    Ok(out)
+}
+
+/// Builds the record stream for one observation day of the universe.
 fn daily_records(universe: &Universe, d: usize) -> Vec<Record> {
-    use ipactive_logfmt::BlockDay;
-    let cfg = universe.config();
-    let t = cfg.daily_offset + d;
     let mut records = Vec::new();
     for e in &universe.blocks {
-        let sims = universe.block_sims(e);
-        let mut entries: Vec<(u8, u64)> = Vec::new();
-        for entry in universe.entries_on(e, &sims, t) {
-            entries.push((entry.host, entry.hits as u64));
-            for ua in universe.ua_samples_for(e, t, &entry) {
-                records.push(Record::UaSample {
-                    day: d as u16,
-                    addr: e.block.addr(entry.host),
-                    ua_hash: ua,
-                });
-            }
-        }
-        if !entries.is_empty() {
-            entries.sort_unstable_by_key(|&(h, _)| h);
-            records.push(Record::BlockDay(Box::new(BlockDay::new(
-                d as u16,
-                e.block,
-                entries,
-            ))));
-        }
+        push_packed_day(universe, e, &universe.block_sims(e), d, &mut records);
     }
     records
 }
 
-/// Persists the universe's daily logs into a [`ipactive_logfmt::LogStore`] directory,
+/// Persists the universe's daily logs into a [`LogStore`] directory,
 /// one packed file per observation day — the durable variant of
 /// [`emit_daily_logs_packed`]. Each day commits independently; a crash
 /// can leave a prefix of the days written.
-pub fn persist_daily<F: ipactive_logfmt::Fs>(
-    universe: &Universe,
-    store: &ipactive_logfmt::LogStore<F>,
-) -> Result<(), ipactive_logfmt::StoreError> {
+pub fn persist_daily<F: Fs>(universe: &Universe, store: &LogStore<F>) -> Result<(), StoreError> {
     let cfg = universe.config();
     for d in 0..cfg.daily_days {
         store.write_day(d as u16, &daily_records(universe, d))?;
@@ -540,39 +644,64 @@ pub fn persist_daily<F: ipactive_logfmt::Fs>(
 /// commit: after a crash at any point, a reader sees either *all* of
 /// the run's days or none of them — never a prefix. Returns the
 /// manifest generation that published the batch.
-pub fn persist_daily_atomic<F: ipactive_logfmt::Fs>(
+pub fn persist_daily_atomic<F: Fs>(
     universe: &Universe,
-    store: &mut ipactive_logfmt::LogStore<F>,
-) -> Result<u64, ipactive_logfmt::StoreError> {
+    store: &mut LogStore<F>,
+) -> Result<u64, StoreError> {
     let cfg = universe.config();
     let batch: Vec<(u16, Vec<Record>)> =
         (0..cfg.daily_days).map(|d| (d as u16, daily_records(universe, d))).collect();
     store.commit_days(&batch)
 }
 
-/// Rebuilds a [`DailyDataset`] from a [`ipactive_logfmt::LogStore`] directory,
-/// tolerating damaged days (lost frames are counted, never decoded
-/// wrongly).
-pub fn collect_from_store<F: ipactive_logfmt::Fs>(
-    store: &ipactive_logfmt::LogStore<F>,
-    num_days: usize,
-) -> Result<(DailyDataset, PipelineStats), ipactive_logfmt::StoreError> {
-    let mut builder = DailyDatasetBuilder::new(num_days);
-    let stats = collect_store(store, |record| fold_daily(record, num_days, &mut builder))?;
-    Ok((builder.finish(), stats))
+/// Decodes a framed log stream into a dataset over `slots` days (or
+/// weeks).
+///
+/// Runs in tolerant mode: damaged frames are counted and skipped, not
+/// fatal — matching how a production collector survives partial edge
+/// failures. An unrecoverable stream is the caller's error.
+pub fn collect_stream<C: Cadence>(
+    input: impl Read,
+    slots: usize,
+) -> Result<(C::Dataset, PipelineStats), FrameError> {
+    let mut builder = C::new(slots);
+    let mut reader = FrameReader::new(input, ReadMode::Tolerant);
+    let drained = drain(&mut reader, |record| C::fold(record, slots, &mut builder));
+    match drained.error {
+        Some(e) => Err(e),
+        None => Ok((
+            C::finish(builder, None),
+            PipelineStats {
+                records_read: drained.records,
+                frames_skipped: drained.skipped,
+                resyncs: drained.resyncs,
+                ..PipelineStats::default()
+            },
+        )),
+    }
 }
 
-/// Folds every stored day through `fold` (`false` = record refused),
-/// tolerating damaged days.
-fn collect_store<F: ipactive_logfmt::Fs>(
-    store: &ipactive_logfmt::LogStore<F>,
-    mut fold: impl FnMut(Record) -> bool,
-) -> Result<PipelineStats, ipactive_logfmt::StoreError> {
+/// [`collect_stream`] at the daily cadence (kept by name for the
+/// benchmark).
+pub fn collect_daily<R: Read>(
+    input: R,
+    num_days: usize,
+) -> Result<(DailyDataset, PipelineStats), FrameError> {
+    collect_stream::<Daily>(input, num_days)
+}
+
+/// Folds every stored day into a fresh builder, tolerating damaged
+/// days.
+fn fold_store<C: Cadence>(
+    store: &LogStore<impl Fs>,
+    slots: usize,
+) -> Result<(C::Builder, PipelineStats), StoreError> {
+    let mut builder = C::new(slots);
     let mut stats = PipelineStats::default();
     let mut refused = 0;
     let damaged = store.for_each_day(|_, records| {
         for record in records {
-            if fold(record) {
+            if C::fold(record, slots, &mut builder) {
                 stats.records_read += 1;
             } else {
                 refused += 1;
@@ -580,162 +709,99 @@ fn collect_store<F: ipactive_logfmt::Fs>(
         }
     })?;
     stats.frames_skipped = damaged + refused;
-    Ok(stats)
+    Ok((builder, stats))
 }
 
-/// Like [`collect_from_store`], but verifies the store first with an
-/// [`ipactive_logfmt::fsck()`] dry run and attaches the resulting
-/// per-day completeness grid to the dataset as a
-/// [`Coverage`](ipactive_core::Coverage) — the store-granular analogue
-/// of what the supervised collector reports per shard. A day the fsck
-/// pass found damaged contributes its surviving-record fraction; a day
-/// missing entirely (never written, or lost with its manifest entry)
-/// contributes `0.0`.
-///
-/// Returns the dataset, the stats, and the fsck report it consumed.
-pub fn collect_from_store_checked<F: ipactive_logfmt::Fs>(
-    store: &ipactive_logfmt::LogStore<F>,
+/// Rebuilds a dataset from a [`LogStore`] directory whose "days" are
+/// slots of cadence `C` (distributed workers commit both cadences into
+/// per-shard stores), tolerating damaged days: lost frames are
+/// counted, never decoded wrongly.
+pub fn collect_store<C: Cadence>(
+    store: &LogStore<impl Fs>,
+    slots: usize,
+) -> Result<(C::Dataset, PipelineStats), StoreError> {
+    let (builder, stats) = fold_store::<C>(store, slots)?;
+    Ok((C::finish(builder, None), stats))
+}
+
+/// [`collect_store`] at the daily cadence (kept by name for the
+/// benchmark).
+pub fn collect_from_store<F: Fs>(
+    store: &LogStore<F>,
     num_days: usize,
-) -> Result<(DailyDataset, PipelineStats, ipactive_logfmt::FsckReport), ipactive_logfmt::StoreError>
-{
+) -> Result<(DailyDataset, PipelineStats), StoreError> {
+    collect_store::<Daily>(store, num_days)
+}
+
+/// Like [`collect_store`], but verifies the store first with an
+/// [`ipactive_logfmt::fsck()`] dry run and attaches the resulting
+/// per-slot completeness grid to the dataset as a [`Coverage`] — the
+/// store-granular analogue of what the supervised collector reports
+/// per shard. A day the fsck pass found damaged contributes its
+/// surviving-record fraction; a day missing entirely (never written,
+/// or lost with its manifest entry) contributes `0.0`.
+///
+/// The pass is strictly read-only; repairs are an explicit operator
+/// action (`inspect fsck --repair`), never a side effect of
+/// collection. Returns the dataset, the stats, and the fsck report it
+/// consumed.
+pub fn collect_store_checked<C: Cadence>(
+    store: &LogStore<impl Fs>,
+    slots: usize,
+) -> Result<(C::Dataset, PipelineStats, FsckReport), StoreError> {
     let report = ipactive_logfmt::fsck(store.fs(), store.dir(), false)?;
-    let mut fractions = vec![0.0f64; num_days];
-    for (day, fraction) in report.day_fractions() {
-        if let Some(slot) = fractions.get_mut(usize::from(day)) {
-            *slot = fraction;
+    let mut fractions = vec![0.0f64; slots];
+    for (slot, fraction) in report.day_fractions() {
+        if let Some(f) = fractions.get_mut(usize::from(slot)) {
+            *f = fraction;
         }
     }
-    let coverage = ipactive_core::Coverage::from_slot_fractions(&fractions);
-    let (dataset, stats) = collect_from_store(store, num_days)?;
-    Ok((dataset.with_coverage(coverage), stats, report))
-}
-
-/// Rebuilds a [`WeeklyDataset`] from a [`ipactive_logfmt::LogStore`]
-/// directory whose "days" are week indices — the weekly counterpart
-/// of [`collect_from_store`], used by distributed workers that commit
-/// both cadences into per-shard stores.
-pub fn collect_weekly_from_store<F: ipactive_logfmt::Fs>(
-    store: &ipactive_logfmt::LogStore<F>,
-    num_weeks: usize,
-) -> Result<(WeeklyDataset, PipelineStats), ipactive_logfmt::StoreError> {
-    let mut builder = WeeklyDatasetBuilder::new(num_weeks);
-    let stats = collect_store(store, |record| fold_weekly(record, num_weeks, &mut builder))?;
-    Ok((builder.finish(), stats))
+    let coverage = Coverage::from_slot_fractions(&fractions);
+    let (builder, stats) = fold_store::<C>(store, slots)?;
+    Ok((C::finish(builder, Some(coverage)), stats, report))
 }
 
 /// Decodes one shard's retained buffers (as produced by
-/// [`emit_daily_shard_buffers`](crate::emit_daily_shard_buffers) /
-/// [`emit_weekly_shard_buffers`](crate::emit_weekly_shard_buffers))
-/// into per-slot record batches ready for
-/// [`LogStore::commit_days`](ipactive_logfmt::LogStore::commit_days) —
-/// the replay step of a distributed shard worker. Slots with no
-/// records still appear in the batch (as empty days) so the manifest
-/// commits the full window and store-level coverage can distinguish
-/// "day observed, empty" from "day lost".
+/// [`emit_shard_buffers`]) into per-slot record batches ready for
+/// [`LogStore::commit_days`] — the replay step of a distributed shard
+/// worker. Slots with no records still appear in the batch (as empty
+/// days) so the manifest commits the full window and store-level
+/// coverage can distinguish "day observed, empty" from "day lost".
 ///
-/// Decoding is tolerant: damaged frames are counted in the returned
-/// stats, never folded. Batch order and content are a pure function
-/// of the buffer bytes, so two replays of the same shard commit
+/// Decoding is tolerant and window-checked like every collector:
+/// damaged frames and intact frames naming a slot outside the window
+/// are counted as skipped in the returned stats, never as read and
+/// never batched. Batch order and content are a pure function of the
+/// buffer bytes, so two replays of the same shard commit
 /// byte-identical day files.
 pub fn slot_batches_from_buffers(
-    buffers: &[Vec<u8>],
+    buffers: &[impl AsRef<[u8]>],
     num_slots: usize,
 ) -> (Vec<(u16, Vec<Record>)>, PipelineStats) {
     let mut batches: Vec<(u16, Vec<Record>)> =
         (0..num_slots).map(|s| (s as u16, Vec::new())).collect();
     let mut stats = PipelineStats::default();
     for buf in buffers {
-        let mut reader = FrameReader::new(&buf[..], ReadMode::Tolerant);
-        loop {
-            match reader.read() {
-                Ok(Some(record)) => {
-                    stats.records_read += 1;
-                    match record_slot(&record) {
-                        Some(slot) if usize::from(slot) < num_slots => {
-                            batches[usize::from(slot)].1.push(record);
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    // An unrecoverable stream: whatever was folded so
-                    // far stands; the abandonment itself counts as a
-                    // lost frame so stats never read clean.
-                    stats.frames_skipped += 1;
-                    break;
-                }
+        let mut reader = FrameReader::new(buf.as_ref(), ReadMode::Tolerant);
+        let drained = drain(&mut reader, |record| {
+            if !in_window(&record, num_slots) {
+                return false;
             }
-        }
-        stats.frames_skipped += reader.skipped();
-        stats.resyncs += reader.resyncs();
+            // Cadence markers carry no slot and have no day file to
+            // go to.
+            if let Some(slot) = record_slot(&record) {
+                batches[usize::from(slot)].1.push(record);
+            }
+            true
+        });
+        stats.records_read += drained.records;
+        // An unrecoverable stream: whatever was batched so far stands;
+        // the abandonment itself counts as a lost frame so stats never
+        // read clean.
+        stats.frames_skipped += drained.skipped + u64::from(drained.error.is_some());
+        stats.resyncs += drained.resyncs;
     }
     (batches, stats)
-}
-
-/// Serializes the universe's *weekly* view into `out` (the framing
-/// layer is cadence-agnostic; [`collect_weekly`] interprets the `day`
-/// field back as a week index). Returns records written.
-pub fn emit_weekly_logs<W: Write>(universe: &Universe, out: W) -> io::Result<u64> {
-    let mut writer = FrameWriter::new(out);
-    for e in &universe.blocks {
-        emit_block_weekly(universe, e, &mut writer)?;
-    }
-    let written = writer.frames_written() + 1;
-    writer.finish()?;
-    Ok(written)
-}
-
-/// Decodes a weekly log stream (as from [`emit_weekly_logs`]) into a
-/// [`ipactive_core::WeeklyDataset`].
-pub fn collect_weekly<R: Read>(
-    input: R,
-    num_weeks: usize,
-) -> Result<(WeeklyDataset, PipelineStats), ipactive_logfmt::FrameError> {
-    let mut builder = WeeklyDatasetBuilder::new(num_weeks);
-    let stats = collect_stream(input, |record| fold_weekly(record, num_weeks, &mut builder))?;
-    Ok((builder.finish(), stats))
-}
-
-/// Decodes a framed log stream into a [`DailyDataset`].
-///
-/// Runs in tolerant mode: damaged frames are counted and skipped, not
-/// fatal — matching how a production collector survives partial edge
-/// failures.
-pub fn collect_daily<R: Read>(
-    input: R,
-    num_days: usize,
-) -> Result<(DailyDataset, PipelineStats), ipactive_logfmt::FrameError> {
-    let mut builder = DailyDatasetBuilder::new(num_days);
-    let stats = collect_stream(input, |record| fold_daily(record, num_days, &mut builder))?;
-    Ok((builder.finish(), stats))
-}
-
-/// Drains one whole log tolerantly through `fold`; an unrecoverable
-/// stream is the caller's error.
-fn collect_stream<R: Read>(
-    input: R,
-    fold: impl FnMut(Record) -> bool,
-) -> Result<PipelineStats, ipactive_logfmt::FrameError> {
-    let drained = drain(&mut FrameReader::new(input, ReadMode::Tolerant), fold);
-    match drained.error {
-        Some(e) => Err(e),
-        None => Ok(PipelineStats {
-            records_read: drained.records,
-            frames_skipped: drained.skipped,
-            resyncs: drained.resyncs,
-            ..PipelineStats::default()
-        }),
-    }
-}
-
-/// Decodes one shard buffer through `fold`, never failing: damaged
-/// frames are skipped, unrecoverable streams abandoned and counted.
-/// Tallies accumulate in locals and flush into `meters` once at the
-/// end, so the decode loop stays registry-free.
-fn drain_shard_buffer(buf: &[u8], fold: impl FnMut(Record) -> bool, meters: &ShardMeters) {
-    let d = drain(&mut FrameReader::new(buf, ReadMode::Tolerant), fold);
-    meters.flush_buffer(buf.len(), d.records, d.skipped, d.resyncs, d.error.is_some());
 }
 
 /// Assembles the final report as a *view over a registry snapshot*:
@@ -770,33 +836,26 @@ pub(crate) fn assemble_report(
 /// block slices of the universe, routing each `/24` block's frames to
 /// one of `collectors` collector threads over bounded channels (see
 /// [`shard_of`]); each collector folds a partial builder and the
-/// partials merge into one [`DailyDataset`].
+/// partials merge into one dataset.
 ///
-/// The output equals [`Universe::build_daily`] for *any* `(workers,
-/// collectors)` — the differential suite in `tests/end_to_end.rs`
-/// pins this grid-wide.
-pub fn parallel_pipeline(
-    universe: &Universe,
-    workers: usize,
-    collectors: usize,
-) -> (DailyDataset, PipelineReport) {
-    parallel_pipeline_obs(universe, workers, collectors, &Registry::new())
-}
-
-/// [`parallel_pipeline`] with an explicit [`Registry`]: counters land
-/// under `pipeline.daily.*`, collector timings under the
-/// `pipeline.daily.shard.<i>` spans, and noteworthy decode conditions
-/// in the journal. The plain entry point delegates here with a
-/// throwaway registry.
-pub fn parallel_pipeline_obs(
+/// The output equals [`Universe::build_daily`] (resp.
+/// [`Universe::build_weekly`]) for *any* `(workers, collectors)` — the
+/// differential suite in `tests/end_to_end.rs` pins this grid-wide.
+/// Counters land under `C::PIPELINE_PREFIX` in `registry`, collector
+/// timings under the `<prefix>.shard.<i>` spans, and noteworthy decode
+/// conditions in the journal.
+///
+/// # Panics
+/// If `workers` or `collectors` is zero.
+pub fn stream_pipeline<C: Cadence>(
     universe: &Universe,
     workers: usize,
     collectors: usize,
     registry: &Registry,
-) -> (DailyDataset, PipelineReport) {
+) -> (C::Dataset, PipelineReport) {
     validate_topology(workers, collectors).expect("invalid pipeline topology");
-    let prefix = DAILY_PREFIX;
-    let num_days = universe.config().daily_days;
+    let prefix = C::PIPELINE_PREFIX;
+    let slots = C::slots(universe);
     let start = Instant::now();
     let written = registry.counter(format!("{prefix}.records_written"));
 
@@ -808,7 +867,8 @@ pub fn parallel_pipeline_obs(
     let chunk = universe.blocks.len().div_ceil(workers).max(1);
     let dataset = crossbeam::scope(|scope| {
         // Collectors: each folds its shard's frames into a partial
-        // builder, decoding tolerantly.
+        // builder, decoding tolerantly — damaged frames are skipped,
+        // unrecoverable streams abandoned and counted.
         let handles: Vec<_> = rxs
             .into_iter()
             .enumerate()
@@ -817,10 +877,11 @@ pub fn parallel_pipeline_obs(
                 let registry = registry.clone();
                 scope.spawn(move |_| {
                     let _span = registry.span(collector_span_path(prefix, shard));
-                    let mut builder = DailyDatasetBuilder::new(num_days);
+                    let mut builder = C::new(slots);
                     for buf in rx.iter() {
-                        let fold = |r| fold_daily(r, num_days, &mut builder);
-                        drain_shard_buffer(&buf, fold, &meters);
+                        meters.count_buffer(buf.len());
+                        let mut reader = FrameReader::new(&buf[..], ReadMode::Tolerant);
+                        meters.add_decode(&drain(&mut reader, |r| C::fold(r, slots, &mut builder)));
                     }
                     builder
                 })
@@ -829,23 +890,18 @@ pub fn parallel_pipeline_obs(
 
         // Edge workers: serialize a block slice into one buffer per
         // collector, routed by block hash.
-        for shard in universe.blocks.chunks(chunk) {
+        for worker_blocks in universe.blocks.chunks(chunk) {
             let txs = txs.clone();
             let written = written.clone();
             let registry = registry.clone();
             scope.spawn(move |_| {
                 let _span = registry.span(format!("{prefix}.edge"));
-                let mut writers: Vec<FrameWriter<Vec<u8>>> =
-                    (0..collectors).map(|_| FrameWriter::new(Vec::new())).collect();
-                for e in shard {
-                    let writer = &mut writers[shard_of(e.block, collectors)];
-                    emit_block_daily(universe, e, writer).expect("vec write");
-                }
+                let writers =
+                    route_blocks::<C>(universe, worker_blocks, collectors).expect("vec write");
                 let mut frames = 0u64;
-                for (c, writer) in writers.into_iter().enumerate() {
+                for (tx, writer) in txs.iter().zip(writers) {
                     frames += writer.frames_written();
-                    let buf = writer.finish().expect("vec flush");
-                    txs[c].send(buf).expect("collector alive");
+                    tx.send(writer.finish().expect("vec flush")).expect("collector alive");
                 }
                 written.add(frames);
             });
@@ -855,104 +911,14 @@ pub fn parallel_pipeline_obs(
         // Deterministic merge: partials combine in shard order (the
         // builder merge is order-insensitive anyway — the determinism
         // suite checks both directions).
-        let mut merged: Option<DailyDatasetBuilder> = None;
-        for handle in handles {
-            let builder = handle.join().expect("collector panicked");
-            match &mut merged {
-                None => merged = Some(builder),
-                Some(acc) => acc.merge(builder),
-            }
-        }
-        merged.expect("at least one collector").finish()
-    })
-    .expect("pipeline thread panicked");
-
-    let report = assemble_report(registry, prefix, collectors, workers, start.elapsed());
-    (dataset, report)
-}
-
-/// Weekly counterpart of [`parallel_pipeline`]: same sharded topology,
-/// folding [`WeeklyDatasetBuilder`] partials into a [`WeeklyDataset`]
-/// equal to [`Universe::build_weekly`].
-pub fn parallel_pipeline_weekly(
-    universe: &Universe,
-    workers: usize,
-    collectors: usize,
-) -> (WeeklyDataset, PipelineReport) {
-    parallel_pipeline_weekly_obs(universe, workers, collectors, &Registry::new())
-}
-
-/// [`parallel_pipeline_weekly`] with an explicit [`Registry`]; metrics
-/// land under `pipeline.weekly.*`.
-pub fn parallel_pipeline_weekly_obs(
-    universe: &Universe,
-    workers: usize,
-    collectors: usize,
-    registry: &Registry,
-) -> (WeeklyDataset, PipelineReport) {
-    validate_topology(workers, collectors).expect("invalid pipeline topology");
-    let prefix = WEEKLY_PREFIX;
-    let num_weeks = universe.config().weeks;
-    let start = Instant::now();
-    let written = registry.counter(format!("{prefix}.records_written"));
-
-    let channels: Vec<_> = (0..collectors)
-        .map(|_| crossbeam::channel::bounded::<Vec<u8>>(workers * 2))
-        .collect();
-    let (txs, rxs): (Vec<_>, Vec<_>) = channels.into_iter().unzip();
-
-    let chunk = universe.blocks.len().div_ceil(workers).max(1);
-    let dataset = crossbeam::scope(|scope| {
-        let handles: Vec<_> = rxs
+        let merged = handles
             .into_iter()
-            .enumerate()
-            .map(|(shard, rx)| {
-                let meters = ShardMeters::new(registry, prefix, shard);
-                let registry = registry.clone();
-                scope.spawn(move |_| {
-                    let _span = registry.span(collector_span_path(prefix, shard));
-                    let mut builder = WeeklyDatasetBuilder::new(num_weeks);
-                    for buf in rx.iter() {
-                        let fold = |r| fold_weekly(r, num_weeks, &mut builder);
-                        drain_shard_buffer(&buf, fold, &meters);
-                    }
-                    builder
-                })
-            })
-            .collect();
-
-        for shard in universe.blocks.chunks(chunk) {
-            let txs = txs.clone();
-            let written = written.clone();
-            let registry = registry.clone();
-            scope.spawn(move |_| {
-                let _span = registry.span(format!("{prefix}.edge"));
-                let mut writers: Vec<FrameWriter<Vec<u8>>> =
-                    (0..collectors).map(|_| FrameWriter::new(Vec::new())).collect();
-                for e in shard {
-                    let writer = &mut writers[shard_of(e.block, collectors)];
-                    emit_block_weekly(universe, e, writer).expect("vec write");
-                }
-                let mut frames = 0u64;
-                for (c, writer) in writers.into_iter().enumerate() {
-                    frames += writer.frames_written();
-                    let buf = writer.finish().expect("vec flush");
-                    txs[c].send(buf).expect("collector alive");
-                }
-                written.add(frames);
+            .map(|handle| handle.join().expect("collector panicked"))
+            .reduce(|mut acc, builder| {
+                C::merge(&mut acc, builder);
+                acc
             });
-        }
-        drop(txs);
-
-        let mut merged: Option<WeeklyDatasetBuilder> = None;
-        for handle in handles {
-            let builder = handle.join().expect("collector panicked");
-            match &mut merged {
-                None => merged = Some(builder),
-                Some(acc) => acc.merge(builder),
-            }
-        }
-        merged.expect("at least one collector").finish()
+        C::finish(merged.expect("at least one collector"), None)
     })
     .expect("pipeline thread panicked");
 
@@ -960,121 +926,56 @@ pub fn parallel_pipeline_weekly_obs(
     (dataset, report)
 }
 
-/// Serializes the universe's daily logs into `collectors` shard
-/// buffers, each holding exactly the blocks [`shard_of`] routes to
-/// that collector — the edge half of [`parallel_pipeline`] exposed
-/// for replay and fault-injection testing against
-/// [`collect_daily_sharded`].
-pub fn emit_daily_shards(universe: &Universe, collectors: usize) -> io::Result<Vec<Vec<u8>>> {
-    validate_topology(1, collectors)?;
-    let mut writers: Vec<FrameWriter<Vec<u8>>> =
-        (0..collectors).map(|_| FrameWriter::new(Vec::new())).collect();
-    for e in &universe.blocks {
-        emit_block_daily(universe, e, &mut writers[shard_of(e.block, collectors)])?;
-    }
-    writers.into_iter().map(|w| w.finish()).collect()
-}
-
-/// Weekly counterpart of [`emit_daily_shards`].
-pub fn emit_weekly_shards(universe: &Universe, collectors: usize) -> io::Result<Vec<Vec<u8>>> {
-    validate_topology(1, collectors)?;
-    let mut writers: Vec<FrameWriter<Vec<u8>>> =
-        (0..collectors).map(|_| FrameWriter::new(Vec::new())).collect();
-    for e in &universe.blocks {
-        emit_block_weekly(universe, e, &mut writers[shard_of(e.block, collectors)])?;
-    }
-    writers.into_iter().map(|w| w.finish()).collect()
-}
-
-/// Decodes pre-encoded per-shard daily streams concurrently — one
-/// collector per shard — and merges the partial builders. Total:
-/// damaged or truncated shards lose frames (counted per collector in
-/// the report) but never panic and never poison other shards.
-///
-/// This is the collector half of [`parallel_pipeline`] exposed for
-/// replay and fault-injection: the property suite feeds it corrupted
-/// shard buffers.
-pub fn collect_daily_sharded(shards: &[Vec<u8>], num_days: usize) -> (DailyDataset, PipelineReport) {
-    collect_daily_sharded_obs(shards, num_days, &Registry::new())
-}
-
-/// [`collect_daily_sharded`] with an explicit [`Registry`]; metrics
-/// land under `pipeline.daily.*`, one counter family and span per
-/// shard.
-pub fn collect_daily_sharded_obs(
-    shards: &[Vec<u8>],
-    num_days: usize,
-    registry: &Registry,
+/// [`stream_pipeline`] at the daily cadence, metering into a throwaway
+/// registry (kept by name for the benchmark).
+pub fn parallel_pipeline(
+    universe: &Universe,
+    workers: usize,
+    collectors: usize,
 ) -> (DailyDataset, PipelineReport) {
-    let prefix = DAILY_PREFIX;
-    let start = Instant::now();
-    let dataset = crossbeam::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .enumerate()
-            .map(|(shard, buf)| {
-                let meters = ShardMeters::new(registry, prefix, shard);
-                let registry = registry.clone();
-                scope.spawn(move |_| {
-                    let _span = registry.span(collector_span_path(prefix, shard));
-                    let mut builder = DailyDatasetBuilder::new(num_days);
-                    drain_shard_buffer(buf, |r| fold_daily(r, num_days, &mut builder), &meters);
-                    builder
-                })
-            })
-            .collect();
-        let mut merged = DailyDatasetBuilder::new(num_days);
-        for handle in handles {
-            merged.merge(handle.join().expect("collector panicked"));
-        }
-        merged.finish()
-    })
-    .expect("collector thread panicked");
-    let report = assemble_report(registry, prefix, shards.len(), 0, start.elapsed());
-    (dataset, report)
+    stream_pipeline::<Daily>(universe, workers, collectors, &Registry::new())
 }
 
-/// Weekly counterpart of [`collect_daily_sharded`].
+/// Decodes pre-encoded per-shard streams concurrently — one collector
+/// per shard — and merges the partial builders. Total: damaged or
+/// truncated shards lose frames (counted per collector in the report)
+/// but never panic and never poison other shards.
+///
+/// This is the supervised collector at zero retries over one buffer
+/// per shard: with no retry to wait for, a shard's first attempt is
+/// its salvage attempt, which keeps every record that survives CRC and
+/// the window check and books the damage — exactly what an
+/// unsupervised tolerant drain does. The dataset carries no coverage,
+/// and an empty shard list is the empty dataset.
+fn collect_sharded<C: Cadence>(shards: &[Vec<u8>], slots: usize) -> (C::Dataset, PipelineReport) {
+    let deliveries: Vec<&[Vec<u8>]> = shards.iter().map(std::slice::from_ref).collect();
+    let (builder, run) = supervise::<C>(
+        &deliveries,
+        slots,
+        &RetryPolicy::instant(0),
+        &FaultPlan::none(),
+        &Registry::new(),
+        C::PIPELINE_PREFIX,
+    );
+    (C::finish(builder, None), run.report)
+}
+
+/// Decodes per-shard daily streams (from [`emit_daily_shards`])
+/// concurrently, one collector per shard: the supervised collector at
+/// zero retries — damaged shards lose frames, counted per collector,
+/// but never panic and never poison other shards (kept by name for the
+/// benchmark; the property suite feeds it corrupted shard buffers).
+pub fn collect_daily_sharded(shards: &[Vec<u8>], num_days: usize) -> (DailyDataset, PipelineReport) {
+    collect_sharded::<Daily>(shards, num_days)
+}
+
+/// Weekly counterpart of [`collect_daily_sharded`] (kept by name for
+/// the benchmark).
 pub fn collect_weekly_sharded(
     shards: &[Vec<u8>],
     num_weeks: usize,
 ) -> (WeeklyDataset, PipelineReport) {
-    collect_weekly_sharded_obs(shards, num_weeks, &Registry::new())
-}
-
-/// [`collect_weekly_sharded`] with an explicit [`Registry`]; metrics
-/// land under `pipeline.weekly.*`.
-pub fn collect_weekly_sharded_obs(
-    shards: &[Vec<u8>],
-    num_weeks: usize,
-    registry: &Registry,
-) -> (WeeklyDataset, PipelineReport) {
-    let prefix = WEEKLY_PREFIX;
-    let start = Instant::now();
-    let dataset = crossbeam::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .enumerate()
-            .map(|(shard, buf)| {
-                let meters = ShardMeters::new(registry, prefix, shard);
-                let registry = registry.clone();
-                scope.spawn(move |_| {
-                    let _span = registry.span(collector_span_path(prefix, shard));
-                    let mut builder = WeeklyDatasetBuilder::new(num_weeks);
-                    drain_shard_buffer(buf, |r| fold_weekly(r, num_weeks, &mut builder), &meters);
-                    builder
-                })
-            })
-            .collect();
-        let mut merged = WeeklyDatasetBuilder::new(num_weeks);
-        for handle in handles {
-            merged.merge(handle.join().expect("collector panicked"));
-        }
-        merged.finish()
-    })
-    .expect("collector thread panicked");
-    let report = assemble_report(registry, prefix, shards.len(), 0, start.elapsed());
-    (dataset, report)
+    collect_sharded::<Weekly>(shards, num_weeks)
 }
 
 #[cfg(test)]
@@ -1099,30 +1000,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wire_roundtrip_equals_direct_build() {
-        let u = universe();
-        let direct = u.build_daily();
+    fn wire_roundtrip<C: Cadence>(u: &Universe, direct: C::Dataset)
+    where
+        C::Dataset: PartialEq + std::fmt::Debug,
+    {
         let mut buf = Vec::new();
-        let written = emit_daily_logs(&u, &mut buf).unwrap();
+        let written = emit_logs::<C>(u, &mut buf).unwrap();
         assert!(written > 0);
-        let (collected, stats) = collect_daily(&buf[..], u.config().daily_days).unwrap();
+        let (collected, stats) = collect_stream::<C>(&buf[..], C::slots(u)).unwrap();
         assert_eq!(stats.frames_skipped, 0);
         assert_eq!(stats.records_read + 1, written); // Finish frame not counted as read
-        assert_datasets_equal(&direct, &collected);
+        assert_eq!(collected, direct);
     }
 
     #[test]
-    fn parallel_pipeline_equals_direct_build() {
+    fn wire_roundtrip_equals_direct_build() {
         let u = universe();
-        let direct = u.build_daily();
-        let (collected, report) = parallel_pipeline(&u, 4, 2);
-        assert_datasets_equal(&direct, &collected);
+        wire_roundtrip::<Daily>(&u, u.build_daily());
+        let mut buf = Vec::new();
+        emit_logs::<Daily>(&u, &mut buf).unwrap();
+        let (collected, _) = collect_daily(&buf[..], u.config().daily_days).unwrap();
+        assert_datasets_equal(&u.build_daily(), &collected);
+    }
+
+    #[test]
+    fn weekly_wire_roundtrip_equals_direct_build() {
+        let u = universe();
+        wire_roundtrip::<Weekly>(&u, u.build_weekly());
+    }
+
+    fn stream_pipeline_equals<C: Cadence>(u: &Universe, direct: C::Dataset)
+    where
+        C::Dataset: PartialEq + std::fmt::Debug,
+    {
+        let (collected, report) = stream_pipeline::<C>(u, 4, 2, &Registry::new());
+        assert_eq!(collected, direct);
         assert_eq!(report.totals.records_written, report.totals.records_read);
         assert!(report.totals.bytes > 0);
         assert_eq!(report.totals.frames_skipped, 0);
         assert_eq!(report.collectors(), 2);
         assert_eq!(report.workers, 4);
+    }
+
+    #[test]
+    fn parallel_pipeline_equals_direct_build() {
+        let u = universe();
+        stream_pipeline_equals::<Daily>(&u, u.build_daily());
+        assert_datasets_equal(&u.build_daily(), &parallel_pipeline(&u, 4, 2).0);
+    }
+
+    #[test]
+    fn parallel_pipeline_weekly_equals_direct_build() {
+        let u = universe();
+        stream_pipeline_equals::<Weekly>(&u, u.build_weekly());
     }
 
     #[test]
@@ -1138,16 +1068,6 @@ mod tests {
         assert_eq!(buffers, 3 * 4);
         assert!(report.per_collector.iter().all(|s| s.decode_errors == 0));
         assert!(report.records_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn parallel_pipeline_weekly_equals_direct_build() {
-        let u = universe();
-        let direct = u.build_weekly();
-        let (collected, report) = parallel_pipeline_weekly(&u, 4, 2);
-        assert_eq!(collected, direct);
-        assert_eq!(report.totals.records_written, report.totals.records_read);
-        assert_eq!(report.totals.frames_skipped, 0);
     }
 
     #[test]
@@ -1167,7 +1087,7 @@ mod tests {
         let u = universe();
         let mut flat = Vec::new();
         let mut packed = Vec::new();
-        emit_daily_logs(&u, &mut flat).unwrap();
+        emit_logs::<Daily>(&u, &mut flat).unwrap();
         emit_daily_logs_packed(&u, &mut packed).unwrap();
         assert!(
             packed.len() < flat.len(),
@@ -1177,27 +1097,6 @@ mod tests {
         );
         let (a, _) = collect_daily(&flat[..], u.config().daily_days).unwrap();
         let (b, _) = collect_daily(&packed[..], u.config().daily_days).unwrap();
-        assert_datasets_equal(&a, &b);
-    }
-
-    #[test]
-    fn packed_and_flat_streams_fold_identically_through_fold_daily() {
-        let u = universe();
-        let num_days = u.config().daily_days;
-        let mut flat = Vec::new();
-        let mut packed = Vec::new();
-        emit_daily_logs(&u, &mut flat).unwrap();
-        emit_daily_logs_packed(&u, &mut packed).unwrap();
-        let fold = |buf: &[u8]| {
-            let mut reader = FrameReader::new(buf, ReadMode::Strict);
-            let mut builder = DailyDatasetBuilder::new(num_days);
-            while let Some(rec) = reader.read().unwrap() {
-                assert!(fold_daily(rec, num_days, &mut builder));
-            }
-            builder.finish()
-        };
-        let a = fold(&flat);
-        let b = fold(&packed);
         assert_eq!(a, b, "flat and packed encodings must fold to equal datasets");
         assert_datasets_equal(&a, &b);
         assert_datasets_equal(&a, &u.build_daily());
@@ -1308,7 +1207,7 @@ mod tests {
         let fs = ipactive_logfmt::SimFs::new();
         let mut store = ipactive_logfmt::LogStore::open_on(fs.clone(), "/store").unwrap();
         persist_daily_atomic(&u, &mut store).unwrap();
-        let (ds, stats, report) = collect_from_store_checked(&store, num_days).unwrap();
+        let (ds, stats, report) = collect_store_checked::<Daily>(&store, num_days).unwrap();
         assert!(report.is_healthy(), "clean store flagged:\n{}", report.render());
         assert_eq!(stats.frames_skipped, 0);
         let coverage = ds.coverage.as_ref().expect("checked collect must annotate coverage");
@@ -1329,23 +1228,12 @@ mod tests {
         let path = std::path::Path::new("/store").join("day-0001.iplog");
         let bytes = fs.visible(&path).unwrap();
         fs.put_file(&path, &bytes[..bytes.len() - bytes.len() / 4 - 1]);
-        let (ds, _, report) = collect_from_store_checked(&store, num_days).unwrap();
+        let (ds, _, report) = collect_store_checked::<Daily>(&store, num_days).unwrap();
         assert!(!report.is_healthy());
         let coverage = ds.coverage.as_ref().unwrap();
         assert!(coverage.slot(1) < 1.0, "damaged day kept full coverage");
         assert_eq!(coverage.slot(0), 1.0, "undamaged day lost coverage");
         assert!(!coverage.is_complete());
-    }
-
-    #[test]
-    fn weekly_wire_roundtrip_equals_direct_build() {
-        let u = universe();
-        let direct = u.build_weekly();
-        let mut buf = Vec::new();
-        emit_weekly_logs(&u, &mut buf).unwrap();
-        let (collected, stats) = collect_weekly(&buf[..], u.config().weeks).unwrap();
-        assert_eq!(stats.frames_skipped, 0);
-        assert_eq!(collected, direct);
     }
 
     #[test]
@@ -1370,10 +1258,10 @@ mod tests {
     fn rate_is_zero_when_no_time_elapsed() {
         // The degenerate cases must render as 0.0, never inf/NaN —
         // shared with the obs snapshot renderer via ipactive_obs::rate.
-        assert_eq!(rate(1_000_000, Duration::ZERO), 0.0);
-        assert_eq!(rate(0, Duration::ZERO), 0.0);
-        assert!(rate(u64::MAX, Duration::from_nanos(1)).is_finite());
-        let r = rate(500, Duration::from_secs(2));
+        assert_eq!(obs::rate(1_000_000, Duration::ZERO), 0.0);
+        assert_eq!(obs::rate(0, Duration::ZERO), 0.0);
+        assert!(obs::rate(u64::MAX, Duration::from_nanos(1)).is_finite());
+        let r = obs::rate(500, Duration::from_secs(2));
         assert!((r - 250.0).abs() < 1e-9);
         // Stats with zero elapsed flow through the same guard.
         let stats = CollectorStats { records_read: 42, ..CollectorStats::default() };
@@ -1389,7 +1277,7 @@ mod tests {
     fn report_is_a_view_over_the_registry_snapshot() {
         let u = universe();
         let reg = Registry::new();
-        let (_, report) = parallel_pipeline_obs(&u, 2, 3, &reg);
+        let (_, report) = stream_pipeline::<Daily>(&u, 2, 3, &reg);
         let snap = reg.snapshot(obs::SnapshotMode::Timed);
         // Totals in the report are exactly the registry counters —
         // there is no second accounting path to drift.
@@ -1398,7 +1286,7 @@ mod tests {
             snap.counter("pipeline.daily.records_written")
         );
         for (i, s) in report.per_collector.iter().enumerate() {
-            assert_eq!(s, &CollectorStats::from_snapshot(&snap, DAILY_PREFIX, i));
+            assert_eq!(s, &CollectorStats::from_snapshot(&snap, Daily::PIPELINE_PREFIX, i));
             assert_eq!(
                 s.records_read,
                 snap.counter(&format!("pipeline.daily.shard.{i}.records"))
@@ -1440,7 +1328,7 @@ mod tests {
     fn collector_survives_corruption() {
         let u = universe();
         let mut buf = Vec::new();
-        emit_daily_logs(&u, &mut buf).unwrap();
+        emit_logs::<Daily>(&u, &mut buf).unwrap();
         // Corrupt a payload byte early in the stream.
         let pos = buf.len() / 3 + 2;
         buf[pos] ^= 0x40;

@@ -11,12 +11,12 @@
 //! account for what was lost, don't absorb it:
 //!
 //! * **Checkpointed replay.** Edge workers retain their per-shard
-//!   buffers ([`emit_daily_shard_buffers`]); each buffer is decoded
-//!   into a *fresh* builder inside `catch_unwind` and merged into the
-//!   shard accumulator only after a fully clean decode. The merge
-//!   boundary is the checkpoint: a crashed or corrupt attempt never
-//!   contaminates the accumulator, so a retry replays from the last
-//!   good state by construction.
+//!   buffers ([`emit_shard_buffers`](crate::emit_shard_buffers));
+//!   each buffer is decoded into a *fresh* builder inside
+//!   `catch_unwind` and merged into the shard accumulator only after
+//!   a fully clean decode. The merge boundary is the checkpoint: a
+//!   crashed or corrupt attempt never contaminates the accumulator,
+//!   so a retry replays from the last good state by construction.
 //! * **Deterministic backoff.** Retry delays are exponential with
 //!   seeded jitter ([`RetryPolicy::backoff`]) — a pure function of
 //!   `(seed, shard, buffer, attempt)`, never wall-clock randomness, so
@@ -34,28 +34,19 @@
 //!   completeness < 1.0 for exactly the shards that lost data.
 
 use crate::pipeline::{
-    assemble_report, collector_span_path, drain, emit_block_daily, emit_block_weekly, fold_daily,
-    fold_weekly, shard_of, validate_topology, Drained, PipelineReport, ShardMeters,
+    assemble_report, collector_span_path, drain, Cadence, Daily, PipelineReport, ShardMeters,
 };
-use crate::universe::Universe;
-use ipactive_core::{
-    Coverage, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder,
-};
-use ipactive_logfmt::{FrameReader, FrameWriter, QuarantinedFrame, ReadMode, Record};
+use ipactive_core::{Coverage, DailyDataset};
+use ipactive_logfmt::{FrameReader, QuarantinedFrame, ReadMode};
 use ipactive_obs::{Event, EventKind, Registry, TraceContext, TraceId};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-/// Metric prefix for supervised daily-cadence runs.
-pub const SUPERVISOR_DAILY_PREFIX: &str = "supervisor.daily";
-
-/// Metric prefix for supervised weekly-cadence runs.
-pub const SUPERVISOR_WEEKLY_PREFIX: &str = "supervisor.weekly";
-
-/// SplitMix64 step — the same finalizer the pipeline's [`shard_of`]
-/// uses, reused here so every supervised decision (jitter, corruption
-/// sites, crash points) is a pure function of its inputs.
+/// SplitMix64 step — the same finalizer the pipeline's
+/// [`shard_of`](crate::shard_of) uses, reused here so every supervised
+/// decision (jitter, corruption sites, crash points) is a pure
+/// function of its inputs.
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -387,119 +378,6 @@ impl SupervisedReport {
     }
 }
 
-/// Cadence-generic fold target: the supervisor logic is identical for
-/// daily and weekly runs; only the builder differs.
-trait Sink: Send + Sized {
-    type Out: Send;
-    fn new(slots: usize) -> Self;
-    /// Folds one record; `false` if it lies outside the window.
-    fn fold(&mut self, record: Record) -> bool;
-    fn merge(&mut self, other: Self);
-    fn finish(self, coverage: Coverage) -> Self::Out;
-}
-
-struct DailySink {
-    builder: DailyDatasetBuilder,
-    num_days: usize,
-}
-
-impl Sink for DailySink {
-    type Out = DailyDataset;
-    fn new(num_days: usize) -> Self {
-        DailySink { builder: DailyDatasetBuilder::new(num_days), num_days }
-    }
-    fn fold(&mut self, record: Record) -> bool {
-        fold_daily(record, self.num_days, &mut self.builder)
-    }
-    fn merge(&mut self, other: Self) {
-        self.builder.merge(other.builder);
-    }
-    fn finish(self, coverage: Coverage) -> DailyDataset {
-        self.builder.finish().with_coverage(coverage)
-    }
-}
-
-struct WeeklySink {
-    builder: WeeklyDatasetBuilder,
-    num_weeks: usize,
-}
-
-impl Sink for WeeklySink {
-    type Out = WeeklyDataset;
-    fn new(num_weeks: usize) -> Self {
-        WeeklySink { builder: WeeklyDatasetBuilder::new(num_weeks), num_weeks }
-    }
-    fn fold(&mut self, record: Record) -> bool {
-        fold_weekly(record, self.num_weeks, &mut self.builder)
-    }
-    fn merge(&mut self, other: Self) {
-        self.builder.merge(other.builder);
-    }
-    fn finish(self, coverage: Coverage) -> WeeklyDataset {
-        self.builder.finish().with_coverage(coverage)
-    }
-}
-
-/// Serializes the universe's daily logs the way `workers` edge threads
-/// would: each worker slice produces one buffer per collector shard,
-/// and `result[shard]` lists that shard's buffers in worker order.
-/// These retained buffers are what [`supervised_collect_daily`]
-/// replays on retry.
-pub fn emit_daily_shard_buffers(
-    universe: &Universe,
-    workers: usize,
-    collectors: usize,
-) -> io::Result<Vec<Vec<Vec<u8>>>> {
-    emit_shard_buffers(universe, workers, collectors, emit_block_daily)
-}
-
-/// Weekly counterpart of [`emit_daily_shard_buffers`].
-pub fn emit_weekly_shard_buffers(
-    universe: &Universe,
-    workers: usize,
-    collectors: usize,
-) -> io::Result<Vec<Vec<Vec<u8>>>> {
-    emit_shard_buffers(universe, workers, collectors, emit_block_weekly)
-}
-
-fn emit_shard_buffers(
-    universe: &Universe,
-    workers: usize,
-    collectors: usize,
-    emit: impl Fn(&Universe, &crate::universe::BlockEntry, &mut FrameWriter<Vec<u8>>) -> io::Result<()>,
-) -> io::Result<Vec<Vec<Vec<u8>>>> {
-    validate_topology(workers, collectors)?;
-    let chunk = universe.blocks.len().div_ceil(workers).max(1);
-    let mut out: Vec<Vec<Vec<u8>>> = vec![Vec::new(); collectors];
-    for worker_blocks in universe.blocks.chunks(chunk) {
-        let mut writers: Vec<FrameWriter<Vec<u8>>> =
-            (0..collectors).map(|_| FrameWriter::new(Vec::new())).collect();
-        for e in worker_blocks {
-            emit(universe, e, &mut writers[shard_of(e.block, collectors)])?;
-        }
-        for (c, writer) in writers.into_iter().enumerate() {
-            out[c].push(writer.finish()?);
-        }
-    }
-    Ok(out)
-}
-
-/// Decodes one attempt's view of a buffer into a fresh sink. Runs
-/// tolerantly; quarantine capture is enabled only when the caller is
-/// on its salvage (final) attempt.
-fn drain_attempt<S: Sink>(
-    buf: &[u8],
-    slots: usize,
-    capture: bool,
-) -> (S, Drained, Vec<QuarantinedFrame>) {
-    let mut reader = FrameReader::new(buf, ReadMode::Tolerant).capture_quarantine(capture);
-    let mut sink = S::new(slots);
-    let res = drain(&mut reader, |record| sink.fold(record));
-    (sink, res, reader.take_quarantine())
-}
-
-/// The stable lowercase token a fault kind carries in journal event
-/// details (`None` decodes that still came up dirty say "dirty").
 /// Salt for per-shard collection trace ids, folded with an FNV-1a
 /// hash of the metric prefix so the daily and weekly cadences of the
 /// same seeded run mint distinct traces.
@@ -516,6 +394,8 @@ fn prefix_salt(prefix: &str) -> u64 {
     h
 }
 
+/// The stable lowercase token a fault kind carries in journal event
+/// details (`None` decodes that still came up dirty say "dirty").
 fn fault_detail(kind: Option<FaultKind>) -> &'static str {
     match kind {
         Some(FaultKind::Crash) => "crash",
@@ -532,7 +412,7 @@ fn fault_detail(kind: Option<FaultKind>) -> &'static str {
 /// dead-lettered frame is also recorded in the registry journal with
 /// shard/buffer/offset provenance.
 #[allow(clippy::too_many_arguments)]
-fn supervise_buffer<S: Sink>(
+fn supervise_buffer<C: Cadence>(
     shard: usize,
     buffer: usize,
     buf: &[u8],
@@ -540,7 +420,7 @@ fn supervise_buffer<S: Sink>(
     policy: &RetryPolicy,
     plan: &FaultPlan,
     prefix: &str,
-    acc: &mut S,
+    acc: &mut C::Builder,
     meters: &ShardMeters,
     letters: &mut Vec<DeadLetter>,
 ) -> BufferOutcome {
@@ -549,6 +429,14 @@ fn supervise_buffer<S: Sink>(
     let fault_kind = fault.map(|f| f.kind);
     let max_attempts = policy.max_retries.saturating_add(1);
     let mut backoff = Duration::ZERO;
+    let outcome = |attempts: u32, backoff: Duration, completeness: f64| BufferOutcome {
+        shard,
+        buffer,
+        attempts,
+        backoff,
+        completeness,
+        fault: fault_kind,
+    };
     let lost = |attempts: u32, backoff: Duration| {
         registry.counter(format!("{prefix}.lost_buffers")).inc();
         registry.emit(
@@ -558,14 +446,7 @@ fn supervise_buffer<S: Sink>(
                 .attempt(attempts.saturating_sub(1))
                 .detail(format!("buffer lost: {}", fault_detail(fault_kind))),
         );
-        BufferOutcome {
-            shard,
-            buffer,
-            attempts,
-            backoff,
-            completeness: 0.0,
-            fault: fault_kind,
-        }
+        outcome(attempts, backoff, 0.0)
     };
     for attempt in 0..max_attempts {
         if attempt > 0 {
@@ -585,49 +466,42 @@ fn supervise_buffer<S: Sink>(
         }
         let final_attempt = attempt + 1 == max_attempts;
         let active = fault.filter(|f| f.active(attempt)).map(|f| f.kind);
-        match active {
-            // The buffer never arrives this attempt; nothing to decode.
-            Some(FaultKind::Drop) => {
-                if final_attempt {
-                    return lost(attempt + 1, backoff);
-                }
-            }
-            // The collector hangs; the supervisor's watchdog fires
-            // after `stall_timeout` and the attempt is charged as a
-            // timeout. Modeled deterministically (no real thread race)
-            // so fault runs replay bit-identically.
-            Some(FaultKind::Stall) => {
-                if final_attempt {
-                    return lost(attempt + 1, backoff);
-                }
-            }
+        let decoded = match active {
+            // Drop: the buffer never arrives this attempt; nothing to
+            // decode. Stall: the collector hangs; the supervisor's
+            // watchdog fires after `stall_timeout` and the attempt is
+            // charged as a timeout. Modeled deterministically (no real
+            // thread race) so fault runs replay bit-identically.
+            Some(FaultKind::Drop | FaultKind::Stall) => None,
             // The collector genuinely panics mid-decode; catch_unwind
-            // contains it and the partial attempt sink is discarded —
-            // the checkpoint (the shard accumulator) never saw it.
+            // contains it and the partial attempt builder is discarded
+            // — the checkpoint (the shard accumulator) never saw it.
             Some(FaultKind::Crash) => {
                 quiet_injected_panics();
                 let fuse = splitmix(plan.seed ^ mix(shard, buffer)) % 17;
                 let crashed = catch_unwind(AssertUnwindSafe(|| {
-                    let mut attempt_sink = S::new(slots);
-                    let mut reader = FrameReader::new(buf, ReadMode::Tolerant);
+                    let mut attempt_builder = C::new(slots);
                     let mut folded = 0u64;
-                    while let Ok(Some(record)) = reader.read() {
-                        attempt_sink.fold(record);
+                    drain(&mut FrameReader::new(buf, ReadMode::Tolerant), |record| {
+                        C::fold(record, slots, &mut attempt_builder);
                         folded += 1;
                         if folded > fuse {
                             std::panic::panic_any(InjectedCrash);
                         }
-                    }
+                        true
+                    });
                     std::panic::panic_any(InjectedCrash);
                 }));
                 debug_assert!(crashed.is_err());
-                if final_attempt {
-                    return lost(attempt + 1, backoff);
-                }
+                None
             }
             // Corrupt delivery or (possibly) clean decode — both run
             // the same attempt machinery; a corrupt fault just swaps
             // in a deterministically damaged copy of the wire bytes.
+            // Each attempt decodes into a fresh builder; quarantine
+            // capture is on only for the salvage (final) attempt. A
+            // genuine decode panic is contained and its partial state
+            // discarded.
             Some(FaultKind::Corrupt) | None => {
                 let dirty;
                 let data: &[u8] = if active == Some(FaultKind::Corrupt) {
@@ -636,145 +510,120 @@ fn supervise_buffer<S: Sink>(
                 } else {
                     buf
                 };
-                let attempt_run = catch_unwind(AssertUnwindSafe(|| {
-                    drain_attempt::<S>(data, slots, final_attempt)
-                }));
-                let Ok((sink, res, quarantine)) = attempt_run else {
-                    // A genuine decode panic: contained, partial state
-                    // discarded, attempt charged.
-                    if final_attempt {
-                        return lost(attempt + 1, backoff);
-                    }
-                    continue;
-                };
-                // A resync means the reader lost framing and silently
-                // swallowed at least one frame while scanning for the
-                // next sync byte — `skipped` does not move, so a decode
-                // with resyncs is lossy even when nothing else fired.
-                let decode_error = res.error.is_some();
-                let clean = res.skipped == 0 && res.resyncs == 0 && !decode_error;
-                if clean {
-                    acc.merge(sink);
-                    meters.add_clean_records(res.records);
-                    return BufferOutcome {
-                        shard,
-                        buffer,
-                        attempts: attempt + 1,
-                        backoff,
-                        completeness: 1.0,
-                        fault: fault_kind,
-                    };
-                }
-                if final_attempt {
-                    // Salvage: retries are exhausted, so keep every
-                    // record that survived CRC and dead-letter the
-                    // frames that did not.
-                    acc.merge(sink);
-                    meters.add_salvage(res.records, res.skipped, res.resyncs, decode_error);
-                    let quarantined = registry.counter(format!("{prefix}.quarantined_frames"));
-                    for frame in quarantine {
-                        quarantined.inc();
-                        registry.emit(
-                            Event::new(EventKind::Quarantine)
-                                .shard(shard as u32)
-                                .offset(frame.offset)
-                                .attempt(attempt)
-                                .detail(format!("{:?}", frame.reason)),
-                        );
-                        letters.push(DeadLetter { shard, buffer, frame });
-                    }
-                    // Each resync is charged as (at least) one frame
-                    // lost to the desync scan; the true count is
-                    // unknowable, so this lower-bounds the loss rather
-                    // than ignoring it.
-                    let failed = res.skipped + res.resyncs + u64::from(decode_error);
-                    let total = res.records + failed;
-                    let completeness =
-                        if total == 0 { 0.0 } else { res.records as f64 / total as f64 };
-                    return BufferOutcome {
-                        shard,
-                        buffer,
-                        attempts: attempt + 1,
-                        backoff,
-                        completeness,
-                        fault: fault_kind,
-                    };
-                }
-                // Dirty decode with retries left: discard the partial
-                // sink (checkpoint isolation) and replay the buffer.
+                catch_unwind(AssertUnwindSafe(|| {
+                    let mut reader = FrameReader::new(data, ReadMode::Tolerant)
+                        .capture_quarantine(final_attempt);
+                    let mut builder = C::new(slots);
+                    let res = drain(&mut reader, |record| C::fold(record, slots, &mut builder));
+                    (builder, res, reader.take_quarantine())
+                }))
+                .ok()
             }
+        };
+        let Some((builder, res, quarantine)) = decoded else {
+            // Nothing decodable arrived: the attempt is charged.
+            if final_attempt {
+                return lost(attempt + 1, backoff);
+            }
+            continue;
+        };
+        // A resync means the reader lost framing and silently swallowed
+        // at least one frame while scanning for the next sync byte —
+        // `skipped` does not move, so a decode with resyncs is lossy
+        // even when nothing else fired.
+        let decode_error = res.error.is_some();
+        let clean = res.skipped == 0 && res.resyncs == 0 && !decode_error;
+        if clean {
+            C::merge(acc, builder);
+            meters.add_decode(&res);
+            return outcome(attempt + 1, backoff, 1.0);
         }
+        if final_attempt {
+            // Salvage: retries are exhausted, so keep every record
+            // that survived CRC and dead-letter the frames that did
+            // not.
+            C::merge(acc, builder);
+            meters.add_decode(&res);
+            let quarantined = registry.counter(format!("{prefix}.quarantined_frames"));
+            for frame in quarantine {
+                quarantined.inc();
+                registry.emit(
+                    Event::new(EventKind::Quarantine)
+                        .shard(shard as u32)
+                        .offset(frame.offset)
+                        .attempt(attempt)
+                        .detail(format!("{:?}", frame.reason)),
+                );
+                letters.push(DeadLetter { shard, buffer, frame });
+            }
+            // Each resync is charged as (at least) one frame lost to
+            // the desync scan; the true count is unknowable, so this
+            // lower-bounds the loss rather than ignoring it.
+            let failed = res.skipped + res.resyncs + u64::from(decode_error);
+            let total = res.records + failed;
+            let completeness = if total == 0 { 0.0 } else { res.records as f64 / total as f64 };
+            return outcome(attempt + 1, backoff, completeness);
+        }
+        // Dirty decode with retries left: discard the partial builder
+        // (checkpoint isolation) and replay the buffer.
     }
     unreachable!("attempt loop always returns on its final attempt")
 }
 
-/// Supervises one shard: buffers are processed in delivery order, each
-/// through the bounded-retry machinery, into one shard accumulator.
-/// All accounting goes through the shard's registry meters; the
-/// collector span carries the shard's wall time.
-fn supervise_shard<S: Sink>(
-    shard: usize,
-    buffers: &[Vec<u8>],
+/// The one body that spawns collector threads over retained buffers:
+/// one thread per shard, each taking its buffers in delivery order
+/// through [`supervise_buffer`] into one shard accumulator; partials
+/// merge in shard order (the builder merge is order-insensitive,
+/// shards are block-disjoint) and the per-shard completeness fractions
+/// become the run's [`Coverage`]. All accounting goes through the
+/// shard's registry meters under `prefix`; the collector span carries
+/// the shard's wall time. Returns the merged, unfinished builder —
+/// empty for an empty shard list — so each caller decides whether the
+/// dataset carries the coverage.
+pub(crate) fn supervise<C: Cadence>(
+    shard_buffers: &[impl AsRef<[Vec<u8>]> + Sync],
     slots: usize,
     policy: &RetryPolicy,
     plan: &FaultPlan,
     registry: &Registry,
     prefix: &str,
-) -> (S, ShardOutcome, Vec<DeadLetter>) {
-    let _span = registry.span(collector_span_path(prefix, shard));
-    let meters = ShardMeters::new(registry, prefix, shard);
-    // One trace per (cadence, shard), minted from the fault plan's
-    // seed: the span tree is a pure function of (seed, topology,
-    // plan), so reruns — at any thread count — produce identical
-    // trace bytes.
-    let trace = TraceId::mint(plan.seed ^ TRACE_SALT ^ prefix_salt(prefix), shard as u64);
-    let ctx = registry.trace_span(
-        TraceContext::root(trace),
-        "collect.shard",
-        format!("{prefix} shard {shard}"),
-    );
-    let mut acc = S::new(slots);
-    let mut letters = Vec::new();
-    let mut outcomes = Vec::with_capacity(buffers.len());
-    for (buffer, buf) in buffers.iter().enumerate() {
-        meters.count_buffer(buf.len());
-        let injected = plan.fault_for(shard, buffer).map(|f| fault_detail(Some(f.kind)));
-        registry.trace_span(
-            ctx,
-            "collect.buffer",
-            format!("buffer {buffer} bytes {} fault {}", buf.len(), injected.unwrap_or("none")),
-        );
-        outcomes.push(supervise_buffer(
-            shard, buffer, buf, slots, policy, plan, prefix, &mut acc, &meters, &mut letters,
-        ));
-    }
-    (acc, ShardOutcome { shard, buffers: outcomes }, letters)
-}
-
-/// The generic supervised collector: one thread per shard, each
-/// running [`supervise_shard`]; partials merge in shard order (the
-/// builder merge is order-insensitive, shards are block-disjoint) and
-/// the per-shard completeness fractions become the dataset's
-/// [`Coverage`].
-fn supervised_collect<S: Sink>(
-    shard_buffers: &[Vec<Vec<u8>>],
-    slots: usize,
-    policy: &RetryPolicy,
-    plan: &FaultPlan,
-    registry: &Registry,
-    prefix: &str,
-) -> io::Result<(S::Out, SupervisedReport)> {
-    validate_topology(1, shard_buffers.len())?;
+) -> (C::Builder, SupervisedReport) {
     let start = Instant::now();
+    let supervise_shard = |shard: usize, buffers: &[Vec<u8>]| {
+        let _span = registry.span(collector_span_path(prefix, shard));
+        let meters = ShardMeters::new(registry, prefix, shard);
+        // One trace per (cadence, shard), minted from the fault plan's
+        // seed: the span tree is a pure function of (seed, topology,
+        // plan), so reruns — at any thread count — produce identical
+        // trace bytes.
+        let trace = TraceId::mint(plan.seed ^ TRACE_SALT ^ prefix_salt(prefix), shard as u64);
+        let ctx = registry.trace_span(
+            TraceContext::root(trace),
+            "collect.shard",
+            format!("{prefix} shard {shard}"),
+        );
+        let mut acc = C::new(slots);
+        let mut letters = Vec::new();
+        let mut outcomes = Vec::with_capacity(buffers.len());
+        for (buffer, buf) in buffers.iter().enumerate() {
+            meters.count_buffer(buf.len());
+            let injected = plan.fault_for(shard, buffer).map(|f| fault_detail(Some(f.kind)));
+            registry.trace_span(
+                ctx,
+                "collect.buffer",
+                format!("buffer {buffer} bytes {} fault {}", buf.len(), injected.unwrap_or("none")),
+            );
+            outcomes.push(supervise_buffer::<C>(
+                shard, buffer, buf, slots, policy, plan, prefix, &mut acc, &meters, &mut letters,
+            ));
+        }
+        (acc, ShardOutcome { shard, buffers: outcomes }, letters)
+    };
     let results = crossbeam::scope(|scope| {
         let handles: Vec<_> = shard_buffers
             .iter()
             .enumerate()
-            .map(|(shard, buffers)| {
-                scope.spawn(move |_| {
-                    supervise_shard::<S>(shard, buffers, slots, policy, plan, registry, prefix)
-                })
-            })
+            .map(|(shard, buffers)| scope.spawn(move |_| supervise_shard(shard, buffers.as_ref())))
             .collect();
         handles
             .into_iter()
@@ -783,122 +632,68 @@ fn supervised_collect<S: Sink>(
     })
     .expect("supervisor scope panicked");
 
-    let mut merged: Option<S> = None;
+    let mut merged: Option<C::Builder> = None;
     let mut outcomes = Vec::with_capacity(results.len());
     let mut quarantine = Vec::new();
     let mut fractions = Vec::with_capacity(results.len());
-    for (sink, outcome, letters) in results {
+    for (builder, outcome, letters) in results {
         fractions.push(outcome.completeness());
         outcomes.push(outcome);
         quarantine.extend(letters);
         match &mut merged {
-            None => merged = Some(sink),
-            Some(acc) => acc.merge(sink),
+            None => merged = Some(builder),
+            Some(acc) => C::merge(acc, builder),
         }
     }
     let coverage = Coverage::from_shard_fractions(&fractions, slots);
     let report = assemble_report(registry, prefix, shard_buffers.len(), 0, start.elapsed());
-    let dataset = merged
-        .expect("validate_topology guarantees at least one shard")
-        .finish(coverage.clone());
-    Ok((dataset, SupervisedReport { report, outcomes, quarantine, coverage }))
+    let builder = merged.unwrap_or_else(|| C::new(slots));
+    (builder, SupervisedReport { report, outcomes, quarantine, coverage })
 }
 
-/// Runs the supervised daily collector over retained shard buffers
-/// (from [`emit_daily_shard_buffers`]): bounded retries with
-/// deterministic backoff, checkpointed replay, dead-letter quarantine,
-/// and a [`Coverage`]-annotated dataset that degrades gracefully when
-/// retries are exhausted.
+/// Runs the supervised collector at cadence `C` over retained shard
+/// buffers (from [`emit_shard_buffers`](crate::emit_shard_buffers)):
+/// bounded retries with deterministic backoff, checkpointed replay,
+/// dead-letter quarantine, and a [`Coverage`]-annotated dataset that
+/// degrades gracefully when retries are exhausted. Counters land under
+/// `C::SUPERVISOR_PREFIX` in `registry`, every retry and dead-letter
+/// is journaled with shard/buffer/offset provenance, and the returned
+/// report is a view over the registry snapshot.
 ///
 /// When every fault is transient the output is bit-identical to the
 /// fault-free run and its coverage is complete; the differential suite
 /// in `tests/supervisor.rs` pins this across the fault × topology
 /// grid.
+pub fn supervised_collect<C: Cadence>(
+    shard_buffers: &[impl AsRef<[Vec<u8>]> + Sync],
+    slots: usize,
+    policy: &RetryPolicy,
+    plan: &FaultPlan,
+    registry: &Registry,
+) -> io::Result<(C::Dataset, SupervisedReport)> {
+    crate::pipeline::validate_topology(1, shard_buffers.len())?;
+    let (builder, report) =
+        supervise::<C>(shard_buffers, slots, policy, plan, registry, C::SUPERVISOR_PREFIX);
+    Ok((C::finish(builder, Some(report.coverage.clone())), report))
+}
+
+/// [`supervised_collect`] at the daily cadence, metering into a
+/// throwaway registry (kept by name for the benchmark).
 pub fn supervised_collect_daily(
     shard_buffers: &[Vec<Vec<u8>>],
     num_days: usize,
     policy: &RetryPolicy,
     plan: &FaultPlan,
 ) -> io::Result<(DailyDataset, SupervisedReport)> {
-    supervised_collect_daily_obs(shard_buffers, num_days, policy, plan, &Registry::new())
-}
-
-/// [`supervised_collect_daily`] with an explicit [`Registry`]:
-/// counters land under `supervisor.daily.*`, every retry and
-/// dead-letter is journaled with shard/buffer/offset provenance, and
-/// the returned report is a view over the registry snapshot.
-pub fn supervised_collect_daily_obs(
-    shard_buffers: &[Vec<Vec<u8>>],
-    num_days: usize,
-    policy: &RetryPolicy,
-    plan: &FaultPlan,
-    registry: &Registry,
-) -> io::Result<(DailyDataset, SupervisedReport)> {
-    supervised_collect::<DailySink>(
-        shard_buffers,
-        num_days,
-        policy,
-        plan,
-        registry,
-        SUPERVISOR_DAILY_PREFIX,
-    )
-}
-
-/// Recovers a [`DailyDataset`] from a (possibly crash-damaged) log
-/// store: runs an `fsck` verification pass over the store's
-/// manifests, footers, and frames, folds every surviving record, and
-/// returns the dataset annotated with the per-day completeness grid
-/// the fsck report established — the store-backed analogue of the
-/// buffer-level supervised collectors above. The report itself is
-/// returned alongside so callers can log quarantine provenance or
-/// decide to re-run `fsck --repair` out of band.
-///
-/// The pass is strictly read-only; repairs are an explicit operator
-/// action (`inspect fsck --repair`), never a side effect of
-/// collection.
-pub fn recover_daily_from_store<F: ipactive_logfmt::Fs>(
-    store: &ipactive_logfmt::LogStore<F>,
-    num_days: usize,
-) -> Result<(DailyDataset, ipactive_logfmt::FsckReport), ipactive_logfmt::StoreError> {
-    let (dataset, _stats, report) =
-        crate::pipeline::collect_from_store_checked(store, num_days)?;
-    Ok((dataset, report))
-}
-
-/// Weekly counterpart of [`supervised_collect_daily`].
-pub fn supervised_collect_weekly(
-    shard_buffers: &[Vec<Vec<u8>>],
-    num_weeks: usize,
-    policy: &RetryPolicy,
-    plan: &FaultPlan,
-) -> io::Result<(WeeklyDataset, SupervisedReport)> {
-    supervised_collect_weekly_obs(shard_buffers, num_weeks, policy, plan, &Registry::new())
-}
-
-/// [`supervised_collect_weekly`] with an explicit [`Registry`];
-/// metrics land under `supervisor.weekly.*`.
-pub fn supervised_collect_weekly_obs(
-    shard_buffers: &[Vec<Vec<u8>>],
-    num_weeks: usize,
-    policy: &RetryPolicy,
-    plan: &FaultPlan,
-    registry: &Registry,
-) -> io::Result<(WeeklyDataset, SupervisedReport)> {
-    supervised_collect::<WeeklySink>(
-        shard_buffers,
-        num_weeks,
-        policy,
-        plan,
-        registry,
-        SUPERVISOR_WEEKLY_PREFIX,
-    )
+    supervised_collect::<Daily>(shard_buffers, num_days, policy, plan, &Registry::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::UniverseConfig;
-    use crate::pipeline::collect_daily_sharded;
+    use crate::pipeline::{collect_daily_sharded, emit_shard_buffers};
+    use crate::universe::Universe;
 
     fn universe() -> Universe {
         Universe::generate(UniverseConfig::tiny(0x5EED))
@@ -908,7 +703,7 @@ mod tests {
     fn fault_free_run_is_complete_and_equals_unsupervised() {
         let u = universe();
         let num_days = u.config().daily_days;
-        let buffers = emit_daily_shard_buffers(&u, 3, 2).unwrap();
+        let buffers = emit_shard_buffers::<Daily>(&u, 3, 2).unwrap();
         let (supervised, sup_report) = supervised_collect_daily(
             &buffers,
             num_days,
@@ -933,7 +728,7 @@ mod tests {
     fn transient_crash_recovers_bit_identically() {
         let u = universe();
         let num_days = u.config().daily_days;
-        let buffers = emit_daily_shard_buffers(&u, 2, 2).unwrap();
+        let buffers = emit_shard_buffers::<Daily>(&u, 2, 2).unwrap();
         let policy = RetryPolicy::instant(2);
         let (clean, _) =
             supervised_collect_daily(&buffers, num_days, &policy, &FaultPlan::none()).unwrap();
@@ -955,7 +750,7 @@ mod tests {
     fn permanent_drop_degrades_exactly_one_shard() {
         let u = universe();
         let num_days = u.config().daily_days;
-        let buffers = emit_daily_shard_buffers(&u, 1, 3).unwrap();
+        let buffers = emit_shard_buffers::<Daily>(&u, 1, 3).unwrap();
         let plan = FaultPlan::new(9).with_fault(Fault {
             shard: 2,
             buffer: 0,
@@ -1038,17 +833,12 @@ mod tests {
         use ipactive_obs::SnapshotMode;
         let u = universe();
         let num_days = u.config().daily_days;
-        let buffers = emit_daily_shard_buffers(&u, 2, 3).unwrap();
+        let buffers = emit_shard_buffers::<Daily>(&u, 2, 3).unwrap();
         let plan = FaultPlan::scatter(0xBEEF, 3, 2, 6);
         let reg = Registry::new();
-        let (_, report) = supervised_collect_daily_obs(
-            &buffers,
-            num_days,
-            &RetryPolicy::instant(2),
-            &plan,
-            &reg,
-        )
-        .unwrap();
+        let (_, report) =
+            supervised_collect::<Daily>(&buffers, num_days, &RetryPolicy::instant(2), &plan, &reg)
+                .unwrap();
         let snap = reg.snapshot(SnapshotMode::Deterministic);
         // Retry accounting: outcome math, the counter, and the journal
         // all describe the same run.
@@ -1075,20 +865,14 @@ mod tests {
 
     #[test]
     fn zero_shards_is_a_proper_error() {
-        let err = supervised_collect_daily(
-            &[],
-            7,
-            &RetryPolicy::instant(0),
-            &FaultPlan::none(),
-        )
-        .unwrap_err();
+        let err = supervised_collect_daily(&[], 7, &RetryPolicy::instant(0), &FaultPlan::none())
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
     fn store_recovery_is_atomic_across_a_mid_commit_crash() {
-        use crate::config::UniverseConfig;
-        use crate::pipeline::persist_daily_atomic;
+        use crate::pipeline::{collect_store_checked, persist_daily_atomic};
         use ipactive_logfmt::{CrashStyle, Inject, LogStore, SimFs};
         use std::path::PathBuf;
 
@@ -1117,7 +901,7 @@ mod tests {
         // Recovery sees exactly one of the two runs, whole, with
         // complete coverage — the crash cannot manufacture a blend.
         let store = LogStore::open_on(rebooted.clone(), &dir).unwrap();
-        let (recovered, report) = recover_daily_from_store(&store, num_days).unwrap();
+        let (recovered, _, report) = collect_store_checked::<Daily>(&store, num_days).unwrap();
         let coverage = recovered.coverage.as_ref().expect("recovery must annotate coverage");
         assert!(coverage.is_complete(), "report:\n{}", report.render());
         let matches_u1 = recovered == u1.build_daily();
@@ -1132,7 +916,7 @@ mod tests {
         // nothing about what recovery reads.
         ipactive_logfmt::fsck(&rebooted, &dir, true).unwrap();
         let store = LogStore::open_on(rebooted.clone(), &dir).unwrap();
-        let (again, report) = recover_daily_from_store(&store, num_days).unwrap();
+        let (again, _, report) = collect_store_checked::<Daily>(&store, num_days).unwrap();
         assert!(report.is_healthy(), "repair did not converge:\n{}", report.render());
         assert_eq!(again, recovered);
     }

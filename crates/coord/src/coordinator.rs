@@ -28,9 +28,7 @@ use crate::worker::{
     clean_beats, daily_dir, holder_id, marker_path, run_worker, shard_dir, trace_path, weekly_dir,
     PauseStyle, WorkerConfig, WorkerExit,
 };
-use ipactive_cdnsim::{
-    collect_from_store_checked, collect_weekly_from_store, RetryPolicy, UniverseConfig,
-};
+use ipactive_cdnsim::{collect_store_checked, Daily, RetryPolicy, UniverseConfig, Weekly};
 use ipactive_core::{Coverage, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder};
 use ipactive_logfmt::{
     fsck, read_lease, Fs, FsFile, FsckReport, Inject, Lease, LeaseError, LeaseRead, LogStore,
@@ -389,19 +387,12 @@ fn merge_shards<F: Fs>(
             let dstore =
                 LogStore::open_on(fs.clone(), daily_dir(&cfg.root, shard)).map_err(store_io)?;
             let (daily, _stats, _report) =
-                collect_from_store_checked(&dstore, num_days).map_err(store_io)?;
+                collect_store_checked::<Daily>(&dstore, num_days).map_err(store_io)?;
             let wstore =
                 LogStore::open_on(fs.clone(), weekly_dir(&cfg.root, shard)).map_err(store_io)?;
-            let (weekly, _wstats) =
-                collect_weekly_from_store(&wstore, num_weeks).map_err(store_io)?;
-            let wreport = fsck(fs, wstore.dir(), false).map_err(store_io)?;
-            let mut fractions = vec![0.0f64; num_weeks];
-            for (week, fraction) in wreport.day_fractions() {
-                if let Some(slot) = fractions.get_mut(usize::from(week)) {
-                    *slot = fraction;
-                }
-            }
-            (daily, weekly.with_coverage(Coverage::from_slot_fractions(&fractions)))
+            let (weekly, _stats, _report) =
+                collect_store_checked::<Weekly>(&wstore, num_weeks).map_err(store_io)?;
+            (daily, weekly)
         };
         daily_acc = Some(match daily_acc {
             None => daily,

@@ -20,8 +20,7 @@
 
 use crate::plan::InjectionPoint;
 use ipactive_cdnsim::{
-    emit_daily_shard_buffers, emit_weekly_shard_buffers, slot_batches_from_buffers, Universe,
-    UniverseConfig,
+    emit_shard_buffers, slot_batches_from_buffers, Daily, Universe, UniverseConfig, Weekly,
 };
 use ipactive_logfmt::{write_lease, Fs, FsFile, Lease, LogStore, Record, StoreError};
 use ipactive_obs::{Registry, TraceContext};
@@ -130,7 +129,7 @@ fn store_io(e: StoreError) -> io::Error {
 
 /// Extends accumulated per-slot batches with one buffer's decode.
 fn extend_batches(acc: &mut [(u16, Vec<Record>)], buf: &[u8], num_slots: usize) {
-    let (batch, _stats) = slot_batches_from_buffers(std::slice::from_ref(&buf.to_vec()), num_slots);
+    let (batch, _stats) = slot_batches_from_buffers(&[buf], num_slots);
     for ((_, dst), (_, src)) in acc.iter_mut().zip(batch) {
         dst.extend(src);
     }
@@ -225,8 +224,8 @@ pub fn run_worker<F: Fs>(
     let universe = Universe::generate(cfg.universe.clone());
     let num_days = cfg.universe.daily_days;
     let num_weeks = cfg.universe.weeks;
-    let daily_buffers = emit_daily_shard_buffers(&universe, cfg.emitters, cfg.shards)?;
-    let weekly_buffers = emit_weekly_shard_buffers(&universe, cfg.emitters, cfg.shards)?;
+    let daily_buffers = emit_shard_buffers::<Daily>(&universe, cfg.emitters, cfg.shards)?;
+    let weekly_buffers = emit_shard_buffers::<Weekly>(&universe, cfg.emitters, cfg.shards)?;
     let shard_idx = cfg.shard as usize;
 
     let mut daily_batches: Vec<(u16, Vec<Record>)> =

@@ -14,20 +14,24 @@
 //! The key space is finite and known at construction: `d` days, `w`
 //! weeks, and every window `s..e` with `0 ≤ s < e ≤ d` (resp. `w`).
 //! So the cache is not a locked map but a flat, pre-keyed table of
-//! [`OnceLock`] slots — single days/weeks in per-index vectors, and
-//! multi-day windows in a triangular vector indexed by
-//! `window_slot`. A hit is one lock-free `OnceLock::get`; a miss
-//! computes inside `get_or_init`, so racing readers of the same key
-//! block on the winner instead of each recomputing the set (the old
-//! mutex-map design computed first and re-checked the map afterwards,
-//! wasting a full scan per racing loser). One-day windows alias the
-//! `day_set` slot; a multi-day window miss *composes*: starting at the
-//! window's left edge it repeatedly grabs the longest already-cached
-//! sub-window (falling back to the single day set), then merges the
-//! pieces with one k-way [`ActiveSet::union_many`] pass. Because
-//! union is associative and the tiered representation is canonical,
-//! the result is byte-identical no matter which sub-windows happened
-//! to be cached first.
+//! [`OnceLock`] slots, and there is one private type for it,
+//! `WindowCache`: a dataset, one slot per unit (day or week) and a
+//! triangular vector of multi-unit windows indexed by `window_slot`.
+//! The context holds it twice — over the daily dataset's days and the
+//! weekly dataset's weeks — and every query, budgeted or not, is one
+//! body on that type; `day_*`/`week_*` only pick the cache. A hit is
+//! one lock-free `OnceLock::get`; a miss computes inside
+//! `get_or_init`, so racing readers of the same key block on the
+//! winner instead of each recomputing the set (the old mutex-map
+//! design computed first and re-checked the map afterwards, wasting a
+//! full scan per racing loser). One-unit windows alias the unit slot;
+//! a multi-unit window miss *composes*: starting at the window's left
+//! edge it repeatedly grabs the longest already-cached sub-window
+//! (falling back to the single unit set), then merges the pieces with
+//! one k-way [`ActiveSet::union_many`] pass. Because union is
+//! associative and the tiered representation is canonical, the result
+//! is byte-identical no matter which sub-windows happened to be cached
+//! first.
 //!
 //! Composition reads slots *uncounted*: only the public query is
 //! metered, as one hit (slot populated) or one miss (this call
@@ -147,25 +151,55 @@ fn window_slot(d_max: usize, s: usize, e: usize) -> usize {
     s * (2 * d_max - s + 1) / 2 + (e - s - 1)
 }
 
-/// Memoized window-query context over one daily and one weekly
-/// dataset.
-///
-/// See the module docs for the slot layout and the composition miss
-/// path. Generic over the [`ActiveSet`] backend the cache
-/// materializes; defaults to the tiered compressed representation.
-/// The cache logic (slot layout, hit/miss accounting, bypass) is
-/// backend-independent, which is what the differential suite in the
-/// bench crate's `tests/engine.rs` pins.
-pub struct AnalysisCtx<S: ActiveSet = TieredSet> {
-    daily: Arc<DailyDataset>,
-    weekly: Arc<WeeklyDataset>,
-    day_sets: Vec<OnceLock<Arc<S>>>,
-    week_sets: Vec<OnceLock<Arc<S>>>,
-    /// Triangular window tables (see [`window_slot`]); the length-1
-    /// diagonal entries stay empty — those queries alias the
-    /// `day_sets`/`week_sets` slots.
-    day_windows: Vec<OnceLock<Arc<S>>>,
-    week_windows: Vec<OnceLock<Arc<S>>>,
+/// What a [`WindowCache`] asks of the dataset it memoizes: its units
+/// (days of the daily dataset, weeks of the weekly one) and fresh,
+/// uncached unions over them.
+trait UnitSource {
+    /// Units in the dataset's window.
+    fn num_units(&self) -> usize;
+    /// The set active in unit `u`.
+    fn unit<S: ActiveSet>(&self, u: usize) -> S;
+    /// Every unit's set, from one transposed pass over the dataset.
+    fn units_all<S: ActiveSet>(&self) -> Vec<S>;
+    /// The union over `range`, computed fresh from the matrix.
+    fn window<S: ActiveSet>(&self, range: Range<usize>) -> S;
+}
+
+impl UnitSource for DailyDataset {
+    fn num_units(&self) -> usize {
+        self.num_days
+    }
+    fn unit<S: ActiveSet>(&self, d: usize) -> S {
+        self.day_set_as(d)
+    }
+    fn units_all<S: ActiveSet>(&self) -> Vec<S> {
+        self.day_sets_all()
+    }
+    fn window<S: ActiveSet>(&self, days: Range<usize>) -> S {
+        self.window_union_as(days)
+    }
+}
+
+impl UnitSource for WeeklyDataset {
+    fn num_units(&self) -> usize {
+        self.num_weeks
+    }
+    fn unit<S: ActiveSet>(&self, w: usize) -> S {
+        self.week_set_as(w)
+    }
+    fn units_all<S: ActiveSet>(&self) -> Vec<S> {
+        self.week_sets_all()
+    }
+    fn window<S: ActiveSet>(&self, weeks: Range<usize>) -> S {
+        self.window_union_as(weeks)
+    }
+}
+
+const HIT_ONE: u64 = 1 << 32;
+
+/// The accounting and switches one [`AnalysisCtx`] shares between its
+/// two window caches.
+struct Meter {
     registry: Registry,
     /// Run-wide observability counters (`engine.cache.hit` /
     /// `engine.cache.miss`) — monotonic, shared with whatever else
@@ -187,7 +221,247 @@ pub struct AnalysisCtx<S: ActiveSet = TieredSet> {
     compose_stall_us: AtomicU64,
 }
 
-const HIT_ONE: u64 = 1 << 32;
+impl Meter {
+    fn record(&self, hit: bool) {
+        if hit {
+            self.hits.inc();
+            self.local.fetch_add(HIT_ONE, Ordering::Relaxed);
+        } else {
+            self.misses.inc();
+            self.local.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Queries `slot`, counting a hit when the set is already there
+    /// and a miss when this call's closure computes it. A racing
+    /// reader blocks inside `get_or_init` until the winner finishes
+    /// and then counts a hit: every key is computed exactly once, and
+    /// the counts depend only on the query set.
+    fn query_slot<S>(&self, slot: &OnceLock<Arc<S>>, compute: impl FnOnce() -> Arc<S>) -> Arc<S> {
+        if let Some(set) = slot.get() {
+            self.record(true);
+            return set.clone();
+        }
+        let mut computed = false;
+        let set = slot
+            .get_or_init(|| {
+                computed = true;
+                compute()
+            })
+            .clone();
+        self.record(!computed);
+        set
+    }
+
+    fn bypass(&self) -> bool {
+        self.bypass.load(Ordering::SeqCst)
+    }
+
+    fn chaos_stall(&self) {
+        let us = self.compose_stall_us.load(Ordering::Relaxed);
+        if us > 0 {
+            std::thread::sleep(Duration::from_micros(us));
+        }
+    }
+}
+
+/// One dataset and its memoized sets — [`AnalysisCtx`] holds one over
+/// the daily dataset's days and one over the weekly dataset's weeks.
+struct WindowCache<S, D> {
+    data: Arc<D>,
+    /// One slot per unit (day or week).
+    units: Vec<OnceLock<Arc<S>>>,
+    /// Triangular window table (see [`window_slot`]); the length-1
+    /// diagonal entries stay empty — those queries alias the `units`
+    /// slots.
+    windows: Vec<OnceLock<Arc<S>>>,
+}
+
+impl<S: ActiveSet, D: UnitSource> WindowCache<S, D> {
+    /// An empty cache over `data`.
+    fn new(data: Arc<D>) -> Self {
+        let n = data.num_units();
+        WindowCache {
+            data,
+            units: (0..n).map(|_| OnceLock::new()).collect(),
+            windows: (0..n * (n + 1) / 2).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// A cache over `data` seeded with every slot `prev` already
+    /// materialized: unit slots copy across directly, window slots
+    /// remap through the new triangular layout. The carried `Arc`s are
+    /// shared, not cloned data.
+    ///
+    /// # Panics
+    /// If `data` has fewer units than `prev`'s dataset (`cadence`
+    /// names it in the message).
+    fn carried_from(prev: &Self, data: Arc<D>, cadence: &str) -> Self {
+        let (n_old, n) = (prev.units.len(), data.num_units());
+        assert!(n_old <= n, "extended {cadence} dataset must not shrink ({n_old} -> {n})");
+        let fresh = WindowCache::new(data);
+        for (old, new) in prev.units.iter().zip(&fresh.units) {
+            if let Some(set) = old.get() {
+                let _ = new.set(set.clone());
+            }
+        }
+        for s in 0..n_old {
+            for e in s + 2..=n_old {
+                if let Some(set) = prev.windows[window_slot(n_old, s, e)].get() {
+                    let _ = fresh.windows[window_slot(n, s, e)].set(set.clone());
+                }
+            }
+        }
+        fresh
+    }
+
+    /// The slot of the multi-unit window `s..e`.
+    fn slot(&self, s: usize, e: usize) -> &OnceLock<Arc<S>> {
+        &self.windows[window_slot(self.units.len(), s, e)]
+    }
+
+    /// The set of unit `u`, memoized.
+    fn unit(&self, meter: &Meter, u: usize) -> Arc<S> {
+        if meter.bypass() {
+            return Arc::new(self.data.unit(u));
+        }
+        meter.query_slot(&self.units[u], || Arc::new(self.data.unit(u)))
+    }
+
+    /// The union over `range`, memoized; a miss composes (see
+    /// [`WindowCache::compose_within`]) inside the slot's
+    /// `get_or_init`.
+    fn window(&self, meter: &Meter, range: Range<usize>) -> Arc<S> {
+        if meter.bypass() {
+            return Arc::new(self.data.window(range));
+        }
+        assert!(range.end <= self.units.len(), "window outside dataset");
+        match range.len() {
+            0 => return Arc::new(S::empty()),
+            // A one-unit window and the unit's set are the same query;
+            // give them the same cache slot.
+            1 => return self.unit(meter, range.start),
+            _ => {}
+        }
+        meter.query_slot(self.slot(range.start, range.end), || {
+            self.compose_within(meter, range.clone(), &QueryBudget::unlimited())
+                .expect("an unlimited budget never expires")
+        })
+    }
+
+    /// [`WindowCache::window`] under a deadline budget (semantics in
+    /// [`AnalysisCtx::day_window_within`]).
+    fn window_within(
+        &self,
+        meter: &Meter,
+        range: Range<usize>,
+        budget: &QueryBudget,
+    ) -> Result<Arc<S>, DeadlineExceeded> {
+        assert!(range.end <= self.units.len(), "window outside dataset");
+        if range.is_empty() {
+            return Ok(Arc::new(S::empty()));
+        }
+        if range.len() == 1 {
+            // Cached units are free; an uncached unit build is charged
+            // against the budget as one boundary.
+            let cached = !meter.bypass() && self.units[range.start].get().is_some();
+            if !cached && budget.expired() {
+                return Err(DeadlineExceeded { units_done: 0, units_total: 1 });
+            }
+            return Ok(self.window(meter, range));
+        }
+        if meter.bypass() {
+            if budget.expired() {
+                return Err(DeadlineExceeded { units_done: 0, units_total: range.len() });
+            }
+            return Ok(Arc::new(self.data.window(range)));
+        }
+        let slot = self.slot(range.start, range.end);
+        if let Some(set) = slot.get() {
+            meter.record(true);
+            return Ok(set.clone());
+        }
+        let set = self.compose_within(meter, range, budget)?;
+        let _ = slot.set(set);
+        meter.record(false);
+        Ok(slot.get().expect("slot was just set").clone())
+    }
+
+    /// Composes the union of `range` from cached material without
+    /// touching the public hit/miss counters: greedily take the
+    /// longest already-cached window starting at the cursor, else the
+    /// (memoized, uncounted) single unit set, then one k-way merge.
+    /// Probing the slot of `range` itself just reads `None`.
+    ///
+    /// The deadline is checked at every slot-composition boundary —
+    /// before each greedy step and before the final merge. The stall
+    /// injection point (see [`AnalysisCtx::set_compose_stall`]) fires
+    /// before each uncached unit materialization, *after* the boundary
+    /// check, so an injected stall is charged to the following
+    /// boundary exactly like a genuinely slow set build.
+    fn compose_within(
+        &self,
+        meter: &Meter,
+        range: Range<usize>,
+        budget: &QueryBudget,
+    ) -> Result<Arc<S>, DeadlineExceeded> {
+        let _span = meter.registry.span("engine.compose");
+        let units_total = range.len();
+        let mut parts: Vec<Arc<S>> = Vec::new();
+        let mut s = range.start;
+        while s < range.end {
+            if budget.expired() {
+                return Err(DeadlineExceeded { units_done: s - range.start, units_total });
+            }
+            let longest =
+                (s + 2..=range.end).rev().find_map(|e| Some((self.slot(s, e).get()?, e)));
+            match longest {
+                Some((set, e)) => {
+                    parts.push(set.clone());
+                    s = e;
+                }
+                None => {
+                    meter.chaos_stall();
+                    parts.push(self.units[s].get_or_init(|| Arc::new(self.data.unit(s))).clone());
+                    s += 1;
+                }
+            }
+        }
+        if parts.len() == 1 {
+            return Ok(parts.pop().expect("non-empty range composes at least one part"));
+        }
+        if budget.expired() {
+            return Err(DeadlineExceeded { units_done: units_total, units_total });
+        }
+        let refs: Vec<&S> = parts.iter().map(|p| &**p).collect();
+        Ok(Arc::new(S::union_many(&refs)))
+    }
+
+    /// Populates every unit slot from one transposed pass over the
+    /// dataset, uncounted; slots already populated keep their sets.
+    fn prewarm(&self) {
+        if self.units.iter().any(|s| s.get().is_none()) {
+            for (slot, set) in self.units.iter().zip(self.data.units_all::<S>()) {
+                slot.get_or_init(|| Arc::new(set));
+            }
+        }
+    }
+}
+
+/// Memoized window-query context over one daily and one weekly
+/// dataset.
+///
+/// See the module docs for the slot layout and the composition miss
+/// path. Generic over the [`ActiveSet`] backend the cache
+/// materializes; defaults to the tiered compressed representation.
+/// The cache logic (slot layout, hit/miss accounting, bypass) is
+/// backend-independent, which is what the differential suite in the
+/// bench crate's `tests/engine.rs` pins.
+pub struct AnalysisCtx<S: ActiveSet = TieredSet> {
+    days: WindowCache<S, DailyDataset>,
+    weeks: WindowCache<S, WeeklyDataset>,
+    meter: Meter,
+}
 
 impl<S: ActiveSet> AnalysisCtx<S> {
     /// Builds an empty cache over the two datasets, metering into a
@@ -206,23 +480,27 @@ impl<S: ActiveSet> AnalysisCtx<S> {
         weekly: Arc<WeeklyDataset>,
         registry: &Registry,
     ) -> Self {
-        registry.gauge("engine.days").set(daily.num_days as i64);
-        registry.gauge("engine.weeks").set(weekly.num_weeks as i64);
-        let d = daily.num_days;
-        let w = weekly.num_weeks;
+        AnalysisCtx::with_caches(WindowCache::new(daily), WindowCache::new(weekly), registry)
+    }
+
+    fn with_caches(
+        days: WindowCache<S, DailyDataset>,
+        weeks: WindowCache<S, WeeklyDataset>,
+        registry: &Registry,
+    ) -> Self {
+        registry.gauge("engine.days").set(days.units.len() as i64);
+        registry.gauge("engine.weeks").set(weeks.units.len() as i64);
         AnalysisCtx {
-            day_sets: (0..d).map(|_| OnceLock::new()).collect(),
-            week_sets: (0..w).map(|_| OnceLock::new()).collect(),
-            day_windows: (0..d * (d + 1) / 2).map(|_| OnceLock::new()).collect(),
-            week_windows: (0..w * (w + 1) / 2).map(|_| OnceLock::new()).collect(),
-            daily,
-            weekly,
-            registry: registry.clone(),
-            hits: registry.counter("engine.cache.hit"),
-            misses: registry.counter("engine.cache.miss"),
-            local: AtomicU64::new(0),
-            bypass: AtomicBool::new(false),
-            compose_stall_us: AtomicU64::new(0),
+            days,
+            weeks,
+            meter: Meter {
+                registry: registry.clone(),
+                hits: registry.counter("engine.cache.hit"),
+                misses: registry.counter("engine.cache.miss"),
+                local: AtomicU64::new(0),
+                bypass: AtomicBool::new(false),
+                compose_stall_us: AtomicU64::new(0),
+            },
         }
     }
 
@@ -250,228 +528,45 @@ impl<S: ActiveSet> AnalysisCtx<S> {
         weekly: Arc<WeeklyDataset>,
         registry: &Registry,
     ) -> Self {
-        assert!(
-            prev.daily.num_days <= daily.num_days,
-            "extended daily dataset must not shrink ({} -> {})",
-            prev.daily.num_days,
-            daily.num_days
-        );
-        assert!(
-            prev.weekly.num_weeks <= weekly.num_weeks,
-            "extended weekly dataset must not shrink ({} -> {})",
-            prev.weekly.num_weeks,
-            weekly.num_weeks
-        );
-        let fresh = AnalysisCtx::new_with_obs(daily, weekly, registry);
-        for (old, new) in prev.day_sets.iter().zip(&fresh.day_sets) {
-            if let Some(set) = old.get() {
-                let _ = new.set(set.clone());
-            }
-        }
-        for (old, new) in prev.week_sets.iter().zip(&fresh.week_sets) {
-            if let Some(set) = old.get() {
-                let _ = new.set(set.clone());
-            }
-        }
-        let (d_old, d_new) = (prev.daily.num_days, fresh.daily.num_days);
-        for s in 0..d_old {
-            for e in s + 2..=d_old {
-                if let Some(set) = prev.day_windows[window_slot(d_old, s, e)].get() {
-                    let _ = fresh.day_windows[window_slot(d_new, s, e)].set(set.clone());
-                }
-            }
-        }
-        let (w_old, w_new) = (prev.weekly.num_weeks, fresh.weekly.num_weeks);
-        for s in 0..w_old {
-            for e in s + 2..=w_old {
-                if let Some(set) = prev.week_windows[window_slot(w_old, s, e)].get() {
-                    let _ = fresh.week_windows[window_slot(w_new, s, e)].set(set.clone());
-                }
-            }
-        }
-        fresh
+        let days = WindowCache::carried_from(&prev.days, daily, "daily");
+        let weeks = WindowCache::carried_from(&prev.weeks, weekly, "weekly");
+        AnalysisCtx::with_caches(days, weeks, registry)
     }
 
     /// The daily dataset the context answers for.
     pub fn daily(&self) -> &Arc<DailyDataset> {
-        &self.daily
+        &self.days.data
     }
 
     /// The weekly dataset the context answers for.
     pub fn weekly(&self) -> &Arc<WeeklyDataset> {
-        &self.weekly
-    }
-
-    fn record(&self, hit: bool) {
-        if hit {
-            self.hits.inc();
-            self.local.fetch_add(HIT_ONE, Ordering::Relaxed);
-        } else {
-            self.misses.inc();
-            self.local.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Queries `slot`, counting a hit when the set is already there
-    /// and a miss when this call's closure computes it. A racing
-    /// reader blocks inside `get_or_init` until the winner finishes
-    /// and then counts a hit: every key is computed exactly once, and
-    /// the counts depend only on the query set.
-    fn query_slot(&self, slot: &OnceLock<Arc<S>>, compute: impl FnOnce() -> Arc<S>) -> Arc<S> {
-        if let Some(set) = slot.get() {
-            self.record(true);
-            return set.clone();
-        }
-        let mut computed = false;
-        let set = slot
-            .get_or_init(|| {
-                computed = true;
-                compute()
-            })
-            .clone();
-        self.record(!computed);
-        set
+        &self.weeks.data
     }
 
     /// Addresses active on day `d`, memoized.
     pub fn day_set(&self, d: usize) -> Arc<S> {
-        if self.bypass() {
-            return Arc::new(self.daily.day_set_as(d));
-        }
-        self.query_slot(&self.day_sets[d], || Arc::new(self.daily.day_set_as(d)))
+        self.days.unit(&self.meter, d)
     }
 
     /// Addresses active in week `w`, memoized.
     pub fn week_set(&self, w: usize) -> Arc<S> {
-        if self.bypass() {
-            return Arc::new(self.weekly.week_set_as(w));
-        }
-        self.query_slot(&self.week_sets[w], || Arc::new(self.weekly.week_set_as(w)))
-    }
-
-    /// Composes the union of `range` from cached material without
-    /// touching the public hit/miss counters: greedily take the
-    /// longest already-cached window starting at the cursor, else the
-    /// (memoized, uncounted) single unit set, then one k-way merge.
-    ///
-    /// `windows` is the triangular table the pieces come from, `unit`
-    /// materializes one day/week. Runs inside the window slot's
-    /// `get_or_init`, so probing that same slot just reads `None`.
-    fn compose(
-        &self,
-        u_max: usize,
-        range: Range<usize>,
-        windows: &[OnceLock<Arc<S>>],
-        units: &[OnceLock<Arc<S>>],
-        unit: impl Fn(usize) -> S,
-    ) -> Arc<S> {
-        let budget = QueryBudget::unlimited();
-        self.compose_within(u_max, range, windows, units, unit, &budget)
-            .expect("an unlimited budget never expires")
-    }
-
-    /// [`AnalysisCtx::compose`] with a deadline checked at every
-    /// slot-composition boundary — before each greedy step and before
-    /// the final merge. The stall injection point (see
-    /// [`AnalysisCtx::set_compose_stall`]) fires before each uncached
-    /// unit materialization, *after* the boundary check, so an
-    /// injected stall is charged to the following boundary exactly
-    /// like a genuinely slow set build.
-    fn compose_within(
-        &self,
-        u_max: usize,
-        range: Range<usize>,
-        windows: &[OnceLock<Arc<S>>],
-        units: &[OnceLock<Arc<S>>],
-        unit: impl Fn(usize) -> S,
-        budget: &QueryBudget,
-    ) -> Result<Arc<S>, DeadlineExceeded> {
-        let _span = self.registry.span("engine.compose");
-        let units_total = range.len();
-        let mut parts: Vec<Arc<S>> = Vec::new();
-        let mut s = range.start;
-        while s < range.end {
-            if budget.expired() {
-                return Err(DeadlineExceeded { units_done: s - range.start, units_total });
-            }
-            let mut cached = None;
-            let mut e = range.end;
-            while e > s + 1 {
-                if let Some(set) = windows[window_slot(u_max, s, e)].get() {
-                    cached = Some((set.clone(), e));
-                    break;
-                }
-                e -= 1;
-            }
-            match cached {
-                Some((set, e)) => {
-                    parts.push(set);
-                    s = e;
-                }
-                None => {
-                    self.chaos_stall();
-                    parts.push(units[s].get_or_init(|| Arc::new(unit(s))).clone());
-                    s += 1;
-                }
-            }
-        }
-        if parts.len() == 1 {
-            return Ok(parts.pop().expect("non-empty range composes at least one part"));
-        }
-        if budget.expired() {
-            return Err(DeadlineExceeded { units_done: units_total, units_total });
-        }
-        let refs: Vec<&S> = parts.iter().map(|p| &**p).collect();
-        Ok(Arc::new(S::union_many(&refs)))
+        self.weeks.unit(&self.meter, w)
     }
 
     /// Union of the day window `days`, memoized.
     ///
-    /// A miss composes from the longest cached sub-windows (see
-    /// `AnalysisCtx::compose`) merged in one
-    /// [`ActiveSet::union_many`] pass, so e.g. a 28-day window over a
-    /// sweep that already cached its two 14-day halves costs one
-    /// 2-way merge instead of a fresh matrix scan or a 28-way one.
+    /// A miss composes from the longest cached sub-windows merged in
+    /// one [`ActiveSet::union_many`] pass, so e.g. a 28-day window
+    /// over a sweep that already cached its two 14-day halves costs
+    /// one 2-way merge instead of a fresh matrix scan or a 28-way one.
     pub fn day_window(&self, days: Range<usize>) -> Arc<S> {
-        if self.bypass() {
-            return Arc::new(self.daily.window_union_as(days));
-        }
-        assert!(days.end <= self.daily.num_days, "window outside dataset");
-        match days.len() {
-            0 => return Arc::new(S::empty()),
-            // A one-day window and day_set(d) are the same query; give
-            // them the same cache slot.
-            1 => return self.day_set(days.start),
-            _ => {}
-        }
-        let d_max = self.daily.num_days;
-        let slot = &self.day_windows[window_slot(d_max, days.start, days.end)];
-        self.query_slot(slot, || {
-            self.compose(d_max, days.clone(), &self.day_windows, &self.day_sets, |d| {
-                self.daily.day_set_as(d)
-            })
-        })
+        self.days.window(&self.meter, days)
     }
 
     /// Union of the week window `weeks`, memoized (composition as in
     /// [`AnalysisCtx::day_window`]).
     pub fn week_window(&self, weeks: Range<usize>) -> Arc<S> {
-        if self.bypass() {
-            return Arc::new(self.weekly.window_union_as(weeks));
-        }
-        assert!(weeks.end <= self.weekly.num_weeks, "window outside dataset");
-        match weeks.len() {
-            0 => return Arc::new(S::empty()),
-            1 => return self.week_set(weeks.start),
-            _ => {}
-        }
-        let w_max = self.weekly.num_weeks;
-        let slot = &self.week_windows[window_slot(w_max, weeks.start, weeks.end)];
-        self.query_slot(slot, || {
-            self.compose(w_max, weeks.clone(), &self.week_windows, &self.week_sets, |w| {
-                self.weekly.week_set_as(w)
-            })
-        })
+        self.weeks.window(&self.meter, weeks)
     }
 
     /// [`AnalysisCtx::day_window`] under a deadline budget.
@@ -494,39 +589,7 @@ impl<S: ActiveSet> AnalysisCtx<S> {
         days: Range<usize>,
         budget: &QueryBudget,
     ) -> Result<Arc<S>, DeadlineExceeded> {
-        assert!(days.end <= self.daily.num_days, "window outside dataset");
-        if days.len() <= 1 {
-            return self.unit_within(
-                days,
-                |r| self.day_window(r),
-                self.daily.num_days,
-                &self.day_sets,
-                budget,
-            );
-        }
-        if self.bypass() {
-            if budget.expired() {
-                return Err(DeadlineExceeded { units_done: 0, units_total: days.len() });
-            }
-            return Ok(Arc::new(self.daily.window_union_as(days)));
-        }
-        let d_max = self.daily.num_days;
-        let slot = &self.day_windows[window_slot(d_max, days.start, days.end)];
-        if let Some(set) = slot.get() {
-            self.record(true);
-            return Ok(set.clone());
-        }
-        let set = self.compose_within(
-            d_max,
-            days.clone(),
-            &self.day_windows,
-            &self.day_sets,
-            |d| self.daily.day_set_as(d),
-            budget,
-        )?;
-        let _ = slot.set(set);
-        self.record(false);
-        Ok(slot.get().expect("slot was just set").clone())
+        self.days.window_within(&self.meter, days, budget)
     }
 
     /// [`AnalysisCtx::week_window`] under a deadline budget; semantics
@@ -536,65 +599,12 @@ impl<S: ActiveSet> AnalysisCtx<S> {
         weeks: Range<usize>,
         budget: &QueryBudget,
     ) -> Result<Arc<S>, DeadlineExceeded> {
-        assert!(weeks.end <= self.weekly.num_weeks, "window outside dataset");
-        if weeks.len() <= 1 {
-            return self.unit_within(
-                weeks,
-                |r| self.week_window(r),
-                self.weekly.num_weeks,
-                &self.week_sets,
-                budget,
-            );
-        }
-        if self.bypass() {
-            if budget.expired() {
-                return Err(DeadlineExceeded { units_done: 0, units_total: weeks.len() });
-            }
-            return Ok(Arc::new(self.weekly.window_union_as(weeks)));
-        }
-        let w_max = self.weekly.num_weeks;
-        let slot = &self.week_windows[window_slot(w_max, weeks.start, weeks.end)];
-        if let Some(set) = slot.get() {
-            self.record(true);
-            return Ok(set.clone());
-        }
-        let set = self.compose_within(
-            w_max,
-            weeks.clone(),
-            &self.week_windows,
-            &self.week_sets,
-            |w| self.weekly.week_set_as(w),
-            budget,
-        )?;
-        let _ = slot.set(set);
-        self.record(false);
-        Ok(slot.get().expect("slot was just set").clone())
-    }
-
-    /// Budgeted path for empty and one-unit windows: cached units are
-    /// free; an uncached unit build is charged against the budget as
-    /// one boundary.
-    fn unit_within(
-        &self,
-        range: Range<usize>,
-        query: impl FnOnce(Range<usize>) -> Arc<S>,
-        _u_max: usize,
-        units: &[OnceLock<Arc<S>>],
-        budget: &QueryBudget,
-    ) -> Result<Arc<S>, DeadlineExceeded> {
-        if range.is_empty() {
-            return Ok(Arc::new(S::empty()));
-        }
-        let cached = !self.bypass() && units[range.start].get().is_some();
-        if !cached && budget.expired() {
-            return Err(DeadlineExceeded { units_done: 0, units_total: 1 });
-        }
-        Ok(query(range))
+        self.weeks.window_within(&self.meter, weeks, budget)
     }
 
     /// Union of all days — the figure suite's "CDN union".
     pub fn all_active(&self) -> Arc<S> {
-        self.day_window(0..self.daily.num_days)
+        self.day_window(0..self.days.units.len())
     }
 
     /// Populates every day/week unit slot from one transposed pass per
@@ -609,27 +619,19 @@ impl<S: ActiveSet> AnalysisCtx<S> {
     /// query set. A no-op under bypass, and slots already populated
     /// (racing queries, a second call) keep their existing sets.
     pub fn prewarm_units(&self) {
-        if self.bypass() {
+        if self.meter.bypass() {
             return;
         }
-        let _span = self.registry.span("engine.prewarm_units");
-        if self.day_sets.iter().any(|s| s.get().is_none()) {
-            for (slot, set) in self.day_sets.iter().zip(self.daily.day_sets_all::<S>()) {
-                slot.get_or_init(|| Arc::new(set));
-            }
-        }
-        if self.week_sets.iter().any(|s| s.get().is_none()) {
-            for (slot, set) in self.week_sets.iter().zip(self.weekly.week_sets_all::<S>()) {
-                slot.get_or_init(|| Arc::new(set));
-            }
-        }
+        let _span = self.meter.registry.span("engine.prewarm_units");
+        self.days.prewarm();
+        self.weeks.prewarm();
     }
 
     /// Current hit/miss counters (since construction or the last
     /// [`AnalysisCtx::reset_stats`]) — decoded from one atomic load,
     /// so the pair is always a consistent snapshot.
     pub fn stats(&self) -> CacheStats {
-        let packed = self.local.load(Ordering::Relaxed);
+        let packed = self.meter.local.load(Ordering::Relaxed);
         CacheStats { hits: packed >> 32, misses: packed & (HIT_ONE - 1) }
     }
 
@@ -638,7 +640,7 @@ impl<S: ActiveSet> AnalysisCtx<S> {
     /// monotonic and unaffected — only this context's
     /// [`AnalysisCtx::stats`] view moves.
     pub fn reset_stats(&self) {
-        self.local.store(0, Ordering::Relaxed);
+        self.meter.local.store(0, Ordering::Relaxed);
     }
 
     /// When bypassing, every query computes a fresh set and neither
@@ -646,18 +648,14 @@ impl<S: ActiveSet> AnalysisCtx<S> {
     /// `--timings` speedup is measured against. Toggles are journaled
     /// as [`EventKind::CacheBypass`] events.
     pub fn set_bypass(&self, on: bool) {
-        let was = self.bypass.swap(on, Ordering::SeqCst);
+        let was = self.meter.bypass.swap(on, Ordering::SeqCst);
         if was != on {
-            self.registry.emit(Event::new(EventKind::CacheBypass).detail(if on {
+            self.meter.registry.emit(Event::new(EventKind::CacheBypass).detail(if on {
                 "cache bypass enabled"
             } else {
                 "cache bypass disabled"
             }));
         }
-    }
-
-    fn bypass(&self) -> bool {
-        self.bypass.load(Ordering::SeqCst)
     }
 
     /// Chaos injection: sleep `stall` before every uncached unit
@@ -666,14 +664,7 @@ impl<S: ActiveSet> AnalysisCtx<S> {
     /// builds — and therefore `DeadlineExceeded` — reachable on
     /// demand; the unbudgeted hot path never consults it.
     pub fn set_compose_stall(&self, stall: Duration) {
-        self.compose_stall_us.store(stall.as_micros() as u64, Ordering::SeqCst);
-    }
-
-    fn chaos_stall(&self) {
-        let us = self.compose_stall_us.load(Ordering::Relaxed);
-        if us > 0 {
-            std::thread::sleep(Duration::from_micros(us));
-        }
+        self.meter.compose_stall_us.store(stall.as_micros() as u64, Ordering::SeqCst);
     }
 }
 
@@ -681,7 +672,7 @@ impl<S: ActiveSet> DailyWindows for AnalysisCtx<S> {
     type Set = S;
 
     fn num_days(&self) -> usize {
-        self.daily.num_days
+        self.days.units.len()
     }
 
     fn union(&self, days: Range<usize>) -> Arc<S> {
@@ -693,7 +684,7 @@ impl<S: ActiveSet> WeeklyWindows for AnalysisCtx<S> {
     type Set = S;
 
     fn num_weeks(&self) -> usize {
-        self.weekly.num_weeks
+        self.weeks.units.len()
     }
 
     fn union(&self, weeks: Range<usize>) -> Arc<S> {
@@ -925,7 +916,7 @@ mod tests {
         assert!(Arc::ptr_eq(&next.day_set(0), &d0));
         assert!(Arc::ptr_eq(&next.day_window(0..3), &w03));
         assert!(Arc::ptr_eq(&next.week_window(0..4), &wk));
-        assert_eq!(ctx_stats_misses(&next), 0, "carried slots must all hit");
+        assert_eq!(next.stats().misses, 0, "carried slots must all hit");
         // Windows touching the new day compose fresh and match a
         // batch-built context byte for byte.
         let grown = next.day_window(0..6);
@@ -933,10 +924,6 @@ mod tests {
         let batch: AnalysisCtx = AnalysisCtx::new(daily2, weekly2);
         assert_eq!(*grown, *batch.day_window(0..6));
         assert_eq!(*next.day_window(0..3), *batch.day_window(0..3));
-    }
-
-    fn ctx_stats_misses(ctx: &AnalysisCtx) -> u64 {
-        ctx.stats().misses
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! ```
 
 use ipactive::cdnsim::{
-    collect_daily, emit_daily_logs, emit_daily_logs_packed, parallel_pipeline, Universe,
+    collect_stream, emit_daily_logs_packed, emit_logs, stream_pipeline, Daily, Universe,
     UniverseConfig,
 };
+use ipactive::obs::Registry;
 
 fn main() {
     let universe = Universe::generate(UniverseConfig::small(99));
@@ -18,7 +19,7 @@ fn main() {
 
     // Clean runs: flat vs packed framing.
     let mut flat = Vec::new();
-    let flat_records = emit_daily_logs(&universe, &mut flat).unwrap();
+    let flat_records = emit_logs::<Daily>(&universe, &mut flat).unwrap();
     let mut packed = Vec::new();
     let packed_records = emit_daily_logs_packed(&universe, &mut packed).unwrap();
     println!("== wire formats ==");
@@ -35,7 +36,7 @@ fn main() {
         flat.len() as f64 / packed.len() as f64
     );
 
-    let (clean, stats) = collect_daily(&flat[..], days).unwrap();
+    let (clean, stats) = collect_stream::<Daily>(&flat[..], days).unwrap();
     let total_hits = |ds: &ipactive::core::DailyDataset| -> u64 {
         ds.blocks.iter().map(|b| b.total_hits).sum()
     };
@@ -64,7 +65,7 @@ fn main() {
             injected += 1;
             pos += stride_kib * 1024;
         }
-        match collect_daily(&dirty[..], days) {
+        match collect_stream::<Daily>(&dirty[..], days) {
             Ok((ds, stats)) => {
                 let addr_loss = 1.0 - ds.total_active() as f64 / clean.total_active() as f64;
                 let hit_loss = 1.0 - total_hits(&ds) as f64 / clean_hits as f64;
@@ -95,7 +96,8 @@ fn main() {
     println!("\n== sharded pipeline (workers x collectors) ==");
     println!("{:>8} {:>11} {:>12} {:>13}", "w x c", "records", "records/s", "identical?");
     for (workers, collectors) in [(1usize, 1usize), (4, 1), (4, 4)] {
-        let (ds, report) = parallel_pipeline(&universe, workers, collectors);
+        let (ds, report) =
+            stream_pipeline::<Daily>(&universe, workers, collectors, &Registry::new());
         println!(
             "{:>4} x {:<3} {:>11} {:>12.0} {:>13}",
             workers,

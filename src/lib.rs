@@ -19,6 +19,8 @@
 //! * [`cdnsim`] — the synthetic Internet and dataset generators.
 //! * [`core`] — every analysis from the paper (churn, FD/STU, change
 //!   detection, traffic, demographics, …).
+//! * [`obs`] — the metrics/span/journal registry the collection
+//!   pipeline and the analysis engine meter into.
 //!
 //! ## Quickstart
 //!
@@ -45,8 +47,8 @@
 pub mod prelude {
     pub use ipactive_bgp::{Asn, BgpTimeline, RoutingTable};
     pub use ipactive_cdnsim::{
-        parallel_pipeline, parallel_pipeline_weekly, CollectorStats, PipelineReport, Universe,
-        UniverseConfig,
+        stream_pipeline, Cadence, CollectorStats, Daily, PipelineReport, Universe, UniverseConfig,
+        Weekly,
     };
     pub use ipactive_core::matrix::BlockMetrics;
     pub use ipactive_core::{DailyDataset, DailyDatasetBuilder, WeeklyDataset};
@@ -60,5 +62,6 @@ pub use ipactive_core as core;
 pub use ipactive_dns as dns;
 pub use ipactive_logfmt as logfmt;
 pub use ipactive_net as net;
+pub use ipactive_obs as obs;
 pub use ipactive_probe as probe;
 pub use ipactive_rir as rir;

@@ -2,10 +2,21 @@
 //! datasets and reports; different seeds yield different worlds.
 
 use ipactive::cdnsim::{
-    collect_daily, collect_daily_sharded, emit_daily_logs, emit_daily_shards, parallel_pipeline,
-    parallel_pipeline_weekly, Universe, UniverseConfig,
+    collect_daily_sharded, collect_stream, emit_logs, emit_shards, stream_pipeline, Cadence,
+    Daily, PipelineReport, Universe, UniverseConfig, Weekly,
 };
 use ipactive::core::churn;
+use ipactive::obs::Registry;
+
+/// The streaming pipeline at cadence `C`, metered into a registry of
+/// its own (reports read cumulative counters, so one per run).
+fn pipeline<C: Cadence>(
+    u: &Universe,
+    workers: usize,
+    collectors: usize,
+) -> (C::Dataset, PipelineReport) {
+    stream_pipeline::<C>(u, workers, collectors, &Registry::new())
+}
 
 #[test]
 fn same_seed_same_world() {
@@ -49,8 +60,8 @@ fn wire_pipeline_is_bit_stable() {
     let u = Universe::generate(UniverseConfig::tiny(5));
     let mut buf1 = Vec::new();
     let mut buf2 = Vec::new();
-    emit_daily_logs(&u, &mut buf1).unwrap();
-    emit_daily_logs(&u, &mut buf2).unwrap();
+    emit_logs::<Daily>(&u, &mut buf1).unwrap();
+    emit_logs::<Daily>(&u, &mut buf2).unwrap();
     assert_eq!(buf1, buf2, "serialized log streams must be byte-identical");
 }
 
@@ -59,29 +70,32 @@ fn pipeline_and_direct_build_agree_regardless_of_workers() {
     let u = Universe::generate(UniverseConfig::tiny(6));
     let direct = u.build_daily();
     for workers in [1usize, 2, 5] {
-        let (ds, _) = parallel_pipeline(&u, workers, 2);
+        let (ds, _) = pipeline::<Daily>(&u, workers, 2);
         assert_eq!(ds, direct, "workers={workers}");
+    }
+}
+
+/// The merged dataset must not depend on how many threads ran on
+/// either side of the wire: every (workers, collectors) point yields
+/// the *identical* value.
+fn topology_invariant<C: Cadence>(grid: &[(usize, usize)])
+where
+    C::Dataset: PartialEq + std::fmt::Debug,
+{
+    let u = Universe::generate(UniverseConfig::tiny(6));
+    let (reference, _) = pipeline::<C>(&u, 1, 1);
+    for &(workers, collectors) in grid {
+        let (ds, report) = pipeline::<C>(&u, workers, collectors);
+        assert_eq!(ds, reference, "workers={workers} collectors={collectors}");
+        assert_eq!(report.collectors(), collectors);
+        assert_eq!(report.totals.records_written, report.totals.records_read);
     }
 }
 
 #[test]
 fn sharded_pipeline_is_topology_invariant() {
-    // The merged dataset must not depend on how many threads ran on
-    // either side of the wire: every (workers, collectors) point
-    // yields the *identical* value.
-    let u = Universe::generate(UniverseConfig::tiny(6));
-    let (reference, _) = parallel_pipeline(&u, 1, 1);
-    for (workers, collectors) in [(1, 3), (2, 2), (3, 1), (5, 4)] {
-        let (ds, report) = parallel_pipeline(&u, workers, collectors);
-        assert_eq!(ds, reference, "workers={workers} collectors={collectors}");
-        assert_eq!(report.collectors(), collectors);
-        assert_eq!(report.totals.records_written, report.totals.records_read);
-    }
-    let (weekly_ref, _) = parallel_pipeline_weekly(&u, 1, 1);
-    for (workers, collectors) in [(2, 3), (4, 2)] {
-        let (ws, _) = parallel_pipeline_weekly(&u, workers, collectors);
-        assert_eq!(ws, weekly_ref, "weekly workers={workers} collectors={collectors}");
-    }
+    topology_invariant::<Daily>(&[(1, 3), (2, 2), (3, 1), (5, 4)]);
+    topology_invariant::<Weekly>(&[(2, 3), (4, 2)]);
 }
 
 #[test]
@@ -90,7 +104,7 @@ fn sharded_merge_is_order_insensitive() {
     // forward, reversed, rotated — merges to the identical dataset.
     let u = Universe::generate(UniverseConfig::tiny(6));
     let days = u.config().daily_days;
-    let shards = emit_daily_shards(&u, 4).unwrap();
+    let shards = emit_shards::<Daily>(&u, 4).unwrap();
     let (forward, _) = collect_daily_sharded(&shards, days);
 
     let mut reversed = shards.clone();
@@ -109,8 +123,8 @@ fn same_seed_same_pipeline_report_counters() {
     // Reruns reproduce not just the dataset but the deterministic
     // counters of the report (times naturally differ).
     let u = Universe::generate(UniverseConfig::tiny(13));
-    let (d1, r1) = parallel_pipeline(&u, 3, 2);
-    let (d2, r2) = parallel_pipeline(&u, 3, 2);
+    let (d1, r1) = pipeline::<Daily>(&u, 3, 2);
+    let (d2, r2) = pipeline::<Daily>(&u, 3, 2);
     assert_eq!(d1, d2);
     assert_eq!(r1.totals, r2.totals);
     for (a, b) in r1.per_collector.iter().zip(r2.per_collector.iter()) {
@@ -136,8 +150,8 @@ fn collect_from_serialized_stream_matches_direct() {
     let u = Universe::generate(UniverseConfig::tiny(8));
     let direct = u.build_daily();
     let mut buf = Vec::new();
-    emit_daily_logs(&u, &mut buf).unwrap();
-    let (collected, stats) = collect_daily(&buf[..], u.config().daily_days).unwrap();
+    emit_logs::<Daily>(&u, &mut buf).unwrap();
+    let (collected, stats) = collect_stream::<Daily>(&buf[..], u.config().daily_days).unwrap();
     assert_eq!(stats.frames_skipped, 0);
     assert_eq!(collected.total_active(), direct.total_active());
     assert_eq!(collected.blocks.len(), direct.blocks.len());

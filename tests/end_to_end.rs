@@ -3,8 +3,9 @@
 //! reports — who wins, roughly by what factor, where the knees are.
 
 use ipactive::bgp::RoutingTable;
-use ipactive::cdnsim::{parallel_pipeline, parallel_pipeline_weekly, Universe, UniverseConfig};
+use ipactive::cdnsim::{stream_pipeline, Cadence, Daily, Universe, UniverseConfig, Weekly};
 use ipactive::core::{DailyDataset, WeeklyDataset};
+use ipactive::obs::Registry;
 use ipactive::core::{blocks, change, churn, demographics, events, hosts, traffic, visibility};
 use ipactive::dns::AssignmentHint;
 use ipactive::probe::{PortScanner, ScanCampaign, TracerouteCampaign};
@@ -214,41 +215,64 @@ fn icmp_only_space_is_substantially_infrastructure() {
     );
 }
 
-/// Field-for-field daily equality with block-level context on failure
-/// — sharper diagnostics than a bare `assert_eq!` on the dataset.
-fn assert_datasets_equal(label: &str, a: &DailyDataset, b: &DailyDataset) {
-    assert_eq!(a.num_days, b.num_days, "{label}: day count");
-    assert_eq!(a.blocks.len(), b.blocks.len(), "{label}: block count");
-    for (x, y) in a.blocks.iter().zip(b.blocks.iter()) {
-        assert_eq!(x.block, y.block, "{label}: block order");
-        assert_eq!(x.rows, y.rows, "{label}: activity matrix of {}", x.block);
-        assert_eq!(x.total_hits, y.total_hits, "{label}: total_hits of {}", x.block);
-        assert_eq!(x.ua_samples, y.ua_samples, "{label}: ua_samples of {}", x.block);
-        assert_eq!(x.ua_unique, y.ua_unique, "{label}: ua_unique of {}", x.block);
-        assert_eq!(x.ip_traffic, y.ip_traffic, "{label}: ip_traffic of {}", x.block);
+/// What the differential grid needs of a cadence beyond [`Cadence`]:
+/// the direct build the pipeline must reproduce, and field-for-field
+/// equality with block-level context on failure — sharper diagnostics
+/// than a bare `assert_eq!` on the dataset.
+trait Reference: Cadence {
+    const NAME: &'static str;
+    fn direct(u: &Universe) -> Self::Dataset;
+    fn assert_equal(label: &str, a: &Self::Dataset, b: &Self::Dataset);
+}
+
+impl Reference for Daily {
+    const NAME: &'static str = "daily";
+
+    fn direct(u: &Universe) -> DailyDataset {
+        u.build_daily()
+    }
+
+    fn assert_equal(label: &str, a: &DailyDataset, b: &DailyDataset) {
+        assert_eq!(a.num_days, b.num_days, "{label}: day count");
+        assert_eq!(a.blocks.len(), b.blocks.len(), "{label}: block count");
+        for (x, y) in a.blocks.iter().zip(b.blocks.iter()) {
+            assert_eq!(x.block, y.block, "{label}: block order");
+            assert_eq!(x.rows, y.rows, "{label}: activity matrix of {}", x.block);
+            assert_eq!(x.total_hits, y.total_hits, "{label}: total_hits of {}", x.block);
+            assert_eq!(x.ua_samples, y.ua_samples, "{label}: ua_samples of {}", x.block);
+            assert_eq!(x.ua_unique, y.ua_unique, "{label}: ua_unique of {}", x.block);
+            assert_eq!(x.ip_traffic, y.ip_traffic, "{label}: ip_traffic of {}", x.block);
+        }
     }
 }
 
-fn assert_weekly_equal(label: &str, a: &WeeklyDataset, b: &WeeklyDataset) {
-    assert_eq!(a.num_weeks, b.num_weeks, "{label}: week count");
-    assert_eq!(a.blocks, b.blocks, "{label}: block rows");
-    assert_eq!(a.week_hits, b.week_hits, "{label}: weekly hit lists");
+impl Reference for Weekly {
+    const NAME: &'static str = "weekly";
+
+    fn direct(u: &Universe) -> WeeklyDataset {
+        u.build_weekly()
+    }
+
+    fn assert_equal(label: &str, a: &WeeklyDataset, b: &WeeklyDataset) {
+        assert_eq!(a.num_weeks, b.num_weeks, "{label}: week count");
+        assert_eq!(a.blocks, b.blocks, "{label}: block rows");
+        assert_eq!(a.week_hits, b.week_hits, "{label}: weekly hit lists");
+    }
 }
 
-#[test]
-fn sharded_pipeline_matches_direct_build_across_the_grid() {
-    // The differential grid: every (workers, collectors) combination
-    // must reproduce Universe::build_daily exactly — same blocks, same
-    // activity matrices, same traffic and UA statistics. Worker count
-    // changes slicing; collector count changes sharding and merge
-    // fan-in; neither may leak into the data.
+/// The differential grid: every (workers, collectors) combination
+/// must reproduce the direct build exactly — same blocks, same
+/// activity matrices, same traffic and UA statistics. Worker count
+/// changes slicing; collector count changes sharding and merge
+/// fan-in; neither may leak into the data.
+fn pipeline_matches_direct_build_across_the_grid<C: Reference>() {
     let u = Universe::generate(UniverseConfig::tiny(0xD1FF));
-    let direct = u.build_daily();
+    let direct = C::direct(&u);
     for workers in [1usize, 2, 4, 7] {
         for collectors in [1usize, 2, 4] {
-            let (ds, report) = parallel_pipeline(&u, workers, collectors);
-            let label = format!("daily w={workers} c={collectors}");
-            assert_datasets_equal(&label, &direct, &ds);
+            let (ds, report) = stream_pipeline::<C>(&u, workers, collectors, &Registry::new());
+            let label = format!("{} w={workers} c={collectors}", C::NAME);
+            C::assert_equal(&label, &direct, &ds);
             assert_eq!(report.totals.frames_skipped, 0, "{label}: clean run skipped frames");
             assert_eq!(
                 report.totals.records_written, report.totals.records_read,
@@ -261,21 +285,13 @@ fn sharded_pipeline_matches_direct_build_across_the_grid() {
 }
 
 #[test]
+fn sharded_pipeline_matches_direct_build_across_the_grid() {
+    pipeline_matches_direct_build_across_the_grid::<Daily>();
+}
+
+#[test]
 fn sharded_weekly_pipeline_matches_direct_build_across_the_grid() {
-    let u = Universe::generate(UniverseConfig::tiny(0xD1FF));
-    let direct = u.build_weekly();
-    for workers in [1usize, 2, 4, 7] {
-        for collectors in [1usize, 2, 4] {
-            let (ws, report) = parallel_pipeline_weekly(&u, workers, collectors);
-            let label = format!("weekly w={workers} c={collectors}");
-            assert_weekly_equal(&label, &direct, &ws);
-            assert_eq!(report.totals.frames_skipped, 0, "{label}: clean run skipped frames");
-            assert_eq!(
-                report.totals.records_written, report.totals.records_read,
-                "{label}: record conservation"
-            );
-        }
-    }
+    pipeline_matches_direct_build_across_the_grid::<Weekly>();
 }
 
 #[test]

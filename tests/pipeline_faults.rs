@@ -9,12 +9,12 @@
 //! exactly their slice of the direct build.
 
 use ipactive::cdnsim::{
-    collect_daily, collect_daily_sharded, collect_weekly, collect_weekly_sharded,
-    emit_daily_shards, emit_weekly_shards, shard_of, supervised_collect_daily, FaultPlan,
-    RetryPolicy, Universe, UniverseConfig,
+    collect_daily_sharded, collect_stream, collect_weekly_sharded, emit_shards, shard_of,
+    slot_batches_from_buffers, supervised_collect_daily, Cadence, Daily, FaultPlan,
+    PipelineReport, PipelineStats, RetryPolicy, Universe, UniverseConfig, Weekly,
 };
 use ipactive::core::DailyDataset;
-use ipactive::logfmt::{BlockDay, FrameWriter, Record};
+use ipactive::logfmt::{BlockDay, FrameReader, FrameWriter, ReadMode, Record};
 use ipactive::net::{Addr, Block24};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -32,8 +32,8 @@ fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
         let universe = Universe::generate(UniverseConfig::tiny(0xFA17));
-        let daily_shards = emit_daily_shards(&universe, COLLECTORS).unwrap();
-        let weekly_shards = emit_weekly_shards(&universe, COLLECTORS).unwrap();
+        let daily_shards = emit_shards::<Daily>(&universe, COLLECTORS).unwrap();
+        let weekly_shards = emit_shards::<Weekly>(&universe, COLLECTORS).unwrap();
         let direct = universe.build_daily();
         Fixture { universe, daily_shards, weekly_shards, direct }
     })
@@ -79,6 +79,91 @@ fn arb_fault() -> impl Strategy<Value = Fault> {
         (0.0f64..1.0, 1u8..=255).prop_map(|(f, m)| Fault::BitFlip(f, m)),
         (0.0f64..1.0, any::<u8>(), 1usize..64).prop_map(|(f, b, n)| Fault::Garbage(f, b, n)),
     ]
+}
+
+/// What one collector is expected to have booked for its shard:
+/// `(records_read, frames_skipped, resyncs, decode_errors, buffers,
+/// bytes)`.
+type Booked = (u64, u64, u64, u64, u64, u64);
+
+/// The sharded collectors' contract spelled out longhand: each shard
+/// read front to back by one tolerant `FrameReader` into its own
+/// builder on this thread, the builders merged in shard order. Returns
+/// the dataset and what each collector must have booked.
+fn single_threaded_reference<C: Cadence>(
+    shards: &[Vec<u8>],
+    slots: usize,
+) -> (C::Dataset, Vec<Booked>) {
+    let mut merged = C::new(slots);
+    let mut booked = Vec::new();
+    for shard in shards {
+        let mut reader = FrameReader::new(&shard[..], ReadMode::Tolerant);
+        let mut builder = C::new(slots);
+        let (mut records, mut refused, mut errors) = (0, 0, 0);
+        loop {
+            match reader.read() {
+                Ok(Some(record)) => {
+                    if C::fold(record, slots, &mut builder) {
+                        records += 1;
+                    } else {
+                        refused += 1;
+                    }
+                }
+                Ok(None) => break,
+                Err(_) => {
+                    errors += 1;
+                    break;
+                }
+            }
+        }
+        let skipped = reader.skipped() + refused;
+        booked.push((records, skipped, reader.resyncs(), errors, 1, shard.len() as u64));
+        C::merge(&mut merged, builder);
+    }
+    (C::finish(merged, None), booked)
+}
+
+/// Holds one sharded collector's result against the longhand
+/// reference: dataset, every per-collector counter, and the totals.
+fn assert_matches_reference<C: Cadence>(
+    label: &str,
+    shards: &[Vec<u8>],
+    slots: usize,
+    (dataset, report): (C::Dataset, PipelineReport),
+    coverage: impl Fn(&C::Dataset) -> bool,
+) where
+    C::Dataset: PartialEq + std::fmt::Debug,
+{
+    let (expect, booked) = single_threaded_reference::<C>(shards, slots);
+    assert_eq!(dataset, expect, "{label}: dataset");
+    assert!(!coverage(&dataset), "{label}: an unsupervised collect carries no coverage");
+    let got: Vec<Booked> = report
+        .per_collector
+        .iter()
+        .map(|c| {
+            (c.records_read, c.frames_skipped, c.resyncs, c.decode_errors, c.buffers, c.bytes)
+        })
+        .collect();
+    assert_eq!(got, booked, "{label}: per-collector counters");
+    let totals = PipelineStats {
+        records_written: 0,
+        records_read: booked.iter().map(|b| b.0).sum(),
+        frames_skipped: booked.iter().map(|b| b.1).sum(),
+        resyncs: booked.iter().map(|b| b.2).sum(),
+        bytes: booked.iter().map(|b| b.5).sum(),
+    };
+    assert_eq!(report.totals, totals, "{label}: totals");
+    assert_eq!(report.workers, 0, "{label}: a replay has no edge workers");
+}
+
+/// Both cadences of one shard set against the reference.
+fn assert_sharded_collectors_match_reference(label: &str, daily: &[Vec<u8>], weekly: &[Vec<u8>]) {
+    let cfg = fixture().universe.config();
+    let (days, weeks) = (cfg.daily_days, cfg.weeks);
+    let result = collect_daily_sharded(daily, days);
+    assert_matches_reference::<Daily>(label, daily, days, result, |d| d.coverage.is_some());
+    let result = collect_weekly_sharded(weekly, weeks);
+    assert_matches_reference::<Weekly>(label, weekly, weeks, result, |d| d.coverage.is_some());
 }
 
 proptest! {
@@ -162,6 +247,29 @@ proptest! {
     }
 
     #[test]
+    fn sharded_collectors_equal_a_single_threaded_fold_clean_damaged_and_empty(
+        victim in 0usize..COLLECTORS,
+        faults in prop::collection::vec(arb_fault(), 1..4),
+    ) {
+        let fix = fixture();
+        // The two inputs that do not depend on the case, held once.
+        static CLEAN_AND_EMPTY: std::sync::Once = std::sync::Once::new();
+        CLEAN_AND_EMPTY.call_once(|| {
+            let (daily, weekly) = (&fix.daily_shards, &fix.weekly_shards);
+            assert_sharded_collectors_match_reference("clean", daily, weekly);
+            // No shards: the empty dataset and an empty report, not
+            // the supervisor's topology error.
+            assert_sharded_collectors_match_reference("empty", &[], &[]);
+        });
+        let (mut daily, mut weekly) = (fix.daily_shards.clone(), fix.weekly_shards.clone());
+        for fault in &faults {
+            fault.apply(&mut daily[victim]);
+            fault.apply(&mut weekly[victim]);
+        }
+        assert_sharded_collectors_match_reference("damaged", &daily, &weekly);
+    }
+
+    #[test]
     fn corrupted_weekly_shards_never_panic(
         victim in 0usize..COLLECTORS,
         faults in prop::collection::vec(arb_fault(), 1..4),
@@ -215,7 +323,7 @@ fn stream_with_out_of_window_frames() -> Vec<u8> {
 #[test]
 fn out_of_window_records_are_skipped_not_folded_daily() {
     let stream = stream_with_out_of_window_frames();
-    let (dataset, stats) = collect_daily(&stream[..], WINDOW).unwrap();
+    let (dataset, stats) = collect_stream::<Daily>(&stream[..], WINDOW).unwrap();
     assert_eq!((stats.records_read, stats.frames_skipped, stats.resyncs), (2, 4, 0));
     assert_eq!(dataset.total_active(), 2);
     let block = &dataset.blocks[0];
@@ -242,7 +350,7 @@ fn out_of_window_records_are_skipped_not_folded_weekly() {
     // The same stream read as a weekly log over 52 weeks: `day` carries
     // the week, so 3 is in, 111 and the rest are out.
     let stream = stream_with_out_of_window_frames();
-    let (dataset, stats) = collect_weekly(&stream[..], 52).unwrap();
+    let (dataset, stats) = collect_stream::<Weekly>(&stream[..], 52).unwrap();
     assert_eq!((stats.records_read, stats.frames_skipped), (1, 5));
     assert_eq!(dataset.total_active(), 1);
     assert_eq!(*dataset.week_hits[3], vec![10]);
@@ -252,6 +360,25 @@ fn out_of_window_records_are_skipped_not_folded_weekly() {
     assert_eq!(*sharded.week_hits[3], vec![10, 10]);
     assert_eq!((report.totals.records_read, report.totals.frames_skipped), (2, 10));
     assert!(report.per_collector.iter().all(|c| c.decode_errors == 0));
+}
+
+#[test]
+fn out_of_window_records_are_skipped_not_batched_by_the_shard_replay() {
+    // The distributed worker's replay step reads the same stream the
+    // same way: refused frames are skipped, never read, and every slot
+    // of the window is in the batch whether or not it got a record.
+    let stream = stream_with_out_of_window_frames();
+    let (batches, stats) = slot_batches_from_buffers(&[stream], WINDOW);
+    assert_eq!((stats.records_read, stats.frames_skipped, stats.resyncs), (2, 4, 0));
+    let slots: Vec<usize> = batches.iter().map(|(slot, _)| usize::from(*slot)).collect();
+    assert_eq!(slots, (0..WINDOW).collect::<Vec<_>>());
+    let kept: Vec<(usize, usize)> = batches
+        .iter()
+        .enumerate()
+        .filter(|(_, (_, records))| !records.is_empty())
+        .map(|(slot, (_, records))| (slot, records.len()))
+        .collect();
+    assert_eq!(kept, [(3, 1), (WINDOW - 1, 1)]);
 }
 
 #[test]

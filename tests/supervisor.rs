@@ -15,10 +15,12 @@
 //!   dead-lettered with correct shard/buffer provenance.
 
 use ipactive::cdnsim::{
-    emit_daily_shard_buffers, emit_weekly_shard_buffers, shard_of, supervised_collect_daily,
-    supervised_collect_weekly, Fault, FaultKind, FaultPlan, RetryPolicy, Universe,
-    UniverseConfig,
+    emit_shard_buffers, shard_of, supervised_collect, Cadence, Daily, Fault, FaultKind, FaultPlan,
+    RetryPolicy, SupervisedReport, Universe, UniverseConfig, Weekly,
 };
+use ipactive::core::{DailyDataset, WeeklyDataset};
+use ipactive::obs::Registry;
+use std::fmt::Debug;
 use std::sync::OnceLock;
 
 const WORKERS: usize = 3;
@@ -29,58 +31,75 @@ fn universe() -> &'static Universe {
     FIX.get_or_init(|| Universe::generate(UniverseConfig::tiny(0x5AFE)))
 }
 
-fn direct_daily() -> &'static ipactive::core::DailyDataset {
-    static FIX: OnceLock<ipactive::core::DailyDataset> = OnceLock::new();
-    FIX.get_or_init(|| universe().build_daily())
+/// The direct build a fault-free supervised run must reproduce.
+trait Reference: Cadence {
+    fn direct() -> &'static Self::Dataset;
+}
+
+impl Reference for Daily {
+    fn direct() -> &'static DailyDataset {
+        static FIX: OnceLock<DailyDataset> = OnceLock::new();
+        FIX.get_or_init(|| universe().build_daily())
+    }
+}
+
+impl Reference for Weekly {
+    fn direct() -> &'static WeeklyDataset {
+        static FIX: OnceLock<WeeklyDataset> = OnceLock::new();
+        FIX.get_or_init(|| universe().build_weekly())
+    }
+}
+
+/// The supervised collector at cadence `C`, metered into a registry of
+/// its own (reports read cumulative counters, so one per run).
+fn collect<C: Cadence>(
+    buffers: &[Vec<Vec<u8>>],
+    policy: &RetryPolicy,
+    plan: &FaultPlan,
+) -> (C::Dataset, SupervisedReport) {
+    supervised_collect::<C>(buffers, C::slots(universe()), policy, plan, &Registry::new()).unwrap()
 }
 
 /// The fault-free supervised baseline for a topology: equals the
 /// direct build (dataset equality ignores coverage provenance) and
 /// reports complete coverage.
-fn baseline(collectors: usize) -> ipactive::core::DailyDataset {
-    let u = universe();
-    let days = u.config().daily_days;
-    let buffers = emit_daily_shard_buffers(u, WORKERS, collectors).unwrap();
-    let (clean, report) =
-        supervised_collect_daily(&buffers, days, &RetryPolicy::instant(3), &FaultPlan::none())
-            .unwrap();
-    assert_eq!(
-        &clean,
-        direct_daily(),
-        "fault-free supervised run diverged from direct build"
-    );
+fn baseline<C: Reference>(collectors: usize) -> C::Dataset
+where
+    C::Dataset: PartialEq + Debug + 'static,
+{
+    let buffers = emit_shard_buffers::<C>(universe(), WORKERS, collectors).unwrap();
+    let (clean, report) = collect::<C>(&buffers, &RetryPolicy::instant(3), &FaultPlan::none());
+    assert_eq!(&clean, C::direct(), "fault-free supervised run diverged from direct build");
     assert!(report.coverage.is_complete());
     assert_eq!(report.retries(), 0);
     assert!(report.quarantine.is_empty());
     clean
 }
 
-/// Transient fault on (shard 0, buffer 0): one failed attempt, then
-/// the replay of the retained buffer succeeds. Output must be
-/// bit-identical to the fault-free run, coverage complete, and the
-/// whole thing deterministic run-to-run.
-fn transient_recovers(kind: FaultKind, collectors: usize) {
-    let u = universe();
-    let days = u.config().daily_days;
-    let buffers = emit_daily_shard_buffers(u, WORKERS, collectors).unwrap();
+/// A transient fault on one delivery: it fails `persist_attempts`
+/// times, then the replay of the retained buffer succeeds. Output
+/// must be bit-identical to the fault-free run, coverage complete,
+/// and the whole thing deterministic run-to-run.
+fn transient_recovers<C: Reference>(fault: Fault, collectors: usize)
+where
+    C::Dataset: PartialEq + Debug + 'static,
+{
+    let kind = fault.kind;
+    let buffers = emit_shard_buffers::<C>(universe(), WORKERS, collectors).unwrap();
     let policy = RetryPolicy::instant(3);
-    let clean = baseline(collectors);
-    let plan = FaultPlan::new(PLAN_SEED).with_fault(Fault {
-        shard: 0,
-        buffer: 0,
-        kind,
-        persist_attempts: 2,
-    });
-    let (healed, report) = supervised_collect_daily(&buffers, days, &policy, &plan).unwrap();
+    let clean = baseline::<C>(collectors);
+    let plan = FaultPlan::new(PLAN_SEED).with_fault(fault);
+    let (healed, report) = collect::<C>(&buffers, &policy, &plan);
     assert_eq!(healed, clean, "{kind:?}: recovered run must be bit-identical to fault-free");
     assert!(report.coverage.is_complete(), "{kind:?}: recovered run must report full coverage");
     assert!(report.fully_recovered());
-    assert!(report.outcomes[0].buffers[0].recovered(), "{kind:?}: buffer 0 should retry-succeed");
-    assert_eq!(report.outcomes[0].buffers[0].attempts, 3);
-    assert_eq!(report.outcomes[0].buffers[0].fault, Some(kind));
+    let victim = &report.outcomes[fault.shard].buffers[fault.buffer];
+    assert!(victim.recovered(), "{kind:?}: the faulted buffer should retry-succeed");
+    assert_eq!(victim.attempts, fault.persist_attempts + 1);
+    assert_eq!(victim.fault, Some(kind));
 
     // Determinism: same seeds, same everything.
-    let (again, report2) = supervised_collect_daily(&buffers, days, &policy, &plan).unwrap();
+    let (again, report2) = collect::<C>(&buffers, &policy, &plan);
     assert_eq!(again, healed);
     assert_eq!(report2.outcomes, report.outcomes);
     assert_eq!(report2.quarantine, report.quarantine);
@@ -89,18 +108,16 @@ fn transient_recovers(kind: FaultKind, collectors: usize) {
 /// Permanent fault on (shard 0, buffer 0): retries exhaust, the run
 /// still completes, and the damage is precisely accounted.
 fn permanent_degrades(kind: FaultKind, collectors: usize) {
-    let u = universe();
-    let days = u.config().daily_days;
-    let buffers = emit_daily_shard_buffers(u, WORKERS, collectors).unwrap();
+    let buffers = emit_shard_buffers::<Daily>(universe(), WORKERS, collectors).unwrap();
     let policy = RetryPolicy::instant(2);
-    let clean = baseline(collectors);
+    let clean = baseline::<Daily>(collectors);
     let plan = FaultPlan::new(PLAN_SEED).with_fault(Fault {
         shard: 0,
         buffer: 0,
         kind,
         persist_attempts: Fault::PERMANENT,
     });
-    let (degraded, report) = supervised_collect_daily(&buffers, days, &policy, &plan).unwrap();
+    let (degraded, report) = collect::<Daily>(&buffers, &policy, &plan);
 
     // Completeness < 1.0 for exactly the faulted shard.
     assert_eq!(report.coverage.degraded_shards(), vec![0], "{kind:?}");
@@ -146,7 +163,7 @@ fn permanent_degrades(kind: FaultKind, collectors: usize) {
     }
 
     // Determinism: the degraded run replays bit-identically too.
-    let (again, report2) = supervised_collect_daily(&buffers, days, &policy, &plan).unwrap();
+    let (again, report2) = collect::<Daily>(&buffers, &policy, &plan);
     assert_eq!(again, degraded);
     assert_eq!(report2.coverage, report.coverage);
     assert_eq!(report2.outcomes, report.outcomes);
@@ -158,7 +175,10 @@ macro_rules! fault_matrix {
         $(
             #[test]
             fn $name() {
-                transient_recovers($kind, $collectors);
+                // One failed attempt and its first retry on (shard 0,
+                // buffer 0); the second retry succeeds.
+                let fault = Fault { shard: 0, buffer: 0, kind: $kind, persist_attempts: 2 };
+                transient_recovers::<Daily>(fault, $collectors);
                 permanent_degrades($kind, $collectors);
             }
         )*
@@ -188,14 +208,11 @@ fn real_sync_corruption_is_never_reported_complete() {
     // dirty decode — the run degrades with coverage < 1.0 instead of
     // merging the lossy attempt as clean (which would break the
     // "coverage 1.0 => bit-identical data" invariant).
-    let u = universe();
-    let days = u.config().daily_days;
-    let clean = baseline(2);
-    let mut buffers = emit_daily_shard_buffers(u, WORKERS, 2).unwrap();
+    let clean = baseline::<Daily>(2);
+    let mut buffers = emit_shard_buffers::<Daily>(universe(), WORKERS, 2).unwrap();
     buffers[0][0][0] = 0x00; // real corruption: frame 0's sync byte, shard 0
     let (degraded, report) =
-        supervised_collect_daily(&buffers, days, &RetryPolicy::instant(2), &FaultPlan::none())
-            .unwrap();
+        collect::<Daily>(&buffers, &RetryPolicy::instant(2), &FaultPlan::none());
     assert!(
         !report.coverage.is_complete(),
         "desync-swallowed frames must not report full coverage"
@@ -217,24 +234,8 @@ fn real_sync_corruption_is_never_reported_complete() {
 
 #[test]
 fn weekly_supervised_transient_corrupt_recovers() {
-    let u = universe();
-    let weeks = u.config().weeks;
-    let buffers = emit_weekly_shard_buffers(u, WORKERS, 2).unwrap();
-    let policy = RetryPolicy::instant(3);
-    let (clean, clean_report) =
-        supervised_collect_weekly(&buffers, weeks, &policy, &FaultPlan::none()).unwrap();
-    assert_eq!(clean, u.build_weekly());
-    assert!(clean_report.coverage.is_complete());
-    let plan = FaultPlan::new(PLAN_SEED).with_fault(Fault {
-        shard: 1,
-        buffer: 1,
-        kind: FaultKind::Corrupt,
-        persist_attempts: 1,
-    });
-    let (healed, report) = supervised_collect_weekly(&buffers, weeks, &policy, &plan).unwrap();
-    assert_eq!(healed, clean);
-    assert!(report.coverage.is_complete());
-    assert!(report.outcomes[1].buffers[1].recovered());
+    let fault = Fault { shard: 1, buffer: 1, kind: FaultKind::Corrupt, persist_attempts: 1 };
+    transient_recovers::<Weekly>(fault, 2);
 }
 
 #[test]
@@ -242,15 +243,13 @@ fn mixed_fault_storm_is_deterministic_and_accounted() {
     // A scattered plan mixing all four kinds over every delivery:
     // whatever heals must heal identically twice, and whatever is
     // lost must be visible in coverage.
-    let u = universe();
-    let days = u.config().daily_days;
     let collectors = 4;
-    let buffers = emit_daily_shard_buffers(u, WORKERS, collectors).unwrap();
+    let buffers = emit_shard_buffers::<Daily>(universe(), WORKERS, collectors).unwrap();
     let policy = RetryPolicy::instant(2);
     let buffers_per_shard = buffers.iter().map(Vec::len).max().unwrap();
     let plan = FaultPlan::scatter(PLAN_SEED, collectors, buffers_per_shard, 12);
-    let (a, report_a) = supervised_collect_daily(&buffers, days, &policy, &plan).unwrap();
-    let (b, report_b) = supervised_collect_daily(&buffers, days, &policy, &plan).unwrap();
+    let (a, report_a) = collect::<Daily>(&buffers, &policy, &plan);
+    let (b, report_b) = collect::<Daily>(&buffers, &policy, &plan);
     assert_eq!(a, b);
     assert_eq!(report_a.coverage, report_b.coverage);
     assert_eq!(report_a.outcomes, report_b.outcomes);
