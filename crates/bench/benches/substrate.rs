@@ -25,6 +25,8 @@ fn bench_builds(c: &mut Criterion) {
     let u = universe();
     c.bench_function("build_daily_tiny", |b| b.iter(|| black_box(u.build_daily())));
     c.bench_function("build_weekly_tiny", |b| b.iter(|| black_box(u.build_weekly())));
+    // Both in one sweep: the year simulated once, not 112 + 364 days.
+    c.bench_function("build_datasets_tiny", |b| b.iter(|| black_box(u.build_datasets())));
 }
 
 fn bench_probing(c: &mut Criterion) {

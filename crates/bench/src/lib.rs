@@ -241,7 +241,7 @@ impl<S: ActiveSet> Repro<S> {
         let universe = Universe::generate(scale.config(seed));
         let (daily, weekly) = {
             let _span = registry.span("repro.build");
-            (universe.build_daily(), universe.build_weekly())
+            universe.build_datasets()
         };
         Repro::assemble(universe, daily, weekly, seed, registry)
     }

@@ -73,6 +73,23 @@ pub fn lognormal(rng: &mut StdRng, median: f64, sigma: f64) -> f64 {
     median * (sigma * z).exp()
 }
 
+/// A hit count from a non-negative variate: rounded half away from
+/// zero, saturated to `u32`, and at least one.
+///
+/// Equal to `(x.round() as u32).max(1)` for every `x` — non-negative
+/// finite, negative, NaN or infinite — without a call into libm's
+/// `round` on every hit draw. `0.49999999999999994` is the
+/// largest double below one half: adding it carries `x` past the next
+/// integer exactly when `x`'s fraction is at least one half (the sum
+/// `n + 1 − 2⁻⁵⁴` rounds up to `n + 1`, while anything whose fraction is
+/// below one half stays below `n + 1`, since doubles near `n ≥ 1` are at
+/// least 2⁻⁵² apart and `0.5 − 2⁻⁵⁴ + 0.5 − 2⁻⁵⁴` is the double below 1),
+/// and the truncating, saturating `as` cast does the rest. The
+/// property test below checks it against `round` itself.
+pub fn round_hits(x: f64) -> u32 {
+    ((x + 0.499_999_999_999_999_94) as u32).max(1)
+}
+
 /// Samples a Poisson variate. Uses Knuth's method for small `lambda`
 /// and a normal approximation above 64 (adequate for UA-sample counts).
 pub fn poisson(rng: &mut StdRng, lambda: f64) -> u64 {
@@ -157,6 +174,54 @@ mod tests {
         }
         assert_eq!(poisson(&mut rng, 0.0), 0);
         assert_eq!(poisson(&mut rng, -3.0), 0);
+    }
+
+    #[test]
+    fn round_hits_is_round_then_saturate_at_the_edges() {
+        let table = [
+            0.0,
+            0.499_999_999_999_999_94,
+            0.5,
+            1.5,
+            2.5,
+            2.499_999_999_999_999_6,
+            4_294_967_294.5,
+            4_294_967_295.5,
+            1e12,
+            f64::INFINITY,
+            f64::NAN,
+            -0.0,
+            -0.7,
+            f64::NEG_INFINITY,
+        ];
+        for x in table {
+            assert_eq!(round_hits(x), (x.round() as u32).max(1), "x = {x:e}");
+        }
+        // Both neighbours of every half-way point up to where doubles
+        // stop having a fraction bit to spare.
+        for exp in 0..54 {
+            let half = (1u64 << exp) as f64 + 0.5;
+            for bits in [half.to_bits() - 1, half.to_bits(), half.to_bits() + 1] {
+                let x = f64::from_bits(bits);
+                assert_eq!(round_hits(x), (x.round() as u32).max(1), "x = {x:e}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn round_hits_is_round_then_saturate(
+            x in 0.25f64..4_294_967_296.0,
+            scale in 0u32..40,
+        ) {
+            // `x` itself, and `x` scaled down so small magnitudes (where
+            // hit counts live) are sampled as densely as large ones.
+            for x in [x, x / (1u64 << scale) as f64] {
+                proptest::prop_assert_eq!(round_hits(x), (x.round() as u32).max(1), "x = {:e}", x);
+            }
+        }
     }
 
     #[test]

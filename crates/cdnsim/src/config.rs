@@ -215,6 +215,11 @@ impl UniverseConfig {
         self
     }
 
+    /// The absolute days of the daily window.
+    pub(crate) fn daily_window(&self) -> std::ops::Range<usize> {
+        self.daily_offset..self.daily_offset + self.daily_days
+    }
+
     /// Total configured AS count.
     pub fn total_ases(&self) -> u32 {
         self.as_counts.iter().map(|&(_, n)| n).sum()

@@ -17,7 +17,8 @@
 //!
 //! Entry point: [`Universe::generate`] with a [`UniverseConfig`], then
 //! [`Universe::build_daily`] / [`Universe::build_weekly`] for the two
-//! paper datasets; the universe also exposes the RIR delegation
+//! paper datasets (or [`Universe::build_datasets`] for both from one
+//! sweep); the universe also exposes the RIR delegation
 //! database, reverse-DNS table, BGP timeline, and implements
 //! [`ipactive_probe::ProbeTarget`] for the scanners.
 //!

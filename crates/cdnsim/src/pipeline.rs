@@ -36,9 +36,8 @@
 //! single-collector and direct builds regardless of worker count,
 //! collector count, or arrival order.
 
-use crate::policy::PolicySim;
 use crate::supervisor::{supervise, FaultPlan, RetryPolicy};
-use crate::universe::{BlockEntry, Universe};
+use crate::universe::{fold_week, infallible, BlockEntry, Scratch, Universe};
 use ipactive_core::{
     Coverage, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder,
 };
@@ -314,10 +313,13 @@ pub trait Cadence {
     /// filled it kept one.
     fn finish(builder: Self::Builder, coverage: Option<Coverage>) -> Self::Dataset;
 
-    /// Serializes one block's records over the window into `writer`.
+    /// Serializes one block's records over the window into `writer`:
+    /// one walk of the block over `scratch`, which the caller keeps
+    /// from block to block.
     fn emit_block<W: Write>(
         universe: &Universe,
         e: &BlockEntry,
+        scratch: &mut Scratch,
         writer: &mut FrameWriter<W>,
     ) -> io::Result<()>;
 }
@@ -375,21 +377,22 @@ impl Cadence for Daily {
     fn emit_block<W: Write>(
         universe: &Universe,
         e: &BlockEntry,
+        scratch: &mut Scratch,
         writer: &mut FrameWriter<W>,
     ) -> io::Result<()> {
         let cfg = universe.config();
-        let sims = universe.block_sims(e);
-        for d in 0..cfg.daily_days {
-            let t = cfg.daily_offset + d;
-            for entry in universe.entries_on(e, &sims, t) {
+        universe.walk_days(e, scratch, cfg.daily_window(), |t, entries, _| {
+            let day = (t - cfg.daily_offset) as u16;
+            let ua = universe.ua_day(e, t);
+            for entry in entries {
                 let addr = e.block.addr(entry.host);
-                writer.write(&Record::Hits { day: d as u16, addr, hits: entry.hits as u64 })?;
-                for ua in universe.ua_samples_for(e, t, &entry) {
-                    writer.write(&Record::UaSample { day: d as u16, addr, ua_hash: ua })?;
+                writer.write(&Record::Hits { day, addr, hits: entry.hits as u64 })?;
+                for ua_hash in ua.samples(entry) {
+                    writer.write(&Record::UaSample { day, addr, ua_hash })?;
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 
@@ -429,28 +432,14 @@ impl Cadence for Weekly {
     fn emit_block<W: Write>(
         universe: &Universe,
         e: &BlockEntry,
+        scratch: &mut Scratch,
         writer: &mut FrameWriter<W>,
     ) -> io::Result<()> {
-        let cfg = universe.config();
-        let sims = universe.block_sims(e);
-        for w in 0..cfg.weeks {
-            let mut acc = [0u64; 256];
-            for dow in 0..7usize {
-                for entry in universe.entries_on(e, &sims, w * 7 + dow) {
-                    acc[entry.host as usize] += entry.hits as u64;
-                }
-            }
-            for (host, &hits) in acc.iter().enumerate() {
-                if hits > 0 {
-                    writer.write(&Record::Hits {
-                        day: w as u16,
-                        addr: e.block.addr(host as u8),
-                        hits,
-                    })?;
-                }
-            }
-        }
-        Ok(())
+        universe.walk_days(e, scratch, 0..universe.config().weeks * 7, |t, entries, tables| {
+            fold_week(t, entries, tables, |week, host, hits| {
+                writer.write(&Record::Hits { day: week as u16, addr: e.block.addr(host), hits })
+            })
+        })
     }
 }
 
@@ -501,38 +490,44 @@ pub(crate) fn drain<R: Read>(
 /// written.
 pub fn emit_logs<C: Cadence>(universe: &Universe, out: impl Write) -> io::Result<u64> {
     let mut writer = FrameWriter::new(out);
+    let mut scratch = Scratch::new(universe);
     for e in &universe.blocks {
-        C::emit_block(universe, e, &mut writer)?;
+        C::emit_block(universe, e, &mut scratch, &mut writer)?;
     }
     let written = writer.frames_written() + 1; // +1 for the Finish frame
     writer.finish()?;
     Ok(written)
 }
 
-/// Appends one block's packed records for observation day `d` to
-/// `out`: a [`Record::UaSample`] per sample, then — if any address
-/// was active — one [`Record::BlockDay`] holding the day's hits. The
-/// unit both the packed stream and the store persist paths write.
-fn push_packed_day(
+/// Walks one block through the packed daily encoding, handing `emit`
+/// every record with its observation day: per day a
+/// [`Record::UaSample`] per sample, then — if any address was active —
+/// one [`Record::BlockDay`] holding the day's hits. The unit both the
+/// packed stream and the store persist paths write.
+fn walk_packed<E>(
     universe: &Universe,
     e: &BlockEntry,
-    sims: &(PolicySim, Option<(usize, PolicySim)>),
-    d: usize,
-    out: &mut Vec<Record>,
-) {
-    let t = universe.config().daily_offset + d;
-    let mut entries: Vec<(u8, u64)> = Vec::new();
-    for entry in universe.entries_on(e, sims, t) {
-        entries.push((entry.host, entry.hits as u64));
-        let addr = e.block.addr(entry.host);
-        for ua in universe.ua_samples_for(e, t, &entry) {
-            out.push(Record::UaSample { day: d as u16, addr, ua_hash: ua });
+    scratch: &mut Scratch,
+    mut emit: impl FnMut(usize, Record) -> Result<(), E>,
+) -> Result<(), E> {
+    let cfg = universe.config();
+    universe.walk_days(e, scratch, cfg.daily_window(), |t, entries, _| {
+        let d = t - cfg.daily_offset;
+        let ua = universe.ua_day(e, t);
+        let mut hits: Vec<(u8, u64)> = Vec::with_capacity(entries.len());
+        for entry in entries {
+            hits.push((entry.host, entry.hits as u64));
+            let addr = e.block.addr(entry.host);
+            for ua_hash in ua.samples(entry) {
+                emit(d, Record::UaSample { day: d as u16, addr, ua_hash })?;
+            }
         }
-    }
-    if !entries.is_empty() {
-        entries.sort_unstable_by_key(|&(h, _)| h);
-        out.push(Record::BlockDay(Box::new(BlockDay::new(d as u16, e.block, entries))));
-    }
+        if !hits.is_empty() {
+            hits.sort_unstable_by_key(|&(h, _)| h);
+            emit(d, Record::BlockDay(Box::new(BlockDay::new(d as u16, e.block, hits))))?;
+        }
+        Ok(())
+    })
 }
 
 /// Like [`emit_logs`] at the daily cadence, but batches each block's
@@ -542,15 +537,9 @@ fn push_packed_day(
 /// times smaller — see the `ablation_packed_records` benchmark.
 pub fn emit_daily_logs_packed<W: Write>(universe: &Universe, out: W) -> io::Result<u64> {
     let mut writer = FrameWriter::new(out);
-    let mut records = Vec::new();
+    let mut scratch = Scratch::new(universe);
     for e in &universe.blocks {
-        let sims = universe.block_sims(e);
-        for d in 0..universe.config().daily_days {
-            push_packed_day(universe, e, &sims, d, &mut records);
-            for record in records.drain(..) {
-                writer.write(&record)?;
-            }
-        }
+        walk_packed(universe, e, &mut scratch, |_, record| writer.write(&record))?;
     }
     let written = writer.frames_written() + 1;
     writer.finish()?;
@@ -567,8 +556,9 @@ fn route_blocks<C: Cadence>(
 ) -> io::Result<Vec<FrameWriter<Vec<u8>>>> {
     let mut writers: Vec<FrameWriter<Vec<u8>>> =
         (0..collectors).map(|_| FrameWriter::new(Vec::new())).collect();
+    let mut scratch = Scratch::new(universe);
     for e in blocks {
-        C::emit_block(universe, e, &mut writers[shard_of(e.block, collectors)])?;
+        C::emit_block(universe, e, &mut scratch, &mut writers[shard_of(e.block, collectors)])?;
     }
     Ok(writers)
 }
@@ -619,13 +609,20 @@ pub fn emit_shard_buffers<C: Cadence>(
     Ok(out)
 }
 
-/// Builds the record stream for one observation day of the universe.
-fn daily_records(universe: &Universe, d: usize) -> Vec<Record> {
-    let mut records = Vec::new();
+/// Builds the packed record stream of every observation day of the
+/// universe, block-major: each block is walked once and its records
+/// land in their days' streams in block order.
+fn daily_records(universe: &Universe) -> Vec<(u16, Vec<Record>)> {
+    let mut days: Vec<(u16, Vec<Record>)> =
+        (0..universe.config().daily_days).map(|d| (d as u16, Vec::new())).collect();
+    let mut scratch = Scratch::new(universe);
     for e in &universe.blocks {
-        push_packed_day(universe, e, &universe.block_sims(e), d, &mut records);
+        infallible(walk_packed(universe, e, &mut scratch, |d, record| {
+            days[d].1.push(record);
+            Ok(())
+        }));
     }
-    records
+    days
 }
 
 /// Persists the universe's daily logs into a [`LogStore`] directory,
@@ -633,9 +630,8 @@ fn daily_records(universe: &Universe, d: usize) -> Vec<Record> {
 /// [`emit_daily_logs_packed`]. Each day commits independently; a crash
 /// can leave a prefix of the days written.
 pub fn persist_daily<F: Fs>(universe: &Universe, store: &LogStore<F>) -> Result<(), StoreError> {
-    let cfg = universe.config();
-    for d in 0..cfg.daily_days {
-        store.write_day(d as u16, &daily_records(universe, d))?;
+    for (d, records) in daily_records(universe) {
+        store.write_day(d, &records)?;
     }
     Ok(())
 }
@@ -648,10 +644,7 @@ pub fn persist_daily_atomic<F: Fs>(
     universe: &Universe,
     store: &mut LogStore<F>,
 ) -> Result<u64, StoreError> {
-    let cfg = universe.config();
-    let batch: Vec<(u16, Vec<Record>)> =
-        (0..cfg.daily_days).map(|d| (d as u16, daily_records(universe, d))).collect();
-    store.commit_days(&batch)
+    store.commit_days(&daily_records(universe))
 }
 
 /// Decodes a framed log stream into a dataset over `slots` days (or

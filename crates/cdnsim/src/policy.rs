@@ -22,7 +22,7 @@
 //!   infrastructure invisible to the CDN but visible to probing
 //!   (Figure 2(b)).
 
-use crate::behavior::{lognormal, weekday_factor, SeedMixer};
+use crate::behavior::{lognormal, round_hits, weekday_factor, SeedMixer};
 use crate::config::CountryProfile;
 use ipactive_net::AddrBits256;
 use ipactive_probe::ServiceSet;
@@ -156,18 +156,36 @@ fn subscriber(seed: SeedMixer, s: u16, weeks: usize) -> Subscriber {
     Subscriber { key, base_rate, intensity, start_week, end_week }
 }
 
-fn online(sub: &Subscriber, seed: SeedMixer, s: u16, t: usize, institutional: bool) -> bool {
-    let week = (t / 7) as u16;
-    if week < sub.start_week || week >= sub.end_week {
-        return false;
-    }
-    let p = sub.base_rate * weekday_factor(institutional, (t % 7) as u8);
-    seed.child(0xD0).child(t as u64).child(s as u64).unit() < p
+/// What every subscriber of a block shares on absolute day `t`,
+/// derived once per evaluated day instead of once per subscriber.
+struct DayDraws {
+    week: u16,
+    weekday: f64,
+    online: SeedMixer,
+    hits: SeedMixer,
 }
 
-fn daily_hits(sub: &Subscriber, seed: SeedMixer, s: u16, t: usize) -> u32 {
-    let mut rng = seed.child(0x417).child(t as u64).child(s as u64).rng();
-    (lognormal(&mut rng, sub.intensity, 0.9).round() as u32).max(1)
+impl DayDraws {
+    fn new(seed: SeedMixer, institutional: bool, t: usize) -> DayDraws {
+        DayDraws {
+            week: (t / 7) as u16,
+            weekday: weekday_factor(institutional, (t % 7) as u8),
+            online: seed.child(0xD0).child(t as u64),
+            hits: seed.child(0x417).child(t as u64),
+        }
+    }
+
+    fn online(&self, s: usize, sub: &Subscriber) -> bool {
+        if self.week < sub.start_week || self.week >= sub.end_week {
+            return false;
+        }
+        self.online.child(s as u64).unit() < sub.base_rate * self.weekday
+    }
+
+    fn hits(&self, s: usize, sub: &Subscriber) -> u32 {
+        let mut rng = self.hits.child(s as u64).rng();
+        round_hits(lognormal(&mut rng, sub.intensity, 0.9))
+    }
 }
 
 /// A seeded permutation of 0..=255 (Fisher–Yates).
@@ -192,6 +210,53 @@ pub struct PolicySim {
     seed: SeedMixer,
     institutional: bool,
     subs: Vec<Subscriber>,
+    /// `DhcpLong` only.
+    leases: Option<Leases>,
+}
+
+/// The `DhcpLong` lease history of a block's subscribers, epoch by
+/// epoch. Leases are sticky: most expiries renew in place, only ~15%
+/// of them hand out a new address (Figure 6(c): "some IP addresses
+/// having almost continuous activity") — so the host of an epoch is
+/// the one drawn at the last renumbering epoch at or before it, epoch
+/// 0 always drawing. Tabulating takes each draw once, where a day's
+/// evaluation used to walk back through the epochs for every online
+/// subscriber.
+struct Leases {
+    /// Days a subscriber keeps an address.
+    hold: usize,
+    /// Table width: epochs tabulated per subscriber.
+    epochs: usize,
+    /// The host of subscriber `s` in epoch `e`, at `s * epochs + e`.
+    hosts: Vec<u8>,
+}
+
+impl Leases {
+    fn new(seed: SeedMixer, subs: &[Subscriber], hold: usize) -> Leases {
+        // A subscriber is looked up only while online, that is on a
+        // day before `7 * end_week`, and its phase is below `hold`.
+        let last_week = subs.iter().map(|sub| sub.end_week).max().unwrap_or(0) as usize;
+        let epochs = (last_week * 7).div_ceil(hold) + 1;
+        let mut hosts = Vec::with_capacity(subs.len() * epochs);
+        for s in 0..subs.len() as u64 {
+            let renumbers = seed.child(0x4E4E).child(s);
+            let draws = seed.child(0xD1C).child(s);
+            let mut host = 0;
+            for epoch in 0..epochs as u64 {
+                if epoch == 0 || renumbers.child(epoch).unit() < 0.15 {
+                    host = (draws.child(epoch).value() % 256) as u8;
+                }
+                hosts.push(host);
+            }
+        }
+        Leases { hold, epochs, hosts }
+    }
+
+    /// The host subscriber `s` holds on absolute day `t`.
+    fn host(&self, s: usize, sub: &Subscriber, t: usize) -> u8 {
+        let phase = (sub.key % self.hold as u64) as usize;
+        self.hosts[s * self.epochs + (t + phase) / self.hold]
+    }
 }
 
 impl PolicySim {
@@ -210,27 +275,34 @@ impl PolicySim {
             | AssignmentPolicy::DhcpLong { subscribers, .. } => subscribers,
             _ => 0,
         };
-        let subs = (0..n_subs).map(|s| subscriber(seed, s, weeks)).collect();
-        PolicySim { policy, seed, institutional, subs }
+        let subs: Vec<Subscriber> = (0..n_subs).map(|s| subscriber(seed, s, weeks)).collect();
+        let leases = match policy {
+            AssignmentPolicy::DhcpLong { hold_days, .. } => {
+                Some(Leases::new(seed, &subs, hold_days.max(1) as usize))
+            }
+            _ => None,
+        };
+        PolicySim { policy, seed, institutional, subs, leases }
     }
 
-    /// Generates the block's activity for absolute day `t`. Entries
-    /// are host-deduplicated (shared addresses merge their hits).
-    pub fn eval_day(&self, t: usize) -> Vec<DayEntry> {
+    /// Generates the block's activity for absolute day `t` into `out`,
+    /// replacing what it held. Entries are host-deduplicated (shared
+    /// addresses merge their hits) and keep their first-seen order.
+    pub fn eval_day_into(&self, t: usize, out: &mut Vec<DayEntry>) {
+        out.clear();
         let seed = self.seed;
-        let institutional = self.institutional;
-        let mut acc: Vec<DayEntry> = Vec::new();
-        // Position of each host's entry in `acc` (insertion order is
+        let day = DayDraws::new(seed, self.institutional, t);
+        // Position of each host's entry in `out` (insertion order is
         // part of the emitted log, so the entries themselves stay put).
         const ABSENT: u16 = u16::MAX;
         let mut slot_of = [ABSENT; 256];
         let mut push = |host: u8, hits: u32, pop: HostPopulation| {
             let slot = &mut slot_of[host as usize];
             if *slot == ABSENT {
-                *slot = acc.len() as u16;
-                acc.push(DayEntry { host, hits, pop });
+                *slot = out.len() as u16;
+                out.push(DayEntry { host, hits, pop });
             } else {
-                let e = &mut acc[*slot as usize];
+                let e = &mut out[*slot as usize];
                 e.hits = e.hits.saturating_add(hits);
             }
         };
@@ -241,11 +313,10 @@ impl PolicySim {
             | AssignmentPolicy::NonWeb { .. } => {}
             AssignmentPolicy::StaticSparse { .. } | AssignmentPolicy::StaticDense { .. } => {
                 for (s, sub) in self.subs.iter().enumerate() {
-                    let s = s as u16;
-                    if online(sub, seed, s, t, institutional) {
+                    if day.online(s, sub) {
                         // Stable spread over the block (coprime stride).
                         let host = ((s as u32 * 151 + 7) % 256) as u8;
-                        push(host, daily_hits(sub, seed, s, t), HostPopulation::Subscriber(sub.key));
+                        push(host, day.hits(s, sub), HostPopulation::Subscriber(sub.key));
                     }
                 }
             }
@@ -258,11 +329,10 @@ impl PolicySim {
                 let step = (expected / 16).max(1);
                 let cursor = (t as u32 * step) % 256;
                 for (s, sub) in self.subs.iter().enumerate() {
-                    let s = s as u16;
-                    if online(sub, seed, s, t, institutional) {
+                    if day.online(s, sub) {
                         let host = ((cursor + idx) % 256) as u8;
                         idx += 1;
-                        push(host, daily_hits(sub, seed, s, t), HostPopulation::Subscriber(sub.key));
+                        push(host, day.hits(s, sub), HostPopulation::Subscriber(sub.key));
                     }
                 }
             }
@@ -270,43 +340,19 @@ impl PolicySim {
                 let perm = permutation(seed.child(0xDA11).child(t as u64));
                 let mut idx = 0usize;
                 for (s, sub) in self.subs.iter().enumerate() {
-                    let s = s as u16;
-                    if online(sub, seed, s, t, institutional) {
+                    if day.online(s, sub) {
                         let host = perm[idx % 256];
                         idx += 1;
-                        push(host, daily_hits(sub, seed, s, t), HostPopulation::Subscriber(sub.key));
+                        push(host, day.hits(s, sub), HostPopulation::Subscriber(sub.key));
                     }
                 }
             }
-            AssignmentPolicy::DhcpLong { hold_days, .. } => {
-                let hold = hold_days.max(1) as usize;
+            AssignmentPolicy::DhcpLong { .. } => {
+                let leases = self.leases.as_ref().expect("DhcpLong sims tabulate their leases");
                 for (s, sub) in self.subs.iter().enumerate() {
-                    let s = s as u16;
-                    if online(sub, seed, s, t, institutional) {
-                        let phase = (sub.key % hold as u64) as usize;
-                        let epoch = (t + phase) / hold;
-                        // Sticky leases: most expiries renew in place;
-                        // only ~15% of them hand out a new address
-                        // (Figure 6(c): "some IP addresses having
-                        // almost continuous activity").
-                        let mut renumber_epoch = epoch;
-                        while renumber_epoch > 0
-                            && seed
-                                .child(0x4E4E)
-                                .child(s as u64)
-                                .child(renumber_epoch as u64)
-                                .unit()
-                                >= 0.15
-                        {
-                            renumber_epoch -= 1;
-                        }
-                        let host = (seed
-                            .child(0xD1C)
-                            .child(s as u64)
-                            .child(renumber_epoch as u64)
-                            .value()
-                            % 256) as u8;
-                        push(host, daily_hits(sub, seed, s, t), HostPopulation::Subscriber(sub.key));
+                    if day.online(s, sub) {
+                        let host = leases.host(s, sub, t);
+                        push(host, day.hits(s, sub), HostPopulation::Subscriber(sub.key));
                     }
                 }
             }
@@ -328,7 +374,7 @@ impl PolicySim {
                     );
                     push(
                         g,
-                        (hits.round() as u32).max(1),
+                        round_hits(hits),
                         HostPopulation::Gateway { base, users: users_per_gateway },
                     );
                 }
@@ -339,12 +385,11 @@ impl PolicySim {
                     if m.child(t as u64).unit() < 0.97 {
                         let mut rng = m.child(t as u64).child(1).rng();
                         let hits = lognormal(&mut rng, 25_000.0, 0.5);
-                        push(bt, (hits.round() as u32).max(1), HostPopulation::Bot(m.value()));
+                        push(bt, round_hits(hits), HostPopulation::Bot(m.value()));
                     }
                 }
             }
         }
-        acc
     }
 }
 
@@ -369,7 +414,27 @@ impl AssignmentPolicy {
         weeks: usize,
         t: usize,
     ) -> Vec<DayEntry> {
-        PolicySim::new(self.clone(), seed, institutional, weeks).eval_day(t)
+        let mut out = Vec::new();
+        PolicySim::new(self.clone(), seed, institutional, weeks).eval_day_into(t, &mut out);
+        out
+    }
+
+    /// How many subscribers, gateways or bots the policy simulates per
+    /// day — what a block's evaluation cost follows.
+    pub(crate) fn population(&self) -> usize {
+        match *self {
+            AssignmentPolicy::StaticSparse { subscribers }
+            | AssignmentPolicy::StaticDense { subscribers }
+            | AssignmentPolicy::RoundRobin { subscribers }
+            | AssignmentPolicy::DhcpShort { subscribers }
+            | AssignmentPolicy::DhcpLong { subscribers, .. } => subscribers as usize,
+            AssignmentPolicy::Gateway { gateways, .. } => gateways as usize,
+            AssignmentPolicy::BotFarm { bots } => bots as usize,
+            AssignmentPolicy::Unused
+            | AssignmentPolicy::ServerFarm { .. }
+            | AssignmentPolicy::RouterInfra { .. }
+            | AssignmentPolicy::NonWeb { .. } => 0,
+        }
     }
 
     /// Precomputes the block's probe behaviour: per-host ICMP response

@@ -44,51 +44,82 @@ const BOT_TEMPLATES: [&str; 4] = [
     "ArchiveCrawler/0.9 (+http://archive.example/policy)",
 ];
 
-fn fill(template: &str, seed: SeedMixer) -> String {
-    // Replace each `{v}` with a digit derived from the seed path, so
-    // the same (device, app) always renders the same string.
-    let mut out = String::with_capacity(template.len());
-    let mut i = 0u64;
-    let mut rest = template;
-    while let Some(pos) = rest.find("{v}") {
-        out.push_str(&rest[..pos]);
-        out.push(char::from(b'1' + (seed.child(i).value() % 9) as u8));
-        rest = &rest[pos + 3..];
-        i += 1;
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+fn fnv1a(h: u64, byte: u8) -> u64 {
+    (h ^ byte as u64).wrapping_mul(0x1000_0000_01B3)
+}
+
+/// Hands `emit` the bytes of `template` with each `{v}` replaced by a
+/// digit derived from the seed path, so the same (device, app) always
+/// renders the same string. A `{` in a template only ever opens a
+/// `{v}` (a unit test holds the tables to that).
+fn fill(template: &str, seed: SeedMixer, mut emit: impl FnMut(u8)) {
+    let mut placeholders = 0u64;
+    let mut bytes = template.bytes();
+    while let Some(b) = bytes.next() {
+        if b == b'{' {
+            bytes.nth(1); // the `v}` of the placeholder
+            emit(b'1' + (seed.child(placeholders).value() % 9) as u8);
+            placeholders += 1;
+        } else {
+            emit(b);
+        }
     }
-    out.push_str(rest);
-    out
+}
+
+/// The template and digit seed of one (subscriber, device, app)
+/// combination. `app == 0` is the device's browser; higher app indices
+/// are app-specific identifiers.
+fn template_of(subscriber_key: u64, device: u64, app: u64) -> (&'static str, SeedMixer) {
+    let m = SeedMixer::new(subscriber_key).child(device);
+    if app == 0 {
+        let t = BROWSER_TEMPLATES[(m.value() % BROWSER_TEMPLATES.len() as u64) as usize];
+        (t, m.child(0x0B))
+    } else {
+        let t = APP_TEMPLATES[((m.child(app).value()) % APP_TEMPLATES.len() as u64) as usize];
+        (t, m.child(app).child(0x0A))
+    }
+}
+
+fn bot_template(bot_key: u64) -> &'static str {
+    BOT_TEMPLATES[(bot_key % BOT_TEMPLATES.len() as u64) as usize]
 }
 
 /// Renders the User-Agent string of one (subscriber, device, app)
 /// combination. `app == 0` renders the device's browser; higher app
 /// indices render app-specific identifiers.
 pub fn render(subscriber_key: u64, device: u64, app: u64) -> String {
-    let m = SeedMixer::new(subscriber_key).child(device);
-    if app == 0 {
-        let t = BROWSER_TEMPLATES[(m.value() % BROWSER_TEMPLATES.len() as u64) as usize];
-        fill(t, m.child(0x0B))
-    } else {
-        let t = APP_TEMPLATES
-            [((m.child(app).value()) % APP_TEMPLATES.len() as u64) as usize];
-        fill(t, m.child(app).child(0x0A))
-    }
+    let (template, seed) = template_of(subscriber_key, device, app);
+    let mut out = String::with_capacity(template.len());
+    fill(template, seed, |b| out.push(char::from(b)));
+    out
+}
+
+/// [`hash`] of [`render`]'s string, computed over the template pieces
+/// and digits as they come — what the simulator stores per sample,
+/// without building the string (`tests/prop.rs` holds the two equal).
+pub fn render_hash(subscriber_key: u64, device: u64, app: u64) -> u64 {
+    let (template, seed) = template_of(subscriber_key, device, app);
+    let mut h = FNV_OFFSET;
+    fill(template, seed, |b| h = fnv1a(h, b));
+    h
 }
 
 /// Renders a crawler's User-Agent string.
 pub fn render_bot(bot_key: u64) -> String {
-    BOT_TEMPLATES[(bot_key % BOT_TEMPLATES.len() as u64) as usize].to_string()
+    bot_template(bot_key).to_string()
+}
+
+/// [`hash`] of [`render_bot`]'s string.
+pub fn render_bot_hash(bot_key: u64) -> u64 {
+    hash(bot_template(bot_key))
 }
 
 /// FNV-1a hash of a User-Agent string — the form stored in log
 /// records and datasets.
 pub fn hash(ua: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in ua.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01B3);
-    }
-    h
+    ua.bytes().fold(FNV_OFFSET, fnv1a)
 }
 
 #[cfg(test)]
@@ -123,6 +154,14 @@ mod tests {
             assert!(!ua.contains("{v}"), "unfilled template: {ua}");
             assert!(ua.is_ascii());
             assert!(!ua.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_brace_in_a_template_only_opens_a_placeholder() {
+        for t in BROWSER_TEMPLATES.iter().chain(&APP_TEMPLATES).chain(&BOT_TEMPLATES) {
+            assert_eq!(t.matches('{').count(), t.matches("{v}").count(), "{t}");
+            assert!(t.is_ascii());
         }
     }
 

@@ -1,8 +1,8 @@
 //! Universe construction and dataset generation.
 
-use crate::behavior::SeedMixer;
+use crate::behavior::{poisson, SeedMixer};
 use crate::config::{AsKind, CountryProfile, UniverseConfig, COUNTRY_PROFILES};
-use crate::policy::{AssignmentPolicy, BlockProbeProfile, HostPopulation, PolicySim};
+use crate::policy::{AssignmentPolicy, BlockProbeProfile, DayEntry, HostPopulation, PolicySim};
 use ipactive_bgp::{Asn, BgpEvent, BgpEventKind, BgpTimeline, RoutingTable};
 use ipactive_core::{BlockRecord, DailyDataset, IpTraffic, WeeklyDataset};
 use ipactive_dns::{NamingScheme, PtrTable};
@@ -10,7 +10,10 @@ use ipactive_net::{Addr, Block24, DayBits, Prefix};
 use ipactive_probe::{ProbeTarget, ServiceSet};
 use ipactive_rir::{CountryCode, Delegation, DelegationDb, Rir};
 use rand::RngExt;
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::convert::Infallible;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One Autonomous System of the synthetic Internet.
@@ -264,6 +267,9 @@ impl Universe {
         let mut pending_events: Vec<BgpEvent> = Vec::new();
         let mut region_cursor = [0u32; 5];
         let year_days = config.weeks * 7;
+        // Probing happens during the daily window (the paper's scans
+        // are from October, inside its Aug–Dec window).
+        let scan_week = ((config.daily_offset + config.daily_days / 2) / 7) as u16;
         let mut as_counter = 0u64;
 
         for &(kind, count) in &config.as_counts {
@@ -387,11 +393,8 @@ impl Universe {
                     }
 
                     ptr.set_scheme(block, ptr_scheme(&policy, domain.clone(), bseed.child(13)));
-                    // Probing happens during the daily window (the
-                    // paper's scans are from October, inside its
-                    // Aug–Dec window); a block retired or not yet
-                    // deployed then has nothing to answer.
-                    let scan_week = ((config.daily_offset + config.daily_days / 2) / 7) as u16;
+                    // A block retired or not yet deployed at scan time
+                    // has nothing to answer.
                     let probe = if alive.0 <= scan_week && scan_week < alive.1 {
                         policy.probe_profile(bseed.child(14), country)
                     } else {
@@ -513,19 +516,89 @@ impl Universe {
         week >= e.alive_weeks.0 && week < e.alive_weeks.1
     }
 
-    /// Generates the daily dataset (the paper's 112-day per-day view),
-    /// evaluating every block in parallel.
+    /// Generates the daily dataset (the paper's 112-day per-day view):
+    /// a [sweep](Self::build_datasets) with the daily accumulator alone.
     pub fn build_daily(&self) -> DailyDataset {
-        let cfg = &self.config;
-        let records = parallel_map(&self.blocks, |e| self.block_daily(e));
+        let (records, _) = self.sweep(sweep_threads(), || (), |e, scratch, ()| {
+            let mut sink = DailyAcc::new(self, e);
+            infallible(self.walk_block(e, scratch, &mut sink));
+            sink.finish(&mut scratch.tables)
+        });
+        self.daily_dataset(records)
+    }
+
+    /// Generates the weekly dataset (the paper's 52-week year view):
+    /// a [sweep](Self::build_datasets) with the weekly accumulator
+    /// alone.
+    pub fn build_weekly(&self) -> WeeklyDataset {
+        let threads = sweep_threads();
+        let (rows, week_hits) = self.sweep(threads, || self.no_week_hits(), |e, scratch, hits| {
+            let mut sink = WeeklyAcc::new(self, e, hits);
+            infallible(self.walk_block(e, scratch, &mut sink));
+            sink.finish()
+        });
+        self.weekly_dataset(threads, rows, week_hits)
+    }
+
+    /// Generates both datasets in one sweep: every block's year is
+    /// simulated once and each day handed to the accumulators whose
+    /// window holds it (the daily window lies inside the year). Equal
+    /// to `(build_daily(), build_weekly())`, for the price of the
+    /// weekly build alone.
+    pub fn build_datasets(&self) -> (DailyDataset, WeeklyDataset) {
+        self.datasets_on(sweep_threads())
+    }
+
+    fn datasets_on(&self, threads: usize) -> (DailyDataset, WeeklyDataset) {
+        let (both, week_hits) = self.sweep(threads, || self.no_week_hits(), |e, scratch, hits| {
+            let mut sinks = (DailyAcc::new(self, e), WeeklyAcc::new(self, e, hits));
+            infallible(self.walk_block(e, scratch, &mut sinks));
+            (sinks.0.finish(&mut scratch.tables), sinks.1.finish())
+        });
+        let (records, rows): (Vec<_>, Vec<_>) = both.into_iter().unzip();
+        (self.daily_dataset(records), self.weekly_dataset(threads, rows, week_hits))
+    }
+
+    fn daily_dataset(&self, records: Vec<Option<BlockRecord>>) -> DailyDataset {
         let mut blocks: Vec<BlockRecord> = records.into_iter().flatten().collect();
         blocks.sort_by_key(|r| r.block);
-        DailyDataset { num_days: cfg.daily_days, blocks, coverage: None }
+        DailyDataset { num_days: self.config.daily_days, blocks, coverage: None }
+    }
+
+    /// One empty hit list per week: what each sweep thread's weekly
+    /// accumulators append to.
+    fn no_week_hits(&self) -> Vec<Vec<u64>> {
+        vec![Vec::new(); self.config.weeks]
+    }
+
+    /// Assembles the weekly dataset from the per-block rows and the
+    /// per-thread hit lists. Each week's list is sorted — the canonical
+    /// order, matching `WeeklyDatasetBuilder::finish`, so direct builds
+    /// and collector outputs compare by `==` — which also erases which
+    /// thread happened to hold which block's hits.
+    fn weekly_dataset(
+        &self,
+        threads: usize,
+        rows: Vec<Option<(Block24, Box<[u64; 256]>)>>,
+        week_hits: Vec<Vec<Vec<u64>>>,
+    ) -> WeeklyDataset {
+        let mut blocks: Vec<_> = rows.into_iter().flatten().collect();
+        blocks.sort_by_key(|(b, _)| *b);
+        let weeks: Vec<usize> = (0..self.config.weeks).collect();
+        let (week_hits, _) = claim_map(&weeks, threads, || (), |(), w| {
+            let mut week = Vec::with_capacity(week_hits.iter().map(|thread| thread[w].len()).sum());
+            for thread in &week_hits {
+                week.extend_from_slice(&thread[w]);
+            }
+            week.sort_unstable();
+            Arc::new(week)
+        });
+        WeeklyDataset { num_weeks: self.config.weeks, blocks, week_hits, coverage: None }
     }
 
     /// Prepares the (pre-restructure, post-restructure) simulators of
     /// a block.
-    pub(crate) fn block_sims(&self, e: &BlockEntry) -> (PolicySim, Option<(usize, PolicySim)>) {
+    fn block_sims(&self, e: &BlockEntry) -> (PolicySim, Option<(usize, PolicySim)>) {
         let inst = self.ases[e.as_index].kind.institutional();
         let sim1 = PolicySim::new(e.policy.clone(), e.seed, inst, self.config.weeks);
         let sim2 = e.restructure.as_ref().map(|(d, p)| {
@@ -534,46 +607,80 @@ impl Universe {
         (sim1, sim2)
     }
 
-    /// A block's activity on absolute day `t`: lifecycle gating plus
-    /// the applicable policy simulator. Shared by the direct builders
-    /// and the log pipeline so both produce identical datasets.
-    pub(crate) fn entries_on(
+    /// The one walk over a block: builds its simulators once,
+    /// evaluates each absolute day `sink` asks for exactly once —
+    /// lifecycle and outage gating plus the applicable policy
+    /// simulator — and hands the day to the sink. Every builder and
+    /// every emitter goes through here, which is what makes them
+    /// produce identical datasets.
+    pub(crate) fn walk_block<S: BlockSink>(
         &self,
         e: &BlockEntry,
-        sims: &(PolicySim, Option<(usize, PolicySim)>),
-        t: usize,
-    ) -> Vec<crate::policy::DayEntry> {
-        if !self.block_alive(e, t) {
-            return Vec::new();
-        }
-        if let Some((start, len)) = e.outage {
-            if t >= start && t < start + len {
-                return Vec::new(); // connectivity lost: nothing reaches the CDN
+        scratch: &mut Scratch,
+        sink: &mut S,
+    ) -> Result<(), S::Error> {
+        let (before, restructured) = self.block_sims(e);
+        let Scratch { entries, tables } = scratch;
+        for t in sink.days() {
+            // Outage: connectivity lost, nothing reaches the CDN.
+            let dark = !self.block_alive(e, t)
+                || matches!(e.outage, Some((start, len)) if t >= start && t < start + len);
+            if dark {
+                entries.clear();
+            } else {
+                let sim = match &restructured {
+                    Some((change_day, after)) if t >= *change_day => after,
+                    _ => &before,
+                };
+                sim.eval_day_into(t, entries);
             }
+            sink.day(t, entries, tables)?;
         }
-        match &sims.1 {
-            Some((cd, s2)) if t >= *cd => s2.eval_day(t),
-            _ => sims.0.eval_day(t),
-        }
+        Ok(())
     }
 
-    /// The User-Agent hashes sampled for one active (address, day)
-    /// entry — 1 in `ua_sample_rate` hits, Poisson-thinned.
-    pub(crate) fn ua_samples_for(
+    /// [`walk_block`](Self::walk_block) with a closure for a sink:
+    /// `visit` receives each of `days` once, in order.
+    pub(crate) fn walk_days<E>(
         &self,
         e: &BlockEntry,
-        t: usize,
-        entry: &crate::policy::DayEntry,
-    ) -> Vec<u64> {
-        let lambda = entry.hits as f64 / self.config.ua_sample_rate as f64;
-        let mut rng = e
-            .seed
-            .child(0x0A9E)
-            .child(t as u64)
-            .child(entry.host as u64)
-            .rng();
-        let k = crate::behavior::poisson(&mut rng, lambda);
-        (0..k).map(|_| sample_ua(&entry.pop, &mut rng)).collect()
+        scratch: &mut Scratch,
+        days: Range<usize>,
+        visit: impl FnMut(usize, &[DayEntry], &mut Tables) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.walk_block(e, scratch, &mut EachDay { days, visit })
+    }
+
+    /// Runs `per_block` over every block on `threads` threads, each
+    /// with a scratch and a `state()` of its own, and returns the
+    /// results in block order plus every thread's state. Threads claim
+    /// blocks heaviest first, so the last claims are the cheap ones and
+    /// no thread is left finishing a slice of 400-subscriber pools
+    /// alone; which thread ran which block shows in nothing returned
+    /// but the split of the states.
+    fn sweep<S: Send, R: Send>(
+        &self,
+        threads: usize,
+        state: impl Fn() -> S + Sync,
+        per_block: impl Fn(&BlockEntry, &mut Scratch, &mut S) -> R + Sync,
+    ) -> (Vec<R>, Vec<S>) {
+        let mut order: Vec<usize> = (0..self.blocks.len()).collect();
+        order.sort_by_key(|&i| Reverse(self.blocks[i].weight()));
+        let (results, states) = claim_map(
+            &order,
+            threads,
+            || (Scratch::new(self), state()),
+            |(scratch, state), i| per_block(&self.blocks[i], scratch, state),
+        );
+        (results, states.into_iter().map(|(_, state)| state).collect())
+    }
+
+    /// The User-Agent sampler of block `e` on absolute day `t`.
+    pub(crate) fn ua_day(&self, e: &BlockEntry, t: usize) -> UaDay {
+        UaDay {
+            seed: e.seed.child(0x0A9E).child(t as u64),
+            sample_rate: self.config.ua_sample_rate as f64,
+        }
     }
 
     /// Expands one block's activity on dataset day `d` (0-based within
@@ -583,144 +690,315 @@ impl Universe {
     pub fn raw_requests(&self, block: Block24, d: usize) -> Vec<crate::requests::RawRequest> {
         assert!(d < self.config.daily_days, "day outside the daily window");
         let Some(e) = self.entry_of(block) else { return Vec::new() };
-        let sims = self.block_sims(e);
         let t = self.config.daily_offset + d;
         let kind = self.ases[e.as_index].kind;
         let mut out = Vec::new();
-        for entry in self.entries_on(e, &sims, t) {
-            let shape = match entry.pop {
-                HostPopulation::Bot(_) => crate::requests::DiurnalShape::Flat,
-                _ if kind.institutional() => crate::requests::DiurnalShape::Institutional,
-                _ => crate::requests::DiurnalShape::Residential,
-            };
-            out.extend(crate::requests::expand_with_shape(
-                e.seed.child(0x4EA),
-                d as u16,
-                block.addr(entry.host),
-                entry.hits,
-                shape,
-            ));
-        }
+        infallible(self.walk_days(e, &mut Scratch::new(self), t..t + 1, |_, entries, _| {
+            for entry in entries {
+                let shape = match entry.pop {
+                    HostPopulation::Bot(_) => crate::requests::DiurnalShape::Flat,
+                    _ if kind.institutional() => crate::requests::DiurnalShape::Institutional,
+                    _ => crate::requests::DiurnalShape::Residential,
+                };
+                out.extend(crate::requests::expand_with_shape(
+                    e.seed.child(0x4EA),
+                    d as u16,
+                    block.addr(entry.host),
+                    entry.hits,
+                    shape,
+                ));
+            }
+            Ok(())
+        }));
         out.sort_unstable_by_key(|r| r.time_s);
         out
     }
+}
 
-    fn block_daily(&self, e: &BlockEntry) -> Option<BlockRecord> {
-        let cfg = &self.config;
-        let sims = self.block_sims(e);
-        let mut rows: Box<[DayBits; 256]> = Box::new([DayBits::new(); 256]);
-        let mut daily: Vec<Vec<u32>> = vec![Vec::new(); 256];
-        let mut totals = [0u64; 256];
-        let mut total_hits = 0u64;
-        let mut ua_samples = 0u64;
-        let mut ua_hashes: HashSet<u64> = HashSet::new();
-        for d in 0..cfg.daily_days {
-            let t = cfg.daily_offset + d;
-            for entry in self.entries_on(e, &sims, t) {
-                let h = entry.host as usize;
-                rows[h].set(d);
-                daily[h].push(entry.hits);
-                totals[h] += entry.hits as u64;
-                total_hits += entry.hits as u64;
-                for ua in self.ua_samples_for(e, t, &entry) {
-                    ua_samples += 1;
-                    ua_hashes.insert(ua);
-                }
-            }
+impl BlockEntry {
+    /// What walking the block costs, relative to other blocks: the
+    /// simulated population of the heavier of its two policies.
+    fn weight(&self) -> usize {
+        let after = self.restructure.as_ref().map_or(0, |(_, policy)| policy.population());
+        self.policy.population().max(after)
+    }
+}
+
+/// Discharges the `Result` of a walk whose sink cannot fail.
+pub(crate) fn infallible(walked: Result<(), Infallible>) {
+    if let Err(never) = walked {
+        match never {}
+    }
+}
+
+/// Consumer of one block's walk: names the days it wants and receives
+/// each of them once, in order.
+pub(crate) trait BlockSink {
+    /// What can go wrong consuming a day ([`Infallible`] for the
+    /// accumulators, the writer's error for the emitters).
+    type Error;
+
+    /// The absolute days to evaluate.
+    fn days(&self) -> Range<usize>;
+
+    /// The block's activity on absolute day `t` (empty when the block
+    /// is dark), with the scratch tables the walk is not using itself.
+    fn day(&mut self, t: usize, entries: &[DayEntry], tables: &mut Tables)
+        -> Result<(), Self::Error>;
+}
+
+/// Two sinks on one walk: the union of their days is evaluated once
+/// and each sink sees the days it asked for. They must not share a
+/// scratch table.
+impl<A: BlockSink, B: BlockSink<Error = A::Error>> BlockSink for (A, B) {
+    type Error = A::Error;
+
+    fn days(&self) -> Range<usize> {
+        let (a, b) = (self.0.days(), self.1.days());
+        a.start.min(b.start)..a.end.max(b.end)
+    }
+
+    fn day(&mut self, t: usize, entries: &[DayEntry], tables: &mut Tables) -> Result<(), A::Error> {
+        if self.0.days().contains(&t) {
+            self.0.day(t, entries, tables)?;
         }
+        if self.1.days().contains(&t) {
+            self.1.day(t, entries, tables)?;
+        }
+        Ok(())
+    }
+}
+
+/// A closure as a sink over a fixed range of days.
+struct EachDay<F> {
+    days: Range<usize>,
+    visit: F,
+}
+
+impl<E, F: FnMut(usize, &[DayEntry], &mut Tables) -> Result<(), E>> BlockSink for EachDay<F> {
+    type Error = E;
+
+    fn days(&self) -> Range<usize> {
+        self.days.clone()
+    }
+
+    fn day(&mut self, t: usize, entries: &[DayEntry], tables: &mut Tables) -> Result<(), E> {
+        (self.visit)(t, entries, tables)
+    }
+}
+
+/// The buffers one block walk after another reuses — one per thread in
+/// a sweep, one per call in the emitters — so that walking a block
+/// allocates only what its output owns. A finished walk leaves every
+/// table as it found it.
+pub struct Scratch {
+    entries: Vec<DayEntry>,
+    tables: Tables,
+}
+
+/// The accumulator tables of a [`Scratch`], lent to the sink while
+/// the walk fills the entry buffer.
+pub(crate) struct Tables {
+    daily_days: usize,
+    /// The hit counts of host `h`'s active days so far, from
+    /// `h * daily_days` on (the daily accumulator counts them).
+    hits: Vec<u32>,
+    /// The UA hashes sampled in the block so far.
+    ua: Vec<u64>,
+    /// Hits per host in the week being accumulated (see [`fold_week`]).
+    week: [u64; 256],
+}
+
+impl Scratch {
+    pub(crate) fn new(universe: &Universe) -> Scratch {
+        let daily_days = universe.config.daily_days;
+        Scratch {
+            entries: Vec::with_capacity(256),
+            tables: Tables {
+                daily_days,
+                hits: vec![0; 256 * daily_days],
+                ua: Vec::new(),
+                week: [0; 256],
+            },
+        }
+    }
+}
+
+/// The daily accumulator: one block's window → its [`BlockRecord`].
+struct DailyAcc<'a> {
+    universe: &'a Universe,
+    e: &'a BlockEntry,
+    rows: Box<[DayBits; 256]>,
+    days_active: [u8; 256],
+    totals: [u64; 256],
+    total_hits: u64,
+    ua_samples: u64,
+}
+
+impl<'a> DailyAcc<'a> {
+    fn new(universe: &'a Universe, e: &'a BlockEntry) -> Self {
+        DailyAcc {
+            universe,
+            e,
+            rows: Box::new([DayBits::new(); 256]),
+            days_active: [0; 256],
+            totals: [0; 256],
+            total_hits: 0,
+            ua_samples: 0,
+        }
+    }
+
+    fn finish(self, tables: &mut Tables) -> Option<BlockRecord> {
+        tables.ua.sort_unstable();
+        tables.ua.dedup();
+        let ua_unique = tables.ua.len() as u32;
+        tables.ua.clear();
         let mut ip_traffic = Vec::new();
-        for h in 0..256usize {
-            if rows[h].is_empty() {
+        for (h, &days_active) in self.days_active.iter().enumerate() {
+            if days_active == 0 {
                 continue;
             }
             // The samples are not read again, so select in place.
-            let d = &mut daily[h];
-            let mid = d.len() / 2;
+            let from = h * tables.daily_days;
+            let samples = &mut tables.hits[from..from + days_active as usize];
+            let mid = samples.len() / 2;
             ip_traffic.push(IpTraffic {
                 host: h as u8,
-                days_active: rows[h].count() as u8,
-                total_hits: totals[h],
-                median_daily_hits: *d.select_nth_unstable(mid).1,
+                days_active,
+                total_hits: self.totals[h],
+                median_daily_hits: *samples.select_nth_unstable(mid).1,
             });
         }
         if ip_traffic.is_empty() {
             return None;
         }
         Some(BlockRecord {
-            block: e.block,
-            rows,
-            total_hits,
-            ua_samples,
-            ua_unique: ua_hashes.len() as u32,
+            block: self.e.block,
+            rows: self.rows,
+            total_hits: self.total_hits,
+            ua_samples: self.ua_samples,
+            ua_unique,
             ip_traffic,
         })
     }
+}
 
-    /// Generates the weekly dataset (the paper's 52-week year view),
-    /// evaluating every block in parallel.
-    pub fn build_weekly(&self) -> WeeklyDataset {
-        let cfg = &self.config;
-        let per_block = parallel_map(&self.blocks, |e| self.block_weekly(e));
-        let mut blocks = Vec::new();
-        let mut week_hits: Vec<Vec<u64>> = vec![Vec::new(); cfg.weeks];
-        for item in per_block.into_iter().flatten() {
-            let (block, rows, hits) = item;
-            blocks.push((block, rows));
-            for (w, mut h) in hits.into_iter().enumerate() {
-                week_hits[w].append(&mut h);
-            }
-        }
-        blocks.sort_by_key(|(b, _)| *b);
-        // Canonical order, matching WeeklyDatasetBuilder::finish — so
-        // direct builds and collector outputs compare by `==`.
-        let week_hits = week_hits
-            .into_iter()
-            .map(|mut week| {
-                week.sort_unstable();
-                Arc::new(week)
-            })
-            .collect();
-        WeeklyDataset { num_weeks: cfg.weeks, blocks, week_hits, coverage: None }
+impl BlockSink for DailyAcc<'_> {
+    type Error = Infallible;
+
+    fn days(&self) -> Range<usize> {
+        self.universe.config.daily_window()
     }
 
-    #[allow(clippy::type_complexity)]
-    fn block_weekly(
-        &self,
-        e: &BlockEntry,
-    ) -> Option<(Block24, Box<[u64; 256]>, Vec<Vec<u64>>)> {
-        let cfg = &self.config;
-        let sims = self.block_sims(e);
-        let mut rows: Box<[u64; 256]> = Box::new([0u64; 256]);
-        let mut week_hits: Vec<Vec<u64>> = vec![Vec::new(); cfg.weeks];
-        let mut any = false;
-        for (w, week_slot) in week_hits.iter_mut().enumerate() {
-            let mut acc = [0u64; 256];
-            for dow in 0..7usize {
-                let t = w * 7 + dow;
-                for entry in self.entries_on(e, &sims, t) {
-                    acc[entry.host as usize] += entry.hits as u64;
-                }
-            }
-            for (h, &hits) in acc.iter().enumerate() {
-                if hits > 0 {
-                    rows[h] |= 1u64 << w;
-                    week_slot.push(hits);
-                    any = true;
-                }
+    fn day(&mut self, t: usize, entries: &[DayEntry], tables: &mut Tables) -> Result<(), Infallible> {
+        let d = t - self.universe.config.daily_offset;
+        let ua = self.universe.ua_day(self.e, t);
+        for entry in entries {
+            let h = entry.host as usize;
+            self.rows[h].set(d);
+            tables.hits[h * tables.daily_days + self.days_active[h] as usize] = entry.hits;
+            self.days_active[h] += 1;
+            self.totals[h] += entry.hits as u64;
+            self.total_hits += entry.hits as u64;
+            for hash in ua.samples(entry) {
+                self.ua_samples += 1;
+                tables.ua.push(hash);
             }
         }
-        if any {
-            Some((e.block, rows, week_hits))
-        } else {
-            None
+        Ok(())
+    }
+}
+
+/// The weekly accumulator: one block's year → its activity rows, and
+/// its per-(address, week) hit totals appended to `week_hits`.
+struct WeeklyAcc<'a> {
+    block: Block24,
+    days: Range<usize>,
+    rows: Box<[u64; 256]>,
+    any: bool,
+    week_hits: &'a mut [Vec<u64>],
+}
+
+impl<'a> WeeklyAcc<'a> {
+    fn new(universe: &Universe, e: &BlockEntry, week_hits: &'a mut [Vec<u64>]) -> Self {
+        WeeklyAcc {
+            block: e.block,
+            days: 0..universe.config.weeks * 7,
+            rows: Box::new([0; 256]),
+            any: false,
+            week_hits,
         }
+    }
+
+    fn finish(self) -> Option<(Block24, Box<[u64; 256]>)> {
+        self.any.then_some((self.block, self.rows))
+    }
+}
+
+impl BlockSink for WeeklyAcc<'_> {
+    type Error = Infallible;
+
+    fn days(&self) -> Range<usize> {
+        self.days.clone()
+    }
+
+    fn day(&mut self, t: usize, entries: &[DayEntry], tables: &mut Tables) -> Result<(), Infallible> {
+        fold_week(t, entries, tables, |w, host, hits| {
+            self.rows[host as usize] |= 1u64 << w;
+            self.week_hits[w].push(hits);
+            self.any = true;
+            Ok(())
+        })
+    }
+}
+
+/// Adds absolute day `t` to the week being accumulated and, on the
+/// week's last day, hands `emit` the `(week, host, hits)` of every
+/// address active in it, by ascending host, leaving the table zeroed
+/// for the next week. For walks over whole weeks.
+pub(crate) fn fold_week<E>(
+    t: usize,
+    entries: &[DayEntry],
+    tables: &mut Tables,
+    mut emit: impl FnMut(usize, u8, u64) -> Result<(), E>,
+) -> Result<(), E> {
+    for entry in entries {
+        tables.week[entry.host as usize] += entry.hits as u64;
+    }
+    if t % 7 == 6 {
+        for (host, hits) in tables.week.iter_mut().enumerate() {
+            if *hits > 0 {
+                emit(t / 7, host as u8, std::mem::take(hits))?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The User-Agent sampler of one (block, day) — see
+/// [`Universe::ua_day`].
+pub(crate) struct UaDay {
+    seed: SeedMixer,
+    sample_rate: f64,
+}
+
+impl UaDay {
+    /// The User-Agent hashes sampled for one active (address, day)
+    /// entry — 1 in `ua_sample_rate` hits, Poisson-thinned — drawn as
+    /// the iterator is advanced.
+    pub(crate) fn samples(&self, entry: &DayEntry) -> impl Iterator<Item = u64> {
+        let lambda = entry.hits as f64 / self.sample_rate;
+        let mut rng = self.seed.child(entry.host as u64).rng();
+        let k = poisson(&mut rng, lambda);
+        let pop = entry.pop;
+        (0..k).map(move |_| sample_ua(&pop, &mut rng))
     }
 }
 
 /// Samples one User-Agent hash for the population behind an address:
-/// picks a (device, app) of the subscriber, renders the concrete
-/// header string (see [`crate::ua`]), and hashes it — so distinctness
-/// in the dataset reflects distinctness of actual strings.
+/// picks a (device, app) of the subscriber and hashes the concrete
+/// header string it renders (see [`crate::ua`]) — so distinctness in
+/// the dataset reflects distinctness of actual strings.
 fn sample_ua(pop: &HostPopulation, rng: &mut rand::rngs::StdRng) -> u64 {
     fn subscriber_ua(key: u64, rng: &mut rand::rngs::StdRng) -> u64 {
         // 1–3 devices per subscriber, a browser plus 0–4 app UAs each.
@@ -728,7 +1006,7 @@ fn sample_ua(pop: &HostPopulation, rng: &mut rand::rngs::StdRng) -> u64 {
         let dev = rng.random_range(0..devices);
         let apps = 1 + ((key >> 8) % 5);
         let app = rng.random_range(0..apps);
-        crate::ua::hash(&crate::ua::render(key, dev, app))
+        crate::ua::render_hash(key, dev, app)
     }
     match *pop {
         HostPopulation::Subscriber(key) => subscriber_ua(key, rng),
@@ -736,34 +1014,61 @@ fn sample_ua(pop: &HostPopulation, rng: &mut rand::rngs::StdRng) -> u64 {
             let user = rng.random_range(0..users.max(1) as u64);
             subscriber_ua(SeedMixer::new(base).child(user).value(), rng)
         }
-        HostPopulation::Bot(key) => crate::ua::hash(&crate::ua::render_bot(key)),
+        HostPopulation::Bot(key) => crate::ua::render_bot_hash(key),
     }
 }
 
-/// Runs `f` over `items` on a small thread pool (crossbeam scoped
-/// threads), preserving order.
-fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let threads = threads.min(items.len().max(1)).min(16);
-    if threads <= 1 || items.len() < 8 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    let out_chunks: Vec<&mut [Option<R>]> = out.chunks_mut(chunk).collect();
-    crossbeam::scope(|scope| {
-        for (slice, outs) in items.chunks(chunk).zip(out_chunks) {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (item, slot) in slice.iter().zip(outs.iter_mut()) {
-                    *slot = Some(f(item));
-                }
-            });
+/// How many threads a sweep runs on.
+fn sweep_threads() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
+}
+
+/// Runs `work` once per index in `order` on up to `threads` scoped
+/// threads and returns the results by index (`order` is a permutation
+/// of `0..order.len()`) plus each thread's state. A thread makes its
+/// state with `init`, then claims the next unclaimed position of
+/// `order` until none is left — so `order` decides what is started
+/// first and a thread that drew cheap work simply claims more.
+fn claim_map<S: Send, R: Send>(
+    order: &[usize],
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize) -> R + Sync,
+) -> (Vec<R>, Vec<S>) {
+    // Relaxed: the counter only hands out positions; `order` was
+    // complete before any thread started and results travel back
+    // through `join`.
+    let next = AtomicUsize::new(0);
+    let run = || {
+        let mut state = init();
+        let mut done = Vec::new();
+        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            done.push((i, work(&mut state, i)));
         }
-    })
-    .expect("worker thread panicked");
-    out.into_iter().map(|o| o.expect("all slots filled")).collect()
+        (state, done)
+    };
+    let threads = threads.min(order.len());
+    let per_thread = if threads <= 1 {
+        vec![run()]
+    } else {
+        crossbeam::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(|_| run())).collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("sweep thread panicked"))
+                .collect()
+        })
+        .expect("sweep thread panicked")
+    };
+    let mut results: Vec<Option<R>> = order.iter().map(|_| None).collect();
+    let mut states = Vec::with_capacity(per_thread.len());
+    for (state, done) in per_thread {
+        states.push(state);
+        for (i, result) in done {
+            results[i] = Some(result);
+        }
+    }
+    (results.into_iter().map(|r| r.expect("every index claimed once")).collect(), states)
 }
 
 impl ProbeTarget for Universe {
@@ -907,6 +1212,94 @@ mod tests {
         for addr in daily_union.iter() {
             assert!(weekly_union.contains(addr), "daily-active {addr} missing weekly");
         }
+    }
+
+    #[test]
+    fn one_sweep_builds_what_the_two_builders_build() {
+        for config in [UniverseConfig::tiny(0xBEEF), UniverseConfig::small(0x5EED)] {
+            let u = Universe::generate(config);
+            assert_eq!(u.build_datasets(), (u.build_daily(), u.build_weekly()));
+        }
+    }
+
+    #[test]
+    fn datasets_do_not_depend_on_the_thread_count() {
+        for seed in [0xBEEF, 2015] {
+            let u = Universe::generate(UniverseConfig::tiny(seed));
+            let one = u.datasets_on(1);
+            assert!(one.0.total_active() > 50 && one.1.total_active() > 50);
+            for threads in [2, 3, 8] {
+                assert_eq!(u.datasets_on(threads), one, "{threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn claim_map_returns_results_by_index_whatever_the_claim_order() {
+        let order = [3usize, 0, 4, 1, 2];
+        for threads in [0, 1, 2, 8] {
+            let (squares, states) = claim_map(&order, threads, || 0usize, |claimed, i| {
+                *claimed += 1;
+                i * i
+            });
+            assert_eq!(squares, [0, 1, 4, 9, 16]);
+            assert_eq!(states.iter().sum::<usize>(), order.len());
+            assert!(states.len() <= threads.max(1));
+        }
+        let (none, states) = claim_map(&[], 4, || (), |(), i| i);
+        assert!(none.is_empty());
+        assert_eq!(states.len(), 1);
+    }
+
+    #[test]
+    fn the_walk_gates_and_switches_days_like_the_per_day_lookup_it_replaced() {
+        // `entries_on` as it stood before the walk: lifecycle, then
+        // outage, then whichever policy applies on the day.
+        fn entries_on(
+            e: &BlockEntry,
+            sims: &(PolicySim, Option<(usize, PolicySim)>),
+            t: usize,
+        ) -> Vec<DayEntry> {
+            let mut entries = Vec::new();
+            let week = (t / 7) as u16;
+            if week < e.alive_weeks.0 || week >= e.alive_weeks.1 {
+                return entries;
+            }
+            if let Some((start, len)) = e.outage {
+                if t >= start && t < start + len {
+                    return entries;
+                }
+            }
+            match &sims.1 {
+                Some((cd, s2)) if t >= *cd => s2.eval_day_into(t, &mut entries),
+                _ => sims.0.eval_day_into(t, &mut entries),
+            }
+            entries
+        }
+
+        let mut cfg = UniverseConfig::small(0x0D0);
+        cfg.outage_rate = 0.3;
+        cfg.restructure_rate = 0.4;
+        cfg.partial_lifespan_rate = 0.4;
+        let u = Universe::generate(cfg);
+        let year = 0..u.config.weeks * 7;
+        let mut scratch = Scratch::new(&u);
+        let (mut outages, mut restructures, mut partial) = (0, 0, 0);
+        for e in u.blocks.iter().filter(|e| e.weight() > 0).take(60) {
+            outages += usize::from(e.outage.is_some());
+            restructures += usize::from(e.restructure.is_some());
+            partial += usize::from(e.alive_weeks != (0, u.config.weeks as u16));
+            let sims = u.block_sims(e);
+            let mut expected = year.clone();
+            u.walk_days(e, &mut scratch, year.clone(), |t, entries, _| {
+                assert_eq!(expected.next(), Some(t), "days out of order in {}", e.block);
+                assert_eq!(entries, entries_on(e, &sims, t), "{} day {t}", e.block);
+                Ok::<(), Infallible>(())
+            })
+            .unwrap();
+            assert_eq!(expected.next(), None, "days missing in {}", e.block);
+        }
+        assert!(outages > 0 && restructures > 0 && partial > 0);
     }
 
     #[test]

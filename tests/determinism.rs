@@ -156,3 +156,33 @@ fn collect_from_serialized_stream_matches_direct() {
     assert_eq!(collected.total_active(), direct.total_active());
     assert_eq!(collected.blocks.len(), direct.blocks.len());
 }
+
+/// CRC-32 of the bytes `emit_logs` writes at the daily and the weekly
+/// cadence: every value the substrate produces (which addresses, how
+/// many hits, which UA hashes, in which order) ends up in them.
+fn log_crcs(config: UniverseConfig) -> (u32, u32) {
+    let u = Universe::generate(config);
+    let mut daily = Vec::new();
+    emit_logs::<Daily>(&u, &mut daily).unwrap();
+    let mut weekly = Vec::new();
+    emit_logs::<Weekly>(&u, &mut weekly).unwrap();
+    (ipactive::logfmt::crc32(&daily), ipactive::logfmt::crc32(&weekly))
+}
+
+/// The universe's *values* are pinned, not only its reproducibility:
+/// a change to the simulator that moves one bit of one record fails
+/// here. The constants were captured at commit f65bcc6, before the
+/// substrate sweep touched the kernel; a change that means to alter
+/// the universe re-records them and says so.
+#[test]
+fn emitted_logs_match_the_pinned_universe() {
+    assert_eq!(log_crcs(UniverseConfig::tiny(5)), (0x5296_9847, 0x9900_A178));
+    assert_eq!(log_crcs(UniverseConfig::tiny(2015)), (0x835B_03D7, 0x6EA8_36E9));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "small scale: run with --release (CI pipeline-differential)")]
+fn emitted_logs_match_the_pinned_universe_at_small_scale() {
+    assert_eq!(log_crcs(UniverseConfig::small(5)), (0x3E05_C062, 0xBDE8_1BE2));
+    assert_eq!(log_crcs(UniverseConfig::small(2015)), (0x2829_93E3, 0xFC2B_0C2C));
+}
