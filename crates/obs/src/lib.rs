@@ -199,7 +199,9 @@ impl Registry {
     /// store and returns the child context (the new span's position),
     /// for handing to deeper stages or across a process boundary.
     ///
-    /// An absent context passes through untouched; a capped record
+    /// An absent context passes through untouched — `detail` is not
+    /// even formatted, so a hot path may pass `format_args!` and pay
+    /// for the string only when the request is traced. A capped record
     /// bumps `trace.truncated` / `trace.dropped` and returns `ctx`
     /// unchanged — tracing degrades to counters, never to unbounded
     /// memory.
@@ -207,12 +209,12 @@ impl Registry {
         &self,
         ctx: TraceContext,
         name: impl Into<String>,
-        detail: impl Into<String>,
+        detail: impl std::fmt::Display,
     ) -> TraceContext {
         if ctx.is_none() {
             return ctx;
         }
-        let outcome = self.inner.traces.lock().unwrap().record(ctx, name, detail);
+        let outcome = self.inner.traces.lock().unwrap().record(ctx, name, detail.to_string());
         match outcome {
             trace::RecordOutcome::Recorded(seq) => TraceContext { trace: ctx.trace, span: seq },
             trace::RecordOutcome::SpanCapped => {
@@ -419,6 +421,25 @@ mod tests {
         // metrics document is unchanged by recording them.
         let json = reg.snapshot(SnapshotMode::Deterministic).to_json();
         assert!(!json.contains("client.request"));
+    }
+
+    #[test]
+    fn trace_detail_is_formatted_only_for_traced_requests() {
+        struct Probe<'a>(&'a std::cell::Cell<bool>);
+        impl std::fmt::Display for Probe<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                self.0.set(true);
+                f.write_str("probed")
+            }
+        }
+        let reg = Registry::new();
+        let formatted = std::cell::Cell::new(false);
+        reg.trace_span(TraceContext::NONE, "serve.answer", Probe(&formatted));
+        assert!(!formatted.get(), "an untraced request must not pay for its detail string");
+        let trace = TraceId::mint(7, 1);
+        reg.trace_span(TraceContext::root(trace), "serve.answer", Probe(&formatted));
+        assert!(formatted.get());
+        assert_eq!(reg.trace_spans(trace.0).unwrap()[0].detail, "probed");
     }
 
     #[test]

@@ -19,9 +19,13 @@
 //!   older epoch are never disturbed and concurrent-ingest answers are
 //!   byte-identical to a batch build.
 //! * [`wire`] — the length-prefixed binary protocol (varint frames
-//!   with a trailing CRC, the same idiom as `logfmt::lease`).
+//!   with a trailing CRC, the same idiom as `logfmt::lease`); frames
+//!   without a body are built in and parsed from the stack, and
+//!   [`wire::RequestReader`] parses every frame one wake of the
+//!   transport delivered, in place.
 //! * [`Server`] — the threaded query front-end: a *bounded* admission
-//!   queue that load-sheds with an explicit `Overloaded` response,
+//!   queue, filled and drained in batches, that load-sheds with an
+//!   explicit `Overloaded` response,
 //!   per-request deadline budgets checked at slot-composition
 //!   boundaries inside the engine, `catch_unwind` isolation per query
 //!   worker (panics journal a `query_panic` event and the request is
@@ -38,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+mod handoff;
 pub mod loadgen;
 pub mod observatory;
 pub mod pipe;

@@ -19,11 +19,25 @@
 //!
 //! Nothing here returns a silently wrong answer: `Status::Ok` means
 //! "exact over fully ingested, fully covered data", full stop.
+//!
+//! Between threads, work moves in batches and a thread parks only as
+//! a last resort. A connection thread decodes every frame one wake of
+//! its transport delivered ([`RequestReader`]), admits them into the
+//! bounded queue under one lock (the head of the batch up to the free
+//! depth, in arrival order; the rest is shed at once) and only then
+//! blocks again; a worker takes its share of what is queued under one
+//! lock and answers it job by job. Per request nothing is batched: its
+//! own sequence number and chaos action, snapshot pin, panic boundary,
+//! budget (started at execution), counters, latency observation, and
+//! one response written the moment its answer is ready. Who waits for
+//! whom, and when a wake-up is sent at all, is the crate-private
+//! `handoff` module's business, shared with [`crate::pipe`].
 
+use std::cell::OnceCell;
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, Once};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -31,12 +45,13 @@ use std::time::{Duration, Instant};
 use ipactive_core::QueryBudget;
 use ipactive_net::{ActiveSet, Addr, Prefix, PrefixDensity, TieredSet};
 use ipactive_obs::metrics::DECADE_BOUNDS;
-use ipactive_obs::{Event, EventKind, Registry, SnapshotMode};
+use ipactive_obs::{Counter, Event, EventKind, Registry, SnapshotMode};
 
 use crate::chaos::{ChaosAction, ChaosPlan};
+use crate::handoff::Handoff;
 use crate::observatory::{EpochSnapshot, Observatory};
 use crate::slo::{SloMonitor, SloPolicy};
-use crate::wire::{self, QueryKind, Request, Response, Status};
+use crate::wire::{self, QueryKind, Request, RequestReader, Response, Status};
 
 /// Tuning knobs for a [`Server`].
 #[derive(Debug, Clone, Copy)]
@@ -85,15 +100,113 @@ struct Job {
     out: Arc<Mutex<dyn Write + Send>>,
 }
 
+#[derive(Default)]
+struct Queued {
+    jobs: VecDeque<Job>,
+    /// Jobs admitted since the server started.
+    admitted: u64,
+    /// Jobs one `take` hands out: an even split, between the workers,
+    /// of what was queued when the last batch was admitted.
+    share: usize,
+    closed: bool,
+}
+
+/// The bounded queue between connection threads and workers. Jobs
+/// cross it in batches — a connection admits everything one wake
+/// delivered under one lock, a worker takes its share of what is
+/// queued under one lock — and nobody is woken who is not parked
+/// ([`Handoff`]).
+///
+/// The bound is on jobs *waiting*: admitted and not yet begun, whether
+/// still queued or in a worker's share. A job a worker has taken frees
+/// its place when the worker begins it, not when it is taken, so
+/// taking in batches does not deepen the queue a request can wait in.
+struct AdmissionQueue {
+    queued: Handoff<Queued>,
+    /// Jobs begun; each takes the next value as its sequence number.
+    begun: AtomicU64,
+    depth: usize,
+    workers: usize,
+}
+
+impl AdmissionQueue {
+    fn new(depth: usize, workers: usize) -> AdmissionQueue {
+        AdmissionQueue {
+            queued: Handoff::new(Queued::default()),
+            begun: AtomicU64::new(0),
+            depth,
+            workers,
+        }
+    }
+
+    /// Moves the head of `batch` into the queue, in arrival order, up
+    /// to the free depth; what stays in `batch` found no room (or the
+    /// queue closed) and is the caller's to shed.
+    fn admit(&self, batch: &mut Vec<Job>) {
+        self.queued.publish(|q| {
+            if !q.closed {
+                // A stale `begun` only makes the room look smaller.
+                let waiting = q.admitted - self.begun.load(Ordering::SeqCst);
+                let room = self.depth.saturating_sub(waiting as usize).min(batch.len());
+                q.jobs.extend(batch.drain(..room));
+                q.admitted += room as u64;
+                q.share = q.jobs.len().div_ceil(self.workers);
+            }
+        });
+    }
+
+    /// Marks one taken job as begun — its place in the queue is free —
+    /// and returns its sequence number among all jobs executed.
+    fn begin(&self) -> u64 {
+        self.begun.fetch_add(1, Ordering::SeqCst)
+    }
+
+    /// Waits for work and moves this worker's share of it — everything
+    /// with one worker, an even split with more — into `share`, oldest
+    /// first. `false` once the queue is closed *and* drained.
+    fn take(&self, share: &mut Vec<Job>) -> bool {
+        self.queued.wait(|q| {
+            if q.jobs.is_empty() {
+                return q.closed.then_some(false);
+            }
+            let n = q.share.min(q.jobs.len());
+            share.extend(q.jobs.drain(..n));
+            Some(true)
+        })
+    }
+
+    /// Refuses all further admissions; workers drain what is queued
+    /// and then see `take` return `false`.
+    fn close(&self) {
+        self.queued.publish(|q| q.closed = true);
+    }
+}
+
+/// A counter whose handle is looked up the first time it counts and
+/// kept from then on: the hot path pays no name lookup, and the
+/// metrics document still lists a counter only once it has counted.
+struct LazyCounter {
+    name: &'static str,
+    handle: OnceCell<Counter>,
+}
+
+impl LazyCounter {
+    fn new(name: &'static str) -> LazyCounter {
+        LazyCounter { name, handle: OnceCell::new() }
+    }
+
+    fn inc(&self, registry: &Registry) {
+        self.handle.get_or_init(|| registry.counter(self.name)).inc();
+    }
+}
+
 /// The always-on query front-end over one [`Observatory`].
 pub struct Server<S: ActiveSet = TieredSet> {
     obs: Arc<Observatory<S>>,
-    tx: SyncSender<Job>,
+    queue: Arc<AdmissionQueue>,
     workers: Vec<JoinHandle<()>>,
     conns: Mutex<Vec<JoinHandle<()>>>,
-    executed: Arc<AtomicU64>,
     slo: Option<Arc<SloMonitor>>,
-    config: ServeConfig,
 }
 
 impl<S: ActiveSet> Server<S> {
@@ -103,20 +216,18 @@ impl<S: ActiveSet> Server<S> {
             quiet_injected_query_panics();
         }
         let slo = config.slo.map(|policy| Arc::new(SloMonitor::new(policy, obs.registry())));
-        let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let executed = Arc::new(AtomicU64::new(0));
-        let workers = (0..config.workers.max(1))
+        let worker_count = config.workers.max(1);
+        let queue = Arc::new(AdmissionQueue::new(config.queue_depth.max(1), worker_count));
+        let workers = (0..worker_count)
             .map(|_| {
-                let rx = rx.clone();
+                let queue = queue.clone();
                 let obs = obs.clone();
-                let executed = executed.clone();
                 let chaos = config.chaos;
                 let slo = slo.clone();
-                thread::spawn(move || worker_loop(rx, obs, executed, chaos, slo))
+                thread::spawn(move || worker_loop(queue, obs, chaos, slo))
             })
             .collect();
-        Server { obs, tx, workers, conns: Mutex::new(Vec::new()), executed, slo, config }
+        Server { obs, queue, workers, conns: Mutex::new(Vec::new()), slo }
     }
 
     /// The observatory this server answers from.
@@ -127,7 +238,7 @@ impl<S: ActiveSet> Server<S> {
     /// Queries executed so far (admitted and dequeued; shed requests
     /// never count).
     pub fn executed(&self) -> u64 {
-        self.executed.load(Ordering::SeqCst)
+        self.queue.begun.load(Ordering::SeqCst)
     }
 
     /// Attaches one client connection: `reader` carries request
@@ -139,11 +250,11 @@ impl<S: ActiveSet> Server<S> {
         R: Read + Send + 'static,
         W: Write + Send + 'static,
     {
-        let tx = self.tx.clone();
+        let queue = self.queue.clone();
         let obs = self.obs.clone();
         let slo = self.slo.clone();
         let out: Arc<Mutex<dyn Write + Send>> = Arc::new(Mutex::new(writer));
-        let handle = thread::spawn(move || connection_loop(reader, out, tx, obs, slo));
+        let handle = thread::spawn(move || connection_loop(reader, out, queue, obs, slo));
         self.conns.lock().expect("conn list poisoned").push(handle);
     }
 
@@ -155,82 +266,90 @@ impl<S: ActiveSet> Server<S> {
         for c in conns {
             let _ = c.join();
         }
-        drop(self.tx); // workers see the channel close and exit
+        self.queue.close(); // workers drain what is queued and exit
         for w in self.workers {
             let _ = w.join();
         }
-        let _ = self.config;
     }
 }
 
-/// Reads request frames off one connection, admitting each into the
-/// bounded queue or shedding it with an immediate `Overloaded`.
+/// Reads request frames off one connection a wake at a time: every
+/// frame that has arrived is decoded, the batch is admitted into the
+/// bounded queue under one lock, whatever found no room is shed with
+/// an immediate `Overloaded` — and only then does the thread block on
+/// the connection again.
 fn connection_loop<S: ActiveSet>(
-    mut reader: impl Read,
+    reader: impl Read,
     out: Arc<Mutex<dyn Write + Send>>,
-    tx: SyncSender<Job>,
+    queue: Arc<AdmissionQueue>,
     obs: Arc<Observatory<S>>,
     slo: Option<Arc<SloMonitor>>,
 ) {
     let registry = obs.registry().clone();
+    let requests = LazyCounter::new("serve.requests");
+    let shed = LazyCounter::new("serve.shed");
+    let mut reader = RequestReader::new(reader);
+    let mut batch: Vec<Job> = Vec::new();
     loop {
-        let mut req = match wire::read_request(&mut reader) {
-            Ok(Some(req)) => req,
-            Ok(None) => return, // clean EOF
-            Err(err) => {
-                // The stream is unsynchronized after a corrupt frame:
-                // answer what we can attribute (id 0) and hang up.
-                registry.counter("serve.bad_frames").inc();
-                let resp = Response {
-                    id: 0,
-                    epoch: obs.pin().epoch(),
-                    status: Status::BadRequest,
-                    value: 0,
-                    coverage_ppm: 0,
-                    units_done: 0,
-                    units_total: 0,
-                    from_density: false,
-                    trace_id: 0,
-                    body: None,
-                };
-                write_locked(&out, &resp);
-                let _ = err;
-                return;
+        // Block for the first frame of a wake, then take those that
+        // arrived with it out of the reader's buffer.
+        let mut frame = reader.read();
+        let eof = matches!(frame, Ok(None));
+        while let Ok(Some(mut req)) = frame {
+            requests.inc(&registry);
+            // Admission is the first server-side span of a traced request;
+            // downstream spans (answer, engine) hang off it.
+            req.trace = registry.trace_span(req.trace, "serve.admission", req.kind.label());
+            batch.push(Job { req, out: out.clone() });
+            frame = reader.read_buffered();
+        }
+        queue.admit(&mut batch);
+        for job in batch.drain(..) {
+            // Load-shed (or server shutting down): explicit
+            // Overloaded, never a dropped request.
+            shed.inc(&registry);
+            registry.emit(
+                Event::new(EventKind::LoadShed).offset(job.req.id).detail("admission queue full"),
+            );
+            registry.trace_span(job.req.trace, "serve.shed", "admission queue full");
+            if let Some(slo) = &slo {
+                slo.record(Status::Overloaded, 0);
             }
-        };
-        registry.counter("serve.requests").inc();
-        // Admission is the first server-side span of a traced request;
-        // downstream spans (answer, engine) hang off it.
-        req.trace = registry.trace_span(req.trace, "serve.admission", req.kind.label());
-        match tx.try_send(Job { req, out: out.clone() }) {
-            Ok(()) => {}
-            Err(TrySendError::Full(job)) | Err(TrySendError::Disconnected(job)) => {
-                // Load-shed (or server shutting down): explicit
-                // Overloaded, never a dropped request.
-                registry.counter("serve.shed").inc();
-                registry.emit(
-                    Event::new(EventKind::LoadShed)
-                        .offset(job.req.id)
-                        .detail("admission queue full"),
-                );
-                registry.trace_span(job.req.trace, "serve.shed", "admission queue full");
-                if let Some(slo) = &slo {
-                    slo.record(Status::Overloaded, 0);
-                }
-                let resp = Response {
-                    id: job.req.id,
-                    epoch: obs.pin().epoch(),
-                    status: Status::Overloaded,
-                    value: 0,
-                    coverage_ppm: 0,
-                    units_done: 0,
-                    units_total: 0,
-                    from_density: false,
-                    trace_id: job.req.trace.trace.0,
-                    body: None,
-                };
-                write_locked(&job.out, &resp);
-            }
+            let resp = Response {
+                id: job.req.id,
+                epoch: obs.pin().epoch(),
+                status: Status::Overloaded,
+                value: 0,
+                coverage_ppm: 0,
+                units_done: 0,
+                units_total: 0,
+                from_density: false,
+                trace_id: job.req.trace.trace.0,
+                body: None,
+            };
+            write_locked(&job.out, &resp);
+        }
+        if frame.is_err() {
+            // The stream is unsynchronized after a corrupt frame:
+            // answer what we can attribute (id 0) and hang up.
+            registry.counter("serve.bad_frames").inc();
+            let resp = Response {
+                id: 0,
+                epoch: obs.pin().epoch(),
+                status: Status::BadRequest,
+                value: 0,
+                coverage_ppm: 0,
+                units_done: 0,
+                units_total: 0,
+                from_density: false,
+                trace_id: 0,
+                body: None,
+            };
+            write_locked(&out, &resp);
+            return;
+        }
+        if eof {
+            return;
         }
     }
 }
@@ -243,66 +362,74 @@ fn write_locked(out: &Arc<Mutex<dyn Write + Send>>, resp: &Response) {
     let _ = w.flush();
 }
 
+/// Takes this worker's share of the queue a wake at a time and
+/// answers it job by job: each job is its own unit of execution (own
+/// sequence number, snapshot pin, panic boundary, budget and latency)
+/// and its response is written the moment it is ready — a slow job
+/// holds back only the jobs behind it in the same share.
 fn worker_loop<S: ActiveSet>(
-    rx: Arc<Mutex<Receiver<Job>>>,
+    queue: Arc<AdmissionQueue>,
     obs: Arc<Observatory<S>>,
-    executed: Arc<AtomicU64>,
     chaos: ChaosPlan,
     slo: Option<Arc<SloMonitor>>,
 ) {
     let registry = obs.registry().clone();
     let latency = registry.histogram("serve.latency_us", DECADE_BOUNDS);
-    loop {
-        let job = match rx.lock().expect("job queue poisoned").recv() {
-            Ok(job) => job,
-            Err(_) => return, // all senders gone: shutdown
-        };
-        let seq = executed.fetch_add(1, Ordering::SeqCst);
-        let action = chaos.action(seq);
-        let start = Instant::now();
-        let snap = obs.pin();
-        let mut req = job.req;
-        req.trace = registry.trace_span(req.trace, "serve.answer", format!("id {}", req.id));
+    let panics = LazyCounter::new("serve.panics");
+    let ok = LazyCounter::new("serve.ok");
+    let degraded = LazyCounter::new("serve.degraded");
+    let deadline = LazyCounter::new("serve.deadline");
+    let overloaded = LazyCounter::new("serve.overloaded");
+    let bad_request = LazyCounter::new("serve.bad_request");
+    let mut share: Vec<Job> = Vec::new();
+    while queue.take(&mut share) {
+        for job in share.drain(..) {
+            let action = chaos.action(queue.begin());
+            let start = Instant::now();
+            let snap = obs.pin();
+            let mut req = job.req;
+            req.trace =
+                registry.trace_span(req.trace, "serve.answer", format_args!("id {}", req.id));
 
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            match action {
-                ChaosAction::Panic => panic::panic_any(InjectedQueryPanic),
-                ChaosAction::Stall => {
-                    thread::sleep(Duration::from_micros(chaos.stall_us))
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                match action {
+                    ChaosAction::Panic => panic::panic_any(InjectedQueryPanic),
+                    ChaosAction::Stall => thread::sleep(Duration::from_micros(chaos.stall_us)),
+                    ChaosAction::None => {}
                 }
-                ChaosAction::None => {}
-            }
-            answer(&snap, &req, &registry)
-        }));
+                answer(&snap, &req, &registry)
+            }));
 
-        let resp = match outcome {
-            Ok(resp) => resp,
-            Err(_payload) => {
-                // The worker survived a panic: journal it and still
-                // answer — degraded, from the density approximation.
-                registry.counter("serve.panics").inc();
-                registry.emit(
-                    Event::new(EventKind::QueryPanic)
-                        .offset(req.id)
-                        .detail("query worker panicked; answered degraded"),
-                );
-                registry.trace_span(req.trace, "serve.panic", "answered degraded");
-                degraded_from_density(&snap, &req)
+            let resp = match outcome {
+                Ok(resp) => resp,
+                Err(_payload) => {
+                    // The worker survived a panic: journal it and still
+                    // answer — degraded, from the density approximation.
+                    panics.inc(&registry);
+                    registry.emit(
+                        Event::new(EventKind::QueryPanic)
+                            .offset(req.id)
+                            .detail("query worker panicked; answered degraded"),
+                    );
+                    registry.trace_span(req.trace, "serve.panic", "answered degraded");
+                    degraded_from_density(&snap, &req)
+                }
+            };
+            let class = match resp.status {
+                Status::Ok => &ok,
+                Status::Degraded => &degraded,
+                Status::DeadlineExceeded => &deadline,
+                Status::Overloaded => &overloaded,
+                Status::BadRequest => &bad_request,
+            };
+            class.inc(&registry);
+            let us = start.elapsed().as_micros() as u64;
+            latency.observe_traced(us, req.trace.trace);
+            if let Some(slo) = &slo {
+                slo.record(resp.status, us);
             }
-        };
-        match resp.status {
-            Status::Ok => registry.counter("serve.ok").inc(),
-            Status::Degraded => registry.counter("serve.degraded").inc(),
-            Status::DeadlineExceeded => registry.counter("serve.deadline").inc(),
-            Status::Overloaded => registry.counter("serve.overloaded").inc(),
-            Status::BadRequest => registry.counter("serve.bad_request").inc(),
+            write_locked(&job.out, &resp);
         }
-        let us = start.elapsed().as_micros() as u64;
-        latency.observe_traced(us, req.trace.trace);
-        if let Some(slo) = &slo {
-            slo.record(resp.status, us);
-        }
-        write_locked(&job.out, &resp);
     }
 }
 
@@ -386,7 +513,7 @@ fn answer<S: ActiveSet>(
             if len > PrefixDensity::MAX_LEN {
                 return bad(snap);
             }
-            registry.trace_span(req.trace, "engine.density", format!("len {len}"));
+            registry.trace_span(req.trace, "engine.density", format_args!("len {len}"));
             // The density index answers prefix counts exactly in O(1);
             // `from_density` records the provenance all the same.
             let count = snap.density().count(Prefix::new(Addr::new(base), len));
@@ -413,7 +540,7 @@ fn answer<S: ActiveSet>(
             // coverage already dilutes for the days we do not have.
             let ce = e.min(snap.days());
             let cs = s.min(ce);
-            registry.trace_span(req.trace, "engine.compose", format!("days {cs}..{ce}"));
+            registry.trace_span(req.trace, "engine.compose", format_args!("days {cs}..{ce}"));
             let cov = snap.window_coverage(s..e);
             let result = snap
                 .engine()
@@ -428,7 +555,7 @@ fn answer<S: ActiveSet>(
             let (s, e) = (start as usize, end as usize);
             let ce = e.min(snap.weeks());
             let cs = s.min(ce);
-            registry.trace_span(req.trace, "engine.compose", format!("weeks {cs}..{ce}"));
+            registry.trace_span(req.trace, "engine.compose", format_args!("weeks {cs}..{ce}"));
             let cov = snap.week_window_coverage(s..e);
             let result = snap
                 .engine()
@@ -588,6 +715,74 @@ mod tests {
             allow_degraded: false,
             trace: ipactive_obs::TraceContext::NONE,
         }
+    }
+
+    /// `n` jobs with ids `from..from + n` and a sink nobody reads.
+    fn jobs(from: u64, n: u64) -> Vec<Job> {
+        let out: Arc<Mutex<dyn Write + Send>> = Arc::new(Mutex::new(std::io::sink()));
+        (from..from + n)
+            .map(|id| Job { req: req(id, QueryKind::Status), out: out.clone() })
+            .collect()
+    }
+
+    fn ids(jobs: &[Job]) -> Vec<u64> {
+        jobs.iter().map(|j| j.req.id).collect()
+    }
+
+    #[test]
+    fn admission_takes_the_head_of_a_batch_up_to_the_free_depth() {
+        let queue = AdmissionQueue::new(4, 1);
+        let mut batch = jobs(0, 6);
+        queue.admit(&mut batch);
+        assert_eq!(ids(&batch), [4, 5], "the tail found no room and stays, in order");
+        let mut again = jobs(6, 1);
+        queue.admit(&mut again);
+        assert_eq!(ids(&again), [6], "a full queue admits nothing");
+        let mut share = Vec::new();
+        assert!(queue.take(&mut share));
+        assert_eq!(ids(&share), [0, 1, 2, 3], "admitted in arrival order");
+        queue.admit(&mut again);
+        assert_eq!(ids(&again), [6], "a job taken and not begun still holds its place");
+        assert_eq!(queue.begin(), 0);
+        queue.admit(&mut again);
+        assert!(again.is_empty(), "beginning a job frees it");
+    }
+
+    #[test]
+    fn a_closed_queue_refuses_everything_and_ends_once_drained() {
+        let queue = AdmissionQueue::new(8, 1);
+        queue.admit(&mut jobs(0, 3));
+        queue.close();
+        let mut late = jobs(3, 2);
+        queue.admit(&mut late);
+        assert_eq!(ids(&late), [3, 4], "closed: nothing is admitted");
+        let mut share = Vec::new();
+        assert!(queue.take(&mut share), "closed but not empty: the work is still handed out");
+        assert_eq!(ids(&share), [0, 1, 2]);
+        share.clear();
+        assert!(!queue.take(&mut share), "closed and empty");
+        assert!(share.is_empty());
+    }
+
+    #[test]
+    fn a_worker_takes_an_even_share_of_what_is_queued() {
+        let one = AdmissionQueue::new(16, 1);
+        one.admit(&mut jobs(0, 10));
+        let mut share = Vec::new();
+        assert!(one.take(&mut share));
+        assert_eq!(share.len(), 10, "a lone worker takes everything");
+
+        let two = AdmissionQueue::new(16, 2);
+        two.admit(&mut jobs(0, 10));
+        let (mut first, mut second) = (Vec::new(), Vec::new());
+        assert!(two.take(&mut first));
+        assert!(two.take(&mut second));
+        assert_eq!(ids(&first), [0, 1, 2, 3, 4]);
+        assert_eq!(ids(&second), [5, 6, 7, 8, 9], "two workers split a batch of ten in half");
+        two.admit(&mut jobs(10, 3));
+        first.clear();
+        assert!(two.take(&mut first));
+        assert_eq!(ids(&first), [10, 11], "the split is of what is queued at admission");
     }
 
     #[test]

@@ -23,6 +23,17 @@
 //! client's root, responses echo the trace id and may carry a JSON
 //! body (the `Telemetry` / `Trace` kinds). Decoders treat a missing
 //! trailer as "untraced / no body", so pre-trace peers interoperate.
+//!
+//! Two readers, one format. [`read_request`] / [`read_response`] take
+//! one frame at a time from any `Read` and consume not a byte past it:
+//! what a client with one stream and no buffer of its own needs, and
+//! the oracle. [`RequestReader`] owns a read-ahead buffer, asks its
+//! source once per wake and parses every frame that arrived in place:
+//! what the server's connection loop runs on. A frame without a body —
+//! every request, every scalar answer — is built in a stack array,
+//! written with one `write_all`, and parsed from a stack array or
+//! where it lies in the read-ahead buffer, so the steady state
+//! allocates nothing here (`tests/alloc.rs`).
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -36,6 +47,8 @@ const REQUEST_MAGIC: u8 = 0x51;
 const RESPONSE_MAGIC: u8 = 0x52;
 /// Upper bound on a sane frame; anything larger is a corrupt length.
 const MAX_FRAME: u64 = 1 << 20;
+/// Longest LEB128 encoding of a `u64`.
+const VARINT_MAX: usize = 10;
 
 /// Error reading or decoding a wire frame.
 #[derive(Debug)]
@@ -263,41 +276,57 @@ impl Response {
     pub const FULL_COVERAGE: u64 = 1_000_000;
 }
 
-fn encode_request(req: &Request) -> Vec<u8> {
-    let mut p = Vec::with_capacity(32);
-    p.push(REQUEST_MAGIC);
-    encode_u64(&mut p, req.id);
-    p.push(req.kind.discriminant());
-    let (a, b) = req.kind.operands();
-    encode_u64(&mut p, a);
-    encode_u64(&mut p, b);
-    encode_u64(&mut p, req.budget_ms);
-    p.push(u8::from(req.allow_degraded));
-    encode_u64(&mut p, req.trace.trace.0);
-    encode_u64(&mut p, req.trace.span);
-    p
+/// Payload bytes kept on the stack: every frame without a body fits
+/// (the longest is a response's scalar fields — a magic, a status and
+/// a flags byte and eight varints of at most ten bytes), so writing or
+/// reading one allocates nothing. Below 128, so such a frame's length
+/// prefix is one byte.
+const INLINE: usize = 96;
+
+/// A frame without a body, built in place on the stack: the length
+/// byte, the payload's scalar fields as they are appended, and room
+/// for the CRC.
+struct ScalarFrame {
+    bytes: [u8; 1 + INLINE + 4],
+    /// End of the payload so far.
+    end: usize,
 }
 
-fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut p = Vec::with_capacity(48);
-    p.push(RESPONSE_MAGIC);
-    encode_u64(&mut p, resp.id);
-    encode_u64(&mut p, resp.epoch);
-    p.push(resp.status.discriminant());
-    encode_u64(&mut p, resp.value);
-    encode_u64(&mut p, resp.coverage_ppm);
-    encode_u64(&mut p, resp.units_done);
-    encode_u64(&mut p, resp.units_total);
-    p.push(u8::from(resp.from_density));
-    encode_u64(&mut p, resp.trace_id);
-    match &resp.body {
-        None => encode_u64(&mut p, 0),
-        Some(body) => {
-            encode_u64(&mut p, body.len() as u64);
-            p.extend_from_slice(body.as_bytes());
-        }
+impl ScalarFrame {
+    fn new(magic: u8) -> ScalarFrame {
+        let mut bytes = [0; 1 + INLINE + 4];
+        bytes[1] = magic;
+        ScalarFrame { bytes, end: 2 }
     }
-    p
+
+    #[inline]
+    fn push(&mut self, byte: u8) {
+        self.bytes[self.end] = byte;
+        self.end += 1;
+    }
+
+    /// Appends `v` as a LEB128 varint, byte for byte what
+    /// `logfmt::encode_u64` appends to a `Vec`.
+    #[inline]
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.push(v as u8);
+    }
+
+    fn payload(&self) -> &[u8] {
+        &self.bytes[1..self.end]
+    }
+
+    /// Lays the length in front of the payload and the CRC behind it.
+    fn seal(&mut self) -> &[u8] {
+        let crc = crc32(self.payload());
+        self.bytes[0] = (self.end - 1) as u8;
+        self.bytes[self.end..self.end + 4].copy_from_slice(&crc.to_le_bytes());
+        &self.bytes[..self.end + 4]
+    }
 }
 
 fn take_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
@@ -389,6 +418,9 @@ fn decode_response(mut p: &[u8]) -> Result<Response, WireError> {
     })
 }
 
+/// Writes `payload` as one frame with one `write_all`, so a frame
+/// crosses a pipe (and wakes its reader) once, not in pieces. The
+/// allocating path: a frame without a body is a [`ScalarFrame`].
 fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     let mut frame = Vec::with_capacity(payload.len() + 16);
     encode_u64(&mut frame, payload.len() as u64);
@@ -397,69 +429,223 @@ fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.write_all(&frame)
 }
 
-/// Reads one framed payload. `Ok(None)` means the peer closed the
-/// stream cleanly *between* frames; EOF inside a frame is
-/// [`WireError::Truncated`].
-fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Option<Vec<u8>>, WireError> {
-    // Read the varint length byte-by-byte so a clean EOF before the
-    // first byte is distinguishable from a torn frame.
-    let mut len: u64 = 0;
-    let mut shift = 0u32;
+/// Reads one byte; `None` at end of stream.
+fn read_byte<R: Read + ?Sized>(r: &mut R) -> Result<Option<u8>, WireError> {
+    let mut byte = [0u8; 1];
     loop {
-        let mut byte = [0u8; 1];
         match r.read(&mut byte) {
-            Ok(0) if shift == 0 => return Ok(None),
-            Ok(0) => return Err(WireError::Truncated),
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Ok(0) => return Ok(None),
+            Ok(_) => return Ok(Some(byte[0])),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
         }
-        len |= u64::from(byte[0] & 0x7F) << shift;
-        if byte[0] & 0x80 == 0 {
+    }
+}
+
+/// Reads one frame and hands its payload to `decode`. `Ok(None)`
+/// means the peer closed the stream cleanly *between* frames; EOF
+/// inside a frame is [`WireError::Truncated`].
+fn read_frame<R: Read + ?Sized, T>(
+    r: &mut R,
+    decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
+) -> Result<Option<T>, WireError> {
+    // The length prefix is gathered byte by byte — nothing past the
+    // frame may be consumed, and a clean EOF before the first byte
+    // must stay distinguishable from a torn frame — and then decoded
+    // by the one varint rule, so an over-long prefix is an overflow
+    // here exactly as in `RequestReader`.
+    let mut prefix = [0u8; VARINT_MAX];
+    let mut n = 0;
+    loop {
+        match read_byte(r)? {
+            Some(byte) => prefix[n] = byte,
+            None if n == 0 => return Ok(None),
+            None => return Err(WireError::Truncated),
+        }
+        n += 1;
+        if prefix[n - 1] & 0x80 == 0 || n == VARINT_MAX {
             break;
         }
-        shift += 7;
-        if shift >= 64 {
-            return Err(WireError::Varint(VarintError::Overflow));
-        }
     }
+    let len = decode_u64(&mut &prefix[..n])?;
     if len > MAX_FRAME {
         return Err(WireError::Oversized(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let mut crc = [0u8; 4];
-    r.read_exact(&mut crc)?;
-    if u32::from_le_bytes(crc) != crc32(&payload) {
+    let len = len as usize;
+    // Payload and CRC: on the stack when they fit, which every frame
+    // without a body does.
+    let mut inline = [0u8; INLINE + 4];
+    let mut heap = Vec::new();
+    let frame = if len <= INLINE {
+        &mut inline[..len + 4]
+    } else {
+        heap.resize(len + 4, 0);
+        &mut heap[..]
+    };
+    r.read_exact(frame)?;
+    let (payload, crc) = frame.split_at(len);
+    if crc != crc32(payload).to_le_bytes() {
         return Err(WireError::CrcMismatch);
     }
-    Ok(Some(payload))
+    decode(payload).map(Some)
+}
+
+/// Size of the read-ahead buffer a [`RequestReader`] starts with:
+/// several hundred request frames, far more than a wake delivers.
+const READ_BUF: usize = 8 * 1024;
+
+/// Reads request frames off a stream a wake at a time.
+///
+/// Where [`read_request`] asks the source for a frame's length byte by
+/// byte, then its payload, then its CRC, this reader asks once for as
+/// much as there is room for and parses every complete frame out of
+/// its own buffer in place: a server whose client has 32 requests in
+/// flight pays one `read` for all that have arrived, and
+/// [`read_buffered`](RequestReader::read_buffered) tells it when to
+/// stop decoding and admit the batch. What the two deliver is the same
+/// for every byte stream and every way of chunking it (the proptests
+/// in `tests/wire_reader.rs` hold them against each other).
+///
+/// The buffer grows only for a frame longer than it, and never beyond
+/// the largest frame the protocol allows. After an error the stream is
+/// unsynchronized, as with `read_request`: hang up.
+pub struct RequestReader<R> {
+    src: R,
+    /// `buf[start..end]` is read and not yet parsed.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Bytes, counted from `start`, the frame under way needs before
+    /// it can be parsed (one more than there are while its length
+    /// prefix is incomplete).
+    need: usize,
+    eof: bool,
+}
+
+impl<R: Read> RequestReader<R> {
+    /// Wraps `src`; nothing is read until the first call.
+    pub fn new(src: R) -> RequestReader<R> {
+        RequestReader { src, buf: vec![0; READ_BUF], start: 0, end: 0, need: 1, eof: false }
+    }
+
+    /// The next request, reading from the source only if no complete
+    /// frame is buffered; `Ok(None)` on clean EOF between frames.
+    pub fn read(&mut self) -> Result<Option<Request>, WireError> {
+        loop {
+            if let Some(req) = self.read_buffered()? {
+                return Ok(Some(req));
+            }
+            if self.eof {
+                return if self.start == self.end { Ok(None) } else { Err(WireError::Truncated) };
+            }
+            self.fill()?;
+        }
+    }
+
+    /// The next request if a complete frame is already buffered;
+    /// `Ok(None)` when getting one would mean reading the source.
+    pub fn read_buffered(&mut self) -> Result<Option<Request>, WireError> {
+        let unparsed = &self.buf[self.start..self.end];
+        let mut rest = unparsed;
+        let len = match decode_u64(&mut rest) {
+            Ok(len) => len,
+            Err(VarintError::Truncated) => {
+                self.need = unparsed.len() + 1;
+                return Ok(None);
+            }
+            Err(e) => return Err(e.into()),
+        };
+        if len > MAX_FRAME {
+            return Err(WireError::Oversized(len));
+        }
+        let len = len as usize;
+        if rest.len() < len + 4 {
+            self.need = unparsed.len() - rest.len() + len + 4;
+            return Ok(None);
+        }
+        let (payload, rest) = rest.split_at(len);
+        let (crc, rest) = rest.split_at(4);
+        self.start = self.end - rest.len();
+        if crc != crc32(payload).to_le_bytes() {
+            return Err(WireError::CrcMismatch);
+        }
+        decode_request(payload).map(Some)
+    }
+
+    /// One `read` of the source into the free tail of the buffer, after
+    /// moving what is unparsed to the front and making room for the
+    /// frame under way.
+    fn fill(&mut self) -> Result<(), WireError> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.buf.len() < self.need {
+            self.buf.reserve_exact(self.need - self.buf.len());
+            self.buf.resize(self.need, 0);
+        }
+        let n = loop {
+            match self.src.read(&mut self.buf[self.end..]) {
+                Ok(n) => break n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        };
+        self.end += n;
+        self.eof = n == 0;
+        Ok(())
+    }
 }
 
 /// Writes one request frame.
 pub fn write_request<W: Write + ?Sized>(w: &mut W, req: &Request) -> io::Result<()> {
-    write_frame(w, &encode_request(req))
+    let mut f = ScalarFrame::new(REQUEST_MAGIC);
+    f.varint(req.id);
+    f.push(req.kind.discriminant());
+    let (a, b) = req.kind.operands();
+    f.varint(a);
+    f.varint(b);
+    f.varint(req.budget_ms);
+    f.push(u8::from(req.allow_degraded));
+    f.varint(req.trace.trace.0);
+    f.varint(req.trace.span);
+    w.write_all(f.seal())
 }
 
 /// Reads one request frame; `Ok(None)` on clean EOF.
 pub fn read_request<R: Read + ?Sized>(r: &mut R) -> Result<Option<Request>, WireError> {
-    match read_frame(r)? {
-        Some(p) => Ok(Some(decode_request(&p)?)),
-        None => Ok(None),
-    }
+    read_frame(r, decode_request)
 }
 
 /// Writes one response frame.
 pub fn write_response<W: Write + ?Sized>(w: &mut W, resp: &Response) -> io::Result<()> {
-    write_frame(w, &encode_response(resp))
+    let mut f = ScalarFrame::new(RESPONSE_MAGIC);
+    f.varint(resp.id);
+    f.varint(resp.epoch);
+    f.push(resp.status.discriminant());
+    f.varint(resp.value);
+    f.varint(resp.coverage_ppm);
+    f.varint(resp.units_done);
+    f.varint(resp.units_total);
+    f.push(u8::from(resp.from_density));
+    f.varint(resp.trace_id);
+    match &resp.body {
+        None => {
+            f.varint(0);
+            w.write_all(f.seal())
+        }
+        Some(body) => {
+            f.varint(body.len() as u64);
+            let mut payload = Vec::with_capacity(f.payload().len() + body.len());
+            payload.extend_from_slice(f.payload());
+            payload.extend_from_slice(body.as_bytes());
+            write_frame(w, &payload)
+        }
+    }
 }
 
 /// Reads one response frame; `Ok(None)` on clean EOF.
 pub fn read_response<R: Read + ?Sized>(r: &mut R) -> Result<Option<Response>, WireError> {
-    match read_frame(r)? {
-        Some(p) => Ok(Some(decode_response(&p)?)),
-        None => Ok(None),
-    }
+    read_frame(r, decode_response)
 }
 
 #[cfg(test)]
@@ -514,6 +700,77 @@ mod tests {
                 trace: TraceContext::NONE,
             },
         ]
+    }
+
+    /// A frame's payload, copied out.
+    fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
+        super::read_frame(r, |payload| Ok(payload.to_vec()))
+    }
+
+    /// The payload of `resp`'s frame.
+    fn encode_response(resp: &Response) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write_response(&mut frame, resp).unwrap();
+        read_frame(&mut &frame[..]).unwrap().unwrap()
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn sample_responses() -> Vec<Response> {
+        let scalar = Response {
+            id: 42,
+            epoch: 9,
+            status: Status::Degraded,
+            value: 123_456,
+            coverage_ppm: 750_000,
+            units_done: 3,
+            units_total: 8,
+            from_density: true,
+            trace_id: 0,
+            body: None,
+        };
+        let body = Some("{\n  \"traces\": []\n}\n".to_string());
+        vec![
+            scalar.clone(),
+            Response { trace_id: 0xDEAD_BEEF, ..scalar.clone() },
+            Response { status: Status::Ok, from_density: false, body: body.clone(), ..scalar.clone() },
+            Response { id: u64::MAX, trace_id: 5, body, ..scalar },
+        ]
+    }
+
+    /// The exact frames the protocol put on the wire before the
+    /// allocation-free codec: whoever changes how frames are built may
+    /// not change what they are.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        const REQUESTS: [&str; 6] = [
+            "095100010007000000003f967797",
+            "1651ffffffffffffffffff010203341901effdb6f50d03c0481a07",
+            "0c511103808080501801000000b2ac9e01",
+            "09510104000000010000210f07ba",
+            "095102050000000100007603ff92",
+            "0b510306cdd702000001000090d55789",
+        ];
+        // No body and untraced, no body and traced, body and
+        // untraced, body and traced.
+        const RESPONSES: [&str; 4] = [
+            "0f522a0901c0c407b0e32d03080100002f19699a",
+            "13522a0901c0c407b0e32d030801effdb6f50d00b4b10907",
+            "22522a0900c0c407b0e32d03080000137b0a202022747261636573223a205b5d0a7d0a0a499ba6",
+            "2b52ffffffffffffffffff010901c0c407b0e32d03080105137b0a202022747261636573223a205b5d0a7d0a5f1081bd",
+        ];
+        for (req, want) in sample_requests().iter().zip(REQUESTS) {
+            let mut buf = Vec::new();
+            write_request(&mut buf, req).unwrap();
+            assert_eq!(hex(&buf), want, "{req:?}");
+        }
+        for (resp, want) in sample_responses().iter().zip(RESPONSES) {
+            let mut buf = Vec::new();
+            write_response(&mut buf, resp).unwrap();
+            assert_eq!(hex(&buf), want, "{resp:?}");
+        }
     }
 
     #[test]
@@ -657,6 +914,50 @@ mod tests {
         encode_u64(&mut buf, MAX_FRAME + 1);
         let err = read_frame(&mut &buf[..]).unwrap_err();
         assert!(matches!(err, WireError::Oversized(_)), "got {err}");
+    }
+
+    #[test]
+    fn an_over_long_length_prefix_is_an_overflow_not_a_frame() {
+        // A valid frame whose one-byte length is re-spelt as ten bytes
+        // with bits beyond the 64th set: shifted out of a hand-rolled
+        // decoder, they made this a frame of the original length.
+        let mut frame = Vec::new();
+        write_request(&mut frame, &sample_requests()[0]).unwrap();
+        let mut padded = vec![frame[0] | 0x80];
+        padded.extend_from_slice(&[0x80; 8]);
+        padded.push(0x7E);
+        padded.extend_from_slice(&frame[1..]);
+        // Nine empty continuation bytes, then a tenth carrying bit 64:
+        // this one read as length 0 and then as a torn frame.
+        let mut shifted_out = vec![0x80; 9];
+        shifted_out.push(0x02);
+        for bytes in [padded, shifted_out] {
+            let err = read_request(&mut &bytes[..]).unwrap_err();
+            assert!(matches!(err, WireError::Varint(VarintError::Overflow)), "read_request: {err}");
+            let err = RequestReader::new(&bytes[..]).read().unwrap_err();
+            assert!(matches!(err, WireError::Varint(VarintError::Overflow)), "RequestReader: {err}");
+        }
+    }
+
+    #[test]
+    fn the_batch_reader_delivers_what_arrived_and_then_waits() {
+        let reqs = sample_requests();
+        let mut stream = Vec::new();
+        for r in &reqs {
+            write_request(&mut stream, r).unwrap();
+        }
+        // All six frames and the head of a seventh arrive at once.
+        let whole = stream.len();
+        stream.extend_from_slice(&stream.clone()[..5]);
+        let mut reader = RequestReader::new(&stream[..]);
+        assert_eq!(reader.read().unwrap().as_ref(), Some(&reqs[0]));
+        for want in &reqs[1..] {
+            assert_eq!(reader.read_buffered().unwrap().as_ref(), Some(want));
+        }
+        assert!(reader.read_buffered().unwrap().is_none(), "a partial frame is not an answer yet");
+        assert_eq!(reader.start, whole);
+        let err = reader.read().unwrap_err();
+        assert!(matches!(err, WireError::Truncated), "the stream ends inside it: {err}");
     }
 
     #[test]
