@@ -26,9 +26,8 @@
 //! inspect fsck <DIR> [--repair]
 //! inspect metrics <DIR>
 //! inspect metrics-check <SNAPSHOT.json> <SCHEMA.json>
-//! inspect perf-check <BENCH.json> [--min-speedup X] [--max-figure-ratio Y] [--floor-ms F]
 //! inspect trace <TRACES.json> [TRACE_ID] [--schema FILE]
-//! inspect slo-check <BENCH_serve.json> [--max-shed-rate F] [--max-p99-us F] [--max-burns N]
+//! inspect slo-check <SERVE_RECORD.json> [--max-shed-rate F] [--max-p99-us F] [--max-burns N]
 //! inspect worker --root DIR --shard S --shards N --emitters E --epoch G --attempt A ...
 //! ```
 //!
@@ -53,21 +52,17 @@
 //! document, guaranteed to agree with `inspect fsck`'s report because
 //! both derive from the same pass. `metrics-check` validates a
 //! snapshot JSON document against a JSON-schema file (the CI
-//! `metrics-golden` job drives it). `perf-check` gates a
-//! `BENCH_repro.json` written by `repro --timings`: end-to-end
-//! speedup must reach `--min-speedup`, and no figure's cached run may
-//! exceed `--max-figure-ratio` times its serial-uncached time
-//! (figures faster than `--floor-ms` both ways are exempt — at that
-//! size the ratio measures timer noise, not work).
+//! `metrics-golden` job drives it).
 //!
 //! `trace` renders the span trees from a trace document — either a
 //! worker's exported single-trace file or the multi-trace document
 //! `repro serve-bench --traces-out` writes — as an indented tree, one
 //! line per span; name a `TRACE_ID` (hex) to print just that trace,
 //! and `--schema` additionally validates the document against a
-//! JSON-schema file. `slo-check` gates a `BENCH_serve.json`: the
-//! client-observed shed rate, p99, and (optionally) the server's
-//! burned SLO windows must stay inside the given ceilings.
+//! JSON-schema file. `slo-check` gates a record written by `repro
+//! serve-bench` (`--out serve_record.json`): the client-observed shed
+//! rate, p99, and (optionally) the server's burned SLO windows must
+//! stay inside the given ceilings.
 
 use ipactive_bench::{Repro, Scale};
 use ipactive_core::{matrix, outages, persistence};
@@ -82,7 +77,6 @@ fn main() {
             Some("mkstore") => run_mkstore(&args[1..]),
             Some("metrics") => run_metrics(&args[1..]),
             Some("metrics-check") => run_metrics_check(&args[1..]),
-            Some("perf-check") => run_perf_check(&args[1..]),
             Some("trace") => run_trace(&args[1..]),
             Some("slo-check") => run_slo_check(&args[1..]),
             Some("worker") => ipactive_bench::worker_cli::run(&args[1..]),
@@ -297,96 +291,9 @@ fn main() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: inspect <BLOCK|top|changed> [--seed N] [--scale tiny|small|full] [--truth]\n       [--workers N] [--collectors M] [--faults K]\n       inspect mkstore <DIR> [--seed N] [--scale tiny|small|full] [--atomic] [--corrupt]\n       inspect fsck <DIR> [--repair]\n       inspect metrics <DIR>\n       inspect metrics-check <SNAPSHOT.json> <SCHEMA.json>\n       inspect perf-check <BENCH.json> [--min-speedup X] [--max-figure-ratio Y] [--floor-ms F]\n       inspect trace <TRACES.json> [TRACE_ID] [--schema FILE]\n       inspect slo-check <BENCH_serve.json> [--max-shed-rate F] [--max-p99-us F] [--max-burns N]"
+        "usage: inspect <BLOCK|top|changed> [--seed N] [--scale tiny|small|full] [--truth]\n       [--workers N] [--collectors M] [--faults K]\n       inspect mkstore <DIR> [--seed N] [--scale tiny|small|full] [--atomic] [--corrupt]\n       inspect fsck <DIR> [--repair]\n       inspect metrics <DIR>\n       inspect metrics-check <SNAPSHOT.json> <SCHEMA.json>\n       inspect trace <TRACES.json> [TRACE_ID] [--schema FILE]\n       inspect slo-check <SERVE_RECORD.json> [--max-shed-rate F] [--max-p99-us F] [--max-burns N]"
     );
     std::process::exit(2);
-}
-
-/// `inspect perf-check <BENCH.json> [--min-speedup X]
-/// [--max-figure-ratio Y] [--floor-ms F]` — gate a `BENCH_repro.json`
-/// written by `repro --timings`. Fails (exit 1) when the end-to-end
-/// cached speedup falls below `--min-speedup` (default 2.0) or any
-/// figure's cached-parallel time exceeds `--max-figure-ratio` (default
-/// 1.5) times its serial-uncached time. Figures where both sides run
-/// under `--floor-ms` (default 20) are exempt from the per-figure
-/// ratio: at that size the ratio amplifies scheduler jitter, not a
-/// regression. Exit status: 0 pass, 1 regression, 2 unreadable.
-fn run_perf_check(args: &[String]) -> ! {
-    let mut path: Option<&str> = None;
-    let mut min_speedup = 2.0f64;
-    let mut max_ratio = 1.5f64;
-    let mut floor_ms = 20.0f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut num = |flag: &str| -> f64 {
-            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("error: {flag} needs a number");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--min-speedup" => min_speedup = num("--min-speedup"),
-            "--max-figure-ratio" => max_ratio = num("--max-figure-ratio"),
-            "--floor-ms" => floor_ms = num("--floor-ms"),
-            "--help" | "-h" => usage(),
-            other if path.is_none() && !other.starts_with('-') => path = Some(other),
-            _ => usage(),
-        }
-    }
-    let Some(path) = path else { usage() };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = ipactive_obs::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(2);
-    });
-    let field = |v: &ipactive_obs::json::Json, key: &str| -> f64 {
-        v.get(key).and_then(|x| x.as_f64()).unwrap_or_else(|| {
-            eprintln!("error: {path}: missing numeric field {key:?}");
-            std::process::exit(2);
-        })
-    };
-    let total = field(&doc, "total_ms");
-    let serial = field(&doc, "serial_uncached_total_ms");
-    let speedup = serial / total.max(1e-9);
-    let mut failures = 0usize;
-    println!(
-        "end-to-end: {serial:.1} ms serial-uncached -> {total:.1} ms cached = {speedup:.2}x \
-         (gate: >= {min_speedup:.2}x)"
-    );
-    if speedup < min_speedup {
-        println!("FAIL  end-to-end speedup below the gate");
-        failures += 1;
-    }
-    let figures = doc.get("figures").and_then(|f| f.as_array()).unwrap_or_else(|| {
-        eprintln!("error: {path}: missing \"figures\" array");
-        std::process::exit(2);
-    });
-    for f in figures {
-        let name = f.get("name").and_then(|n| n.as_str()).unwrap_or("?");
-        let ms = field(f, "ms");
-        let base = field(f, "serial_uncached_ms");
-        if ms < floor_ms && base < floor_ms {
-            continue;
-        }
-        if ms > max_ratio * base {
-            println!(
-                "FAIL  {name}: cached {ms:.1} ms > {max_ratio:.2}x serial-uncached {base:.1} ms"
-            );
-            failures += 1;
-        }
-    }
-    if failures == 0 {
-        println!(
-            "perf-check: pass ({} figures, per-figure gate {max_ratio:.2}x over {floor_ms:.0} ms)",
-            figures.len()
-        );
-        std::process::exit(0);
-    }
-    println!("perf-check: {failures} regression(s)");
-    std::process::exit(1);
 }
 
 /// `inspect trace <TRACES.json> [TRACE_ID] [--schema FILE]` — render
@@ -428,10 +335,6 @@ fn run_trace(args: &[String]) -> ! {
         eprintln!("error: cannot read {path}: {e}");
         std::process::exit(2);
     });
-    let doc = ipactive_obs::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(2);
-    });
     if let Some(schema_path) = schema_path {
         let schema_text = std::fs::read_to_string(schema_path).unwrap_or_else(|e| {
             eprintln!("error: cannot read {schema_path}: {e}");
@@ -441,61 +344,22 @@ fn run_trace(args: &[String]) -> ! {
             eprintln!("error: {schema_path}: {e}");
             std::process::exit(2);
         });
+        let doc = ipactive_obs::json::parse(&text).unwrap_or_else(|e| {
+            eprintln!("error: {path}: {e}");
+            std::process::exit(2);
+        });
         if let Err(e) = ipactive_obs::json::check_schema(&doc, &schema) {
             eprintln!("error: {path}: schema violation: {e}");
             std::process::exit(1);
         }
         eprintln!("{path}: valid against {schema_path}");
     }
-    // One extractor for both shapes: a trace object is
-    // {"trace_id": hex, "spans": [...]}, and the multi-trace document
-    // wraps a list of them under "traces".
-    let extract = |v: &ipactive_obs::json::Json| -> (u64, Vec<ipactive_obs::SpanRecord>) {
-        let bad = |what: &str| -> ! {
-            eprintln!("error: {path}: {what}");
-            std::process::exit(2);
-        };
-        let trace = v
-            .get("trace_id")
-            .and_then(ipactive_obs::json::Json::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .unwrap_or_else(|| bad("missing or malformed trace_id"));
-        let spans = v
-            .get("spans")
-            .and_then(ipactive_obs::json::Json::as_array)
-            .unwrap_or_else(|| bad("missing spans array"))
-            .iter()
-            .map(|s| {
-                let num = |key: &str| {
-                    s.get(key)
-                        .and_then(ipactive_obs::json::Json::as_f64)
-                        .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-                        .map(|n| n as u64)
-                        .unwrap_or_else(|| bad(&format!("span missing integer `{key}`")))
-                };
-                let text = |key: &str| {
-                    s.get(key)
-                        .and_then(ipactive_obs::json::Json::as_str)
-                        .map(str::to_string)
-                        .unwrap_or_else(|| bad(&format!("span missing string `{key}`")))
-                };
-                ipactive_obs::SpanRecord {
-                    seq: num("seq"),
-                    parent: num("parent"),
-                    name: text("name"),
-                    detail: text("detail"),
-                }
-            })
-            .collect();
-        (trace, spans)
-    };
-    let traces: Vec<(u64, Vec<ipactive_obs::SpanRecord>)> = match doc
-        .get("traces")
-        .and_then(ipactive_obs::json::Json::as_array)
-    {
-        Some(list) => list.iter().map(extract).collect(),
-        None => vec![extract(&doc)],
-    };
+    // Both document shapes (one trace object, or a list of them under
+    // "traces") go through the parser `coord` imports worker files with.
+    let traces = ipactive_obs::trace::parse_traces(&text).unwrap_or_else(|e| {
+        eprintln!("error: {path}: {e}");
+        std::process::exit(2);
+    });
     let mut printed = 0usize;
     for (trace, spans) in &traces {
         if wanted.is_some_and(|id| id != *trace) {
@@ -534,8 +398,8 @@ fn run_trace(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// `inspect slo-check <BENCH_serve.json> [--max-shed-rate F]
-/// [--max-p99-us F] [--max-burns N]` — gate a serve-bench record
+/// `inspect slo-check <SERVE_RECORD.json> [--max-shed-rate F]
+/// [--max-p99-us F] [--max-burns N]` — gate a `repro serve-bench` record
 /// against declared service-level objectives: the client-observed
 /// shed rate (default ceiling 0.5) and p99 latency (default
 /// 1,000,000 us) from the `report` object, plus — when `--max-burns`

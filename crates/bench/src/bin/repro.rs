@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [EXPERIMENT ...] [--seed N] [--scale tiny|small|full] [--out FILE]
-//!       [--workers N] [--collectors M] [--faults K] [--jobs N] [--timings]
+//!       [--workers N] [--collectors M] [--faults K] [--jobs N]
 //! repro list
 //! ```
 //!
@@ -14,13 +14,10 @@
 //! threads (clamped to the machine's cores) sharing the memoized
 //! activity-set cache, heavy figures scheduled first and idle cores
 //! lent to the running figures' chunked kernels; output is identical
-//! to the serial run, just faster. `--timings` additionally times a
-//! serial cache-bypassed baseline first, then re-times the warm suite
-//! at jobs 1, 2, and `N`, and writes the comparison — per-figure
-//! milliseconds and subtask counts, total wall-clock, cache hit
-//! counts, speedup, the jobs sweep — to `BENCH_repro.json` (which
-//! `inspect perf-check` gates in CI). Both apply to the full suite
-//! only.
+//! to the serial run, just faster. It applies to the full suite only.
+//! Per-figure wall time is the `figure.<name>` rows of `--profile`;
+//! the perf record is the benchmark package (`benchmark/`,
+//! EXPERIMENTS.md "Performance record").
 //!
 //! `--workers`/`--collectors` route dataset construction through the
 //! sharded log pipeline instead of the direct builders — the datasets
@@ -99,7 +96,6 @@ fn main() {
     let mut dist_root: Option<String> = None;
     let mut kills: Vec<KillSpec> = Vec::new();
     let mut jobs: usize = 1;
-    let mut timings = false;
     let mut metrics_out: Option<String> = None;
     let mut metrics_deterministic = false;
     let mut profile = false;
@@ -189,7 +185,6 @@ fn main() {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage("--jobs needs a positive integer"));
             }
-            "--timings" => timings = true,
             "--metrics-out" => {
                 metrics_out =
                     Some(args.next().unwrap_or_else(|| usage("--metrics-out needs a path")));
@@ -204,8 +199,8 @@ fn main() {
         }
     }
     let full_suite = wanted.is_empty();
-    if (timings || jobs > 1) && !full_suite {
-        usage("--jobs/--timings regenerate the full suite; drop the experiment list");
+    if jobs > 1 && !full_suite {
+        usage("--jobs regenerates the full suite; drop the experiment list");
     }
     if wanted.is_empty() {
         wanted = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
@@ -334,41 +329,7 @@ fn main() {
         std::process::exit(if failed > 0 { 1 } else { 0 });
     }
 
-    let combined = if timings {
-        repro.prewarm_probes();
-        eprintln!("timing baseline (serial, cache bypassed) ...");
-        let baseline = repro.run_serial_uncached();
-        eprint!("{}", baseline.render_timings());
-        eprintln!("timing cached run ({jobs} jobs) ...");
-        let cached = repro.run_all(jobs);
-        eprint!("{}", cached.render_timings());
-        eprintln!(
-            "speedup vs serial uncached: {:.2}x",
-            baseline.total_ms / cached.total_ms.max(1e-9)
-        );
-        // Warm sweep: the cache is fully populated now, so these
-        // passes time scheduling and the chunked kernels alone. Same
-        // bytes at every point — only the wall-clock varies.
-        let mut sweep_points = vec![1usize, 2, jobs];
-        sweep_points.sort_unstable();
-        sweep_points.dedup();
-        let mut jobs_sweep = Vec::new();
-        for j in sweep_points {
-            let warm = repro.run_all(j);
-            eprintln!("warm sweep: jobs {j} -> {:.1} ms", warm.total_ms);
-            jobs_sweep.push((j, warm.total_ms));
-        }
-        let json = cached.bench_json(&baseline, seed, scale, &jobs_sweep);
-        if let Err(e) = std::fs::write("BENCH_repro.json", &json) {
-            eprintln!("error: failed to write BENCH_repro.json: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("perf record written to BENCH_repro.json");
-        for f in &cached.figures {
-            println!("{}", f.output);
-        }
-        cached.combined_output()
-    } else if jobs > 1 {
+    let combined = if jobs > 1 {
         let report = repro.run_all(jobs);
         for f in &report.figures {
             println!("{}", f.output);
@@ -397,8 +358,8 @@ fn main() {
 }
 
 /// `repro serve-bench` — stand up an in-process observatory server,
-/// drive it with the open-loop load generator, and write the latency
-/// and shed-rate record to `BENCH_serve.json`.
+/// drive it with the open-loop load generator, and print the latency
+/// and shed-rate record (to `--out FILE` when given, else to stdout).
 ///
 /// ```text
 /// repro serve-bench [--days N] [--requests N] [--rate R] [--workers N]
@@ -443,7 +404,7 @@ fn serve_bench(args: &[String]) -> ! {
     let mut seed: u64 = 2016;
     let mut stall_period: u64 = 0;
     let mut stall_us: u64 = 0;
-    let mut out: String = "BENCH_serve.json".to_string();
+    let mut out: Option<String> = None;
     let mut traces_out: Option<String> = None;
     let mut trace_requests: u64 = 16;
     let mut it = args.iter();
@@ -470,7 +431,7 @@ fn serve_bench(args: &[String]) -> ! {
             "--stall-period" => stall_period = num("--stall-period"),
             "--stall-us" => stall_us = num("--stall-us"),
             "--out" => {
-                out = it.next().cloned().unwrap_or_else(|| sb_usage("--out needs a path"));
+                out = Some(it.next().cloned().unwrap_or_else(|| sb_usage("--out needs a path")));
             }
             "--traces-out" => {
                 traces_out =
@@ -565,11 +526,16 @@ fn serve_bench(args: &[String]) -> ! {
         p99_gauge,
         traced_linked,
     );
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("error: failed to write {out}: {e}");
-        std::process::exit(1);
+    match out {
+        Some(path) => {
+            if let Err(e) = std::fs::write(&path, &json) {
+                eprintln!("error: failed to write {path}: {e}");
+                std::process::exit(1);
+            }
+            eprintln!("serve bench record written to {path}");
+        }
+        None => print!("{json}"),
     }
-    eprintln!("serve bench record written to {out}");
     std::process::exit(0);
 }
 
@@ -578,7 +544,7 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!("usage: repro [EXPERIMENT ...] [--seed N] [--scale tiny|small|full] [--out FILE]");
-    eprintln!("             [--workers N] [--collectors M] [--faults K] [--jobs N] [--timings]");
+    eprintln!("             [--workers N] [--collectors M] [--faults K] [--jobs N]");
     eprintln!("             [--distributed N] [--dist-jobs J] [--dist-root DIR] [--kill SHARD:POINT[:stall]]...");
     eprintln!("             [--metrics-out FILE] [--metrics-deterministic] [--profile]");
     eprintln!("       repro list | repro validate [--seed N] [--scale ...]");

@@ -19,8 +19,8 @@ use ipactive_cdnsim::{
     emit_shard_buffers, monthly_counts, stream_pipeline, supervised_collect, Daily, FaultPlan,
     GrowthModel, PipelineReport, RetryPolicy, SupervisedReport, Universe, UniverseConfig, Weekly,
 };
-use ipactive_obs::{Registry, SnapshotMode, SpanSnapshot, TraceContext, TraceId};
-use ipactive_core::par::{self, Parallelism};
+use ipactive_obs::{Registry, TraceContext, TraceId};
+use ipactive_core::par::Parallelism;
 use ipactive_core::{
     blocks, census, change, churn, demographics, events, geo, hosts, matrix, timeline,
     traffic, visibility, DailyDataset, WeeklyDataset,
@@ -410,7 +410,7 @@ impl<S: ActiveSet> Repro<S> {
 
     /// [`Repro::run`] with an explicit helper-thread budget for the
     /// figure's chunked kernels. The chunk partition is a pure
-    /// function of the problem size (see [`par`]), so the output is
+    /// function of the problem size (see [`ipactive_core::par`]), so the output is
     /// byte-identical whatever the budget.
     pub fn run_with(&self, name: &str, par: &Parallelism) -> Option<String> {
         Some(match name {
@@ -1332,10 +1332,9 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Forces the lazy probing campaigns (ICMP, port scan, traceroute)
-    /// to run now. `--timings` calls this before either timed pass so
-    /// the serial-uncached baseline and the cached parallel run pay
-    /// identical probe costs — the measured speedup isolates the
-    /// engine cache and the thread pool.
+    /// to run now, so a timed pass over the figures (the benchmark's
+    /// `figures_cold` ops and suite probes) measures the engine and
+    /// the kernels, not whichever figure first touches a campaign.
     pub fn prewarm_probes(&self) {
         self.icmp_union();
         self.server_set();
@@ -1357,9 +1356,7 @@ impl<S: ActiveSet> Repro<S> {
     /// [`EXPERIMENTS`] order: output is deterministic and
     /// byte-identical to running each figure serially (pinned by
     /// `tests/engine.rs`), and the cache hit/miss totals are a pure
-    /// function of the query set, independent of `jobs`. Per-figure
-    /// wall-clock and subtask counts ride along for
-    /// `BENCH_repro.json`.
+    /// function of the query set, independent of `jobs`.
     pub fn run_all(&self, jobs: usize) -> RunAllReport {
         let jobs = jobs.max(1);
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1398,7 +1395,6 @@ impl<S: ActiveSet> Repro<S> {
                             let fctx = self
                                 .registry
                                 .trace_span(TraceContext::root(ftrace), "figure", name);
-                            let t0 = Instant::now();
                             let output = self
                                 .run_with(name, &pool)
                                 .expect("EXPERIMENTS entries are runnable");
@@ -1407,8 +1403,7 @@ impl<S: ActiveSet> Repro<S> {
                                 "figure.output",
                                 format!("bytes {}", output.len()),
                             );
-                            let millis = t0.elapsed().as_secs_f64() * 1e3;
-                            done.push((i, FigureRun { name, output, millis, subtasks: 1 }));
+                            done.push((i, FigureRun { name, output }));
                         }
                         // This worker's core is free now; lend it to the
                         // kernels of whatever figures are still running.
@@ -1426,77 +1421,20 @@ impl<S: ActiveSet> Repro<S> {
         drop(suite_span);
         let total_ms = started.elapsed().as_secs_f64() * 1e3;
         let after = self.engine.stats();
-        let mut figures: Vec<FigureRun> =
-            slots.into_iter().map(|s| s.expect("every figure ran")).collect();
-        // Subtask attribution happens after the cache delta is
-        // captured: figure_subtasks re-derives loop extents with a few
-        // (cached) engine queries that must not skew the figures'
-        // hit/miss accounting.
-        for f in &mut figures {
-            f.subtasks = self.figure_subtasks(f.name);
-            self.registry.gauge(format!("figure.{}.subtasks", f.name)).set(f.subtasks as i64);
-        }
         RunAllReport {
-            jobs,
-            figures,
+            figures: slots.into_iter().map(|s| s.expect("every figure ran")).collect(),
             total_ms,
             cache: CacheStats {
                 hits: after.hits - before.hits,
                 misses: after.misses - before.misses,
             },
-            spans: self.registry.snapshot(SnapshotMode::Timed).spans,
-        }
-    }
-
-    /// How many chunk-range subtasks `name`'s kernels partition their
-    /// dominant loops into — re-derived from the pure
-    /// [`par::chunk_count`] partition (summed across a figure's
-    /// kernel invocations), so it is the same number whatever thread
-    /// budget actually ran the chunks. Figures without a chunked
-    /// kernel report 1.
-    fn figure_subtasks(&self, name: &str) -> usize {
-        let days = self.daily.num_days;
-        let weeks = self.weekly.num_weeks;
-        let event_windows = |min_chunk: usize| -> usize {
-            [1usize, 7, 28]
-                .iter()
-                .filter(|&&w| days / w >= 2)
-                .map(|&w| par::chunk_count(days / w - 1, min_chunk))
-                .sum()
-        };
-        match name {
-            "fig4a" => par::chunk_count(days.saturating_sub(1), 8),
-            "fig4b" => {
-                let daily: usize = [1usize, 2, 3, 4, 7, 14, 21, 28]
-                    .iter()
-                    .filter(|&&w| days / w >= 2)
-                    .map(|&w| par::chunk_count(days / w - 1, 4))
-                    .sum();
-                let weekly: usize = [4usize, 8, 13]
-                    .iter()
-                    .filter(|&&w| weeks / w >= 2)
-                    .map(|&w| par::chunk_count(weeks / w - 1, 4))
-                    .sum();
-                daily + weekly
-            }
-            "fig5a" => {
-                let blocks = self.engine.all_active().blocks24().len();
-                [1usize, 7, 28]
-                    .iter()
-                    .filter(|&&w| days / w >= 2)
-                    .map(|_| par::chunk_count(blocks, 64))
-                    .sum()
-            }
-            "fig5b" | "fig5c" => event_windows(2),
-            "fig8b" => par::chunk_count(self.daily.blocks.len(), 64),
-            "fig9c" => par::chunk_count(weeks, 4),
-            _ => 1,
         }
     }
 
     /// Runs every experiment serially with the engine cache bypassed —
-    /// the pre-engine behaviour, and the baseline `BENCH_repro.json`
-    /// reports speedup against.
+    /// the pre-engine behaviour, kept as the differential oracle for the
+    /// cache (`tests/engine.rs`) and as the baseline the ledger's
+    /// `bench.suite_uncached_ms` row times.
     pub fn run_serial_uncached(&self) -> RunAllReport {
         self.engine.set_bypass(true);
         let started = Instant::now();
@@ -1505,22 +1443,14 @@ impl<S: ActiveSet> Repro<S> {
             EXPERIMENTS
                 .iter()
                 .map(|&name| {
-                    let t0 = Instant::now();
                     let output = self.run(name).expect("EXPERIMENTS entries are runnable");
-                    let millis = t0.elapsed().as_secs_f64() * 1e3;
-                    FigureRun { name, output, millis, subtasks: 1 }
+                    FigureRun { name, output }
                 })
                 .collect()
         };
         let total_ms = started.elapsed().as_secs_f64() * 1e3;
         self.engine.set_bypass(false);
-        RunAllReport {
-            jobs: 1,
-            figures,
-            total_ms,
-            cache: CacheStats::default(),
-            spans: self.registry.snapshot(SnapshotMode::Timed).spans,
-        }
+        RunAllReport { figures, total_ms, cache: CacheStats::default() }
     }
 
     fn month_days(&self) -> usize {
@@ -1540,36 +1470,27 @@ impl<S: ActiveSet> Repro<S> {
     }
 }
 
-/// One figure's output and wall-clock inside a [`RunAllReport`].
+/// One figure's output inside a [`RunAllReport`]. (Its wall-clock is
+/// the `figure.<name>` span of the session registry.)
 #[derive(Debug, Clone)]
 pub struct FigureRun {
     /// The experiment identifier (an [`EXPERIMENTS`] entry).
     pub name: &'static str,
     /// The report text, exactly as [`Repro::run`] returned it.
     pub output: String,
-    /// Wall-clock spent generating it, in milliseconds.
-    pub millis: f64,
-    /// Chunk-range subtasks the figure's kernels partitioned into (1
-    /// for figures with no chunked kernel, and for the serial-uncached
-    /// baseline, which reports the pre-engine execution shape).
-    pub subtasks: usize,
 }
 
 /// Result of [`Repro::run_all`] / [`Repro::run_serial_uncached`]:
-/// every experiment in paper order, with timings and cache counters.
+/// every experiment in paper order, with the suite's wall-clock and
+/// cache counters.
 #[derive(Debug, Clone)]
 pub struct RunAllReport {
-    /// Worker threads the suite ran across (1 for the serial baseline).
-    pub jobs: usize,
-    /// Per-figure outputs and timings, in [`EXPERIMENTS`] order.
+    /// Per-figure outputs, in [`EXPERIMENTS`] order.
     pub figures: Vec<FigureRun>,
     /// Total wall-clock for the whole suite, in milliseconds.
     pub total_ms: f64,
     /// Engine cache hits/misses accumulated during this run.
     pub cache: CacheStats,
-    /// Timed span profile of the session registry at capture time —
-    /// per-stage wall clock embedded into `BENCH_repro.json`.
-    pub spans: Vec<SpanSnapshot>,
 }
 
 impl RunAllReport {
@@ -1577,92 +1498,6 @@ impl RunAllReport {
     /// to running and concatenating each figure serially.
     pub fn combined_output(&self) -> String {
         self.figures.iter().map(|f| f.output.as_str()).collect()
-    }
-
-    /// Per-figure timing table for stderr.
-    pub fn render_timings(&self) -> String {
-        let mut out = String::new();
-        for f in &self.figures {
-            let _ = writeln!(
-                out,
-                "  {:<8} {:>9.2} ms  ({} subtask{})",
-                f.name,
-                f.millis,
-                f.subtasks,
-                if f.subtasks == 1 { "" } else { "s" },
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  total {:.1} ms across {} jobs | cache: {} hits, {} misses ({:.0}% hit rate)",
-            self.total_ms,
-            self.jobs,
-            self.cache.hits,
-            self.cache.misses,
-            100.0 * self.cache.hit_rate(),
-        );
-        out
-    }
-
-    /// Renders `BENCH_repro.json`: this (cached, possibly parallel) run
-    /// against the serial uncached `baseline`, per-figure and in total.
-    /// `jobs_sweep` rows are warm `(jobs, total_ms)` reruns recorded by
-    /// `repro --timings` — same output bytes at every point, so only
-    /// the wall-clock varies. Hand-rolled JSON — every value is a
-    /// number or a fixed identifier, so no escaping is needed.
-    pub fn bench_json(
-        &self,
-        baseline: &RunAllReport,
-        seed: u64,
-        scale: Scale,
-        jobs_sweep: &[(usize, f64)],
-    ) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"bench\": \"repro_run_all\",");
-        let _ = writeln!(out, "  \"seed\": {seed},");
-        let _ = writeln!(out, "  \"scale\": \"{}\",", scale.name());
-        let _ = writeln!(out, "  \"jobs\": {},", self.jobs);
-        let _ = writeln!(out, "  \"total_ms\": {:.3},", self.total_ms);
-        let _ = writeln!(out, "  \"serial_uncached_total_ms\": {:.3},", baseline.total_ms);
-        let _ = writeln!(out, "  \"speedup\": {:.3},", baseline.total_ms / self.total_ms.max(1e-9));
-        let _ = writeln!(out, "  \"cache_hits\": {},", self.cache.hits);
-        let _ = writeln!(out, "  \"cache_misses\": {},", self.cache.misses);
-        let _ = writeln!(out, "  \"figures\": [");
-        let n = self.figures.len();
-        for (i, (f, b)) in self.figures.iter().zip(&baseline.figures).enumerate() {
-            let comma = if i + 1 < n { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": \"{}\", \"ms\": {:.3}, \"serial_uncached_ms\": {:.3}, \"subtasks\": {}}}{comma}",
-                f.name, f.millis, b.millis, f.subtasks,
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"jobs_sweep\": [");
-        let n = jobs_sweep.len();
-        for (i, (jobs, ms)) in jobs_sweep.iter().enumerate() {
-            let comma = if i + 1 < n { "," } else { "" };
-            let _ = writeln!(out, "    {{\"jobs\": {jobs}, \"total_ms\": {ms:.3}}}{comma}");
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"spans\": [");
-        let n = self.spans.len();
-        for (i, s) in self.spans.iter().enumerate() {
-            let comma = if i + 1 < n { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"path\": \"{}\", \"count\": {}, \"total_ms\": {:.3}, \"min_ms\": {:.3}, \"max_ms\": {:.3}}}{comma}",
-                s.path,
-                s.count,
-                s.total_ns as f64 / 1e6,
-                s.min_ns as f64 / 1e6,
-                s.max_ns as f64 / 1e6,
-            );
-        }
-        let _ = writeln!(out, "  ]");
-        let _ = writeln!(out, "}}");
-        out
     }
 }
 

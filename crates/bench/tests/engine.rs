@@ -118,35 +118,7 @@ fn tiered_and_reference_backends_are_byte_identical() {
 }
 
 #[test]
-fn bench_json_reports_both_runs() {
-    let repro = Repro::new(0xCAFE, Scale::Tiny);
-    repro.prewarm_probes();
-    let baseline = repro.run_serial_uncached();
-    let cached = repro.run_all(2);
-    let json = cached.bench_json(&baseline, 0xCAFE, Scale::Tiny, &[(1, 12.5), (8, 4.25)]);
-    for needle in [
-        "\"bench\": \"repro_run_all\"",
-        "\"scale\": \"tiny\"",
-        "\"jobs\": 2",
-        "\"serial_uncached_total_ms\"",
-        "\"speedup\"",
-        "\"cache_hits\"",
-        "\"name\": \"fig1\"",
-        "\"name\": \"fig12\"",
-        "\"subtasks\":",
-        "\"jobs_sweep\": [",
-        "{\"jobs\": 1, \"total_ms\": 12.500}",
-        "{\"jobs\": 8, \"total_ms\": 4.250}",
-    ] {
-        assert!(json.contains(needle), "missing {needle} in:\n{json}");
-    }
-    // Every chunked kernel's partition is recorded; at least the
-    // block-scan figures split on the tiny universe too.
-    assert!(cached.figures.iter().any(|f| f.subtasks > 1), "no figure reported subtasks");
-}
-
-#[test]
-fn jobs_sweep_is_deterministic_across_thread_counts_and_reruns() {
+fn run_all_is_deterministic_across_thread_counts_and_reruns() {
     // One fresh session per point, so every run starts cache-cold:
     // figure bytes AND cache hit/miss totals must be a pure function
     // of the query set — independent of the thread count, and stable

@@ -87,18 +87,6 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Fraction of queries answered from the cache (0.0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A per-query wall-clock compute budget.
 ///
 /// Checked at slot-composition boundaries by the `*_within` queries;
@@ -645,7 +633,8 @@ impl<S: ActiveSet> AnalysisCtx<S> {
 
     /// When bypassing, every query computes a fresh set and neither
     /// reads nor populates the cache — the uncached baseline the
-    /// `--timings` speedup is measured against. Toggles are journaled
+    /// differential suite compares against and the benchmark ledger's
+    /// `bench.suite_uncached_ms` row times. Toggles are journaled
     /// as [`EventKind::CacheBypass`] events.
     pub fn set_bypass(&self, on: bool) {
         let was = self.meter.bypass.swap(on, Ordering::SeqCst);

@@ -171,7 +171,8 @@ pub trait ActiveSet:
     }
 
     /// Approximate resident heap + inline size of this set, in bytes.
-    /// `BENCH_setops.json` compares backends with this.
+    /// The benchmark ledger's `net.*.memory_mb` rows sum this over the
+    /// day sets of each backend.
     fn memory_bytes(&self) -> usize;
 
     /// The distinct `/24` blocks touched by this set, ascending.

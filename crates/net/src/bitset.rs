@@ -174,25 +174,6 @@ impl AddrBits256 {
         self.0[(i >> 6) as usize] &= !(1u64 << (i & 63));
     }
 
-    /// Marks every host index in `lo..=hi` present, via word masks
-    /// instead of a per-bit loop (a fully-lit block is 4 word ORs).
-    pub fn set_range(&mut self, lo: u8, hi: u8) {
-        debug_assert!(lo <= hi);
-        for w in 0..4usize {
-            let base = (w as u16) << 6;
-            let wlo = (lo as u16).clamp(base, base + 64) - base;
-            let whi = (hi as u16 + 1).clamp(base, base + 64) - base;
-            if wlo < whi {
-                let mask = if whi - wlo == 64 {
-                    u64::MAX
-                } else {
-                    ((1u64 << (whi - wlo)) - 1) << wlo
-                };
-                self.0[w] |= mask;
-            }
-        }
-    }
-
     /// Whether host index `i` is present.
     #[inline]
     pub fn get(&self, i: u8) -> bool {
@@ -355,22 +336,6 @@ mod tests {
         b.clear(64);
         assert_eq!(b.count(), 4);
         assert_eq!(AddrBits256::full().count(), 256);
-    }
-
-    #[test]
-    fn addrbits_set_range_matches_per_bit_loop() {
-        for (lo, hi) in [(0u8, 255u8), (0, 0), (255, 255), (5, 70), (63, 64), (64, 127), (1, 200)] {
-            let mut fast = AddrBits256::new();
-            fast.set_range(lo, hi);
-            let mut slow = AddrBits256::new();
-            for i in lo..=hi {
-                slow.set(i);
-            }
-            assert_eq!(fast, slow, "range {lo}..={hi}");
-        }
-        let mut b = AddrBits256::from_words([1, 0, 0, 0]);
-        b.set_range(100, 101);
-        assert_eq!(b.count(), 3);
     }
 
     #[test]

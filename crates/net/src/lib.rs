@@ -42,7 +42,7 @@ pub use block::Block24;
 pub use covering::{covering_mask, EventSizeHistogram};
 pub use prefix::{ParsePrefixError, Prefix};
 pub use set::{AddrSet, RefSetBuilder};
-pub use tiered::{PrefixDensity, ReprCensus, TieredSet, TieredSetBuilder, RUNS_MAX, SPARSE_MAX};
+pub use tiered::{PrefixDensity, ReprCensus, TieredSet, TieredSetBuilder, SPARSE_MAX};
 pub use trie::PrefixTrie;
 
 /// The sorted-`Vec` reference backend — the differential oracle every

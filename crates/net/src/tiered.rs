@@ -2,14 +2,11 @@
 //! density index.
 //!
 //! [`TieredSet`] chunks the IPv4 space by `/24`: each non-empty block
-//! becomes one chunk keyed by its top 24 bits, stored in whichever of
-//! three representations is smallest for its contents:
+//! becomes one chunk keyed by its top 24 bits, stored in one of two
+//! representations:
 //!
 //! * **Sparse** — an explicit sorted array of host octets, for up to
 //!   [`SPARSE_MAX`] members (≤ 16 bytes);
-//! * **Runs** — a list of inclusive `(start, end)` host runs, for up
-//!   to [`RUNS_MAX`] maximal runs (≤ 16 bytes) — the shape DHCP pools
-//!   and fully-lit blocks produce;
 //! * **Dense** — the full 256-bit bitmap (32 bytes), for everything
 //!   else.
 //!
@@ -39,16 +36,11 @@ use crate::{Addr, AddrBits256, Block24, Prefix};
 /// Largest chunk population stored as an explicit sparse array.
 pub const SPARSE_MAX: usize = 16;
 
-/// Largest number of maximal runs stored as a run list.
-pub const RUNS_MAX: usize = 8;
-
 /// One `/24` chunk's physical representation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Repr {
     /// Sorted host octets, `1..=SPARSE_MAX` of them.
     Sparse(Vec<u8>),
-    /// Inclusive `(start, end)` maximal runs, ascending, non-adjacent.
-    Runs(Vec<(u8, u8)>),
     /// Full 256-bit bitmap.
     Dense(Box<AddrBits256>),
 }
@@ -62,44 +54,12 @@ struct Chunk {
     repr: Repr,
 }
 
-/// Number of maximal runs of consecutive set bits in `bits`.
-///
-/// A run starts at every set bit whose predecessor is clear; counting
-/// starts word-wise costs four popcounts instead of a 256-step scan.
-fn run_count(bits: &AddrBits256) -> u32 {
-    let mut starts = 0u32;
-    let mut carry = 0u64; // MSB of the previous word
-    for w in bits.words() {
-        starts += (w & !((w << 1) | carry)).count_ones();
-        carry = w >> 63;
-    }
-    starts
-}
-
-/// Materializes the maximal runs of `bits` as inclusive pairs.
-fn runs_of(bits: &AddrBits256) -> Vec<(u8, u8)> {
-    let mut out = Vec::new();
-    let mut cur: Option<(u8, u8)> = None;
-    for h in bits.iter() {
-        match cur {
-            Some((s, e)) if e as u16 + 1 == h as u16 => cur = Some((s, h)),
-            Some(done) => {
-                out.push(done);
-                cur = Some((h, h));
-            }
-            None => cur = Some((h, h)),
-        }
-    }
-    out.extend(cur);
-    out
-}
-
 /// The canonical representation for a chunk with the given contents,
 /// or `None` if the chunk is empty (empty chunks are never stored).
 ///
-/// Canonical choice: sparse while the population fits, then runs while
-/// the run list fits, else dense. Being a pure function of content is
-/// what makes equal sets structurally equal.
+/// Canonical choice: sparse while the population fits, else dense.
+/// Being a pure function of content is what makes equal sets
+/// structurally equal.
 fn canonical_repr(bits: &AddrBits256) -> Option<(Repr, u16)> {
     let n = bits.count();
     if n == 0 {
@@ -107,8 +67,6 @@ fn canonical_repr(bits: &AddrBits256) -> Option<(Repr, u16)> {
     }
     let repr = if n as usize <= SPARSE_MAX {
         Repr::Sparse(bits.iter().collect())
-    } else if run_count(bits) as usize <= RUNS_MAX {
-        Repr::Runs(runs_of(bits))
     } else {
         Repr::Dense(Box::new(*bits))
     };
@@ -119,13 +77,6 @@ impl Repr {
     fn to_bits(&self) -> AddrBits256 {
         match self {
             Repr::Sparse(hosts) => hosts.iter().copied().collect(),
-            Repr::Runs(runs) => {
-                let mut bits = AddrBits256::new();
-                for &(s, e) in runs {
-                    bits.set_range(s, e);
-                }
-                bits
-            }
             Repr::Dense(bits) => **bits,
         }
     }
@@ -133,7 +84,6 @@ impl Repr {
     fn contains(&self, h: u8) -> bool {
         match self {
             Repr::Sparse(hosts) => hosts.binary_search(&h).is_ok(),
-            Repr::Runs(runs) => runs.iter().any(|&(s, e)| s <= h && h <= e),
             Repr::Dense(bits) => bits.get(h),
         }
     }
@@ -146,14 +96,6 @@ impl Repr {
                 let b = hosts.partition_point(|&h| h <= hi);
                 b - a
             }
-            Repr::Runs(runs) => runs
-                .iter()
-                .map(|&(s, e)| {
-                    let s = s.max(lo);
-                    let e = e.min(hi);
-                    if s <= e { (e - s) as usize + 1 } else { 0 }
-                })
-                .sum(),
             Repr::Dense(bits) => {
                 (0..4usize)
                     .map(|w| {
@@ -185,16 +127,6 @@ impl Repr {
                 let i = hosts.partition_point(|&x| x <= h);
                 i.checked_sub(1).map(|i| hosts[i])
             }
-            Repr::Runs(runs) => {
-                let mut best = None;
-                for &(s, e) in runs {
-                    if s > h {
-                        break;
-                    }
-                    best = Some(e.min(h));
-                }
-                best
-            }
             Repr::Dense(bits) => {
                 let words = bits.words();
                 let mut wi = (h >> 6) as usize;
@@ -219,14 +151,6 @@ impl Repr {
                 let i = hosts.partition_point(|&x| x < h);
                 hosts.get(i).copied()
             }
-            Repr::Runs(runs) => {
-                for &(s, e) in runs {
-                    if e >= h {
-                        return Some(s.max(h));
-                    }
-                }
-                None
-            }
             Repr::Dense(bits) => {
                 let words = bits.words();
                 let mut wi = (h >> 6) as usize;
@@ -249,7 +173,6 @@ impl Repr {
     fn first(&self) -> u8 {
         match self {
             Repr::Sparse(hosts) => hosts[0],
-            Repr::Runs(runs) => runs[0].0,
             Repr::Dense(bits) => bits.iter().next().expect("dense chunk is non-empty"),
         }
     }
@@ -258,7 +181,6 @@ impl Repr {
     fn last(&self) -> u8 {
         match self {
             Repr::Sparse(hosts) => *hosts.last().expect("sparse chunk is non-empty"),
-            Repr::Runs(runs) => runs.last().expect("runs chunk is non-empty").1,
             Repr::Dense(_) => self.pred(255).expect("dense chunk is non-empty"),
         }
     }
@@ -267,7 +189,6 @@ impl Repr {
     fn heap_bytes(&self) -> usize {
         match self {
             Repr::Sparse(hosts) => hosts.capacity(),
-            Repr::Runs(runs) => runs.capacity() * 2,
             Repr::Dense(_) => core::mem::size_of::<AddrBits256>(),
         }
     }
@@ -279,8 +200,6 @@ impl Repr {
 pub struct ReprCensus {
     /// Chunks stored as explicit sparse arrays.
     pub sparse: usize,
-    /// Chunks stored as run lists.
-    pub runs: usize,
     /// Chunks stored as dense bitmaps.
     pub dense: usize,
 }
@@ -288,7 +207,7 @@ pub struct ReprCensus {
 impl ReprCensus {
     /// Total chunks.
     pub fn total(&self) -> usize {
-        self.sparse + self.runs + self.dense
+        self.sparse + self.dense
     }
 }
 
@@ -296,8 +215,8 @@ impl ReprCensus {
 ///
 /// Same observable contract as [`crate::AddrSet`] (the analysis layers
 /// use either through [`ActiveSet`]), but resident memory scales with
-/// *structure* rather than population: a fully-lit /24 costs ~40 bytes
-/// instead of 1 KiB of sorted `u32`s.
+/// *structure* rather than population: a fully-lit /24 costs 64 bytes
+/// (directory entry plus bitmap) instead of 1 KiB of sorted `u32`s.
 ///
 /// ```
 /// use ipactive_net::{ActiveSet, Addr, TieredSet};
@@ -319,11 +238,10 @@ impl core::fmt::Debug for TieredSet {
         let c = self.repr_census();
         write!(
             f,
-            "TieredSet[{} addrs in {} chunks: {} sparse, {} runs, {} dense]",
+            "TieredSet[{} addrs in {} chunks: {} sparse, {} dense]",
             self.len,
             c.total(),
             c.sparse,
-            c.runs,
             c.dense
         )
     }
@@ -398,7 +316,6 @@ impl TieredSet {
         for chunk in &self.chunks {
             match chunk.repr {
                 Repr::Sparse(_) => c.sparse += 1,
-                Repr::Runs(_) => c.runs += 1,
                 Repr::Dense(_) => c.dense += 1,
             }
         }
@@ -569,7 +486,6 @@ pub struct TieredIter<'a> {
 
 enum HostIter<'a> {
     Sparse(core::slice::Iter<'a, u8>),
-    Runs { runs: core::slice::Iter<'a, (u8, u8)>, pos: u16, end: u16 },
     Dense { words: [u64; 4], w: usize },
 }
 
@@ -577,8 +493,6 @@ impl HostIter<'_> {
     fn of(repr: &Repr) -> HostIter<'_> {
         match repr {
             Repr::Sparse(hosts) => HostIter::Sparse(hosts.iter()),
-            // pos > end marks "fetch the next run".
-            Repr::Runs(runs) => HostIter::Runs { runs: runs.iter(), pos: 1, end: 0 },
             Repr::Dense(bits) => HostIter::Dense { words: *bits.words(), w: 0 },
         }
     }
@@ -586,16 +500,6 @@ impl HostIter<'_> {
     fn next(&mut self) -> Option<u8> {
         match self {
             HostIter::Sparse(it) => it.next().copied(),
-            HostIter::Runs { runs, pos, end } => {
-                if *pos > *end {
-                    let &(s, e) = runs.next()?;
-                    *pos = s as u16;
-                    *end = e as u16;
-                }
-                let h = *pos as u8;
-                *pos += 1;
-                Some(h)
-            }
             HostIter::Dense { words, w } => loop {
                 if *w == 4 {
                     return None;
@@ -659,14 +563,15 @@ impl ActiveSet for TieredSet {
 
     fn count_in(&self, prefix: Prefix) -> usize {
         let (net, last) = (prefix.network().bits(), prefix.last().bits());
-        if prefix.len() >= 24 {
-            // At most one chunk; count the host sub-range inside it.
+        if prefix.len() > 24 {
+            // Part of one chunk; count the host sub-range inside it.
             match self.chunk_index(net >> 8) {
                 Ok(i) => self.chunks[i].repr.count_range(net as u8, last as u8),
                 Err(_) => 0,
             }
         } else {
-            // /0../23 prefixes cover whole chunks: sum cached counts.
+            // /0../24 prefixes cover whole chunks: sum cached counts
+            // (a /24 is one chunk, whatever its representation).
             let lo = self.chunks.partition_point(|c| c.key < net >> 8);
             let hi = self.chunks.partition_point(|c| c.key <= last >> 8);
             self.chunks[lo..hi].iter().map(|c| c.count as usize).sum()
@@ -675,7 +580,7 @@ impl ActiveSet for TieredSet {
 
     fn any_in(&self, prefix: Prefix) -> bool {
         let (net, last) = (prefix.network().bits(), prefix.last().bits());
-        if prefix.len() >= 24 {
+        if prefix.len() > 24 {
             match self.chunk_index(net >> 8) {
                 Ok(i) => self.chunks[i].repr.count_range(net as u8, last as u8) > 0,
                 Err(_) => false,
@@ -1103,33 +1008,45 @@ mod tests {
 
     #[test]
     fn representation_thresholds() {
-        // 16 scattered hosts: sparse.
-        let sparse: TieredSet = (0..16u32).map(|i| Addr::new(0x0A000000 + 2 * i)).collect();
-        assert_eq!(sparse.repr_census(), ReprCensus { sparse: 1, runs: 0, dense: 0 });
-        // 17 hosts in one run: runs.
-        let runs: TieredSet = (0..17u32).map(|i| Addr::new(0x0A000000 + i)).collect();
-        assert_eq!(runs.repr_census(), ReprCensus { sparse: 0, runs: 1, dense: 0 });
-        // 9 runs of 3 (27 > SPARSE_MAX, 9 > RUNS_MAX): dense.
-        let dense: TieredSet = (0..9u32)
-            .flat_map(|r| (0..3u32).map(move |i| Addr::new(0x0A000000 + 8 * r + i)))
-            .collect();
-        assert_eq!(dense.repr_census(), ReprCensus { sparse: 0, runs: 0, dense: 1 });
-        for s in [&sparse, &runs, &dense] {
-            assert!(s.is_canonical());
+        // The rule is population alone: 16 hosts are sparse and 17 are
+        // dense, whether scattered or one contiguous run.
+        for stride in [1u32, 2] {
+            let hosts = |n: u32| (0..n).map(move |i| Addr::new(0x0A000000 + stride * i));
+            let sparse: TieredSet = hosts(SPARSE_MAX as u32).collect();
+            assert_eq!(sparse.repr_census(), ReprCensus { sparse: 1, dense: 0 });
+            let dense: TieredSet = hosts(SPARSE_MAX as u32 + 1).collect();
+            assert_eq!(dense.repr_census(), ReprCensus { sparse: 0, dense: 1 });
+            assert!(sparse.is_canonical() && dense.is_canonical());
         }
     }
 
     #[test]
-    fn insert_crosses_thresholds_and_stays_canonical() {
+    fn threshold_crossings_stay_canonical_in_both_directions() {
+        let host = |i: u32| Addr::new(0x0A000000 + i);
         let mut s = TieredSet::new();
         for i in 0..=255u32 {
-            assert!(s.insert(Addr::new(0x0A000000 + i)));
-            assert!(!s.insert(Addr::new(0x0A000000 + i)));
+            assert!(s.insert(host(i)));
+            assert!(!s.insert(host(i)));
             assert!(s.is_canonical(), "not canonical after {} inserts", i + 1);
+            let dense = usize::from(i as usize >= SPARSE_MAX);
+            assert_eq!(s.repr_census(), ReprCensus { sparse: 1 - dense, dense });
         }
         assert_eq!(s.len(), 256);
-        // A full block is a single run.
-        assert_eq!(s.repr_census(), ReprCensus { sparse: 0, runs: 1, dense: 0 });
+        // A fully lit /24 is one chunk holding the 32-byte bitmap.
+        assert_eq!(s.chunks[0].repr.heap_bytes(), 32);
+        // Difference walks the population back down across the threshold.
+        for keep in (0..=255u32).rev() {
+            let drop: TieredSet = (keep..256).map(host).collect();
+            let rest = s.difference(&drop);
+            assert!(rest.is_canonical(), "not canonical with {keep} hosts left");
+            assert_eq!(rest.len(), keep as usize);
+            let expect = match keep as usize {
+                0 => ReprCensus::default(),
+                n if n <= SPARSE_MAX => ReprCensus { sparse: 1, dense: 0 },
+                _ => ReprCensus { sparse: 0, dense: 1 },
+            };
+            assert_eq!(rest.repr_census(), expect);
+        }
     }
 
     #[test]
@@ -1221,9 +1138,9 @@ mod tests {
         // Empty exclusion grows all the way to /0 on both paths.
         assert_eq!(ActiveSet::covering_mask(&TieredSet::new(), a("1.2.3.4")), 0);
 
-        // Exhaustive sweep across all three chunk representations:
-        // a dense chunk, a runs chunk, a sparse chunk, and the gaps
-        // between them, probing every address in the span plus
+        // Exhaustive sweep across both chunk representations: a
+        // scattered dense chunk, a one-run dense chunk, a sparse chunk,
+        // and the gaps between them, probing every address in the span plus
         // far-away strays on both sides.
         let mut members: Vec<Addr> = Vec::new();
         members.extend((0u32..200).map(|i| Addr::new(0x0A000500 + (i * 5) % 256))); // dense
@@ -1252,7 +1169,7 @@ mod tests {
     #[test]
     fn block_count_overrides_match_default_grouping() {
         use crate::RefSet;
-        // Mixed representations on both sides: dense, runs, sparse
+        // Mixed representations on both sides: dense and sparse
         // chunks, plus chunks present in only one operand.
         let left: Vec<Addr> = (0u32..200)
             .map(|i| Addr::new(0x0A000500 + (i * 5) % 256))
@@ -1327,9 +1244,19 @@ mod tests {
 
     #[test]
     fn memory_stays_structural_for_dense_blocks() {
-        // Two fully-lit /24s: 512 addresses, but only two run chunks.
-        let s: TieredSet = (0..512u32).map(|i| Addr::new(0x0A000000 + i)).collect();
-        assert!(s.memory_bytes() < 512 * 4, "tiered set larger than the Vec it replaces");
+        use crate::RefSet;
+        // 2 048 fully lit /24s: half a million addresses, one bitmap
+        // chunk each, against four bytes an address in the sorted Vec.
+        let addrs = || (0..2048u32 * 256).map(|i| Addr::new(0x0A000000 + i));
+        let tiered: TieredSet = addrs().collect();
+        let reference: RefSet = addrs().collect();
+        assert_eq!(tiered.repr_census(), ReprCensus { sparse: 0, dense: 2048 });
+        assert!(
+            tiered.memory_bytes() * 10 < reference.memory_bytes(),
+            "tiered {} bytes vs reference {}",
+            tiered.memory_bytes(),
+            reference.memory_bytes()
+        );
     }
 
     #[test]

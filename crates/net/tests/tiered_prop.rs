@@ -12,9 +12,7 @@
 //! (the `setops-differential` job); the in-file default keeps debug
 //! `cargo test` fast.
 
-use ipactive_net::{
-    ActiveSet, Addr, Prefix, PrefixDensity, RefSet, TieredSet, RUNS_MAX, SPARSE_MAX,
-};
+use ipactive_net::{ActiveSet, Addr, Prefix, PrefixDensity, RefSet, TieredSet, SPARSE_MAX};
 use proptest::prelude::*;
 
 /// Block bases the clustered generator draws from: several /24s that
@@ -142,15 +140,8 @@ fn assert_equiv(tiered: &TieredSet, oracle: &RefSet) {
 /// set with the given sorted host octets — recomputed independently of
 /// the implementation.
 fn expected_repr(hosts: &[u8]) -> &'static str {
-    let runs = hosts
-        .windows(2)
-        .filter(|w| w[1] as u16 != w[0] as u16 + 1)
-        .count()
-        + usize::from(!hosts.is_empty());
     if hosts.len() <= SPARSE_MAX {
         "sparse"
-    } else if runs <= RUNS_MAX {
-        "runs"
     } else {
         "dense"
     }
@@ -161,8 +152,6 @@ fn census_label(t: &TieredSet) -> &'static str {
     assert_eq!(c.total(), 1, "expected a single chunk, got {c:?}");
     if c.sparse == 1 {
         "sparse"
-    } else if c.runs == 1 {
-        "runs"
     } else {
         "dense"
     }
@@ -215,7 +204,7 @@ proptest! {
         let block = 0x0A000000u32;
         let mut model: Vec<u8> = Vec::new();
         let mut tiered = TieredSet::new();
-        // Upward: insert one host at a time, crossing sparse→runs/dense.
+        // Upward: insert one host at a time, crossing sparse→dense.
         for &h in &hosts {
             tiered.insert(Addr::new(block | h as u32));
             if let Err(i) = model.binary_search(&h) {

@@ -256,44 +256,66 @@ fn render_trace(out: &mut String, trace: u64, spans: &[SpanRecord], indent: &str
     }
 }
 
-/// Parses a single-trace document produced by
-/// [`TraceStore::trace_json`] (or a worker's exported trace file)
-/// back into `(trace_id, spans)`.
-pub fn parse_trace_doc(doc: &str) -> Result<(u64, Vec<SpanRecord>), String> {
+/// Parses a trace document in either shape the system writes — one
+/// trace object (`{"trace_id": hex, "spans": [...]}`, what
+/// [`TraceStore::trace_json`] renders and a worker exports) or the
+/// `{"traces": [...]}` wrapper of [`TraceStore::traces_json`] — into
+/// its `(trace_id, spans)` pairs, in document order.
+///
+/// Every malformed input is an `Err`; nothing panics. Integers travel
+/// as JSON numbers, so sequence numbers are exact up to 2^53.
+pub fn parse_traces(doc: &str) -> Result<Vec<(u64, Vec<SpanRecord>)>, String> {
+    use crate::json::Json;
     let value = crate::json::parse(doc).map_err(|e| e.to_string())?;
-    let trace = value
-        .get("trace_id")
-        .and_then(crate::json::Json::as_str)
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or("missing or malformed trace_id")?;
-    let spans = value
-        .get("spans")
-        .and_then(crate::json::Json::as_array)
-        .ok_or("missing spans array")?
-        .iter()
-        .map(|s| {
-            let num = |key: &str| {
-                s.get(key)
-                    .and_then(crate::json::Json::as_f64)
-                    .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-                    .map(|n| n as u64)
-                    .ok_or_else(|| format!("span missing integer `{key}`"))
-            };
-            let text = |key: &str| {
-                s.get(key)
-                    .and_then(crate::json::Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("span missing string `{key}`"))
-            };
-            Ok(SpanRecord {
-                seq: num("seq")?,
-                parent: num("parent")?,
-                name: text("name")?,
-                detail: text("detail")?,
+    let one = |v: &Json| -> Result<(u64, Vec<SpanRecord>), String> {
+        let trace = v
+            .get("trace_id")
+            .and_then(Json::as_str)
+            .and_then(|s| u64::from_str_radix(s, 16).ok())
+            .ok_or("missing or malformed trace_id")?;
+        let spans = v
+            .get("spans")
+            .and_then(Json::as_array)
+            .ok_or("missing spans array")?
+            .iter()
+            .map(|s| {
+                let num = |key: &str| {
+                    s.get(key)
+                        .and_then(Json::as_f64)
+                        .filter(|n| n.fract() == 0.0 && *n >= 0.0)
+                        .map(|n| n as u64)
+                        .ok_or_else(|| format!("span missing integer `{key}`"))
+                };
+                let text = |key: &str| {
+                    s.get(key)
+                        .and_then(Json::as_str)
+                        .map(str::to_string)
+                        .ok_or_else(|| format!("span missing string `{key}`"))
+                };
+                Ok(SpanRecord {
+                    seq: num("seq")?,
+                    parent: num("parent")?,
+                    name: text("name")?,
+                    detail: text("detail")?,
+                })
             })
-        })
-        .collect::<Result<Vec<SpanRecord>, String>>()?;
-    Ok((trace, spans))
+            .collect::<Result<Vec<SpanRecord>, String>>()?;
+        Ok((trace, spans))
+    };
+    match value.get("traces") {
+        Some(list) => list.as_array().ok_or("`traces` is not an array")?.iter().map(one).collect(),
+        None => Ok(vec![one(&value)?]),
+    }
+}
+
+/// [`parse_traces`] for a document that must hold exactly one trace (a
+/// worker's exported trace file): `(trace_id, spans)`.
+pub fn parse_trace_doc(doc: &str) -> Result<(u64, Vec<SpanRecord>), String> {
+    let mut traces = parse_traces(doc)?;
+    match traces.len() {
+        1 => Ok(traces.remove(0)),
+        n => Err(format!("expected one trace, found {n}")),
+    }
 }
 
 #[cfg(test)]
@@ -404,6 +426,14 @@ mod tests {
         let (tid, spans) = parse_trace_doc(&one).unwrap();
         assert_eq!(tid, 0xABBA);
         assert_eq!(spans[0].detail, "one \"quoted\"");
+        // One parser, both shapes: the wrapper yields every trace in id
+        // order, a bare trace object yields itself.
+        let parsed = parse_traces(&all).unwrap();
+        assert_eq!(parsed.iter().map(|(id, _)| *id).collect::<Vec<_>>(), vec![0xABBA, 0xBEEF]);
+        assert_eq!(parsed[0], (tid, spans));
+        assert_eq!(parse_traces(&one).unwrap(), parsed[..1]);
+        assert!(parse_trace_doc(&all).unwrap_err().contains("found 2"));
+        assert!(parse_traces("{\"traces\": 7}").is_err());
     }
 
     #[test]

@@ -380,9 +380,9 @@ mod tests {
         }
         let weeks = logs.len() / 7;
         let mut wb = WeeklyDatasetBuilder::new(weeks);
-        for w in 0..weeks {
-            for d in w * 7..w * 7 + 7 {
-                for &(a, h) in &logs[d].hits {
+        for (w, week) in logs.chunks_exact(7).enumerate() {
+            for log in week {
+                for &(a, h) in &log.hits {
                     wb.record_week(w, a, h);
                 }
             }

@@ -311,6 +311,6 @@ fn the_same_chaos_seed_injects_the_same_faults() {
     let trace: Vec<_> = (0..200).map(|s| plan.action(s)).collect();
     let replay: Vec<_> = (0..200).map(|s| plan.action(s)).collect();
     assert_eq!(trace, replay);
-    assert!(trace.iter().any(|a| *a == ipactive_serve::ChaosAction::Panic));
-    assert!(trace.iter().any(|a| *a == ipactive_serve::ChaosAction::Stall));
+    assert!(trace.contains(&ipactive_serve::ChaosAction::Panic));
+    assert!(trace.contains(&ipactive_serve::ChaosAction::Stall));
 }

@@ -34,9 +34,9 @@ fn batch_reference(logs: &[DayLog], count: usize) -> AnalysisCtx {
     }
     let weeks = count / 7;
     let mut wb = WeeklyDatasetBuilder::new(weeks);
-    for w in 0..weeks {
-        for d in w * 7..w * 7 + 7 {
-            for &(a, h) in &logs[d].hits {
+    for (w, week) in logs[..count].chunks_exact(7).enumerate() {
+        for log in week {
+            for &(a, h) in &log.hits {
                 wb.record_week(w, a, h);
             }
         }
