@@ -86,21 +86,13 @@ fn bench_sharded_pipeline(c: &mut Criterion) {
 /// be zero-cost — the generic is monomorphized, the trait has no
 /// dynamic dispatch) shows up as a diff against pre-refactor numbers.
 fn bench_store(c: &mut Criterion) {
-    use ipactive_cdnsim::{collect_store, persist_daily, persist_daily_atomic};
+    use ipactive_cdnsim::{collect_store, persist_daily_atomic};
     use ipactive_logfmt::LogStore;
 
     let u = universe();
     let num_days = u.config().daily_days;
     let dir = std::env::temp_dir().join(format!("ipactive-bench-store-{}", std::process::id()));
     let mut group = c.benchmark_group("log_store");
-    group.bench_function("persist_daily_realfs", |b| {
-        b.iter(|| {
-            let _ = std::fs::remove_dir_all(&dir);
-            let store = LogStore::open(&dir).unwrap();
-            persist_daily(u, &store).unwrap();
-            black_box(store.days().unwrap().len())
-        })
-    });
     group.bench_function("persist_daily_atomic_realfs", |b| {
         b.iter(|| {
             let _ = std::fs::remove_dir_all(&dir);
@@ -110,8 +102,8 @@ fn bench_store(c: &mut Criterion) {
     });
     {
         let _ = std::fs::remove_dir_all(&dir);
-        let store = LogStore::open(&dir).unwrap();
-        persist_daily(u, &store).unwrap();
+        let mut store = LogStore::open(&dir).unwrap();
+        persist_daily_atomic(u, &mut store).unwrap();
         group.bench_function("collect_from_store_realfs", |b| {
             b.iter(|| black_box(collect_store::<Daily>(&store, num_days).unwrap().1))
         });

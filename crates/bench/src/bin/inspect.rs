@@ -22,7 +22,7 @@
 //! Store-maintenance and observability subcommands ride along:
 //!
 //! ```text
-//! inspect mkstore <DIR> [--seed N] [--scale tiny|small|full] [--atomic] [--corrupt]
+//! inspect mkstore <DIR> [--seed N] [--scale tiny|small|full] [--corrupt]
 //! inspect fsck <DIR> [--repair]
 //! inspect metrics <DIR>
 //! inspect metrics-check <SNAPSHOT.json> <SCHEMA.json>
@@ -37,8 +37,8 @@
 //! directly.
 //!
 //! `mkstore` persists a deterministic universe into a log-store
-//! directory (`--atomic` uses the manifest-journaled batch commit;
-//! `--corrupt` then applies a fixed damage pattern, for fixtures).
+//! directory as one manifest-journaled batch commit (`--corrupt` then
+//! applies a fixed damage pattern, for fixtures).
 //! `fsck` verifies the store — manifests, footers, frames — printing
 //! the deterministic report to stdout; with `--repair` it quarantines
 //! damaged files (with provenance sidecars), salvages what survives,
@@ -291,7 +291,7 @@ fn main() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: inspect <BLOCK|top|changed> [--seed N] [--scale tiny|small|full] [--truth]\n       [--workers N] [--collectors M] [--faults K]\n       inspect mkstore <DIR> [--seed N] [--scale tiny|small|full] [--atomic] [--corrupt]\n       inspect fsck <DIR> [--repair]\n       inspect metrics <DIR>\n       inspect metrics-check <SNAPSHOT.json> <SCHEMA.json>\n       inspect trace <TRACES.json> [TRACE_ID] [--schema FILE]\n       inspect slo-check <SERVE_RECORD.json> [--max-shed-rate F] [--max-p99-us F] [--max-burns N]"
+        "usage: inspect <BLOCK|top|changed> [--seed N] [--scale tiny|small|full] [--truth]\n       [--workers N] [--collectors M] [--faults K]\n       inspect mkstore <DIR> [--seed N] [--scale tiny|small|full] [--corrupt]\n       inspect fsck <DIR> [--repair]\n       inspect metrics <DIR>\n       inspect metrics-check <SNAPSHOT.json> <SCHEMA.json>\n       inspect trace <TRACES.json> [TRACE_ID] [--schema FILE]\n       inspect slo-check <SERVE_RECORD.json> [--max-shed-rate F] [--max-p99-us F] [--max-burns N]"
     );
     std::process::exit(2);
 }
@@ -488,7 +488,8 @@ fn run_metrics(args: &[String]) -> ! {
     }
     let Some(dir) = dir else { usage() };
     let registry = ipactive_obs::Registry::new();
-    let store = match ipactive_logfmt::LogStore::open_obs(dir, &registry) {
+    let opened = ipactive_logfmt::LogStore::open_on_obs(ipactive_logfmt::RealFs, dir, &registry);
+    let store = match opened {
         Ok(store) => store,
         Err(e) => {
             eprintln!("error: cannot open store at {dir}: {e}");
@@ -499,13 +500,11 @@ fn run_metrics(args: &[String]) -> ! {
         eprintln!("error: reading store days failed: {e}");
         std::process::exit(2);
     }
-    let healthy = match ipactive_logfmt::fsck_obs(
-        store.fs(),
-        std::path::Path::new(dir),
-        false,
-        &registry,
-    ) {
-        Ok(report) => report.is_healthy(),
+    let healthy = match ipactive_logfmt::fsck(store.fs(), store.dir(), false) {
+        Ok(report) => {
+            ipactive_logfmt::record_fsck(&registry, &report);
+            report.is_healthy()
+        }
         Err(e) => {
             eprintln!("error: fsck pass failed: {e}");
             std::process::exit(2);
@@ -579,15 +578,14 @@ fn run_fsck(args: &[String]) -> ! {
     }
 }
 
-/// `inspect mkstore <DIR> [--seed N] [--scale ...] [--atomic]
-/// [--corrupt]` — persist a deterministic universe into a store
-/// directory; `--corrupt` then applies a fixed damage pattern so CI
-/// can exercise `fsck --repair` against a golden report.
+/// `inspect mkstore <DIR> [--seed N] [--scale ...] [--corrupt]` —
+/// commit a deterministic universe into a store directory; `--corrupt`
+/// then applies a fixed damage pattern so CI can exercise
+/// `fsck --repair` against a golden report.
 fn run_mkstore(args: &[String]) -> ! {
     let mut dir: Option<String> = None;
     let mut seed: u64 = 2015;
     let mut scale = Scale::Tiny;
-    let mut atomic = false;
     let mut corrupt = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -604,7 +602,6 @@ fn run_mkstore(args: &[String]) -> ! {
                     _ => usage(),
                 };
             }
-            "--atomic" => atomic = true,
             "--corrupt" => corrupt = true,
             "--help" | "-h" => usage(),
             other if dir.is_none() && !other.starts_with('-') => dir = Some(other.to_string()),
@@ -621,25 +618,21 @@ fn run_mkstore(args: &[String]) -> ! {
             std::process::exit(2);
         }
     };
-    let written = if atomic {
-        ipactive_cdnsim::persist_daily_atomic(&universe, &mut store).map(|gen| {
-            eprintln!("committed {num_days} days atomically (manifest generation {gen})");
-        })
-    } else {
-        ipactive_cdnsim::persist_daily(&universe, &store).map(|()| {
-            eprintln!("wrote {num_days} days incrementally");
-        })
+    let gen = match ipactive_cdnsim::persist_daily_atomic(&universe, &mut store) {
+        Ok(gen) => gen,
+        Err(e) => {
+            eprintln!("error: persist failed: {e}");
+            std::process::exit(2);
+        }
     };
-    if let Err(e) = written {
-        eprintln!("error: persist failed: {e}");
-        std::process::exit(2);
-    }
+    eprintln!("committed {num_days} days (manifest generation {gen})");
     if corrupt {
         // A fixed damage pattern (independent of seed/scale knobs so
         // the golden fsck report stays stable): cut the tail off day
         // 1, flip a mid-file byte of day 0, plant a stale tmp file.
         let damage = |day: u16, f: &dyn Fn(&mut Vec<u8>)| {
-            let path = store.resolved_day_path(day);
+            // The commit above wrote every day under `gen`.
+            let path = store.dir().join(ipactive_logfmt::manifest::gen_day_file_name(day, gen));
             let mut bytes = std::fs::read(&path).unwrap_or_else(|e| {
                 eprintln!("error: cannot read {}: {e}", path.display());
                 std::process::exit(2);

@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! rm -rf /tmp/fsck-smoke
-//! target/debug/inspect mkstore /tmp/fsck-smoke --seed 7 --scale tiny --atomic --corrupt
+//! target/debug/inspect mkstore /tmp/fsck-smoke --seed 7 --scale tiny --corrupt
 //! target/debug/inspect fsck /tmp/fsck-smoke --repair \
 //!     > crates/bench/tests/golden/fsck_repair_report.txt
 //! ```
@@ -35,7 +35,7 @@ fn fixture_dir(tag: &str) -> PathBuf {
 fn fsck_repair_report_matches_golden() {
     let dir = fixture_dir("repair");
     let built = inspect()
-        .args(["mkstore", dir.to_str().unwrap(), "--seed", "7", "--scale", "tiny", "--atomic", "--corrupt"])
+        .args(["mkstore", dir.to_str().unwrap(), "--seed", "7", "--scale", "tiny", "--corrupt"])
         .output()
         .expect("run inspect mkstore");
     assert!(built.status.success(), "mkstore failed: {}", String::from_utf8_lossy(&built.stderr));
@@ -88,7 +88,7 @@ fn fsck_repair_report_matches_golden() {
 fn inspect_metrics_agrees_with_inspect_fsck() {
     let dir = fixture_dir("metrics");
     let built = inspect()
-        .args(["mkstore", dir.to_str().unwrap(), "--seed", "7", "--scale", "tiny", "--atomic", "--corrupt"])
+        .args(["mkstore", dir.to_str().unwrap(), "--seed", "7", "--scale", "tiny", "--corrupt"])
         .output()
         .expect("run inspect mkstore");
     assert!(built.status.success(), "mkstore failed: {}", String::from_utf8_lossy(&built.stderr));
@@ -158,7 +158,7 @@ fn inspect_metrics_agrees_with_inspect_fsck() {
 fn fsck_on_a_healthy_store_exits_zero() {
     let dir = fixture_dir("healthy");
     let built = inspect()
-        .args(["mkstore", dir.to_str().unwrap(), "--seed", "7", "--scale", "tiny", "--atomic"])
+        .args(["mkstore", dir.to_str().unwrap(), "--seed", "7", "--scale", "tiny"])
         .output()
         .expect("run inspect mkstore");
     assert!(built.status.success(), "mkstore failed: {}", String::from_utf8_lossy(&built.stderr));
@@ -170,4 +170,19 @@ fn fsck_on_a_healthy_store_exits_zero() {
     let report = String::from_utf8(verify.stdout).unwrap();
     assert!(report.contains("28 clean"), "unexpected report:\n{report}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `mkstore` has one way to write a store and no flag to choose it:
+/// `--atomic` is a usage error, not a silently accepted no-op.
+#[test]
+fn mkstore_atomic_is_a_usage_error() {
+    let dir = fixture_dir("atomic-flag");
+    let out = inspect()
+        .args(["mkstore", dir.to_str().unwrap(), "--scale", "tiny", "--atomic"])
+        .output()
+        .expect("run inspect mkstore");
+    assert_eq!(out.status.code(), Some(2));
+    let usage = String::from_utf8_lossy(&out.stderr);
+    assert!(usage.contains("inspect mkstore <DIR>") && !usage.contains("--atomic"), "{usage}");
+    assert!(!dir.exists(), "a usage error must not create the store");
 }

@@ -50,7 +50,7 @@ pub use pipeline::{
     collect_daily, collect_daily_sharded, collect_from_store, collect_store,
     collect_store_checked, collect_stream, collect_weekly_sharded, emit_daily_logs_packed,
     emit_daily_shards, emit_logs, emit_shard_buffers, emit_shards, emit_weekly_shards,
-    parallel_pipeline, persist_daily, persist_daily_atomic, shard_of, slot_batches_from_buffers,
+    parallel_pipeline, persist_daily_atomic, shard_of, slot_batches_from_buffers,
     stream_pipeline, validate_topology, Cadence, CollectorStats, Daily, PipelineReport,
     PipelineStats, Weekly,
 };

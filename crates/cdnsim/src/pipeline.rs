@@ -627,16 +627,7 @@ fn daily_records(universe: &Universe) -> Vec<(u16, Vec<Record>)> {
 
 /// Persists the universe's daily logs into a [`LogStore`] directory,
 /// one packed file per observation day — the durable variant of
-/// [`emit_daily_logs_packed`]. Each day commits independently; a crash
-/// can leave a prefix of the days written.
-pub fn persist_daily<F: Fs>(universe: &Universe, store: &LogStore<F>) -> Result<(), StoreError> {
-    for (d, records) in daily_records(universe) {
-        store.write_day(d, &records)?;
-    }
-    Ok(())
-}
-
-/// Persists the universe's daily logs as one manifest-journaled batch
+/// [`emit_daily_logs_packed`] — as one manifest-journaled batch
 /// commit: after a crash at any point, a reader sees either *all* of
 /// the run's days or none of them — never a prefix. Returns the
 /// manifest generation that published the batch.
@@ -1167,30 +1158,13 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = ipactive_logfmt::LogStore::open(&dir).unwrap();
-        persist_daily(&u, &store).unwrap();
-        assert_eq!(store.days().unwrap().len(), u.config().daily_days);
+        let mut store = ipactive_logfmt::LogStore::open(&dir).unwrap();
+        assert_eq!(persist_daily_atomic(&u, &mut store).unwrap(), 1);
+        assert_eq!(store.committed_days().len(), u.config().daily_days);
         let (ds, stats) = collect_from_store(&store, u.config().daily_days).unwrap();
         assert_eq!(stats.frames_skipped, 0);
         assert_datasets_equal(&u.build_daily(), &ds);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn atomic_persist_equals_incremental_persist() {
-        let u = universe();
-        let num_days = u.config().daily_days;
-        let fs = ipactive_logfmt::SimFs::new();
-        let incr = ipactive_logfmt::LogStore::open_on(fs.clone(), "/incr").unwrap();
-        persist_daily(&u, &incr).unwrap();
-        let mut atomic = ipactive_logfmt::LogStore::open_on(fs.clone(), "/atomic").unwrap();
-        let gen = persist_daily_atomic(&u, &mut atomic).unwrap();
-        assert_eq!(gen, 1);
-        assert_eq!(atomic.committed_days().len(), num_days);
-        let (from_incr, _) = collect_from_store(&incr, num_days).unwrap();
-        let (from_atomic, _) = collect_from_store(&atomic, num_days).unwrap();
-        assert_datasets_equal(&from_incr, &from_atomic);
-        assert_datasets_equal(&u.build_daily(), &from_atomic);
     }
 
     #[test]
@@ -1215,10 +1189,10 @@ mod tests {
         let num_days = u.config().daily_days;
         assert!(num_days >= 2, "need at least two days to damage one");
         let fs = ipactive_logfmt::SimFs::new();
-        let store = ipactive_logfmt::LogStore::open_on(fs.clone(), "/store").unwrap();
-        persist_daily(&u, &store).unwrap();
+        let mut store = ipactive_logfmt::LogStore::open_on(fs.clone(), "/store").unwrap();
+        let gen = persist_daily_atomic(&u, &mut store).unwrap();
         // Cut the tail off day 1's file, mid-frame.
-        let path = std::path::Path::new("/store").join("day-0001.iplog");
+        let path = store.dir().join(ipactive_logfmt::manifest::gen_day_file_name(1, gen));
         let bytes = fs.visible(&path).unwrap();
         fs.put_file(&path, &bytes[..bytes.len() - bytes.len() / 4 - 1]);
         let (ds, _, report) = collect_store_checked::<Daily>(&store, num_days).unwrap();

@@ -1,27 +1,34 @@
 //! Store verification and repair (`fsck`).
 //!
-//! [`fsck`] walks a store directory *below* [`LogStore::open`] — it
-//! does its own manifest resolution, so it can examine (and repair) a
-//! store whose sole manifest is torn, which `open` rightly refuses to
-//! load. It verifies three layers:
+//! [`fsck`] walks a store directory *below* [`LogStore::open`], so it
+//! can examine (and repair) a store whose sole manifest is torn, which
+//! `open` rightly refuses to load. Both take the verdict on every
+//! manifest file from the one resolver in [`crate::manifest`]. It
+//! verifies three layers:
 //!
-//! 1. **Manifests** — every generation file decodes; the newest valid
-//!    one is authoritative; corrupt ones are quarantined, stale older
-//!    ones removed.
+//! 1. **Manifests** — every generation file decodes and is the
+//!    generation its name says; the newest valid one is authoritative;
+//!    corrupt ones are quarantined, stale older ones removed.
 //! 2. **Footers** — every committed day's file matches its manifest
 //!    entry (byte length, whole-file CRC, record count). This catches
 //!    the truncation-on-a-frame-boundary case the frame layer reads
 //!    as a clean stream.
-//! 3. **Frames** — every day file (committed or legacy) is scanned
-//!    tolerantly, counting surviving records, mid-file skips, resyncs
-//!    and trailing truncation.
+//! 3. **Frames** — every committed day file is scanned tolerantly,
+//!    counting surviving records, mid-file skips, resyncs and trailing
+//!    truncation.
 //!
 //! With `repair`, damaged files are moved into a `quarantine/`
 //! subdirectory with a `.why` provenance sidecar, salvageable records
-//! are rewritten in their place (committed days get a fresh manifest
-//! generation with corrected footers), orphaned generation files are
-//! reconciled, and stale tmp files swept. Without `repair`, fsck is
-//! strictly read-only and reports what it *would* do.
+//! are re-committed under a fresh manifest generation with corrected
+//! footers, generation files no manifest references are removed, and
+//! stale tmp files swept. One case adopts instead of removing: when
+//! manifest files exist and *none* decodes, the newest generation file
+//! of each day is the only surviving copy, and repair publishes a
+//! fresh manifest over those files with footers computed from their
+//! bytes. With no manifest file at all there is nothing to adopt —
+//! generation files are then a first batch that never published.
+//! Without `repair`, fsck is strictly read-only and reports what it
+//! *would* do.
 //!
 //! The [`FsckReport`] is deterministic — same directory state, same
 //! report, with file *names* only (never absolute paths) so golden
@@ -31,16 +38,13 @@
 //!
 //! [`LogStore::open`]: crate::LogStore::open
 
-use crate::crc::crc32;
-use crate::manifest::{
-    gen_day_file_name, parse_gen_day_file_name, DayMeta, Manifest, ManifestError,
-};
-use crate::store::{DayDamage, StoreError};
-use crate::vfs::{Fs, FsFile};
-use crate::{FrameReader, FrameWriter, ReadMode, Record};
+use crate::manifest::{self, gen_day_file_name, parse_gen_day_file_name, DayMeta, Manifest};
+use crate::store::{encode_day, scan_day, DayDamage, StoreError};
+use crate::vfs::{publish, read_file, Fs, FsFile};
+use crate::ReadMode;
 use ipactive_obs::{Event, EventKind, Registry};
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 /// Name of the quarantine subdirectory repairs move damaged files to.
@@ -55,8 +59,8 @@ pub enum DayVerdict {
     Damaged,
     /// The manifest commits the day but its file is gone.
     Missing,
-    /// An uncommitted generation file adopted because no valid
-    /// manifest survived and it was the only copy of the day.
+    /// An uncommitted generation file adopted because manifest files
+    /// existed, none decoded, and it was the newest copy of the day.
     RecoveredOrphan,
 }
 
@@ -76,11 +80,12 @@ impl DayVerdict {
 pub struct DayCheck {
     /// File name the day resolved to (its pre-repair name).
     pub file: String,
-    /// Whether the current manifest commits this day.
+    /// Whether the manifest fsck found in force commits this day
+    /// (`false` is exactly a recovered orphan).
     pub committed: bool,
     /// Records that survive a tolerant read.
     pub records: u64,
-    /// Records the manifest promised, for committed days.
+    /// Records the manifest promised (`None` for a recovered orphan).
     pub expected: Option<u64>,
     /// Frame-level damage observed.
     pub damage: DayDamage,
@@ -93,8 +98,8 @@ pub struct DayCheck {
 impl DayCheck {
     /// Completeness in `[0, 1]`: the fraction of this day's records
     /// that are present and intact. Committed days measure against
-    /// the manifest's promise; legacy days against survivors + losses
-    /// (the best estimate available without a footer).
+    /// the manifest's promise; recovered orphans against survivors +
+    /// losses (the best estimate available without a footer).
     pub fn fraction(&self) -> f64 {
         match self.verdict {
             DayVerdict::Missing => 0.0,
@@ -180,7 +185,7 @@ impl FsckReport {
             None => push(&mut out, "manifest: none".to_string()),
         }
         for (day, check) in &self.days {
-            let kind = if check.committed { "committed" } else { "legacy" };
+            let kind = if check.committed { "committed" } else { "uncommitted" };
             let mut line = format!(
                 "day {day:04}: {} {kind} ({}",
                 check.verdict.label(),
@@ -234,50 +239,6 @@ impl FsckReport {
     }
 }
 
-/// A tolerant scan of one day file's bytes.
-struct Scan {
-    records: Vec<Record>,
-    damage: DayDamage,
-}
-
-fn scan_bytes(bytes: &[u8]) -> Scan {
-    let mut reader = FrameReader::new(bytes, ReadMode::Tolerant);
-    // Tolerant read_all cannot fail.
-    let records = reader.read_all().expect("tolerant read");
-    let truncated_tail = reader.truncated_tail();
-    Scan {
-        damage: DayDamage {
-            skipped: reader.skipped() - u64::from(truncated_tail),
-            truncated_tail,
-            resyncs: reader.resyncs(),
-            lost_committed: 0,
-        },
-        records,
-    }
-}
-
-fn read_file<F: Fs>(fs: &F, path: &Path) -> std::io::Result<Vec<u8>> {
-    let mut bytes = Vec::new();
-    fs.open_read(path).and_then(|mut f| f.read_to_end(&mut bytes))?;
-    Ok(bytes)
-}
-
-/// Writes `bytes` durably at `dest` via tmp + fsync + rename. The
-/// caller is responsible for the directory fsync.
-fn write_durable<F: Fs>(fs: &F, dir: &Path, dest_name: &str, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = dir.join(format!(".{dest_name}.fsck.tmp"));
-    let result = (|| {
-        let mut file = fs.create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        fs.rename(&tmp, &dir.join(dest_name))
-    })();
-    if result.is_err() {
-        let _ = fs.remove_file(&tmp);
-    }
-    result
-}
-
 /// Moves `name` into the quarantine subdirectory and writes a `.why`
 /// provenance sidecar next to it.
 fn quarantine_file<F: Fs>(fs: &F, dir: &Path, name: &str, reason: &str) -> std::io::Result<()> {
@@ -294,288 +255,170 @@ fn quarantine_file<F: Fs>(fs: &F, dir: &Path, name: &str, reason: &str) -> std::
 /// the filesystem `fs`. See the module docs for the full contract.
 ///
 /// Errors are reserved for I/O failures that make the directory
-/// itself unreadable; damage *inside* the store is never an error —
-/// it is the report's subject matter.
+/// itself unreadable (or a repair unwritable); damage *inside* the
+/// store — an unreadable manifest included — is never an error, it is
+/// the report's subject matter.
 pub fn fsck<F: Fs>(fs: &F, dir: &Path, repair: bool) -> Result<FsckReport, StoreError> {
-    let io = |path: &Path, e: std::io::Error| StoreError::Io {
-        day: None,
-        path: path.to_path_buf(),
-        source: e,
-    };
+    let io = |path: &Path, e| StoreError::io(None, path, e);
     fs.create_dir_all(dir).map_err(|e| io(dir, e))?;
     let mut names = fs.read_dir_names(dir).map_err(|e| io(dir, e))?;
     names.sort();
 
     let mut report = FsckReport { repaired: repair, ..FsckReport::default() };
-
-    // Pass 1: classify the directory.
-    let mut manifest_gens: Vec<u64> = Vec::new();
-    let mut legacy_days: Vec<(u16, String)> = Vec::new();
-    let mut gen_days: Vec<(u16, u64, String)> = Vec::new();
-    for name in &names {
-        if name == QUARANTINE_DIR {
-            continue;
+    let remove = |name: &str| {
+        if repair {
+            let _ = fs.remove_file(&dir.join(name));
         }
+    };
+
+    // Pass 1: sweep tmp files and list the generation day files. Any
+    // other name is not the store's and is left alone.
+    let mut gen_days: Vec<(u16, u64, &String)> = Vec::new();
+    for name in &names {
         if name.starts_with('.') && name.ends_with(".tmp") {
             report.tmp_swept.push(name.clone());
-            if repair {
-                let _ = fs.remove_file(&dir.join(name));
-            }
-            continue;
-        }
-        if let Some(gen) = Manifest::parse_file_name(name) {
-            manifest_gens.push(gen);
+            remove(name);
         } else if let Some((day, gen)) = parse_gen_day_file_name(name) {
-            gen_days.push((day, gen, name.clone()));
-        } else if let Some(day) =
-            name.strip_prefix("day-").and_then(|r| r.strip_suffix(".iplog")).and_then(|d| d.parse().ok())
-        {
-            legacy_days.push((day, name.clone()));
+            gen_days.push((day, gen, name));
         }
     }
+    gen_days.sort();
 
-    // Pass 2: resolve the authoritative manifest; everything else is
-    // stale (older valid) or corrupt (quarantined).
-    manifest_gens.sort_unstable();
-    let mut manifest: Option<Manifest> = None;
-    for &gen in manifest_gens.iter().rev() {
+    // Pass 2: the resolver's verdict on every manifest file — one is
+    // authoritative, older valid ones are stale, the rest corrupt
+    // (reported here, moved to quarantine in pass 6).
+    let resolved = manifest::resolve(fs, dir, &names);
+    for &gen in &resolved.stale {
         let name = Manifest::file_name(gen);
-        let decoded = read_file(fs, &dir.join(&name))
-            .map_err(|_| ManifestError::Truncated)
-            .and_then(|bytes| Manifest::decode(&bytes));
-        match decoded {
-            Ok(m) if m.generation == gen && manifest.is_none() => manifest = Some(m),
-            Ok(_) => {
-                report.stale_manifests.push(name.clone());
-                if repair {
-                    let _ = fs.remove_file(&dir.join(&name));
-                }
-            }
-            Err(e) => {
-                let reason = format!("corrupt manifest generation {gen}: {e}");
-                report.quarantined.push(Quarantined { file: name.clone(), day: None, reason: reason.clone() });
-                if repair {
-                    let _ = quarantine_file(fs, dir, &name, &reason);
-                }
-            }
-        }
+        remove(&name);
+        report.stale_manifests.push(name);
     }
-    report.generation = manifest.as_ref().map(|m| m.generation);
+    for (gen, why) in &resolved.corrupt {
+        let reason = format!("corrupt manifest generation {gen}: {why}");
+        report.quarantined.push(Quarantined { file: Manifest::file_name(*gen), day: None, reason });
+    }
+    report.generation = resolved.current.as_ref().map(|m| m.generation);
 
     // Pass 3: verify committed days against their manifest footers
-    // and a tolerant frame scan.
-    let committed: BTreeMap<u16, DayMeta> =
-        manifest.as_ref().map(|m| m.days.clone()).unwrap_or_default();
-    // Salvaged committed days to re-commit under a repair generation:
-    // (day, surviving records).
-    let mut recommit: Vec<(u16, Vec<Record>)> = Vec::new();
-    let mut drop_days: Vec<u16> = Vec::new();
+    // and a tolerant frame scan. `next_days` becomes the committed set
+    // a repair publishes; `recommit` the salvage it rewrites first.
+    let committed = resolved.current.map(|m| m.days).unwrap_or_default();
+    let mut next_days = committed.clone();
+    let mut recommit = Vec::new();
     for (&day, meta) in &committed {
         let name = gen_day_file_name(day, meta.generation);
-        let bytes = match read_file(fs, &dir.join(&name)) {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                report.days.insert(
-                    day,
-                    DayCheck {
-                        file: name,
-                        committed: true,
-                        records: 0,
-                        expected: Some(meta.records),
-                        damage: DayDamage::default(),
-                        footer_ok: false,
-                        verdict: DayVerdict::Missing,
-                    },
-                );
-                drop_days.push(day);
-                continue;
-            }
+        let mut check = DayCheck {
+            file: name.clone(),
+            committed: true,
+            records: 0,
+            expected: Some(meta.records),
+            damage: DayDamage::default(),
+            footer_ok: false,
+            verdict: DayVerdict::Missing,
         };
-        let footer_ok = bytes.len() as u64 == meta.file_len && crc32(&bytes) == meta.file_crc;
-        let mut scan = scan_bytes(&bytes);
-        scan.damage.lost_committed = meta.records.saturating_sub(scan.records.len() as u64);
-        let clean = footer_ok && scan.damage.is_clean() && scan.records.len() as u64 == meta.records;
-        if !clean {
-            let reason = format!(
-                "committed day {day}: {} of {} records salvaged (footer {})",
-                scan.records.len(),
-                meta.records,
-                if footer_ok { "ok" } else { "mismatch" },
-            );
-            report.quarantined.push(Quarantined { file: name.clone(), day: Some(day), reason: reason.clone() });
-            if repair {
-                let _ = quarantine_file(fs, dir, &name, &reason);
-                if scan.records.is_empty() {
-                    drop_days.push(day);
-                } else {
-                    recommit.push((day, scan.records.clone()));
+        if let Ok(bytes) = read_file(fs, &dir.join(&name)) {
+            let (records, damage) =
+                scan_day(&bytes, ReadMode::Tolerant, meta.records).expect("tolerant read");
+            check.records = records.len() as u64;
+            check.damage = damage;
+            check.footer_ok = meta.mismatch(&bytes).is_none();
+            let clean = check.footer_ok && damage.is_clean() && check.records == meta.records;
+            check.verdict = if clean { DayVerdict::Clean } else { DayVerdict::Damaged };
+            if !clean {
+                let reason = format!(
+                    "committed day {day}: {} of {} records salvaged (footer {})",
+                    check.records,
+                    meta.records,
+                    if check.footer_ok { "ok" } else { "mismatch" },
+                );
+                if repair {
+                    let _ = quarantine_file(fs, dir, &name, &reason);
+                    next_days.remove(&day);
+                    if !records.is_empty() {
+                        recommit.push((day, records));
+                    }
                 }
+                report.quarantined.push(Quarantined { file: name, day: Some(day), reason });
             }
+        } else {
+            next_days.remove(&day);
         }
-        report.days.insert(
-            day,
-            DayCheck {
-                file: name,
-                committed: true,
-                records: scan.records.len() as u64,
-                expected: Some(meta.records),
-                damage: scan.damage,
-                footer_ok,
-                verdict: if clean { DayVerdict::Clean } else { DayVerdict::Damaged },
-            },
-        );
+        report.days.insert(day, check);
     }
 
-    // Pass 4: legacy day files. Shadowed ones (their day is committed)
-    // are superseded garbage; live ones are scanned.
-    for (day, name) in &legacy_days {
-        if committed.contains_key(day) {
+    // Pass 4: generation files the manifest in force does not
+    // reference. They are a superseded generation or a crashed batch's
+    // unpublished write and are removed — adopting one would resurrect
+    // uncommitted data — except when manifest files exist and none
+    // decodes: then the newest generation of each day is the only
+    // surviving copy and is adopted. No manifest file at all means no
+    // batch ever published, so there is nothing to adopt.
+    let adopting = report.generation.is_none() && !resolved.corrupt.is_empty();
+    let mut newest: BTreeMap<u16, u64> = BTreeMap::new();
+    if adopting {
+        // Ascending by (day, generation): the last insert wins.
+        newest.extend(gen_days.iter().map(|&(day, gen, _)| (day, gen)));
+    }
+    for &(day, gen, name) in &gen_days {
+        if committed.get(&day).is_some_and(|meta| meta.generation == gen) {
+            continue;
+        }
+        if newest.get(&day) != Some(&gen) {
             report.orphans_removed.push(name.clone());
-            if repair {
-                let _ = fs.remove_file(&dir.join(name));
-            }
+            remove(name);
             continue;
         }
         let Ok(bytes) = read_file(fs, &dir.join(name)) else {
             continue; // raced away between listing and read
         };
-        let scan = scan_bytes(&bytes);
-        let clean = scan.damage.is_clean();
-        if !clean {
-            let reason = format!(
-                "legacy day {day}: {} records salvaged, {} frames lost",
-                scan.records.len(),
-                scan.damage.lost_frames(),
-            );
-            report.quarantined.push(Quarantined { file: name.clone(), day: Some(*day), reason: reason.clone() });
-            if repair {
-                let _ = quarantine_file(fs, dir, name, &reason);
-                if !scan.records.is_empty() {
-                    let mut w = FrameWriter::new(Vec::new());
-                    for r in &scan.records {
-                        w.write(r).expect("in-memory frame write");
-                    }
-                    let fixed = w.finish().expect("in-memory frame finish");
-                    let _ = write_durable(fs, dir, name, &fixed);
-                }
-            }
-        }
+        let (records, damage) = scan_day(&bytes, ReadMode::Tolerant, 0).expect("tolerant read");
+        next_days.insert(day, DayMeta::of(gen, records.len() as u64, &bytes));
         report.days.insert(
-            *day,
+            day,
             DayCheck {
                 file: name.clone(),
                 committed: false,
-                records: scan.records.len() as u64,
+                records: records.len() as u64,
                 expected: None,
-                damage: scan.damage,
+                damage,
                 footer_ok: true,
-                verdict: if clean { DayVerdict::Clean } else { DayVerdict::Damaged },
+                verdict: DayVerdict::RecoveredOrphan,
             },
         );
     }
 
-    // Pass 5: reconcile orphaned generation files. With a valid
-    // manifest, anything it doesn't reference is superseded or a
-    // crashed batch's unpublished write — removed, because adopting
-    // it would resurrect uncommitted data. With *no* valid manifest
-    // (all generations corrupt), orphans are the only surviving copy:
-    // the newest generation of each day is adopted as a legacy file,
-    // recorded as a recovered orphan.
-    gen_days.sort();
-    if manifest.is_some() {
-        for (day, gen, name) in &gen_days {
-            if committed.get(day).is_some_and(|meta| meta.generation == *gen) {
-                continue;
-            }
-            report.orphans_removed.push(name.clone());
-            if repair {
-                let _ = fs.remove_file(&dir.join(name));
-            }
+    // Pass 5 (repair only): if the committed set changed — days
+    // salvaged, lost or adopted — publish it as a fresh manifest
+    // generation, with the commit protocol's own ordering.
+    if repair && (next_days != committed || !recommit.is_empty()) {
+        // One past every generation a manifest or day file in the
+        // directory is named for, so no name is reused — not that of a
+        // corrupt manifest pass 6 is about to move, nor an orphan's.
+        let named = resolved.corrupt.iter().map(|c| c.0).chain(gen_days.iter().map(|d| d.1));
+        let gen = 1 + named.chain(report.generation).max().unwrap_or(0);
+        let mut next = Manifest { generation: gen, days: next_days };
+        for (day, records) in &recommit {
+            let bytes = encode_day(records);
+            let name = gen_day_file_name(*day, gen);
+            publish(fs, dir, &name, &bytes).map_err(|e| io(&dir.join(&name), e))?;
+            next.days.insert(*day, DayMeta::of(gen, records.len() as u64, &bytes));
         }
-    } else {
-        let mut newest: BTreeMap<u16, (u64, String)> = BTreeMap::new();
-        for (day, gen, name) in &gen_days {
-            let entry = newest.entry(*day).or_insert((*gen, name.clone()));
-            if *gen >= entry.0 {
-                *entry = (*gen, name.clone());
-            }
+        fs.sync_dir(dir).map_err(|e| io(dir, e))?;
+        publish(fs, dir, &Manifest::file_name(gen), &next.encode()).map_err(|e| io(dir, e))?;
+        fs.sync_dir(dir).map_err(|e| io(dir, e))?;
+        if let Some(old) = report.generation {
+            let _ = fs.remove_file(&Manifest::path(dir, old));
         }
-        for (day, gen, name) in &gen_days {
-            if newest.get(day).is_some_and(|(g, _)| g == gen) {
-                continue;
-            }
-            report.orphans_removed.push(name.clone());
-            if repair {
-                let _ = fs.remove_file(&dir.join(name));
-            }
-        }
-        for (day, (_, name)) in &newest {
-            if report.days.contains_key(day) {
-                // A legacy file already covers this day; the orphan
-                // is a duplicate from a crashed batch.
-                report.orphans_removed.push(name.clone());
-                if repair {
-                    let _ = fs.remove_file(&dir.join(name));
-                }
-                continue;
-            }
-            let Ok(bytes) = read_file(fs, &dir.join(name)) else {
-                continue;
-            };
-            let scan = scan_bytes(&bytes);
-            if repair {
-                let legacy_name = format!("day-{day:04}.iplog");
-                let _ = fs.rename(&dir.join(name), &dir.join(&legacy_name));
-            }
-            report.days.insert(
-                *day,
-                DayCheck {
-                    file: name.clone(),
-                    committed: false,
-                    records: scan.records.len() as u64,
-                    expected: None,
-                    damage: scan.damage,
-                    footer_ok: true,
-                    verdict: DayVerdict::RecoveredOrphan,
-                },
-            );
-        }
+        report.generation = Some(gen);
     }
 
-    // Pass 6 (repair only): if committed days were salvaged or lost,
-    // publish a corrected manifest generation so readers resolve the
-    // repaired state.
-    if repair && (!recommit.is_empty() || !drop_days.is_empty()) {
-        if let Some(current) = manifest {
-            let gen = current.generation + 1;
-            let mut next = Manifest { generation: gen, days: current.days };
-            for day in &drop_days {
-                next.days.remove(day);
-            }
-            for (day, records) in &recommit {
-                let mut w = FrameWriter::new(Vec::new());
-                for r in records {
-                    w.write(r).expect("in-memory frame write");
-                }
-                let bytes = w.finish().expect("in-memory frame finish");
-                let name = gen_day_file_name(*day, gen);
-                write_durable(fs, dir, &name, &bytes).map_err(|e| io(&dir.join(&name), e))?;
-                next.days.insert(
-                    *day,
-                    DayMeta {
-                        generation: gen,
-                        records: records.len() as u64,
-                        file_len: bytes.len() as u64,
-                        file_crc: crc32(&bytes),
-                    },
-                );
-            }
-            fs.sync_dir(dir).map_err(|e| io(dir, e))?;
-            write_durable(fs, dir, &Manifest::file_name(gen), &next.encode())
-                .map_err(|e| io(dir, e))?;
-            fs.sync_dir(dir).map_err(|e| io(dir, e))?;
-            let _ = fs.remove_file(&Manifest::path(dir, gen - 1));
-            report.generation = Some(gen);
+    // Pass 6 (repair only): corrupt manifests leave last. Until an
+    // adopted generation is durable they are what tells the successor
+    // of an interrupted repair that the generation files belong to a
+    // store that had published — to be adopted, not removed.
+    if repair {
+        for q in report.quarantined.iter().filter(|q| q.day.is_none()) {
+            let _ = quarantine_file(fs, dir, &q.file, &q.reason);
         }
     }
 
@@ -583,33 +426,15 @@ pub fn fsck<F: Fs>(fs: &F, dir: &Path, repair: bool) -> Result<FsckReport, Store
     // sort it so the report is independent of traversal details.
     report.quarantined.sort_by(|a, b| a.file.cmp(&b.file));
     report.orphans_removed.sort();
-    report.orphans_removed.dedup();
     Ok(report)
 }
 
-/// [`fsck`] with an observability registry: every verdict in the
-/// returned [`FsckReport`] is also published as `fsck.*` counters and
-/// journal events ([`EventKind::FsckQuarantine`] /
-/// [`EventKind::FsckAdopt`] / [`EventKind::FsckSalvage`] /
-/// [`EventKind::FsckRepair`]).
-///
-/// The events are derived from the report itself — not from a second
-/// scan — so a metrics view and a rendered report of the same pass
-/// agree on counts by construction.
-pub fn fsck_obs<F: Fs>(
-    fs: &F,
-    dir: &Path,
-    repair: bool,
-    registry: &Registry,
-) -> Result<FsckReport, StoreError> {
-    let report = fsck(fs, dir, repair)?;
-    record_fsck(registry, &report);
-    Ok(report)
-}
-
-/// Publishes an [`FsckReport`] into `registry`. Factored out of
-/// [`fsck_obs`] so a caller that already holds a report (e.g. one
-/// produced through plain [`fsck`]) can account for it later.
+/// Publishes an [`FsckReport`] into `registry`: every verdict becomes
+/// `fsck.*` counters and journal events ([`EventKind::FsckQuarantine`]
+/// / [`EventKind::FsckAdopt`] / [`EventKind::FsckSalvage`] /
+/// [`EventKind::FsckRepair`]). They derive from the report itself —
+/// not from a second scan — so a metrics view and a rendered report
+/// of the same pass agree on counts by construction.
 pub fn record_fsck(registry: &Registry, report: &FsckReport) {
     for q in &report.quarantined {
         let mut ev = Event::new(EventKind::FsckQuarantine).detail(q.reason.clone());
@@ -675,7 +500,7 @@ pub fn record_fsck(registry: &Registry, report: &FsckReport) {
 mod tests {
     use super::*;
     use crate::vfs::SimFs;
-    use crate::LogStore;
+    use crate::{LogStore, Record};
     use ipactive_net::Addr;
     use std::path::PathBuf;
 
@@ -689,12 +514,28 @@ mod tests {
         PathBuf::from("/store")
     }
 
-    #[test]
-    fn healthy_store_reports_clean() {
+    /// A fresh disk on which a store committed `n` records for each
+    /// `(day, n)`, as generation 1.
+    fn committed(days: &[(u16, u32)]) -> (SimFs, LogStore<SimFs>) {
         let fs = SimFs::new();
         let mut store = LogStore::open_on(fs.clone(), dir()).unwrap();
-        store.write_day(0, &recs(0, 5)).unwrap();
-        store.commit_days(&[(1, recs(1, 7))]).unwrap();
+        let batch: Vec<_> = days.iter().map(|&(day, n)| (day, recs(day, n))).collect();
+        store.commit_days(&batch).unwrap();
+        (fs, store)
+    }
+
+    /// Flips one byte in the middle of `day`'s generation-1 file.
+    fn flip_mid_byte(fs: &SimFs, day: u16) {
+        let path = dir().join(gen_day_file_name(day, 1));
+        let mut bytes = fs.visible(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x55;
+        fs.put_file(&path, &bytes);
+    }
+
+    #[test]
+    fn healthy_store_reports_clean() {
+        let (fs, _) = committed(&[(0, 5), (1, 7)]);
         let report = fsck(&fs, &dir(), false).unwrap();
         assert!(report.is_healthy(), "unexpected findings:\n{}", report.render());
         assert_eq!(report.generation, Some(1));
@@ -704,15 +545,8 @@ mod tests {
 
     #[test]
     fn dry_run_is_read_only() {
-        let fs = SimFs::new();
-        let mut store = LogStore::open_on(fs.clone(), dir()).unwrap();
-        store.commit_days(&[(0, recs(0, 6))]).unwrap();
-        // Corrupt the committed day's file mid-way.
-        let path = dir().join(gen_day_file_name(0, 1));
-        let mut bytes = fs.visible(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x55;
-        fs.put_file(&path, &bytes);
+        let (fs, _) = committed(&[(0, 6)]);
+        flip_mid_byte(&fs, 0);
         let before = fs.read_dir_names(&dir()).unwrap();
         let report = fsck(&fs, &dir(), false).unwrap();
         assert!(!report.is_healthy());
@@ -727,14 +561,8 @@ mod tests {
 
     #[test]
     fn repair_quarantines_and_recommits_salvage() {
-        let fs = SimFs::new();
-        let mut store = LogStore::open_on(fs.clone(), dir()).unwrap();
-        store.commit_days(&[(0, recs(0, 6)), (1, recs(1, 4))]).unwrap();
-        let path = dir().join(gen_day_file_name(0, 1));
-        let mut bytes = fs.visible(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x55;
-        fs.put_file(&path, &bytes);
+        let (fs, _) = committed(&[(0, 6), (1, 4)]);
+        flip_mid_byte(&fs, 0);
 
         let report = fsck(&fs, &dir(), true).unwrap();
         assert_eq!(report.days[&0].verdict, DayVerdict::Damaged);
@@ -758,9 +586,7 @@ mod tests {
 
     #[test]
     fn repair_drops_missing_committed_day_from_manifest() {
-        let fs = SimFs::new();
-        let mut store = LogStore::open_on(fs.clone(), dir()).unwrap();
-        store.commit_days(&[(0, recs(0, 3)), (1, recs(1, 3))]).unwrap();
+        let (fs, _) = committed(&[(0, 3), (1, 3)]);
         fs.remove_file(&dir().join(gen_day_file_name(0, 1))).unwrap();
         let report = fsck(&fs, &dir(), true).unwrap();
         assert_eq!(report.days[&0].verdict, DayVerdict::Missing);
@@ -771,9 +597,7 @@ mod tests {
 
     #[test]
     fn all_manifests_corrupt_recovers_orphans() {
-        let fs = SimFs::new();
-        let mut store = LogStore::open_on(fs.clone(), dir()).unwrap();
-        store.commit_days(&[(0, recs(0, 5))]).unwrap();
+        let (fs, mut store) = committed(&[(0, 5)]);
         store.commit_days(&[(1, recs(1, 2))]).unwrap();
         // Tear the sole manifest (gen 1 was GC'd by the second commit).
         let mpath = Manifest::path(&dir(), 2);
@@ -781,24 +605,153 @@ mod tests {
         fs.put_file(&mpath, &bytes[..bytes.len() - 2]);
         assert!(LogStore::open_on(fs.clone(), dir()).is_err(), "open must refuse this store");
 
+        assert_eq!(fsck(&fs, &dir(), false).unwrap().generation, None);
         let report = fsck(&fs, &dir(), true).unwrap();
-        assert_eq!(report.generation, None);
+        assert_eq!(report.generation, Some(3), "one past every generation named in the dir");
         assert_eq!(report.days[&0].verdict, DayVerdict::RecoveredOrphan);
         assert_eq!(report.days[&1].verdict, DayVerdict::RecoveredOrphan);
-        // After repair the store opens manifest-less with both days
-        // adopted as legacy files.
+        assert!(!report.days[&0].committed && report.days[&0].expected.is_none());
+        // After repair the store opens *with* a manifest over the
+        // adopted files, where they lie, and their footers verify.
         let recovered = LogStore::open_on(fs.clone(), dir()).unwrap();
-        assert!(recovered.manifest().is_none());
-        assert_eq!(recovered.days().unwrap(), vec![0, 1]);
+        assert_eq!(recovered.manifest().unwrap().generation, 3);
+        assert_eq!(recovered.committed_days(), vec![0, 1]);
+        assert_eq!(recovered.manifest().unwrap().days[&1].generation, 2, "adopted where it lies");
         assert_eq!(recovered.read_day(0, ReadMode::Strict).unwrap().0, recs(0, 5));
         assert_eq!(recovered.read_day(1, ReadMode::Strict).unwrap().0, recs(1, 2));
+        let again = fsck(&fs, &dir(), false).unwrap();
+        assert!(again.is_healthy(), "adoption did not converge:\n{}", again.render());
+        assert!(again.days.values().all(|d| d.committed));
+    }
+
+    /// Adoption must survive its own interruption: whatever operation
+    /// of the repair a power cut lands on, the next repair still finds
+    /// a corrupt manifest to tell it the orphans were published data.
+    #[test]
+    fn an_interrupted_adoption_loses_no_day() {
+        use crate::vfs::{CrashStyle, Inject};
+        let (fs, mut store) = committed(&[(0, 5)]);
+        store.commit_days(&[(1, recs(1, 2))]).unwrap();
+        fs.sync_dir(&dir()).unwrap(); // the sweep of generation 1 is durable
+        fs.put_file(&Manifest::path(&dir(), 2), b"rotted");
+        let probe = fs.fork();
+        fsck(&probe, &dir(), true).unwrap();
+        let total = probe.ops() - fs.ops();
+        assert!(total >= 6, "adoption shrank to {total} ops");
+        for cut in 0..total {
+            for style in [CrashStyle::Pessimist, CrashStyle::Eager] {
+                let cut_fs = fs.fork().with_fault(fs.ops() + cut, Inject::PowerCut);
+                let _ = fsck(&cut_fs, &dir(), true);
+                let rebooted = cut_fs.crash(style);
+                fsck(&rebooted, &dir(), true).unwrap();
+                let healed = LogStore::open_on(rebooted, dir()).unwrap();
+                assert_eq!(healed.committed_days(), vec![0, 1], "cut at op {cut}, {style:?}");
+                assert_eq!(healed.read_day(0, ReadMode::Strict).unwrap().0, recs(0, 5));
+                assert_eq!(healed.read_day(1, ReadMode::Strict).unwrap().0, recs(1, 2));
+            }
+        }
+    }
+
+    /// With no manifest file at all there is nothing to adopt:
+    /// generation files are a first batch whose commit never published.
+    #[test]
+    fn an_unpublished_first_batch_is_removed_not_adopted() {
+        let fs = SimFs::new();
+        for day in 0..2 {
+            fs.put_file(&dir().join(gen_day_file_name(day, 1)), &encode_day(&recs(day, 3)));
+        }
+        let report = fsck(&fs, &dir(), true).unwrap();
+        assert_eq!(report.orphans_removed, [gen_day_file_name(0, 1), gen_day_file_name(1, 1)]);
+        assert!(report.days.is_empty() && report.generation.is_none());
+        assert!(fs.read_dir_names(&dir()).unwrap().is_empty());
+        assert!(LogStore::open_on(fs.clone(), dir()).unwrap().committed_days().is_empty());
+    }
+
+    /// One verdict from the one resolver: a manifest whose encoded
+    /// generation disagrees with its file name is corrupt — skipped by
+    /// `open`, quarantined with a `.why` by repair, never "stale".
+    #[test]
+    fn a_manifest_under_another_generations_name_is_corrupt_to_open_and_fsck() {
+        let fs = SimFs::new();
+        let mut store = LogStore::open_on(fs.clone(), dir()).unwrap();
+        for day in 0..3 {
+            store.commit_days(&[(day, recs(day, 2))]).unwrap();
+        }
+        let gen3 = fs.visible(&Manifest::path(&dir(), 3)).unwrap();
+        fs.put_file(&Manifest::path(&dir(), 5), &gen3);
+        let opened = LogStore::open_on(fs.clone(), dir()).unwrap();
+        assert_eq!(opened.manifest().unwrap().generation, 3, "open must skip the misnamed file");
+        // Alone in the directory it is "no manifest verifies", not amnesia.
+        let alone = fs.fork();
+        alone.remove_file(&Manifest::path(&dir(), 3)).unwrap();
+        let refused = LogStore::open_on(alone, dir()).expect_err("no manifest verifies");
+        assert_eq!(refused.path(), Manifest::path(&dir(), 5));
+        let report = fsck(&fs, &dir(), true).unwrap();
+        assert_eq!(report.generation, Some(3));
+        assert!(report.stale_manifests.is_empty(), "corrupt, not stale:\n{}", report.render());
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(report.quarantined[0].file, Manifest::file_name(5));
+        let why = dir().join(QUARANTINE_DIR).join(format!("{}.why", Manifest::file_name(5)));
+        let why = String::from_utf8(fs.visible(&why).expect("provenance sidecar")).unwrap();
+        assert!(why.contains("generation 5") && why.contains("generation 3"), "{why}");
+        assert!(fsck(&fs, &dir(), false).unwrap().is_healthy());
+    }
+
+    /// The ordinary fallback state — a valid manifest beside a torn
+    /// newer one — with a damaged day on top: the generation repair
+    /// publishes must not take the torn file's name, or quarantining
+    /// the torn file afterwards would carry the fresh manifest away.
+    #[test]
+    fn repair_beside_a_torn_newer_manifest_keeps_the_manifest_it_publishes() {
+        let (fs, mut store) = committed(&[(0, 6), (1, 4)]);
+        let gen1 = fs.visible(&Manifest::path(&dir(), 1)).unwrap();
+        store.commit_days(&[(2, recs(2, 3))]).unwrap();
+        fs.put_file(&Manifest::path(&dir(), 1), &gen1); // as if the sweep never ran
+        let gen2 = fs.visible(&Manifest::path(&dir(), 2)).unwrap();
+        fs.put_file(&Manifest::path(&dir(), 2), &gen2[..gen2.len() - 2]);
+        flip_mid_byte(&fs, 0);
+
+        let report = fsck(&fs, &dir(), true).unwrap();
+        assert_eq!(report.generation, Some(3), "one past every generation named in the dir");
+        assert!(fs.exists(&dir().join(QUARANTINE_DIR).join(Manifest::file_name(2))));
+        let repaired = LogStore::open_on(fs.clone(), dir()).unwrap();
+        assert_eq!(repaired.manifest().unwrap().generation, 3);
+        assert_eq!(repaired.committed_days(), vec![0, 1], "day 2 never published");
+        let (salvaged, _) = repaired.read_day(0, ReadMode::Strict).unwrap();
+        assert!(!salvaged.is_empty() && salvaged.len() < 6);
+        assert_eq!(repaired.read_day(1, ReadMode::Strict).unwrap().0, recs(1, 4));
+        let again = fsck(&fs, &dir(), false).unwrap();
+        assert!(again.is_healthy(), "repair did not converge:\n{}", again.render());
+    }
+
+    /// A manifest that cannot be read is damage, not an fsck failure:
+    /// it is quarantined like a torn one. (A directory under the
+    /// manifest's name fails to read on every platform, root or not.)
+    #[test]
+    fn an_unreadable_manifest_is_corrupt_not_an_fsck_error() {
+        let root = std::env::temp_dir().join(format!("ipactive-fsck-eio-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        LogStore::open(&root).unwrap().commit_days(&[(0, recs(0, 5))]).unwrap();
+        std::fs::create_dir(Manifest::path(&root, 2)).unwrap();
+        assert_eq!(LogStore::open(&root).unwrap().committed_days(), vec![0], "open falls back");
+        let report = fsck(&crate::RealFs, &root, true).unwrap();
+        assert_eq!(report.generation, Some(1));
+        assert_eq!(report.quarantined.len(), 1, "{}", report.render());
+        assert!(report.quarantined[0].reason.contains("generation 2: manifest unreadable"));
+        assert!(root.join(QUARANTINE_DIR).join(Manifest::file_name(2)).is_dir());
+        // Alone in the directory: `open`'s I/O error, adopted over by repair.
+        std::fs::remove_file(Manifest::path(&root, 1)).unwrap();
+        std::fs::create_dir(Manifest::path(&root, 1)).unwrap();
+        assert!(matches!(LogStore::open(&root), Err(StoreError::Io { .. })));
+        assert_eq!(fsck(&crate::RealFs, &root, true).unwrap().generation, Some(2));
+        let healed = LogStore::open(&root).unwrap();
+        assert_eq!(healed.read_day(0, ReadMode::Strict).unwrap().0, recs(0, 5));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn orphans_under_a_valid_manifest_are_removed_not_adopted() {
-        let fs = SimFs::new();
-        let mut store = LogStore::open_on(fs.clone(), dir()).unwrap();
-        store.commit_days(&[(0, recs(0, 5))]).unwrap();
+        let (fs, _) = committed(&[(0, 5)]);
         // Plant a crashed batch's unpublished day file.
         let orphan = dir().join(gen_day_file_name(9, 2));
         fs.put_file(&orphan, b"whatever");
@@ -810,36 +763,26 @@ mod tests {
 
     #[test]
     fn render_is_deterministic_and_path_free() {
-        let fs = SimFs::new();
-        let mut store = LogStore::open_on(fs.clone(), dir()).unwrap();
-        store.write_day(2, &recs(2, 3)).unwrap();
-        store.commit_days(&[(0, recs(0, 4))]).unwrap();
+        let (fs, _) = committed(&[(0, 4), (2, 3)]);
         let a = fsck(&fs, &dir(), false).unwrap().render();
         let b = fsck(&fs, &dir(), false).unwrap().render();
         assert_eq!(a, b);
         assert!(!a.contains("/store"), "report must not leak paths:\n{a}");
         assert!(a.contains("manifest: generation 1"));
         assert!(a.contains("day 0000: clean committed (4/4 records)"));
-        assert!(a.contains("day 0002: clean legacy (3 records)"));
+        assert!(a.contains("day 0002: clean committed (3/3 records)"));
         assert!(a.contains("summary: 2 days, 2 clean; coverage 1.0000"));
     }
 
     #[test]
-    fn fsck_obs_events_agree_with_the_report() {
+    fn record_fsck_events_agree_with_the_report() {
         use ipactive_obs::{Registry, SnapshotMode};
-        let fs = SimFs::new();
-        let mut store = LogStore::open_on(fs.clone(), dir()).unwrap();
-        store.commit_days(&[(0, recs(0, 6)), (1, recs(1, 4))]).unwrap();
-        store.write_day(2, &recs(2, 5)).unwrap();
-        // Damage the committed day 0 and the legacy day 2.
-        for path in [dir().join(gen_day_file_name(0, 1)), dir().join("day-0002.iplog")] {
-            let mut bytes = fs.visible(&path).unwrap();
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x55;
-            fs.put_file(&path, &bytes);
-        }
+        let (fs, _) = committed(&[(0, 6), (1, 4), (2, 5)]);
+        flip_mid_byte(&fs, 0);
+        flip_mid_byte(&fs, 2);
         let reg = Registry::new();
-        let report = fsck_obs(&fs, &dir(), true, &reg).unwrap();
+        let report = fsck(&fs, &dir(), true).unwrap();
+        record_fsck(&reg, &report);
         let snap = reg.snapshot(SnapshotMode::Deterministic);
         assert_eq!(
             snap.counter("fsck.quarantined"),
@@ -865,7 +808,8 @@ mod tests {
         // A second pass over the repaired store publishes all-clean
         // numbers into a fresh registry.
         let reg2 = Registry::new();
-        let again = fsck_obs(&fs, &dir(), false, &reg2).unwrap();
+        let again = fsck(&fs, &dir(), false).unwrap();
+        record_fsck(&reg2, &again);
         assert!(again.is_healthy());
         let snap2 = reg2.snapshot(SnapshotMode::Deterministic);
         assert_eq!(snap2.counter("fsck.quarantined"), 0);
@@ -876,14 +820,13 @@ mod tests {
     #[test]
     fn adopted_orphans_are_journaled_as_fsck_adopt() {
         use ipactive_obs::{Registry, SnapshotMode};
-        let fs = SimFs::new();
-        let mut store = LogStore::open_on(fs.clone(), dir()).unwrap();
-        store.commit_days(&[(0, recs(0, 5))]).unwrap();
+        let (fs, _) = committed(&[(0, 5)]);
         let mpath = Manifest::path(&dir(), 1);
         let bytes = fs.visible(&mpath).unwrap();
         fs.put_file(&mpath, &bytes[..bytes.len() - 2]);
         let reg = Registry::new();
-        let report = fsck_obs(&fs, &dir(), true, &reg).unwrap();
+        let report = fsck(&fs, &dir(), true).unwrap();
+        record_fsck(&reg, &report);
         assert_eq!(report.days[&0].verdict, DayVerdict::RecoveredOrphan);
         let snap = reg.snapshot(SnapshotMode::Deterministic);
         assert_eq!(snap.counter("fsck.adopted_orphans"), 1);
@@ -893,15 +836,13 @@ mod tests {
     }
 
     #[test]
-    fn damaged_legacy_day_fraction_counts_survivors() {
-        let fs = SimFs::new();
-        let store = LogStore::open_on(fs.clone(), dir()).unwrap();
-        store.write_day(0, &recs(0, 9)).unwrap();
-        // Truncate mid-frame: the Finish marker (and maybe a record)
-        // is cut, leaving a truncated tail.
-        let path = dir().join("day-0000.iplog");
+    fn damaged_day_fraction_counts_survivors() {
+        let (fs, _) = committed(&[(0, 9)]);
+        // Truncate mid-frame: the Finish marker (7 bytes) and part of
+        // the last record are cut, leaving a truncated tail.
+        let path = dir().join(gen_day_file_name(0, 1));
         let bytes = fs.visible(&path).unwrap();
-        fs.put_file(&path, &bytes[..bytes.len() - 3]);
+        fs.put_file(&path, &bytes[..bytes.len() - 10]);
         let report = fsck(&fs, &dir(), false).unwrap();
         let check = &report.days[&0];
         assert_eq!(check.verdict, DayVerdict::Damaged);

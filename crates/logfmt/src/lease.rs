@@ -16,13 +16,15 @@
 //!   advancing, and steals the shard by granting a new epoch to a
 //!   successor.
 //!
-//! Every publish uses the store's durable protocol (unique tmp +
-//! fsync + rename + dir fsync), and the tmp names share the `.lease-`
-//! prefix so [`LogStore::open`](crate::LogStore::open)'s stale-tmp
-//! sweep disposes of a killed writer's leftovers. A torn or
-//! bit-rotted lease fails its trailing CRC on decode and reads as
-//! [`LeaseRead::Corrupt`] — the coordinator treats that exactly like
-//! an expired lease and fences a fresh epoch over it.
+//! Every publish goes through the store's one `publish` step (unique
+//! tmp + fsync + rename) followed by a directory fsync, and the tmp
+//! names start with `.lease-` so [`LogStore::open`](crate::LogStore::open)'s
+//! stale-tmp sweep disposes of a killed writer's leftovers. A torn or
+//! bit-rotted lease fails its trailing CRC on decode (and bytes
+//! [`Lease::encode`] cannot have written are refused even under a
+//! valid one) and reads as [`LeaseRead::Corrupt`] — the coordinator
+//! treats that exactly like an expired lease and fences a fresh epoch
+//! over it.
 //!
 //! ## Byte layout (`lease-SSSS.lse`)
 //!
@@ -40,20 +42,15 @@
 
 use crate::crc::crc32;
 use crate::varint::{decode_u64, encode_u64, VarintError};
-use crate::vfs::{Fs, FsFile};
-use std::io::{self, Read, Write};
+use crate::vfs::{publish, read_file, Fs};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File-name prefix of every lease file.
 pub const LEASE_PREFIX: &str = "lease-";
 /// File-name suffix of every lease file.
 pub const LEASE_SUFFIX: &str = ".lse";
 const MAGIC: &[u8; 8] = b"IPLSLE1\n";
-
-/// Distinguishes concurrent lease writers within one process, exactly
-/// like the store's day/manifest tmp counter.
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// One shard's current lease: who holds it, under which fencing
 /// epoch, and how far they have provably gotten.
@@ -89,6 +86,9 @@ pub enum LeaseError {
     BadChecksum,
     /// The shard or attempt field exceeded its type's range.
     FieldOutOfRange(u64),
+    /// The bytes verify but are not the ones [`Lease::encode`] writes:
+    /// trailing bytes or an over-long varint.
+    NotCanonical,
 }
 
 impl std::fmt::Display for LeaseError {
@@ -99,6 +99,7 @@ impl std::fmt::Display for LeaseError {
             LeaseError::Truncated => write!(f, "lease truncated"),
             LeaseError::BadChecksum => write!(f, "lease checksum mismatch"),
             LeaseError::FieldOutOfRange(v) => write!(f, "lease field {v} out of range"),
+            LeaseError::NotCanonical => write!(f, "lease bytes differ from their re-encoding"),
         }
     }
 }
@@ -144,7 +145,11 @@ impl Lease {
         let attempt = next(&mut rest)?;
         let attempt = u32::try_from(attempt).map_err(|_| LeaseError::FieldOutOfRange(attempt))?;
         let beat = next(&mut rest)?;
-        Ok(Lease { shard, epoch, holder, attempt, beat })
+        let lease = Lease { shard, epoch, holder, attempt, beat };
+        if lease.encode() != bytes {
+            return Err(LeaseError::NotCanonical);
+        }
+        Ok(lease)
     }
 
     /// The file name of `shard`'s lease.
@@ -155,15 +160,6 @@ impl Lease {
     /// The path of `shard`'s lease under `dir`.
     pub fn path(dir: &Path, shard: u32) -> PathBuf {
         dir.join(Self::file_name(shard))
-    }
-
-    /// Parses a shard number out of a lease file name.
-    pub fn parse_file_name(name: &str) -> Option<u32> {
-        let digits = name.strip_prefix(LEASE_PREFIX)?.strip_suffix(LEASE_SUFFIX)?;
-        if digits.len() != 4 {
-            return None;
-        }
-        digits.parse().ok()
     }
 }
 
@@ -179,45 +175,24 @@ pub enum LeaseRead {
     Held(Lease),
 }
 
-/// Durably publishes `lease` into `dir` via the store's tmp + fsync +
-/// rename + dir-fsync protocol. The tmp name carries the `.lease-`
-/// prefix so a killed writer's leftover is swept by the next
+/// Durably publishes `lease` into `dir`: the store's `publish` step,
+/// then the directory fsync that makes the rename survive. A killed
+/// writer's tmp file is swept by the next
 /// [`LogStore::open`](crate::LogStore::open) on the directory.
 pub fn write_lease<F: Fs>(fs: &F, dir: &Path, lease: &Lease) -> io::Result<()> {
-    let tmp = dir.join(format!(
-        ".{LEASE_PREFIX}{:04}.{}-{}.tmp",
-        lease.shard,
-        std::process::id(),
-        TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
-    ));
-    let result = (|| {
-        let mut file = fs.create(&tmp)?;
-        file.write_all(&lease.encode())?;
-        file.sync_all()?;
-        fs.rename(&tmp, &Lease::path(dir, lease.shard))?;
-        fs.sync_dir(dir)
-    })();
-    if result.is_err() {
-        let _ = fs.remove_file(&tmp);
-    }
-    result
+    publish(fs, dir, &Lease::file_name(lease.shard), &lease.encode())?;
+    fs.sync_dir(dir)
 }
 
 /// Reads and verifies `shard`'s lease under `dir`. Only genuine I/O
 /// failures (other than the file being absent) surface as errors;
 /// damage is reported in-band as [`LeaseRead::Corrupt`].
 pub fn read_lease<F: Fs>(fs: &F, dir: &Path, shard: u32) -> io::Result<LeaseRead> {
-    let path = Lease::path(dir, shard);
-    let mut bytes = Vec::new();
-    match fs.open_read(&path) {
-        Ok(mut f) => f.read_to_end(&mut bytes).map(|_| ())?,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(LeaseRead::Absent),
-        Err(e) => return Err(e),
+    match read_file(fs, &Lease::path(dir, shard)) {
+        Ok(bytes) => Ok(Lease::decode(&bytes).map_or_else(LeaseRead::Corrupt, LeaseRead::Held)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(LeaseRead::Absent),
+        Err(e) => Err(e),
     }
-    Ok(match Lease::decode(&bytes) {
-        Ok(lease) => LeaseRead::Held(lease),
-        Err(e) => LeaseRead::Corrupt(e),
-    })
 }
 
 #[cfg(test)]
@@ -248,23 +223,8 @@ mod tests {
     }
 
     #[test]
-    fn every_truncation_is_detected() {
-        let bytes = sample().encode();
-        for keep in 0..bytes.len() {
-            assert!(
-                Lease::decode(&bytes[..keep]).is_err(),
-                "truncation to {keep} bytes slipped through"
-            );
-        }
-    }
-
-    #[test]
-    fn file_names_roundtrip() {
+    fn file_name_is_pinned() {
         assert_eq!(Lease::file_name(4), "lease-0004.lse");
-        assert_eq!(Lease::parse_file_name("lease-0004.lse"), Some(4));
-        assert_eq!(Lease::parse_file_name("lease-junk.lse"), None);
-        assert_eq!(Lease::parse_file_name("lease-00004.lse"), None);
-        assert_eq!(Lease::parse_file_name("manifest-000007.mft"), None);
     }
 
     #[test]

@@ -50,10 +50,10 @@ pub use frame::{
     FrameError, FrameReader, FrameWriter, QuarantineReason, QuarantinedFrame, ReadMode,
     QUARANTINE_CAPTURE_CAP,
 };
-pub use fsck::{fsck, fsck_obs, record_fsck, DayCheck, DayVerdict, FsckReport, Quarantined};
+pub use fsck::{fsck, record_fsck, DayCheck, DayVerdict, FsckReport, Quarantined};
 pub use lease::{read_lease, write_lease, Lease, LeaseError, LeaseRead};
 pub use manifest::{DayMeta, Manifest, ManifestError};
 pub use record::{BlockDay, DecodeError, Record};
 pub use store::{DayDamage, LogStore, StoreError};
 pub use varint::{decode_u64, encode_u64, VarintError};
-pub use vfs::{CrashStyle, Fs, FsFile, Inject, ObsFile, ObsFs, OpLabel, RealFs, SimFs};
+pub use vfs::{CrashStyle, Fs, FsFile, Inject, OpLabel, RealFs, SimFs};

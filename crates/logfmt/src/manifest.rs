@@ -28,11 +28,21 @@
 //! Every integer is the same LEB128 varint the frame layer uses; both
 //! CRCs are the frame layer's CRC-32. The trailing manifest CRC makes
 //! a torn manifest write detectable: decode fails, and the loader
-//! falls back to the newest older generation that verifies.
+//! falls back to the newest older generation that verifies. Decoding
+//! accepts exactly the bytes [`Manifest::encode`] writes — trailing
+//! bytes, repeated or descending days and over-long varints are
+//! refused even under a valid CRC.
+//!
+//! This module is also the only place that builds or parses a store
+//! file name, and the crate-private `resolve` is the only place that
+//! decides which manifest file of a directory is in force: `open`
+//! takes its answer, `fsck` its whole classification.
 
 use crate::crc::crc32;
 use crate::varint::{decode_u64, encode_u64, VarintError};
+use crate::vfs::{read_file, Fs};
 use std::collections::BTreeMap;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// File-name prefix of every manifest generation.
@@ -54,6 +64,26 @@ pub struct DayMeta {
     pub file_len: u64,
     /// CRC-32 over the whole day file.
     pub file_crc: u32,
+}
+
+impl DayMeta {
+    /// The footer of a day file holding `records` records in `bytes`,
+    /// written under generation `generation`.
+    pub(crate) fn of(generation: u64, records: u64, bytes: &[u8]) -> DayMeta {
+        DayMeta { generation, records, file_len: bytes.len() as u64, file_crc: crc32(bytes) }
+    }
+
+    /// How `bytes` differ from the committed file (length first, then
+    /// whole-file CRC), or `None` when the footer matches.
+    pub(crate) fn mismatch(&self, bytes: &[u8]) -> Option<String> {
+        if bytes.len() as u64 != self.file_len {
+            Some(format!("file is {} bytes, manifest committed {}", bytes.len(), self.file_len))
+        } else if crc32(bytes) != self.file_crc {
+            Some("whole-file CRC mismatch against manifest".to_string())
+        } else {
+            None
+        }
+    }
 }
 
 /// The committed state of a store: its current generation and the
@@ -79,6 +109,10 @@ pub enum ManifestError {
     BadChecksum,
     /// A day number exceeded `u16`.
     DayOutOfRange(u64),
+    /// The bytes verify but are not the ones [`Manifest::encode`]
+    /// writes: trailing bytes, repeated or descending days, an
+    /// over-long varint.
+    NotCanonical,
 }
 
 impl std::fmt::Display for ManifestError {
@@ -89,6 +123,9 @@ impl std::fmt::Display for ManifestError {
             ManifestError::Truncated => write!(f, "manifest truncated"),
             ManifestError::BadChecksum => write!(f, "manifest checksum mismatch"),
             ManifestError::DayOutOfRange(d) => write!(f, "manifest day {d} out of range"),
+            ManifestError::NotCanonical => {
+                write!(f, "manifest bytes differ from their re-encoding")
+            }
         }
     }
 }
@@ -148,7 +185,14 @@ impl Manifest {
             rest = tail;
             days.insert(day, DayMeta { generation: file_generation, records, file_len, file_crc });
         }
-        Ok(Manifest { generation, days })
+        let manifest = Manifest { generation, days };
+        // One comparison refuses everything `encode` cannot have
+        // written: `rest` left over, a day `insert` overwrote or
+        // re-ordered, a varint longer than it needs to be.
+        if manifest.encode() != bytes {
+            return Err(ManifestError::NotCanonical);
+        }
+        Ok(manifest)
     }
 
     /// The file name of generation `gen`'s manifest.
@@ -168,6 +212,66 @@ impl Manifest {
             .parse()
             .ok()
     }
+}
+
+/// Why [`resolve`] refuses a manifest file: `fsck` quarantines it with
+/// this as the reason, `open` never loads it.
+#[derive(Debug)]
+pub(crate) enum Refusal {
+    /// The file could not be read (a bad sector, or a live commit's
+    /// sweep between the listing and the read).
+    Unreadable(io::Error),
+    /// Its bytes do not decode.
+    Undecodable(ManifestError),
+    /// Its bytes are a valid manifest — of this other generation.
+    Misnamed(u64),
+}
+
+impl std::fmt::Display for Refusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Refusal::Unreadable(e) => write!(f, "manifest unreadable: {e}"),
+            Refusal::Undecodable(e) => write!(f, "{e}"),
+            Refusal::Misnamed(gen) => {
+                write!(f, "manifest of generation {gen} under another generation's file name")
+            }
+        }
+    }
+}
+
+/// Every manifest file of one store directory, classified — once,
+/// here, so `LogStore::open_on` and `fsck` cannot disagree.
+#[derive(Debug, Default)]
+pub(crate) struct Resolved {
+    /// The newest generation that decodes and encodes the generation
+    /// its file is named for: the committed state.
+    pub(crate) current: Option<Manifest>,
+    /// Older generations that verify (superseded), newest first.
+    pub(crate) stale: Vec<u64>,
+    /// Generations that do not verify, newest first, and why.
+    pub(crate) corrupt: Vec<(u64, Refusal)>,
+}
+
+/// Reads and classifies every manifest among `names` (the listing of
+/// `dir`).
+pub(crate) fn resolve<F: Fs>(fs: &F, dir: &Path, names: &[String]) -> Resolved {
+    let mut gens: Vec<u64> = names.iter().filter_map(|n| Manifest::parse_file_name(n)).collect();
+    gens.sort_unstable_by(|a, b| b.cmp(a));
+    let mut out = Resolved::default();
+    for gen in gens {
+        let decoded = read_file(fs, &Manifest::path(dir, gen))
+            .map_err(Refusal::Unreadable)
+            .and_then(|bytes| Manifest::decode(&bytes).map_err(Refusal::Undecodable));
+        match decoded {
+            Ok(m) if m.generation != gen => {
+                out.corrupt.push((gen, Refusal::Misnamed(m.generation)));
+            }
+            Ok(m) if out.current.is_none() => out.current = Some(m),
+            Ok(_) => out.stale.push(gen),
+            Err(why) => out.corrupt.push((gen, why)),
+        }
+    }
+    out
 }
 
 /// The file name of `day`'s generation-`gen` data file.
@@ -216,17 +320,6 @@ mod tests {
             assert!(
                 Manifest::decode(&dirty).is_err(),
                 "flip at byte {pos} slipped through"
-            );
-        }
-    }
-
-    #[test]
-    fn every_truncation_is_detected() {
-        let bytes = sample().encode();
-        for keep in 0..bytes.len() {
-            assert!(
-                Manifest::decode(&bytes[..keep]).is_err(),
-                "truncation to {keep} bytes slipped through"
             );
         }
     }

@@ -1,48 +1,37 @@
-//! On-disk log store: one framed file per observation day, plus an
-//! optional journaled manifest for atomic multi-day commits.
+//! On-disk log store: one framed file per observation day, published
+//! in atomic batches by a journaled manifest.
 //!
 //! Production collectors persist their aggregates as a directory of
-//! day files (`day-0000.iplog`, `day-0001.iplog`, …), each an
-//! independently framed stream — so a damaged or missing day costs
-//! that day, not the dataset. [`LogStore`] provides that layout with
-//! the same strict/tolerant read semantics as the in-memory framing.
+//! day files, each an independently framed stream — so a damaged or
+//! missing day costs that day, not the dataset. [`LogStore`] provides
+//! that layout with the same strict/tolerant read semantics as the
+//! in-memory framing.
 //!
-//! Two write paths coexist:
-//!
-//! * [`LogStore::write_day`] — the single-day path: tmp file, fsync,
-//!   rename, directory fsync. One day commits or does not; it cannot
-//!   tear.
-//! * [`LogStore::commit_days`] — the batch path: every day file of
-//!   the batch is written under a generation-suffixed name
-//!   (`day-0003.g000007.iplog`) and made durable, then one new
-//!   [`Manifest`] generation publishes the whole batch atomically.
-//!   Readers resolve committed days through the manifest, so a crash
-//!   anywhere inside the batch leaves the previous committed set —
-//!   never a half-committed batch. The manifest also records each
-//!   day's record count, byte length, and whole-file CRC, which
-//!   closes the one hole frame CRCs cannot: a file truncated exactly
-//!   on a frame boundary reads "cleanly" at the frame layer but is
-//!   caught by the footer check.
+//! There is one layout and one write path, [`LogStore::commit_days`]:
+//! every day file of a batch is published under a generation-suffixed
+//! name (`day-0003.g000007.iplog`) and made durable, then one new
+//! [`Manifest`] generation publishes the whole batch atomically. A
+//! store's days *are* its manifest's: readers resolve days through it
+//! and never scan the directory, so a crash anywhere inside a batch
+//! leaves the previous committed set — never a half-committed batch.
+//! The manifest also records each day's record count, byte length and
+//! whole-file CRC, which closes the one hole frame CRCs cannot: a file
+//! truncated exactly on a frame boundary reads "cleanly" at the frame
+//! layer but is caught by the footer check.
 //!
 //! All I/O goes through the [`Fs`] plane, so the crash-point suite in
 //! `tests/crashpoints.rs` can run the store on [`SimFs`] and cut
-//! power at every single operation.
+//! power at every single operation; every file reaches its final name
+//! through the plane's one `publish` step.
 //!
 //! [`SimFs`]: crate::SimFs
 
-use crate::crc::crc32;
-use crate::manifest::{gen_day_file_name, Manifest, ManifestError};
-use crate::vfs::{Fs, FsFile, RealFs};
+use crate::manifest::{self, gen_day_file_name, DayMeta, Manifest, ManifestError, Refusal};
+use crate::vfs::{publish, read_file, Fs, RealFs};
 use crate::{FrameError, FrameReader, FrameWriter, ReadMode, Record};
 use ipactive_obs::{metrics::DECADE_BOUNDS, Counter, Event, EventKind, Histogram, Registry};
-use std::io::{self, BufWriter, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Distinguishes concurrent writers within one process; combined with
-/// the pid it makes every tmp file name unique, so two writers racing
-/// on the same day never interleave into one tmp file.
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Pre-fetched handles into the store's observability registry — one
 /// lookup at attach time, raw atomic increments on the I/O paths, so
@@ -53,11 +42,9 @@ struct StoreObs {
     registry: Registry,
     /// `store.fsync` — every file or directory sync the store issues.
     fsync: Counter,
-    /// `store.bytes_written` — payload bytes of generation day files
-    /// and manifests (the in-memory-encoded paths, where the byte
-    /// count is known without extra I/O).
+    /// `store.bytes_written` — bytes of day files and manifests.
     bytes_written: Counter,
-    /// `store.day_writes` — day files written (either path).
+    /// `store.day_writes` — day files written.
     day_writes: Counter,
     /// `store.records_written` / `store.records_read`.
     records_written: Counter,
@@ -126,8 +113,8 @@ impl StoreObs {
     }
 }
 
-/// A directory of per-day framed log files (optionally manifested),
-/// generic over the [`Fs`] it performs I/O through.
+/// A directory of per-day framed log files and the manifest that
+/// commits them, generic over the [`Fs`] it performs I/O through.
 #[derive(Debug, Clone)]
 pub struct LogStore<F: Fs = RealFs> {
     dir: PathBuf,
@@ -213,7 +200,7 @@ impl std::error::Error for StoreError {
 }
 
 impl StoreError {
-    fn io(day: Option<u16>, path: &Path, source: io::Error) -> StoreError {
+    pub(crate) fn io(day: Option<u16>, path: &Path, source: io::Error) -> StoreError {
         StoreError::Io { day, path: path.to_path_buf(), source }
     }
 
@@ -249,8 +236,8 @@ pub struct DayDamage {
     pub truncated_tail: bool,
     /// Times the reader lost framing and scanned for a new sync byte.
     pub resyncs: u64,
-    /// Records the manifest promised for this committed day that did
-    /// not materialize (always 0 for unmanifested days).
+    /// Records the manifest promised for this day that did not
+    /// materialize.
     pub lost_committed: u64,
 }
 
@@ -267,14 +254,45 @@ impl DayDamage {
     }
 }
 
+/// One day's records as the framed bytes of its day file — the only
+/// encoder behind a commit and an `fsck` re-commit.
+pub(crate) fn encode_day(records: &[Record]) -> Vec<u8> {
+    let mut writer = FrameWriter::new(Vec::new());
+    for rec in records {
+        // Writing to a Vec cannot fail.
+        writer.write(rec).expect("in-memory frame write");
+    }
+    writer.finish().expect("in-memory frame finish")
+}
+
+/// Scans a day file's bytes: the records that survive and the damage
+/// account, measured against the `promised` record count of the day's
+/// manifest footer (0 when no manifest commits the file). Fails only
+/// in [`ReadMode::Strict`].
+pub(crate) fn scan_day(
+    bytes: &[u8],
+    mode: ReadMode,
+    promised: u64,
+) -> Result<(Vec<Record>, DayDamage), FrameError> {
+    let mut reader = FrameReader::new(bytes, mode);
+    let records = reader.read_all()?;
+    let truncated_tail = reader.truncated_tail();
+    let damage = DayDamage {
+        skipped: reader.skipped() - u64::from(truncated_tail),
+        truncated_tail,
+        resyncs: reader.resyncs(),
+        lost_committed: promised.saturating_sub(records.len() as u64),
+    };
+    Ok((records, damage))
+}
+
 impl<F: Fs> LogStore<F> {
     /// Opens (creating if needed) a store rooted at `dir` on the given
     /// filesystem, sweeping any stale `.day-*.tmp` / `.manifest-*.tmp`
     /// / `.lease-*.tmp` files a crashed writer left behind — a tmp
-    /// file is only
-    /// meaningful to the call that created it, so on open every
-    /// survivor is garbage. Loads the newest manifest generation that
-    /// verifies; errors if manifests exist but none does.
+    /// file is only meaningful to the call that created it, so on open
+    /// every survivor is garbage. Loads the newest manifest generation
+    /// that verifies; errors if manifests exist but none does.
     pub fn open_on(fs: F, dir: impl Into<PathBuf>) -> Result<LogStore<F>, StoreError> {
         Self::open_on_obs(fs, dir, &Registry::new())
     }
@@ -310,48 +328,24 @@ impl<F: Fs> LogStore<F> {
                 );
             }
         }
-        let manifest = Self::load_manifest(&fs, &dir, &names)?;
-        Ok(LogStore { dir, fs, manifest, obs })
-    }
-
-    /// Re-points this handle's observability at `registry`. Useful
-    /// when a store is opened before the run's registry exists.
-    pub fn attach_obs(&mut self, registry: &Registry) {
-        self.obs = StoreObs::new(registry);
-    }
-
-    /// Scans manifest generations newest-first and returns the first
-    /// that decodes and whose encoded generation matches its file
-    /// name. A torn or corrupt newest generation falls back to its
-    /// predecessor; if manifests exist but none verifies, that is an
-    /// error — guessing "nothing committed" would silently unpublish
-    /// data.
-    fn load_manifest(fs: &F, dir: &Path, names: &[String]) -> Result<Option<Manifest>, StoreError> {
-        let mut gens: Vec<u64> =
-            names.iter().filter_map(|n| Manifest::parse_file_name(n)).collect();
-        gens.sort_unstable();
-        let mut last_err: Option<(PathBuf, ManifestError)> = None;
-        for &gen in gens.iter().rev() {
-            let path = Manifest::path(dir, gen);
-            let mut bytes = Vec::new();
-            match fs.open_read(&path).and_then(|mut f| f.read_to_end(&mut bytes)) {
-                Ok(_) => {}
-                Err(e) => return Err(StoreError::io(None, &path, e)),
-            }
-            match Manifest::decode(&bytes) {
-                Ok(m) if m.generation == gen => return Ok(Some(m)),
-                Ok(_) => {
-                    last_err.get_or_insert((path, ManifestError::BadMagic));
+        // A torn or corrupt newest generation falls back to its
+        // predecessor; if manifests exist but none verifies, that is
+        // an error — guessing "nothing committed" would silently
+        // unpublish data.
+        let resolved = manifest::resolve(&fs, &dir, &names);
+        if let (None, Some((gen, why))) = (&resolved.current, resolved.corrupt.into_iter().next()) {
+            let path = Manifest::path(&dir, gen);
+            return Err(match why {
+                Refusal::Undecodable(source) => StoreError::Manifest { path, source },
+                Refusal::Unreadable(e) => StoreError::io(None, &path, e),
+                // A verdict on the file, not a decode failure of its bytes.
+                Refusal::Misnamed(_) => {
+                    let misnamed = io::Error::new(io::ErrorKind::InvalidData, why.to_string());
+                    StoreError::io(None, &path, misnamed)
                 }
-                Err(e) => {
-                    last_err.get_or_insert((path, e));
-                }
-            }
+            });
         }
-        match last_err {
-            Some((path, source)) => Err(StoreError::Manifest { path, source }),
-            None => Ok(None),
-        }
+        Ok(LogStore { dir, fs, manifest: resolved.current, obs })
     }
 
     /// The store's root directory.
@@ -369,76 +363,19 @@ impl<F: Fs> LogStore<F> {
         self.manifest.as_ref()
     }
 
-    fn day_path(&self, day: u16) -> PathBuf {
-        self.dir.join(format!("day-{day:04}.iplog"))
-    }
-
-    /// The file a read of `day` resolves to: the manifest-committed
-    /// generation file when one is published, the legacy single-day
-    /// file otherwise.
-    pub fn resolved_day_path(&self, day: u16) -> PathBuf {
-        match self.manifest.as_ref().and_then(|m| m.days.get(&day)) {
-            Some(meta) => self.dir.join(gen_day_file_name(day, meta.generation)),
-            None => self.day_path(day),
-        }
-    }
-
-    fn tmp_name(&self, stem: &str) -> PathBuf {
-        self.dir.join(format!(
-            ".{stem}.{}-{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
-        ))
-    }
-
-    /// Writes one day's records, replacing any existing file for that
-    /// day. The write goes to a uniquely named temporary file first
-    /// (pid + counter, so concurrent writers for the same day cannot
-    /// interleave), is fsynced, renamed into place, and the directory
-    /// is fsynced after the rename — without that last step a crash
-    /// can lose the rename itself and silently drop a "durably
-    /// written" day. A failed write removes its tmp file.
-    ///
-    /// This is the single-day path; it does not touch the manifest.
-    /// On a store with committed days, reads of a committed day
-    /// resolve to the committed generation, so use
-    /// [`LogStore::commit_days`] there instead.
-    pub fn write_day(&self, day: u16, records: &[Record]) -> Result<(), StoreError> {
-        let tmp = self.tmp_name(&format!("day-{day:04}"));
-        let result = self.write_day_at(&tmp, day, records);
-        if result.is_err() {
-            let _ = self.fs.remove_file(&tmp);
-        }
-        result
-    }
-
-    fn write_day_at(&self, tmp: &Path, day: u16, records: &[Record]) -> Result<(), StoreError> {
-        let d = Some(day);
-        let file = self.fs.create(tmp).map_err(|e| StoreError::io(d, tmp, e))?;
-        let mut writer = FrameWriter::new(BufWriter::new(file));
-        for rec in records {
-            writer.write(rec).map_err(|e| StoreError::io(d, tmp, e))?;
-        }
-        writer
-            .finish()
-            .map_err(|e| StoreError::io(d, tmp, e))?
-            .into_inner()
-            .map_err(|e| StoreError::io(d, tmp, e.into_error()))?
-            .sync_all()
-            .map_err(|e| StoreError::io(d, tmp, e))?;
+    /// Publishes one file of a commit (not yet durable under its name
+    /// — see [`LogStore::sync_dir`]) and accounts for it.
+    fn publish(&self, day: Option<u16>, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        publish(&self.fs, &self.dir, name, bytes)
+            .map_err(|e| StoreError::io(day, &self.dir.join(name), e))?;
         self.obs.fsync.inc();
-        let dest = self.day_path(day);
-        self.fs.rename(tmp, &dest).map_err(|e| StoreError::io(d, &dest, e))?;
-        self.sync_dir(d)?;
-        self.obs.day_writes.inc();
-        self.obs.records_written.add(records.len() as u64);
-        self.obs.write_records.observe(records.len() as u64);
+        self.obs.bytes_written.add(bytes.len() as u64);
         Ok(())
     }
 
     /// Makes renames durable by fsyncing the store directory.
-    fn sync_dir(&self, day: Option<u16>) -> Result<(), StoreError> {
-        self.fs.sync_dir(&self.dir).map_err(|e| StoreError::io(day, &self.dir, e))?;
+    fn sync_dir(&self) -> Result<(), StoreError> {
+        self.fs.sync_dir(&self.dir).map_err(|e| StoreError::io(None, &self.dir, e))?;
         self.obs.fsync.inc();
         Ok(())
     }
@@ -476,195 +413,69 @@ impl<F: Fs> LogStore<F> {
         let gen = current.generation + 1;
         let mut next = Manifest { generation: gen, days: current.days.clone() };
         for (day, records) in batch {
-            let meta = self.write_gen_day(*day, gen, records)?;
-            next.days.insert(*day, meta);
+            let bytes = encode_day(records);
+            self.publish(Some(*day), &gen_day_file_name(*day, gen), &bytes)?;
+            self.obs.day_writes.inc();
+            self.obs.records_written.add(records.len() as u64);
+            self.obs.write_records.observe(records.len() as u64);
+            next.days.insert(*day, DayMeta::of(gen, records.len() as u64, &bytes));
         }
         // One directory sync makes every batch file's name durable
         // before the manifest that references them can publish.
-        self.sync_dir(None)?;
-
-        // Commit point: tmp + fsync + rename + dir fsync, same
-        // protocol as a day file.
-        let manifest_path = Manifest::path(&self.dir, gen);
-        let tmp = self.tmp_name(&format!("manifest-{gen:06}"));
-        let encoded = next.encode();
-        let write = (|| -> Result<(), StoreError> {
-            let mut file = self.fs.create(&tmp).map_err(|e| StoreError::io(None, &tmp, e))?;
-            file.write_all(&encoded).map_err(|e| StoreError::io(None, &tmp, e))?;
-            file.sync_all().map_err(|e| StoreError::io(None, &tmp, e))?;
-            self.obs.fsync.inc();
-            self.obs.bytes_written.add(encoded.len() as u64);
-            self.fs
-                .rename(&tmp, &manifest_path)
-                .map_err(|e| StoreError::io(None, &manifest_path, e))?;
-            self.sync_dir(None)
-        })();
-        if let Err(e) = write {
-            let _ = self.fs.remove_file(&tmp);
-            return Err(e);
-        }
+        self.sync_dir()?;
+        // Commit point: the manifest's rename, then its directory sync.
+        self.publish(None, &Manifest::file_name(gen), &next.encode())?;
+        self.sync_dir()?;
         self.obs.commits.inc();
 
-        // Post-commit sweep, best effort: old manifests and day files
-        // this batch superseded.
+        // Post-commit sweep, best effort: the day files this batch
+        // superseded and the manifest it replaced.
         for (day, _) in batch {
             if let Some(old) = current.days.get(day) {
                 let _ = self.fs.remove_file(&self.dir.join(gen_day_file_name(*day, old.generation)));
             }
-            let legacy = self.day_path(*day);
-            if self.fs.exists(&legacy) {
-                let _ = self.fs.remove_file(&legacy);
-            }
         }
-        if current.generation > 0 || self.manifest.is_some() {
+        if self.manifest.is_some() {
             let _ = self.fs.remove_file(&Manifest::path(&self.dir, current.generation));
         }
         self.manifest = Some(next);
         Ok(gen)
     }
 
-    /// Writes one batch day under its generation name, fsynced but
-    /// not yet published, and returns its manifest footer.
-    fn write_gen_day(
-        &self,
-        day: u16,
-        gen: u64,
-        records: &[Record],
-    ) -> Result<crate::manifest::DayMeta, StoreError> {
-        let d = Some(day);
-        let mut writer = FrameWriter::new(Vec::new());
-        for rec in records {
-            // Writing to a Vec cannot fail.
-            writer.write(rec).expect("in-memory frame write");
-        }
-        let bytes = writer.finish().expect("in-memory frame finish");
-        let meta = crate::manifest::DayMeta {
-            generation: gen,
-            records: records.len() as u64,
-            file_len: bytes.len() as u64,
-            file_crc: crc32(&bytes),
-        };
-        let tmp = self.tmp_name(&format!("day-{day:04}.g{gen:06}"));
-        let dest = self.dir.join(gen_day_file_name(day, gen));
-        let write = (|| -> Result<(), StoreError> {
-            let mut file = self.fs.create(&tmp).map_err(|e| StoreError::io(d, &tmp, e))?;
-            file.write_all(&bytes).map_err(|e| StoreError::io(d, &tmp, e))?;
-            file.sync_all().map_err(|e| StoreError::io(d, &tmp, e))?;
-            self.obs.fsync.inc();
-            self.fs.rename(&tmp, &dest).map_err(|e| StoreError::io(d, &dest, e))
-        })();
-        if let Err(e) = write {
-            let _ = self.fs.remove_file(&tmp);
-            return Err(e);
-        }
-        self.obs.bytes_written.add(bytes.len() as u64);
-        self.obs.day_writes.inc();
-        self.obs.records_written.add(records.len() as u64);
-        self.obs.write_records.observe(records.len() as u64);
-        Ok(meta)
-    }
-
-    /// Whether a file exists for `day` (committed or legacy).
-    pub fn has_day(&self, day: u16) -> bool {
-        if self.manifest.as_ref().is_some_and(|m| m.days.contains_key(&day)) {
-            return true;
-        }
-        self.fs.exists(&self.day_path(day))
-    }
-
-    /// The days present in the store, ascending: the union of
-    /// manifest-committed days and legacy day files.
-    pub fn days(&self) -> Result<Vec<u16>, StoreError> {
-        let names =
-            self.fs.read_dir_names(&self.dir).map_err(|e| StoreError::io(None, &self.dir, e))?;
-        let mut out: Vec<u16> = names
-            .iter()
-            .filter_map(|name| {
-                name.strip_prefix("day-")?.strip_suffix(".iplog")?.parse::<u16>().ok()
-            })
-            .collect();
-        if let Some(m) = &self.manifest {
-            out.extend(m.days.keys().copied());
-        }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
-    }
-
     /// The days the current manifest has committed, ascending (empty
-    /// for a store without a manifest).
+    /// for a store that never committed). This is the store's one
+    /// listing: a file the manifest does not name is not a day.
     pub fn committed_days(&self) -> Vec<u16> {
         self.manifest.as_ref().map(|m| m.days.keys().copied().collect()).unwrap_or_default()
     }
 
     /// Reads one day's records with the given tolerance. Returns the
     /// records plus a [`DayDamage`] account that distinguishes
-    /// mid-file loss from trailing truncation, and — for committed
-    /// days — verifies the manifest footer (length, whole-file CRC,
-    /// record count), which catches truncation on a frame boundary
-    /// that the frame layer alone would read as a clean stream.
+    /// mid-file loss from trailing truncation, and verifies the
+    /// manifest footer (length, whole-file CRC, record count), which
+    /// catches truncation on a frame boundary that the frame layer
+    /// alone would read as a clean stream. A day the manifest does not
+    /// commit is a `NotFound` I/O error, whatever the mode.
     pub fn read_day(
         &self,
         day: u16,
         mode: ReadMode,
     ) -> Result<(Vec<Record>, DayDamage), StoreError> {
-        match self.manifest.as_ref().and_then(|m| m.days.get(&day)).copied() {
-            Some(meta) => self.read_committed_day(day, meta, mode),
-            None => self.read_legacy_day(day, mode),
-        }
-    }
-
-    fn read_legacy_day(
-        &self,
-        day: u16,
-        mode: ReadMode,
-    ) -> Result<(Vec<Record>, DayDamage), StoreError> {
-        let path = self.day_path(day);
-        let file = self.fs.open_read(&path).map_err(|e| StoreError::io(Some(day), &path, e))?;
-        let mut reader = FrameReader::new(file, mode);
-        let records = reader
-            .read_all()
-            .map_err(|source| StoreError::Frame { day, path: path.clone(), source })?;
-        let truncated_tail = reader.truncated_tail();
-        let damage = DayDamage {
-            skipped: reader.skipped() - u64::from(truncated_tail),
-            truncated_tail,
-            resyncs: reader.resyncs(),
-            lost_committed: 0,
+        let Some(meta) = self.manifest.as_ref().and_then(|m| m.days.get(&day)) else {
+            let absent = io::Error::new(io::ErrorKind::NotFound, "day is not committed");
+            return Err(StoreError::io(Some(day), &self.dir, absent));
         };
-        self.obs.day_reads.inc();
-        self.obs.records_read.add(records.len() as u64);
-        self.obs.record_damage(day, &damage);
-        Ok((records, damage))
-    }
-
-    fn read_committed_day(
-        &self,
-        day: u16,
-        meta: crate::manifest::DayMeta,
-        mode: ReadMode,
-    ) -> Result<(Vec<Record>, DayDamage), StoreError> {
         let path = self.dir.join(gen_day_file_name(day, meta.generation));
-        let mut bytes = Vec::new();
-        self.fs
-            .open_read(&path)
-            .and_then(|mut f| f.read_to_end(&mut bytes))
-            .map_err(|e| StoreError::io(Some(day), &path, e))?;
-        let footer_mismatch = if bytes.len() as u64 != meta.file_len {
-            Some(format!("file is {} bytes, manifest committed {}", bytes.len(), meta.file_len))
-        } else if crc32(&bytes) != meta.file_crc {
-            Some("whole-file CRC mismatch against manifest".to_string())
-        } else {
-            None
-        };
-        if let (Some(detail), ReadMode::Strict) = (&footer_mismatch, mode) {
-            return Err(StoreError::Committed { day, path, detail: detail.clone() });
+        let bytes = read_file(&self.fs, &path).map_err(|e| StoreError::io(Some(day), &path, e))?;
+        let strict = mode == ReadMode::Strict;
+        if strict {
+            if let Some(detail) = meta.mismatch(&bytes) {
+                return Err(StoreError::Committed { day, path, detail });
+            }
         }
-        let mut reader = FrameReader::new(&bytes[..], mode);
-        let records = reader
-            .read_all()
+        let (records, damage) = scan_day(&bytes, mode, meta.records)
             .map_err(|source| StoreError::Frame { day, path: path.clone(), source })?;
-        if mode == ReadMode::Strict && (records.len() as u64) != meta.records {
+        if strict && (records.len() as u64) != meta.records {
             return Err(StoreError::Committed {
                 day,
                 path,
@@ -675,28 +486,21 @@ impl<F: Fs> LogStore<F> {
                 ),
             });
         }
-        let truncated_tail = reader.truncated_tail();
-        let damage = DayDamage {
-            skipped: reader.skipped() - u64::from(truncated_tail),
-            truncated_tail,
-            resyncs: reader.resyncs(),
-            lost_committed: meta.records.saturating_sub(records.len() as u64),
-        };
         self.obs.day_reads.inc();
         self.obs.records_read.add(records.len() as u64);
         self.obs.record_damage(day, &damage);
         Ok((records, damage))
     }
 
-    /// Streams every stored day through `f`, in day order, tolerantly
-    /// (a damaged day delivers what survived). Returns total damaged
-    /// frames (mid-file skips plus truncated tails).
+    /// Streams every committed day through `f`, in day order,
+    /// tolerantly (a damaged day delivers what survived). Returns
+    /// total damaged frames (mid-file skips plus truncated tails).
     pub fn for_each_day(
         &self,
         mut f: impl FnMut(u16, Vec<Record>),
     ) -> Result<u64, StoreError> {
         let mut lost = 0;
-        for day in self.days()? {
+        for day in self.committed_days() {
             let (records, damage) = self.read_day(day, ReadMode::Tolerant)?;
             lost += damage.lost_frames();
             f(day, records);
@@ -710,15 +514,6 @@ impl LogStore<RealFs> {
     /// filesystem. See [`LogStore::open_on`].
     pub fn open(dir: impl Into<PathBuf>) -> Result<LogStore<RealFs>, StoreError> {
         LogStore::open_on(RealFs, dir)
-    }
-
-    /// [`LogStore::open`] with an explicit observability registry.
-    /// See [`LogStore::open_on_obs`].
-    pub fn open_obs(
-        dir: impl Into<PathBuf>,
-        registry: &Registry,
-    ) -> Result<LogStore<RealFs>, StoreError> {
-        LogStore::open_on_obs(RealFs, dir, registry)
     }
 }
 
@@ -747,14 +542,24 @@ mod tests {
             .collect()
     }
 
+    /// The name of `day`'s file in a store that committed once.
+    fn day_file(day: u16) -> String {
+        gen_day_file_name(day, 1)
+    }
+
+    /// Flips one byte in the middle of the file at `path`.
+    fn flip_mid_byte(path: &Path) {
+        let mut bytes = fs::read(path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x55;
+        fs::write(path, bytes).unwrap();
+    }
+
     #[test]
     fn write_read_roundtrip() {
-        let store = LogStore::open(tmpdir("roundtrip")).unwrap();
-        store.write_day(0, &recs(0, 10)).unwrap();
-        store.write_day(3, &recs(3, 5)).unwrap();
-        assert!(store.has_day(0));
-        assert!(!store.has_day(1));
-        assert_eq!(store.days().unwrap(), vec![0, 3]);
+        let mut store = LogStore::open(tmpdir("roundtrip")).unwrap();
+        store.commit_days(&[(0, recs(0, 10)), (3, recs(3, 5))]).unwrap();
+        assert_eq!(store.committed_days(), vec![0, 3]);
         let (got, damage) = store.read_day(0, ReadMode::Strict).unwrap();
         assert_eq!(got, recs(0, 10));
         assert!(damage.is_clean());
@@ -762,21 +567,9 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_replaces_day() {
-        let store = LogStore::open(tmpdir("rewrite")).unwrap();
-        store.write_day(7, &recs(7, 10)).unwrap();
-        store.write_day(7, &recs(7, 2)).unwrap();
-        let (got, _) = store.read_day(7, ReadMode::Strict).unwrap();
-        assert_eq!(got.len(), 2);
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
     fn for_each_day_streams_in_order() {
-        let store = LogStore::open(tmpdir("stream")).unwrap();
-        for day in [5u16, 1, 9] {
-            store.write_day(day, &recs(day, 3)).unwrap();
-        }
+        let mut store = LogStore::open(tmpdir("stream")).unwrap();
+        store.commit_days(&[5u16, 1, 9].map(|day| (day, recs(day, 3)))).unwrap();
         let mut seen = Vec::new();
         let skipped = store
             .for_each_day(|day, records| {
@@ -791,15 +584,9 @@ mod tests {
 
     #[test]
     fn damaged_day_is_contained() {
-        let store = LogStore::open(tmpdir("damage")).unwrap();
-        store.write_day(0, &recs(0, 20)).unwrap();
-        store.write_day(1, &recs(1, 20)).unwrap();
-        // Corrupt day 0's file in the middle.
-        let path = store.dir().join("day-0000.iplog");
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x55;
-        fs::write(&path, bytes).unwrap();
+        let mut store = LogStore::open(tmpdir("damage")).unwrap();
+        store.commit_days(&[(0, recs(0, 20)), (1, recs(1, 20))]).unwrap();
+        flip_mid_byte(&store.dir().join(day_file(0)));
         // Strict read of day 0 fails or loses data; tolerant succeeds.
         let (survived, damage) = store.read_day(0, ReadMode::Tolerant).unwrap();
         assert!(survived.len() < 20);
@@ -824,7 +611,9 @@ mod tests {
         match store.read_day(42, ReadMode::Strict) {
             Err(e @ StoreError::Io { day: Some(42), .. }) => {
                 assert_eq!(e.day(), Some(42));
-                assert!(e.path().to_string_lossy().contains("day-0042.iplog"));
+                assert_eq!(e.path(), store.dir(), "an uncommitted day has no file name");
+                assert!(matches!(&e, StoreError::Io { source, .. }
+                    if source.kind() == io::ErrorKind::NotFound));
                 assert!(e.to_string().contains("day 42"), "display lacks day: {e}");
             }
             other => panic!("expected contextual io error, got {other:?}"),
@@ -836,31 +625,35 @@ mod tests {
 
     /// Cuts `n` bytes off the end of a day file, landing mid-frame.
     fn truncate_day(store: &LogStore, day: u16, n: usize) {
-        let path = store.dir().join(format!("day-{day:04}.iplog"));
+        let path = store.dir().join(day_file(day));
         let bytes = fs::read(&path).unwrap();
         assert!(bytes.len() > n, "test file too small to truncate");
         fs::write(&path, &bytes[..bytes.len() - n]).unwrap();
     }
 
+    /// A strict read checks the day's footer before it scans a frame,
+    /// so a cut inside the last frame is a `Committed` error (length
+    /// mismatch), not a `Frame(TruncatedFrame)`.
     #[test]
-    fn truncated_final_frame_strict_is_a_frame_error() {
-        let store = LogStore::open(tmpdir("trunc-strict")).unwrap();
-        store.write_day(2, &recs(2, 8)).unwrap();
+    fn truncated_final_frame_strict_fails_the_footer_check() {
+        let mut store = LogStore::open(tmpdir("trunc-strict")).unwrap();
+        store.commit_days(&[(2, recs(2, 8))]).unwrap();
         truncate_day(&store, 2, 3);
         match store.read_day(2, ReadMode::Strict) {
-            Err(StoreError::Frame { day: 2, source: FrameError::TruncatedFrame, path }) => {
-                assert!(path.to_string_lossy().contains("day-0002.iplog"));
+            Err(StoreError::Committed { day: 2, path, detail }) => {
+                assert!(path.to_string_lossy().contains("day-0002.g000001.iplog"));
+                assert!(detail.contains("bytes"), "length mismatch expected: {detail}");
             }
-            other => panic!("expected TruncatedFrame, got {other:?}"),
+            other => panic!("expected a footer mismatch, got {other:?}"),
         }
         let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]
     fn truncated_final_frame_tolerant_reports_truncation_not_skips() {
-        let store = LogStore::open(tmpdir("trunc-tolerant")).unwrap();
+        let mut store = LogStore::open(tmpdir("trunc-tolerant")).unwrap();
         let written = recs(4, 8);
-        store.write_day(4, &written).unwrap();
+        store.commit_days(&[(4, written.clone())]).unwrap();
         truncate_day(&store, 4, 3);
         let (survived, damage) = store.read_day(4, ReadMode::Tolerant).unwrap();
         // The damaged tail (the Finish marker here) is the *trailing
@@ -869,22 +662,18 @@ mod tests {
         assert_eq!(damage.skipped, 0, "trailing cut must not count as mid-file loss");
         assert!(damage.truncated_tail);
         assert_eq!(damage.lost_frames(), 1);
+        assert_eq!(damage.lost_committed, 0, "only the Finish marker was cut");
         assert_eq!(survived, written, "intact prefix must survive unchanged");
         let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]
     fn mid_file_corruption_reports_skips_not_truncation() {
-        let store = LogStore::open(tmpdir("mid-corrupt")).unwrap();
+        let mut store = LogStore::open(tmpdir("mid-corrupt")).unwrap();
         let written = recs(5, 20);
-        store.write_day(5, &written).unwrap();
-        let path = store.dir().join("day-0005.iplog");
-        let mut bytes = fs::read(&path).unwrap();
-        // Flip a payload byte in the middle of the stream: a bad
-        // checksum inside the file, with an intact tail after it.
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x55;
-        fs::write(&path, bytes).unwrap();
+        store.commit_days(&[(5, written.clone())]).unwrap();
+        // A bad checksum inside the file, with an intact tail after it.
+        flip_mid_byte(&store.dir().join(day_file(5)));
         let (survived, damage) = store.read_day(5, ReadMode::Tolerant).unwrap();
         assert!(damage.skipped >= 1 || damage.resyncs >= 1, "corruption went unnoticed");
         assert!(
@@ -897,27 +686,26 @@ mod tests {
 
     #[test]
     fn truncation_inside_a_record_loses_only_that_record() {
-        let store = LogStore::open(tmpdir("trunc-mid")).unwrap();
+        let mut store = LogStore::open(tmpdir("trunc-mid")).unwrap();
         // Measure the framing overhead so the cut lands mid-way
         // through the final *data* frame, past the Finish marker.
-        let path = store.dir().join("day-0006.iplog");
-        store.write_day(6, &[]).unwrap();
-        let finish_len = fs::read(&path).unwrap().len();
-        store.write_day(6, &recs(6, 7)).unwrap();
-        let seven_len = fs::read(&path).unwrap().len();
+        let path = store.dir().join(day_file(6));
+        let finish_len = encode_day(&[]).len();
+        let seven_len = encode_day(&recs(6, 7)).len();
         let written = recs(6, 8);
-        store.write_day(6, &written).unwrap();
+        store.commit_days(&[(6, written.clone())]).unwrap();
         let bytes = fs::read(&path).unwrap();
         let last_frame = bytes.len() - seven_len;
         let keep = seven_len - finish_len + last_frame / 2;
         fs::write(&path, &bytes[..keep]).unwrap();
         assert!(matches!(
             store.read_day(6, ReadMode::Strict),
-            Err(StoreError::Frame { source: FrameError::TruncatedFrame, .. })
+            Err(StoreError::Committed { day: 6, .. })
         ));
         let (survived, damage) = store.read_day(6, ReadMode::Tolerant).unwrap();
         assert_eq!(damage.skipped, 0);
         assert!(damage.truncated_tail);
+        assert_eq!(damage.lost_committed, 1);
         assert_eq!(survived, written[..7], "first seven records must survive");
         let _ = fs::remove_dir_all(store.dir());
     }
@@ -925,10 +713,7 @@ mod tests {
     #[test]
     fn open_sweeps_stale_tmp_files_but_keeps_days() {
         let dir = tmpdir("sweep");
-        {
-            let store = LogStore::open(&dir).unwrap();
-            store.write_day(1, &recs(1, 4)).unwrap();
-        }
+        LogStore::open(&dir).unwrap().commit_days(&[(1, recs(1, 4))]).unwrap();
         // Simulate crashed writers (old fixed-name scheme, new unique
         // scheme, and a manifest commit) plus an unrelated dotfile
         // that must survive.
@@ -945,16 +730,16 @@ mod tests {
         assert!(!dir.join(".lease-0004.999-9.tmp").exists(), "stale lease tmp survived open");
         assert!(dir.join("lease-0004.lse").exists(), "published lease must survive the sweep");
         assert!(dir.join(".keepme").exists(), "sweep must only touch our tmp files");
-        assert_eq!(store.days().unwrap(), vec![1]);
+        assert_eq!(store.committed_days(), vec![1]);
         assert_eq!(store.read_day(1, ReadMode::Strict).unwrap().0, recs(1, 4));
         let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn successful_writes_leave_no_tmp_files() {
-        let store = LogStore::open(tmpdir("no-tmp")).unwrap();
+        let mut store = LogStore::open(tmpdir("no-tmp")).unwrap();
         for day in 0..5u16 {
-            store.write_day(day, &recs(day, 3)).unwrap();
+            store.commit_days(&[(day, recs(day, 3))]).unwrap();
         }
         let leftovers: Vec<_> = fs::read_dir(store.dir())
             .unwrap()
@@ -966,33 +751,8 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_writers_for_the_same_day_never_interleave() {
-        let store = LogStore::open(tmpdir("concurrent")).unwrap();
-        let a = recs(9, 50);
-        let b: Vec<Record> = (0..50u32)
-            .map(|i| Record::UaSample { day: 9, addr: Addr::new(0x14000000 + i), ua_hash: i as u64 })
-            .collect();
-        std::thread::scope(|s| {
-            for records in [&a, &b] {
-                s.spawn(|| {
-                    for _ in 0..20 {
-                        store.write_day(9, records).unwrap();
-                    }
-                });
-            }
-        });
-        // Whichever writer's rename landed last, the file must be one
-        // complete, strictly readable day — not a byte interleaving.
-        let (got, damage) = store.read_day(9, ReadMode::Strict).unwrap();
-        assert!(damage.is_clean());
-        assert!(got == a || got == b, "day file mixes both writers");
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
     fn empty_store_has_no_days() {
         let store = LogStore::open(tmpdir("empty")).unwrap();
-        assert!(store.days().unwrap().is_empty());
         assert!(store.committed_days().is_empty());
         assert!(store.manifest().is_none());
         assert_eq!(store.for_each_day(|_, _| panic!("no days")).unwrap(), 0);
@@ -1006,7 +766,6 @@ mod tests {
         let gen = store.commit_days(&[(0, recs(0, 10)), (2, recs(2, 4))]).unwrap();
         assert_eq!(gen, 1);
         assert_eq!(store.committed_days(), vec![0, 2]);
-        assert_eq!(store.days().unwrap(), vec![0, 2]);
         let (got, damage) = store.read_day(0, ReadMode::Strict).unwrap();
         assert_eq!(got, recs(0, 10));
         assert!(damage.is_clean());
@@ -1057,11 +816,7 @@ mod tests {
         let path = dir.join("day-0000.g000001.iplog");
         let bytes = fs::read(&path).unwrap();
         // Re-encode a shorter stream: frames for 3 records + Finish.
-        let mut w = FrameWriter::new(Vec::new());
-        for r in recs(0, 3) {
-            w.write(&r).unwrap();
-        }
-        let short = w.finish().unwrap();
+        let short = encode_day(&recs(0, 3));
         assert!(short.len() < bytes.len());
         fs::write(&path, &short).unwrap();
         match store.read_day(0, ReadMode::Strict) {
@@ -1111,30 +866,26 @@ mod tests {
         use ipactive_obs::{EventKind, Registry, SnapshotMode};
         let reg = Registry::new();
         let dir = tmpdir("obs");
-        let mut store = LogStore::open_obs(&dir, &reg).unwrap();
+        let mut store = LogStore::open_on_obs(RealFs, &dir, &reg).unwrap();
 
-        // Single-day path: tmp fsync + dir fsync = 2 syncs, 10 records.
-        store.write_day(0, &recs(0, 10)).unwrap();
-        // Batch path: 1 day file sync + batch dir sync + manifest
+        // Each commit: 1 day file sync + batch dir sync + manifest
         // sync + post-rename dir sync = 4 syncs.
+        store.commit_days(&[(0, recs(0, 10))]).unwrap();
         store.commit_days(&[(1, recs(1, 6))]).unwrap();
 
         let (got, _) = store.read_day(0, ReadMode::Tolerant).unwrap();
         assert_eq!(got.len(), 10);
-        // Damage a legacy day mid-file and read it back tolerantly.
-        let path = dir.join("day-0000.iplog");
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x55;
-        fs::write(&path, bytes).unwrap();
+        // Damage a day mid-file and read it back tolerantly.
+        flip_mid_byte(&dir.join(day_file(0)));
         let (survived, damage) = store.read_day(0, ReadMode::Tolerant).unwrap();
         assert!(!damage.is_clean());
 
         let snap = reg.snapshot(SnapshotMode::Deterministic);
-        assert_eq!(snap.counter("store.fsync"), 6);
+        assert_eq!(snap.counter("store.fsync"), 8);
         assert_eq!(snap.counter("store.day_writes"), 2);
         assert_eq!(snap.counter("store.records_written"), 16);
-        assert_eq!(snap.counter("store.commits"), 1);
+        assert_eq!(snap.counter("store.commits"), 2);
+        assert_eq!(snap.counter("store.lost_committed"), damage.lost_committed);
         assert_eq!(snap.counter("store.day_reads"), 2);
         assert_eq!(snap.counter("store.records_read"), 10 + survived.len() as u64);
         assert_eq!(
@@ -1146,17 +897,63 @@ mod tests {
             damage.resyncs == 0 || snap.events_of(EventKind::Resync).count() > 0,
             "resync damage must be journaled"
         );
-        // Bytes are counted for the in-memory-encoded paths (gen day
-        // file + manifest), and a committed batch wrote both.
+        // Bytes are counted for day files and manifests alike.
         assert!(snap.counter("store.bytes_written") > 0);
 
         // A crashed writer's tmp swept on open is journaled.
         fs::write(dir.join(".day-0007.999-1.tmp"), b"half").unwrap();
         let reg2 = Registry::new();
-        let _reopened = LogStore::open_obs(&dir, &reg2).unwrap();
+        let _reopened = LogStore::open_on_obs(RealFs, &dir, &reg2).unwrap();
         let snap2 = reg2.snapshot(SnapshotMode::Deterministic);
         assert_eq!(snap2.events_of(EventKind::CrashRecovery).count(), 1);
         let _ = fs::remove_dir_all(dir);
+    }
+
+    /// Golden, recorded at the parent of the one-layout change before
+    /// any other edit: the files a fixed three-day first commit leaves
+    /// (name, length, CRC-32) and the operation sequence that wrote
+    /// them.
+    #[test]
+    fn commit_layout_and_syscall_sequence_are_pinned() {
+        use crate::crc::crc32;
+        use crate::vfs::{Fs as _, OpLabel, SimFs};
+        use std::path::Path;
+        let fs = SimFs::new();
+        let mut store = LogStore::open_on(fs.clone(), "/store").unwrap();
+        store.commit_days(&[(0, recs(0, 10)), (1, recs(1, 4)), (7, recs(7, 0))]).unwrap();
+        let mut names = fs.read_dir_names(Path::new("/store")).unwrap();
+        names.sort();
+        let layout: Vec<(String, usize, u32)> = names
+            .into_iter()
+            .map(|n| {
+                let bytes = fs.visible(&Path::new("/store").join(&n)).unwrap();
+                (n, bytes.len(), crc32(&bytes))
+            })
+            .collect();
+        let want = [
+            ("day-0000.g000001.iplog", 137, 0xDD18DA3D),
+            ("day-0001.g000001.iplog", 59, 0x92028CD7),
+            ("day-0007.g000001.iplog", 7, 0xA4C5D813),
+            ("manifest-000001.mft", 39, 0x2144DF1C),
+        ];
+        assert_eq!(layout.len(), want.len(), "files left by the commit: {layout:?}");
+        for ((name, len, crc), (want_name, want_len, want_crc)) in layout.iter().zip(want) {
+            assert_eq!((name.as_str(), *len, *crc), (want_name, want_len, want_crc));
+        }
+        // c = create, w = write, s = fsync, r = rename, D = dir fsync.
+        let ops: String = fs
+            .oplog()
+            .iter()
+            .map(|op| match op {
+                OpLabel::Create(_) => 'c',
+                OpLabel::Write(..) => 'w',
+                OpLabel::SyncFile(_) => 's',
+                OpLabel::Rename(..) => 'r',
+                OpLabel::Remove(_) => 'x',
+                OpLabel::SyncDir(_) => 'D',
+            })
+            .collect();
+        assert_eq!(ops, "cwsrcwsrcwsrDcwsrD");
     }
 
     #[test]

@@ -21,11 +21,15 @@
 //! operation fails with [`POWER_CUT_MSG`] (the process-side view of the
 //! machine dying), and [`SimFs::crash`] then collapses visible state
 //! into the bytes a reboot would find, under a chosen [`CrashStyle`].
+//!
+//! The plane also owns the one way a file becomes visible under its
+//! final name: the crate-private `publish` (unique tmp → write → fsync
+//! → rename) behind every day file, manifest and lease.
 
-use ipactive_obs::{Counter, Registry};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Error message carried by every operation refused after a simulated
@@ -64,8 +68,6 @@ pub trait Fs: std::fmt::Debug + Clone + Send + Sync {
     fn sync_dir(&self, dir: &Path) -> io::Result<()>;
     /// Whether a file exists at `path`.
     fn exists(&self, path: &Path) -> bool;
-    /// Size in bytes of the file at `path`.
-    fn file_len(&self, path: &Path) -> io::Result<u64>;
 }
 
 /// The production filesystem: a zero-sized passthrough to `std::fs`.
@@ -132,141 +134,39 @@ impl Fs for RealFs {
     fn exists(&self, path: &Path) -> bool {
         path.exists()
     }
-
-    #[inline]
-    fn file_len(&self, path: &Path) -> io::Result<u64> {
-        Ok(std::fs::metadata(path)?.len())
-    }
 }
 
-/// An [`Fs`] decorator that meters every operation into an
-/// observability [`Registry`] — `vfs.ops.create`, `vfs.ops.write`,
-/// `vfs.ops.sync_file`, `vfs.ops.rename`, `vfs.ops.remove`,
-/// `vfs.ops.sync_dir`, `vfs.ops.open_read`, plus
-/// `vfs.bytes_written`.
-///
-/// It is a pure passthrough: it performs no filesystem operations of
-/// its own (so wrapping a [`SimFs`] does **not** renumber its crash
-/// points) and never alters results. Operations are counted when
-/// attempted; bytes only on successful writes.
-#[derive(Debug, Clone)]
-pub struct ObsFs<F: Fs> {
-    inner: F,
-    meters: FsMeters,
+/// Distinguishes concurrent publishers within one process; with the
+/// pid it makes every tmp name unique, so two writers racing on one
+/// destination never interleave into one tmp file.
+static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// Publishes `bytes` as `dir/name`, all or nothing: a uniquely named
+/// `.{name}.{pid}-{ctr}.tmp` is created, written, fsynced and renamed
+/// over the destination; a failed attempt removes its tmp file. This
+/// is the one place the store, `fsck` and the lease plane make a tmp
+/// file. The rename is durable only once the caller syncs `dir` — one
+/// directory sync may cover a whole batch of publishes.
+pub(crate) fn publish<F: Fs>(fs: &F, dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+    let ctr = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".{name}.{}-{ctr}.tmp", std::process::id()));
+    let result = (|| {
+        let mut file = fs.create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        fs.rename(&tmp, &dir.join(name))
+    })();
+    if result.is_err() {
+        let _ = fs.remove_file(&tmp);
+    }
+    result
 }
 
-#[derive(Debug, Clone)]
-struct FsMeters {
-    create: Counter,
-    write: Counter,
-    bytes_written: Counter,
-    sync_file: Counter,
-    rename: Counter,
-    remove: Counter,
-    sync_dir: Counter,
-    open_read: Counter,
-}
-
-impl FsMeters {
-    fn new(registry: &Registry) -> FsMeters {
-        FsMeters {
-            create: registry.counter("vfs.ops.create"),
-            write: registry.counter("vfs.ops.write"),
-            bytes_written: registry.counter("vfs.bytes_written"),
-            sync_file: registry.counter("vfs.ops.sync_file"),
-            rename: registry.counter("vfs.ops.rename"),
-            remove: registry.counter("vfs.ops.remove"),
-            sync_dir: registry.counter("vfs.ops.sync_dir"),
-            open_read: registry.counter("vfs.ops.open_read"),
-        }
-    }
-}
-
-impl<F: Fs> ObsFs<F> {
-    /// Wraps `inner`, metering into `registry`.
-    pub fn new(inner: F, registry: &Registry) -> ObsFs<F> {
-        ObsFs { inner, meters: FsMeters::new(registry) }
-    }
-
-    /// The wrapped filesystem.
-    pub fn inner(&self) -> &F {
-        &self.inner
-    }
-}
-
-/// Writable handle produced by an [`ObsFs`]; counts writes, written
-/// bytes, and file syncs on the shared meters.
-#[derive(Debug)]
-pub struct ObsFile<T: FsFile> {
-    inner: T,
-    meters: FsMeters,
-}
-
-impl<T: FsFile> Write for ObsFile<T> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.meters.write.inc();
-        let n = self.inner.write(buf)?;
-        self.meters.bytes_written.add(n as u64);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-impl<T: FsFile> FsFile for ObsFile<T> {
-    fn sync_all(&mut self) -> io::Result<()> {
-        self.meters.sync_file.inc();
-        self.inner.sync_all()
-    }
-}
-
-impl<F: Fs> Fs for ObsFs<F> {
-    type File = ObsFile<F::File>;
-    type ReadFile = F::ReadFile;
-
-    fn create(&self, path: &Path) -> io::Result<Self::File> {
-        self.meters.create.inc();
-        let inner = self.inner.create(path)?;
-        Ok(ObsFile { inner, meters: self.meters.clone() })
-    }
-
-    fn open_read(&self, path: &Path) -> io::Result<Self::ReadFile> {
-        self.meters.open_read.inc();
-        self.inner.open_read(path)
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.meters.rename.inc();
-        self.inner.rename(from, to)
-    }
-
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        self.meters.remove.inc();
-        self.inner.remove_file(path)
-    }
-
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        self.inner.create_dir_all(path)
-    }
-
-    fn read_dir_names(&self, dir: &Path) -> io::Result<Vec<String>> {
-        self.inner.read_dir_names(dir)
-    }
-
-    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-        self.meters.sync_dir.inc();
-        self.inner.sync_dir(dir)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        self.inner.exists(path)
-    }
-
-    fn file_len(&self, path: &Path) -> io::Result<u64> {
-        self.inner.file_len(path)
-    }
+/// The whole content of the file at `path`.
+pub(crate) fn read_file<F: Fs>(fs: &F, path: &Path) -> io::Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    fs.open_read(path)?.read_to_end(&mut bytes)?;
+    Ok(bytes)
 }
 
 /// What kind of fault to inject at a numbered operation.
@@ -658,14 +558,6 @@ impl Fs for SimFs {
     fn exists(&self, path: &Path) -> bool {
         self.state.lock().unwrap().live.contains_key(path)
     }
-
-    fn file_len(&self, path: &Path) -> io::Result<u64> {
-        let st = self.state.lock().unwrap();
-        match st.live.get(path) {
-            Some(&ino) => Ok(st.inodes[ino].data.len() as u64),
-            None => Err(io::Error::new(io::ErrorKind::NotFound, "no such simulated file")),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -687,9 +579,7 @@ mod tests {
         fs.rename(&p("/s/.tmp"), &p("/s/final")).unwrap();
         fs.sync_dir(&p("/s")).unwrap();
         let fs = fs.crash(CrashStyle::Pessimist);
-        let mut got = Vec::new();
-        fs.open_read(&p("/s/final")).unwrap().read_to_end(&mut got).unwrap();
-        assert_eq!(got, b"hello");
+        assert_eq!(read_file(&fs, &p("/s/final")).unwrap(), b"hello");
         assert!(!fs.exists(&p("/s/.tmp")));
     }
 
@@ -718,9 +608,7 @@ mod tests {
         fs.rename(&p("/s/.tmp"), &p("/s/final")).unwrap();
         fs.sync_dir(&p("/s")).unwrap();
         let fs = fs.crash(CrashStyle::Eager);
-        let mut got = Vec::new();
-        fs.open_read(&p("/s/final")).unwrap().read_to_end(&mut got).unwrap();
-        assert_eq!(got, b"", "unsynced bytes must not survive");
+        assert_eq!(read_file(&fs, &p("/s/final")).unwrap(), b"", "unsynced bytes must not survive");
     }
 
     #[test]
@@ -733,9 +621,7 @@ mod tests {
             f.write_all(b"efghijkl").unwrap();
             fs.sync_dir(&p("/s")).unwrap();
             let fs = fs.crash(CrashStyle::Torn { seed });
-            let mut got = Vec::new();
-            fs.open_read(&p("/s/f")).unwrap().read_to_end(&mut got).unwrap();
-            got
+            read_file(&fs, &p("/s/f")).unwrap()
         };
         let a = surviving(7);
         let b = surviving(7);
@@ -796,43 +682,6 @@ mod tests {
         assert_eq!(fs.ops(), 6);
     }
 
-    #[test]
-    fn obsfs_meters_match_the_oplog_without_renumbering_it() {
-        use ipactive_obs::{Registry, SnapshotMode};
-        let reg = Registry::new();
-        let sim = SimFs::new();
-        let fs = ObsFs::new(sim.clone(), &reg);
-        let mut f = fs.create(&p("/s/a")).unwrap();
-        f.write_all(b"payload").unwrap();
-        f.sync_all().unwrap();
-        fs.rename(&p("/s/a"), &p("/s/b")).unwrap();
-        fs.sync_dir(&p("/s")).unwrap();
-        fs.remove_file(&p("/s/b")).unwrap();
-        // Passthrough: the wrapped SimFs numbered exactly the same six
-        // operations it would have seen unwrapped.
-        assert_eq!(sim.ops(), 6);
-        let snap = reg.snapshot(SnapshotMode::Deterministic);
-        assert_eq!(snap.counter("vfs.ops.create"), 1);
-        assert_eq!(snap.counter("vfs.ops.write"), 1);
-        assert_eq!(snap.counter("vfs.bytes_written"), 7);
-        assert_eq!(snap.counter("vfs.ops.sync_file"), 1);
-        assert_eq!(snap.counter("vfs.ops.rename"), 1);
-        assert_eq!(snap.counter("vfs.ops.sync_dir"), 1);
-        assert_eq!(snap.counter("vfs.ops.remove"), 1);
-    }
-
-    #[test]
-    fn obsfs_counts_failed_attempts_but_not_their_bytes() {
-        use ipactive_obs::{Registry, SnapshotMode};
-        let reg = Registry::new();
-        let fs = ObsFs::new(SimFs::new().with_fault(1, Inject::Enospc), &reg);
-        let mut f = fs.create(&p("/s/a")).unwrap();
-        assert!(f.write_all(b"doomed").is_err());
-        let snap = reg.snapshot(SnapshotMode::Deterministic);
-        assert_eq!(snap.counter("vfs.ops.write"), 1, "the attempt is counted");
-        assert_eq!(snap.counter("vfs.bytes_written"), 0, "failed bytes are not");
-    }
-
     /// A killed process loses nothing that was already in the page
     /// cache: unsynced bytes and unsynced renames survive, and the
     /// successor process can operate on the same disk.
@@ -849,9 +698,7 @@ mod tests {
         assert!(!fs.powered_off());
         assert_eq!(fs.ops(), 0, "successor numbers ops from zero");
         // Page-cache state survived the kill intact.
-        let mut got = Vec::new();
-        fs.open_read(&p("/s/final")).unwrap().read_to_end(&mut got).unwrap();
-        assert_eq!(got, b"unsynced");
+        assert_eq!(read_file(&fs, &p("/s/final")).unwrap(), b"unsynced");
         // ...but none of it is durable: a machine crash now loses it.
         let fs = fs.crash(CrashStyle::Pessimist);
         assert!(!fs.exists(&p("/s/final")));
@@ -869,8 +716,7 @@ mod tests {
         let mut g = fs.create(&p("/s/f")).unwrap();
         g.write_all(b"newer").unwrap();
         let fs = fs.crash(CrashStyle::Pessimist);
-        let mut got = Vec::new();
-        fs.open_read(&p("/s/f")).unwrap().read_to_end(&mut got).unwrap();
+        let got = read_file(&fs, &p("/s/f")).unwrap();
         assert_eq!(got, b"old", "durable entry still maps the old inode");
     }
 }

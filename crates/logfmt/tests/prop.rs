@@ -542,3 +542,119 @@ fn crc32_equals_the_bitwise_definition_at_every_length_and_alignment() {
     assert_eq!(crc32(b""), 0);
     assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
 }
+
+// ---------------------------------------------------------------------
+// The two small CRC-sealed formats, store manifest and shard lease: no
+// input panics a decoder, and a decoder accepts exactly the bytes its
+// encoder writes — `encode(decode(b)) == b` for every `b` that decodes.
+// ---------------------------------------------------------------------
+
+use ipactive_logfmt::{DayMeta, Lease, Manifest};
+
+/// One format under test: its decoder composed with its encoder.
+type Recode = fn(&[u8]) -> Option<Vec<u8>>;
+
+const MANIFEST: Recode = |bytes| Manifest::decode(bytes).ok().map(|m| m.encode());
+const LEASE: Recode = |bytes| Lease::decode(bytes).ok().map(|l| l.encode());
+
+/// The contract on one input: decoding returns (it did not panic if
+/// we are here), and what decodes re-encodes to the same bytes.
+fn assert_decodes_only_its_own_encoding(recode: Recode, bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Some(again) = recode(bytes) {
+        prop_assert!(again == bytes, "decoded, but re-encodes as {again:02X?}: {bytes:02X?}");
+    }
+    Ok(())
+}
+
+/// Overwrites the trailing CRC-32 with the right one for the bytes
+/// before it, so a mutated body gets past the checksum.
+fn reseal(bytes: &mut [u8]) {
+    if let Some(body_len) = bytes.len().checked_sub(4) {
+        let crc = crc32(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// Every truncation, plain and re-sealed, a trailing byte, and every
+/// single-byte mutation re-sealed, of one valid encoding.
+fn assert_survives_truncation_and_mutation(
+    recode: Recode,
+    valid: &[u8],
+) -> Result<(), TestCaseError> {
+    prop_assert!(recode(valid).as_deref() == Some(valid), "a valid encoding must round-trip");
+    for keep in 0..valid.len() {
+        prop_assert!(recode(&valid[..keep]).is_none(), "truncation to {keep} bytes decoded");
+        let mut resealed = valid[..keep].to_vec();
+        reseal(&mut resealed);
+        assert_decodes_only_its_own_encoding(recode, &resealed)?;
+    }
+    // One byte more than the encoder writes, behind a valid CRC.
+    let mut longer = [&valid[..valid.len() - 4], &[0; 5][..]].concat();
+    reseal(&mut longer);
+    prop_assert!(recode(&longer).is_none(), "an encoding with a trailing byte decoded");
+    for pos in 0..valid.len() - 4 {
+        // 0x80 toggles a varint's continuation bit, 0x7F its payload.
+        for mask in [0x01, 0x41, 0x7F, 0x80, 0xFF] {
+            let mut dirty = valid.to_vec();
+            dirty[pos] ^= mask;
+            reseal(&mut dirty);
+            assert_decodes_only_its_own_encoding(recode, &dirty)?;
+        }
+    }
+    Ok(())
+}
+
+/// Whole-domain values mixed with small ones, whose varints are short
+/// enough for a flipped continuation bit to swallow the next field.
+fn arb_field() -> impl Strategy<Value = u64> {
+    prop_oneof![any::<u64>(), 0u64..300, Just(0u64)]
+}
+
+fn arb_manifest() -> impl Strategy<Value = Manifest> {
+    let day = (any::<u16>(), arb_field(), arb_field(), arb_field(), any::<u32>()).prop_map(
+        |(day, generation, records, file_len, file_crc)| {
+            (day, DayMeta { generation, records, file_len, file_crc })
+        },
+    );
+    (arb_field(), prop::collection::vec(day, 0..6))
+        .prop_map(|(generation, days)| Manifest { generation, days: days.into_iter().collect() })
+}
+
+fn arb_lease() -> impl Strategy<Value = Lease> {
+    (any::<u32>(), arb_field(), arb_field(), 0u32..5, arb_field()).prop_map(
+        |(shard, epoch, holder, attempt, beat)| Lease { shard, epoch, holder, attempt, beat },
+    )
+}
+
+proptest! {
+    #[test]
+    fn manifest_and_lease_decoders_never_panic_on_arbitrary_bytes(
+        noise in prop::collection::vec(any::<u8>(), 0..200),
+        // A body of varint-shaped bytes behind the right magic and a
+        // valid CRC: the inputs that reach the field parser.
+        body in prop::collection::vec(
+            prop_oneof![any::<u8>(), Just(0x00u8), Just(0x01), Just(0x02), Just(0x80), Just(0xFF)],
+            0..48,
+        ),
+    ) {
+        let lease = Lease { shard: 0, epoch: 0, holder: 0, attempt: 0, beat: 0 };
+        for (recode, magic) in [(MANIFEST, Manifest::default().encode()), (LEASE, lease.encode())] {
+            assert_decodes_only_its_own_encoding(recode, &noise)?;
+            let mut sealed = magic[..8].to_vec();
+            sealed.extend_from_slice(&body);
+            sealed.extend_from_slice(&[0; 4]);
+            reseal(&mut sealed);
+            assert_decodes_only_its_own_encoding(recode, &sealed)?;
+        }
+    }
+
+    #[test]
+    fn manifest_decode_survives_every_truncation_and_resealed_mutation(m in arb_manifest()) {
+        assert_survives_truncation_and_mutation(MANIFEST, &m.encode())?;
+    }
+
+    #[test]
+    fn lease_decode_survives_every_truncation_and_resealed_mutation(l in arb_lease()) {
+        assert_survives_truncation_and_mutation(LEASE, &l.encode())?;
+    }
+}
