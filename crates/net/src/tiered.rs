@@ -2,101 +2,117 @@
 //! density index.
 //!
 //! [`TieredSet`] chunks the IPv4 space by `/24`: each non-empty block
-//! becomes one chunk keyed by its top 24 bits, stored in one of two
-//! representations:
+//! is one chunk keyed by its top 24 bits, and its members are held in
+//! one of two tiers, chosen by population alone:
 //!
-//! * **Sparse** — an explicit sorted array of host octets, for up to
-//!   [`SPARSE_MAX`] members (≤ 16 bytes);
+//! * **Sparse** — sorted host octets, for up to [`SPARSE_MAX`] members
+//!   (one byte each);
 //! * **Dense** — the full 256-bit bitmap (32 bytes), for everything
 //!   else.
 //!
-//! The representation is a *pure function of chunk content* (see
-//! [`canonical_repr`]): two sets with equal membership are structurally
-//! identical, so the derived `PartialEq` is content equality and
-//! snapshots hash/compare deterministically. The property suite in
-//! `tests/tiered_prop.rs` drives arbitrary operation sequences against
-//! the sorted-`Vec` reference ([`crate::RefSet`]) and asserts
-//! bit-identical results, plus explicit dense↔sparse threshold
-//! crossings in both directions.
+//! A set is four flat arrays, not one heap block per chunk: `heads`
+//! (`key << 8 | count − 1` — keys are 24-bit and counts 1..=256, so one
+//! word sorts by key and carries the population), `offs` (where the
+//! chunk's payload starts), and the two payload arenas `dense` (one
+//! aligned bitmap per dense chunk) and `sparse` (`count` host octets
+//! per sparse chunk), both packed in key order with no gaps. That is 8
+//! directory bytes a chunk plus 32 per bitmap or 1 per sparse host, at
+//! most four heap blocks a set: a clone is four `memcpy`s, and every
+//! operation allocates a constant number of times whatever the chunk
+//! count (`tests/alloc.rs` pins the numbers). Results are trimmed to
+//! exact size before they are returned, so a cached set retains no
+//! slack (`memory_bytes` counts capacity).
 //!
-//! Set algebra walks the two chunk lists in one linear merge; matching
-//! chunks are combined through the 256-bit bitmap and re-canonicalized,
-//! so every operation's output is canonical by construction.
+//! The layout is a *pure function of content*: two sets with equal
+//! membership hold equal arrays, so the derived `PartialEq` is content
+//! equality and snapshots hash/compare deterministically
+//! ([`TieredSet::is_canonical`] checks every clause). The property
+//! suite in `tests/tiered_prop.rs` drives arbitrary operation sequences
+//! against the sorted-`Vec` reference ([`crate::RefSet`]) and asserts
+//! bit-identical results, explicit dense↔sparse threshold crossings in
+//! both directions, and that the construction route leaks into neither
+//! the arrays nor their capacity.
+//!
+//! Set algebra walks the two directories in one galloping merge: runs
+//! of chunks only one side holds — and runs both sides hold identically
+//! — are copied as slices with their offsets rebased; chunks that
+//! differ combine through the 256-bit bitmap and are re-tiered, so
+//! every operation's output is canonical by construction.
 //!
 //! [`PrefixDensity`] is the counting index over a snapshot: one hash
 //! map per prefix length 0..=24 from prefix key to active-address
 //! count, giving O(1) density queries for any /8–/24 (indeed /0–/24)
 //! prefix — the primitive behind prefix-level utilization views.
 
+use core::cmp::Ordering;
+use core::ops::Range;
 use std::collections::HashMap;
 
 use crate::active::{ActiveSet, SetBuilder};
 use crate::{Addr, AddrBits256, Block24, Prefix};
 
-/// Largest chunk population stored as an explicit sparse array.
+/// Largest chunk population stored as explicit sparse host octets.
 pub const SPARSE_MAX: usize = 16;
 
-/// One `/24` chunk's physical representation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Repr {
+/// Member count (1..=256) carried in the low byte of a directory word.
+fn count_of(head: u32) -> usize {
+    (head & 0xFF) as usize + 1
+}
+
+/// One chunk's members, borrowed from the arenas. The tier is the
+/// canonical one for the content — sparse while the population fits,
+/// else dense — so equal views are equal chunks and vice versa.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum View<'a> {
     /// Sorted host octets, `1..=SPARSE_MAX` of them.
-    Sparse(Vec<u8>),
+    Sparse(&'a [u8]),
     /// Full 256-bit bitmap.
-    Dense(Box<AddrBits256>),
+    Dense(&'a AddrBits256),
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Chunk {
-    /// Top 24 bits of every member address.
-    key: u32,
-    /// Member count (1..=256); cached so len/density never rescan.
-    count: u16,
-    repr: Repr,
-}
-
-/// The canonical representation for a chunk with the given contents,
-/// or `None` if the chunk is empty (empty chunks are never stored).
-///
-/// Canonical choice: sparse while the population fits, else dense.
-/// Being a pure function of content is what makes equal sets
-/// structurally equal.
-fn canonical_repr(bits: &AddrBits256) -> Option<(Repr, u16)> {
-    let n = bits.count();
-    if n == 0 {
-        return None;
-    }
-    let repr = if n as usize <= SPARSE_MAX {
-        Repr::Sparse(bits.iter().collect())
-    } else {
-        Repr::Dense(Box::new(*bits))
-    };
-    Some((repr, n as u16))
-}
-
-impl Repr {
-    fn to_bits(&self) -> AddrBits256 {
+impl View<'_> {
+    fn to_bits(self) -> AddrBits256 {
         match self {
-            Repr::Sparse(hosts) => hosts.iter().copied().collect(),
-            Repr::Dense(bits) => **bits,
+            View::Sparse(hosts) => hosts.iter().copied().collect(),
+            View::Dense(bits) => *bits,
         }
     }
 
-    fn contains(&self, h: u8) -> bool {
+    /// ORs the members into `acc`.
+    fn or_into(self, acc: &mut AddrBits256) {
         match self {
-            Repr::Sparse(hosts) => hosts.binary_search(&h).is_ok(),
-            Repr::Dense(bits) => bits.get(h),
+            View::Sparse(hosts) => hosts.iter().for_each(|&h| acc.set(h)),
+            View::Dense(bits) => *acc = acc.union(bits),
+        }
+    }
+
+    /// Members shared with `other` (callers answer the identical-chunk
+    /// case from the directory without coming here).
+    fn intersect_count(self, other: View<'_>) -> usize {
+        match (self, other) {
+            (View::Sparse(hosts), View::Dense(bits)) | (View::Dense(bits), View::Sparse(hosts)) => {
+                hosts.iter().filter(|&&h| bits.get(h)).count()
+            }
+            _ => self.to_bits().intersect(&other.to_bits()).count() as usize,
+        }
+    }
+
+    fn contains(self, h: u8) -> bool {
+        match self {
+            View::Sparse(hosts) => hosts.binary_search(&h).is_ok(),
+            View::Dense(bits) => bits.get(h),
         }
     }
 
     /// Members with host octet in `lo..=hi`.
-    fn count_range(&self, lo: u8, hi: u8) -> usize {
+    fn count_range(self, lo: u8, hi: u8) -> usize {
         match self {
-            Repr::Sparse(hosts) => {
+            View::Sparse(hosts) => {
                 let a = hosts.partition_point(|&h| h < lo);
                 let b = hosts.partition_point(|&h| h <= hi);
                 b - a
             }
-            Repr::Dense(bits) => {
+            View::Dense(bits) => {
                 (0..4usize)
                     .map(|w| {
                         let word = bits.words()[w];
@@ -121,13 +137,13 @@ impl Repr {
     }
 
     /// Largest member `≤ h`, if any.
-    fn pred(&self, h: u8) -> Option<u8> {
+    fn pred(self, h: u8) -> Option<u8> {
         match self {
-            Repr::Sparse(hosts) => {
+            View::Sparse(hosts) => {
                 let i = hosts.partition_point(|&x| x <= h);
                 i.checked_sub(1).map(|i| hosts[i])
             }
-            Repr::Dense(bits) => {
+            View::Dense(bits) => {
                 let words = bits.words();
                 let mut wi = (h >> 6) as usize;
                 let off = h & 63;
@@ -145,13 +161,13 @@ impl Repr {
     }
 
     /// Smallest member `≥ h`, if any.
-    fn succ(&self, h: u8) -> Option<u8> {
+    fn succ(self, h: u8) -> Option<u8> {
         match self {
-            Repr::Sparse(hosts) => {
+            View::Sparse(hosts) => {
                 let i = hosts.partition_point(|&x| x < h);
                 hosts.get(i).copied()
             }
-            Repr::Dense(bits) => {
+            View::Dense(bits) => {
                 let words = bits.words();
                 let mut wi = (h >> 6) as usize;
                 let mut w = words[wi] & (u64::MAX << (h & 63));
@@ -170,26 +186,23 @@ impl Repr {
     }
 
     /// Smallest member (chunks are never empty).
-    fn first(&self) -> u8 {
-        match self {
-            Repr::Sparse(hosts) => hosts[0],
-            Repr::Dense(bits) => bits.iter().next().expect("dense chunk is non-empty"),
-        }
+    fn first(self) -> u8 {
+        self.succ(0).expect("chunks are non-empty by invariant")
     }
 
     /// Largest member (chunks are never empty).
-    fn last(&self) -> u8 {
-        match self {
-            Repr::Sparse(hosts) => *hosts.last().expect("sparse chunk is non-empty"),
-            Repr::Dense(_) => self.pred(255).expect("dense chunk is non-empty"),
-        }
+    fn last(self) -> u8 {
+        self.pred(255).expect("chunks are non-empty by invariant")
     }
+}
 
-    /// Heap bytes held by this representation.
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Repr::Sparse(hosts) => hosts.capacity(),
-            Repr::Dense(_) => core::mem::size_of::<AddrBits256>(),
+/// Calls `f` with every set host index of `bits`, ascending.
+fn for_each_bit(bits: &AddrBits256, mut f: impl FnMut(u8)) {
+    for (w, &word) in bits.words().iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            f(((w as u8) << 6) | word.trailing_zeros() as u8);
+            word &= word - 1;
         }
     }
 }
@@ -215,8 +228,10 @@ impl ReprCensus {
 ///
 /// Same observable contract as [`crate::AddrSet`] (the analysis layers
 /// use either through [`ActiveSet`]), but resident memory scales with
-/// *structure* rather than population: a fully-lit /24 costs 64 bytes
-/// (directory entry plus bitmap) instead of 1 KiB of sorted `u32`s.
+/// *structure* rather than population: a fully-lit /24 costs 40 bytes
+/// (two directory words plus its bitmap) instead of 1 KiB of sorted
+/// `u32`s, a lone host 9, and a set of any size is at most four heap
+/// blocks.
 ///
 /// ```
 /// use ipactive_net::{ActiveSet, Addr, TieredSet};
@@ -227,8 +242,16 @@ impl ReprCensus {
 /// ```
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct TieredSet {
-    /// Non-empty chunks, strictly ascending by key.
-    chunks: Vec<Chunk>,
+    /// `key << 8 | count − 1` per chunk, strictly ascending by key.
+    heads: Vec<u32>,
+    /// Per chunk: the index of its bitmap in `dense` if its count
+    /// exceeds [`SPARSE_MAX`], else the offset of its first host octet
+    /// in `sparse`.
+    offs: Vec<u32>,
+    /// Bitmaps of the dense chunks, in key order.
+    dense: Vec<AddrBits256>,
+    /// Sorted host octets of the sparse chunks, in key order.
+    sparse: Vec<u8>,
     /// Cached total population.
     len: usize,
 }
@@ -247,6 +270,7 @@ impl core::fmt::Debug for TieredSet {
     }
 }
 
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum MergeKind {
     Union,
     Intersect,
@@ -257,24 +281,24 @@ enum MergeKind {
 ///
 /// Exponential probing then a binary search over the overshoot window:
 /// O(log gap) instead of the two-pointer loop's O(gap) when one side of
-/// a merge is far ahead (skewed inputs). Requires `chunks[from].key <
-/// key`, which is what the merge's unequal-key branches guarantee.
-fn gallop(chunks: &[Chunk], from: usize, key: u32) -> usize {
-    debug_assert!(chunks[from].key < key);
+/// a merge is far ahead (skewed inputs). Requires `heads[from]`'s key
+/// `< key`, which is what the merge's unequal-key branches guarantee.
+fn gallop(heads: &[u32], from: usize, key: u32) -> usize {
+    debug_assert!(heads[from] >> 8 < key);
     let mut lo = from;
     let mut step = 1usize;
     let hi = loop {
         let probe = lo + step;
-        if probe >= chunks.len() {
-            break chunks.len();
+        if probe >= heads.len() {
+            break heads.len();
         }
-        if chunks[probe].key >= key {
+        if heads[probe] >> 8 >= key {
             break probe;
         }
         lo = probe;
         step <<= 1;
     };
-    lo + 1 + chunks[lo + 1..hi].partition_point(|c| c.key < key)
+    lo + 1 + heads[lo + 1..hi].partition_point(|&h| h >> 8 < key)
 }
 
 impl TieredSet {
@@ -312,41 +336,45 @@ impl TieredSet {
 
     /// Tallies which representation each chunk currently uses.
     pub fn repr_census(&self) -> ReprCensus {
-        let mut c = ReprCensus::default();
-        for chunk in &self.chunks {
-            match chunk.repr {
-                Repr::Sparse(_) => c.sparse += 1,
-                Repr::Dense(_) => c.dense += 1,
-            }
-        }
-        c
+        ReprCensus { sparse: self.heads.len() - self.dense.len(), dense: self.dense.len() }
     }
 
     /// Number of chunks (distinct non-empty `/24` blocks).
     pub fn num_chunks(&self) -> usize {
-        self.chunks.len()
+        self.heads.len()
     }
 
     /// Whether every structural invariant holds: keys strictly
-    /// ascending, every chunk canonical for its contents with a correct
-    /// cached count, and the cached total consistent. The property
-    /// suite calls this after every operation.
+    /// ascending; every chunk in the tier its count dictates, with
+    /// exactly that many members (a bitmap of that population, or that
+    /// many strictly ascending octets); payloads contiguous in key
+    /// order from offset 0 with no bytes left over; and the cached
+    /// total consistent. The property suite calls this after every
+    /// operation.
     pub fn is_canonical(&self) -> bool {
-        let mut total = 0usize;
-        let mut prev_key: Option<u32> = None;
-        for c in &self.chunks {
-            if prev_key.is_some_and(|p| p >= c.key) {
+        if self.offs.len() != self.heads.len() {
+            return false;
+        }
+        let (mut d, mut s, mut total) = (0usize, 0usize, 0usize);
+        for (i, (&h, &o)) in self.heads.iter().zip(&self.offs).enumerate() {
+            if i > 0 && self.heads[i - 1] >> 8 >= h >> 8 {
                 return false;
             }
-            prev_key = Some(c.key);
-            let bits = c.repr.to_bits();
-            match canonical_repr(&bits) {
-                Some((repr, count)) if repr == c.repr && count == c.count => {}
-                _ => return false,
+            let n = count_of(h);
+            let ok = if n > SPARSE_MAX {
+                d += 1;
+                o as usize == d - 1 && self.dense.get(d - 1).is_some_and(|b| b.count() as usize == n)
+            } else {
+                s += n;
+                o as usize == s - n
+                    && self.sparse.get(s - n..s).is_some_and(|v| v.windows(2).all(|w| w[0] < w[1]))
+            };
+            if !ok {
+                return false;
             }
-            total += c.count as usize;
+            total += n;
         }
-        total == self.len
+        d == self.dense.len() && s == self.sparse.len() && total == self.len
     }
 
     /// Builds the O(1) per-prefix density index for this snapshot.
@@ -356,84 +384,240 @@ impl TieredSet {
     /// reference backend by the property suite).
     pub fn prefix_density(&self) -> PrefixDensity {
         PrefixDensity::from_block_counts(
-            self.chunks.iter().map(|c| (c.key, c.count as u64)),
+            self.heads.iter().map(|&h| (h >> 8, count_of(h) as u64)),
         )
     }
 
+    fn with_capacity(chunks: usize, dense: usize, sparse: usize) -> Self {
+        TieredSet {
+            heads: Vec::with_capacity(chunks),
+            offs: Vec::with_capacity(chunks),
+            dense: Vec::with_capacity(dense),
+            sparse: Vec::with_capacity(sparse),
+            len: 0,
+        }
+    }
+
+    /// Gives back whatever the arrays reserved beyond their contents,
+    /// so a result that gets cached holds exactly its own bytes.
+    fn trimmed(mut self) -> Self {
+        self.heads.shrink_to_fit();
+        self.offs.shrink_to_fit();
+        self.dense.shrink_to_fit();
+        self.sparse.shrink_to_fit();
+        self
+    }
+
+    fn view(&self, i: usize) -> View<'_> {
+        let (n, o) = (count_of(self.heads[i]), self.offs[i] as usize);
+        if n > SPARSE_MAX {
+            View::Dense(&self.dense[o])
+        } else {
+            View::Sparse(&self.sparse[o..o + n])
+        }
+    }
+
+    /// Whether chunk `i` here and chunk `j` of `other` are the same
+    /// block with the same members.
+    fn same_chunk(&self, i: usize, other: &Self, j: usize) -> bool {
+        self.heads[i] == other.heads[j] && self.view(i) == other.view(j)
+    }
+
+    fn chunk_index(&self, key: u32) -> Result<usize, usize> {
+        self.heads.binary_search_by_key(&key, |&h| h >> 8)
+    }
+
+    /// Appends the chunk of block `key` holding `bits` in its canonical
+    /// tier; an empty `bits` appends nothing. Keys must ascend.
+    fn push_bits(&mut self, key: u32, bits: &AddrBits256) {
+        let n = bits.count() as usize;
+        if n == 0 {
+            return;
+        }
+        self.heads.push(key << 8 | (n as u32 - 1));
+        if n > SPARSE_MAX {
+            self.offs.push(self.dense.len() as u32);
+            self.dense.push(*bits);
+        } else {
+            self.offs.push(self.sparse.len() as u32);
+            for_each_bit(bits, |h| self.sparse.push(h));
+        }
+        self.len += n;
+    }
+
+    /// Appends chunks `run` of `src` as they are (already canonical):
+    /// three slice copies, the offsets rebased onto this set's arenas.
+    fn push_run(&mut self, src: &Self, run: Range<usize>) {
+        let (d0, s0) = (self.dense.len(), self.sparse.len());
+        let (mut d, mut s) = (d0, s0);
+        // Where the run's payloads start in `src`'s arenas: offsets
+        // ascend within a tier, so the first of each is the smallest.
+        let (mut src_d, mut src_s) = (usize::MAX, usize::MAX);
+        for (&h, &o) in src.heads[run.clone()].iter().zip(&src.offs[run.clone()]) {
+            let n = count_of(h);
+            if n > SPARSE_MAX {
+                src_d = src_d.min(o as usize);
+                self.offs.push(d as u32);
+                d += 1;
+            } else {
+                src_s = src_s.min(o as usize);
+                self.offs.push(s as u32);
+                s += n;
+            }
+            self.len += n;
+        }
+        self.heads.extend_from_slice(&src.heads[run]);
+        if d > d0 {
+            self.dense.extend_from_slice(&src.dense[src_d..src_d + (d - d0)]);
+        }
+        if s > s0 {
+            self.sparse.extend_from_slice(&src.sparse[src_s..src_s + (s - s0)]);
+        }
+    }
+
     fn merge(&self, other: &Self, kind: MergeKind) -> Self {
-        let mut chunks = Vec::with_capacity(match kind {
-            MergeKind::Union => self.chunks.len() + other.chunks.len(),
-            MergeKind::Intersect => self.chunks.len().min(other.chunks.len()),
-            MergeKind::Difference => self.chunks.len(),
-        });
-        let mut len = 0usize;
-        let mut push = |c: Chunk| {
-            len += c.count as usize;
-            chunks.push(c);
+        use MergeKind::*;
+        let (a, b) = (self, other);
+        let (na, nb) = (a.heads.len(), b.heads.len());
+        let (da, db) = (a.dense.len(), b.dense.len());
+        // Upper bounds from the operands, so no array ever regrows: a
+        // bitmap in the result is owed to a bitmap in an operand or (in
+        // a union) to a pair of sparse chunks; a sparse chunk in the
+        // result is no longer than the operand chunks it came from, or
+        // than SPARSE_MAX where it came from a bitmap.
+        let mut out = match kind {
+            Union => Self::with_capacity(
+                na + nb,
+                da + db + (na - da).min(nb - db),
+                a.sparse.len() + b.sparse.len(),
+            ),
+            Intersect => Self::with_capacity(
+                na.min(nb),
+                da.min(db),
+                (na.min(nb) * SPARSE_MAX).min(a.len).min(b.len),
+            ),
+            Difference => Self::with_capacity(na, da, a.sparse.len() + da * SPARSE_MAX),
         };
         let (mut i, mut j) = (0, 0);
-        while i < self.chunks.len() && j < other.chunks.len() {
-            let (a, b) = (&self.chunks[i], &other.chunks[j]);
-            match a.key.cmp(&b.key) {
-                core::cmp::Ordering::Less => {
+        while i < na && j < nb {
+            let (ka, kb) = (a.heads[i] >> 8, b.heads[j] >> 8);
+            match ka.cmp(&kb) {
+                Ordering::Less => {
                     // Gallop to the next possible key match and handle
                     // the whole skipped run at once.
-                    let stop = gallop(&self.chunks, i, b.key);
-                    if !matches!(kind, MergeKind::Intersect) {
-                        self.chunks[i..stop].iter().for_each(|c| push(c.clone()));
+                    let stop = gallop(&a.heads, i, kb);
+                    if kind != Intersect {
+                        out.push_run(a, i..stop);
                     }
                     i = stop;
                 }
-                core::cmp::Ordering::Greater => {
-                    let stop = gallop(&other.chunks, j, a.key);
-                    if matches!(kind, MergeKind::Union) {
-                        other.chunks[j..stop].iter().for_each(|c| push(c.clone()));
+                Ordering::Greater => {
+                    let stop = gallop(&b.heads, j, ka);
+                    if kind == Union {
+                        out.push_run(b, j..stop);
                     }
                     j = stop;
                 }
-                core::cmp::Ordering::Equal => {
-                    if a.repr == b.repr {
-                        // Identical chunks (steady blocks dominate
-                        // real window pairs): the result is the chunk
-                        // itself for union/intersect and empty for
-                        // difference — no bitmap round-trip, and the
-                        // clone is already canonical.
-                        if !matches!(kind, MergeKind::Difference) {
-                            push(a.clone());
+                Ordering::Equal => {
+                    // Identical chunks (steady blocks dominate real
+                    // window pairs) come in runs: the result is the run
+                    // itself for union/intersect and empty for
+                    // difference — no bitmap round-trip, and the copy
+                    // is already canonical.
+                    let mut same = 0;
+                    while i + same < na && j + same < nb && a.same_chunk(i + same, b, j + same) {
+                        same += 1;
+                    }
+                    if same > 0 {
+                        if kind != Difference {
+                            out.push_run(a, i..i + same);
                         }
-                        i += 1;
-                        j += 1;
+                        i += same;
+                        j += same;
                         continue;
                     }
-                    let (x, y) = (a.repr.to_bits(), b.repr.to_bits());
+                    let (x, y) = (a.view(i).to_bits(), b.view(j).to_bits());
                     let bits = match kind {
-                        MergeKind::Union => x.union(&y),
-                        MergeKind::Intersect => x.intersect(&y),
-                        MergeKind::Difference => x.difference(&y),
+                        Union => x.union(&y),
+                        Intersect => x.intersect(&y),
+                        Difference => x.difference(&y),
                     };
-                    if let Some((repr, count)) = canonical_repr(&bits) {
-                        push(Chunk { key: a.key, count, repr });
-                    }
+                    out.push_bits(ka, &bits);
                     i += 1;
                     j += 1;
                 }
             }
         }
-        match kind {
-            MergeKind::Union => {
-                self.chunks[i..].iter().for_each(|c| push(c.clone()));
-                other.chunks[j..].iter().for_each(|c| push(c.clone()));
-            }
-            MergeKind::Difference => {
-                self.chunks[i..].iter().for_each(|c| push(c.clone()));
-            }
-            MergeKind::Intersect => {}
+        if kind != Intersect {
+            out.push_run(a, i..na);
         }
-        TieredSet { chunks, len }
+        if kind == Union {
+            out.push_run(b, j..nb);
+        }
+        out.trimmed()
     }
 
-    fn chunk_index(&self, key: u32) -> Result<usize, usize> {
-        self.chunks.binary_search_by_key(&key, |c| c.key)
+    /// The covering mask of an event at `bits` against this exclusion
+    /// set, with the chunk search already done: `i` is the first chunk
+    /// keyed at or after the event's block and `own` that chunk's view
+    /// when it *is* the event's block.
+    ///
+    /// Closed form instead of [`ActiveSet::covering_mask`]'s per-mask
+    /// growth walk: the result is `min(32, 1 + cpl)` where `cpl` is the
+    /// longest common prefix between the event and any member — and
+    /// that maximum is always attained by the nearest member below or
+    /// above (values between two numbers sharing a prefix share it
+    /// too). So two neighbor probes replace up to 32 range-emptiness
+    /// checks. Agreement with the default walk is pinned by
+    /// `covering_mask_override_matches_default_walk` and the property
+    /// suite.
+    fn mask_at(&self, i: usize, own: Option<View<'_>>, bits: u32) -> u8 {
+        let (base, h) = (bits & !0xFF, bits as u8);
+        // Nearest member ≤ the event: in its own chunk if present
+        // there, else the last member of the previous chunk (chunks
+        // are sorted and never empty).
+        let pred = own.and_then(|v| v.pred(h)).map(|p| base | p as u32).or_else(|| {
+            let p = i.checked_sub(1)?;
+            Some((self.heads[p] & !0xFF) | self.view(p).last() as u32)
+        });
+        // Nearest member ≥ the event, symmetrically.
+        let succ = own.and_then(|v| v.succ(h)).map(|s| base | s as u32).or_else(|| {
+            let n = i + usize::from(own.is_some());
+            let head = self.heads.get(n)?;
+            Some((head & !0xFF) | self.view(n).first() as u32)
+        });
+        let cpl = [pred, succ].into_iter().flatten().map(|n| (bits ^ n).leading_zeros()).max();
+        match cpl {
+            // `cpl == 32` means the event is itself a member: still /32.
+            Some(cpl) => (cpl + 1).min(32) as u8,
+            None => 0, // empty exclusion: growth reaches /0
+        }
+    }
+
+    /// One merge walk over the two directories, calling `f(j, own,
+    /// bits)` for every member `bits` of `self \ other`, ascending,
+    /// without building a set — `j` and `own` being the position in
+    /// `other` that [`TieredSet::mask_at`] takes. Matching chunks diff
+    /// four words; either way the survivors are the set bits of one
+    /// bitmap.
+    fn diff_walk<'a>(&self, other: &'a Self, mut f: impl FnMut(usize, Option<View<'a>>, u32)) {
+        let mut j = 0;
+        for (i, &head) in self.heads.iter().enumerate() {
+            while j < other.heads.len() && other.heads[j] >> 8 < head >> 8 {
+                j += 1;
+            }
+            let a = self.view(i);
+            let matched = other.heads.get(j).is_some_and(|&o| o >> 8 == head >> 8);
+            let own = matched.then(|| other.view(j));
+            let survivors = match own {
+                // Identical chunk on both sides (the steady-block
+                // common case): no survivors, skip the word walk.
+                Some(b) if a == b => continue,
+                Some(b) => a.to_bits().difference(&b.to_bits()),
+                None => a.to_bits(),
+            };
+            for_each_bit(&survivors, |h| f(j, own, (head & !0xFF) | h as u32));
+        }
     }
 }
 
@@ -445,75 +629,41 @@ impl FromIterator<Addr> for TieredSet {
 
 /// Streaming block-wise builder for [`TieredSet`].
 ///
-/// Chunks materialize straight into canonical form, so construction
-/// never allocates a full bitmap for blocks that end up sparse — the
-/// fix for the old counting-pass + `Vec::with_capacity` pre-sizing in
-/// the dataset layers.
-pub struct TieredSetBuilder {
-    chunks: Vec<Chunk>,
-    len: usize,
-}
+/// Blocks append straight onto the arenas in canonical form, so
+/// construction never holds a full bitmap for a block that ends up
+/// sparse, and `finish` trims the arrays to their contents.
+pub struct TieredSetBuilder(TieredSet);
 
 impl SetBuilder for TieredSetBuilder {
     type Set = TieredSet;
 
     fn new() -> Self {
-        TieredSetBuilder { chunks: Vec::new(), len: 0 }
+        TieredSetBuilder(TieredSet::new())
     }
 
     fn push_block(&mut self, block: Block24, bits: &AddrBits256) {
         debug_assert!(
-            !self.chunks.last().is_some_and(|c| c.key >= block.id()),
+            !self.0.heads.last().is_some_and(|&h| h >> 8 >= block.id()),
             "blocks must arrive in ascending order"
         );
-        if let Some((repr, count)) = canonical_repr(bits) {
-            self.len += count as usize;
-            self.chunks.push(Chunk { key: block.id(), count, repr });
-        }
+        self.0.push_bits(block.id(), bits);
     }
 
     fn finish(self) -> TieredSet {
-        TieredSet { chunks: self.chunks, len: self.len }
+        self.0.trimmed()
     }
 }
 
 /// Ascending iterator over a [`TieredSet`]'s members.
 pub struct TieredIter<'a> {
-    chunks: &'a [Chunk],
+    set: &'a TieredSet,
     next_chunk: usize,
-    cur: Option<(u32, HostIter<'a>)>,
-}
-
-enum HostIter<'a> {
-    Sparse(core::slice::Iter<'a, u8>),
-    Dense { words: [u64; 4], w: usize },
-}
-
-impl HostIter<'_> {
-    fn of(repr: &Repr) -> HostIter<'_> {
-        match repr {
-            Repr::Sparse(hosts) => HostIter::Sparse(hosts.iter()),
-            Repr::Dense(bits) => HostIter::Dense { words: *bits.words(), w: 0 },
-        }
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        match self {
-            HostIter::Sparse(it) => it.next().copied(),
-            HostIter::Dense { words, w } => loop {
-                if *w == 4 {
-                    return None;
-                }
-                if words[*w] == 0 {
-                    *w += 1;
-                    continue;
-                }
-                let bit = words[*w].trailing_zeros() as u8;
-                words[*w] &= words[*w] - 1;
-                return Some(((*w as u8) << 6) | bit);
-            },
-        }
-    }
+    /// The current chunk's block base and its members not yet yielded,
+    /// as a bitmap whatever the chunk's tier; `w` is the first word that
+    /// may still hold one.
+    base: u32,
+    words: [u64; 4],
+    w: usize,
 }
 
 impl Iterator for TieredIter<'_> {
@@ -521,15 +671,20 @@ impl Iterator for TieredIter<'_> {
 
     fn next(&mut self) -> Option<Addr> {
         loop {
-            if let Some((base, hosts)) = &mut self.cur {
-                if let Some(h) = hosts.next() {
-                    return Some(Addr::new(*base | h as u32));
+            while self.w < 4 {
+                let word = self.words[self.w];
+                if word != 0 {
+                    self.words[self.w] = word & (word - 1);
+                    let h = (self.w as u32) << 6 | word.trailing_zeros();
+                    return Some(Addr::new(self.base | h));
                 }
-                self.cur = None;
+                self.w += 1;
             }
-            let c = self.chunks.get(self.next_chunk)?;
+            let head = self.set.heads.get(self.next_chunk)?;
+            self.base = head & !0xFF;
+            self.words = *self.set.view(self.next_chunk).to_bits().words();
+            self.w = 0;
             self.next_chunk += 1;
-            self.cur = Some((c.key << 8, HostIter::of(&c.repr)));
         }
     }
 }
@@ -556,7 +711,7 @@ impl ActiveSet for TieredSet {
 
     fn contains(&self, addr: Addr) -> bool {
         match self.chunk_index(addr.bits() >> 8) {
-            Ok(i) => self.chunks[i].repr.contains(addr.host_index()),
+            Ok(i) => self.view(i).contains(addr.host_index()),
             Err(_) => false,
         }
     }
@@ -566,15 +721,15 @@ impl ActiveSet for TieredSet {
         if prefix.len() > 24 {
             // Part of one chunk; count the host sub-range inside it.
             match self.chunk_index(net >> 8) {
-                Ok(i) => self.chunks[i].repr.count_range(net as u8, last as u8),
+                Ok(i) => self.view(i).count_range(net as u8, last as u8),
                 Err(_) => 0,
             }
         } else {
-            // /0../24 prefixes cover whole chunks: sum cached counts
-            // (a /24 is one chunk, whatever its representation).
-            let lo = self.chunks.partition_point(|c| c.key < net >> 8);
-            let hi = self.chunks.partition_point(|c| c.key <= last >> 8);
-            self.chunks[lo..hi].iter().map(|c| c.count as usize).sum()
+            // /0../24 prefixes cover whole chunks: sum the counts the
+            // directory carries (a /24 is one chunk, whatever its tier).
+            let lo = self.heads.partition_point(|&h| h >> 8 < net >> 8);
+            let hi = self.heads.partition_point(|&h| h >> 8 <= last >> 8);
+            self.heads[lo..hi].iter().map(|&h| count_of(h)).sum()
         }
     }
 
@@ -582,150 +737,109 @@ impl ActiveSet for TieredSet {
         let (net, last) = (prefix.network().bits(), prefix.last().bits());
         if prefix.len() > 24 {
             match self.chunk_index(net >> 8) {
-                Ok(i) => self.chunks[i].repr.count_range(net as u8, last as u8) > 0,
+                Ok(i) => self.view(i).count_range(net as u8, last as u8) > 0,
                 Err(_) => false,
             }
         } else {
             // Any chunk keyed inside the prefix is non-empty by invariant.
-            let lo = self.chunks.partition_point(|c| c.key < net >> 8);
-            lo < self.chunks.len() && self.chunks[lo].key <= last >> 8
+            let lo = self.heads.partition_point(|&h| h >> 8 < net >> 8);
+            self.heads.get(lo).is_some_and(|&h| h >> 8 <= last >> 8)
         }
     }
 
-    /// Closed form instead of the default's per-mask growth walk: the
-    /// result is `min(32, 1 + cpl)` where `cpl` is the longest common
-    /// prefix between `addr` and any member — and that maximum is
-    /// always attained by the nearest member below or above `addr`
-    /// (values between two numbers sharing a prefix share it too). So
-    /// one chunk binary search plus two neighbor probes replaces up
-    /// to 32 range-emptiness checks. Agreement with the default walk
-    /// is pinned by `covering_mask_override_matches_default_walk` and
-    /// the property suite.
+    /// One directory binary search, then [`TieredSet::mask_at`]'s two
+    /// neighbor probes, instead of the default's per-mask growth walk.
     fn covering_mask(&self, addr: Addr) -> u8 {
-        let bits = addr.bits();
-        let (key, h) = (bits >> 8, addr.host_index());
-        let (i, own) = match self.chunk_index(key) {
-            Ok(i) => (i, Some(&self.chunks[i].repr)),
+        let (i, own) = match self.chunk_index(addr.bits() >> 8) {
+            Ok(i) => (i, Some(self.view(i))),
             Err(i) => (i, None),
         };
-        // Nearest member ≤ addr: in addr's own chunk if present there,
-        // else the last member of the previous chunk (chunks are
-        // sorted and never empty).
-        let pred = own
-            .and_then(|repr| repr.pred(h))
-            .map(|p| (key << 8) | p as u32)
-            .or_else(|| {
-                let c = self.chunks[..i].last()?;
-                Some((c.key << 8) | c.repr.last() as u32)
-            });
-        // Nearest member ≥ addr, symmetrically.
-        let next_chunk = i + usize::from(own.is_some());
-        let succ = own
-            .and_then(|repr| repr.succ(h))
-            .map(|s| (key << 8) | s as u32)
-            .or_else(|| {
-                let c = self.chunks.get(next_chunk)?;
-                Some((c.key << 8) | c.repr.first() as u32)
-            });
-        let cpl = [pred, succ]
-            .into_iter()
-            .flatten()
-            .map(|n| (bits ^ n).leading_zeros())
-            .max();
-        match cpl {
-            // `cpl == 32` means addr itself is a member: still /32.
-            Some(cpl) => (cpl + 1).min(32) as u8,
-            None => 0, // empty exclusion: growth reaches /0
-        }
+        self.mask_at(i, own, addr.bits())
     }
 
     fn iter(&self) -> TieredIter<'_> {
-        TieredIter { chunks: &self.chunks, next_chunk: 0, cur: None }
+        TieredIter { set: self, next_chunk: 0, base: 0, words: [0; 4], w: 4 }
     }
 
+    /// O(chunks): the arenas are packed, so a new member rebuilds the
+    /// set through a one-address union. Nothing outside the test suites
+    /// inserts one address at a time — sets are built block-wise by
+    /// [`TieredSetBuilder`] and combined by the algebra.
     fn insert(&mut self, addr: Addr) -> bool {
-        let (key, h) = (addr.bits() >> 8, addr.host_index());
-        match self.chunk_index(key) {
-            Ok(i) => {
-                let c = &mut self.chunks[i];
-                if c.repr.contains(h) {
-                    return false;
-                }
-                let mut bits = c.repr.to_bits();
-                bits.set(h);
-                let (repr, count) =
-                    canonical_repr(&bits).expect("chunk non-empty after insert");
-                c.repr = repr;
-                c.count = count;
-                self.len += 1;
-                true
-            }
-            Err(i) => {
-                self.chunks.insert(i, Chunk { key, count: 1, repr: Repr::Sparse(vec![h]) });
-                self.len += 1;
-                true
-            }
+        if self.contains(addr) {
+            return false;
         }
+        let single = TieredSet {
+            heads: vec![addr.bits() & !0xFF],
+            offs: vec![0],
+            dense: Vec::new(),
+            sparse: vec![addr.host_index()],
+            len: 1,
+        };
+        *self = self.union(&single);
+        true
     }
 
     fn union(&self, other: &Self) -> Self {
         self.merge(other, MergeKind::Union)
     }
 
-    /// K-way union: one pass over all chunk lists, each output chunk
+    /// K-way union: one pass over all directories, each output chunk
     /// OR'd straight from every input holding it — an n-day window
     /// union materializes no intermediate sets.
     fn union_many(sets: &[&Self]) -> Self {
         match sets {
             [] => return TieredSet::new(),
             [only] => return (*only).clone(),
+            // What a window compose mostly is — the longest cached
+            // sub-window plus one unit: the galloping pairwise merge
+            // copies whole runs where this loop goes chunk by chunk.
+            [a, b] => return a.union(b),
             _ => {}
         }
-        let mut cursors = vec![0usize; sets.len()];
-        let mut chunks = Vec::new();
-        let mut len = 0usize;
-        let mut matching: Vec<&Chunk> = Vec::with_capacity(sets.len());
-        loop {
-            // Keys are 24-bit, so u32::MAX doubles as "all exhausted".
-            let mut min_key = u32::MAX;
-            for (s, &c) in sets.iter().zip(cursors.iter()) {
-                if let Some(chunk) = s.chunks.get(c) {
-                    min_key = min_key.min(chunk.key);
+        // One cursor per operand: (key of its next chunk, that chunk's
+        // index). Keys are 24-bit, so u32::MAX both marks an exhausted
+        // operand and sorts after every live one.
+        let front = |s: &Self, i: u32| s.heads.get(i as usize).map_or(u32::MAX, |h| h >> 8);
+        let mut cur: Vec<(u32, u32)> = sets.iter().map(|s| (front(s, 0), 0)).collect();
+        let min_key = |cur: &[(u32, u32)]| {
+            let key = cur.iter().map(|c| c.0).min().expect("three or more operands");
+            (key != u32::MAX).then_some(key)
+        };
+        // Reserved from the operands like `merge` — no more chunks than
+        // they hold together, nor than there are /24s — and trimmed.
+        let chunks = sets.iter().map(|s| s.heads.len()).sum::<usize>().min(1 << 24);
+        let sparse_in: usize = sets.iter().map(|s| s.sparse.len()).sum();
+        let mut out = Self::with_capacity(chunks, chunks, sparse_in.min(chunks * SPARSE_MAX));
+        while let Some(key) = min_key(&cur) {
+            // The first operand holding the key, and the OR of all of
+            // them once one is found to differ from the first.
+            let mut first: Option<(&Self, usize)> = None;
+            let mut acc: Option<AddrBits256> = None;
+            for (c, &s) in cur.iter_mut().zip(sets) {
+                if c.0 != key {
+                    continue;
                 }
-            }
-            if min_key == u32::MAX {
-                break;
-            }
-            matching.clear();
-            for (s, c) in sets.iter().zip(cursors.iter_mut()) {
-                if let Some(chunk) = s.chunks.get(*c) {
-                    if chunk.key == min_key {
-                        matching.push(chunk);
-                        *c += 1;
+                let i = c.1 as usize;
+                *c = (front(s, c.1 + 1), c.1 + 1);
+                match first {
+                    None => first = Some((s, i)),
+                    // The identical chunk again (steady blocks dominate
+                    // overlapping windows): nothing to add.
+                    Some((f, fi)) if acc.is_none() && f.same_chunk(fi, s, i) => {}
+                    Some((f, fi)) => {
+                        s.view(i).or_into(acc.get_or_insert_with(|| f.view(fi).to_bits()));
                     }
                 }
             }
-            if let [only] = matching[..] {
+            match (acc, first) {
+                (Some(bits), _) => out.push_bits(key, &bits),
                 // Already canonical: adopt it without re-deriving.
-                len += only.count as usize;
-                chunks.push(only.clone());
-            } else if matching[1..].iter().all(|c| c.repr == matching[0].repr) {
-                // Every operand contributes the identical chunk (steady
-                // blocks dominate overlapping windows): adopt it.
-                len += matching[0].count as usize;
-                chunks.push(matching[0].clone());
-            } else {
-                let mut bits = matching[0].repr.to_bits();
-                for c in &matching[1..] {
-                    bits = bits.union(&c.repr.to_bits());
-                }
-                let (repr, count) =
-                    canonical_repr(&bits).expect("chunks are non-empty by invariant");
-                len += count as usize;
-                chunks.push(Chunk { key: min_key, count, repr });
+                (None, Some((s, i))) => out.push_run(s, i..i + 1),
+                (None, None) => unreachable!("some operand holds the minimum key"),
             }
         }
-        TieredSet { chunks, len }
+        out.trimmed()
     }
 
     fn intersect(&self, other: &Self) -> Self {
@@ -737,21 +851,19 @@ impl ActiveSet for TieredSet {
     }
 
     fn intersect_len(&self, other: &Self) -> usize {
+        let (a, b) = (self, other);
         let (mut i, mut j, mut n) = (0, 0, 0usize);
-        while i < self.chunks.len() && j < other.chunks.len() {
-            let (a, b) = (&self.chunks[i], &other.chunks[j]);
-            match a.key.cmp(&b.key) {
-                core::cmp::Ordering::Less => i = gallop(&self.chunks, i, b.key),
-                core::cmp::Ordering::Greater => j = gallop(&other.chunks, j, a.key),
-                core::cmp::Ordering::Equal => {
-                    if a.repr == b.repr {
-                        // Identical chunks (steady blocks dominate
-                        // adjacent windows): the cached count is the
-                        // overlap, no bitmap round-trip needed.
-                        n += a.count as usize;
-                    } else {
-                        n += a.repr.to_bits().intersect(&b.repr.to_bits()).count() as usize;
-                    }
+        while i < a.heads.len() && j < b.heads.len() {
+            let (ha, hb) = (a.heads[i], b.heads[j]);
+            match (ha >> 8).cmp(&(hb >> 8)) {
+                Ordering::Less => i = gallop(&a.heads, i, hb >> 8),
+                Ordering::Greater => j = gallop(&b.heads, j, ha >> 8),
+                Ordering::Equal => {
+                    // Identical chunks (steady blocks dominate adjacent
+                    // windows): the directory's count is the overlap,
+                    // no bitmap round-trip needed.
+                    let (x, y) = (a.view(i), b.view(j));
+                    n += if ha == hb && x == y { count_of(ha) } else { x.intersect_count(y) };
                     i += 1;
                     j += 1;
                 }
@@ -761,147 +873,51 @@ impl ActiveSet for TieredSet {
     }
 
     fn for_each_difference(&self, other: &Self, mut f: impl FnMut(Addr)) {
-        // One merge walk over the two chunk lists, visiting survivors
-        // in ascending order without building a set. Chunks with no
-        // counterpart stream their hosts directly; matching chunks
-        // diff four words and scan the set bits.
-        let mut j = 0;
-        for a in &self.chunks {
-            while j < other.chunks.len() && other.chunks[j].key < a.key {
-                j += 1;
-            }
-            let base = a.key << 8;
-            if j < other.chunks.len() && other.chunks[j].key == a.key {
-                if a.repr == other.chunks[j].repr {
-                    // Identical chunk on both sides (the steady-block
-                    // common case): no survivors, skip the word walk.
-                    continue;
-                }
-                let b_bits = other.chunks[j].repr.to_bits();
-                for (w, (x, y)) in
-                    a.repr.to_bits().words().iter().zip(b_bits.words()).enumerate()
-                {
-                    let mut bits = x & !y;
-                    while bits != 0 {
-                        let h = (w as u32) * 64 + bits.trailing_zeros();
-                        bits &= bits - 1;
-                        f(Addr::new(base | h));
-                    }
-                }
-            } else {
-                let mut hosts = HostIter::of(&a.repr);
-                while let Some(h) = hosts.next() {
-                    f(Addr::new(base | h as u32));
-                }
-            }
-        }
+        self.diff_walk(other, |_, _, bits| f(Addr::new(bits)));
     }
 
     fn diff_event_masks(&self, other: &Self, mut f: impl FnMut(u8)) {
         // The fused form of `for_each_difference` + `covering_mask`:
-        // events ascend, so the walk's cursor `j` — the first
-        // exclusion chunk with key ≥ the event's key — is exactly the
-        // insertion point `covering_mask` would binary-search for,
-        // and the neighbor probes become cursor-local.
-        let exc = &other.chunks;
-        let mut j = 0usize;
-        for a in &self.chunks {
-            while j < exc.len() && exc[j].key < a.key {
-                j += 1;
-            }
-            let matched = j < exc.len() && exc[j].key == a.key;
-            let own = matched.then(|| &exc[j].repr);
-            let next_chunk = j + usize::from(matched);
-            let base = a.key << 8;
-            // `covering_mask`'s closed form with (i, own) resolved by
-            // the cursor instead of `chunk_index`.
-            let size = |h: u8| -> u8 {
-                let bits = base | h as u32;
-                let pred = own
-                    .and_then(|repr| repr.pred(h))
-                    .map(|p| base | p as u32)
-                    .or_else(|| {
-                        let c = exc[..j].last()?;
-                        Some((c.key << 8) | c.repr.last() as u32)
-                    });
-                let succ = own
-                    .and_then(|repr| repr.succ(h))
-                    .map(|s| base | s as u32)
-                    .or_else(|| {
-                        let c = exc.get(next_chunk)?;
-                        Some((c.key << 8) | c.repr.first() as u32)
-                    });
-                let cpl = [pred, succ]
-                    .into_iter()
-                    .flatten()
-                    .map(|n| (bits ^ n).leading_zeros())
-                    .max();
-                match cpl {
-                    Some(cpl) => (cpl + 1).min(32) as u8,
-                    None => 0,
-                }
-            };
-            if matched && a.repr == exc[j].repr {
-                // Identical chunk on both sides: no events here.
-                continue;
-            }
-            if matched {
-                let y_bits = exc[j].repr.to_bits();
-                for (w, (x, y)) in
-                    a.repr.to_bits().words().iter().zip(y_bits.words()).enumerate()
-                {
-                    let mut word = x & !y;
-                    while word != 0 {
-                        let h = (w * 64) as u8 + word.trailing_zeros() as u8;
-                        word &= word - 1;
-                        f(size(h));
-                    }
-                }
-            } else {
-                let mut hosts = HostIter::of(&a.repr);
-                while let Some(h) = hosts.next() {
-                    f(size(h));
-                }
-            }
-        }
+        // events ascend, so the walk's cursor — the first exclusion
+        // chunk keyed at or after the event's block — is exactly the
+        // insertion point `covering_mask` would binary-search for, and
+        // the neighbor probes become cursor-local.
+        self.diff_walk(other, |j, own, bits| f(other.mask_at(j, own, bits)));
     }
 
     fn memory_bytes(&self) -> usize {
         core::mem::size_of::<Self>()
-            + self.chunks.capacity() * core::mem::size_of::<Chunk>()
-            + self.chunks.iter().map(|c| c.repr.heap_bytes()).sum::<usize>()
+            + (self.heads.capacity() + self.offs.capacity()) * core::mem::size_of::<u32>()
+            + self.dense.capacity() * core::mem::size_of::<AddrBits256>()
+            + self.sparse.capacity()
     }
 
     fn blocks24(&self) -> Vec<Block24> {
-        self.chunks.iter().map(|c| Block24::new(c.key)).collect()
+        self.heads.iter().map(|&h| Block24::new(h >> 8)).collect()
     }
 
     fn block_counts(&self) -> Vec<(Block24, u32)> {
-        // The chunk directory *is* the answer: keys ascend and counts
-        // are cached per chunk.
-        self.chunks.iter().map(|c| (Block24::new(c.key), c.count as u32)).collect()
+        // The directory *is* the answer: keys ascend and every word
+        // carries its chunk's count.
+        self.heads.iter().map(|&h| (Block24::new(h >> 8), count_of(h) as u32)).collect()
     }
 
     fn intersect_block_counts(&self, other: &Self) -> Vec<(Block24, u32)> {
-        // One merge walk over the two chunk lists; matching chunks
-        // cost four AND+popcount words, and no set is materialized.
+        // One merge walk over the two directories; matching chunks cost
+        // four AND+popcount words, and no set is materialized.
+        let (a, b) = (self, other);
         let mut out = Vec::new();
         let (mut i, mut j) = (0, 0);
-        while i < self.chunks.len() && j < other.chunks.len() {
-            let (a, b) = (&self.chunks[i], &other.chunks[j]);
-            match a.key.cmp(&b.key) {
-                core::cmp::Ordering::Less => i += 1,
-                core::cmp::Ordering::Greater => j += 1,
-                core::cmp::Ordering::Equal => {
-                    let (x, y) = (a.repr.to_bits(), b.repr.to_bits());
-                    let n: u32 = x
-                        .words()
-                        .iter()
-                        .zip(y.words())
-                        .map(|(p, q)| (p & q).count_ones())
-                        .sum();
+        while i < a.heads.len() && j < b.heads.len() {
+            let (ka, kb) = (a.heads[i] >> 8, b.heads[j] >> 8);
+            match ka.cmp(&kb) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    let (x, y) = (a.view(i), b.view(j));
+                    let n = if x == y { count_of(a.heads[i]) } else { x.intersect_count(y) };
                     if n > 0 {
-                        out.push((Block24::new(a.key), n));
+                        out.push((Block24::new(ka), n as u32));
                     }
                     i += 1;
                     j += 1;
@@ -1032,8 +1048,8 @@ mod tests {
             assert_eq!(s.repr_census(), ReprCensus { sparse: 1 - dense, dense });
         }
         assert_eq!(s.len(), 256);
-        // A fully lit /24 is one chunk holding the 32-byte bitmap.
-        assert_eq!(s.chunks[0].repr.heap_bytes(), 32);
+        // A fully lit /24 is two directory words and the 32-byte bitmap.
+        assert_eq!(s.memory_bytes(), core::mem::size_of::<TieredSet>() + 8 + 32);
         // Difference walks the population back down across the threshold.
         for keep in (0..=255u32).rev() {
             let drop: TieredSet = (keep..256).map(host).collect();

@@ -5,14 +5,18 @@
 //! difference) are applied to both backends simultaneously; after
 //! every step the suite asserts *bit-identical* observable state —
 //! length, ascending iteration, membership, prefix range counts, the
-//! O(1) density index — plus the tiered set's structural invariant
-//! (every chunk canonical for its contents).
+//! O(1) density index — plus the tiered set's structural invariants
+//! (every chunk canonical for its contents, the arrays packed, and not
+//! a byte of capacity kept beyond them).
 //!
 //! CI runs this with `PROPTEST_SEED=20160316 PROPTEST_CASES=10000`
 //! (the `setops-differential` job); the in-file default keeps debug
 //! `cargo test` fast.
 
-use ipactive_net::{ActiveSet, Addr, Prefix, PrefixDensity, RefSet, TieredSet, SPARSE_MAX};
+use ipactive_net::{
+    ActiveSet, Addr, AddrBits256, Block24, Prefix, PrefixDensity, RefSet, SetBuilder, TieredSet,
+    TieredSetBuilder, SPARSE_MAX,
+};
 use proptest::prelude::*;
 
 /// Block bases the clustered generator draws from: several /24s that
@@ -114,9 +118,29 @@ fn probe_prefixes(members: &[Addr]) -> Vec<Prefix> {
     out
 }
 
+/// What a set may occupy: the struct, 8 directory bytes a chunk, 32 a
+/// bitmap and 1 a sparse host, plus 64 for an allocator that rounds —
+/// that is, no slack retained from the operation that built it.
+fn byte_budget(set: &TieredSet) -> usize {
+    let sparse_hosts: usize = set
+        .block_counts()
+        .iter()
+        .map(|&(_, n)| n as usize)
+        .filter(|&n| n <= SPARSE_MAX)
+        .sum();
+    let census = set.repr_census();
+    core::mem::size_of::<TieredSet>() + 8 * census.total() + 32 * census.dense + sparse_hosts + 64
+}
+
 /// The full observable-equivalence check between the two backends.
 fn assert_equiv(tiered: &TieredSet, oracle: &RefSet) {
     assert!(tiered.is_canonical(), "structural invariant broken: {tiered:?}");
+    assert!(
+        tiered.memory_bytes() <= byte_budget(tiered),
+        "{tiered:?} holds {} bytes against a budget of {}",
+        tiered.memory_bytes(),
+        byte_budget(tiered)
+    );
     assert_eq!(tiered.len(), oracle.len(), "len diverged");
     assert_eq!(tiered.is_empty(), oracle.is_empty());
     let t_members: Vec<Addr> = tiered.iter().collect();
@@ -233,10 +257,26 @@ proptest! {
 
     /// Satellite: equal sets are structurally identical no matter how
     /// they were constructed — the canonical-form guarantee behind
-    /// equality and snapshot determinism.
+    /// equality and snapshot determinism. With flat arrays the route
+    /// could also leak through offsets or leftover capacity, so every
+    /// route must report the same `memory_bytes()` too.
     #[test]
-    fn construction_route_does_not_leak_into_representation(addrs in arb_addr_vec(500)) {
+    fn construction_route_does_not_leak_into_representation(
+        addrs in arb_addr_vec(500),
+        extra in arb_addr_vec(200),
+    ) {
         let collected: TieredSet = addrs.iter().copied().collect();
+        let mut sorted = addrs.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let from_sorted = TieredSet::from_sorted(sorted.clone());
+        let mut builder = TieredSetBuilder::new();
+        for block in collected.blocks24() {
+            let members = sorted.iter().filter(|a| Block24::of(**a) == block);
+            let bits: AddrBits256 = members.map(|a| a.host_index()).collect();
+            builder.push_block(block, &bits);
+        }
+        let pushed = builder.finish();
         let mut inserted = TieredSet::new();
         for &a in addrs.iter().rev() {
             inserted.insert(a);
@@ -245,10 +285,19 @@ proptest! {
         let lo: TieredSet = addrs[..mid].iter().copied().collect();
         let hi: TieredSet = addrs[mid..].iter().copied().collect();
         let unioned = lo.union(&hi);
-        prop_assert_eq!(&collected, &inserted);
-        prop_assert_eq!(&collected, &unioned);
-        prop_assert_eq!(collected.repr_census(), inserted.repr_census());
-        prop_assert_eq!(collected.repr_census(), unioned.repr_census());
+        let surplus: TieredSet = extra.iter().copied().filter(|a| !collected.contains(*a)).collect();
+        let carved = collected.union(&surplus).difference(&surplus);
+        for (route, set) in [
+            ("from_sorted", &from_sorted),
+            ("push_block", &pushed),
+            ("insert", &inserted),
+            ("union of halves", &unioned),
+            ("difference from a superset", &carved),
+        ] {
+            prop_assert!(&collected == set, "{} built a different set", route);
+            prop_assert_eq!(collected.repr_census(), set.repr_census());
+            prop_assert_eq!(collected.memory_bytes(), set.memory_bytes(), "{} kept other bytes", route);
+        }
     }
 
     /// The O(1) density index agrees with direct range counts on both

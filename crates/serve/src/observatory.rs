@@ -148,24 +148,31 @@ impl<S: ActiveSet> EpochSnapshot<S> {
     /// the ingested horizon count as 0.0. Exactly 1.0 only when every
     /// requested day is ingested and was collected from a full feed —
     /// the condition for a non-degraded answer.
+    ///
+    /// The range comes off the wire unclamped, so the cost is bounded
+    /// by the ingested days, not by what the request names.
     pub fn window_coverage(&self, days: Range<usize>) -> f64 {
         if days.is_empty() {
             return 1.0;
         }
-        let ingested = self.days();
-        let mut sum = 0.0;
-        for d in days.clone() {
-            if d < ingested {
-                sum += self.day_fractions[d];
-            }
-        }
-        sum / days.len() as f64
+        self.ingested_fraction_sum(days.clone()) / days.len() as f64
     }
 
     /// [`EpochSnapshot::window_coverage`] for a week window (weeks map
-    /// to their seven days).
+    /// to their seven days). Any `weeks` is answerable: the mapping
+    /// saturates, and the mean is taken over the requested length.
     pub fn week_window_coverage(&self, weeks: Range<usize>) -> f64 {
-        self.window_coverage(weeks.start * 7..weeks.end * 7)
+        if weeks.is_empty() {
+            return 1.0;
+        }
+        let days = weeks.start.saturating_mul(7)..weeks.end.saturating_mul(7);
+        self.ingested_fraction_sum(days) / (weeks.len() as f64 * 7.0)
+    }
+
+    /// Sum of the feed fractions of the ingested days inside `days`.
+    fn ingested_fraction_sum(&self, days: Range<usize>) -> f64 {
+        let end = days.end.min(self.days());
+        self.day_fractions[days.start.min(end)..end].iter().sum()
     }
 
     /// The coverage grid for the whole epoch (one shard, one slot per
@@ -447,6 +454,19 @@ mod tests {
         assert!((snap.window_coverage(0..4) - 1.5 / 4.0).abs() < 1e-12);
         assert_eq!(snap.coverage().num_slots(), 2);
         assert!(!snap.coverage().is_complete());
+    }
+
+    #[test]
+    fn week_coverage_saturates_instead_of_wrapping() {
+        let reg = Registry::new();
+        let obs: Observatory = Observatory::new(&reg);
+        obs.ingest_days((0..14).map(|d| synthetic_day_log(1, d)).collect());
+        let snap = obs.pin();
+        assert_eq!(snap.week_window_coverage(0..2), 1.0);
+        assert!((snap.week_window_coverage(0..4) - 0.5).abs() < 1e-12);
+        // `weeks.end * 7` used to wrap to 12 here (a coverage of 1.0
+        // in release, an overflow panic in debug).
+        assert!(snap.week_window_coverage(0..usize::MAX / 7 + 2) < 1e-15);
     }
 
     #[test]

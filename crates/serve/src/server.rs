@@ -842,6 +842,55 @@ mod tests {
     }
 
     #[test]
+    fn windows_far_past_the_horizon_answer_inside_their_budget() {
+        // One frame naming 2^33 days held a worker for seconds, and
+        // `end: u64::MAX` for good; a week end just past `u64::MAX / 7`
+        // wrapped into a plausible coverage. None of it is malformed:
+        // each is a window past the horizon, to be clamped and
+        // labelled with (almost) no coverage.
+        let (_reg, obs) = served_observatory(14);
+        let exact_days = obs.pin().engine().day_window(0..14).len() as u64;
+        let exact_weeks = obs.pin().engine().week_window(0..2).len() as u64;
+        let server = Arc::new(Server::start(obs, ServeConfig::default()));
+        let huge = |id, kind| Request { budget_ms: 5, allow_degraded: true, ..req(id, kind) };
+        let reqs = [
+            huge(0, QueryKind::DayWindow { start: 0, end: 1 << 33 }),
+            huge(1, QueryKind::DayWindow { start: 0, end: u64::MAX }),
+            huge(2, QueryKind::WeekWindow { start: 0, end: u64::MAX / 7 + 2 }),
+            huge(3, QueryKind::WeekWindow { start: 0, end: u64::MAX }),
+            huge(4, QueryKind::DayWindow { start: u64::MAX - 1, end: u64::MAX }),
+            huge(5, QueryKind::DayWindow { start: 0, end: 14_000_000 }),
+        ];
+        // The exchange runs beside the test so that a wedged worker
+        // fails it instead of hanging it.
+        let (done, answered) = std::sync::mpsc::channel();
+        let asked = Instant::now();
+        let client = {
+            let server = server.clone();
+            thread::spawn(move || done.send(exchange(&server, &reqs)))
+        };
+        let got = answered
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a window past the horizon wedged a worker");
+        assert!(asked.elapsed() < Duration::from_secs(2), "took {:?}", asked.elapsed());
+        for r in &reqs {
+            assert_eq!(got[&r.id].status, Status::Degraded, "request {}", r.id);
+            assert!(!got[&r.id].from_density, "request {}: clamped, not approximated", r.id);
+        }
+        // 14 covered days of 14 million requested is one in a million;
+        // of 2^33 and beyond, less than half of that.
+        assert_eq!(got[&5].coverage_ppm, 1);
+        for id in 0..5 {
+            assert_eq!(got[&id].coverage_ppm, 0, "request {id}");
+        }
+        assert_eq!([got[&0].value, got[&1].value, got[&5].value], [exact_days; 3]);
+        assert_eq!([got[&2].value, got[&3].value], [exact_weeks; 2]);
+        assert_eq!(got[&4].value, 0);
+        client.join().expect("client thread").expect("the test is still listening");
+        Arc::into_inner(server).expect("the client is gone").shutdown();
+    }
+
+    #[test]
     fn malformed_windows_get_bad_request_not_a_panic() {
         let (_reg, obs) = served_observatory(3);
         let server = Server::start(obs, ServeConfig::default());

@@ -8,14 +8,25 @@
 //! cuts it into chunks, both deliver the same requests and end in the
 //! same way, neither panics, and neither lets a length prefix make it
 //! allocate more than the largest frame the protocol allows.
+//!
+//! The client's side of the connection, `wire::read_response`, has no
+//! second implementation to be compared with, so its properties are the
+//! decoder's own: no byte stream makes it panic or allocate past the
+//! cap, each ends in a `WireError` or in responses, every response
+//! written is the response read, and whatever bytes decode to a
+//! response, that response re-encodes to bytes that decode to it again
+//! (not to the same bytes: the tail fields are append-only, so a
+//! shorter, older frame is as valid as the one written today).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::Read;
 
-use ipactive_logfmt::{crc32, encode_u64};
-use ipactive_serve::wire::{read_request, write_request, RequestReader};
-use ipactive_serve::{QueryKind, Request, TraceContext, TraceId, WireError};
+use ipactive_logfmt::{crc32, decode_u64, encode_u64};
+use ipactive_serve::wire::{
+    read_request, read_response, write_request, write_response, RequestReader,
+};
+use ipactive_serve::{QueryKind, Request, Response, Status, TraceContext, TraceId, WireError};
 use proptest::prelude::*;
 
 /// `wire::MAX_FRAME`: the longest payload a length prefix may declare.
@@ -155,11 +166,7 @@ fn frame(req: &Request, padding: usize) -> Vec<u8> {
     // A request's payload is shorter than 128 bytes: one prefix byte.
     let mut payload = plain[1..plain.len() - 4].to_vec();
     payload.resize(payload.len() + padding, 0xEE);
-    let mut out = Vec::new();
-    encode_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out
+    sealed(&payload)
 }
 
 /// Mostly bare frames, some with a padded tail, a few longer than the
@@ -188,8 +195,196 @@ fn arb_chunks() -> impl Strategy<Value = Vec<usize>> {
     ]
 }
 
+/// Any response the server can send: every status, with and without a
+/// trace id, with and without a body. A body is never empty — its
+/// length doubles as the "no body" marker, so `Some("")` is written as
+/// `None` — and may hold any text, multi-byte characters included.
+fn arb_response() -> impl Strategy<Value = Response> {
+    let status = prop_oneof![
+        Just(Status::Ok),
+        Just(Status::Degraded),
+        Just(Status::DeadlineExceeded),
+        Just(Status::Overloaded),
+        Just(Status::BadRequest),
+    ];
+    let scalars = (any::<u64>(), any::<u64>(), status, any::<u64>(), 0u64..=1_000_000);
+    let progress = (any::<u64>(), any::<u64>(), any::<bool>());
+    let trace_id = prop_oneof![Just(0u64), any::<u64>()];
+    let body = prop_oneof![
+        Just(None),
+        // Scalar values from anywhere in Unicode; surrogates fall back.
+        prop::collection::vec(any::<u32>(), 1..300).prop_map(|points| {
+            let point = |p: u32| char::from_u32(p % 0x11_0000).unwrap_or('\u{FFFD}');
+            Some(points.into_iter().map(point).collect::<String>())
+        }),
+    ];
+    (scalars, progress, trace_id, body).prop_map(
+        |((id, epoch, status, value, coverage_ppm), (done, total, from_density), trace_id, body)| {
+            Response {
+                id,
+                epoch,
+                status,
+                value,
+                coverage_ppm,
+                units_done: done,
+                units_total: total,
+                from_density,
+                trace_id,
+                body,
+            }
+        },
+    )
+}
+
+fn response_frame(resp: &Response) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_response(&mut out, resp).expect("Vec writer cannot fail");
+    out
+}
+
+/// `payload` sealed as a frame: length prefix in front, CRC behind.
+fn sealed(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_u64(&mut out, payload.len() as u64);
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out
+}
+
+/// Runs `read_response` over `stream` to its end and returns what it
+/// saw: the responses in order, then `None` for a clean end or the
+/// error's `Debug` text. Getting here at all is the never-panics
+/// property. Fails the test if the reader asked the allocator for more
+/// than a frame (and the few bytes of text a lossy body decode may
+/// add), or if a response it accepted does not survive being written
+/// and read again.
+fn responses(stream: &[u8]) -> (Vec<Response>, Option<String>) {
+    let ((seen, end), largest) = largest_allocation(|| {
+        let mut rest = stream;
+        let mut seen = Vec::new();
+        loop {
+            match read_response(&mut rest) {
+                Ok(Some(resp)) => seen.push(resp),
+                Ok(None) => return (seen, None),
+                Err(e) => return (seen, Some(format!("{e:?}"))),
+            }
+        }
+    });
+    assert!(
+        largest <= MAX_FRAME + 3 * stream.len(),
+        "read_response asked for {largest} bytes at once over a {}-byte stream",
+        stream.len()
+    );
+    for resp in &seen {
+        let again = read_response(&mut &response_frame(resp)[..]);
+        assert_eq!(again.ok().flatten().as_ref(), Some(resp), "re-encoding changed the response");
+    }
+    (seen, end)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn written_responses_are_the_responses_read(
+        sent in prop::collection::vec(arb_response(), 0..8),
+    ) {
+        let stream: Vec<u8> = sent.iter().flat_map(response_frame).collect();
+        prop_assert_eq!(responses(&stream), (sent, None));
+    }
+
+    #[test]
+    fn a_response_cut_anywhere_is_truncated_never_half_read(resp in arb_response()) {
+        let bytes = response_frame(&resp);
+        prop_assert_eq!(responses(&bytes[..0]), (vec![], None));
+        for cut in 1..bytes.len() {
+            prop_assert_eq!(
+                responses(&bytes[..cut]),
+                (vec![], Some("Truncated".to_string())),
+                "cut at {} of {}", cut, bytes.len()
+            );
+        }
+        prop_assert_eq!(responses(&bytes), (vec![resp], None));
+    }
+
+    #[test]
+    fn a_flipped_bit_in_a_response_stream_never_panics(
+        sent in prop::collection::vec(arb_response(), 1..5),
+        at in 0.0f64..1.0,
+        mask in 1u8..=255,
+    ) {
+        let mut stream: Vec<u8> = sent.iter().flat_map(response_frame).collect();
+        let at = ((stream.len() - 1) as f64 * at) as usize;
+        stream[at] ^= mask;
+        let (seen, _) = responses(&stream);
+        // Frames in front of the damaged one are untouched.
+        let mut intact = 0;
+        let mut end = 0;
+        for resp in &sent {
+            end += response_frame(resp).len();
+            if end <= at {
+                intact += 1;
+            }
+        }
+        prop_assert!(seen.len() >= intact);
+        prop_assert_eq!(&seen[..intact], &sent[..intact]);
+    }
+
+    #[test]
+    fn a_response_mutated_and_resealed_decodes_canonically_or_not_at_all(
+        resp in arb_response(),
+        at in 0.0f64..1.0,
+        byte in any::<u8>(),
+    ) {
+        // Past the CRC's guard: the damaged payload carries a fresh,
+        // matching checksum, so the field decoder itself is what stands
+        // between these bytes and a panic. `responses` re-encodes what
+        // it accepts.
+        let bytes = response_frame(&resp);
+        let mut rest = &bytes[..];
+        let len = decode_u64(&mut rest).expect("the writer's own prefix") as usize;
+        let mut payload = rest[..len].to_vec();
+        let at = ((payload.len() - 1) as f64 * at) as usize;
+        payload[at] = byte;
+        let (seen, end) = responses(&sealed(&payload));
+        prop_assert!(seen.len() == 1 || end.is_some(), "a sealed frame is a response or an error");
+        // Every shorter payload is a frame some older or damaged peer
+        // could have sealed, too.
+        for keep in 0..payload.len() {
+            responses(&sealed(&payload[..keep]));
+        }
+    }
+
+    #[test]
+    fn a_response_length_over_the_cap_is_refused_before_it_is_believed(
+        sent in prop::collection::vec(arb_response(), 0..4),
+        excess in 1u64..u64::MAX - MAX_FRAME as u64,
+        tail in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut stream: Vec<u8> = sent.iter().flat_map(response_frame).collect();
+        let declared = MAX_FRAME as u64 + excess;
+        encode_u64(&mut stream, declared);
+        stream.extend_from_slice(&tail);
+        prop_assert_eq!(responses(&stream), (sent, Some(format!("Oversized({declared})"))));
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_response_reader(
+        stream in prop::collection::vec(any::<u8>(), 0..400),
+    ) {
+        responses(&stream);
+    }
+
+    #[test]
+    fn a_believable_response_length_over_garbage_never_panics(
+        declared in 0usize..=MAX_FRAME,
+        body in prop::collection::vec(any::<u8>(), 0..2_000),
+    ) {
+        let mut stream = Vec::new();
+        encode_u64(&mut stream, declared as u64);
+        stream.extend_from_slice(&body);
+        responses(&stream);
+    }
 
     #[test]
     fn valid_streams_read_the_same_under_any_chunking(
