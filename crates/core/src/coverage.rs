@@ -19,8 +19,8 @@
 /// Per-shard, per-day completeness fractions of one collection run.
 ///
 /// The grid is indexed `(shard, day)`; "day" is the dataset's time
-/// slot, so for a weekly dataset it is a week index. Fractions are
-/// clamped to `[0, 1]` on entry.
+/// slot, so for a weekly dataset it is a week index. Fractions pass
+/// through [`clamp_fraction`] on entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Coverage {
     num_slots: usize,
@@ -43,7 +43,7 @@ impl Coverage {
             num_slots,
             grid: fractions
                 .iter()
-                .map(|&f| vec![f.clamp(0.0, 1.0); num_slots])
+                .map(|&f| vec![clamp_fraction(f); num_slots])
                 .collect(),
         }
     }
@@ -56,7 +56,7 @@ impl Coverage {
     pub fn from_slot_fractions(fractions: &[f64]) -> Coverage {
         Coverage {
             num_slots: fractions.len(),
-            grid: vec![fractions.iter().map(|f| f.clamp(0.0, 1.0)).collect()],
+            grid: vec![fractions.iter().map(|&f| clamp_fraction(f)).collect()],
         }
     }
 
@@ -77,12 +77,12 @@ impl Coverage {
 
     /// Sets one `(shard, slot)` cell, clamping to `[0, 1]`.
     pub fn set(&mut self, shard: usize, slot: usize, fraction: f64) {
-        self.grid[shard][slot] = fraction.clamp(0.0, 1.0);
+        self.grid[shard][slot] = clamp_fraction(fraction);
     }
 
     /// Sets every slot of one shard, clamping to `[0, 1]`.
     pub fn set_shard(&mut self, shard: usize, fraction: f64) {
-        let f = fraction.clamp(0.0, 1.0);
+        let f = clamp_fraction(fraction);
         for slot in &mut self.grid[shard] {
             *slot = f;
         }
@@ -152,6 +152,18 @@ impl Coverage {
     }
 }
 
+/// A completeness fraction as the grid stores it: inside `[0, 1]`, and
+/// `0.0` — nothing known to have arrived — for NaN, which is what
+/// `collected / expected` gives when nothing was expected and which
+/// `f64::clamp` would hand back unchanged to poison every mean it joins.
+pub fn clamp_fraction(fraction: f64) -> f64 {
+    if fraction.is_nan() {
+        0.0
+    } else {
+        fraction.clamp(0.0, 1.0)
+    }
+}
+
 fn mean(row: &[f64]) -> f64 {
     if row.is_empty() {
         return 1.0;
@@ -193,6 +205,21 @@ mod tests {
         assert_eq!(c.shard(1), 0.0);
         c.set(1, 0, 7.5);
         assert_eq!(c.get(1, 0), 1.0);
+    }
+
+    #[test]
+    fn non_finite_fractions_count_as_nothing_or_everything() {
+        assert_eq!(clamp_fraction(f64::NAN), 0.0);
+        assert_eq!(clamp_fraction(f64::INFINITY), 1.0);
+        assert_eq!(clamp_fraction(f64::NEG_INFINITY), 0.0);
+        let mut c = Coverage::from_shard_fractions(&[f64::NAN, 1.0], 2);
+        assert_eq!((c.shard(0), c.overall()), (0.0, 0.5));
+        assert_eq!(Coverage::from_slot_fractions(&[1.0, f64::NAN, 1.0]).get(0, 1), 0.0);
+        c.set(1, 0, f64::NAN);
+        assert_eq!(c.get(1, 0), 0.0);
+        c.set_shard(1, f64::INFINITY);
+        c.set_shard(0, f64::NAN);
+        assert_eq!((c.shard(0), c.shard(1)), (0.0, 1.0));
     }
 
     #[test]

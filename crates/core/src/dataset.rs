@@ -343,6 +343,8 @@ impl DailyDataset {
 pub struct DailyDatasetBuilder {
     num_days: usize,
     blocks: BlockTable<BlockAcc>,
+    /// Medians found by selection over every snapshot so far.
+    selected: u64,
 }
 
 /// Per-block accumulators found by position, not by hashing every
@@ -438,9 +440,14 @@ impl BlockAcc {
     }
 
     /// The block's finished record; `None` for a block that never
-    /// recorded a hit. `scratch` is the median buffer, reused across
-    /// every address of a build.
-    fn record(&mut self, block: Block24, scratch: &mut Vec<u32>) -> Option<BlockRecord> {
+    /// recorded a hit. `median` is how this build takes an address's
+    /// median: kept current for a snapshot, once and for all for
+    /// `finish`.
+    fn record(
+        &mut self,
+        block: Block24,
+        median: &mut impl FnMut(&mut IpAcc) -> u32,
+    ) -> Option<BlockRecord> {
         if self.ips.is_empty() {
             return None;
         }
@@ -452,7 +459,7 @@ impl BlockAcc {
                 host: *host,
                 days_active: ip.bits.count() as u8,
                 total_hits: ip.total,
-                median_daily_hits: ip.median(scratch),
+                median_daily_hits: median(ip),
             });
         }
         ip_traffic.sort_unstable_by_key(|t| t.host);
@@ -467,6 +474,18 @@ impl BlockAcc {
     }
 }
 
+/// One address's samples and their median — the sample a full sort
+/// would leave at `len / 2` — which is *maintained*, not recomputed.
+///
+/// An accumulator starts untracked. Its first [`median`](Self::median)
+/// selects, counts the samples `below` and `equal` to what it found,
+/// and from then on the accumulator is tracked: a new day's sample
+/// moves one of the two counts in O(1), and the next `median` steps to
+/// the neighbouring value — one pass over the samples — only if rank
+/// `len / 2` has left `[below, below + equal)`. One insert moves the
+/// rank and the range by at most one each, so one step a day suffices.
+/// A second record for a day already present changes a sample in place
+/// and drops the accumulator back to untracked until the next `median`.
 #[derive(Debug, Default)]
 struct IpAcc {
     bits: DayBits,
@@ -474,10 +493,25 @@ struct IpAcc {
     /// to the `i`-th set bit of `bits`, so the day is not stored again.
     hits: Vec<u32>,
     total: u64,
-    /// Median of `hits` when last asked for; `stale` once a sample has
-    /// changed since, so a snapshot pays only for addresses that moved.
+    /// While tracked, the sample `below` and `equal` are counted
+    /// against: the median whenever rank `len / 2` is inside
+    /// `[below, below + equal)`, which [`settle`](Self::settle) restores.
     median: u32,
-    stale: bool,
+    /// Samples less than `median`; at most 127 while tracked.
+    below: u8,
+    /// Samples equal to `median`, up to all 128; zero means untracked.
+    equal: u8,
+}
+
+/// The element of `samples` a full sort would leave at `len / 2`.
+fn select_median(samples: &mut [u32]) -> u32 {
+    let mid = samples.len() / 2;
+    *samples.select_nth_unstable(mid).1
+}
+
+/// How many of `samples` satisfy `test`, without a branch per sample.
+fn count(samples: &[u32], test: impl Fn(u32) -> bool) -> u8 {
+    samples.iter().map(|&x| u32::from(test(x))).sum::<u32>() as u8
 }
 
 impl IpAcc {
@@ -486,11 +520,15 @@ impl IpAcc {
         let rank = self.bits.count_range(0, day) as usize;
         if self.bits.get(day) {
             self.hits[rank] = self.hits[rank].saturating_add(hits);
+            self.equal = 0;
         } else {
             self.bits.set(day);
             self.hits.insert(rank, hits);
+            if self.equal != 0 {
+                self.below += u8::from(hits < self.median);
+                self.equal += u8::from(hits == self.median);
+            }
         }
-        self.stale = true;
     }
 
     /// Combines another accumulator for the same address: days active
@@ -502,17 +540,56 @@ impl IpAcc {
         self.total += other.total;
     }
 
-    /// Median hits over the active days, by selection: the element a
-    /// full sort would leave at `len / 2`.
-    fn median(&mut self, scratch: &mut Vec<u32>) -> u32 {
-        if self.stale {
-            scratch.clear();
-            scratch.extend_from_slice(&self.hits);
-            let mid = scratch.len() / 2;
-            self.median = *scratch.select_nth_unstable(mid).1;
-            self.stale = false;
+    /// Steps a tracked median to the neighbouring distinct sample until
+    /// rank `len / 2` is inside `[below, below + equal)` again. The
+    /// neighbour is the sample with the least wrapping distance past
+    /// the median: samples on the other side wrap to huge distances.
+    fn settle(&mut self) -> u32 {
+        let mid = self.hits.len() / 2;
+        loop {
+            let m = self.median;
+            if mid < self.below as usize {
+                let past = m - 1;
+                let gap = self.hits.iter().fold(u32::MAX, |gap, &x| gap.min(past.wrapping_sub(x)));
+                self.median = past - gap;
+                self.equal = count(&self.hits, |x| x == self.median);
+                self.below -= self.equal;
+            } else if mid >= self.below as usize + self.equal as usize {
+                let past = m + 1;
+                let gap = self.hits.iter().fold(u32::MAX, |gap, &x| gap.min(x.wrapping_sub(past)));
+                self.median = past + gap;
+                self.below += self.equal;
+                self.equal = count(&self.hits, |x| x == self.median);
+            } else {
+                return m;
+            }
         }
+    }
+
+    /// Median hits over the active days, leaving the accumulator
+    /// tracked. Untracked, it is found by selection on a copy in
+    /// `scratch` (`hits` keeps its day order) and `selected` counts it.
+    fn median(&mut self, scratch: &mut Vec<u32>, selected: &mut u64) -> u32 {
+        if self.equal != 0 {
+            return self.settle();
+        }
+        scratch.clear();
+        scratch.extend_from_slice(&self.hits);
+        self.median = select_median(scratch);
+        self.below = count(&self.hits, |x| x < self.median);
+        self.equal = count(&self.hits, |x| x == self.median);
+        *selected += 1;
         self.median
+    }
+
+    /// Median hits of an accumulator that takes no more records:
+    /// untracked, it is selected in place, with no copy and no counts,
+    /// and `hits` loses its day order.
+    fn last_median(&mut self) -> u32 {
+        if self.equal != 0 {
+            return self.settle();
+        }
+        select_median(&mut self.hits)
     }
 }
 
@@ -520,7 +597,7 @@ impl DailyDatasetBuilder {
     /// Creates a builder for a window of `num_days` days (≤ 128).
     pub fn new(num_days: usize) -> Self {
         assert!(num_days <= DayBits::CAPACITY, "window exceeds {} days", DayBits::CAPACITY);
-        DailyDatasetBuilder { num_days, blocks: BlockTable::default() }
+        DailyDatasetBuilder { num_days, ..Default::default() }
     }
 
     /// Widens the window to `num_days` days, keeping everything
@@ -595,26 +672,45 @@ impl DailyDatasetBuilder {
     /// clean one wherever activity agrees.
     pub fn finish(self) -> DailyDataset {
         // Consuming, so each accumulator is freed as soon as its
-        // record exists and the two never coexist in full.
-        Self::dataset(self.num_days, self.blocks.accs.into_iter())
+        // record exists and the two never coexist in full — and a
+        // median not yet known is selected in place, with no copy.
+        Self::dataset(self.num_days, self.blocks.accs.into_iter(), IpAcc::last_median)
     }
 
     /// The dataset [`finish`](Self::finish) would produce now, with
     /// the builder left intact to take more records. The snapshot owns
-    /// every row it holds; later records never reach it. `&mut` only
-    /// to keep each address's median once computed: the next snapshot
-    /// recomputes it for the addresses that took a record in between.
+    /// every row it holds; later records never reach it.
+    ///
+    /// `&mut` because a snapshot starts tracking the median of every
+    /// address it reports: the first one selects it, and from then on
+    /// each new day's record keeps it current in O(1), with at most
+    /// one pass over the address's samples when the median moves. Only
+    /// a second record for an `(address, day)` already present drops
+    /// the tracking, and the next snapshot selects for that address
+    /// again ([`medians_selected`](Self::medians_selected) counts).
+    /// What a snapshot still pays for every block, moved or not, is
+    /// the copy of its rows and traffic summaries: O(addresses).
     pub fn snapshot(&mut self) -> DailyDataset {
-        Self::dataset(self.num_days, self.blocks.accs.iter_mut().map(|(block, acc)| (*block, acc)))
+        let (mut scratch, selected) = (Vec::new(), &mut self.selected);
+        let accs = self.blocks.accs.iter_mut().map(|(block, acc)| (*block, acc));
+        Self::dataset(self.num_days, accs, |ip| ip.median(&mut scratch, selected))
+    }
+
+    /// How many medians [`snapshot`](Self::snapshot) has found by
+    /// selection since the builder was made: one for an address's
+    /// first snapshot, one more each time a repeated `(address, day)`
+    /// record dropped its tracking — never one for a returning address.
+    pub fn medians_selected(&self) -> u64 {
+        self.selected
     }
 
     fn dataset<A: std::borrow::BorrowMut<BlockAcc>>(
         num_days: usize,
         accs: impl Iterator<Item = (Block24, A)>,
+        mut median: impl FnMut(&mut IpAcc) -> u32,
     ) -> DailyDataset {
-        let mut scratch = Vec::new();
         let mut blocks: Vec<BlockRecord> = accs
-            .filter_map(|(block, mut acc)| acc.borrow_mut().record(block, &mut scratch))
+            .filter_map(|(block, mut acc)| acc.borrow_mut().record(block, &mut median))
             .collect();
         blocks.sort_unstable_by_key(|r| r.block);
         DailyDataset { num_days, blocks, coverage: None }
@@ -962,6 +1058,7 @@ impl WeeklyDatasetBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn addr(s: &str) -> Addr {
         s.parse().unwrap()
@@ -1471,6 +1568,113 @@ mod tests {
                 assert_eq!(live_daily.snapshot(), fresh_daily.finish(), "{name}, batch {batch}");
                 assert_eq!(live_weekly.snapshot(), fresh_weekly.finish(), "{name}, batch {batch}");
             }
+        }
+    }
+
+    #[test]
+    fn the_maintained_median_lives_in_the_accumulators_padding() {
+        // 64 with the `median: u32, stale: bool` cache it replaced:
+        // nothing is added per address, so no workload's memory moves.
+        assert_eq!(std::mem::size_of::<IpAcc>(), 64);
+    }
+
+    /// What a record of `raw` hits on `day` becomes under each shape
+    /// of sample sequence the maintained median must get right.
+    fn shaped_hits(shape: u8, day: usize, raw: u64) -> u64 {
+        match shape {
+            0 => raw,                         // 0..4: ties, and zero-hit records
+            1 => 1 + day as u64,              // strictly rising by day
+            2 => 200 - day as u64,            // strictly falling by day
+            3 => 7,                           // every sample equal
+            _ => u64::from(u32::MAX) - 1 + raw, // a second record saturates the day
+        }
+    }
+
+    /// A live builder checked against a fresh one over the same records.
+    struct Live {
+        builder: DailyDatasetBuilder,
+        window: usize,
+        fed: Vec<Rec>,
+    }
+
+    impl Live {
+        /// Feeds `rec` to the live builder, or to `side` (a builder to
+        /// be merged in later), widening both when the day is new.
+        fn feed(&mut self, mut side: Option<&mut DailyDatasetBuilder>, rec: Rec) {
+            if rec.0 >= self.window {
+                self.window = rec.0 + 1;
+                self.builder.grow(self.window);
+                if let Some(side) = side.as_deref_mut() {
+                    side.grow(self.window);
+                }
+            }
+            side.unwrap_or(&mut self.builder).record_hits(rec.0, rec.1, rec.2);
+            self.fed.push(rec);
+        }
+
+        fn fresh(&self) -> DailyDataset {
+            let mut fresh = DailyDatasetBuilder::new(self.window);
+            for &(day, a, hits) in &self.fed {
+                fresh.record_hits(day, a, hits);
+            }
+            fresh.finish()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every snapshot of a live builder — tracked medians, steps,
+        /// untrack and reselect — `==` the `finish()` of a fresh builder
+        /// fed the same records, which only ever selects.
+        #[test]
+        fn maintained_medians_equal_selection_at_every_snapshot(
+            span in prop_oneof![Just(128usize), 1usize..=128],
+            shape in 0u8..5,
+            backwards in any::<bool>(),
+            every in 1usize..48,
+            ops in prop::collection::vec((0u8..10, 0usize..128, 0u8..3, 0u64..4), 0..160),
+        ) {
+            let host = |h: u8| Block24::new(0x0A_0000 + u32::from(h % 2)).addr(h);
+            let mut live = Live { builder: DailyDatasetBuilder::new(0), window: 0, fed: Vec::new() };
+            // One address takes every day of the span once, in day order
+            // or against it, snapshotted as it goes: rising, falling and
+            // all-equal runs up to the full 128 days, tracked throughout.
+            for i in 0..span {
+                let day = if backwards { span - 1 - i } else { i };
+                live.feed(None, (day, host(0), shaped_hits(shape, day, 1 + (i as u64 % 3))));
+                if i % every == 0 {
+                    prop_assert_eq!(live.builder.snapshot(), live.fresh(), "day {} of the run", day);
+                }
+            }
+            // Then anything: new days, days already present (a sample
+            // changed in place), snapshots, and records that arrive
+            // through the merge of another builder.
+            let mut side: Option<(DailyDatasetBuilder, usize)> = None;
+            for (kind, raw_day, h, raw) in ops {
+                let day = raw_day % span;
+                match (kind, &mut side) {
+                    (0 | 1, None) => {
+                        prop_assert_eq!(live.builder.snapshot(), live.fresh(), "{} records in", live.fed.len());
+                    }
+                    (2, None) => side = Some((DailyDatasetBuilder::new(live.window), 1 + day % 8)),
+                    (_, None) => live.feed(None, (day, host(h), shaped_hits(shape, day, raw))),
+                    (_, Some((other, left))) => {
+                        live.feed(Some(other), (day, host(h), shaped_hits(shape, day, raw)));
+                        *left -= 1;
+                        if *left == 0 {
+                            live.builder.merge(side.take().expect("matched").0);
+                        }
+                    }
+                }
+            }
+            if let Some((other, _)) = side {
+                live.builder.merge(other);
+            }
+            prop_assert_eq!(live.builder.snapshot(), live.fresh(), "last snapshot");
+            live.feed(None, (span / 2, host(1), shaped_hits(shape, span / 2, 3)));
+            let fresh = live.fresh();
+            prop_assert_eq!(live.builder.finish(), fresh, "finish of the live builder");
         }
     }
 

@@ -6,8 +6,25 @@
 //! same `record_hits` / `record_week`, that a batch build uses once
 //! and throws away. Ingesting a day widens their window, folds *only
 //! the arriving records* and publishes a snapshot of the builder, so
-//! ingest costs what the new day costs however much history came
-//! before. The builders are order-insensitive and a snapshot is what
+//! ingest does not grow with the history behind it. A publish costs:
+//!
+//! - the fold, O(day): one accumulator `add` per arriving record
+//!   (`serve.ingest.records`, `serve.ingest.weekly_records`);
+//! - the per-address medians, O(day): the daily builder *maintains*
+//!   each address's median — two rank counters beside it, bumped by
+//!   the day's sample, and at most one pass over that address's ≤ 128
+//!   samples when the median moves to its neighbour. A median is
+//!   selected from scratch only for an address the builder has not
+//!   reported before, or whose day took a second record
+//!   (`serve.ingest.median_selects`: zero for a day of returning
+//!   addresses);
+//! - the rows and `ip_traffic` summaries of *every* block, rebuilt
+//!   into storage the snapshot owns: O(addresses), memcpy-class, about
+//!   a millisecond at the benchmark's scale — the part that is not
+//!   O(day) yet;
+//! - a weekly snapshot one ingest in seven, sharing every closed week.
+//!
+//! The builders are order-insensitive and a snapshot is what
 //! `finish()` would return at that moment, so the published dataset is
 //! *equal* to a batch build over the same records — the property the
 //! snapshot-isolation and incremental-equals-batch suites pin at every
@@ -33,6 +50,7 @@
 //! week, and what the builders keep per address is its day bitmap and
 //! one hit count per active day.
 
+use ipactive_core::coverage::clamp_fraction;
 use ipactive_core::{
     AnalysisCtx, Coverage, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder,
 };
@@ -312,7 +330,7 @@ impl<S: ActiveSet> Observatory<S> {
                 state.daily.record_hits(d, addr, hits);
             }
             records += log.hits.len() as u64;
-            state.fractions.push(fraction.clamp(0.0, 1.0));
+            state.fractions.push(clamp_fraction(fraction));
             state.open_week.push(log);
             if state.open_week.len() == 7 {
                 let w = d / 7;
@@ -331,7 +349,9 @@ impl<S: ActiveSet> Observatory<S> {
         }
 
         let prev = self.pin();
+        let selected = state.daily.medians_selected();
         let daily = Arc::new(state.daily.snapshot());
+        let median_selects = state.daily.medians_selected() - selected;
         let weekly = if count / 7 > prev.weeks() {
             Arc::new(state.weekly.snapshot())
         } else {
@@ -353,9 +373,12 @@ impl<S: ActiveSet> Observatory<S> {
         self.registry.gauge("serve.epoch").set(snapshot.epoch as i64);
         self.registry.gauge("serve.days").set(count as i64);
         // Ingest cost as an exact count: every record is folded once
-        // into each builder, whatever the history behind it.
+        // into each builder, whatever the history behind it, and a
+        // median is selected from scratch only for an address new to
+        // the builder or one whose day took a second record.
         self.registry.counter("serve.ingest.records").add(records);
         self.registry.counter("serve.ingest.weekly_records").add(weekly_records);
+        self.registry.counter("serve.ingest.median_selects").add(median_selects);
         self.registry.emit(
             Event::new(EventKind::EpochPublish)
                 .day(count as u16)
@@ -454,6 +477,23 @@ mod tests {
         assert!((snap.window_coverage(0..4) - 1.5 / 4.0).abs() < 1e-12);
         assert_eq!(snap.coverage().num_slots(), 2);
         assert!(!snap.coverage().is_complete());
+    }
+
+    #[test]
+    fn a_day_with_a_nan_feed_fraction_counts_as_nothing_known() {
+        // `collected / expected` over an empty expected feed.
+        let reg = Registry::new();
+        let obs: Observatory = Observatory::new(&reg);
+        obs.ingest_day(synthetic_day_log(1, 0));
+        obs.ingest_day_with_coverage(synthetic_day_log(1, 1), f64::NAN);
+        obs.ingest_day(synthetic_day_log(1, 2));
+        let snap = obs.pin();
+        assert!((snap.window_coverage(0..3) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(snap.window_coverage(0..1), 1.0);
+        assert_eq!(snap.coverage().get(0, 1), 0.0);
+        obs.ingest_day_with_coverage(synthetic_day_log(1, 3), f64::INFINITY);
+        obs.ingest_day_with_coverage(synthetic_day_log(1, 4), f64::NEG_INFINITY);
+        assert_eq!(obs.pin().window_coverage(3..5), 0.5);
     }
 
     #[test]

@@ -842,6 +842,28 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_feed_fraction_degrades_by_exactly_the_day_it_lost() {
+        let reg = Registry::new();
+        let obs: Arc<Observatory> = Arc::new(Observatory::new(&reg));
+        obs.ingest_day(synthetic_day_log(2, 0));
+        obs.ingest_day_with_coverage(synthetic_day_log(2, 1), f64::NAN);
+        obs.ingest_day(synthetic_day_log(2, 2));
+        let server = Server::start(obs, ServeConfig::default());
+        let got = exchange(
+            &server,
+            &[
+                req(0, QueryKind::DayWindow { start: 0, end: 3 }),
+                req(1, QueryKind::DayWindow { start: 2, end: 3 }),
+                req(2, QueryKind::PrefixCount { base: 0x0a00_0000, len: 24 }),
+            ],
+        );
+        assert_eq!((got[&0].status, got[&0].coverage_ppm), (Status::Degraded, 666_667));
+        assert_eq!((got[&1].status, got[&1].coverage_ppm), (Status::Ok, Response::FULL_COVERAGE));
+        assert_eq!(got[&2].coverage_ppm, 666_667, "prefix counts quote every ingested day");
+        server.shutdown();
+    }
+
+    #[test]
     fn windows_far_past_the_horizon_answer_inside_their_budget() {
         // One frame naming 2^33 days held a worker for seconds, and
         // `end: u64::MAX` for good; a week end just past `u64::MAX / 7`

@@ -3,8 +3,10 @@
 //! batching, every dataset it publishes must `==` a batch build over
 //! the logs so far — while epochs pinned earlier keep the rows they
 //! were published with, and the ingest counters say each record was
-//! folded exactly once.
+//! folded exactly once and each median selected from scratch only for
+//! an address the builder was not already tracking.
 
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -202,6 +204,56 @@ fn each_record_is_folded_once_however_long_the_history() {
     assert_eq!(counted_run(16).0, folded, "the counts repeat exactly");
 }
 
+/// Day `d` of a feed in which no address appears twice on one day:
+/// hosts `0..8 + d / 2` of one block, so every earlier address returns
+/// and an even day brings exactly one new one, with hit counts drawn
+/// from five values so that medians tie, rise and fall.
+fn returning_day(d: usize) -> DayLog {
+    let mut log = DayLog::new();
+    for h in 0..(8 + d / 2) as u8 {
+        log.record(Block24::new(0x0A_0000).addr(h), 1 + (h as u64 * 7 + d as u64 * 3) % 5);
+    }
+    log
+}
+
+#[test]
+fn a_publish_selects_medians_only_for_addresses_it_was_not_tracking() {
+    let registry = Registry::new();
+    let obs: Observatory = Observatory::new(&registry);
+    let selects = || registry.counter("serve.ingest.median_selects").get();
+    let mut logs: Vec<DayLog> = (0..3).map(returning_day).collect();
+    // The first publish selects once per address seen, not per record.
+    obs.ingest_days(logs.clone());
+    assert_eq!(selects(), 9, "hosts 0..9 over three days");
+    // Every later day selects for the address first seen that day and
+    // for no returning one, however long the history has grown.
+    for d in 3..100 {
+        let before = selects();
+        logs.push(returning_day(d));
+        obs.ingest_day(returning_day(d));
+        assert_eq!(selects() - before, (d % 2 == 0) as u64, "day {d}");
+    }
+    // A second record for an (address, day) changes a sample in place:
+    // that address, and only that one, is selected for again — once,
+    // not once per extra record — and is tracked again afterwards.
+    let mut repeated = returning_day(100);
+    let twice = [Block24::new(0x0A_0000).addr(3), Block24::new(0x0A_0000).addr(40)];
+    for a in [twice[0], twice[1], twice[1]] {
+        repeated.record(a, 9);
+    }
+    let before = selects();
+    logs.push(repeated.clone());
+    obs.ingest_day(repeated);
+    assert_eq!(selects() - before, 1 + 2, "one new host, two hosts repeated");
+    let before = selects();
+    logs.push(returning_day(101));
+    obs.ingest_day(returning_day(101));
+    assert_eq!(selects(), before, "day 101: everyone returns, everyone is tracked");
+    // And all of it is still the batch build.
+    let snap = obs.pin();
+    assert_eq!((&**snap.daily(), &**snap.weekly()), (&batch(&logs).0, &batch(&logs).1));
+}
+
 #[test]
 fn telemetry_carries_the_ingest_counters() {
     let registry = Registry::new();
@@ -233,6 +285,10 @@ fn telemetry_carries_the_ingest_counters() {
     let counter = |name: &str| doc.get("counters").and_then(|c| c.get(name)).and_then(json::Json::as_f64);
     assert_eq!(counter("serve.ingest.records"), Some(records as f64), "{body}");
     assert_eq!(counter("serve.ingest.weekly_records"), Some(weekly as f64), "{body}");
+    // One publish: one selection per address seen over the eight days.
+    let seen: HashSet<Addr> =
+        (0..8).flat_map(|d| synthetic_day_log(5, d).hits).map(|(a, _)| a).collect();
+    assert_eq!(counter("serve.ingest.median_selects"), Some(seen.len() as f64), "{body}");
 }
 
 #[test]
