@@ -309,6 +309,13 @@ pub trait Cadence {
     /// and associative up to [`finish`](Self::finish)).
     fn merge(into: &mut Self::Builder, other: Self::Builder);
 
+    /// Does now what [`finish`](Self::finish) would otherwise do per
+    /// address or per record (medians selected, weeks sorted), leaving
+    /// a builder that folds, merges and finishes into the same dataset
+    /// — what a collector thread calls before it hands its partial
+    /// builder to the thread that merges them.
+    fn seal(builder: &mut Self::Builder);
+
     /// Finalizes `builder`, attaching `coverage` when the run that
     /// filled it kept one.
     fn finish(builder: Self::Builder, coverage: Option<Coverage>) -> Self::Dataset;
@@ -370,6 +377,10 @@ impl Cadence for Daily {
         into.merge(other);
     }
 
+    fn seal(builder: &mut DailyDatasetBuilder) {
+        builder.seal();
+    }
+
     fn finish(builder: DailyDatasetBuilder, coverage: Option<Coverage>) -> DailyDataset {
         DailyDataset { coverage, ..builder.finish() }
     }
@@ -424,6 +435,10 @@ impl Cadence for Weekly {
         into.merge(other);
     }
 
+    fn seal(builder: &mut WeeklyDatasetBuilder) {
+        builder.seal();
+    }
+
     fn finish(builder: WeeklyDatasetBuilder, coverage: Option<Coverage>) -> WeeklyDataset {
         WeeklyDataset { coverage, ..builder.finish() }
     }
@@ -464,19 +479,9 @@ pub(crate) fn drain<R: Read>(
     mut fold: impl FnMut(Record) -> bool,
 ) -> Drained {
     let (mut records, mut refused) = (0u64, 0u64);
-    let error = loop {
-        match reader.read() {
-            Ok(Some(record)) => {
-                if fold(record) {
-                    records += 1;
-                } else {
-                    refused += 1;
-                }
-            }
-            Ok(None) => break None,
-            Err(e) => break Some(e),
-        }
-    };
+    let error = reader
+        .for_each(|record| if fold(record) { records += 1 } else { refused += 1 })
+        .err();
     Drained { records, skipped: reader.skipped() + refused, resyncs: reader.resyncs(), error }
 }
 
@@ -867,6 +872,7 @@ pub fn stream_pipeline<C: Cadence>(
                         let mut reader = FrameReader::new(&buf[..], ReadMode::Tolerant);
                         meters.add_decode(&drain(&mut reader, |r| C::fold(r, slots, &mut builder)));
                     }
+                    C::seal(&mut builder);
                     builder
                 })
             })
@@ -1329,6 +1335,39 @@ mod tests {
                 let clean_rec = clean.block(rec.block).expect("clean shard block");
                 assert_eq!(rec, clean_rec);
             }
+        }
+    }
+
+    #[test]
+    fn hit_totals_saturate_on_intact_frames() {
+        // Two CRC-valid frames whose hits sum past u64: a tolerant
+        // collector survives anything that passes CRC, so the totals
+        // pin at the ceiling the way the per-day sample beside them
+        // does — no overflow panic in a debug build, no total smaller
+        // than either addend in a release one.
+        let addr = ipactive_net::Addr::from_octets(10, 1, 2, 3);
+        let log = |days: &[u16]| {
+            let mut w = FrameWriter::new(Vec::new());
+            for &day in days {
+                w.write(&Record::Hits { day, addr, hits: u64::MAX }).unwrap();
+            }
+            w.finish().unwrap()
+        };
+        let assert_saturated = |ds: &DailyDataset, records_read: u64, path: &str| {
+            assert_eq!(records_read, 2, "{path}");
+            let block = &ds.blocks[0];
+            assert_eq!(block.total_hits, u64::MAX, "{path}: block total");
+            assert_eq!(block.ip_traffic[0].total_hits, u64::MAX, "{path}: address total");
+            assert_eq!(block.ip_traffic[0].median_daily_hits, u32::MAX, "{path}");
+        };
+        // Serial: both frames through one builder (`record_hits`).
+        let (ds, stats) = collect_stream::<Daily>(&log(&[0, 1])[..], 4).unwrap();
+        assert_saturated(&ds, stats.records_read, "serial");
+        // Sharded: one frame a shard, same address (builder `merge`),
+        // on different days and on the same day.
+        for days in [[0, 1], [2, 2]] {
+            let (ds, report) = collect_daily_sharded(&days.map(|day| log(&[day])), 4);
+            assert_saturated(&ds, report.totals.records_read, "sharded");
         }
     }
 }

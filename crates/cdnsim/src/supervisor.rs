@@ -572,14 +572,19 @@ fn supervise_buffer<C: Cadence>(
 
 /// The one body that spawns collector threads over retained buffers:
 /// one thread per shard, each taking its buffers in delivery order
-/// through [`supervise_buffer`] into one shard accumulator; partials
-/// merge in shard order (the builder merge is order-insensitive,
-/// shards are block-disjoint) and the per-shard completeness fractions
+/// through [`supervise_buffer`] into one shard accumulator, which the
+/// thread [seals](Cadence::seal) before it exits — medians selected,
+/// weeks sorted, on the core that folded the records. Partials merge in
+/// shard order (the builder merge is order-insensitive, shards are
+/// block-disjoint): for sealed builders a move per block and a linear
+/// merge per week, after which the caller's `finish` is O(blocks); a
+/// shard overlapping another merges exactly all the same, a sealed
+/// builder being still a builder. The per-shard completeness fractions
 /// become the run's [`Coverage`]. All accounting goes through the
 /// shard's registry meters under `prefix`; the collector span carries
-/// the shard's wall time. Returns the merged, unfinished builder —
-/// empty for an empty shard list — so each caller decides whether the
-/// dataset carries the coverage.
+/// the shard's wall time, sealing included. Returns the merged,
+/// unfinished builder — empty for an empty shard list — so each caller
+/// decides whether the dataset carries the coverage.
 pub(crate) fn supervise<C: Cadence>(
     shard_buffers: &[impl AsRef<[Vec<u8>]> + Sync],
     slots: usize,
@@ -617,6 +622,7 @@ pub(crate) fn supervise<C: Cadence>(
                 shard, buffer, buf, slots, policy, plan, prefix, &mut acc, &meters, &mut letters,
             ));
         }
+        C::seal(&mut acc);
         (acc, ShardOutcome { shard, buffers: outcomes }, letters)
     };
     let results = crossbeam::scope(|scope| {

@@ -2,12 +2,19 @@
 //! output owns plus the caller's scratch — not a `Vec` per day, per
 //! active address or per User-Agent sample.
 //!
+//! The collectors' decode loop has the same kind of budget: draining a
+//! log into a builder costs what the builder allocates, plus the
+//! reader's one buffer.
+//!
 //! The counter is per thread — the test harness allocates on its own
 //! threads whenever it likes — and everything measured here runs on
 //! the calling thread: the emitters always do, and a sweep over one
 //! block does.
 
-use ipactive_cdnsim::{emit_logs, AssignmentPolicy, Cadence, Daily, Universe, UniverseConfig, Weekly};
+use ipactive_cdnsim::{
+    collect_stream, emit_logs, AssignmentPolicy, Cadence, Daily, Universe, UniverseConfig, Weekly,
+};
+use ipactive_logfmt::{FrameReader, ReadMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -129,4 +136,47 @@ fn a_walk_allocates_for_its_output_not_for_its_days() {
     let (year, allocated) = allocations(|| many_days.build_weekly());
     assert_eq!(year.num_weeks, 52);
     assert!(allocated < 52 * 9 + 64, "weekly: {allocated} allocations for 52 weeks of one block");
+}
+
+#[test]
+fn collecting_a_log_allocates_what_its_builder_does() {
+    // The collectors' one decode loop (`FrameReader::for_each` under
+    // `drain`) against the same records folded straight into a builder:
+    // the difference is the reader's buffer and the report, nothing a
+    // frame.
+    fn collected_against_folded<C: Cadence>(u: &Universe) -> (u64, u64, usize)
+    where
+        C::Dataset: PartialEq + std::fmt::Debug,
+    {
+        let slots = C::slots(u);
+        let mut log = Vec::new();
+        emit_logs::<C>(u, &mut log).unwrap();
+        let records = FrameReader::new(&log[..], ReadMode::Strict).read_all().unwrap();
+        let frames = records.len();
+        let (folded, by_fold) = allocations(|| {
+            let mut builder = C::new(slots);
+            for record in records {
+                assert!(C::fold(record, slots, &mut builder));
+            }
+            C::finish(builder, None)
+        });
+        let ((collected, stats), by_collect) =
+            allocations(|| collect_stream::<C>(&log[..], slots).unwrap());
+        assert_eq!(stats.records_read, frames as u64);
+        assert_eq!(collected, folded);
+        (by_collect, by_fold, frames)
+    }
+    let u = dhcp_short_blocks(4, 112, 52);
+    for (cadence, (by_collect, by_fold, frames)) in [
+        ("daily", collected_against_folded::<Daily>(&u)),
+        ("weekly", collected_against_folded::<Weekly>(&u)),
+    ] {
+        assert!(frames > 40_000, "{cadence}: only {frames} frames");
+        // The builders' hash tables are seeded per instance, so two
+        // builds of one dataset may differ by a rehash or two.
+        assert!(
+            by_collect <= by_fold + 8,
+            "{cadence}: {by_collect} allocations collecting {frames} frames, {by_fold} folding them"
+        );
+    }
 }

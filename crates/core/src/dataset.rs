@@ -516,18 +516,27 @@ fn count(samples: &[u32], test: impl Fn(u32) -> bool) -> u8 {
 
 impl IpAcc {
     /// Adds `hits` to `day`'s sample, creating it if the day is new.
+    ///
+    /// A day later than every day present — each record of an address
+    /// in any log an emitter writes — is set and appended: no rank to
+    /// count, nothing to shift. Any other order ranks and inserts; the
+    /// samples end up the same.
     fn add(&mut self, day: usize, hits: u32) {
-        let rank = self.bits.count_range(0, day) as usize;
-        if self.bits.get(day) {
-            self.hits[rank] = self.hits[rank].saturating_add(hits);
-            self.equal = 0;
+        if self.bits.all_before(day) {
+            self.hits.push(hits);
         } else {
-            self.bits.set(day);
-            self.hits.insert(rank, hits);
-            if self.equal != 0 {
-                self.below += u8::from(hits < self.median);
-                self.equal += u8::from(hits == self.median);
+            let rank = self.bits.count_range(0, day) as usize;
+            if self.bits.get(day) {
+                self.hits[rank] = self.hits[rank].saturating_add(hits);
+                self.equal = 0;
+                return;
             }
+            self.hits.insert(rank, hits);
+        }
+        self.bits.set(day);
+        if self.equal != 0 {
+            self.below += u8::from(hits < self.median);
+            self.equal += u8::from(hits == self.median);
         }
     }
 
@@ -537,7 +546,7 @@ impl IpAcc {
         for (day, hits) in other.bits.iter().zip(other.hits) {
             self.add(day, hits);
         }
-        self.total += other.total;
+        self.total = self.total.saturating_add(other.total);
     }
 
     /// Steps a tracked median to the neighbouring distinct sample until
@@ -620,10 +629,10 @@ impl DailyDatasetBuilder {
             return; // activity is defined by successful requests
         }
         let acc = self.blocks.acc(Block24::of(addr), BlockAcc::default);
-        acc.total_hits += hits;
+        acc.total_hits = acc.total_hits.saturating_add(hits);
         let ip = acc.ip(addr.host_index());
         ip.add(day, hits.min(u32::MAX as u64) as u32);
-        ip.total += hits;
+        ip.total = ip.total.saturating_add(hits);
     }
 
     /// Records one sampled User-Agent observation.
@@ -651,13 +660,31 @@ impl DailyDatasetBuilder {
             "cannot merge builders over different windows"
         );
         self.blocks.merge(other.blocks, |mine, acc| {
-            mine.total_hits += acc.total_hits;
+            mine.total_hits = mine.total_hits.saturating_add(acc.total_hits);
             mine.ua_samples += acc.ua_samples;
             mine.ua_hashes.extend(acc.ua_hashes);
             for (host, ip) in acc.ips {
                 mine.ip(host).merge(ip);
             }
         });
+    }
+
+    /// Does now, on the calling thread, the per-address work of
+    /// [`finish`](Self::finish): every median is selected and tracked,
+    /// as a [`snapshot`](Self::snapshot) leaves it but uncounted by
+    /// [`medians_selected`](Self::medians_selected) — nothing was
+    /// published. A sharded collector seals each partial builder on the
+    /// thread that folded it, and the thread that merges them finishes
+    /// in O(blocks). A sealed builder is still a builder: a record or
+    /// merge reaching a sealed address steps or drops its median as
+    /// after a snapshot, and the dataset is the same either way.
+    pub fn seal(&mut self) {
+        let (mut scratch, mut uncounted) = (Vec::new(), 0);
+        for (_, acc) in &mut self.blocks.accs {
+            for (_, ip) in &mut acc.ips {
+                ip.median(&mut scratch, &mut uncounted);
+            }
+        }
     }
 
     /// Finalizes into an immutable dataset.
@@ -958,6 +985,24 @@ impl WeekHits {
     }
 }
 
+/// Two ascending runs as one.
+fn merge_runs(a: &[u64], b: &[u64]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if b[j] < a[i] {
+            out.push(b[j]);
+            j += 1;
+        } else {
+            out.push(a[i]);
+            i += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
 impl WeeklyDatasetBuilder {
     /// Creates a builder for `num_weeks` weeks (≤ 64).
     pub fn new(num_weeks: usize) -> Self {
@@ -1001,7 +1046,10 @@ impl WeeklyDatasetBuilder {
     /// Folds another builder's accumulated records into this one —
     /// exact for overlapping blocks and addresses (week bits union,
     /// hit multisets concatenate), and order-insensitive up to
-    /// `finish()`'s canonicalization.
+    /// `finish()`'s canonicalization. A week both builders hold sorted
+    /// (two [`seal`](Self::seal)ed shards) is merged as two runs, in
+    /// linear time, and stays sorted; any other pair is appended and
+    /// sorted when next wanted.
     ///
     /// # Panics
     /// If the builders cover different week counts.
@@ -1016,8 +1064,20 @@ impl WeeklyDatasetBuilder {
             }
         });
         for (mine, mut theirs) in self.week_hits.iter_mut().zip(other.week_hits) {
-            mine.open().append(theirs.open());
+            match (&*mine, &theirs) {
+                (WeekHits::Sorted(a), WeekHits::Sorted(b)) => {
+                    *mine = WeekHits::Sorted(Arc::new(merge_runs(a, b)));
+                }
+                _ => mine.open().append(theirs.open()),
+            }
         }
+    }
+
+    /// Sorts every week's hits now, on the calling thread, as
+    /// [`finish`](Self::finish) otherwise would: the weekly half of
+    /// [`DailyDatasetBuilder::seal`]. A later record reopens its week.
+    pub fn seal(&mut self) {
+        self.sorted_week_hits();
     }
 
     /// Finalizes into an immutable dataset. Blocks and each week's
@@ -1453,23 +1513,36 @@ mod tests {
         ]
     }
 
-    /// Folds `recs` through `ways` builders dealt round-robin in runs
-    /// of `run` records, then merges them left to right or as a
-    /// right-leaning tree.
+    /// Folds all but the last of `recs` through `ways` builders dealt
+    /// round-robin in runs of `run` records — so the leaves share
+    /// blocks, addresses and `(address, day)` pairs — then merges them
+    /// left to right or as a right-leaning tree, and gives the merged
+    /// builder the last record. Bit `i` of `sealed` seals leaf `i`
+    /// before the merge, bit `ways` the merged builder before its last
+    /// record.
+    #[allow(clippy::too_many_arguments)]
     fn fold_and_merge<B>(
         recs: &[Rec],
         ways: usize,
         run: usize,
         right_leaning: bool,
+        sealed: u32,
         new: impl Fn() -> B,
         fold: impl Fn(&mut B, Rec),
+        seal: impl Fn(&mut B),
         merge: impl Fn(&mut B, B),
     ) -> B {
+        let (&last, recs) = recs.split_last().unwrap();
         let mut parts: Vec<B> = (0..ways).map(|_| new()).collect();
         for (i, &rec) in recs.iter().enumerate() {
             fold(&mut parts[(i / run) % ways], rec);
         }
-        if right_leaning {
+        for (i, part) in parts.iter_mut().enumerate() {
+            if sealed >> i & 1 != 0 {
+                seal(part);
+            }
+        }
+        let mut acc = if right_leaning {
             let mut acc = parts.pop().unwrap();
             while let Some(mut left) = parts.pop() {
                 merge(&mut left, acc);
@@ -1483,7 +1556,21 @@ mod tests {
                 merge(&mut acc, part);
             }
             acc
+        };
+        if sealed >> ways & 1 != 0 {
+            seal(&mut acc);
         }
+        fold(&mut acc, last);
+        acc
+    }
+
+    /// Every way of dealing, sealing and merging `fold_and_merge` has.
+    fn merge_trees() -> impl Iterator<Item = (usize, usize, bool, u32)> {
+        [(1, 1), (2, 1), (2, 7), (3, 1), (3, 4), (3, 50)].into_iter().flat_map(|(ways, run)| {
+            [false, true].into_iter().flat_map(move |right_leaning| {
+                (0..2u32 << ways).map(move |sealed| (ways, run, right_leaning, sealed))
+            })
+        })
     }
 
     #[test]
@@ -1504,19 +1591,24 @@ mod tests {
             assert_eq!((b.ip_traffic.len(), b.ua_samples > 0), (5, true), "{}", b.block);
         }
         for (name, recs) in arrival_orders() {
-            for (ways, run) in [(1, 1), (2, 1), (2, 7), (3, 1), (3, 4), (3, 50)] {
-                for right_leaning in [false, true] {
-                    let got = fold_and_merge(
-                        &recs,
-                        ways,
-                        run,
-                        right_leaning,
-                        || DailyDatasetBuilder::new(12),
-                        ua,
-                        |a, b| a.merge(b),
-                    );
-                    assert_eq!(got.finish(), expect, "{name}, {ways}-way, runs of {run}");
-                }
+            for (ways, run, right_leaning, sealed) in merge_trees() {
+                let got = fold_and_merge(
+                    &recs,
+                    ways,
+                    run,
+                    right_leaning,
+                    sealed,
+                    || DailyDatasetBuilder::new(12),
+                    ua,
+                    DailyDatasetBuilder::seal,
+                    |a, b| a.merge(b),
+                );
+                assert_eq!(got.medians_selected(), 0, "sealing is not publishing");
+                assert_eq!(
+                    got.finish(),
+                    expect,
+                    "{name}, {ways}-way, runs of {run}, sealed {sealed:#b}"
+                );
             }
         }
     }
@@ -1530,19 +1622,23 @@ mod tests {
         let expect = expect.finish();
         assert_eq!(expect.blocks.len(), 4);
         for (name, recs) in arrival_orders() {
-            for (ways, run) in [(1, 1), (2, 1), (2, 7), (3, 1), (3, 4), (3, 50)] {
-                for right_leaning in [false, true] {
-                    let got = fold_and_merge(
-                        &recs,
-                        ways,
-                        run,
-                        right_leaning,
-                        || WeeklyDatasetBuilder::new(12),
-                        |b, (w, a, hits)| b.record_week(w, a, hits),
-                        |a, b| a.merge(b),
-                    );
-                    assert_eq!(got.finish(), expect, "{name}, {ways}-way, runs of {run}");
-                }
+            for (ways, run, right_leaning, sealed) in merge_trees() {
+                let got = fold_and_merge(
+                    &recs,
+                    ways,
+                    run,
+                    right_leaning,
+                    sealed,
+                    || WeeklyDatasetBuilder::new(12),
+                    |b, (w, a, hits)| b.record_week(w, a, hits),
+                    WeeklyDatasetBuilder::seal,
+                    |a, b| a.merge(b),
+                );
+                assert_eq!(
+                    got.finish(),
+                    expect,
+                    "{name}, {ways}-way, runs of {run}, sealed {sealed:#b}"
+                );
             }
         }
     }
@@ -1675,6 +1771,57 @@ mod tests {
             live.feed(None, (span / 2, host(1), shaped_hits(shape, span / 2, 3)));
             let fresh = live.fresh();
             prop_assert_eq!(live.builder.finish(), fresh, "finish of the live builder");
+        }
+
+        /// Sealing changes no dataset. Four leaves take the records
+        /// dealt to them, each sealed at any points of its fold and
+        /// folded into again (a tracked median stepped or dropped, a
+        /// sorted week reopened), then merged in any order, overlapping
+        /// in blocks, addresses and days, with the partial merges
+        /// sealed or not: `==` one unsealed builder fed everything.
+        #[test]
+        fn sealed_builders_finish_equal_to_one_unsealed_builder(
+            span in prop_oneof![Just(128usize), 1usize..=128],
+            shape in 0u8..5,
+            recs in prop::collection::vec(
+                (0usize..128, 0u8..6, 0u64..4, 0usize..4, 0u8..6),
+                0..200,
+            ),
+            mut order in any::<u64>(),
+        ) {
+            let host = |h: u8| Block24::new(0x0A_0000 + u32::from(h % 2)).addr(h);
+            let weeks = span.min(64);
+            let new = || (DailyDatasetBuilder::new(span), WeeklyDatasetBuilder::new(weeks));
+            let seal = |(daily, weekly): &mut (DailyDatasetBuilder, WeeklyDatasetBuilder)| {
+                daily.seal();
+                weekly.seal();
+            };
+            let (mut one, mut leaves) = (new(), vec![new(), new(), new(), new()]);
+            for (raw_day, h, raw, leaf, then) in recs {
+                let day = raw_day % span;
+                let hits = shaped_hits(shape, day, raw);
+                for (daily, weekly) in [&mut one, &mut leaves[leaf]] {
+                    daily.record_hits(day, host(h), hits);
+                    weekly.record_week(day % weeks, host(h), hits);
+                }
+                if then == 0 {
+                    seal(&mut leaves[leaf]);
+                }
+            }
+            while leaves.len() > 1 {
+                let from = leaves.swap_remove(order as usize % leaves.len());
+                let into = (order >> 2) as usize % leaves.len();
+                leaves[into].0.merge(from.0);
+                leaves[into].1.merge(from.1);
+                if order >> 4 & 1 != 0 {
+                    seal(&mut leaves[into]);
+                }
+                order >>= 5;
+            }
+            let (daily, weekly) = leaves.pop().expect("one builder left");
+            prop_assert_eq!(daily.medians_selected(), 0, "sealing is not publishing");
+            prop_assert_eq!(daily.finish(), one.0.finish());
+            prop_assert_eq!(weekly.finish(), one.1.finish());
         }
     }
 

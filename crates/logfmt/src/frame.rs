@@ -12,7 +12,7 @@
 //! tolerant reader distinguish "clean end of stream" from "stream died
 //! mid-frame" and catch gross desynchronization cheaply.
 
-use crate::record::{DecodeError, Record};
+use crate::record::{decode_in_place, DecodeError, Record};
 use crate::varint::{decode_u64, encode_u64_at_end, VarintError, MAX_LEN};
 use crate::crc::crc32;
 use std::io::{self, Read, Write};
@@ -195,6 +195,15 @@ const READ_BUF: usize = 128 * 1024;
 /// what is delivered does not depend on how the source chunks its
 /// reads.
 ///
+/// One frame grammar, two readers of it. The general path takes a
+/// frame of any size and kind, clean or damaged, refilling as it goes.
+/// In front of it an in-place path takes the frames logs are made of —
+/// clean, small, wholly buffered — checking sync, length and CRC-32 the
+/// same way and decoding varints a word at a time; it consumes nothing
+/// unless it delivers, and leaves everything else, untouched, to the
+/// general path. [`read`](Self::read) runs it a frame a call,
+/// [`for_each`](Self::for_each) as one loop over the buffer.
+///
 /// In tolerant mode the reader can additionally *quarantine* what it
 /// skips: enable capture with [`FrameReader::capture_quarantine`] and
 /// every damaged frame is retained as a [`QuarantinedFrame`] with its
@@ -328,6 +337,40 @@ impl<R: Read> FrameReader<R> {
 
     /// Reads the next record, `Ok(None)` at clean end of stream.
     pub fn read(&mut self) -> Result<Option<Record>, FrameError> {
+        if !self.finished {
+            if let Some((record, next)) = frame_in_place(&self.buf[..self.end], self.start) {
+                self.consume(next - self.start);
+                return Ok(Some(record));
+            }
+        }
+        self.read_frame()
+    }
+
+    /// Reads the stream to its end, handing `deliver` every record
+    /// [`read`](Self::read) would have returned, in order, and stops at
+    /// the first error `read` would have, with the reader where `read`
+    /// would have left it. The loop under every collector: runs of
+    /// in-place frames cost no `Result<Option<Record>>` per record.
+    pub fn for_each(&mut self, mut deliver: impl FnMut(Record)) -> Result<(), FrameError> {
+        loop {
+            if !self.finished {
+                let (buf, mut at) = (&self.buf[..self.end], self.start);
+                while let Some((record, next)) = frame_in_place(buf, at) {
+                    deliver(record);
+                    at = next;
+                }
+                self.consume(at - self.start);
+            }
+            match self.read_frame()? {
+                Some(record) => deliver(record),
+                None => return Ok(()),
+            }
+        }
+    }
+
+    /// The general path: one frame of any size and kind, clean or
+    /// damaged, buffered or not — everything [`frame_in_place`] leaves.
+    fn read_frame(&mut self) -> Result<Option<Record>, FrameError> {
         let tolerant = self.mode == ReadMode::Tolerant;
         loop {
             if self.finished {
@@ -481,11 +524,37 @@ impl<R: Read> FrameReader<R> {
     /// Drains the stream into a vector (convenience for tests/tools).
     pub fn read_all(&mut self) -> Result<Vec<Record>, FrameError> {
         let mut out = Vec::new();
-        while let Some(rec) = self.read()? {
-            out.push(rec);
-        }
+        self.for_each(|rec| out.push(rec))?;
         Ok(out)
     }
+}
+
+/// The frame at `buf[at..]` parsed where it lies, if it is small,
+/// wholly buffered and one the general path would deliver: sync byte, a
+/// one-byte length (every `DayStart`, `Hits` and `UaSample` frame), the
+/// payload's CRC-32, then [`decode_in_place`], whose word reads want a
+/// few buffered bytes behind the payload (the CRC and the next frame).
+/// Returns the record and the index just past its frame.
+///
+/// `None` is every other case — a longer length field, a `BlockDay` or
+/// `Finish`, a frame straddling the end of the buffer, a bad checksum,
+/// an undecodable payload, no sync byte, nothing buffered — with
+/// nothing consumed or counted: [`FrameReader::read_frame`] starts on
+/// the same byte as if this had never run, so what a reader delivers is
+/// a function of the byte stream alone, whichever path read it.
+#[inline]
+fn frame_in_place(buf: &[u8], at: usize) -> Option<(Record, usize)> {
+    let [sync, len, rest @ ..] = buf.get(at..)? else { return None };
+    if *sync != SYNC || *len >= 0x80 {
+        return None;
+    }
+    let len = usize::from(*len);
+    let crc = rest.get(len..len + 4)?;
+    if crc32(&rest[..len]) != u32::from_le_bytes(crc.try_into().ok()?) {
+        return None;
+    }
+    let record = decode_in_place(rest, len)?;
+    Some((record, at + 2 + len + 4))
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The log record vocabulary.
 
-use crate::varint::{decode_u64, encode_u64, VarintError};
+use crate::varint::{decode_u64, decode_u64_word, encode_u64, VarintError};
 use bytes::{Buf, BufMut};
 use core::fmt;
 use ipactive_net::{Addr, AddrBits256, Block24};
@@ -252,6 +252,40 @@ impl Record {
         }
         Ok(rec)
     }
+}
+
+/// [`Record::decode`] of the `len`-byte payload at the front of `buf`
+/// for the three small kinds, every varint read a word at a time —
+/// which is why `buf` runs on past the payload: a read may take in
+/// bytes behind it, none of which reaches a value, because a record is
+/// delivered only if its last field ends exactly at `len`. Kind, field
+/// ranges and length are checked as `decode` checks them; `None` is
+/// anything but a delivered record, and `decode` gives the verdict.
+#[inline]
+pub(crate) fn decode_in_place(buf: &[u8], len: usize) -> Option<Record> {
+    let kind = Kind::from_u8(*buf.first()?)?;
+    if matches!(kind, Kind::Finish | Kind::BlockDay) {
+        return None;
+    }
+    let mut at = 1;
+    let mut field = || {
+        let (value, width) = decode_u64_word(buf.get(at..)?)?;
+        at += width;
+        Some(value)
+    };
+    let day = u16::try_from(field()?).ok()?;
+    let record = if kind == Kind::DayStart {
+        Record::DayStart { day }
+    } else {
+        let addr = Addr::new(u32::try_from(field()?).ok()?);
+        let last = field()?;
+        if kind == Kind::Hits {
+            Record::Hits { day, addr, hits: last }
+        } else {
+            Record::UaSample { day, addr, ua_hash: last }
+        }
+    };
+    (at == len).then_some(record)
 }
 
 /// The four little-endian words of an address bitmap, low hosts first.

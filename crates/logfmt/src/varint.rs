@@ -79,6 +79,43 @@ pub fn decode_u64<B: Buf>(buf: &mut B) -> Result<u64, VarintError> {
     Err(VarintError::Overflow)
 }
 
+/// Decodes the LEB128 `u64` at the front of `buf` a word at a time,
+/// returning it with the bytes it occupies: the same value, over the
+/// same bytes, as [`decode_u64`]. `None` where that fails and also
+/// where fewer than eight bytes (or than a nine- or ten-byte form
+/// needs) are buffered — the caller falls back to `decode_u64` for the
+/// verdict. Bytes behind the varint never reach the value.
+#[inline]
+pub(crate) fn decode_u64_word(buf: &[u8]) -> Option<(u64, usize)> {
+    const CONTINUES: u64 = 0x8080_8080_8080_8080;
+    let word = u64::from_le_bytes(buf.get(..8)?.try_into().ok()?);
+    // A day or week always fits one byte, and a count often does.
+    if word & 0x80 == 0 {
+        return Some((word & 0x7F, 1));
+    }
+    // The lowest byte without a continuation bit ends the varint.
+    let stops = !word & CONTINUES;
+    let len = if stops == 0 { 8 } else { (stops.trailing_zeros() as usize + 1) / 8 };
+    let groups = word & (u64::MAX >> (64 - 8 * len)) & !CONTINUES;
+    // Seven-bit groups closed up pairwise: 8 × 7 → 4 × 14 → 2 × 28 → 56 bits.
+    let x = (groups & 0x007F_007F_007F_007F) | (groups & 0x7F00_7F00_7F00_7F00) >> 1;
+    let x = (x & 0x0000_3FFF_0000_3FFF) | (x & 0x3FFF_0000_3FFF_0000) >> 2;
+    let low = (x & 0x0000_0000_0FFF_FFFF) | (x & 0x0FFF_FFFF_0000_0000) >> 4;
+    if stops != 0 {
+        return Some((low, len));
+    }
+    let ninth = *buf.get(8)?;
+    if ninth & 0x80 == 0 {
+        return Some((low | u64::from(ninth) << 56, 9));
+    }
+    // The tenth byte holds bit 63 and nothing else: more payload is an
+    // overflow, a continuation bit an eleventh byte.
+    match *buf.get(9)? {
+        tenth @ 0..=1 => Some((low | u64::from(ninth & 0x7F) << 56 | u64::from(tenth) << 63, 10)),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,6 +174,32 @@ mod tests {
         buf.push(0x7F);
         let mut slice = &buf[..];
         assert_eq!(decode_u64(&mut slice), Err(VarintError::Overflow));
+    }
+
+    #[test]
+    fn word_decode_agrees_with_the_byte_loop_whatever_follows() {
+        let edges = [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, (1 << 56) - 1, 1 << 56];
+        for v in edges.into_iter().chain([(1 << 63) - 1, 1 << 63, u64::MAX]) {
+            for slack in [0x00u8, 0x7F, 0x80, 0xFF] {
+                let mut buf = Vec::new();
+                encode_u64(&mut buf, v);
+                let len = buf.len();
+                buf.resize(len + MAX_LEN, slack);
+                assert_eq!(decode_u64_word(&buf), Some((v, len)), "{v} before {slack:#04x}");
+            }
+        }
+        // Overlong forms decode as the byte loop decodes them.
+        assert_eq!(decode_u64_word(&[0x80, 0x00, 9, 9, 9, 9, 9, 9]), Some((0, 2)));
+        // Too little buffered to tell; bits beyond the 64th; an
+        // eleventh byte.
+        assert_eq!(decode_u64_word(&[0x01; 7]), None);
+        assert_eq!(decode_u64_word(&[0xFF; 9]), None);
+        for tenth in [0x02, 0x7F, 0x81] {
+            let mut buf = [0xFF; 12];
+            buf[9] = tenth;
+            assert_eq!(decode_u64_word(&buf), None, "tenth byte {tenth:#04x}");
+            assert_eq!(decode_u64(&mut &buf[..]), Err(VarintError::Overflow));
+        }
     }
 
     #[test]

@@ -58,20 +58,35 @@ fn an_undamaged_stream_is_read_without_an_allocation_per_frame() {
     assert!(stream.len() > 4 * 128 * 1024, "must span several refills: {}", stream.len());
 
     for mode in [ReadMode::Strict, ReadMode::Tolerant] {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let mut reader = FrameReader::new(&stream[..], mode);
-        let (mut records, mut hits) = (0u32, 0u64);
-        while let Some(record) = reader.read().unwrap() {
-            records += 1;
-            if let Record::Hits { hits: h, .. } = record {
-                hits = hits.wrapping_add(h);
+        // A `read()` a record, then `for_each()`, the loop under every
+        // collector: the same records for the same budget.
+        for looped in [false, true] {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let mut reader = FrameReader::new(&stream[..], mode);
+            let (mut records, mut hits) = (0u32, 0u64);
+            let mut tally = |record| {
+                records += 1;
+                if let Record::Hits { hits: h, .. } = record {
+                    hits = hits.wrapping_add(h);
+                }
+            };
+            if looped {
+                reader.for_each(tally).unwrap();
+            } else {
+                while let Some(record) = reader.read().unwrap() {
+                    tally(record);
+                }
             }
+            let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+            assert_eq!(records, FRAMES + FRAMES.div_ceil(16));
+            assert!(hits > 0);
+            assert_eq!(reader.position(), stream.len() as u64);
+            // The reader's buffer, and nothing that scales with the
+            // frames.
+            assert!(
+                allocations < 16,
+                "{allocations} allocations for {records} frames ({mode:?}, for_each: {looped})"
+            );
         }
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(records, FRAMES + FRAMES.div_ceil(16));
-        assert!(hits > 0);
-        assert_eq!(reader.position(), stream.len() as u64);
-        // The reader's buffer, and nothing that scales with the frames.
-        assert!(allocations < 16, "{allocations} allocations for {records} frames ({mode:?})");
     }
 }

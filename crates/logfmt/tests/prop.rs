@@ -82,7 +82,10 @@ proptest! {
 // what the byte-at-a-time reader it replaced delivered.
 // ---------------------------------------------------------------------
 
-use ipactive_logfmt::{crc32, BlockDay, QuarantineReason, QuarantinedFrame, QUARANTINE_CAPTURE_CAP};
+use ipactive_logfmt::{
+    crc32, BlockDay, DecodeError, QuarantineReason, QuarantinedFrame, VarintError,
+    QUARANTINE_CAPTURE_CAP,
+};
 use ipactive_net::Block24;
 use std::io::Read;
 
@@ -90,6 +93,7 @@ const SYNC: u8 = 0xA5;
 const MAX_PAYLOAD: u64 = 1 << 16;
 
 /// A source that hands out at most `chunk` bytes a call.
+#[derive(Clone)]
 struct Chunked<'a> {
     data: &'a [u8],
     chunk: usize,
@@ -117,15 +121,30 @@ struct Observed {
     quarantine: Vec<QuarantinedFrame>,
 }
 
-fn observe<R: Read>(source: R, mode: ReadMode, stream_len: usize) -> Observed {
+/// One reader run to its end a `read()` at a time and another through
+/// `for_each()`, the loop the collectors run: the two must observe the
+/// same, and that is what is returned.
+fn observe<R: Read + Clone>(source: R, mode: ReadMode, stream_len: usize) -> Observed {
+    let by_read = observe_with(source.clone(), mode, stream_len, false);
+    let by_loop = observe_with(source, mode, stream_len, true);
+    assert!(by_read == by_loop, "for_each() saw {by_loop:?}, read() saw {by_read:?}");
+    by_read
+}
+
+fn observe_with<R: Read>(source: R, mode: ReadMode, stream_len: usize, looped: bool) -> Observed {
     let mut reader = FrameReader::new(source, mode).capture_quarantine(true);
     let mut reads = Vec::new();
     // Every call consumes a byte or ends the stream, so this bound is
     // never reached; it turns a reader that spins into a failure.
     for _ in 0..=stream_len + 1 {
-        match reader.read() {
-            Ok(Some(rec)) => reads.push(Ok(rec)),
-            Ok(None) => break,
+        let more = if looped {
+            reader.for_each(|rec| reads.push(Ok(rec))).map(|()| false)
+        } else {
+            reader.read().map(|rec| rec.map(|rec| reads.push(Ok(rec))).is_some())
+        };
+        match more {
+            Ok(true) => {}
+            Ok(false) => break,
             Err(e) => reads.push(Err(format!("{e:?}"))),
         }
     }
@@ -141,9 +160,10 @@ fn observe<R: Read>(source: R, mode: ReadMode, stream_len: usize) -> Observed {
 }
 
 /// The reference: the frame grammar read one byte at a time straight
-/// off a slice, the way the reader worked before it buffered. Kept as
-/// the oracle for delivered records, counters, position and
-/// quarantine.
+/// off a slice, the way the reader worked before it buffered, with
+/// payloads decoded by [`reference_decode`] — it shares no code with
+/// the reader but the CRC table. Kept as the oracle for delivered
+/// records, counters, position and quarantine.
 struct Oracle<'a> {
     data: &'a [u8],
     at: usize,
@@ -235,10 +255,10 @@ impl Oracle<'_> {
             };
             raw.push(b);
             if b & 0x80 == 0 {
-                break decode_u64(&mut &raw[..]);
+                break reference_varint(&mut &raw[..]);
             }
             if raw.len() >= 10 {
-                break Err(ipactive_logfmt::VarintError::Overflow);
+                break Err(VarintError::Overflow);
             }
         };
         let len = match len {
@@ -277,7 +297,7 @@ impl Oracle<'_> {
         let failure = if crc32_bytewise(&payload) != crc {
             Some(("BadChecksum".to_string(), QuarantineReason::BadChecksum))
         } else {
-            match Record::decode(&payload) {
+            match reference_decode(&payload) {
                 Ok(Record::Finish) => {
                     self.finished = true;
                     return false;
@@ -309,6 +329,84 @@ fn crc32_bytewise(data: &[u8]) -> u32 {
         }
     }
     !crc
+}
+
+/// LEB128 one byte at a time: the definition, no words.
+fn reference_varint(buf: &mut &[u8]) -> Result<u64, VarintError> {
+    let mut value = 0u64;
+    for i in 0..10 {
+        let Some((&byte, rest)) = buf.split_first() else {
+            return Err(VarintError::Truncated);
+        };
+        *buf = rest;
+        let bits = u64::from(byte & 0x7F);
+        if i == 9 && bits > 1 {
+            return Err(VarintError::Overflow);
+        }
+        value |= bits << (7 * i);
+        if byte & 0x80 == 0 {
+            return Ok(value);
+        }
+    }
+    Err(VarintError::Overflow)
+}
+
+/// The record grammar one byte at a time: what `Record::decode` must
+/// return for every payload, `Ok` value or `Err` kind.
+fn reference_decode(mut buf: &[u8]) -> Result<Record, DecodeError> {
+    let Some((&kind, rest)) = buf.split_first() else {
+        return Err(DecodeError::Truncated);
+    };
+    buf = rest;
+    let day = |buf: &mut &[u8]| {
+        u16::try_from(reference_varint(buf)?).map_err(|_| DecodeError::FieldRange("day"))
+    };
+    let addr = |buf: &mut &[u8]| {
+        let bits = u32::try_from(reference_varint(buf)?);
+        bits.map(Addr::new).map_err(|_| DecodeError::FieldRange("addr"))
+    };
+    let record = match kind {
+        1 => Record::DayStart { day: day(&mut buf)? },
+        2 => Record::Hits {
+            day: day(&mut buf)?,
+            addr: addr(&mut buf)?,
+            hits: reference_varint(&mut buf)?,
+        },
+        3 => Record::UaSample {
+            day: day(&mut buf)?,
+            addr: addr(&mut buf)?,
+            ua_hash: reference_varint(&mut buf)?,
+        },
+        4 => Record::Finish,
+        5 => {
+            let day = day(&mut buf)?;
+            let block = match reference_varint(&mut buf)? {
+                id if id < 1 << 24 => Block24::new(id as u32),
+                _ => return Err(DecodeError::FieldRange("block")),
+            };
+            if buf.len() < 32 {
+                return Err(DecodeError::Truncated);
+            }
+            let (bitmap, rest) = buf.split_at(32);
+            buf = rest;
+            let mut entries = Vec::new();
+            for host in 0..=255u8 {
+                if bitmap[usize::from(host / 8)] >> (host % 8) & 1 != 0 {
+                    match reference_varint(&mut buf)? {
+                        0 => return Err(DecodeError::FieldRange("hits")),
+                        hits => entries.push((host, hits)),
+                    }
+                }
+            }
+            Record::BlockDay(Box::new(BlockDay { day, block, entries }))
+        }
+        unknown => return Err(DecodeError::UnknownKind(unknown)),
+    };
+    if buf.is_empty() {
+        Ok(record)
+    } else {
+        Err(DecodeError::TrailingBytes(buf.len()))
+    }
 }
 
 /// Holds every chunking of `stream`, in both modes, to the oracle.
@@ -449,6 +547,98 @@ proptest! {
     ) {
         assert_chunking_invariant(&noise)?;
         assert_chunking_invariant(&grammar)?;
+    }
+}
+
+/// Bytes a record decoder reads as a varint field, or as the start of
+/// one: minimal encodings over the whole domain and at the widths and
+/// range limits the fields have, overlong ones, runs of continuation
+/// bytes of every length around the ten-byte limit, and anything.
+fn arb_field_bytes() -> impl Strategy<Value = Vec<u8>> {
+    fn minimal(v: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_u64(&mut bytes, v);
+        bytes
+    }
+    prop_oneof![
+        any::<u64>().prop_map(minimal),
+        any::<u32>().prop_map(|addr| minimal(addr.into())),
+        (0u64..300).prop_map(minimal),
+        // Either side of `u16::MAX`, `u32::MAX`, the seven-, eight- and
+        // nine-byte forms, and the top of the domain.
+        (prop_oneof![Just(16u32), Just(32), Just(49), Just(56), Just(63), Just(0)], 0u64..3)
+            .prop_map(|(bit, past)| minimal((1u64 << bit).wrapping_sub(2).wrapping_add(past))),
+        // Overlong: `0x80 0x00` and longer, up to an eleventh byte.
+        (0u64..300, 0usize..10).prop_map(|(v, zeros)| {
+            let mut bytes = minimal(v);
+            *bytes.last_mut().expect("a varint has a byte") |= 0x80;
+            bytes.resize(bytes.len() + zeros, 0x80);
+            bytes.push(0x00);
+            bytes
+        }),
+        // Seven to ten continuation bytes, then a last byte of any value
+        // (as the tenth, more than 1 overflows).
+        (7usize..11, any::<u8>()).prop_map(|(n, last)| {
+            let mut bytes = vec![0xFF; n];
+            bytes.push(last);
+            bytes
+        }),
+        prop::collection::vec(any::<u8>(), 0..12),
+    ]
+}
+
+/// What a strict reader makes of one frame around `payload`, with
+/// `tail` behind it, as a `read()` and as a `for_each()` see it
+/// (`observe` holds the two together): the record, the decode error,
+/// or `None` for a `Finish`. A clean frame goes first, so that the one
+/// under test is met with the buffer filled, as all but a stream's
+/// first frame are.
+fn read_framed(payload: &[u8], tail: &[u8]) -> Option<Result<Record, String>> {
+    let first = Record::DayStart { day: 0 };
+    let mut stream = encode_stream(std::slice::from_ref(&first), false);
+    stream.extend_from_slice(&raw_frame(payload));
+    stream.extend_from_slice(tail);
+    let mut reads = observe(&stream[..], ReadMode::Strict, stream.len()).reads.into_iter();
+    assert_eq!(reads.next(), Some(Ok(first)));
+    reads.next()
+}
+
+proptest! {
+    /// The record decoder's own differential. A frame small enough is
+    /// decoded in place, a word at a time, reading past the payload
+    /// into whatever is buffered behind it; for every payload the
+    /// verdict is the byte-at-a-time reference's — `Ok` value or `Err`
+    /// kind — and what is buffered behind it never changes it.
+    #[test]
+    fn record_decode_equals_the_reference_whatever_follows_the_payload(
+        kind in prop_oneof![1u8..=3, 1u8..=3, 1u8..=5, any::<u8>()],
+        fields in prop::collection::vec(arb_field_bytes(), 0..5),
+        tail in prop::collection::vec(any::<u8>(), 0..24),
+        // Dense in the bytes a word read must not be swayed by.
+        other_tail in prop::collection::vec(
+            prop_oneof![Just(0x00u8), Just(0x01), Just(0x7F), Just(0x80), Just(0xFF)],
+            0..24,
+        ),
+    ) {
+        let mut payload = vec![kind];
+        payload.extend(fields.concat());
+        // The payload whole, then every truncation of it.
+        for keep in (0..=payload.len()).rev() {
+            let whole = keep == payload.len();
+            let payload = &payload[..keep];
+            let want = reference_decode(payload);
+            prop_assert_eq!(&Record::decode(payload), &want, "Record::decode of {:02X?}", payload);
+            let want = match want {
+                Ok(Record::Finish) => None,
+                Ok(record) => Some(Ok(record)),
+                Err(e) => Some(Err(format!("BadRecord({e:?})"))),
+            };
+            let tails: &[&[u8]] = if whole { &[&tail, &other_tail, &[]] } else { &[&tail] };
+            for tail in tails {
+                let got = read_framed(payload, tail);
+                prop_assert_eq!(&got, &want, "{:02X?} before {:02X?}", payload, tail);
+            }
+        }
     }
 }
 

@@ -66,6 +66,14 @@ impl DayBits {
         self.0 & (1u128 << d) != 0
     }
 
+    /// Whether every active day is earlier than `d` — setting `d` would
+    /// add the latest day. Panics if `d >= 128`.
+    #[inline]
+    pub fn all_before(self, d: usize) -> bool {
+        assert!(d < Self::CAPACITY, "day {d} out of range");
+        self.0 >> d == 0
+    }
+
     /// Number of active days.
     #[inline]
     pub const fn count(self) -> u32 {
@@ -295,6 +303,10 @@ mod tests {
         assert_eq!(d.count_range(101, 127), 0);
         assert!(d.any_in_range(60, 70));
         assert!(!d.any_in_range(2, 63));
+        assert!(!d.all_before(0) && !d.all_before(127));
+        d.clear(127);
+        assert!(d.all_before(127) && d.all_before(101) && !d.all_before(100));
+        assert!(DayBits::new().all_before(0) && DayBits::new().all_before(127));
     }
 
     #[test]

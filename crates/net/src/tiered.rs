@@ -747,7 +747,7 @@ impl ActiveSet for TieredSet {
         }
     }
 
-    /// One directory binary search, then [`TieredSet::mask_at`]'s two
+    /// One directory binary search, then `TieredSet::mask_at`'s two
     /// neighbor probes, instead of the default's per-mask growth walk.
     fn covering_mask(&self, addr: Addr) -> u8 {
         let (i, own) = match self.chunk_index(addr.bits() >> 8) {
