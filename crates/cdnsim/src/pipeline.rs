@@ -48,6 +48,7 @@ use ipactive_logfmt::{
 use ipactive_net::Block24;
 use ipactive_obs::{self as obs, Event, EventKind, Registry};
 use std::io::{self, Read, Write};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Aggregate counters from a pipeline run.
@@ -539,7 +540,7 @@ fn walk_packed<E>(
 /// day into one packed [`Record::BlockDay`] frame instead of
 /// per-address records (UA samples stay per-record). Collectors decode
 /// both forms into identical datasets; the packed stream is several
-/// times smaller — see the `ablation_packed_records` benchmark.
+/// times smaller — see the `packed_stream_collects_identically` test.
 pub fn emit_daily_logs_packed<W: Write>(universe: &Universe, out: W) -> io::Result<u64> {
     let mut writer = FrameWriter::new(out);
     let mut scratch = Scratch::new(universe);
@@ -848,13 +849,11 @@ pub fn stream_pipeline<C: Cadence>(
     let start = Instant::now();
     let written = registry.counter(format!("{prefix}.records_written"));
 
-    let channels: Vec<_> = (0..collectors)
-        .map(|_| crossbeam::channel::bounded::<Vec<u8>>(workers * 2))
-        .collect();
-    let (txs, rxs): (Vec<_>, Vec<_>) = channels.into_iter().unzip();
+    let (txs, rxs): (Vec<_>, Vec<_>) =
+        (0..collectors).map(|_| mpsc::sync_channel::<Vec<u8>>(workers * 2)).unzip();
 
     let chunk = universe.blocks.len().div_ceil(workers).max(1);
-    let dataset = crossbeam::scope(|scope| {
+    let dataset = std::thread::scope(|scope| {
         // Collectors: each folds its shard's frames into a partial
         // builder, decoding tolerantly — damaged frames are skipped,
         // unrecoverable streams abandoned and counted.
@@ -864,7 +863,7 @@ pub fn stream_pipeline<C: Cadence>(
             .map(|(shard, rx)| {
                 let meters = ShardMeters::new(registry, prefix, shard);
                 let registry = registry.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let _span = registry.span(collector_span_path(prefix, shard));
                     let mut builder = C::new(slots);
                     for buf in rx.iter() {
@@ -884,7 +883,7 @@ pub fn stream_pipeline<C: Cadence>(
             let txs = txs.clone();
             let written = written.clone();
             let registry = registry.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let _span = registry.span(format!("{prefix}.edge"));
                 let writers =
                     route_blocks::<C>(universe, worker_blocks, collectors).expect("vec write");
@@ -909,8 +908,7 @@ pub fn stream_pipeline<C: Cadence>(
                 acc
             });
         C::finish(merged.expect("at least one collector"), None)
-    })
-    .expect("pipeline thread panicked");
+    });
 
     let report = assemble_report(registry, prefix, collectors, workers, start.elapsed());
     (dataset, report)

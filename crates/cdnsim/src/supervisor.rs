@@ -625,18 +625,17 @@ pub(crate) fn supervise<C: Cadence>(
         C::seal(&mut acc);
         (acc, ShardOutcome { shard, buffers: outcomes }, letters)
     };
-    let results = crossbeam::scope(|scope| {
+    let results = std::thread::scope(|scope| {
         let handles: Vec<_> = shard_buffers
             .iter()
             .enumerate()
-            .map(|(shard, buffers)| scope.spawn(move |_| supervise_shard(shard, buffers.as_ref())))
+            .map(|(shard, buffers)| scope.spawn(move || supervise_shard(shard, buffers.as_ref())))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("supervised shard thread panicked"))
             .collect::<Vec<_>>()
-    })
-    .expect("supervisor scope panicked");
+    });
 
     let mut merged: Option<C::Builder> = None;
     let mut outcomes = Vec::with_capacity(results.len());

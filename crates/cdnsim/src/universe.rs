@@ -1051,14 +1051,13 @@ fn claim_map<S: Send, R: Send>(
     let per_thread = if threads <= 1 {
         vec![run()]
     } else {
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(|_| run())).collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(run)).collect();
             handles
                 .into_iter()
                 .map(|handle| handle.join().expect("sweep thread panicked"))
                 .collect()
         })
-        .expect("sweep thread panicked")
     };
     let mut results: Vec<Option<R>> = order.iter().map(|_| None).collect();
     let mut states = Vec::with_capacity(per_thread.len());

@@ -152,7 +152,6 @@ pub fn stu_histogram_high_fd(ds: &DailyDataset, fd_threshold: u32, bins: usize) 
 
 /// The Section 5.4 potential-utilization estimates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PotentialUtilization {
     /// Active blocks in the dataset.
     pub active_blocks: usize,

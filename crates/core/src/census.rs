@@ -7,7 +7,6 @@ use std::collections::{HashMap, HashSet};
 
 /// One row of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CensusRow {
     /// Number of snapshots (days or weeks).
     pub snapshots: usize,

@@ -23,7 +23,6 @@ use std::sync::Arc;
 /// One day of Figure 4(a): active count plus events versus the
 /// previous day (`up`/`down` are 0 for day 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DayChurn {
     /// Day index.
     pub day: usize,
@@ -364,7 +363,6 @@ pub fn weekly_window_sweep_over<W: WeeklyWindows>(
 
 /// One week of Figure 4(c): drift relative to the first week.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WeekDrift {
     /// Week index (1-based comparison weeks; week 0 is the reference).
     pub week: usize,
@@ -604,7 +602,6 @@ where
 /// BGP attribution of long-term appear/disappear events (Table 2 rows
 /// "BGP no change / origin change / announce-withdraw").
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BgpBreakdown {
     /// Fraction with the same origin AS in both periods.
     pub no_change: f64,

@@ -78,7 +78,6 @@ pub fn event_sizes_par<W: DailyWindows>(
 /// Figure 5(c): fraction of events coinciding with a BGP change, for
 /// one window size.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BgpCorrelation {
     /// Window size in days.
     pub window_days: usize,

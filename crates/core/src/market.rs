@@ -16,7 +16,6 @@ use std::collections::HashMap;
 /// unicast space is active" and "roughly 450 million addresses may be
 /// unused" claims, at the dataset's scale).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MarketSurvey {
     /// Addresses covered by the routing table (deduplicated).
     pub advertised: u64,
@@ -52,7 +51,6 @@ pub fn survey(ds: &DailyDataset, table: &RoutingTable) -> MarketSurvey {
 
 /// One holder's idle-address estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AsSlack {
     /// The holder.
     pub asn: Asn,

@@ -10,7 +10,6 @@ use crate::dataset::BlockRecord;
 
 /// The two Section 5.1 metrics for one block over a day window.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockMetrics {
     /// Filling degree: active addresses in the window (0..=256).
     pub fd: u32,

@@ -15,7 +15,6 @@ use ipactive_net::Block24;
 
 /// One detected outage episode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Outage {
     /// The affected block.
     pub block: Block24,

@@ -15,7 +15,6 @@ use std::collections::HashSet;
 
 /// Persistence profile of one block.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockPersistence {
     /// The block.
     pub block: Block24,
@@ -35,7 +34,6 @@ pub struct BlockPersistence {
 
 /// A recommended reputation lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ReputationTtl {
     /// The block's assignment practice just changed: drop all cached
     /// reputation now.

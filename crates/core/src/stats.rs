@@ -29,7 +29,6 @@ pub fn median_sorted(sorted: &[f64]) -> f64 {
 
 /// The five percentiles the paper's Figure 9(a) bands use.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary5 {
     /// 5th percentile.
     pub p5: f64,
@@ -119,7 +118,6 @@ impl Ecdf {
 
 /// Ordinary least-squares fit `y ≈ slope·x + intercept`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinearFit {
     /// Slope.
     pub slope: f64,
@@ -214,7 +212,6 @@ pub fn chapman(n1: u64, n2: u64, overlap: u64) -> f64 {
 /// `(min, median, max)` of a set of percentages — the triple plotted
 /// per window size in Figure 4(b).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MinMedMax {
     /// Minimum.
     pub min: f64,

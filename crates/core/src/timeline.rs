@@ -7,7 +7,6 @@ use ipactive_rir::YearMonth;
 
 /// One monthly observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GrowthPoint {
     /// The month.
     pub month: YearMonth,

@@ -10,7 +10,6 @@ use ipactive_net::AddrSet;
 
 /// A three-way split of observed entities (Figure 2(a)'s bars).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VisibilitySplit {
     /// Seen by the CDN only.
     pub cdn_only: usize,
@@ -131,7 +130,6 @@ pub fn estimate_population<S: ActiveSet>(cdn: &S, icmp: &S) -> Option<f64> {
 
 /// Classification of ICMP-only addresses (Figure 2(b)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IcmpOnlyClasses {
     /// Answering an application service only.
     pub server: usize,

@@ -1,7 +1,6 @@
 //! The log record vocabulary.
 
 use crate::varint::{decode_u64, decode_u64_word, encode_u64, VarintError};
-use bytes::{Buf, BufMut};
 use core::fmt;
 use ipactive_net::{Addr, AddrBits256, Block24};
 
@@ -42,8 +41,8 @@ pub enum Record {
     /// A whole block's day in one frame: a 256-bit activity bitmap
     /// plus one hit count per active address. The packed form of the
     /// same information as 1..=256 [`Record::Hits`] records — edge
-    /// servers batch per block to amortize framing overhead (see the
-    /// `ablation_packed_records` benchmark for the size/speed win).
+    /// servers batch per block to amortize framing overhead (the
+    /// `blockday_is_compact` test holds the size win).
     BlockDay(Box<BlockDay>),
     /// End-of-stream marker written by [`crate::FrameWriter::finish`].
     Finish,
@@ -150,10 +149,10 @@ impl From<VarintError> for DecodeError {
 
 impl Record {
     /// Encodes the record (kind byte + payload) into `buf`.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         match *self {
             Record::BlockDay(ref bd) => {
-                buf.put_u8(Kind::BlockDay as u8);
+                buf.push(Kind::BlockDay as u8);
                 encode_u64(buf, bd.day as u64);
                 encode_u64(buf, bd.block.id() as u64);
                 let mut bitmap = AddrBits256::new();
@@ -161,30 +160,30 @@ impl Record {
                     bitmap.set(host);
                 }
                 for word in bitmap_words(&bitmap) {
-                    buf.put_u64_le(word);
+                    buf.extend_from_slice(&word.to_le_bytes());
                 }
                 for &(_, hits) in &bd.entries {
                     encode_u64(buf, hits);
                 }
             }
             Record::DayStart { day } => {
-                buf.put_u8(Kind::DayStart as u8);
+                buf.push(Kind::DayStart as u8);
                 encode_u64(buf, day as u64);
             }
             Record::Hits { day, addr, hits } => {
-                buf.put_u8(Kind::Hits as u8);
+                buf.push(Kind::Hits as u8);
                 encode_u64(buf, day as u64);
                 encode_u64(buf, addr.bits() as u64);
                 encode_u64(buf, hits);
             }
             Record::UaSample { day, addr, ua_hash } => {
-                buf.put_u8(Kind::UaSample as u8);
+                buf.push(Kind::UaSample as u8);
                 encode_u64(buf, day as u64);
                 encode_u64(buf, addr.bits() as u64);
                 encode_u64(buf, ua_hash);
             }
             Record::Finish => {
-                buf.put_u8(Kind::Finish as u8);
+                buf.push(Kind::Finish as u8);
             }
         }
     }
@@ -192,10 +191,10 @@ impl Record {
     /// Decodes one record from `buf`; the buffer must contain exactly
     /// one record (frame payloads are length-delimited upstream).
     pub fn decode(mut buf: &[u8]) -> Result<Record, DecodeError> {
-        if !buf.has_remaining() {
+        let Some((&kind, rest)) = buf.split_first() else {
             return Err(DecodeError::Truncated);
-        }
-        let kind = buf.get_u8();
+        };
+        buf = rest;
         let kind = Kind::from_u8(kind).ok_or(DecodeError::UnknownKind(kind))?;
         let rec = match kind {
             Kind::DayStart => {
@@ -223,16 +222,16 @@ impl Record {
                     .filter(|&b| b < (1 << 24))
                     .map(Block24::new)
                     .ok_or(DecodeError::FieldRange("block"))?;
-                if buf.remaining() < 32 {
+                if buf.len() < 32 {
                     return Err(DecodeError::Truncated);
                 }
+                // Four little-endian words, low hosts first: host `i` is
+                // bit `i % 8` of byte `i / 8`.
+                let (words, rest) = buf.split_at(32);
+                buf = rest;
                 let mut bitmap = AddrBits256::new();
-                let mut words = [0u64; 4];
-                for w in &mut words {
-                    *w = buf.get_u64_le();
-                }
                 for i in 0..=255u8 {
-                    if words[(i >> 6) as usize] & (1u64 << (i & 63)) != 0 {
+                    if words[(i >> 3) as usize] & (1 << (i & 7)) != 0 {
                         bitmap.set(i);
                     }
                 }
@@ -247,8 +246,8 @@ impl Record {
                 Record::BlockDay(Box::new(BlockDay { day, block, entries }))
             }
         };
-        if buf.has_remaining() {
-            return Err(DecodeError::TrailingBytes(buf.remaining()));
+        if !buf.is_empty() {
+            return Err(DecodeError::TrailingBytes(buf.len()));
         }
         Ok(rec)
     }

@@ -3,7 +3,6 @@
 //! All integer fields on the wire are unsigned LEB128: 7 payload bits
 //! per byte, continuation in the high bit, at most 10 bytes for a `u64`.
 
-use bytes::{Buf, BufMut};
 use core::fmt;
 
 /// Maximum encoded size of a `u64` varint.
@@ -47,26 +46,26 @@ pub(crate) fn encode_u64_at_end(buf: &mut [u8], v: u64) -> usize {
 }
 
 /// Appends the LEB128 encoding of `v` to `buf`.
-pub fn encode_u64<B: BufMut>(buf: &mut B, mut v: u64) {
+pub fn encode_u64(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
 /// Decodes a LEB128 `u64` from the front of `buf`, advancing it.
-pub fn decode_u64<B: Buf>(buf: &mut B) -> Result<u64, VarintError> {
+pub fn decode_u64(buf: &mut &[u8]) -> Result<u64, VarintError> {
     let mut value: u64 = 0;
     for shift in (0..MAX_LEN as u32).map(|i| i * 7) {
-        if !buf.has_remaining() {
+        let Some((&byte, rest)) = buf.split_first() else {
             return Err(VarintError::Truncated);
-        }
-        let byte = buf.get_u8();
+        };
+        *buf = rest;
         let payload = (byte & 0x7F) as u64;
         if shift == 63 && payload > 1 {
             return Err(VarintError::Overflow);

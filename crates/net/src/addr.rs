@@ -19,7 +19,6 @@ use core::str::FromStr;
 /// assert_eq!(a.octets(), [192, 0, 2, 1]);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Addr(u32);
 
 impl Addr {

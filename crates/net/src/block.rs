@@ -21,7 +21,6 @@ use core::fmt;
 /// assert_eq!(b.addr(77).to_string(), "203.0.113.77");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Block24(u32);
 
 impl Block24 {

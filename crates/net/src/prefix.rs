@@ -18,7 +18,6 @@ use core::str::FromStr;
 /// assert!(!p.contains("198.51.104.0".parse().unwrap()));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Prefix {
     base: u32,
     len: u8,

@@ -4,7 +4,6 @@ use core::fmt;
 
 /// The five Regional Internet Registries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Rir {
     /// American Registry for Internet Numbers (North America).
     Arin,
@@ -78,7 +77,6 @@ pub const RIR_EXHAUSTION: [(Rir, YearMonth); 4] = [
 
 /// ISO 3166-1 alpha-2 country code, stored as two ASCII uppercase bytes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CountryCode([u8; 2]);
 
 impl CountryCode {
@@ -113,7 +111,6 @@ impl fmt::Debug for CountryCode {
 
 /// A calendar month, used for long-run timelines (Figure 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct YearMonth {
     /// Calendar year (e.g. 2015).
     pub year: u16,

@@ -28,7 +28,6 @@ use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ipactive_net::ActiveSet;
 use ipactive_obs::metrics::DECADE_BOUNDS;
 use ipactive_obs::{TraceContext, TraceId};
 
@@ -184,7 +183,7 @@ pub fn query_mix(i: u64, seed: u64, days: u64, weeks: u64) -> QueryKind {
 
 /// Runs one open-loop load against `server` over an in-process duplex
 /// connection and collects every response.
-pub fn run<S: ActiveSet>(server: &Server<S>, config: &LoadgenConfig) -> LoadReport {
+pub fn run(server: &Server, config: &LoadgenConfig) -> LoadReport {
     let (client, server_end) = duplex();
     let (srv_rx, srv_tx) = server_end.split();
     server.attach(srv_rx, srv_tx);
@@ -314,7 +313,7 @@ pub fn traced_pass_id(seed: u64, i: u64) -> TraceId {
 /// executed-sequence order is pinned, so the resulting span trees are
 /// deterministic even under a seeded chaos plan. Returns the number
 /// of responses whose echoed trace id matched the minted one.
-pub fn traced_pass<S: ActiveSet>(server: &Server<S>, seed: u64, requests: u64) -> u64 {
+pub fn traced_pass(server: &Server, seed: u64, requests: u64) -> u64 {
     let (client, server_end) = duplex();
     let (srv_rx, srv_tx) = server_end.split();
     server.attach(srv_rx, srv_tx);

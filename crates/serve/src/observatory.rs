@@ -54,7 +54,7 @@ use ipactive_core::coverage::clamp_fraction;
 use ipactive_core::{
     AnalysisCtx, Coverage, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder,
 };
-use ipactive_net::{ActiveSet, Addr, DayBits, PrefixDensity, TieredSet};
+use ipactive_net::{Addr, DayBits, PrefixDensity};
 use ipactive_obs::{Event, EventKind, Registry};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,15 +122,15 @@ fn splitmix(mut x: u64) -> u64 {
 /// One published epoch: an immutable view of the datasets, the shared
 /// analysis cache, per-day coverage provenance, and a lazily built
 /// density approximation for degraded answers.
-pub struct EpochSnapshot<S: ActiveSet = TieredSet> {
+pub struct EpochSnapshot {
     epoch: u64,
-    engine: Arc<AnalysisCtx<S>>,
+    engine: Arc<AnalysisCtx>,
     /// Per-ingested-day collection completeness (1.0 = full feed).
     day_fractions: Arc<Vec<f64>>,
     density: OnceLock<Arc<PrefixDensity>>,
 }
 
-impl<S: ActiveSet> EpochSnapshot<S> {
+impl EpochSnapshot {
     /// The epoch number (0 = the empty pre-ingest epoch).
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -147,7 +147,7 @@ impl<S: ActiveSet> EpochSnapshot<S> {
     }
 
     /// The epoch's memoized query engine.
-    pub fn engine(&self) -> &AnalysisCtx<S> {
+    pub fn engine(&self) -> &AnalysisCtx {
         &self.engine
     }
 
@@ -226,19 +226,19 @@ struct IngestState {
 
 /// The always-on observatory: snapshot-isolated ingest over an
 /// epoch-versioned immutable analysis engine. See the module docs.
-pub struct Observatory<S: ActiveSet = TieredSet> {
+pub struct Observatory {
     ingest: Mutex<IngestState>,
-    current: RwLock<Arc<EpochSnapshot<S>>>,
+    current: RwLock<Arc<EpochSnapshot>>,
     registry: Registry,
     /// Chaos stall (µs) applied to every published engine's budgeted
     /// composition path; see [`AnalysisCtx::set_compose_stall`].
     compose_stall_us: AtomicU64,
 }
 
-impl<S: ActiveSet> Observatory<S> {
+impl Observatory {
     /// An empty observatory (epoch 0, zero days) metering into
     /// `registry`.
-    pub fn new(registry: &Registry) -> Observatory<S> {
+    pub fn new(registry: &Registry) -> Observatory {
         let daily = Arc::new(DailyDatasetBuilder::new(0).finish());
         let weekly = Arc::new(WeeklyDatasetBuilder::new(0).finish());
         let engine = AnalysisCtx::new_with_obs(daily, weekly, registry);
@@ -267,7 +267,7 @@ impl<S: ActiveSet> Observatory<S> {
 
     /// Pins the current epoch: a cheap `Arc` clone that later ingests
     /// can never invalidate or mutate.
-    pub fn pin(&self) -> Arc<EpochSnapshot<S>> {
+    pub fn pin(&self) -> Arc<EpochSnapshot> {
         self.current.read().expect("epoch lock poisoned").clone()
     }
 
@@ -278,7 +278,7 @@ impl<S: ActiveSet> Observatory<S> {
     /// the activity matrix holds [`DayBits::CAPACITY`] days. The batch
     /// is refused whole before anything is recorded, so the observatory
     /// keeps serving its current epoch and takes later calls.
-    pub fn ingest_day(&self, log: DayLog) -> Arc<EpochSnapshot<S>> {
+    pub fn ingest_day(&self, log: DayLog) -> Arc<EpochSnapshot> {
         self.ingest_day_with_coverage(log, 1.0)
     }
 
@@ -290,16 +290,16 @@ impl<S: ActiveSet> Observatory<S> {
         &self,
         log: DayLog,
         fraction: f64,
-    ) -> Arc<EpochSnapshot<S>> {
+    ) -> Arc<EpochSnapshot> {
         self.ingest_batch(vec![(log, fraction)])
     }
 
     /// Ingests several days and publishes a *single* new epoch.
-    pub fn ingest_days(&self, logs: Vec<DayLog>) -> Arc<EpochSnapshot<S>> {
+    pub fn ingest_days(&self, logs: Vec<DayLog>) -> Arc<EpochSnapshot> {
         self.ingest_batch(logs.into_iter().map(|l| (l, 1.0)).collect())
     }
 
-    fn ingest_batch(&self, batch: Vec<(DayLog, f64)>) -> Arc<EpochSnapshot<S>> {
+    fn ingest_batch(&self, batch: Vec<(DayLog, f64)>) -> Arc<EpochSnapshot> {
         // The ingest lock serializes writers for the whole fold;
         // readers never take it.
         let mut state = self.ingest.lock().expect("ingest lock poisoned");
@@ -400,6 +400,7 @@ impl<S: ActiveSet> Observatory<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipactive_net::ActiveSet;
 
     fn reference_engine(logs: &[DayLog]) -> AnalysisCtx {
         let mut db = DailyDatasetBuilder::new(logs.len());

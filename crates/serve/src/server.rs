@@ -43,7 +43,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use ipactive_core::QueryBudget;
-use ipactive_net::{ActiveSet, Addr, Prefix, PrefixDensity, TieredSet};
+use ipactive_net::{ActiveSet, Addr, Prefix, PrefixDensity};
 use ipactive_obs::metrics::DECADE_BOUNDS;
 use ipactive_obs::{Counter, Event, EventKind, Registry, SnapshotMode};
 
@@ -201,17 +201,17 @@ impl LazyCounter {
 }
 
 /// The always-on query front-end over one [`Observatory`].
-pub struct Server<S: ActiveSet = TieredSet> {
-    obs: Arc<Observatory<S>>,
+pub struct Server {
+    obs: Arc<Observatory>,
     queue: Arc<AdmissionQueue>,
     workers: Vec<JoinHandle<()>>,
     conns: Mutex<Vec<JoinHandle<()>>>,
     slo: Option<Arc<SloMonitor>>,
 }
 
-impl<S: ActiveSet> Server<S> {
+impl Server {
     /// Starts `config.workers` query workers over `obs`.
-    pub fn start(obs: Arc<Observatory<S>>, config: ServeConfig) -> Server<S> {
+    pub fn start(obs: Arc<Observatory>, config: ServeConfig) -> Server {
         if config.chaos.panic_period != 0 {
             quiet_injected_query_panics();
         }
@@ -231,7 +231,7 @@ impl<S: ActiveSet> Server<S> {
     }
 
     /// The observatory this server answers from.
-    pub fn observatory(&self) -> &Arc<Observatory<S>> {
+    pub fn observatory(&self) -> &Arc<Observatory> {
         &self.obs
     }
 
@@ -278,11 +278,11 @@ impl<S: ActiveSet> Server<S> {
 /// bounded queue under one lock, whatever found no room is shed with
 /// an immediate `Overloaded` — and only then does the thread block on
 /// the connection again.
-fn connection_loop<S: ActiveSet>(
+fn connection_loop(
     reader: impl Read,
     out: Arc<Mutex<dyn Write + Send>>,
     queue: Arc<AdmissionQueue>,
-    obs: Arc<Observatory<S>>,
+    obs: Arc<Observatory>,
     slo: Option<Arc<SloMonitor>>,
 ) {
     let registry = obs.registry().clone();
@@ -315,18 +315,7 @@ fn connection_loop<S: ActiveSet>(
             if let Some(slo) = &slo {
                 slo.record(Status::Overloaded, 0);
             }
-            let resp = Response {
-                id: job.req.id,
-                epoch: obs.pin().epoch(),
-                status: Status::Overloaded,
-                value: 0,
-                coverage_ppm: 0,
-                units_done: 0,
-                units_total: 0,
-                from_density: false,
-                trace_id: job.req.trace.trace.0,
-                body: None,
-            };
+            let resp = Response { status: Status::Overloaded, ..unanswered(&job.req, &obs.pin()) };
             write_locked(&job.out, &resp);
         }
         if frame.is_err() {
@@ -367,9 +356,9 @@ fn write_locked(out: &Arc<Mutex<dyn Write + Send>>, resp: &Response) {
 /// sequence number, snapshot pin, panic boundary, budget and latency)
 /// and its response is written the moment it is ready — a slow job
 /// holds back only the jobs behind it in the same share.
-fn worker_loop<S: ActiveSet>(
+fn worker_loop(
     queue: Arc<AdmissionQueue>,
-    obs: Arc<Observatory<S>>,
+    obs: Arc<Observatory>,
     chaos: ChaosPlan,
     slo: Option<Arc<SloMonitor>>,
 ) {
@@ -437,20 +426,11 @@ fn ppm(fraction: f64) -> u64 {
     (fraction.clamp(0.0, 1.0) * Response::FULL_COVERAGE as f64).round() as u64
 }
 
-/// Computes the honest answer for one request against one pinned
-/// epoch. Never panics on any decodable request: ranges are validated
-/// and clamped *before* the engine sees them.
-fn answer<S: ActiveSet>(
-    snap: &EpochSnapshot<S>,
-    req: &Request,
-    registry: &Registry,
-) -> Response {
-    let budget = if req.budget_ms == 0 {
-        QueryBudget::unlimited()
-    } else {
-        QueryBudget::within(Duration::from_millis(req.budget_ms))
-    };
-    let bad = |snap: &EpochSnapshot<S>| Response {
+/// What every response to `req` out of `snap` starts as — the request's
+/// id and trace, the epoch, and no claim at all: a `BadRequest` until
+/// an arm says otherwise.
+fn unanswered(req: &Request, snap: &EpochSnapshot) -> Response {
+    Response {
         id: req.id,
         epoch: snap.epoch(),
         status: Status::BadRequest,
@@ -461,19 +441,25 @@ fn answer<S: ActiveSet>(
         from_density: false,
         trace_id: req.trace.trace.0,
         body: None,
+    }
+}
+
+/// Computes the honest answer for one request against one pinned
+/// epoch. Never panics on any decodable request: ranges are validated
+/// and clamped *before* the engine sees them.
+fn answer(snap: &EpochSnapshot, req: &Request, registry: &Registry) -> Response {
+    let budget = if req.budget_ms == 0 {
+        QueryBudget::unlimited()
+    } else {
+        QueryBudget::within(Duration::from_millis(req.budget_ms))
     };
+    let refusal = unanswered(req, snap);
     match req.kind {
         QueryKind::Status => Response {
-            id: req.id,
-            epoch: snap.epoch(),
             status: Status::Ok,
             value: snap.days() as u64,
             coverage_ppm: ppm(snap.window_coverage(0..snap.days())),
-            units_done: 0,
-            units_total: 0,
-            from_density: false,
-            trace_id: req.trace.trace.0,
-            body: None,
+            ..refusal
         },
         QueryKind::Telemetry => {
             // The live metrics plane: a deterministic sorted-JSON
@@ -482,36 +468,26 @@ fn answer<S: ActiveSet>(
             // reproducible bytes.
             let body = registry.snapshot(SnapshotMode::Deterministic).to_json();
             Response {
-                id: req.id,
-                epoch: snap.epoch(),
                 status: Status::Ok,
                 value: snap.days() as u64,
                 coverage_ppm: Response::FULL_COVERAGE,
-                units_done: 0,
-                units_total: 0,
-                from_density: false,
-                trace_id: req.trace.trace.0,
                 body: Some(body),
+                ..refusal
             }
         }
         QueryKind::Trace { trace_id } => match registry.trace_json(trace_id) {
             Some(body) => Response {
-                id: req.id,
-                epoch: snap.epoch(),
                 status: Status::Ok,
                 value: trace_id,
                 coverage_ppm: Response::FULL_COVERAGE,
-                units_done: 0,
-                units_total: 0,
-                from_density: false,
-                trace_id: req.trace.trace.0,
                 body: Some(body),
+                ..refusal
             },
-            None => bad(snap),
+            None => refusal,
         },
         QueryKind::PrefixCount { base, len } => {
             if len > PrefixDensity::MAX_LEN {
-                return bad(snap);
+                return refusal;
             }
             registry.trace_span(req.trace, "engine.density", format_args!("len {len}"));
             // The density index answers prefix counts exactly in O(1);
@@ -519,21 +495,16 @@ fn answer<S: ActiveSet>(
             let count = snap.density().count(Prefix::new(Addr::new(base), len));
             let cov = snap.window_coverage(0..snap.days());
             Response {
-                id: req.id,
-                epoch: snap.epoch(),
                 status: if cov >= 1.0 { Status::Ok } else { Status::Degraded },
                 value: count,
                 coverage_ppm: ppm(cov),
-                units_done: 0,
-                units_total: 0,
                 from_density: true,
-                trace_id: req.trace.trace.0,
-                body: None,
+                ..refusal
             }
         }
         QueryKind::DayWindow { start, end } => {
             if start > end {
-                return bad(snap);
+                return refusal;
             }
             let (s, e) = (start as usize, end as usize);
             // Clamp to the ingested horizon; the requested window's
@@ -550,7 +521,7 @@ fn answer<S: ActiveSet>(
         }
         QueryKind::WeekWindow { start, end } => {
             if start > end {
-                return bad(snap);
+                return refusal;
             }
             let (s, e) = (start as usize, end as usize);
             let ce = e.min(snap.weeks());
@@ -570,51 +541,35 @@ fn answer<S: ActiveSet>(
 /// query kinds. `result` is the budgeted engine answer over the
 /// *clamped* range; `cov` is coverage of the *requested* range, so a
 /// horizon clamp already shows up as `cov < 1.0`.
-fn shape_window<S: ActiveSet>(
+fn shape_window(
     req: &Request,
-    snap: &EpochSnapshot<S>,
+    snap: &EpochSnapshot,
     cov: f64,
     result: Result<u64, ipactive_core::DeadlineExceeded>,
 ) -> Response {
+    let base = Response { coverage_ppm: ppm(cov), ..unanswered(req, snap) };
     match result {
         Ok(value) => Response {
-            id: req.id,
-            epoch: snap.epoch(),
             status: if cov >= 1.0 { Status::Ok } else { Status::Degraded },
             value,
-            coverage_ppm: ppm(cov),
-            units_done: 0,
-            units_total: 0,
-            from_density: false,
-            trace_id: req.trace.trace.0,
-            body: None,
+            ..base
         },
         Err(partial) if req.allow_degraded => Response {
-            id: req.id,
-            epoch: snap.epoch(),
             status: Status::Degraded,
             // The density index covers the union of *all* days, an
             // O(1) upper bound for any window — honest because it is
             // flagged `from_density` with the partial progress.
             value: snap.density().total(),
-            coverage_ppm: ppm(cov),
             units_done: partial.units_done as u64,
             units_total: partial.units_total as u64,
             from_density: true,
-            trace_id: req.trace.trace.0,
-            body: None,
+            ..base
         },
         Err(partial) => Response {
-            id: req.id,
-            epoch: snap.epoch(),
             status: Status::DeadlineExceeded,
-            value: 0,
-            coverage_ppm: ppm(cov),
             units_done: partial.units_done as u64,
             units_total: partial.units_total as u64,
-            from_density: false,
-            trace_id: req.trace.trace.0,
-            body: None,
+            ..base
         },
     }
 }
@@ -622,7 +577,7 @@ fn shape_window<S: ActiveSet>(
 /// Degraded answer built entirely from the density approximation —
 /// the fallback after a worker panic, when no exact machinery can be
 /// trusted for this request.
-fn degraded_from_density<S: ActiveSet>(snap: &EpochSnapshot<S>, req: &Request) -> Response {
+fn degraded_from_density(snap: &EpochSnapshot, req: &Request) -> Response {
     let density = snap.density();
     let (value, cov) = match req.kind {
         QueryKind::PrefixCount { base, len } if len <= PrefixDensity::MAX_LEN => (
@@ -641,32 +596,14 @@ fn degraded_from_density<S: ActiveSet>(snap: &EpochSnapshot<S>, req: &Request) -
         // A telemetry/trace fetch that died mid-query has no density
         // fallback worth inventing; a degraded empty answer is honest.
         QueryKind::Telemetry | QueryKind::Trace { .. } => (0, 1.0),
-        _ => {
-            return Response {
-                id: req.id,
-                epoch: snap.epoch(),
-                status: Status::BadRequest,
-                value: 0,
-                coverage_ppm: 0,
-                units_done: 0,
-                units_total: 0,
-                from_density: false,
-                trace_id: req.trace.trace.0,
-                body: None,
-            }
-        }
+        _ => return unanswered(req, snap),
     };
     Response {
-        id: req.id,
-        epoch: snap.epoch(),
         status: Status::Degraded,
         value,
         coverage_ppm: ppm(cov),
-        units_done: 0,
-        units_total: 0,
         from_density: true,
-        trace_id: req.trace.trace.0,
-        body: None,
+        ..unanswered(req, snap)
     }
 }
 

@@ -17,6 +17,12 @@
 //! response, that response re-encodes to bytes that decode to it again
 //! (not to the same bytes: the tail fields are append-only, so a
 //! shorter, older frame is as valid as the one written today).
+//!
+//! Both formats end in a trailer of two varints that an older peer
+//! leaves off — a request's `(trace_id, parent_span)`, a response's
+//! `(trace_id, body_len)` — and the two `a_trailer_*` properties are that
+//! trailer's: a field is read in full, or it and what lies behind it
+//! are absent and read as 0, or the frame is refused.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -251,6 +257,40 @@ fn sealed(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// A frame's payload: what lies between its length prefix and its CRC.
+fn payload(frame: &[u8]) -> Vec<u8> {
+    let mut rest = frame;
+    let len = decode_u64(&mut rest).expect("the writer's own prefix") as usize;
+    rest[..len].to_vec()
+}
+
+fn varint(v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_u64(&mut out, v);
+    out
+}
+
+/// The trailer's two varints as the format documents them, read with
+/// `decode_u64` and nothing else: each is there in full, or the payload
+/// ended in front of it and it reads as 0. `Err` is the `Debug` text of
+/// the `WireError` a torn or overflowing varint must become.
+fn trailer(t: &mut &[u8]) -> Result<(u64, u64), String> {
+    let mut field = || match t.is_empty() {
+        true => Ok(0),
+        false => decode_u64(t).map_err(|e| format!("Varint({e:?})")),
+    };
+    Ok((field()?, field()?))
+}
+
+/// What a reader run to its end must make of one sealed frame: the
+/// one message and a clean end, or nothing and the error.
+fn one<T>(want: Result<T, String>) -> (Vec<T>, Option<String>) {
+    match want {
+        Ok(message) => (vec![message], None),
+        Err(e) => (vec![], Some(e)),
+    }
+}
+
 /// Runs `read_response` over `stream` to its end and returns what it
 /// saw: the responses in order, then `None` for a clean end or the
 /// error's `Debug` text. Getting here at all is the never-panics
@@ -340,10 +380,7 @@ proptest! {
         // matching checksum, so the field decoder itself is what stands
         // between these bytes and a panic. `responses` re-encodes what
         // it accepts.
-        let bytes = response_frame(&resp);
-        let mut rest = &bytes[..];
-        let len = decode_u64(&mut rest).expect("the writer's own prefix") as usize;
-        let mut payload = rest[..len].to_vec();
+        let mut payload = payload(&response_frame(&resp));
         let at = ((payload.len() - 1) as f64 * at) as usize;
         payload[at] = byte;
         let (seen, end) = responses(&sealed(&payload));
@@ -353,6 +390,103 @@ proptest! {
         for keep in 0..payload.len() {
             responses(&sealed(&payload[..keep]));
         }
+    }
+
+    /// Fails if `decode_u64_tail` loses its `is_empty` arm (a payload
+    /// that ends after `flags`, or after `trace_id`, becomes
+    /// `Varint(Truncated)` where the defaults are documented) and fails
+    /// if it answers a torn varint with the default instead of the
+    /// error (`decode_u64(buf).or(Ok(0))`: a cut inside the trace id
+    /// reads as an untraced frame).
+    #[test]
+    fn a_trailer_cut_anywhere_reads_as_absent_fields_or_an_error_never_as_half_an_id(
+        req in arb_request(),
+        resp in arb_response(),
+        sizes in arb_chunks(),
+    ) {
+        let torn = "Varint(Truncated)".to_string();
+
+        let bytes = payload(&frame(&req, 0));
+        let span_at = bytes.len() - varint(req.trace.span).len();
+        let flags_end = span_at - varint(req.trace.trace.0).len();
+        for keep in flags_end..=bytes.len() {
+            let want = match keep {
+                k if k == flags_end => Ok(Request { trace: TraceContext::NONE, ..req }),
+                k if k == span_at => {
+                    Ok(Request { trace: TraceContext::root(req.trace.trace), ..req })
+                }
+                k if k == bytes.len() => Ok(req),
+                _ => Err(torn.clone()),
+            };
+            let (oracle, batched) = both(&sealed(&bytes[..keep]), &sizes);
+            prop_assert_eq!(&oracle, &one(want), "request kept {} of {}", keep, bytes.len());
+            prop_assert_eq!(batched, oracle);
+        }
+
+        let bytes = payload(&response_frame(&resp));
+        let body_len = resp.body.as_ref().map_or(0, String::len);
+        let body_at = bytes.len() - body_len;
+        let len_at = body_at - varint(body_len as u64).len();
+        let flags_end = len_at - varint(resp.trace_id).len();
+        for keep in flags_end..=bytes.len() {
+            let want = match keep {
+                k if k == flags_end => Ok(Response { trace_id: 0, body: None, ..resp.clone() }),
+                k if k == len_at => Ok(Response { body: None, ..resp.clone() }),
+                k if k == bytes.len() => Ok(resp.clone()),
+                k if k < body_at => Err(torn.clone()),
+                _ => Err("Truncated".to_string()),
+            };
+            let seen = responses(&sealed(&bytes[..keep]));
+            prop_assert_eq!(seen, one(want), "response kept {} of {}", keep, bytes.len());
+        }
+    }
+
+    /// Fails if `decode_u64_tail` takes an overflowing varint for an
+    /// absent one (`Err(VarintError::Overflow) => Ok(0)`: a ten-byte
+    /// trace id whose last byte is overwritten reads as untraced), which
+    /// no cut can show — a cut varint is only ever `Truncated`.
+    #[test]
+    fn a_trailer_mutated_and_resealed_decodes_canonically_or_not_at_all(
+        req in arb_request(),
+        resp in arb_response(),
+        sizes in arb_chunks(),
+        at in 0.0f64..1.0,
+        byte in any::<u8>(),
+    ) {
+        // One byte of the two varints overwritten and the payload sealed
+        // again: the fields in front are what was sent, and the trailer
+        // is what `trailer` reads off the damaged bytes — a longer id
+        // that swallowed its neighbour, a shorter one followed by bytes
+        // a decoder ignores — or its error. `both` holds the two request
+        // readers against each other; `responses` re-encodes what it
+        // accepts.
+        let mut bytes = payload(&frame(&req, 0));
+        let flags_end =
+            bytes.len() - varint(req.trace.trace.0).len() - varint(req.trace.span).len();
+        let at_req = flags_end + ((bytes.len() - flags_end - 1) as f64 * at) as usize;
+        bytes[at_req] = byte;
+        let want = trailer(&mut &bytes[flags_end..]).map(|(trace, span)| {
+            Request { trace: TraceContext { trace: TraceId(trace), span }, ..req }
+        });
+        let (oracle, batched) = both(&sealed(&bytes), &sizes);
+        prop_assert_eq!(&oracle, &one(want));
+        prop_assert_eq!(batched, oracle);
+
+        let mut bytes = payload(&response_frame(&resp));
+        let body_len = resp.body.as_ref().map_or(0, String::len);
+        let body_at = bytes.len() - body_len;
+        let flags_end = body_at - varint(body_len as u64).len() - varint(resp.trace_id).len();
+        bytes[flags_end + ((body_at - flags_end - 1) as f64 * at) as usize] = byte;
+        let mut rest = &bytes[flags_end..];
+        let want = trailer(&mut rest).and_then(|(trace_id, len)| {
+            let body = match len as usize {
+                0 => None,
+                len if len > rest.len() => return Err("Truncated".to_string()),
+                len => Some(String::from_utf8_lossy(&rest[..len]).into_owned()),
+            };
+            Ok(Response { trace_id, body, ..resp.clone() })
+        });
+        prop_assert_eq!(responses(&sealed(&bytes)), one(want));
     }
 
     #[test]
