@@ -368,9 +368,10 @@ fn main() {
 ///                   [--traces-out FILE] [--trace-requests N]
 /// ```
 ///
-/// `--stall-period K` stalls every Kth executed query by `--stall-us`
-/// (deterministic, seeded) so the admission queue and deadline paths
-/// see realistic pressure; both default to off.
+/// `--stall-period K` holds the worker of every Kth executed query for
+/// `--stall-us` before the query starts (deterministic, seeded), so the
+/// admission queue, latency and shedding see realistic pressure; the
+/// query's deadline budget starts after the stall. Both default to off.
 ///
 /// Before the open-loop storm, a closed-loop *traced pass* sends
 /// `--trace-requests` requests (default 16) each carrying a minted

@@ -25,19 +25,21 @@
 //!
 //! # Sharded topology
 //!
-//! [`stream_pipeline`] runs `workers × collectors` threads: each edge
-//! worker serializes its slice of the universe into one buffer *per
-//! collector*, routing every `/24` block to the collector that
-//! [`shard_of`] hashes it to. Each collector folds its own partial
-//! builder; the partials are merged (builder-level merge is
-//! commutative and associative) and finished once. Because blocks are
-//! partitioned by hash, no two collectors ever see the same block —
-//! the merge is exact, and the result is byte-identical to the
-//! single-collector and direct builds regardless of worker count,
-//! collector count, or arrival order.
+//! [`stream_pipeline`] is two steps. [`emit_shard_buffers`] cuts the
+//! block list into `workers` slices and serializes each into one
+//! buffer *per collector*, routing every `/24` block to the collector
+//! that [`shard_of`] hashes it to; the slices run on up to `workers`
+//! threads and each buffer lands at its slice's index, so the bytes
+//! are the serial loop's. The supervisor at zero retries then runs one
+//! collector thread per shard, each folding and sealing its own
+//! builder; the builders merge (commutative and associative) and
+//! finish once. Because blocks are partitioned by hash, no two
+//! collectors ever see the same block, and the result is identical to
+//! the direct build for any worker count, collector count or arrival
+//! order.
 
 use crate::supervisor::{supervise, FaultPlan, RetryPolicy};
-use crate::universe::{fold_week, infallible, BlockEntry, Scratch, Universe};
+use crate::universe::{claim_map, fold_week, infallible, BlockEntry, Scratch, Universe};
 use ipactive_core::{
     Coverage, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder,
 };
@@ -48,7 +50,6 @@ use ipactive_logfmt::{
 use ipactive_net::Block24;
 use ipactive_obs::{self as obs, Event, EventKind, Registry};
 use std::io::{self, Read, Write};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Aggregate counters from a pipeline run.
@@ -559,23 +560,24 @@ fn route_blocks<C: Cadence>(
     universe: &Universe,
     blocks: &[BlockEntry],
     collectors: usize,
+    scratch: &mut Scratch,
 ) -> io::Result<Vec<FrameWriter<Vec<u8>>>> {
     let mut writers: Vec<FrameWriter<Vec<u8>>> =
         (0..collectors).map(|_| FrameWriter::new(Vec::new())).collect();
-    let mut scratch = Scratch::new(universe);
     for e in blocks {
-        C::emit_block(universe, e, &mut scratch, &mut writers[shard_of(e.block, collectors)])?;
+        C::emit_block(universe, e, scratch, &mut writers[shard_of(e.block, collectors)])?;
     }
     Ok(writers)
 }
 
 /// Serializes the universe's logs into `collectors` shard buffers,
 /// each holding exactly the blocks [`shard_of`] routes to that
-/// collector — the edge half of [`stream_pipeline`] exposed for replay
-/// and fault-injection testing against the sharded collectors.
+/// collector, on one thread — one slice of [`emit_shard_buffers`],
+/// kept for replay and fault-injection testing against the sharded
+/// collectors.
 pub fn emit_shards<C: Cadence>(universe: &Universe, collectors: usize) -> io::Result<Vec<Vec<u8>>> {
     validate_topology(1, collectors)?;
-    route_blocks::<C>(universe, &universe.blocks, collectors)?
+    route_blocks::<C>(universe, &universe.blocks, collectors, &mut Scratch::new(universe))?
         .into_iter()
         .map(FrameWriter::finish)
         .collect()
@@ -593,26 +595,45 @@ pub fn emit_weekly_shards(universe: &Universe, collectors: usize) -> io::Result<
     emit_shards::<Weekly>(universe, collectors)
 }
 
-/// Serializes the universe's logs the way `workers` edge threads
-/// would: each worker slice produces one buffer per collector shard,
-/// and `result[shard]` lists that shard's buffers in worker order.
-/// These retained buffers are what
+/// Serializes the universe's logs the way `workers` edge workers
+/// would: each worker slice of the block list produces one buffer per
+/// collector shard, and `result[shard]` lists that shard's buffers in
+/// slice order. These retained buffers are what
 /// [`supervised_collect`](crate::supervised_collect) replays on retry.
 pub fn emit_shard_buffers<C: Cadence>(
     universe: &Universe,
     workers: usize,
     collectors: usize,
 ) -> io::Result<Vec<Vec<Vec<u8>>>> {
+    Ok(emit_slices::<C>(universe, workers, collectors)?.0)
+}
+
+/// [`emit_shard_buffers`] and the number of records it wrote. The
+/// slices run through [`claim_map`] on up to `workers` threads, one
+/// scratch a thread, and each slice's buffers land at the slice's
+/// index — every byte is where the serial loop put it, whichever
+/// thread wrote it.
+fn emit_slices<C: Cadence>(
+    universe: &Universe,
+    workers: usize,
+    collectors: usize,
+) -> io::Result<(Vec<Vec<Vec<u8>>>, u64)> {
     validate_topology(workers, collectors)?;
-    let chunk = universe.blocks.len().div_ceil(workers).max(1);
+    let slices: Vec<&[BlockEntry]> =
+        universe.blocks.chunks(universe.blocks.len().div_ceil(workers).max(1)).collect();
+    let order: Vec<usize> = (0..slices.len()).collect();
+    let (routed, _) = claim_map(&order, workers, || Scratch::new(universe), |scratch, i| {
+        route_blocks::<C>(universe, slices[i], collectors, scratch)
+    });
     let mut out: Vec<Vec<Vec<u8>>> = vec![Vec::new(); collectors];
-    for worker_blocks in universe.blocks.chunks(chunk) {
-        let writers = route_blocks::<C>(universe, worker_blocks, collectors)?;
-        for (shard, writer) in out.iter_mut().zip(writers) {
+    let mut written = 0;
+    for writers in routed {
+        for (shard, writer) in out.iter_mut().zip(writers?) {
+            written += writer.frames_written();
             shard.push(writer.finish()?);
         }
     }
-    Ok(out)
+    Ok((out, written))
 }
 
 /// Builds the packed record stream of every observation day of the
@@ -680,26 +701,26 @@ pub fn collect_daily<R: Read>(
     collect_stream::<Daily>(input, num_days)
 }
 
-/// Folds every stored day into a fresh builder, tolerating damaged
-/// days.
+/// Folds every stored day into `builder`, tolerating damaged days, and
+/// adds what was read and what was lost to `stats`.
 fn fold_store<C: Cadence>(
     store: &LogStore<impl Fs>,
     slots: usize,
-) -> Result<(C::Builder, PipelineStats), StoreError> {
-    let mut builder = C::new(slots);
-    let mut stats = PipelineStats::default();
+    builder: &mut C::Builder,
+    stats: &mut PipelineStats,
+) -> Result<(), StoreError> {
     let mut refused = 0;
     let damaged = store.for_each_day(|_, records| {
         for record in records {
-            if C::fold(record, slots, &mut builder) {
+            if C::fold(record, slots, builder) {
                 stats.records_read += 1;
             } else {
                 refused += 1;
             }
         }
     })?;
-    stats.frames_skipped = damaged + refused;
-    Ok((builder, stats))
+    stats.frames_skipped += damaged + refused;
+    Ok(())
 }
 
 /// Rebuilds a dataset from a [`LogStore`] directory whose "days" are
@@ -710,7 +731,8 @@ pub fn collect_store<C: Cadence>(
     store: &LogStore<impl Fs>,
     slots: usize,
 ) -> Result<(C::Dataset, PipelineStats), StoreError> {
-    let (builder, stats) = fold_store::<C>(store, slots)?;
+    let (mut builder, mut stats) = (C::new(slots), PipelineStats::default());
+    fold_store::<C>(store, slots, &mut builder, &mut stats)?;
     Ok((C::finish(builder, None), stats))
 }
 
@@ -723,32 +745,39 @@ pub fn collect_from_store<F: Fs>(
     collect_store::<Daily>(store, num_days)
 }
 
-/// Like [`collect_store`], but verifies the store first with an
-/// [`ipactive_logfmt::fsck()`] dry run and attaches the resulting
-/// per-slot completeness grid to the dataset as a [`Coverage`] — the
+/// Like [`collect_store`] over the stores of every shard of a run —
+/// `None` for a shard whose store was lost — folded into one builder
+/// and finished once. Each store is verified first with an
+/// [`ipactive_logfmt::fsck()`] dry run, and the dataset carries the
+/// resulting `shards × slots` completeness grid as a [`Coverage`] — the
 /// store-granular analogue of what the supervised collector reports
 /// per shard. A day the fsck pass found damaged contributes its
 /// surviving-record fraction; a day missing entirely (never written,
-/// or lost with its manifest entry) contributes `0.0`.
+/// or lost with its manifest entry) contributes `0.0`, and a lost
+/// shard a row of zeros.
 ///
 /// The pass is strictly read-only; repairs are an explicit operator
 /// action (`inspect fsck --repair`), never a side effect of
-/// collection. Returns the dataset, the stats, and the fsck report it
-/// consumed.
+/// collection. Returns the dataset, the stats summed over the stores,
+/// and the fsck report of each store present, in shard order.
 pub fn collect_store_checked<C: Cadence>(
-    store: &LogStore<impl Fs>,
+    stores: &[Option<LogStore<impl Fs>>],
     slots: usize,
-) -> Result<(C::Dataset, PipelineStats, FsckReport), StoreError> {
-    let report = ipactive_logfmt::fsck(store.fs(), store.dir(), false)?;
-    let mut fractions = vec![0.0f64; slots];
-    for (slot, fraction) in report.day_fractions() {
-        if let Some(f) = fractions.get_mut(usize::from(slot)) {
-            *f = fraction;
+) -> Result<(C::Dataset, PipelineStats, Vec<FsckReport>), StoreError> {
+    let mut coverage = Coverage::from_shard_fractions(&vec![0.0; stores.len()], slots);
+    let (mut builder, mut stats, mut reports) = (C::new(slots), PipelineStats::default(), vec![]);
+    for (shard, store) in stores.iter().enumerate() {
+        let Some(store) = store else { continue };
+        let report = ipactive_logfmt::fsck(store.fs(), store.dir(), false)?;
+        for (slot, fraction) in report.day_fractions() {
+            if usize::from(slot) < slots {
+                coverage.set(shard, usize::from(slot), fraction);
+            }
         }
+        fold_store::<C>(store, slots, &mut builder, &mut stats)?;
+        reports.push(report);
     }
-    let coverage = Coverage::from_slot_fractions(&fractions);
-    let (builder, stats) = fold_store::<C>(store, slots)?;
-    Ok((C::finish(builder, Some(coverage)), stats, report))
+    Ok((C::finish(builder, Some(coverage)), stats, reports))
 }
 
 /// Decodes one shard's retained buffers (as produced by
@@ -803,7 +832,6 @@ pub(crate) fn assemble_report(
     registry: &Registry,
     prefix: &str,
     collectors: usize,
-    workers: usize,
     elapsed: Duration,
 ) -> PipelineReport {
     let snap = registry.snapshot(obs::SnapshotMode::Timed);
@@ -819,14 +847,14 @@ pub(crate) fn assemble_report(
         totals.resyncs += s.resyncs;
         totals.bytes += s.bytes;
     }
-    PipelineReport { totals, per_collector, workers, elapsed }
+    PipelineReport { totals, per_collector, workers: 0, elapsed }
 }
 
-/// Runs the full sharded pipeline: `workers` edge threads serialize
-/// block slices of the universe, routing each `/24` block's frames to
-/// one of `collectors` collector threads over bounded channels (see
-/// [`shard_of`]); each collector folds a partial builder and the
-/// partials merge into one dataset.
+/// Runs the full sharded pipeline: [`emit_shard_buffers`] serializes
+/// the universe in `workers` slices, each `/24` block's frames routed
+/// to one of `collectors` shards (see [`shard_of`]), and the
+/// supervisor at zero retries folds each shard on a collector thread
+/// of its own and merges the builders into one dataset.
 ///
 /// The output equals [`Universe::build_daily`] (resp.
 /// [`Universe::build_weekly`]) for *any* `(workers, collectors)` — the
@@ -843,75 +871,12 @@ pub fn stream_pipeline<C: Cadence>(
     collectors: usize,
     registry: &Registry,
 ) -> (C::Dataset, PipelineReport) {
-    validate_topology(workers, collectors).expect("invalid pipeline topology");
-    let prefix = C::PIPELINE_PREFIX;
-    let slots = C::slots(universe);
     let start = Instant::now();
-    let written = registry.counter(format!("{prefix}.records_written"));
-
-    let (txs, rxs): (Vec<_>, Vec<_>) =
-        (0..collectors).map(|_| mpsc::sync_channel::<Vec<u8>>(workers * 2)).unzip();
-
-    let chunk = universe.blocks.len().div_ceil(workers).max(1);
-    let dataset = std::thread::scope(|scope| {
-        // Collectors: each folds its shard's frames into a partial
-        // builder, decoding tolerantly — damaged frames are skipped,
-        // unrecoverable streams abandoned and counted.
-        let handles: Vec<_> = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(shard, rx)| {
-                let meters = ShardMeters::new(registry, prefix, shard);
-                let registry = registry.clone();
-                scope.spawn(move || {
-                    let _span = registry.span(collector_span_path(prefix, shard));
-                    let mut builder = C::new(slots);
-                    for buf in rx.iter() {
-                        meters.count_buffer(buf.len());
-                        let mut reader = FrameReader::new(&buf[..], ReadMode::Tolerant);
-                        meters.add_decode(&drain(&mut reader, |r| C::fold(r, slots, &mut builder)));
-                    }
-                    C::seal(&mut builder);
-                    builder
-                })
-            })
-            .collect();
-
-        // Edge workers: serialize a block slice into one buffer per
-        // collector, routed by block hash.
-        for worker_blocks in universe.blocks.chunks(chunk) {
-            let txs = txs.clone();
-            let written = written.clone();
-            let registry = registry.clone();
-            scope.spawn(move || {
-                let _span = registry.span(format!("{prefix}.edge"));
-                let writers =
-                    route_blocks::<C>(universe, worker_blocks, collectors).expect("vec write");
-                let mut frames = 0u64;
-                for (tx, writer) in txs.iter().zip(writers) {
-                    frames += writer.frames_written();
-                    tx.send(writer.finish().expect("vec flush")).expect("collector alive");
-                }
-                written.add(frames);
-            });
-        }
-        drop(txs);
-
-        // Deterministic merge: partials combine in shard order (the
-        // builder merge is order-insensitive anyway — the determinism
-        // suite checks both directions).
-        let merged = handles
-            .into_iter()
-            .map(|handle| handle.join().expect("collector panicked"))
-            .reduce(|mut acc, builder| {
-                C::merge(&mut acc, builder);
-                acc
-            });
-        C::finish(merged.expect("at least one collector"), None)
-    });
-
-    let report = assemble_report(registry, prefix, collectors, workers, start.elapsed());
-    (dataset, report)
+    let (buffers, written) =
+        emit_slices::<C>(universe, workers, collectors).expect("invalid pipeline topology");
+    registry.counter(format!("{}.records_written", C::PIPELINE_PREFIX)).add(written);
+    let (dataset, report) = collect_unsupervised::<C>(&buffers, C::slots(universe), registry);
+    (dataset, PipelineReport { workers, elapsed: start.elapsed(), ..report })
 }
 
 /// [`stream_pipeline`] at the daily cadence, metering into a throwaway
@@ -924,28 +889,38 @@ pub fn parallel_pipeline(
     stream_pipeline::<Daily>(universe, workers, collectors, &Registry::new())
 }
 
-/// Decodes pre-encoded per-shard streams concurrently — one collector
-/// per shard — and merges the partial builders. Total: damaged or
+/// Decodes each shard's buffers on a collector thread of its own and
+/// merges the shards' builders into one dataset. Total: damaged or
 /// truncated shards lose frames (counted per collector in the report)
 /// but never panic and never poison other shards.
 ///
-/// This is the supervised collector at zero retries over one buffer
-/// per shard: with no retry to wait for, a shard's first attempt is
-/// its salvage attempt, which keeps every record that survives CRC and
-/// the window check and books the damage — exactly what an
-/// unsupervised tolerant drain does. The dataset carries no coverage,
-/// and an empty shard list is the empty dataset.
-fn collect_sharded<C: Cadence>(shards: &[Vec<u8>], slots: usize) -> (C::Dataset, PipelineReport) {
-    let deliveries: Vec<&[Vec<u8>]> = shards.iter().map(std::slice::from_ref).collect();
+/// This is the supervised collector at zero retries: with no retry to
+/// wait for, a buffer's first attempt is its salvage attempt, which
+/// keeps every record that survives CRC and the window check and books
+/// the damage — exactly what an unsupervised tolerant drain does. The
+/// dataset carries no coverage, and an empty shard list is the empty
+/// dataset.
+fn collect_unsupervised<C: Cadence>(
+    shard_buffers: &[impl AsRef<[Vec<u8>]> + Sync],
+    slots: usize,
+    registry: &Registry,
+) -> (C::Dataset, PipelineReport) {
     let (builder, run) = supervise::<C>(
-        &deliveries,
+        shard_buffers,
         slots,
         &RetryPolicy::instant(0),
         &FaultPlan::none(),
-        &Registry::new(),
+        registry,
         C::PIPELINE_PREFIX,
     );
     (C::finish(builder, None), run.report)
+}
+
+/// [`collect_unsupervised`] over one buffer per shard, metering into
+/// a throwaway registry.
+fn collect_sharded<C: Cadence>(shards: &[Vec<u8>], slots: usize) -> (C::Dataset, PipelineReport) {
+    let deliveries: Vec<&[Vec<u8>]> = shards.iter().map(std::slice::from_ref).collect();
+    collect_unsupervised::<C>(&deliveries, slots, &Registry::new())
 }
 
 /// Decodes per-shard daily streams (from [`emit_daily_shards`])
@@ -1178,8 +1153,9 @@ mod tests {
         let fs = ipactive_logfmt::SimFs::new();
         let mut store = ipactive_logfmt::LogStore::open_on(fs.clone(), "/store").unwrap();
         persist_daily_atomic(&u, &mut store).unwrap();
-        let (ds, stats, report) = collect_store_checked::<Daily>(&store, num_days).unwrap();
-        assert!(report.is_healthy(), "clean store flagged:\n{}", report.render());
+        let (ds, stats, reports) =
+            collect_store_checked::<Daily>(&[Some(store)], num_days).unwrap();
+        assert!(reports[0].is_healthy(), "clean store flagged:\n{}", reports[0].render());
         assert_eq!(stats.frames_skipped, 0);
         let coverage = ds.coverage.as_ref().expect("checked collect must annotate coverage");
         assert!(coverage.is_complete());
@@ -1199,8 +1175,8 @@ mod tests {
         let path = store.dir().join(ipactive_logfmt::manifest::gen_day_file_name(1, gen));
         let bytes = fs.visible(&path).unwrap();
         fs.put_file(&path, &bytes[..bytes.len() - bytes.len() / 4 - 1]);
-        let (ds, _, report) = collect_store_checked::<Daily>(&store, num_days).unwrap();
-        assert!(!report.is_healthy());
+        let (ds, _, reports) = collect_store_checked::<Daily>(&[Some(store)], num_days).unwrap();
+        assert!(!reports[0].is_healthy());
         let coverage = ds.coverage.as_ref().unwrap();
         assert!(coverage.slot(1) < 1.0, "damaged day kept full coverage");
         assert_eq!(coverage.slot(0), 1.0, "undamaged day lost coverage");
@@ -1276,7 +1252,6 @@ mod tests {
         );
         // Collector wall time comes from the span tree.
         assert!(snap.spans.iter().any(|sp| sp.path == "pipeline.daily.shard.0"));
-        assert!(snap.spans.iter().any(|sp| sp.path == "pipeline.daily.edge"));
     }
 
     #[test]

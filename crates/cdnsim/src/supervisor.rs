@@ -2,9 +2,9 @@
 //! recovery, bounded replay with deterministic backoff, dead-letter
 //! quarantine, and coverage-aware graceful degradation.
 //!
-//! The PR-1 pipeline already *tolerates* damage (skipped frames,
-//! abandoned streams), but tolerance alone silently biases every
-//! downstream census/churn analysis: a shard that dies mid-stream
+//! A tolerant collector survives damage (skipped frames, abandoned
+//! streams), but tolerance alone silently biases every downstream
+//! census/churn analysis: a shard that dies mid-stream
 //! simply vanishes from the dataset with nothing but a counter to show
 //! for it. The supervisor closes that gap with the discipline Dainotti
 //! et al. ("Lost in Space", IMC 2014) demand of unreliable telemetry —
@@ -570,7 +570,7 @@ fn supervise_buffer<C: Cadence>(
     unreachable!("attempt loop always returns on its final attempt")
 }
 
-/// The one body that spawns collector threads over retained buffers:
+/// The one body that spawns collector threads, supervised or not:
 /// one thread per shard, each taking its buffers in delivery order
 /// through [`supervise_buffer`] into one shard accumulator, which the
 /// thread [seals](Cadence::seal) before it exits — medians selected,
@@ -651,7 +651,7 @@ pub(crate) fn supervise<C: Cadence>(
         }
     }
     let coverage = Coverage::from_shard_fractions(&fractions, slots);
-    let report = assemble_report(registry, prefix, shard_buffers.len(), 0, start.elapsed());
+    let report = assemble_report(registry, prefix, shard_buffers.len(), start.elapsed());
     let builder = merged.unwrap_or_else(|| C::new(slots));
     (builder, SupervisedReport { report, outcomes, quarantine, coverage })
 }
@@ -906,9 +906,10 @@ mod tests {
         // Recovery sees exactly one of the two runs, whole, with
         // complete coverage — the crash cannot manufacture a blend.
         let store = LogStore::open_on(rebooted.clone(), &dir).unwrap();
-        let (recovered, _, report) = collect_store_checked::<Daily>(&store, num_days).unwrap();
+        let (recovered, _, reports) =
+            collect_store_checked::<Daily>(&[Some(store)], num_days).unwrap();
         let coverage = recovered.coverage.as_ref().expect("recovery must annotate coverage");
-        assert!(coverage.is_complete(), "report:\n{}", report.render());
+        assert!(coverage.is_complete(), "report:\n{}", reports[0].render());
         let matches_u1 = recovered == u1.build_daily();
         let matches_u2 = recovered == u2.build_daily();
         assert!(
@@ -921,8 +922,8 @@ mod tests {
         // nothing about what recovery reads.
         ipactive_logfmt::fsck(&rebooted, &dir, true).unwrap();
         let store = LogStore::open_on(rebooted.clone(), &dir).unwrap();
-        let (again, _, report) = collect_store_checked::<Daily>(&store, num_days).unwrap();
-        assert!(report.is_healthy(), "repair did not converge:\n{}", report.render());
+        let (again, _, reports) = collect_store_checked::<Daily>(&[Some(store)], num_days).unwrap();
+        assert!(reports[0].is_healthy(), "repair did not converge:\n{}", reports[0].render());
         assert_eq!(again, recovered);
     }
 }

@@ -1029,7 +1029,7 @@ fn sweep_threads() -> usize {
 /// state with `init`, then claims the next unclaimed position of
 /// `order` until none is left — so `order` decides what is started
 /// first and a thread that drew cheap work simply claims more.
-fn claim_map<S: Send, R: Send>(
+pub(crate) fn claim_map<S: Send, R: Send>(
     order: &[usize],
     threads: usize,
     init: impl Fn() -> S + Sync,

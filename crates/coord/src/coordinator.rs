@@ -19,9 +19,9 @@
 //! last heartbeat, journal the steal, `fsck --repair` both of its
 //! stores, and regrant with the supervisor's [`RetryPolicy`] — or,
 //! once retries are exhausted, record the loss as first-class
-//! [`Coverage`] degradation (zeroed rows in the merged grid plus a
-//! `quarantine/lost.why` sidecar), never as a silently smaller
-//! dataset.
+//! [`Coverage`](ipactive_core::Coverage) degradation (zeroed rows in
+//! the merged grid plus a `quarantine/lost.why` sidecar), never as a
+//! silently smaller dataset.
 
 use crate::plan::{KillMode, KillPlan};
 use crate::worker::{
@@ -29,7 +29,7 @@ use crate::worker::{
     PauseStyle, WorkerConfig, WorkerExit,
 };
 use ipactive_cdnsim::{collect_store_checked, Daily, RetryPolicy, UniverseConfig, Weekly};
-use ipactive_core::{Coverage, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder};
+use ipactive_core::{DailyDataset, WeeklyDataset};
 use ipactive_logfmt::{
     fsck, read_lease, Fs, FsFile, FsckReport, Inject, Lease, LeaseError, LeaseRead, LogStore,
     RealFs, SimFs, StoreError,
@@ -38,7 +38,7 @@ use ipactive_obs::trace::parse_trace_doc;
 use ipactive_obs::{Event, EventKind, Registry, TraceContext, TraceId};
 use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -360,53 +360,31 @@ fn stores_complete<F: Fs>(fs: &F, cfg: &CoordConfig, shard: u32) -> bool {
         && full(weekly_dir(&cfg.root, shard), cfg.universe.weeks)
 }
 
-/// Merges every shard's stores into one dataset pair, in shard order.
-/// Lost shards contribute empty datasets with zeroed coverage rows —
-/// the grid stays `shards × window` so degradation is visible, not
-/// silent.
+/// Folds every shard's stores into one builder per cadence, in shard
+/// order, and finishes each once. A lost shard has no store to read
+/// and contributes a zeroed coverage row — the grid stays `shards ×
+/// window` so degradation is visible, not silent.
 fn merge_shards<F: Fs>(
     fs: &F,
     cfg: &CoordConfig,
     lost: &[u32],
 ) -> io::Result<(DailyDataset, WeeklyDataset)> {
-    let num_days = cfg.universe.daily_days;
-    let num_weeks = cfg.universe.weeks;
-    let mut daily_acc: Option<DailyDataset> = None;
-    let mut weekly_acc: Option<WeeklyDataset> = None;
-    for shard in 0..cfg.shards as u32 {
-        let (daily, weekly) = if lost.contains(&shard) {
-            (
-                DailyDatasetBuilder::new(num_days)
-                    .finish()
-                    .with_coverage(Coverage::from_slot_fractions(&vec![0.0; num_days])),
-                WeeklyDatasetBuilder::new(num_weeks)
-                    .finish()
-                    .with_coverage(Coverage::from_slot_fractions(&vec![0.0; num_weeks])),
-            )
-        } else {
-            let dstore =
-                LogStore::open_on(fs.clone(), daily_dir(&cfg.root, shard)).map_err(store_io)?;
-            let (daily, _stats, _report) =
-                collect_store_checked::<Daily>(&dstore, num_days).map_err(store_io)?;
-            let wstore =
-                LogStore::open_on(fs.clone(), weekly_dir(&cfg.root, shard)).map_err(store_io)?;
-            let (weekly, _stats, _report) =
-                collect_store_checked::<Weekly>(&wstore, num_weeks).map_err(store_io)?;
-            (daily, weekly)
-        };
-        daily_acc = Some(match daily_acc {
-            None => daily,
-            Some(acc) => acc.merge(daily),
-        });
-        weekly_acc = Some(match weekly_acc {
-            None => weekly,
-            Some(acc) => acc.merge(weekly),
-        });
-    }
-    Ok((
-        daily_acc.unwrap_or_else(|| DailyDatasetBuilder::new(num_days).finish()),
-        weekly_acc.unwrap_or_else(|| WeeklyDatasetBuilder::new(num_weeks).finish()),
-    ))
+    let stores = |dir: fn(&Path, u32) -> PathBuf| {
+        (0..cfg.shards as u32)
+            .map(|shard| {
+                if lost.contains(&shard) {
+                    return Ok(None);
+                }
+                LogStore::open_on(fs.clone(), dir(&cfg.root, shard)).map(Some)
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(store_io)
+    };
+    let (daily, _, _) = collect_store_checked::<Daily>(&stores(daily_dir)?, cfg.universe.daily_days)
+        .map_err(store_io)?;
+    let (weekly, _, _) = collect_store_checked::<Weekly>(&stores(weekly_dir)?, cfg.universe.weeks)
+        .map_err(store_io)?;
+    Ok((daily, weekly))
 }
 
 /// Runs the whole distributed collection in-process on `fs`,

@@ -121,23 +121,6 @@ impl Coverage {
         (0..self.grid.len()).filter(|&s| self.shard(s) < 1.0).collect()
     }
 
-    /// Merges the coverage of two *shard-disjoint* partitions of one
-    /// logical run: the partitions' shard rows concatenate in order
-    /// (`self`'s shards first), matching the block-disjoint dataset
-    /// merge where each side owns the blocks its shards hashed to.
-    ///
-    /// # Panics
-    /// If the slot counts differ.
-    pub fn merge(self, other: Coverage) -> Coverage {
-        assert_eq!(
-            self.num_slots, other.num_slots,
-            "cannot merge coverage over different windows"
-        );
-        let mut grid = self.grid;
-        grid.extend(other.grid);
-        Coverage { num_slots: self.num_slots, grid }
-    }
-
     /// One-line operator summary, e.g. `coverage 0.875 (shard 1: 0.50, shard 3: 0.00)`.
     pub fn summary(&self) -> String {
         if self.is_complete() {
@@ -220,23 +203,6 @@ mod tests {
         c.set_shard(1, f64::INFINITY);
         c.set_shard(0, f64::NAN);
         assert_eq!((c.shard(0), c.shard(1)), (0.0, 1.0));
-    }
-
-    #[test]
-    fn merge_concatenates_shards() {
-        let a = Coverage::from_shard_fractions(&[1.0, 0.5], 2);
-        let b = Coverage::from_shard_fractions(&[0.25], 2);
-        let m = a.merge(b);
-        assert_eq!(m.num_shards(), 3);
-        assert_eq!(m.shard(1), 0.5);
-        assert_eq!(m.shard(2), 0.25);
-        assert_eq!(m.degraded_shards(), vec![1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different windows")]
-    fn merge_rejects_mismatched_slots() {
-        let _ = Coverage::full(1, 2).merge(Coverage::full(1, 3));
     }
 
     #[test]

@@ -157,12 +157,6 @@ impl PartialEq for DailyDataset {
 }
 
 impl DailyDataset {
-    /// Attaches a completeness annotation (builder style).
-    pub fn with_coverage(mut self, coverage: Coverage) -> DailyDataset {
-        self.coverage = Some(coverage);
-        self
-    }
-
     /// Looks up a block's record.
     pub fn block(&self, block: Block24) -> Option<&BlockRecord> {
         self.blocks
@@ -287,48 +281,6 @@ impl DailyDataset {
         self.blocks
             .iter()
             .flat_map(|r| r.ip_traffic.iter().map(move |t| (r.block.addr(t.host), t)))
-    }
-
-    /// Merges two *block-disjoint* partitions of one logical dataset
-    /// into their union — the finalize step of a sharded collector,
-    /// where each shard owns the `/24` blocks that hashed to it.
-    ///
-    /// The merge is commutative and associative: blocks are re-sorted
-    /// into canonical order, so the result is independent of shard
-    /// count and arrival order. Finished [`BlockRecord`]s no longer
-    /// carry the per-day values and UA hash sets needed to combine two
-    /// views of the *same* block (`median_daily_hits`, `ua_unique`),
-    /// so overlapping partitions cannot be merged losslessly —
-    /// callers with overlapping inputs must merge at the builder level
-    /// ([`DailyDatasetBuilder::merge`]) instead.
-    ///
-    /// Coverage merges alongside the blocks when *both* partitions
-    /// carry it (shard rows concatenate, `self` first); if either side
-    /// is unannotated the merged provenance is unknown and dropped.
-    ///
-    /// # Panics
-    /// If window lengths differ or any block appears in both inputs.
-    pub fn merge(self, other: DailyDataset) -> DailyDataset {
-        assert_eq!(
-            self.num_days, other.num_days,
-            "cannot merge datasets over different windows"
-        );
-        let num_days = self.num_days;
-        let coverage = match (self.coverage, other.coverage) {
-            (Some(a), Some(b)) => Some(a.merge(b)),
-            _ => None,
-        };
-        let mut blocks = self.blocks;
-        blocks.extend(other.blocks);
-        blocks.sort_unstable_by_key(|r| r.block);
-        for w in blocks.windows(2) {
-            assert!(
-                w[0].block != w[1].block,
-                "block {} present in both partitions; merge the builders instead",
-                w[0].block
-            );
-        }
-        DailyDataset { num_days, blocks, coverage }
     }
 }
 
@@ -645,9 +597,9 @@ impl DailyDatasetBuilder {
     /// Folds another builder's accumulated records into this one, as
     /// if every record fed to `other` had been fed here instead.
     ///
-    /// Unlike [`DailyDataset::merge`] this is fully general — the
-    /// accumulators still hold per-day hit values and UA hash sets, so
-    /// overlapping blocks, addresses, and days combine exactly. The
+    /// The accumulators still hold per-day hit values and UA hash
+    /// sets, so overlapping blocks, addresses, and days combine
+    /// exactly. The
     /// operation is commutative and associative up to `finish()`
     /// (which canonicalizes all ordering), which is what makes a
     /// sharded collector's result independent of merge order.
@@ -776,12 +728,6 @@ impl PartialEq for WeeklyDataset {
 }
 
 impl WeeklyDataset {
-    /// Attaches a completeness annotation (builder style).
-    pub fn with_coverage(mut self, coverage: Coverage) -> WeeklyDataset {
-        self.coverage = Some(coverage);
-        self
-    }
-
     /// The set of addresses active in week `w`.
     pub fn week_set(&self, w: usize) -> AddrSet {
         self.week_set_as(w)
@@ -897,45 +843,6 @@ impl WeeklyDataset {
             .iter()
             .map(|(_, rows)| rows.iter().filter(|&&b| b != 0).count())
             .sum()
-    }
-
-    /// Merges two *block-disjoint* partitions of one logical weekly
-    /// dataset — the weekly counterpart of [`DailyDataset::merge`].
-    /// Blocks are re-sorted and each week's hit multiset re-sorted, so
-    /// the merge is commutative and associative.
-    ///
-    /// Coverage merges alongside the blocks when both partitions carry
-    /// it, exactly as in [`DailyDataset::merge`].
-    ///
-    /// # Panics
-    /// If week counts differ or any block appears in both inputs.
-    pub fn merge(self, other: WeeklyDataset) -> WeeklyDataset {
-        assert_eq!(
-            self.num_weeks, other.num_weeks,
-            "cannot merge datasets over different week counts"
-        );
-        let num_weeks = self.num_weeks;
-        let coverage = match (self.coverage, other.coverage) {
-            (Some(a), Some(b)) => Some(a.merge(b)),
-            _ => None,
-        };
-        let mut blocks = self.blocks;
-        blocks.extend(other.blocks);
-        blocks.sort_unstable_by_key(|(b, _)| *b);
-        for w in blocks.windows(2) {
-            assert!(
-                w[0].0 != w[1].0,
-                "block {} present in both partitions; merge the builders instead",
-                w[0].0
-            );
-        }
-        let mut week_hits = self.week_hits;
-        for (mine, theirs) in week_hits.iter_mut().zip(other.week_hits) {
-            let mine = Arc::make_mut(mine);
-            mine.extend_from_slice(&theirs);
-            mine.sort_unstable();
-        }
-        WeeklyDataset { num_weeks, blocks, week_hits, coverage }
     }
 }
 
@@ -1832,37 +1739,7 @@ mod tests {
     }
 
     #[test]
-    fn dataset_merge_of_disjoint_partitions() {
-        let full = tiny_daily();
-        let mut a = DailyDatasetBuilder::new(7);
-        let mut b = DailyDatasetBuilder::new(7);
-        // Partition by block: 10.0.0.0/24 to a, 10.0.1.0/24 to b.
-        for (d, ad, h) in tiny_daily_records() {
-            if Block24::of(ad) == Block24::of(addr("10.0.0.0")) {
-                a.record_hits(d, ad, h);
-            } else {
-                b.record_hits(d, ad, h);
-            }
-        }
-        a.record_ua(0, addr("10.0.0.2"), 111);
-        a.record_ua(1, addr("10.0.0.2"), 111);
-        a.record_ua(2, addr("10.0.0.2"), 222);
-        let (pa, pb) = (a.finish(), b.finish());
-        // Either merge order produces the full dataset.
-        assert_eq!(pa.clone().merge(pb.clone()), full);
-        assert_eq!(pb.merge(pa), full);
-    }
-
-    #[test]
-    #[should_panic(expected = "present in both partitions")]
-    fn dataset_merge_rejects_overlapping_blocks() {
-        let a = tiny_daily();
-        let b = tiny_daily();
-        let _ = a.merge(b);
-    }
-
-    #[test]
-    fn weekly_builder_merge_and_dataset_merge() {
+    fn weekly_builder_merge_combines_overlapping_blocks() {
         let mut reference = WeeklyDatasetBuilder::new(8);
         reference.record_week(0, addr("10.0.0.1"), 100);
         reference.record_week(3, addr("10.0.0.1"), 50);
@@ -1879,17 +1756,6 @@ mod tests {
         a.record_week(7, addr("10.0.2.7"), 9);
         a.merge(b);
         assert_eq!(a.finish(), expect);
-
-        // Dataset-level merge of block-disjoint partitions.
-        let mut pa = WeeklyDatasetBuilder::new(8);
-        let mut pb = WeeklyDatasetBuilder::new(8);
-        pa.record_week(0, addr("10.0.0.1"), 100);
-        pa.record_week(3, addr("10.0.0.1"), 50);
-        pb.record_week(3, addr("10.0.2.7"), 5);
-        pb.record_week(7, addr("10.0.2.7"), 9);
-        let (da, db) = (pa.finish(), pb.finish());
-        assert_eq!(da.clone().merge(db.clone()), expect);
-        assert_eq!(db.merge(da), expect);
     }
 
     #[test]
@@ -1901,25 +1767,6 @@ mod tests {
         assert_eq!(clean, annotated);
         assert!(clean.coverage.is_none());
         assert_eq!(annotated.coverage.as_ref().unwrap().shard(0), 0.5);
-    }
-
-    #[test]
-    fn dataset_merge_combines_coverage() {
-        let mut a = DailyDatasetBuilder::new(7);
-        a.record_hits(0, addr("10.0.0.1"), 1);
-        let mut b = DailyDatasetBuilder::new(7);
-        b.record_hits(0, addr("10.0.1.1"), 1);
-        let da = a.finish().with_coverage(Coverage::from_shard_fractions(&[1.0], 7));
-        let db = b.finish().with_coverage(Coverage::from_shard_fractions(&[0.25], 7));
-        let merged = da.merge(db);
-        let cov = merged.coverage.clone().expect("both sides annotated");
-        assert_eq!(cov.num_shards(), 2);
-        assert_eq!(cov.degraded_shards(), vec![1]);
-
-        // One unannotated side drops the provenance.
-        let mut c = DailyDatasetBuilder::new(7);
-        c.record_hits(0, addr("10.0.2.1"), 1);
-        assert!(merged.merge(c.finish()).coverage.is_none());
     }
 
     #[test]
@@ -1999,15 +1846,5 @@ mod tests {
             assert_eq!(bulk_ref[w], ds.week_set_as::<AddrSet>(w), "week {w}");
             assert_eq!(bulk_tiered[w], ds.week_set_as::<TieredSet>(w), "week {w}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "present in both partitions")]
-    fn weekly_dataset_merge_rejects_overlapping_blocks() {
-        let mut a = WeeklyDatasetBuilder::new(4);
-        a.record_week(0, addr("10.0.0.1"), 1);
-        let mut b = WeeklyDatasetBuilder::new(4);
-        b.record_week(1, addr("10.0.0.2"), 1);
-        let _ = a.finish().merge(b.finish());
     }
 }

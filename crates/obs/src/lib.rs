@@ -10,9 +10,9 @@
 //!    hierarchical dotted names (`pipeline.shard.3.records`,
 //!    `store.fsync`, `engine.cache.hit`).
 //! 2. **Where did the time go?** — RAII scoped spans
-//!    ([`Registry::span`], or the [`span!`] macro) aggregate wall time
-//!    per stage into a parent/child tree with call counts and
-//!    min/max/total, rendered as an indented profile.
+//!    ([`Registry::span`]) aggregate wall time per stage into a
+//!    parent/child tree with call counts and min/max/total, rendered
+//!    as an indented profile.
 //! 3. **What got dropped?** — a bounded lock-free [`Journal`] of
 //!    structured [`Event`]s (retry, quarantine, resync,
 //!    crash-recovery, cache-bypass, fsck verdicts) with
@@ -46,7 +46,7 @@ pub use span::{Span, SpanStat};
 pub use trace::{SpanRecord, TraceContext, TraceId};
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Records per second, guarding the zero-elapsed case.
 ///
@@ -102,15 +102,9 @@ impl std::fmt::Debug for Registry {
 }
 
 impl Registry {
-    /// A fresh registry with the default journal capacity (65 536
-    /// events).
-    pub fn new() -> Registry {
-        Registry::with_journal_capacity(1 << 16)
-    }
-
-    /// A fresh registry whose journal holds at most `capacity` events;
+    /// A fresh registry whose journal holds at most 65 536 events;
     /// later events are counted as dropped, never reallocated.
-    pub fn with_journal_capacity(capacity: usize) -> Registry {
+    pub fn new() -> Registry {
         Registry {
             inner: Arc::new(Inner {
                 counters: Mutex::new(BTreeMap::new()),
@@ -118,7 +112,7 @@ impl Registry {
                 histograms: Mutex::new(BTreeMap::new()),
                 spans: Mutex::new(BTreeMap::new()),
                 traces: Mutex::new(trace::TraceStore::default()),
-                journal: Journal::with_capacity(capacity),
+                journal: Journal::with_capacity(1 << 16),
             }),
         }
     }
@@ -308,29 +302,6 @@ impl Registry {
     }
 }
 
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
-
-/// The process-wide default registry, for call sites with no handle
-/// of their own (and the one-argument form of [`span!`]). Layers that
-/// need isolation — differential tests, one-registry-per-run CLIs —
-/// should carry an explicit [`Registry`] instead.
-pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
-}
-
-/// Opens an RAII timing span: `span!("decode_shard")` on the global
-/// registry, `span!(reg, "decode_shard")` on an explicit one. Bind
-/// the guard (`let _span = ...`) so it lives to the end of the scope.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::global().span($name)
-    };
-    ($reg:expr, $name:expr) => {
-        ($reg).span($name)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,21 +411,5 @@ mod tests {
         reg.trace_span(TraceContext::root(trace), "serve.answer", Probe(&formatted));
         assert!(formatted.get());
         assert_eq!(reg.trace_spans(trace.0).unwrap()[0].detail, "probed");
-    }
-
-    #[test]
-    fn global_registry_and_macro_forms_agree() {
-        {
-            let _a = span!("macro_global");
-        }
-        let reg = Registry::new();
-        {
-            let _b = span!(&reg, "macro_explicit");
-        }
-        let snap = reg.snapshot(SnapshotMode::Timed);
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.spans[0].path, "macro_explicit");
-        let gsnap = global().snapshot(SnapshotMode::Timed);
-        assert!(gsnap.spans.iter().any(|s| s.path == "macro_global"));
     }
 }

@@ -63,8 +63,7 @@ impl SpanStat {
 }
 
 /// An open timing span; dropping it records one observation under its
-/// path. Created by [`Registry::span`] or the
-/// [`span!`](crate::span!) macro. Guards must drop in LIFO order
+/// path. Created by [`Registry::span`]. Guards must drop in LIFO order
 /// (which scoped `let` bindings guarantee).
 pub struct Span {
     registry: Registry,

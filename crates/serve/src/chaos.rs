@@ -18,7 +18,9 @@ pub enum ChaosAction {
     /// Panic inside the query worker (exercises `catch_unwind` +
     /// journaled `query_panic` + degraded answering).
     Panic,
-    /// Stall slot composition (exercises deadline budgets).
+    /// Hold the query worker before the query starts (exercises queue
+    /// pressure, latency and load shedding; the query's deadline
+    /// budget starts after the stall, so a stall never expires it).
     Stall,
 }
 
@@ -31,8 +33,8 @@ pub struct ChaosPlan {
     pub panic_period: u64,
     /// Stall every `stall_period` executed queries; `0` disables.
     pub stall_period: u64,
-    /// Stall duration in microseconds applied per uncached
-    /// composition unit when a `Stall` fires.
+    /// Stall duration in microseconds, slept once by the worker before
+    /// it starts the query when a `Stall` fires.
     pub stall_us: u64,
 }
 

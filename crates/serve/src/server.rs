@@ -967,6 +967,30 @@ mod tests {
     }
 
     #[test]
+    fn a_chaos_stall_holds_the_worker_but_never_expires_a_budget() {
+        // The worker sleeps the stall before the query's budget starts:
+        // it costs latency and queue room, never a deadline.
+        let (_reg, obs) = served_observatory(4);
+        let server = Server::start(
+            obs.clone(),
+            ServeConfig {
+                workers: 1,
+                queue_depth: 4,
+                chaos: ChaosPlan { seed: 5, panic_period: 0, stall_period: 1, stall_us: 50_000 },
+                slo: None,
+            },
+        );
+        let window = Request { budget_ms: 20, ..req(0, QueryKind::DayWindow { start: 0, end: 2 }) };
+        let asked = Instant::now();
+        let got = exchange(&server, &[window]);
+        assert!(asked.elapsed() >= Duration::from_millis(50), "the stall never fired");
+        server.shutdown();
+        assert_eq!(got[&0].status, Status::Ok);
+        assert!(!got[&0].from_density);
+        assert_eq!(got[&0].value, obs.pin().engine().day_window(0..2).len() as u64);
+    }
+
+    #[test]
     fn corrupt_frames_hang_up_honestly() {
         let (_reg, obs) = served_observatory(2);
         let server = Server::start(obs, ServeConfig::default());

@@ -2,8 +2,8 @@
 //! datasets and reports; different seeds yield different worlds.
 
 use ipactive::cdnsim::{
-    collect_daily_sharded, collect_stream, emit_logs, emit_shards, stream_pipeline, Cadence,
-    Daily, PipelineReport, Universe, UniverseConfig, Weekly,
+    collect_daily_sharded, collect_stream, emit_logs, emit_shard_buffers, emit_shards,
+    stream_pipeline, Cadence, Daily, PipelineReport, Universe, UniverseConfig, Weekly,
 };
 use ipactive::core::churn;
 use ipactive::obs::Registry;
@@ -178,6 +178,27 @@ fn log_crcs(config: UniverseConfig) -> (u32, u32) {
 fn emitted_logs_match_the_pinned_universe() {
     assert_eq!(log_crcs(UniverseConfig::tiny(5)), (0x5296_9847, 0x9900_A178));
     assert_eq!(log_crcs(UniverseConfig::tiny(2015)), (0x835B_03D7, 0x6EA8_36E9));
+}
+
+/// CRC-32 of every buffer `emit_shard_buffers` writes for 3 worker
+/// slices × 2 collectors, shard-major and in slice order, at the daily
+/// and the weekly cadence. The slices are serialized in parallel; a
+/// buffer placed at the wrong slice index moves these.
+fn shard_buffer_crcs(config: UniverseConfig) -> (u32, u32) {
+    let u = Universe::generate(config);
+    let crc = |buffers: Vec<Vec<Vec<u8>>>| ipactive::logfmt::crc32(&buffers.concat().concat());
+    (
+        crc(emit_shard_buffers::<Daily>(&u, 3, 2).unwrap()),
+        crc(emit_shard_buffers::<Weekly>(&u, 3, 2).unwrap()),
+    )
+}
+
+/// Captured from the serial slice loop, before the slices ran on
+/// threads of their own.
+#[test]
+fn emitted_shard_buffers_match_the_serial_emitter() {
+    assert_eq!(shard_buffer_crcs(UniverseConfig::tiny(5)), (0xD650_4191, 0xC10C_4ADE));
+    assert_eq!(shard_buffer_crcs(UniverseConfig::tiny(2015)), (0xC4E0_3DE0, 0x2355_36A1));
 }
 
 #[test]
