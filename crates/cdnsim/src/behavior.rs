@@ -26,7 +26,7 @@ impl SeedMixer {
 
     /// Derives a child mixer tagged by `tag`.
     pub fn child(self, tag: u64) -> SeedMixer {
-        SeedMixer(splitmix(self.0 ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        SeedMixer(splitmix(self.0 ^ tag.wrapping_mul(GAMMA)))
     }
 
     /// An RNG for this node of the derivation tree.
@@ -41,8 +41,60 @@ impl SeedMixer {
 
     /// A uniform draw in `[0, 1)` without constructing an RNG.
     pub fn unit(self) -> f64 {
-        (self.value() >> 11) as f64 / (1u64 << 53) as f64
+        unit_of(self.value())
     }
+
+    /// `rng()`'s first `f64` draw, from the one state word it reads
+    /// (see [`xoshiro_two_units`]).
+    pub(crate) fn first_unit(self) -> f64 {
+        xoshiro_first_unit(splitmix(self.0))
+    }
+
+    /// `rng()`'s first two `f64` draws, from the three state words they
+    /// read (see [`xoshiro_two_units`]).
+    pub(crate) fn two_units(self) -> (f64, f64) {
+        xoshiro_two_units(splitmix(self.0))
+    }
+}
+
+/// SplitMix64's increment, ⌊2⁶⁴/φ⌋ (odd).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The `f64` in `[0, 1)` the generators make of 64 random bits.
+fn unit_of(bits: u64) -> f64 {
+    (bits >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// xoshiro256**'s output function.
+fn starstar(word: u64) -> u64 {
+    word.wrapping_mul(5).rotate_left(7).wrapping_mul(9)
+}
+
+/// `StdRng::seed_from_u64(seed)`'s first `f64` draw.
+fn xoshiro_first_unit(seed: u64) -> f64 {
+    unit_of(starstar(splitmix(seed.wrapping_add(GAMMA))))
+}
+
+/// `StdRng::seed_from_u64(seed)`'s first two `f64` draws, `random()`
+/// then `random()`, without the generator.
+///
+/// `seed_from_u64` fills the xoshiro256** state with the SplitMix64
+/// stream of `seed`: `s[k] = splitmix(seed + k·γ)`. The first output is
+/// `starstar(s[1])`; the step after it leaves `s[1] ^ s[2] ^ s[0]` in
+/// `s[1]`, and the second output is that word scrambled. Neither reads
+/// `s[3]`, so three SplitMix rounds give both draws where the generator
+/// takes four (and [`xoshiro_first_unit`] needs one).
+///
+/// `seed_from_u64` also replaces an all-zero state, which this skips:
+/// that branch is unreachable. The SplitMix64 finalizer is a bijection
+/// that sends only 0 to 0, so `s[k] = 0` exactly when `seed + (k+1)·γ ≡ 0
+/// (mod 2⁶⁴)`; γ is odd, so that holds for at most one `k`, and at most
+/// one of the four words is ever zero.
+fn xoshiro_two_units(seed: u64) -> (f64, f64) {
+    let s0 = splitmix(seed);
+    let s1 = splitmix(seed.wrapping_add(GAMMA));
+    let s2 = splitmix(seed.wrapping_add(GAMMA.wrapping_mul(2)));
+    (unit_of(starstar(s1)), unit_of(starstar(s1 ^ s2 ^ s0)))
 }
 
 impl SeedMixer {
@@ -56,7 +108,7 @@ impl SeedMixer {
 }
 
 fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = z.wrapping_add(GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -141,6 +193,30 @@ mod tests {
         assert_ne!(SeedMixer::new(7).value(), SeedMixer::new(8).value());
         let u = m.child(3).unit();
         assert!((0.0..1.0).contains(&u));
+    }
+
+    #[test]
+    fn two_units_and_first_unit_are_the_generators_first_draws() {
+        fn drawn(mut rng: StdRng) -> (f64, f64) {
+            (rng.random(), rng.random())
+        }
+        let root = SeedMixer::new(0x7A11);
+        for i in 0..100_000 {
+            let m = root.child(i);
+            assert_eq!(m.two_units(), drawn(m.rng()), "node {i}");
+            assert_eq!(m.first_unit(), drawn(m.rng()).0, "node {i}");
+        }
+        // Generator seeds `−k·γ`, where state word `k − 1` is zero, and
+        // the ends of the range.
+        let zero_word = (1..=4u64).map(|k| GAMMA.wrapping_mul(k).wrapping_neg());
+        for (k, seed) in zero_word.clone().enumerate() {
+            assert_eq!(splitmix(seed.wrapping_add(GAMMA.wrapping_mul(k as u64))), 0);
+        }
+        for seed in zero_word.chain([0, 1, u64::MAX]) {
+            let rng = StdRng::seed_from_u64(seed);
+            assert_eq!(xoshiro_two_units(seed), drawn(rng.clone()), "seed {seed:#x}");
+            assert_eq!(xoshiro_first_unit(seed), drawn(rng).0, "seed {seed:#x}");
+        }
     }
 
     #[test]

@@ -396,15 +396,14 @@ impl Cadence for Daily {
         let cfg = universe.config();
         universe.walk_days(e, scratch, cfg.daily_window(), |t, entries, _| {
             let day = (t - cfg.daily_offset) as u16;
-            let ua = universe.ua_day(e, t);
-            for entry in entries {
+            universe.ua_day(e, t).each(entries, |entry, samples| {
                 let addr = e.block.addr(entry.host);
                 writer.write(&Record::Hits { day, addr, hits: entry.hits as u64 })?;
-                for ua_hash in ua.samples(entry) {
+                for ua_hash in samples {
                     writer.write(&Record::UaSample { day, addr, ua_hash })?;
                 }
-            }
-            Ok(())
+                Ok(())
+            })
         })
     }
 }
@@ -520,15 +519,15 @@ fn walk_packed<E>(
     let cfg = universe.config();
     universe.walk_days(e, scratch, cfg.daily_window(), |t, entries, _| {
         let d = t - cfg.daily_offset;
-        let ua = universe.ua_day(e, t);
         let mut hits: Vec<(u8, u64)> = Vec::with_capacity(entries.len());
-        for entry in entries {
+        universe.ua_day(e, t).each(entries, |entry, samples| {
             hits.push((entry.host, entry.hits as u64));
             let addr = e.block.addr(entry.host);
-            for ua_hash in ua.samples(entry) {
+            for ua_hash in samples {
                 emit(d, Record::UaSample { day: d as u16, addr, ua_hash })?;
             }
-        }
+            Ok(())
+        })?;
         if !hits.is_empty() {
             hits.sort_unstable_by_key(|&(h, _)| h);
             emit(d, Record::BlockDay(Box::new(BlockDay::new(d as u16, e.block, hits))))?;

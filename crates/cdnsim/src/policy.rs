@@ -165,6 +165,10 @@ struct DayDraws {
     hits: SeedMixer,
 }
 
+/// Subscribers a day's draws are taken for at a time — the length of
+/// the stack arrays [`DayDraws::each_online`] runs its libm loops over.
+const CHUNK: usize = 64;
+
 impl DayDraws {
     fn new(seed: SeedMixer, institutional: bool, t: usize) -> DayDraws {
         DayDraws {
@@ -182,9 +186,49 @@ impl DayDraws {
         self.online.child(s as u64).unit() < sub.base_rate * self.weekday
     }
 
-    fn hits(&self, s: usize, sub: &Subscriber) -> u32 {
-        let mut rng = self.hits.child(s as u64).rng();
-        round_hits(lognormal(&mut rng, sub.intensity, 0.9))
+    /// Hands `place` `(s, sub, hits)` for every subscriber online on the
+    /// day, in subscriber order: the one hit draw of the four subscriber
+    /// policies.
+    ///
+    /// A subscriber's hits are `round_hits(lognormal(rng, intensity,
+    /// 0.9))` over the first two draws of `hits.child(s).rng()`. Taken a
+    /// subscriber at a time, `ln → sqrt → cos → exp` is one dependent
+    /// chain that waits on each call's latency; here a chunk's online
+    /// coins and uniforms are drawn first, then each step runs as a
+    /// straight loop of independent calls. Same inputs, same calls, same
+    /// operations in the same order (Rust does not contract `a * b + c`
+    /// into a fused multiply-add), so the same bits.
+    fn each_online(&self, subs: &[Subscriber], mut place: impl FnMut(usize, &Subscriber, u32)) {
+        for (c, chunk) in subs.chunks(CHUNK).enumerate() {
+            let first = c * CHUNK;
+            let mut online = [0u8; CHUNK];
+            let (mut radius, mut cosine) = ([0f64; CHUNK], [0f64; CHUNK]);
+            let mut n = 0;
+            for (i, sub) in chunk.iter().enumerate() {
+                if self.online(first + i, sub) {
+                    let (u1, u2) = self.hits.child((first + i) as u64).two_units();
+                    online[n] = i as u8;
+                    radius[n] = u1;
+                    cosine[n] = u2;
+                    n += 1;
+                }
+            }
+            let (online, radius, cosine) = (&online[..n], &mut radius[..n], &mut cosine[..n]);
+            for r in radius.iter_mut() {
+                *r = (-2.0 * r.max(f64::MIN_POSITIVE).ln()).sqrt();
+            }
+            for u in cosine.iter_mut() {
+                *u = (2.0 * core::f64::consts::PI * *u).cos();
+            }
+            let mut hits = [0u32; CHUNK];
+            for (k, &i) in online.iter().enumerate() {
+                let z = radius[k] * cosine[k];
+                hits[k] = round_hits(chunk[i as usize].intensity * (0.9 * z).exp());
+            }
+            for (&i, &hits) in online.iter().zip(&hits) {
+                place(first + i as usize, &chunk[i as usize], hits);
+            }
+        }
     }
 }
 
@@ -312,13 +356,11 @@ impl PolicySim {
             | AssignmentPolicy::RouterInfra { .. }
             | AssignmentPolicy::NonWeb { .. } => {}
             AssignmentPolicy::StaticSparse { .. } | AssignmentPolicy::StaticDense { .. } => {
-                for (s, sub) in self.subs.iter().enumerate() {
-                    if day.online(s, sub) {
-                        // Stable spread over the block (coprime stride).
-                        let host = ((s as u32 * 151 + 7) % 256) as u8;
-                        push(host, day.hits(s, sub), HostPopulation::Subscriber(sub.key));
-                    }
-                }
+                day.each_online(&self.subs, |s, sub, hits| {
+                    // Stable spread over the block (coprime stride).
+                    let host = ((s as u32 * 151 + 7) % 256) as u8;
+                    push(host, hits, HostPopulation::Subscriber(sub.key));
+                });
             }
             AssignmentPolicy::RoundRobin { subscribers } => {
                 // The pool cursor creeps a few addresses per day,
@@ -328,33 +370,26 @@ impl PolicySim {
                 let expected: u32 = (subscribers as f64 * 0.8) as u32 + 1;
                 let step = (expected / 16).max(1);
                 let cursor = (t as u32 * step) % 256;
-                for (s, sub) in self.subs.iter().enumerate() {
-                    if day.online(s, sub) {
-                        let host = ((cursor + idx) % 256) as u8;
-                        idx += 1;
-                        push(host, day.hits(s, sub), HostPopulation::Subscriber(sub.key));
-                    }
-                }
+                day.each_online(&self.subs, |_, sub, hits| {
+                    let host = ((cursor + idx) % 256) as u8;
+                    idx += 1;
+                    push(host, hits, HostPopulation::Subscriber(sub.key));
+                });
             }
             AssignmentPolicy::DhcpShort { .. } => {
                 let perm = permutation(seed.child(0xDA11).child(t as u64));
                 let mut idx = 0usize;
-                for (s, sub) in self.subs.iter().enumerate() {
-                    if day.online(s, sub) {
-                        let host = perm[idx % 256];
-                        idx += 1;
-                        push(host, day.hits(s, sub), HostPopulation::Subscriber(sub.key));
-                    }
-                }
+                day.each_online(&self.subs, |_, sub, hits| {
+                    let host = perm[idx % 256];
+                    idx += 1;
+                    push(host, hits, HostPopulation::Subscriber(sub.key));
+                });
             }
             AssignmentPolicy::DhcpLong { .. } => {
                 let leases = self.leases.as_ref().expect("DhcpLong sims tabulate their leases");
-                for (s, sub) in self.subs.iter().enumerate() {
-                    if day.online(s, sub) {
-                        let host = leases.host(s, sub, t);
-                        push(host, day.hits(s, sub), HostPopulation::Subscriber(sub.key));
-                    }
-                }
+                day.each_online(&self.subs, |s, sub, hits| {
+                    push(leases.host(s, sub, t), hits, HostPopulation::Subscriber(sub.key));
+                });
             }
             AssignmentPolicy::Gateway { gateways, users_per_gateway } => {
                 for g in 0..gateways {

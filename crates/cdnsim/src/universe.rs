@@ -892,20 +892,19 @@ impl BlockSink for DailyAcc<'_> {
 
     fn day(&mut self, t: usize, entries: &[DayEntry], tables: &mut Tables) -> Result<(), Infallible> {
         let d = t - self.universe.config.daily_offset;
-        let ua = self.universe.ua_day(self.e, t);
-        for entry in entries {
+        self.universe.ua_day(self.e, t).each(entries, |entry, samples| {
             let h = entry.host as usize;
             self.rows[h].set(d);
             tables.hits[h * tables.daily_days + self.days_active[h] as usize] = entry.hits;
             self.days_active[h] += 1;
             self.totals[h] += entry.hits as u64;
             self.total_hits += entry.hits as u64;
-            for hash in ua.samples(entry) {
+            for hash in samples {
                 self.ua_samples += 1;
                 tables.ua.push(hash);
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 
@@ -983,15 +982,62 @@ pub(crate) struct UaDay {
 }
 
 impl UaDay {
-    /// The User-Agent hashes sampled for one active (address, day)
-    /// entry — 1 in `ua_sample_rate` hits, Poisson-thinned — drawn as
-    /// the iterator is advanced.
-    pub(crate) fn samples(&self, entry: &DayEntry) -> impl Iterator<Item = u64> {
-        let lambda = entry.hits as f64 / self.sample_rate;
-        let mut rng = self.seed.child(entry.host as u64).rng();
-        let k = poisson(&mut rng, lambda);
-        let pop = entry.pop;
-        (0..k).map(move |_| sample_ua(&pop, &mut rng))
+    /// Hands `visit` each of the day's entries, in order, with the
+    /// User-Agent hashes sampled for it — 1 in `ua_sample_rate` hits,
+    /// Poisson-thinned — drawn as the iterator is advanced.
+    ///
+    /// An entry's draws are `poisson` and then `sample_ua` on
+    /// `seed.child(host).rng()`. Most entries sample nothing, and below
+    /// λ = 64 `poisson` says so on its first draw: zero when that draw
+    /// is at most `exp(−λ)`. So the limits of up to 64 entries are taken
+    /// in one loop, each entry's first draw comes from `first_unit()`,
+    /// and only an entry that samples builds its generator and replays
+    /// `poisson` from the start: the same draws for every entry.
+    pub(crate) fn each<E>(
+        &self,
+        entries: &[DayEntry],
+        mut visit: impl FnMut(&DayEntry, UaSamples) -> Result<(), E>,
+    ) -> Result<(), E> {
+        const CHUNK: usize = 64;
+        let lambda_of = |entry: &DayEntry| entry.hits as f64 / self.sample_rate;
+        for chunk in entries.chunks(CHUNK) {
+            let mut limits = [0f64; CHUNK];
+            for (limit, entry) in limits.iter_mut().zip(chunk) {
+                *limit = (-lambda_of(entry)).exp();
+            }
+            for (entry, &limit) in chunk.iter().zip(&limits) {
+                let (lambda, node) = (lambda_of(entry), self.seed.child(entry.host as u64));
+                let mut samples = UaSamples { pop: entry.pop, left: 0, rng: None };
+                if lambda >= 64.0 || node.first_unit() > limit {
+                    let mut rng = node.rng();
+                    samples.left = poisson(&mut rng, lambda);
+                    samples.rng = Some(rng);
+                }
+                visit(entry, samples)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The User-Agent hashes sampled for one entry (see [`UaDay::each`]).
+pub(crate) struct UaSamples {
+    pop: HostPopulation,
+    left: u64,
+    /// `None` only when `left` is zero.
+    rng: Option<rand::rngs::StdRng>,
+}
+
+impl Iterator for UaSamples {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let rng = self.rng.as_mut().expect("an entry that samples has its generator");
+        Some(sample_ua(&self.pop, rng))
     }
 }
 

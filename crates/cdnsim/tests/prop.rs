@@ -219,7 +219,8 @@ mod oracle {
 
 /// Every policy variant, sized to reach the corners: pools above 256
 /// subscribers (shared addresses merge), every lease length the
-/// universe draws plus the degenerate 1 and 7, and the inactive kinds.
+/// universe draws plus the degenerate 1 and 7, the inactive kinds, and
+/// the subscriber policies at the edges of the kernel's chunks.
 fn kernel_policies() -> Vec<AssignmentPolicy> {
     let mut policies = vec![
         AssignmentPolicy::Unused,
@@ -238,6 +239,15 @@ fn kernel_policies() -> Vec<AssignmentPolicy> {
         policies.push(AssignmentPolicy::DhcpLong { subscribers: 150, hold_days });
     }
     policies.push(AssignmentPolicy::DhcpLong { subscribers: 400, hold_days: 30 });
+    // Populations on either side of the kernel's 64-subscriber chunks.
+    for subscribers in [63, 64, 65, 128, 129] {
+        policies.extend([
+            AssignmentPolicy::StaticDense { subscribers },
+            AssignmentPolicy::RoundRobin { subscribers },
+            AssignmentPolicy::DhcpShort { subscribers },
+            AssignmentPolicy::DhcpLong { subscribers, hold_days: 30 },
+        ]);
+    }
     policies
 }
 
