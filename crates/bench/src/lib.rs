@@ -434,7 +434,7 @@ impl<S: ActiveSet> Repro<S> {
             "fig8c" => self.fig8c(),
             "fig9a" => self.fig9a(),
             "fig9b" => self.fig9b(),
-            "fig9c" => self.fig9c(par),
+            "fig9c" => self.fig9c(),
             "fig10" => self.fig10(),
             "fig11" => self.fig11(),
             "fig12" => self.fig12(),
@@ -1167,8 +1167,8 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 9(c): weekly traffic share of the top-10% addresses.
-    pub fn fig9c(&self, par: &Parallelism) -> String {
-        let shares = traffic::weekly_top_share_par(&self.weekly, 0.1, par);
+    pub fn fig9c(&self) -> String {
+        let shares = traffic::weekly_top_share(&self.weekly, 0.1);
         let smooth = traffic::moving_average(&shares, 4);
         let mut out = header(
             "Figure 9(c) — weekly traffic share of the top 10% of addresses",
@@ -1897,7 +1897,7 @@ mod tests {
         let f4b = r.fig4b(&Parallelism::serial());
         assert!(f4b.contains("(weekly data)"));
         // Figure 9(c) reports both the share trend and the Gini lens.
-        let f9c = r.fig9c(&Parallelism::serial());
+        let f9c = r.fig9c();
         assert!(f9c.contains("trend:") && f9c.contains("Gini"));
     }
 

@@ -3,7 +3,7 @@
 use crate::dataset::{DailyDataset, WeeklyDataset};
 use ipactive_bgp::Asn;
 use ipactive_net::Block24;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// One row of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,115 +26,67 @@ pub struct CensusRow {
 
 /// Computes the daily (Table 1, first row) census. `resolve` maps a
 /// `/24` to its origin AS.
-pub fn daily_census<F>(ds: &DailyDataset, mut resolve: F) -> CensusRow
+pub fn daily_census<F>(ds: &DailyDataset, resolve: F) -> CensusRow
 where
     F: FnMut(Block24) -> Option<Asn>,
 {
-    let days = ds.num_days;
-    let mut ips_per_day = vec![0u64; days];
-    let mut blocks_per_day = vec![0u64; days];
-    let mut ases_per_day: Vec<HashSet<Asn>> = vec![HashSet::new(); days];
-    let mut ases_total: HashSet<Asn> = HashSet::new();
-    let mut ips_total = 0u64;
-    let mut blocks_total = 0u64;
-    let mut as_cache: HashMap<Block24, Option<Asn>> = HashMap::new();
-    for rec in &ds.blocks {
-        let asn = *as_cache.entry(rec.block).or_insert_with(|| resolve(rec.block));
-        let mut block_any = false;
-        let mut block_days = [false; 128];
-        for bits in rec.rows.iter() {
-            if bits.is_empty() {
-                continue;
-            }
-            ips_total += 1;
-            block_any = true;
-            for d in bits.iter() {
-                ips_per_day[d] += 1;
-                block_days[d] = true;
-            }
-        }
-        if block_any {
-            blocks_total += 1;
-            if let Some(asn) = asn {
-                ases_total.insert(asn);
-            }
-            for (d, &active) in block_days.iter().enumerate().take(days) {
-                if active {
-                    blocks_per_day[d] += 1;
-                    if let Some(asn) = asn {
-                        ases_per_day[d].insert(asn);
-                    }
-                }
-            }
-        }
-    }
-    let avg = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len().max(1) as f64;
-    CensusRow {
-        snapshots: days,
-        ips_total,
-        ips_avg: avg(&ips_per_day),
-        blocks_total,
-        blocks_avg: avg(&blocks_per_day),
-        ases_total: ases_total.len() as u64,
-        ases_avg: ases_per_day.iter().map(|s| s.len() as u64).sum::<u64>() as f64
-            / days.max(1) as f64,
-    }
+    let blocks = ds.blocks.iter().map(|rec| (rec.block, rec.rows.iter().map(|row| row.bits())));
+    census(ds.num_days, blocks, resolve)
 }
 
 /// Computes the weekly (Table 1, second row) census.
-pub fn weekly_census<F>(ws: &WeeklyDataset, mut resolve: F) -> CensusRow
+pub fn weekly_census<F>(ws: &WeeklyDataset, resolve: F) -> CensusRow
 where
     F: FnMut(Block24) -> Option<Asn>,
 {
-    let weeks = ws.num_weeks;
-    let mut ips_per_week = vec![0u64; weeks];
-    let mut blocks_per_week = vec![0u64; weeks];
-    let mut ases_per_week: Vec<HashSet<Asn>> = vec![HashSet::new(); weeks];
-    let mut ases_total: HashSet<Asn> = HashSet::new();
-    let mut ips_total = 0u64;
-    let mut blocks_total = 0u64;
-    for (block, rows) in &ws.blocks {
-        let asn = resolve(*block);
-        let mut block_weeks = 0u64;
-        for &bits in rows.iter() {
-            if bits == 0 {
-                continue;
-            }
-            ips_total += 1;
-            block_weeks |= bits;
-            let mut b = bits;
-            while b != 0 {
-                let w = b.trailing_zeros() as usize;
-                ips_per_week[w] += 1;
-                b &= b - 1;
-            }
+    let blocks = ws.blocks.iter().map(|(block, rows)| (*block, rows.iter().map(|&r| r.into())));
+    census(ws.num_weeks, blocks, resolve)
+}
+
+/// Table 1's row from each block's rows of snapshot bits (days or
+/// weeks).
+///
+/// An average is a sum over snapshots divided by their number, and
+/// each sum is a count of bits: an address contributes one per active
+/// snapshot (its row's popcount), a block one per snapshot any of its
+/// addresses was active in (the popcount of its rows OR-ed), and an AS
+/// one per snapshot any of its blocks was (the popcount of its blocks'
+/// ORs, OR-ed in one map entry). No snapshot is visited on its own.
+fn census<F>(
+    snapshots: usize,
+    blocks: impl Iterator<Item = (Block24, impl Iterator<Item = u128>)>,
+    mut resolve: F,
+) -> CensusRow
+where
+    F: FnMut(Block24) -> Option<Asn>,
+{
+    let (mut ips_total, mut ips_sum) = (0u64, 0u64);
+    let (mut blocks_total, mut blocks_sum) = (0u64, 0u64);
+    let mut as_active: HashMap<Asn, u128> = HashMap::new();
+    for (block, rows) in blocks {
+        let mut block_active = 0u128;
+        for row in rows {
+            ips_total += u64::from(row != 0);
+            ips_sum += u64::from(row.count_ones());
+            block_active |= row;
         }
-        if block_weeks != 0 {
+        if block_active != 0 {
             blocks_total += 1;
-            if let Some(asn) = asn {
-                ases_total.insert(asn);
-            }
-            let mut b = block_weeks;
-            while b != 0 {
-                let w = b.trailing_zeros() as usize;
-                blocks_per_week[w] += 1;
-                if let Some(asn) = asn {
-                    ases_per_week[w].insert(asn);
-                }
-                b &= b - 1;
+            blocks_sum += u64::from(block_active.count_ones());
+            if let Some(asn) = resolve(block) {
+                *as_active.entry(asn).or_default() |= block_active;
             }
         }
     }
-    let avg = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len().max(1) as f64;
+    let avg = |sum: u64| sum as f64 / snapshots.max(1) as f64;
     CensusRow {
-        snapshots: weeks,
+        snapshots,
         ips_total,
-        ips_avg: avg(&ips_per_week),
+        ips_avg: avg(ips_sum),
         blocks_total,
-        blocks_avg: avg(&blocks_per_week),
-        ases_total: ases_total.len() as u64,
-        ases_avg: ases_per_week.iter().map(|s| s.len() as u64).sum::<u64>() as f64
-            / weeks.max(1) as f64,
+        blocks_avg: avg(blocks_sum),
+        ases_total: as_active.len() as u64,
+        ases_avg: avg(as_active.values().map(|bits| u64::from(bits.count_ones())).sum()),
     }
 }
 

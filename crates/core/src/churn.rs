@@ -12,7 +12,7 @@
 //! * [`long_term`] — Table 2: appear/disappear between two two-month
 //!   unions, block-level bulkiness, and BGP attribution.
 
-use crate::dataset::{DailyDataset, DailyWindows, WeeklyDataset, WeeklyWindows};
+use crate::dataset::{transpose64, DailyDataset, DailyWindows, WeeklyDataset, WeeklyWindows};
 use crate::par::Parallelism;
 use crate::stats::{Ecdf, MinMedMax};
 use ipactive_bgp::{Asn, BgpTimeline};
@@ -377,37 +377,39 @@ pub struct WeekDrift {
 }
 
 /// Computes Figure 4(c): per-week appear/disappear versus week 0.
+///
+/// Two column counts per week decide it: `active[w]` addresses active
+/// in week `w`, `kept[w]` of them also in week 0. Then `w` gained
+/// `active[w] − kept[w]` and lost `active[0] − kept[w]`. Each block's
+/// rows are counted as 64 × 64 tiles transposed, so a week's column of
+/// 64 addresses is one word to popcount.
 pub fn year_drift(ws: &WeeklyDataset) -> Vec<WeekDrift> {
-    let mut base = 0u64;
-    let mut appear = vec![0u64; ws.num_weeks];
-    let mut disappear = vec![0u64; ws.num_weeks];
+    let mut active = [0u64; 64];
+    let mut kept = [0u64; 64];
     for (_, rows) in &ws.blocks {
-        for &bits in rows.iter() {
-            if bits == 0 {
+        for tile in rows.chunks_exact(64) {
+            let mut weeks: [u64; 64] = tile.try_into().expect("a 64-row tile");
+            if weeks.iter().all(|&row| row == 0) {
                 continue;
             }
-            let in_base = bits & 1 != 0;
-            if in_base {
-                base += 1;
-            }
-            for w in 1..ws.num_weeks {
-                let in_w = bits & (1u64 << w) != 0;
-                match (in_base, in_w) {
-                    (false, true) => appear[w] += 1,
-                    (true, false) => disappear[w] += 1,
-                    _ => {}
-                }
+            transpose64(&mut weeks);
+            for (w, &column) in weeks.iter().enumerate() {
+                active[w] += u64::from(column.count_ones());
+                kept[w] += u64::from((column & weeks[0]).count_ones());
             }
         }
     }
-    let basef = base.max(1) as f64;
+    let basef = active[0].max(1) as f64;
     (1..ws.num_weeks)
-        .map(|w| WeekDrift {
-            week: w,
-            appear: appear[w] as usize,
-            disappear: disappear[w] as usize,
-            appear_frac: appear[w] as f64 / basef,
-            disappear_frac: disappear[w] as f64 / basef,
+        .map(|w| {
+            let (appear, disappear) = (active[w] - kept[w], active[0] - kept[w]);
+            WeekDrift {
+                week: w,
+                appear: appear as usize,
+                disappear: disappear as usize,
+                appear_frac: appear as f64 / basef,
+                disappear_frac: disappear as f64 / basef,
+            }
         })
         .collect()
 }

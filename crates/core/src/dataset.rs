@@ -194,35 +194,18 @@ impl DailyDataset {
 
     /// Every day's active set in one transposed pass: instead of
     /// `num_days` scans that each read all 256 rows of every block,
-    /// walk the matrix once and scatter each row's set day-bits into
-    /// per-day block bitmaps. Work is proportional to the *active*
-    /// (address, day) pairs plus one pass over the rows, so building
-    /// all sets costs a fraction of `num_days` × [`Self::day_set_as`].
-    /// Element `d` equals `day_set_as(d)` exactly (differentially
-    /// pinned).
+    /// each block's 256 × 128 activity matrix is transposed as 64 × 64
+    /// bit tiles (four host groups × two day halves, the second half
+    /// only when the window has one), which leaves every day's block
+    /// bitmap as four words to push. Element `d` equals
+    /// `day_set_as(d)` exactly (differentially pinned).
     pub fn day_sets_all<S: ActiveSet>(&self) -> Vec<S> {
-        let d = self.num_days;
-        let mut builders: Vec<S::Builder> = (0..d).map(|_| <S::Builder>::new()).collect();
-        let mut buf: Vec<[u64; 4]> = vec![[0u64; 4]; d];
+        let mut builders: Vec<S::Builder> =
+            (0..self.num_days).map(|_| <S::Builder>::new()).collect();
         for rec in &self.blocks {
-            let mut touched: u128 = 0;
-            for (i, row) in rec.rows.iter().enumerate() {
-                let mut bits = row.bits();
-                touched |= bits;
-                while bits != 0 {
-                    let day = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    buf[day][i >> 6] |= 1u64 << (i & 63);
-                }
-            }
-            // Push (and clear) only the days this block touched, in
-            // ascending block order per builder by construction.
-            let mut t = touched;
-            while t != 0 {
-                let day = t.trailing_zeros() as usize;
-                t &= t - 1;
-                builders[day].push_block(rec.block, &AddrBits256::from_words(buf[day]));
-                buf[day] = [0u64; 4];
+            for (half, builders) in builders.chunks_mut(64).enumerate() {
+                let day_word = |i: usize| (rec.rows[i].bits() >> (64 * half)) as u64;
+                push_transposed(rec.block, day_word, builders);
             }
         }
         builders.into_iter().map(|b| b.finish()).collect()
@@ -712,7 +695,13 @@ pub struct WeeklyDataset {
     /// Per-block `(block, rows)` where `rows[i]` has bit `w` set iff
     /// address `i` was active in week `w`. Sorted by block.
     pub blocks: Vec<(Block24, Box<[u64; 256]>)>,
-    /// `week_hits[w]` = per-active-address total hits in week `w`.
+    /// `week_hits[w]` = per-active-address total hits in week `w`,
+    /// **ascending**. Every constructor sorts them
+    /// ([`WeeklyDatasetBuilder::finish`] and `snapshot`, the direct
+    /// build), and a dataset assembled by hand must too:
+    /// [`crate::traffic::top_share`] reads the top share off the tail
+    /// and [`crate::stats::gini`] ranks by position, with no sort of
+    /// their own (both `debug_assert!` it).
     pub week_hits: Vec<Arc<Vec<u64>>>,
     /// Data-completeness annotation from a supervised collection run
     /// (slots are week indices); `None` outside supervised paths.
@@ -741,30 +730,13 @@ impl WeeklyDataset {
     }
 
     /// Every week's active set in one transposed pass (the weekly
-    /// analogue of [`DailyDataset::day_sets_all`]); element `w` equals
-    /// `week_set_as(w)` exactly.
+    /// analogue of [`DailyDataset::day_sets_all`]: four 64 × 64 tiles
+    /// a block); element `w` equals `week_set_as(w)` exactly.
     pub fn week_sets_all<S: ActiveSet>(&self) -> Vec<S> {
-        let w = self.num_weeks;
-        let mut builders: Vec<S::Builder> = (0..w).map(|_| <S::Builder>::new()).collect();
-        let mut buf: Vec<[u64; 4]> = vec![[0u64; 4]; w];
+        let mut builders: Vec<S::Builder> =
+            (0..self.num_weeks).map(|_| <S::Builder>::new()).collect();
         for (block, rows) in &self.blocks {
-            let mut touched: u64 = 0;
-            for (i, &row) in rows.iter().enumerate() {
-                let mut bits = row;
-                touched |= bits;
-                while bits != 0 {
-                    let week = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    buf[week][i >> 6] |= 1u64 << (i & 63);
-                }
-            }
-            let mut t = touched;
-            while t != 0 {
-                let week = t.trailing_zeros() as usize;
-                t &= t - 1;
-                builders[week].push_block(*block, &AddrBits256::from_words(buf[week]));
-                buf[week] = [0u64; 4];
-            }
+            push_transposed(*block, |i| rows[i], &mut builders);
         }
         builders.into_iter().map(|b| b.finish()).collect()
     }
@@ -843,6 +815,55 @@ impl WeeklyDataset {
             .iter()
             .map(|(_, rows)| rows.iter().filter(|&&b| b != 0).count())
             .sum()
+    }
+}
+
+/// Transposes a 64 × 64 bit matrix in place: bit `c` of `m[r]` moves
+/// to bit `r` of `m[c]`. Each of the six rounds swaps the off-diagonal
+/// quarters of every `2j × 2j` sub-block (`j` = 32, 16, …, 1) with one
+/// shift-xor-mask step per row pair, so a tile costs 192 such steps
+/// whatever its density.
+pub(crate) fn transpose64(m: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFF_u64;
+    while j != 0 {
+        for k in 0..64 {
+            if k & j == 0 {
+                let t = ((m[k] >> j) ^ m[k + j]) & mask;
+                m[k] ^= t << j;
+                m[k + j] ^= t;
+            }
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
+}
+
+/// Pushes one block into per-slot set builders: `row(i)` is host `i`'s
+/// 64 slot bits (days or weeks), `builders[s]` slot `s`'s builder. The
+/// four 64-host tiles are transposed, so word `s` of tile `g` holds
+/// hosts `64g..64g + 64` in slot `s`, and every slot any host is
+/// active in gets its four words pushed. An all-zero tile is left as
+/// it is: its transpose is itself.
+fn push_transposed<B: SetBuilder>(block: Block24, row: impl Fn(usize) -> u64, builders: &mut [B]) {
+    let mut tiles = [[0u64; 64]; 4];
+    let mut touched = 0u64;
+    for (g, tile) in tiles.iter_mut().enumerate() {
+        let mut any = 0u64;
+        for (r, word) in tile.iter_mut().enumerate() {
+            *word = row(64 * g + r);
+            any |= *word;
+        }
+        if any != 0 {
+            transpose64(tile);
+        }
+        touched |= any;
+    }
+    while touched != 0 {
+        let s = touched.trailing_zeros() as usize;
+        touched &= touched - 1;
+        let words = [tiles[0][s], tiles[1][s], tiles[2][s], tiles[3][s]];
+        builders[s].push_block(block, &AddrBits256::from_words(words));
     }
 }
 
@@ -1813,16 +1834,29 @@ mod tests {
         assert!(d3.memory_bytes() < 256, "memory {}", d3.memory_bytes());
     }
 
+    /// Host/day pairs on both sides of every tile edge: hosts 0, 63,
+    /// 64 and 255, days 63 and 64 (the two day halves), the last day
+    /// of a 112-day window and the last of a 128-day one.
+    const TILE_EDGES: [(u8, usize); 8] =
+        [(0, 0), (63, 63), (64, 64), (255, 111), (0, 127), (63, 64), (64, 63), (255, 0)];
+
     #[test]
     fn bulk_day_sets_match_per_day_builds() {
         use ipactive_net::TieredSet;
-        let ds = tiny_daily();
-        let bulk_ref: Vec<AddrSet> = ds.day_sets_all();
-        let bulk_tiered: Vec<TieredSet> = ds.day_sets_all();
-        assert_eq!(bulk_ref.len(), ds.num_days);
-        for d in 0..ds.num_days {
-            assert_eq!(bulk_ref[d], ds.day_set_as::<AddrSet>(d), "day {d}");
-            assert_eq!(bulk_tiered[d], ds.day_set_as::<TieredSet>(d), "day {d}");
+        let mut edges = DailyDatasetBuilder::new(128);
+        for (i, &(host, day)) in TILE_EDGES.iter().enumerate() {
+            edges.record_hits(day, Block24::new(0x0A_0000).addr(host), 1);
+            edges.record_hits(day, Block24::new(0x0A_0002 + i as u32 % 2).addr(host), 1);
+        }
+        edges.record_hits(111, addr("10.0.9.128"), 1);
+        for ds in [tiny_daily(), edges.finish()] {
+            let bulk_ref: Vec<AddrSet> = ds.day_sets_all();
+            let bulk_tiered: Vec<TieredSet> = ds.day_sets_all();
+            assert_eq!(bulk_ref.len(), ds.num_days);
+            for d in 0..ds.num_days {
+                assert_eq!(bulk_ref[d], ds.day_set_as::<AddrSet>(d), "day {d}");
+                assert_eq!(bulk_tiered[d], ds.day_set_as::<TieredSet>(d), "day {d}");
+            }
         }
 
         // Including a dataset with quiet days and an empty one.
@@ -1838,13 +1872,55 @@ mod tests {
         b.record_week(51, addr("10.0.0.1"), 100);
         b.record_week(10, addr("10.0.2.7"), 5);
         b.record_week(10, addr("10.0.0.200"), 2);
-        let ds = b.finish();
-        let bulk_ref: Vec<AddrSet> = ds.week_sets_all();
-        let bulk_tiered: Vec<TieredSet> = ds.week_sets_all();
-        assert_eq!(bulk_ref.len(), ds.num_weeks);
-        for w in 0..ds.num_weeks {
-            assert_eq!(bulk_ref[w], ds.week_set_as::<AddrSet>(w), "week {w}");
-            assert_eq!(bulk_tiered[w], ds.week_set_as::<TieredSet>(w), "week {w}");
+        let mut edges = WeeklyDatasetBuilder::new(64);
+        for &(host, day) in &TILE_EDGES {
+            edges.record_week(day % 64, Block24::new(0x0A_0000).addr(host), 1);
+        }
+        edges.record_week(63, addr("10.0.5.0"), 1);
+        for ds in [b.finish(), edges.finish()] {
+            let bulk_ref: Vec<AddrSet> = ds.week_sets_all();
+            let bulk_tiered: Vec<TieredSet> = ds.week_sets_all();
+            assert_eq!(bulk_ref.len(), ds.num_weeks);
+            for w in 0..ds.num_weeks {
+                assert_eq!(bulk_ref[w], ds.week_set_as::<AddrSet>(w), "week {w}");
+                assert_eq!(bulk_tiered[w], ds.week_set_as::<TieredSet>(w), "week {w}");
+            }
+        }
+    }
+
+    /// Bit `c` of row `r` moved to bit `r` of row `c`, one bit at a time.
+    fn transpose_bitwise(m: &[u64; 64]) -> [u64; 64] {
+        let mut t = [0u64; 64];
+        for (r, &row) in m.iter().enumerate() {
+            for (c, out) in t.iter_mut().enumerate() {
+                *out |= (row >> c & 1) << r;
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn transpose64_equals_the_bitwise_transpose() {
+        let identity: [u64; 64] = std::array::from_fn(|r| 1u64 << r);
+        let mut fixed = vec![[0u64; 64], [u64::MAX; 64], identity];
+        for (r, c) in [(0, 0), (0, 63), (63, 0), (63, 63)] {
+            let mut corner = [0u64; 64];
+            corner[r] = 1u64 << c;
+            fixed.push(corner);
+        }
+        let mut x = 0x2016_0316_u64;
+        let random = (0..64).map(|_| {
+            std::array::from_fn(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                x ^ x >> 29
+            })
+        });
+        for m in fixed.into_iter().chain(random) {
+            let mut t = m;
+            transpose64(&mut t);
+            assert_eq!(t, transpose_bitwise(&m), "{m:x?}");
+            transpose64(&mut t);
+            assert_eq!(t, m, "a transpose is its own inverse");
         }
     }
 }

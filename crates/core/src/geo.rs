@@ -1,8 +1,8 @@
 //! Geographic dissection of visibility (Section 3.4, Figure 3).
 
 use crate::visibility::VisibilitySplit;
-use ipactive_net::ActiveSet;
-use ipactive_rir::{subscriber_ranks, CountryCode, DelegationDb, Rir, SubscriberRanks};
+use ipactive_net::{ActiveSet, Block24};
+use ipactive_rir::{subscriber_ranks, CountryCode, Delegation, DelegationDb, Rir, SubscriberRanks};
 use std::collections::HashMap;
 
 #[cfg(test)]
@@ -12,18 +12,75 @@ use ipactive_net::AddrSet;
 /// Figure 3(a).
 pub fn by_rir<S: ActiveSet>(cdn: &S, icmp: &S, db: &DelegationDb) -> [VisibilitySplit; 5] {
     let mut out = [VisibilitySplit::default(); 5];
-    let union = cdn.union(icmp);
-    for addr in union.iter() {
-        let Some(rir) = db.rir_of(addr) else { continue };
-        let slot = &mut out[rir.index()];
-        match (cdn.contains(addr), icmp.contains(addr)) {
-            (true, true) => slot.both += 1,
-            (true, false) => slot.cdn_only += 1,
-            (false, true) => slot.icmp_only += 1,
-            (false, false) => unreachable!("address from the union"),
+    tally(cdn, icmp, db, |d, split| add(&mut out[d.rir.index()], split));
+    out
+}
+
+/// Hands every seen address's split, grouped as coarsely as the
+/// answer allows, to `f` with the delegation covering it; undelegated
+/// addresses are dropped.
+///
+/// The per-`/24` splits come from a merge walk of the two sets' block
+/// counts and their intersection's, so no union is built and no member
+/// visited. A `/24` no delegation splits resolves with one lookup of
+/// its network address; one that a longer delegation splits
+/// ([`DelegationDb::is_split`]) is resolved address by address, inside
+/// that `/24` only.
+fn tally<S: ActiveSet>(
+    cdn: &S,
+    icmp: &S,
+    db: &DelegationDb,
+    mut f: impl FnMut(Delegation, VisibilitySplit),
+) {
+    for (block, split) in block_splits(cdn, icmp) {
+        if !db.is_split(block) {
+            if let Some(d) = db.lookup(block.network()) {
+                f(d, split);
+            }
+            continue;
+        }
+        for addr in block.addrs() {
+            let (c, i) = (cdn.contains(addr), icmp.contains(addr));
+            if !(c || i) {
+                continue;
+            }
+            if let Some(d) = db.lookup(addr) {
+                let (cdn_only, both) = (usize::from(c && !i), usize::from(c && i));
+                f(d, VisibilitySplit { cdn_only, both, icmp_only: usize::from(i && !c) });
+            }
         }
     }
-    out
+}
+
+/// The visibility split of every `/24` either set touches, ascending.
+fn block_splits<S: ActiveSet>(cdn: &S, icmp: &S) -> Vec<(Block24, VisibilitySplit)> {
+    let (c, i, b) = (cdn.block_counts(), icmp.block_counts(), cdn.intersect_block_counts(icmp));
+    let (mut ci, mut ii, mut bi) = (0, 0, 0);
+    let mut out = Vec::with_capacity(c.len().max(i.len()));
+    // The count of `block` in `counts`, stepping past it.
+    let take = |counts: &[(Block24, u32)], at: &mut usize, block: Block24| match counts.get(*at) {
+        Some(&(b, n)) if b == block => {
+            *at += 1;
+            n as usize
+        }
+        _ => 0,
+    };
+    loop {
+        let block = match (c.get(ci), i.get(ii)) {
+            (None, None) => return out,
+            (Some(&(x, _)), None) | (None, Some(&(x, _))) => x,
+            (Some(&(x, _)), Some(&(y, _))) => x.min(y),
+        };
+        let (nc, ni) = (take(&c, &mut ci, block), take(&i, &mut ii, block));
+        let both = take(&b, &mut bi, block);
+        out.push((block, VisibilitySplit { cdn_only: nc - both, both, icmp_only: ni - both }));
+    }
+}
+
+fn add(into: &mut VisibilitySplit, split: VisibilitySplit) {
+    into.cdn_only += split.cdn_only;
+    into.both += split.both;
+    into.icmp_only += split.icmp_only;
 }
 
 /// One Figure 3(b) bar: a country's visibility split plus its ITU
@@ -60,17 +117,7 @@ pub fn top_countries<S: ActiveSet>(
     n: usize,
 ) -> Vec<CountryVisibility> {
     let mut per_country: HashMap<CountryCode, VisibilitySplit> = HashMap::new();
-    let union = cdn.union(icmp);
-    for addr in union.iter() {
-        let Some(country) = db.country_of(addr) else { continue };
-        let slot = per_country.entry(country).or_default();
-        match (cdn.contains(addr), icmp.contains(addr)) {
-            (true, true) => slot.both += 1,
-            (true, false) => slot.cdn_only += 1,
-            (false, true) => slot.icmp_only += 1,
-            (false, false) => unreachable!("address from the union"),
-        }
-    }
+    tally(cdn, icmp, db, |d, split| add(per_country.entry(d.country).or_default(), split));
     let mut rows: Vec<CountryVisibility> = per_country
         .into_iter()
         .map(|(country, split)| CountryVisibility {
@@ -146,6 +193,26 @@ mod tests {
         let apnic = grouped[Rir::Apnic.index()];
         assert_eq!(apnic.icmp_only, 1);
         assert_eq!(grouped[Rir::Lacnic.index()].total(), 0);
+    }
+
+    #[test]
+    fn a_24_split_by_a_longer_delegation_is_counted_per_address() {
+        let mut db = db();
+        db.insert(Delegation {
+            prefix: "10.0.0.128/25".parse().unwrap(),
+            rir: Rir::Lacnic,
+            country: CountryCode::new("BR"),
+        });
+        let cdn = set(&["10.0.0.1", "10.0.0.200", "10.0.1.5"]);
+        let icmp = set(&["10.0.0.200", "10.0.0.201"]);
+        let grouped = by_rir(&cdn, &icmp, &db);
+        let arin = VisibilitySplit { cdn_only: 2, both: 0, icmp_only: 0 };
+        assert_eq!(grouped[Rir::Arin.index()], arin);
+        let lacnic = VisibilitySplit { cdn_only: 0, both: 1, icmp_only: 1 };
+        assert_eq!(grouped[Rir::Lacnic.index()], lacnic);
+        let rows = top_countries(&cdn, &icmp, &db, 5);
+        let rows: Vec<_> = rows.iter().map(|r| (r.country.as_str(), r.split)).collect();
+        assert_eq!(rows, [("BR", lacnic), ("US", arin)]);
     }
 
     #[test]

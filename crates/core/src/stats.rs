@@ -163,20 +163,26 @@ impl LinearFit {
 /// inequality measure complementing the top-decile share when
 /// describing traffic concentration (0 = perfectly even, →1 = one
 /// address carries everything).
+///
+/// `values` must be sorted ascending (as every week of
+/// [`crate::WeeklyDataset::week_hits`] is): a value's rank is then its
+/// position, and the coefficient is one pass with no copy or sort.
 pub fn gini(values: &[u64]) -> f64 {
+    debug_assert!(
+        values.windows(2).all(|w| w[0] <= w[1]),
+        "gini needs values sorted ascending"
+    );
     if values.is_empty() {
         return 0.0;
     }
-    let mut v: Vec<u64> = values.to_vec();
-    v.sort_unstable();
-    let n = v.len() as f64;
-    let total: f64 = v.iter().map(|&x| x as f64).sum();
+    let n = values.len() as f64;
+    let total: f64 = values.iter().map(|&x| x as f64).sum();
     if total == 0.0 {
         return 0.0;
     }
     // G = (2·Σ i·x_i) / (n·Σ x) − (n+1)/n with 1-based ranks on the
-    // ascending sort.
-    let weighted: f64 = v
+    // ascending order.
+    let weighted: f64 = values
         .iter()
         .enumerate()
         .map(|(i, &x)| (i as f64 + 1.0) * x as f64)
@@ -309,7 +315,7 @@ mod tests {
         let g = gini(&[0, 0, 0, 100]);
         assert!((g - 0.75).abs() < 1e-12, "g={g}");
         // Monotone in concentration.
-        assert!(gini(&[90, 5, 5]) > gini(&[40, 30, 30]));
+        assert!(gini(&[5, 5, 90]) > gini(&[30, 30, 40]));
         assert!((0.0..1.0).contains(&gini(&[1, 2, 3, 4, 5, 100])));
     }
 

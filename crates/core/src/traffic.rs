@@ -73,17 +73,23 @@ pub fn cumulative_shares(ds: &DailyDataset) -> CumulativeShares {
 /// Share of total traffic received by the top `frac` of addresses by
 /// hit count (Figure 9(c) computes this per week with `frac = 0.1`).
 ///
-/// With `n` addresses, the top `⌈frac·n⌉` are taken (at least one,
-/// when any exist).
+/// `hits` must be sorted ascending, as every week of
+/// [`WeeklyDataset::week_hits`] is: the top `⌈frac·n⌉` of `n`
+/// addresses (at least one, when any exist) are then the tail, and the
+/// share is its sum over the total, with no copy, selection or sort.
 ///
 /// ```
 /// use ipactive_core::traffic::top_share;
 /// // One whale among nine minnows: the top 10% carry ~91% of traffic.
-/// let hits = [100u64, 1, 1, 1, 1, 1, 1, 1, 1, 1];
+/// let hits = [1u64, 1, 1, 1, 1, 1, 1, 1, 1, 100];
 /// assert!((top_share(&hits, 0.1) - 100.0 / 109.0).abs() < 1e-12);
 /// ```
 pub fn top_share(hits: &[u64], frac: f64) -> f64 {
     assert!((0.0..=1.0).contains(&frac));
+    debug_assert!(
+        hits.windows(2).all(|w| w[0] <= w[1]),
+        "top_share needs hits sorted ascending"
+    );
     if hits.is_empty() || frac == 0.0 {
         return 0.0;
     }
@@ -91,14 +97,8 @@ pub fn top_share(hits: &[u64], frac: f64) -> f64 {
     if total == 0 {
         return 0.0;
     }
-    let mut scratch = hits.to_vec();
-    let k = ((frac * scratch.len() as f64).ceil() as usize).clamp(1, scratch.len());
-    // Only the top-k *multiset* matters for the sum, so an O(n)
-    // selection replaces the full descending sort.
-    if k < scratch.len() {
-        scratch.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
-    }
-    let top: u64 = scratch[..k].iter().sum();
+    let k = ((frac * hits.len() as f64).ceil() as usize).clamp(1, hits.len());
+    let top: u64 = hits[hits.len() - k..].iter().sum();
     top as f64 / total as f64
 }
 
@@ -106,22 +106,6 @@ pub fn top_share(hits: &[u64], frac: f64) -> f64 {
 /// `frac` of that week's addresses.
 pub fn weekly_top_share(ws: &WeeklyDataset, frac: f64) -> Vec<f64> {
     ws.week_hits.iter().map(|hits| top_share(hits, frac)).collect()
-}
-
-/// [`weekly_top_share`] with the weeks split into chunk-range
-/// subtasks; each week's share is independent, and chunk results
-/// concatenate in week order, so the output equals the serial form.
-pub fn weekly_top_share_par(
-    ws: &WeeklyDataset,
-    frac: f64,
-    par: &crate::par::Parallelism,
-) -> Vec<f64> {
-    par.run(ws.week_hits.len(), 4, |range| {
-        range.map(|w| top_share(&ws.week_hits[w], frac)).collect::<Vec<f64>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// Centered moving average used to overlay the Figure 9(c) trend
@@ -205,16 +189,16 @@ mod tests {
 
     #[test]
     fn top_share_basics() {
-        // 10 addresses: one with 90 hits, nine with ~1.
-        let mut hits = vec![90u64];
-        hits.extend(std::iter::repeat_n(1u64, 9));
+        // 10 addresses: nine with 1 hit, one with 90.
+        let mut hits = vec![1u64; 9];
+        hits.push(90);
         let share = top_share(&hits, 0.1);
         assert!((share - 90.0 / 99.0).abs() < 1e-12);
         assert_eq!(top_share(&[], 0.1), 0.0);
         assert_eq!(top_share(&[5, 5], 0.0), 0.0);
         assert!((top_share(&[5, 5], 1.0) - 1.0).abs() < 1e-12);
         // ceil: top 10% of 5 addrs = 1 addr.
-        assert!((top_share(&[10, 1, 1, 1, 1], 0.1) - 10.0 / 14.0).abs() < 1e-12);
+        assert!((top_share(&[1, 1, 1, 1, 10], 0.1) - 10.0 / 14.0).abs() < 1e-12);
     }
 
     #[test]
@@ -234,16 +218,13 @@ mod tests {
         assert!((shares[0] - 0.1).abs() < 1e-12);
         assert_eq!(shares[1], 0.0); // empty week
         assert!(shares[2] > 0.9);
-        for pool in [crate::par::Parallelism::serial(), crate::par::Parallelism::new(2)] {
-            assert_eq!(weekly_top_share_par(&ws, 0.1, &pool), shares);
-        }
     }
 
     #[test]
     fn top_share_selection_handles_ties_like_a_full_sort() {
         // Duplicated values straddling the k-th position: the top-k
         // multiset (and hence the share) is unique despite ties.
-        let hits = [7u64, 7, 7, 7, 3, 3, 1];
+        let hits = [1u64, 3, 3, 7, 7, 7, 7];
         let mut sorted = hits.to_vec();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
         for frac in [0.1, 0.25, 0.5, 0.75, 1.0] {

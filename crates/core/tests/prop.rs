@@ -1,9 +1,17 @@
 //! Property-based tests for the analysis library: invariants that must
 //! hold for *any* activity history, not just the fixtures.
 
-use ipactive_core::{blocks, change, churn, events, matrix, traffic, DailyDatasetBuilder};
-use ipactive_net::{Addr, Block24};
+use ipactive_bgp::Asn;
+use ipactive_core::census::{self, CensusRow};
+use ipactive_core::churn::WeekDrift;
+use ipactive_core::geo::{self, CountryVisibility};
+use ipactive_core::visibility::VisibilitySplit;
+use ipactive_core::{blocks, change, churn, events, matrix, stats, traffic};
+use ipactive_core::{DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder};
+use ipactive_net::{ActiveSet, Addr, AddrSet, Block24, Prefix, TieredSet};
+use ipactive_rir::{subscriber_ranks, CountryCode, Delegation, DelegationDb, Rir};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 const DAYS: usize = 12;
 
@@ -158,7 +166,8 @@ proptest! {
 
     /// top_share is monotone in the fraction and bounded by 1.
     #[test]
-    fn top_share_monotone(hits in prop::collection::vec(0u64..10_000, 1..200)) {
+    fn top_share_monotone(mut hits in prop::collection::vec(0u64..10_000, 1..200)) {
+        hits.sort_unstable();
         let s10 = traffic::top_share(&hits, 0.1);
         let s50 = traffic::top_share(&hits, 0.5);
         let s100 = traffic::top_share(&hits, 1.0);
@@ -209,5 +218,399 @@ fn always_on_address_never_churns() {
             assert!(!prev.difference(&cur).contains(addr));
             prev = cur;
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Figure kernels against their per-address oracles. Each oracle is the
+// body the kernel had before it counted per /24, per tile or per tail:
+// it walks every address (or sorts a copy) and is kept here as the
+// definition the counting kernel must equal bit for bit, `f64`s
+// included.
+// ---------------------------------------------------------------------
+
+/// Hosts on both sides of the 64-host tile edges, and anywhere else.
+fn arb_host() -> impl Strategy<Value = u8> {
+    prop_oneof![any::<u8>(), Just(0u8), Just(63), Just(64), Just(127), Just(128), Just(255)]
+}
+
+/// Days or weeks on both sides of the 64-slot tile edge, the last day
+/// of the paper's window and the last a day matrix holds.
+fn arb_slot() -> impl Strategy<Value = usize> {
+    prop_oneof![0usize..128, Just(0), Just(63), Just(64), Just(111), Just(127)]
+}
+
+/// A daily dataset over eight blocks and the paper's 112 days or any
+/// window up to 128, so both 64-day halves of the matrix are active.
+fn arb_daily() -> impl Strategy<Value = DailyDataset> {
+    (
+        prop_oneof![Just(112usize), 1usize..=128],
+        prop::collection::vec((0u32..8, arb_host(), arb_slot()), 0..400),
+    )
+        .prop_map(|(days, records)| {
+            let mut b = DailyDatasetBuilder::new(days);
+            for (blk, host, day) in records {
+                b.record_hits(day % days, Block24::new(0x0A_0000 + blk).addr(host), 1);
+            }
+            b.finish()
+        })
+}
+
+/// A weekly dataset over eight blocks and the paper's 52 weeks or any
+/// count up to 64.
+fn arb_weekly() -> impl Strategy<Value = WeeklyDataset> {
+    (
+        prop_oneof![Just(52usize), 1usize..=64],
+        prop::collection::vec((0u32..8, arb_host(), arb_slot(), 1u64..1_000), 0..400),
+    )
+        .prop_map(|(weeks, records)| {
+            let mut b = WeeklyDatasetBuilder::new(weeks);
+            for (blk, host, week, hits) in records {
+                b.record_week(week % weeks, Block24::new(0x0A_0000 + blk).addr(host), hits);
+            }
+            b.finish()
+        })
+}
+
+/// Origin AS of a census block: three ASes share the eight blocks, and
+/// every fourth block has no origin.
+fn origin(block: Block24) -> Option<Asn> {
+    (block.id() % 4 != 3).then_some(Asn(block.id() % 3))
+}
+
+/// An address in one of 24 `/24`s: three `/8`s, two `/16`s in each,
+/// four `/24`s in each of those.
+fn arb_addr() -> impl Strategy<Value = Addr> {
+    (0usize..3, 0u32..2, 0u32..4, arb_host()).prop_map(|(a, b, c, host)| {
+        Addr::new([10u32, 11, 41][a] << 24 | b << 16 | c << 8 | u32::from(host))
+    })
+}
+
+/// `/8`–`/24` delegations, `/25`–`/28` ones that split a `/24`, and
+/// undelegated gaps wherever none lands, over [`arb_addr`]'s space.
+fn arb_db() -> impl Strategy<Value = DelegationDb> {
+    let delegation = (arb_addr(), prop_oneof![8u8..=24, 25u8..=28], 0usize..5, 0usize..4);
+    prop::collection::vec(delegation, 0..10).prop_map(|delegations| {
+        let mut db = DelegationDb::new();
+        for (addr, len, rir, cc) in delegations {
+            db.insert(Delegation {
+                prefix: Prefix::new(addr, len),
+                rir: Rir::ALL[rir],
+                country: CountryCode::new(["US", "DE", "CN", "BR"][cc]),
+            });
+        }
+        db
+    })
+}
+
+fn oracle_daily_census(
+    ds: &DailyDataset,
+    mut resolve: impl FnMut(Block24) -> Option<Asn>,
+) -> CensusRow {
+    let days = ds.num_days;
+    let mut ips_per_day = vec![0u64; days];
+    let mut blocks_per_day = vec![0u64; days];
+    let mut ases_per_day: Vec<HashSet<Asn>> = vec![HashSet::new(); days];
+    let mut ases_total: HashSet<Asn> = HashSet::new();
+    let mut ips_total = 0u64;
+    let mut blocks_total = 0u64;
+    let mut as_cache: HashMap<Block24, Option<Asn>> = HashMap::new();
+    for rec in &ds.blocks {
+        let asn = *as_cache.entry(rec.block).or_insert_with(|| resolve(rec.block));
+        let mut block_any = false;
+        let mut block_days = [false; 128];
+        for bits in rec.rows.iter() {
+            if bits.is_empty() {
+                continue;
+            }
+            ips_total += 1;
+            block_any = true;
+            for d in bits.iter() {
+                ips_per_day[d] += 1;
+                block_days[d] = true;
+            }
+        }
+        if block_any {
+            blocks_total += 1;
+            if let Some(asn) = asn {
+                ases_total.insert(asn);
+            }
+            for (d, &active) in block_days.iter().enumerate().take(days) {
+                if active {
+                    blocks_per_day[d] += 1;
+                    if let Some(asn) = asn {
+                        ases_per_day[d].insert(asn);
+                    }
+                }
+            }
+        }
+    }
+    let avg = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len().max(1) as f64;
+    CensusRow {
+        snapshots: days,
+        ips_total,
+        ips_avg: avg(&ips_per_day),
+        blocks_total,
+        blocks_avg: avg(&blocks_per_day),
+        ases_total: ases_total.len() as u64,
+        ases_avg: ases_per_day.iter().map(|s| s.len() as u64).sum::<u64>() as f64
+            / days.max(1) as f64,
+    }
+}
+
+fn oracle_weekly_census(
+    ws: &WeeklyDataset,
+    mut resolve: impl FnMut(Block24) -> Option<Asn>,
+) -> CensusRow {
+    let weeks = ws.num_weeks;
+    let mut ips_per_week = vec![0u64; weeks];
+    let mut blocks_per_week = vec![0u64; weeks];
+    let mut ases_per_week: Vec<HashSet<Asn>> = vec![HashSet::new(); weeks];
+    let mut ases_total: HashSet<Asn> = HashSet::new();
+    let mut ips_total = 0u64;
+    let mut blocks_total = 0u64;
+    for (block, rows) in &ws.blocks {
+        let asn = resolve(*block);
+        let mut block_weeks = 0u64;
+        for &bits in rows.iter() {
+            if bits == 0 {
+                continue;
+            }
+            ips_total += 1;
+            block_weeks |= bits;
+            let mut b = bits;
+            while b != 0 {
+                let w = b.trailing_zeros() as usize;
+                ips_per_week[w] += 1;
+                b &= b - 1;
+            }
+        }
+        if block_weeks != 0 {
+            blocks_total += 1;
+            if let Some(asn) = asn {
+                ases_total.insert(asn);
+            }
+            let mut b = block_weeks;
+            while b != 0 {
+                let w = b.trailing_zeros() as usize;
+                blocks_per_week[w] += 1;
+                if let Some(asn) = asn {
+                    ases_per_week[w].insert(asn);
+                }
+                b &= b - 1;
+            }
+        }
+    }
+    let avg = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len().max(1) as f64;
+    CensusRow {
+        snapshots: weeks,
+        ips_total,
+        ips_avg: avg(&ips_per_week),
+        blocks_total,
+        blocks_avg: avg(&blocks_per_week),
+        ases_total: ases_total.len() as u64,
+        ases_avg: ases_per_week.iter().map(|s| s.len() as u64).sum::<u64>() as f64
+            / weeks.max(1) as f64,
+    }
+}
+
+fn oracle_by_rir<S: ActiveSet>(cdn: &S, icmp: &S, db: &DelegationDb) -> [VisibilitySplit; 5] {
+    let mut out = [VisibilitySplit::default(); 5];
+    let union = cdn.union(icmp);
+    for addr in union.iter() {
+        let Some(rir) = db.rir_of(addr) else { continue };
+        let slot = &mut out[rir.index()];
+        match (cdn.contains(addr), icmp.contains(addr)) {
+            (true, true) => slot.both += 1,
+            (true, false) => slot.cdn_only += 1,
+            (false, true) => slot.icmp_only += 1,
+            (false, false) => unreachable!("address from the union"),
+        }
+    }
+    out
+}
+
+fn oracle_top_countries<S: ActiveSet>(
+    cdn: &S,
+    icmp: &S,
+    db: &DelegationDb,
+    n: usize,
+) -> Vec<CountryVisibility> {
+    let mut per_country: HashMap<CountryCode, VisibilitySplit> = HashMap::new();
+    let union = cdn.union(icmp);
+    for addr in union.iter() {
+        let Some(country) = db.country_of(addr) else { continue };
+        let slot = per_country.entry(country).or_default();
+        match (cdn.contains(addr), icmp.contains(addr)) {
+            (true, true) => slot.both += 1,
+            (true, false) => slot.cdn_only += 1,
+            (false, true) => slot.icmp_only += 1,
+            (false, false) => unreachable!("address from the union"),
+        }
+    }
+    let mut rows: Vec<CountryVisibility> = per_country
+        .into_iter()
+        .map(|(country, split)| CountryVisibility {
+            country,
+            split,
+            ranks: subscriber_ranks(country),
+        })
+        .collect();
+    rows.sort_by(|x, y| {
+        y.split.total().cmp(&x.split.total()).then(x.country.cmp(&y.country))
+    });
+    rows.truncate(n);
+    rows
+}
+
+fn oracle_year_drift(ws: &WeeklyDataset) -> Vec<WeekDrift> {
+    let mut base = 0u64;
+    let mut appear = vec![0u64; ws.num_weeks];
+    let mut disappear = vec![0u64; ws.num_weeks];
+    for (_, rows) in &ws.blocks {
+        for &bits in rows.iter() {
+            if bits == 0 {
+                continue;
+            }
+            let in_base = bits & 1 != 0;
+            if in_base {
+                base += 1;
+            }
+            for w in 1..ws.num_weeks {
+                let in_w = bits & (1u64 << w) != 0;
+                match (in_base, in_w) {
+                    (false, true) => appear[w] += 1,
+                    (true, false) => disappear[w] += 1,
+                    _ => {}
+                }
+            }
+        }
+    }
+    let basef = base.max(1) as f64;
+    (1..ws.num_weeks)
+        .map(|w| WeekDrift {
+            week: w,
+            appear: appear[w] as usize,
+            disappear: disappear[w] as usize,
+            appear_frac: appear[w] as f64 / basef,
+            disappear_frac: disappear[w] as f64 / basef,
+        })
+        .collect()
+}
+
+/// Takes hits in any order.
+fn oracle_top_share(hits: &[u64], frac: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&frac));
+    if hits.is_empty() || frac == 0.0 {
+        return 0.0;
+    }
+    let total: u64 = hits.iter().sum();
+    if total == 0 {
+        return 0.0;
+    }
+    let mut scratch = hits.to_vec();
+    let k = ((frac * scratch.len() as f64).ceil() as usize).clamp(1, scratch.len());
+    if k < scratch.len() {
+        scratch.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
+    }
+    let top: u64 = scratch[..k].iter().sum();
+    top as f64 / total as f64
+}
+
+/// Takes values in any order.
+fn oracle_gini(values: &[u64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut v: Vec<u64> = values.to_vec();
+    v.sort_unstable();
+    let n = v.len() as f64;
+    let total: f64 = v.iter().map(|&x| x as f64).sum();
+    if total == 0.0 {
+        return 0.0;
+    }
+    let weighted: f64 = v
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| (i as f64 + 1.0) * x as f64)
+        .sum();
+    (2.0 * weighted) / (n * total) - (n + 1.0) / n
+}
+
+/// Fig 3(a) and 3(b) on backend `S` against the address walk.
+fn geo_equals_the_oracle<S: ActiveSet>(
+    cdn: &[Addr],
+    icmp: &[Addr],
+    db: &DelegationDb,
+) -> Result<(), TestCaseError> {
+    let (cdn, icmp): (S, S) = (cdn.iter().copied().collect(), icmp.iter().copied().collect());
+    let backend = S::backend_name();
+    prop_assert_eq!(geo::by_rir(&cdn, &icmp, db), oracle_by_rir(&cdn, &icmp, db), "{}", backend);
+    for n in [1, 3, 16] {
+        prop_assert_eq!(
+            geo::top_countries(&cdn, &icmp, db, n),
+            oracle_top_countries(&cdn, &icmp, db, n),
+            "{} top {}",
+            backend,
+            n
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Table 1's daily row, and the transposed bulk day sets, over
+    /// windows whose activity reaches both 64-day tiles.
+    #[test]
+    fn daily_kernels_equal_their_oracles(ds in arb_daily()) {
+        prop_assert_eq!(census::daily_census(&ds, origin), oracle_daily_census(&ds, origin));
+        let bulk: Vec<TieredSet> = ds.day_sets_all();
+        for (d, set) in bulk.iter().enumerate() {
+            prop_assert_eq!(set, &ds.day_set_as::<TieredSet>(d), "day {}", d);
+        }
+    }
+
+    /// Table 1's weekly row, Fig 4(c), Fig 9(c)'s shares and Gini, and
+    /// the transposed bulk week sets.
+    #[test]
+    fn weekly_kernels_equal_their_oracles(ws in arb_weekly()) {
+        prop_assert_eq!(census::weekly_census(&ws, origin), oracle_weekly_census(&ws, origin));
+        prop_assert_eq!(churn::year_drift(&ws), oracle_year_drift(&ws));
+        let shares: Vec<f64> = ws.week_hits.iter().map(|h| oracle_top_share(h, 0.1)).collect();
+        prop_assert_eq!(traffic::weekly_top_share(&ws, 0.1), shares);
+        for hits in &ws.week_hits {
+            prop_assert_eq!(stats::gini(hits), oracle_gini(hits));
+        }
+        let bulk: Vec<TieredSet> = ws.week_sets_all();
+        for (w, set) in bulk.iter().enumerate() {
+            prop_assert_eq!(set, &ws.week_set_as::<TieredSet>(w), "week {}", w);
+        }
+    }
+
+    /// Fig 3(a) and 3(b) on both backends, with /24s split by longer
+    /// delegations and addresses no delegation covers.
+    #[test]
+    fn geo_kernels_equal_their_oracles(
+        cdn in prop::collection::vec(arb_addr(), 0..300),
+        icmp in prop::collection::vec(arb_addr(), 0..300),
+        db in arb_db(),
+    ) {
+        geo_equals_the_oracle::<AddrSet>(&cdn, &icmp, &db)?;
+        geo_equals_the_oracle::<TieredSet>(&cdn, &icmp, &db)?;
+    }
+
+    /// The tail sum and the ranked pass over sorted hits equal selection
+    /// and sorting over the same hits in any order.
+    #[test]
+    fn top_share_and_gini_equal_their_oracles(
+        hits in prop::collection::vec(prop_oneof![0u64..4, 0u64..1_000_000], 0..300),
+        frac in prop_oneof![Just(0.1), 0.0f64..=1.0],
+    ) {
+        let mut sorted = hits.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(traffic::top_share(&sorted, frac), oracle_top_share(&hits, frac));
+        prop_assert_eq!(stats::gini(&sorted), oracle_gini(&hits));
     }
 }

@@ -1,7 +1,8 @@
 //! Delegation database: prefix → (RIR, country).
 
 use crate::{CountryCode, Rir};
-use ipactive_net::{Addr, Prefix, PrefixTrie};
+use ipactive_net::{Addr, Block24, Prefix, PrefixTrie};
+use std::collections::HashSet;
 
 /// One address-space delegation, as in the NRO extended allocation files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,17 +35,30 @@ pub struct Delegation {
 #[derive(Debug, Clone, Default)]
 pub struct DelegationDb {
     trie: PrefixTrie<(Rir, CountryCode)>,
+    /// The `/24`s a delegation longer than `/24` lies inside.
+    split: HashSet<Block24>,
 }
 
 impl DelegationDb {
     /// An empty database.
     pub fn new() -> Self {
-        DelegationDb { trie: PrefixTrie::new() }
+        DelegationDb::default()
     }
 
     /// Adds (or replaces) a delegation.
     pub fn insert(&mut self, d: Delegation) {
+        if d.prefix.len() > 24 {
+            self.split.insert(Block24::of(d.prefix.network()));
+        }
         self.trie.insert(d.prefix, (d.rir, d.country));
+    }
+
+    /// Whether a delegation longer than `/24` lies inside `block`, so
+    /// that its addresses may resolve to different delegations. For any
+    /// other block, [`lookup`](Self::lookup) of its network address
+    /// answers for all 256 of them.
+    pub fn is_split(&self, block: Block24) -> bool {
+        self.split.contains(&block)
     }
 
     /// Number of delegations stored.
@@ -124,6 +138,22 @@ mod tests {
         assert_eq!(all.len(), 3);
         assert_eq!(all[0].country.as_str(), "ZA");
         assert_eq!(all[2].country.as_str(), "BR");
+    }
+
+    #[test]
+    fn only_delegations_longer_than_a_24_split_it() {
+        let mut db = DelegationDb::new();
+        db.insert(deleg("80.0.0.0/8", Rir::Ripe, "GB"));
+        db.insert(deleg("80.1.2.0/24", Rir::Ripe, "DE"));
+        db.insert(deleg("80.1.3.128/25", Rir::Ripe, "FR"));
+        db.insert(deleg("80.1.4.7/32", Rir::Ripe, "NL"));
+        let block = |s: &str| Block24::of(s.parse().unwrap());
+        assert!(!db.is_split(block("80.0.0.0")));
+        assert!(!db.is_split(block("80.1.2.0")));
+        assert!(db.is_split(block("80.1.3.0")));
+        assert!(db.is_split(block("80.1.4.0")));
+        assert_eq!(db.country_of("80.1.3.1".parse().unwrap()).unwrap().as_str(), "GB");
+        assert_eq!(db.country_of("80.1.3.129".parse().unwrap()).unwrap().as_str(), "FR");
     }
 
     #[test]
