@@ -25,6 +25,11 @@ impl SeedMixer {
     }
 
     /// Derives a child mixer tagged by `tag`.
+    ///
+    /// This and the draws below are `#[inline(always)]`, as is what they
+    /// call: the lane loops (`fastmath::LaneLoop`) compile them into
+    /// their AVX-512 body.
+    #[inline(always)]
     pub fn child(self, tag: u64) -> SeedMixer {
         SeedMixer(splitmix(self.0 ^ tag.wrapping_mul(GAMMA)))
     }
@@ -35,23 +40,27 @@ impl SeedMixer {
     }
 
     /// A single `u64` draw without constructing an RNG.
+    #[inline(always)]
     pub fn value(self) -> u64 {
         splitmix(self.0)
     }
 
     /// A uniform draw in `[0, 1)` without constructing an RNG.
+    #[inline(always)]
     pub fn unit(self) -> f64 {
         unit_of(self.value())
     }
 
     /// `rng()`'s first `f64` draw, from the one state word it reads
     /// (see [`xoshiro_two_units`]).
+    #[inline(always)]
     pub(crate) fn first_unit(self) -> f64 {
         xoshiro_first_unit(splitmix(self.0))
     }
 
     /// `rng()`'s first two `f64` draws, from the three state words they
     /// read (see [`xoshiro_two_units`]).
+    #[inline(always)]
     pub(crate) fn two_units(self) -> (f64, f64) {
         xoshiro_two_units(splitmix(self.0))
     }
@@ -61,16 +70,19 @@ impl SeedMixer {
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The `f64` in `[0, 1)` the generators make of 64 random bits.
+#[inline(always)]
 fn unit_of(bits: u64) -> f64 {
     (bits >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// xoshiro256**'s output function.
+#[inline(always)]
 fn starstar(word: u64) -> u64 {
     word.wrapping_mul(5).rotate_left(7).wrapping_mul(9)
 }
 
 /// `StdRng::seed_from_u64(seed)`'s first `f64` draw.
+#[inline(always)]
 fn xoshiro_first_unit(seed: u64) -> f64 {
     unit_of(starstar(splitmix(seed.wrapping_add(GAMMA))))
 }
@@ -90,6 +102,7 @@ fn xoshiro_first_unit(seed: u64) -> f64 {
 /// that sends only 0 to 0, so `s[k] = 0` exactly when `seed + (k+1)·γ ≡ 0
 /// (mod 2⁶⁴)`; γ is odd, so that holds for at most one `k`, and at most
 /// one of the four words is ever zero.
+#[inline(always)]
 fn xoshiro_two_units(seed: u64) -> (f64, f64) {
     let s0 = splitmix(seed);
     let s1 = splitmix(seed.wrapping_add(GAMMA));
@@ -107,6 +120,7 @@ impl SeedMixer {
     }
 }
 
+#[inline(always)]
 fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

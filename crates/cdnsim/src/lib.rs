@@ -30,11 +30,12 @@
 //! assert!(daily.total_active() > 0);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod behavior;
 mod config;
+mod fastmath;
 mod growth;
 mod pipeline;
 mod policy;
@@ -45,6 +46,7 @@ mod universe;
 
 pub use behavior::SeedMixer;
 pub use config::{AsKind, CountryProfile, UniverseConfig, COUNTRY_PROFILES};
+pub use fastmath::Kernel;
 pub use growth::{monthly_counts, GrowthModel};
 pub use pipeline::{
     collect_daily, collect_daily_sharded, collect_from_store, collect_store,

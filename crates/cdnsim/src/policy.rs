@@ -24,6 +24,7 @@
 
 use crate::behavior::{lognormal, round_hits, weekday_factor, SeedMixer};
 use crate::config::CountryProfile;
+use crate::fastmath::{self, fast_cos_2pi, fast_exp, fast_ln, Kernel, LaneLoop};
 use ipactive_net::AddrBits256;
 use ipactive_probe::ServiceSet;
 use rand::RngExt;
@@ -163,19 +164,21 @@ struct DayDraws {
     weekday: f64,
     online: SeedMixer,
     hits: SeedMixer,
+    kernel: Kernel,
 }
 
 /// Subscribers a day's draws are taken for at a time — the length of
-/// the stack arrays [`DayDraws::each_online`] runs its libm loops over.
+/// the stack arrays [`DayDraws::each_online`] runs its loops over.
 const CHUNK: usize = 64;
 
 impl DayDraws {
-    fn new(seed: SeedMixer, institutional: bool, t: usize) -> DayDraws {
+    fn new(seed: SeedMixer, institutional: bool, t: usize, kernel: Kernel) -> DayDraws {
         DayDraws {
             week: (t / 7) as u16,
             weekday: weekday_factor(institutional, (t % 7) as u8),
             online: seed.child(0xD0).child(t as u64),
             hits: seed.child(0x417).child(t as u64),
+            kernel,
         }
     }
 
@@ -188,7 +191,51 @@ impl DayDraws {
 
     /// Hands `place` `(s, sub, hits)` for every subscriber online on the
     /// day, in subscriber order: the one hit draw of the four subscriber
-    /// policies.
+    /// policies, through the day's [`Kernel`]. Every kernel hands out the
+    /// same hits.
+    fn each_online(&self, subs: &[Subscriber], place: impl FnMut(usize, &Subscriber, u32)) {
+        match self.kernel {
+            Kernel::Libm => self.each_online_libm(subs, place),
+            Kernel::Lanes | Kernel::Avx512 => self.each_online_lanes(subs, place),
+        }
+    }
+
+    /// [`Self::each_online`] rounding first: each chunk's [`HitLanes`]
+    /// loop gives every lane its online coin and approximate variate,
+    /// then the online lanes are rounded in subscriber order — through
+    /// [`fastmath::round_clear`], or, for the rare variate within
+    /// [`fastmath::EDGE`] of a rounding boundary, through
+    /// [`Self::exact_hits`].
+    fn each_online_lanes(
+        &self,
+        subs: &[Subscriber],
+        mut place: impl FnMut(usize, &Subscriber, u32),
+    ) {
+        for (c, chunk) in subs.chunks(CHUNK).enumerate() {
+            let first = c * CHUNK;
+            let mut lanes = HitLanes::new(self, first, chunk);
+            self.kernel.run(&mut lanes);
+            for (i, sub) in chunk.iter().enumerate() {
+                if lanes.is_online[i] {
+                    let s = first + i;
+                    let hits = fastmath::round_clear(lanes.x[i])
+                        .unwrap_or_else(|| self.exact_hits(s, sub));
+                    place(s, sub, hits);
+                }
+            }
+        }
+    }
+
+    /// Subscriber `s`'s hits through libm, operation for operation as
+    /// [`Self::each_online_libm`] computes them.
+    fn exact_hits(&self, s: usize, sub: &Subscriber) -> u32 {
+        let (u1, u2) = self.hits.child(s as u64).two_units();
+        let radius = (-2.0 * u1.max(f64::MIN_POSITIVE).ln()).sqrt();
+        let cosine = (2.0 * core::f64::consts::PI * u2).cos();
+        round_hits(sub.intensity * (0.9 * (radius * cosine)).exp())
+    }
+
+    /// [`Self::each_online`] through libm.
     ///
     /// A subscriber's hits are `round_hits(lognormal(rng, intensity,
     /// 0.9))` over the first two draws of `hits.child(s).rng()`. Taken a
@@ -198,7 +245,11 @@ impl DayDraws {
     /// straight loop of independent calls. Same inputs, same calls, same
     /// operations in the same order (Rust does not contract `a * b + c`
     /// into a fused multiply-add), so the same bits.
-    fn each_online(&self, subs: &[Subscriber], mut place: impl FnMut(usize, &Subscriber, u32)) {
+    fn each_online_libm(
+        &self,
+        subs: &[Subscriber],
+        mut place: impl FnMut(usize, &Subscriber, u32),
+    ) {
         for (c, chunk) in subs.chunks(CHUNK).enumerate() {
             let first = c * CHUNK;
             let mut online = [0u8; CHUNK];
@@ -232,6 +283,58 @@ impl DayDraws {
     }
 }
 
+/// One chunk of [`DayDraws::each_online_lanes`]: every lane's online
+/// coin and approximate hit variate, in one straight loop over all
+/// [`CHUNK`] lanes — offline lanes and lanes past the chunk's end
+/// included, since a lane costs less than a branch would.
+struct HitLanes {
+    online: SeedMixer,
+    hits: SeedMixer,
+    first: u64,
+    /// What the online coin must fall below: the day's online rate, or
+    /// −1 outside the subscriber's lifespan and past the chunk's end.
+    threshold: [f64; CHUNK],
+    intensity: [f64; CHUNK],
+    is_online: [bool; CHUNK],
+    /// `intensity · exp(0.9 · √(−2 ln u₁) · cos 2πu₂)` through
+    /// [`fastmath`], on the uniforms `two_units()` draws.
+    x: [f64; CHUNK],
+}
+
+impl HitLanes {
+    fn new(day: &DayDraws, first: usize, chunk: &[Subscriber]) -> HitLanes {
+        let mut lanes = HitLanes {
+            online: day.online,
+            hits: day.hits,
+            first: first as u64,
+            threshold: [-1.0; CHUNK],
+            intensity: [0.0; CHUNK],
+            is_online: [false; CHUNK],
+            x: [0.0; CHUNK],
+        };
+        for (i, sub) in chunk.iter().enumerate() {
+            if (sub.start_week..sub.end_week).contains(&day.week) {
+                lanes.threshold[i] = sub.base_rate * day.weekday;
+            }
+            lanes.intensity[i] = sub.intensity;
+        }
+        lanes
+    }
+}
+
+impl LaneLoop for HitLanes {
+    #[inline(always)]
+    fn run(&mut self) {
+        for i in 0..CHUNK {
+            let s = self.first + i as u64;
+            let (u1, u2) = self.hits.child(s).two_units();
+            let radius = (-2.0 * fast_ln(u1.max(f64::MIN_POSITIVE))).sqrt();
+            self.x[i] = self.intensity[i] * fast_exp(0.9 * (radius * fast_cos_2pi(u2)));
+            self.is_online[i] = self.online.child(s).unit() < self.threshold[i];
+        }
+    }
+}
+
 /// A seeded permutation of 0..=255 (Fisher–Yates).
 fn permutation(seed: SeedMixer) -> [u8; 256] {
     let mut perm = [0u8; 256];
@@ -256,6 +359,7 @@ pub struct PolicySim {
     subs: Vec<Subscriber>,
     /// `DhcpLong` only.
     leases: Option<Leases>,
+    kernel: Kernel,
 }
 
 /// The `DhcpLong` lease history of a block's subscribers, epoch by
@@ -326,7 +430,14 @@ impl PolicySim {
             }
             _ => None,
         };
-        PolicySim { policy, seed, institutional, subs, leases }
+        PolicySim { policy, seed, institutional, subs, leases, kernel: Kernel::dispatched() }
+    }
+
+    /// The same simulation with its subscriber hits drawn by `kernel`
+    /// rather than [`Kernel::dispatched`] — every kernel gives the same
+    /// days; the choice is for tests that hold them to each other.
+    pub fn with_kernel(self, kernel: Kernel) -> PolicySim {
+        PolicySim { kernel, ..self }
     }
 
     /// Generates the block's activity for absolute day `t` into `out`,
@@ -335,7 +446,7 @@ impl PolicySim {
     pub fn eval_day_into(&self, t: usize, out: &mut Vec<DayEntry>) {
         out.clear();
         let seed = self.seed;
-        let day = DayDraws::new(seed, self.institutional, t);
+        let day = DayDraws::new(seed, self.institutional, t, self.kernel);
         // Position of each host's entry in `out` (insertion order is
         // part of the emitted log, so the entries themselves stay put).
         const ABSENT: u16 = u16::MAX;
@@ -767,5 +878,62 @@ mod tests {
         hosts.sort_unstable();
         hosts.dedup();
         assert_eq!(hosts.len(), before, "duplicate host entries");
+    }
+
+    /// `(s, hits)` of every subscriber `day` finds online.
+    fn hits_by(day: &DayDraws, subs: &[Subscriber]) -> Vec<(usize, u32)> {
+        let mut out = Vec::new();
+        day.each_online(subs, |s, _, hits| out.push((s, hits)));
+        out
+    }
+
+    #[test]
+    fn the_avx512_wrapper_computes_the_bodys_bits() {
+        if Kernel::dispatched() != Kernel::Avx512 {
+            eprintln!("no AVX-512 on this CPU: the wrapper never runs here");
+            return;
+        }
+        let subs: Vec<Subscriber> = (0..400).map(|s| subscriber(seed(), s, 52)).collect();
+        for t in [0, 3, 5, 200, 363] {
+            let day = DayDraws::new(seed(), t % 2 == 1, t, Kernel::Avx512);
+            // Whole chunks, and the last one with 16 subscribers and 48
+            // lanes past its end.
+            for (c, chunk) in subs.chunks(CHUNK).enumerate() {
+                let mut body = HitLanes::new(&day, c * CHUNK, chunk);
+                body.run();
+                let mut wrapped = HitLanes::new(&day, c * CHUNK, chunk);
+                assert!(fastmath::run_on_avx512(&mut wrapped));
+                assert_eq!(body.is_online, wrapped.is_online, "day {t}, chunk {c}");
+                for (i, (a, b)) in body.x.iter().zip(&wrapped.x).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "day {t}, chunk {c}, lane {i}");
+                }
+            }
+        }
+    }
+
+    /// Intensities that put libm's variate on a half-integer, to within
+    /// the ulp or two `(k + ½) / e · e` is off by: the approximation
+    /// cannot decide any of them, and every kernel still hands out
+    /// libm's hits.
+    #[test]
+    fn a_variate_on_a_rounding_boundary_is_rounded_by_libm() {
+        let day = DayDraws::new(seed(), false, 10, Kernel::Lanes);
+        let mut subs: Vec<Subscriber> = (0..130).map(|s| subscriber(seed(), s, 52)).collect();
+        for (s, sub) in subs.iter_mut().enumerate() {
+            let (u1, u2) = day.hits.child(s as u64).two_units();
+            let radius = (-2.0 * u1.max(f64::MIN_POSITIVE).ln()).sqrt();
+            let e = (0.9 * (radius * (2.0 * core::f64::consts::PI * u2).cos())).exp();
+            sub.intensity = ((s * 7919 % 100_000) as f64 + 0.5) / e;
+            (sub.base_rate, sub.start_week, sub.end_week) = (1.0, 0, 52);
+        }
+        let mut lanes = HitLanes::new(&day, 0, &subs[..CHUNK]);
+        lanes.run();
+        assert!(lanes.is_online.iter().all(|&online| online));
+        assert!(lanes.x.iter().all(|&x| fastmath::round_clear(x).is_none()));
+        let libm = hits_by(&DayDraws { kernel: Kernel::Libm, ..day }, &subs);
+        assert_eq!(libm.len(), subs.len());
+        for kernel in [Kernel::Lanes, Kernel::Avx512] {
+            assert_eq!(hits_by(&DayDraws { kernel, ..day }, &subs), libm, "{kernel:?}");
+        }
     }
 }

@@ -248,7 +248,7 @@ impl FaultPlan {
             };
             state = splitmix(state);
             let persist_attempts =
-                if state % 4 == 0 { Fault::PERMANENT } else { 1 + (state % 2) as u32 };
+                if state.is_multiple_of(4) { Fault::PERMANENT } else { 1 + (state % 2) as u32 };
             plan = plan.with_fault(Fault { shard, buffer, kind, persist_attempts });
         }
         plan

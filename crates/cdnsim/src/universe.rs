@@ -2,6 +2,7 @@
 
 use crate::behavior::{poisson, SeedMixer};
 use crate::config::{AsKind, CountryProfile, UniverseConfig, COUNTRY_PROFILES};
+use crate::fastmath::{self, fast_exp, Kernel, LaneLoop};
 use crate::policy::{AssignmentPolicy, BlockProbeProfile, DayEntry, HostPopulation, PolicySim};
 use ipactive_bgp::{Asn, BgpEvent, BgpEventKind, BgpTimeline, RoutingTable};
 use ipactive_core::{BlockRecord, DailyDataset, IpTraffic, WeeklyDataset};
@@ -680,6 +681,7 @@ impl Universe {
         UaDay {
             seed: e.seed.child(0x0A9E).child(t as u64),
             sample_rate: self.config.ua_sample_rate as f64,
+            kernel: Kernel::dispatched(),
         }
     }
 
@@ -979,7 +981,11 @@ pub(crate) fn fold_week<E>(
 pub(crate) struct UaDay {
     seed: SeedMixer,
     sample_rate: f64,
+    kernel: Kernel,
 }
+
+/// Entries the UA pass decides at a time.
+const UA_CHUNK: usize = 64;
 
 impl UaDay {
     /// Hands `visit` each of the day's entries, in order, with the
@@ -989,34 +995,115 @@ impl UaDay {
     /// An entry's draws are `poisson` and then `sample_ua` on
     /// `seed.child(host).rng()`. Most entries sample nothing, and below
     /// λ = 64 `poisson` says so on its first draw: zero when that draw
-    /// is at most `exp(−λ)`. So the limits of up to 64 entries are taken
-    /// in one loop, each entry's first draw comes from `first_unit()`,
-    /// and only an entry that samples builds its generator and replays
-    /// `poisson` from the start: the same draws for every entry.
+    /// is at most `exp(−λ)`. So whether each of up to 64 entries samples
+    /// at all is decided first, from its first draw alone
+    /// (`first_unit()`), and only an entry that samples builds its
+    /// generator and replays `poisson` from the start: the same draws
+    /// for every entry.
     pub(crate) fn each<E>(
         &self,
         entries: &[DayEntry],
         mut visit: impl FnMut(&DayEntry, UaSamples) -> Result<(), E>,
     ) -> Result<(), E> {
-        const CHUNK: usize = 64;
-        let lambda_of = |entry: &DayEntry| entry.hits as f64 / self.sample_rate;
-        for chunk in entries.chunks(CHUNK) {
-            let mut limits = [0f64; CHUNK];
-            for (limit, entry) in limits.iter_mut().zip(chunk) {
-                *limit = (-lambda_of(entry)).exp();
-            }
-            for (entry, &limit) in chunk.iter().zip(&limits) {
-                let (lambda, node) = (lambda_of(entry), self.seed.child(entry.host as u64));
+        for chunk in entries.chunks(UA_CHUNK) {
+            let draws = match self.kernel {
+                Kernel::Libm => self.draws_libm(chunk),
+                Kernel::Lanes | Kernel::Avx512 => self.draws_lanes(chunk),
+            };
+            for (entry, &draws) in chunk.iter().zip(&draws) {
                 let mut samples = UaSamples { pop: entry.pop, left: 0, rng: None };
-                if lambda >= 64.0 || node.first_unit() > limit {
-                    let mut rng = node.rng();
-                    samples.left = poisson(&mut rng, lambda);
+                if draws {
+                    let mut rng = self.seed.child(entry.host as u64).rng();
+                    samples.left = poisson(&mut rng, self.lambda(entry));
                     samples.rng = Some(rng);
                 }
                 visit(entry, samples)?;
             }
         }
         Ok(())
+    }
+
+    /// The Poisson mean of an entry's UA samples.
+    fn lambda(&self, entry: &DayEntry) -> f64 {
+        entry.hits as f64 / self.sample_rate
+    }
+
+    /// Whether each entry of `chunk` samples at all, through libm: the
+    /// limits `exp(−λ)` in one loop, then each first draw against its
+    /// limit.
+    fn draws_libm(&self, chunk: &[DayEntry]) -> [bool; UA_CHUNK] {
+        let mut limits = [0f64; UA_CHUNK];
+        for (limit, entry) in limits.iter_mut().zip(chunk) {
+            *limit = (-self.lambda(entry)).exp();
+        }
+        let mut draws = [false; UA_CHUNK];
+        for ((draws, entry), &limit) in draws.iter_mut().zip(chunk).zip(&limits) {
+            *draws = self.lambda(entry) >= 64.0
+                || self.seed.child(entry.host as u64).first_unit() > limit;
+        }
+        draws
+    }
+
+    /// [`Self::draws_libm`] rounding first: [`UaLanes`] compares every
+    /// first draw with `fast_exp(−λ)`, and only an entry whose draw is
+    /// within [`fastmath::EDGE`] of that limit asks libm's `exp`.
+    fn draws_lanes(&self, chunk: &[DayEntry]) -> [bool; UA_CHUNK] {
+        let mut lanes = UaLanes {
+            seed: self.seed,
+            host: [0; UA_CHUNK],
+            lambda: [0.0; UA_CHUNK],
+            verdict: [SKIPS; UA_CHUNK],
+        };
+        for (i, entry) in chunk.iter().enumerate() {
+            lanes.host[i] = entry.host as u64;
+            lanes.lambda[i] = self.lambda(entry);
+        }
+        self.kernel.run(&mut lanes);
+        let mut draws = [false; UA_CHUNK];
+        for ((draws, entry), &verdict) in draws.iter_mut().zip(chunk).zip(&lanes.verdict) {
+            *draws = match verdict {
+                SKIPS => false,
+                SAMPLES => true,
+                _ => self.seed.child(entry.host as u64).first_unit() > (-self.lambda(entry)).exp(),
+            };
+        }
+        draws
+    }
+}
+
+/// [`UaLanes`]' verdicts: the first draw is at most `exp(−λ)`, so no
+/// sample; λ ≥ 64 or the first draw is above `exp(−λ)`; the first draw
+/// is within `EDGE` of the approximate limit, so libm decides.
+const SKIPS: u8 = 0;
+const SAMPLES: u8 = 1;
+const AT_EDGE: u8 = 2;
+
+/// One chunk of [`UaDay::draws_lanes`]: every lane's first draw against
+/// `fast_exp(−λ)`, in one straight loop over all [`UA_CHUNK`] lanes.
+struct UaLanes {
+    seed: SeedMixer,
+    host: [u64; UA_CHUNK],
+    lambda: [f64; UA_CHUNK],
+    verdict: [u8; UA_CHUNK],
+}
+
+impl LaneLoop for UaLanes {
+    #[inline(always)]
+    fn run(&mut self) {
+        for i in 0..UA_CHUNK {
+            let lambda = self.lambda[i];
+            let first = self.seed.child(self.host[i]).first_unit();
+            // λ ≥ 64 samples whatever the limit; keep `fast_exp` in range.
+            let limit = fast_exp((-lambda).max(-64.0));
+            let verdict = if (first - limit).abs() <= limit * fastmath::EDGE {
+                AT_EDGE
+            } else if first > limit {
+                SAMPLES
+            } else {
+                SKIPS
+            };
+            self.verdict[i] = if lambda >= 64.0 { SAMPLES } else { verdict };
+        }
     }
 }
 
@@ -1146,6 +1233,69 @@ mod tests {
 
     fn tiny() -> Universe {
         Universe::generate(UniverseConfig::tiny(0xBEEF))
+    }
+
+    /// `(host, hashes)` of every entry the UA pass visits.
+    fn ua_samples(ua: &UaDay, entries: &[DayEntry]) -> Vec<(u8, Vec<u64>)> {
+        let mut out = Vec::new();
+        infallible(ua.each(entries, |entry, samples| {
+            out.push((entry.host, samples.collect()));
+            Ok(())
+        }));
+        out
+    }
+
+    #[test]
+    fn every_ua_kernel_samples_what_the_libm_pass_samples() {
+        let u = tiny();
+        let mut scratch = Scratch::new(&u);
+        let (mut entries_seen, mut sampling) = (0, 0);
+        for e in &u.blocks {
+            infallible(u.walk_days(e, &mut scratch, 0..u.config.weeks * 7, |t, entries, _| {
+                let day = |kernel| UaDay { kernel, ..u.ua_day(e, t) };
+                let libm = ua_samples(&day(Kernel::Libm), entries);
+                for kernel in [Kernel::Lanes, Kernel::Avx512] {
+                    assert_eq!(
+                        ua_samples(&day(kernel), entries),
+                        libm,
+                        "{kernel:?}, {}, day {t}",
+                        e.block
+                    );
+                }
+                entries_seen += entries.len();
+                sampling += libm.iter().filter(|(_, hashes)| !hashes.is_empty()).count();
+                Ok(())
+            }));
+        }
+        assert!(
+            entries_seen > 10_000 && sampling > 1_000,
+            "{entries_seen} entries, {sampling} sampling"
+        );
+    }
+
+    /// Sample rates that put `exp(−λ)` on an entry's first draw, to
+    /// within the ulps `hits / (hits / λ)` is off by: the lanes cannot
+    /// decide any of them, and libm's `exp` does.
+    #[test]
+    fn a_first_draw_on_its_limit_is_decided_by_libm() {
+        let seed = SeedMixer::new(0x0A9E).child(3);
+        for host in 0..=255u8 {
+            let entry = DayEntry { host, hits: 1000, pop: HostPopulation::Subscriber(7) };
+            let lambda = -seed.child(host as u64).first_unit().ln();
+            let day = |kernel| UaDay { seed, sample_rate: 1000.0 / lambda, kernel };
+            let mut lanes = UaLanes {
+                seed,
+                host: [host as u64; UA_CHUNK],
+                lambda: [day(Kernel::Lanes).lambda(&entry); UA_CHUNK],
+                verdict: [SKIPS; UA_CHUNK],
+            };
+            lanes.run();
+            assert_eq!(lanes.verdict, [AT_EDGE; UA_CHUNK], "host {host}");
+            let libm = day(Kernel::Libm).draws_libm(&[entry])[0];
+            for kernel in [Kernel::Lanes, Kernel::Avx512] {
+                assert_eq!(day(kernel).draws_lanes(&[entry])[0], libm, "{kernel:?}, host {host}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property tests for the synthetic universe: structural invariants
 //! that must hold for any seed and any (valid) scale knobs.
 
-use ipactive_cdnsim::{ua, AssignmentPolicy, PolicySim, SeedMixer, Universe, UniverseConfig};
+use ipactive_cdnsim::{
+    ua, AssignmentPolicy, Kernel, PolicySim, SeedMixer, Universe, UniverseConfig,
+};
 use ipactive_probe::ProbeTarget;
 use proptest::prelude::*;
 
@@ -272,6 +274,35 @@ fn the_kernel_equals_the_old_kernel_on_every_day_of_the_year() {
             }
             // The one-shot spelling is the same kernel.
             assert_eq!(policy.eval_day(seed, institutional, weeks, 17), old.eval_day(17));
+        }
+    }
+}
+
+/// The lane kernels — the body compiled for the baseline, and for
+/// AVX-512 where the CPU has it — equal the libm loops on every day, for
+/// every policy, at the seeds and rhythms the oracle test walks: both
+/// sides of the kernel selector give the same days.
+#[test]
+fn every_kernel_equals_the_libm_loops_on_every_day_of_the_year() {
+    eprintln!("dispatched kernel: {:?}", Kernel::dispatched());
+    let block = SeedMixer::new(0x5EED).child(0xB10C).child(3);
+    let (mut reference, mut day) = (Vec::new(), Vec::new());
+    for (seed, institutional, weeks) in
+        [(block, false, 52), (block.child(0x7E57), true, 52), (block.child(9), false, 4)]
+    {
+        for policy in kernel_policies() {
+            let sim = |kernel| {
+                PolicySim::new(policy.clone(), seed, institutional, weeks).with_kernel(kernel)
+            };
+            let libm = sim(Kernel::Libm);
+            for kernel in [Kernel::Lanes, Kernel::Avx512] {
+                let lanes = sim(kernel);
+                for t in 0..(weeks + 2) * 7 {
+                    libm.eval_day_into(t, &mut reference);
+                    lanes.eval_day_into(t, &mut day);
+                    assert_eq!(day, reference, "{kernel:?}, {policy:?}, day {t} of {weeks} weeks");
+                }
+            }
         }
     }
 }
