@@ -645,7 +645,7 @@ impl<S: ActiveSet> Repro<S> {
 
     /// Figure 4(a): daily actives with up/down events.
     pub fn fig4a(&self, par: &Parallelism) -> String {
-        let series = churn::daily_series_over(&self.engine, par);
+        let series = churn::daily_series_over(self.engine.windows::<Daily>(), par);
         let mut out = header(
             "Figure 4(a) — daily active IPv4 addresses and up/down events",
             "paper: ~650M daily actives, ~55M daily up and down events, weekend dips",
@@ -690,7 +690,8 @@ impl<S: ActiveSet> Repro<S> {
 
     /// Figure 4(b): churn vs aggregation window size.
     pub fn fig4b(&self, par: &Parallelism) -> String {
-        let sweep = churn::window_sweep_over(&self.engine, &[1, 2, 3, 4, 7, 14, 21, 28], par);
+        let days = self.engine.windows::<Daily>();
+        let sweep = churn::window_sweep_over(days, &[1, 2, 3, 4, 7, 14, 21, 28], par);
         let mut out = header(
             "Figure 4(b) — up/down event percentage vs aggregation window",
             "paper: ~8% daily, day-of-week spikes to 14%, plateau ≈5% for windows ≥7d",
@@ -715,7 +716,7 @@ impl<S: ActiveSet> Repro<S> {
         }
         // Extension beyond the paper's 28-day ceiling: the same sweep
         // over week-granularity windows of the weekly dataset.
-        for w in churn::weekly_window_sweep_over(&self.engine, &[4, 8, 13], par) {
+        for w in churn::window_sweep_over(self.engine.windows::<Weekly>(), &[4, 8, 13], par) {
             let _ = writeln!(
                 out,
                 "  {:<8} {:>6.1} /{:>6.1} /{:>6.1} {:>6.1} /{:>6.1} /{:>6.1}  (weekly data)",
@@ -778,7 +779,7 @@ impl<S: ActiveSet> Repro<S> {
                 continue;
             }
             let ecdf = churn::per_as_churn_over(
-                &self.engine,
+                self.engine.windows::<Daily>(),
                 window,
                 min_ips,
                 |b| table.origin_of(b.network()),
@@ -814,7 +815,8 @@ impl<S: ActiveSet> Repro<S> {
             if self.daily.num_days / window < 2 {
                 continue;
             }
-            let h = events::event_sizes_par(&self.engine, window, events::EventDirection::Up, par);
+            let days = self.engine.windows::<Daily>();
+            let h = events::event_sizes_par(days, window, events::EventDirection::Up, par);
             let b = h.figure5b_buckets();
             let _ = writeln!(
                 out,
@@ -842,8 +844,8 @@ impl<S: ActiveSet> Repro<S> {
             if self.daily.num_days / window < 2 {
                 continue;
             }
-            let c =
-                events::bgp_correlation_par(&self.engine, window, self.universe.bgp(), offset, par);
+            let days = self.engine.windows::<Daily>();
+            let c = events::bgp_correlation_par(days, window, self.universe.bgp(), offset, par);
             let _ = writeln!(
                 out,
                 "  {:<8} {:>7.2}% {:>7.2}% {:>7.2}%",
@@ -861,7 +863,7 @@ impl<S: ActiveSet> Repro<S> {
         let weeks = self.weekly.num_weeks;
         let span = (weeks / 6).max(2);
         let lt = churn::long_term(
-            &self.engine,
+            self.engine.windows::<Weekly>(),
             0..span,
             weeks - span..weeks,
             self.universe.bgp(),
@@ -1636,7 +1638,7 @@ impl<S: ActiveSet> Repro<S> {
                 "daily churn near the paper's ~8% (3%..25%)",
                 ok((0.03..0.25).contains(&daily_churn), format!("{:.3}", daily_churn)),
             );
-            let sweep = churn::window_sweep(&self.daily, &[7, 14]);
+            let sweep = churn::window_sweep(&*self.daily, &[7, 14]);
             let plateau_alive = sweep.iter().all(|w| w.up.median > 0.5);
             push(
                 "fig4b",
@@ -1657,9 +1659,10 @@ impl<S: ActiveSet> Repro<S> {
 
         // Figure 5(b): bulkiness grows with aggregation window.
         {
-            let h1 = events::event_sizes(&self.engine, 1, events::EventDirection::Up);
+            let days = self.engine.windows::<Daily>();
+            let h1 = events::event_sizes(days, 1, events::EventDirection::Up);
             let w = (self.daily.num_days / 4).max(2);
-            let hw = events::event_sizes(&self.engine, w, events::EventDirection::Up);
+            let hw = events::event_sizes(days, w, events::EventDirection::Up);
             if h1.total() < 100 || hw.total() < 100 {
                 push("fig5b", "long-window events are bulkier",
                      CheckOutcome::Skip("too few events".into()));
@@ -1684,7 +1687,8 @@ impl<S: ActiveSet> Repro<S> {
         {
             let offset = self.universe.config().daily_offset as u16;
             let w = (self.daily.num_days / 4).max(2);
-            let c = events::bgp_correlation(&self.engine, w, self.universe.bgp(), offset);
+            let days = self.engine.windows::<Daily>();
+            let c = events::bgp_correlation(days, w, self.universe.bgp(), offset);
             push(
                 "fig5c",
                 "the vast majority of churn is invisible to BGP",
@@ -1696,7 +1700,7 @@ impl<S: ActiveSet> Repro<S> {
         {
             let weeks = self.weekly.num_weeks;
             let span = (weeks / 6).max(2);
-            let lt = churn::long_term(&self.engine, 0..span, weeks - span..weeks,
+            let lt = churn::long_term(self.engine.windows::<Weekly>(), 0..span, weeks - span..weeks,
                                       self.universe.bgp(), 7);
             push(
                 "table2",

@@ -3,6 +3,8 @@
 //! figure byte-identical to a serial run with the cache bypassed.
 
 use ipactive_bench::{AnalysisCtx, Repro, Scale, EXPERIMENTS};
+use ipactive_core::{Cadence, Daily, SlotMatrix, Weekly, Windows};
+use ipactive_net::{ActiveSet, AddrSet, TieredSet};
 use std::sync::Arc;
 
 #[test]
@@ -47,36 +49,29 @@ fn run_all_matches_the_per_figure_run_api() {
     }
 }
 
+/// Units at both edges and the middle, a half window and the full
+/// window of cadence `C`, out of the engine's cache, equal the sets the
+/// dataset computes fresh — and hold exactly the reference backend's
+/// addresses.
+fn engine_matches_the_dataset<C: Cadence>(engine: &AnalysisCtx, data: &C::Dataset) {
+    let windows = engine.windows::<C>();
+    let n = windows.num_units();
+    for u in [0, n / 2, n - 1] {
+        assert_eq!(*windows.union(u..u + 1), data.unit::<TieredSet>(u), "{} unit {u}", C::UNITS);
+    }
+    for range in [0..n / 2, 0..n] {
+        let cached = windows.union(range.clone());
+        assert_eq!(*cached, data.window::<TieredSet>(range.clone()), "{} {range:?}", C::UNITS);
+        assert!(cached.iter().eq(data.window::<AddrSet>(range).iter()));
+    }
+}
+
 #[test]
 fn engine_queries_match_fresh_dataset_computation() {
-    use ipactive_net::{ActiveSet, TieredSet};
     let repro = Repro::new(0xCAFE, Scale::Tiny);
-    let days = repro.daily.num_days;
-    let weeks = repro.weekly.num_weeks;
-    assert_eq!(*repro.engine.all_active(), repro.daily.all_active_as::<TieredSet>());
-    for d in [0, days / 2, days - 1] {
-        assert_eq!(*repro.engine.day_set(d), repro.daily.day_set_as::<TieredSet>(d));
-        // The tiered set must hold exactly the addresses of the Vec oracle.
-        assert!(repro.engine.day_set(d).iter().eq(repro.daily.day_set(d).iter()));
-    }
-    assert_eq!(
-        *repro.engine.day_window(0..days / 2),
-        repro.daily.window_union_as::<TieredSet>(0..days / 2)
-    );
-    assert!(repro
-        .engine
-        .day_window(0..days / 2)
-        .iter()
-        .eq(repro.daily.window_union(0..days / 2).iter()));
-    for w in [0, weeks - 1] {
-        assert_eq!(*repro.engine.week_set(w), repro.weekly.week_set_as::<TieredSet>(w));
-        assert!(repro.engine.week_set(w).iter().eq(repro.weekly.week_set(w).iter()));
-    }
-    assert_eq!(
-        *repro.engine.week_window(0..weeks),
-        repro.weekly.window_union_as::<TieredSet>(0..weeks)
-    );
-    assert!(repro.engine.week_window(0..weeks).iter().eq(repro.weekly.window_union(0..weeks).iter()));
+    engine_matches_the_dataset::<Daily>(&repro.engine, &repro.daily);
+    engine_matches_the_dataset::<Weekly>(&repro.engine, &repro.weekly);
+    assert_eq!(*repro.engine.all_active(), repro.daily.all_active::<TieredSet>());
     // Memoization is by identity: repeated queries share one set.
     assert!(Arc::ptr_eq(&repro.engine.all_active(), &repro.engine.all_active()));
 }

@@ -14,9 +14,9 @@
 //!
 //! The paper's daily and weekly datasets come off the same logs
 //! aggregated at two cadences, so every step is written once over a
-//! [`Cadence`] — [`Daily`] or [`Weekly`], which name the builder, the
-//! dataset, the window-checked fold, the per-block emitter and the
-//! metric prefixes: [`emit_logs`], [`emit_shards`],
+//! [`Cadence`] — core's [`Daily`] or [`Weekly`] marker, which names the
+//! dataset in core and here the builder, the window-checked fold, the
+//! per-block emitter and the metric prefixes: [`emit_logs`], [`emit_shards`],
 //! [`emit_shard_buffers`], [`collect_stream`], [`collect_store`],
 //! [`stream_pipeline`] and
 //! [`supervised_collect`](crate::supervised_collect). The functions
@@ -40,6 +40,7 @@
 
 use crate::supervisor::{supervise, FaultPlan, RetryPolicy};
 use crate::universe::{claim_map, fold_week, infallible, BlockEntry, Scratch, Universe};
+pub use ipactive_core::{Daily, Weekly};
 use ipactive_core::{
     Coverage, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder,
 };
@@ -278,14 +279,13 @@ fn in_window(record: &Record, num_slots: usize) -> bool {
 }
 
 /// The cadence a log is aggregated at — everything that differs
-/// between collecting the paper's daily and its weekly dataset. Every
-/// collection step is one body generic over this trait; [`Daily`] and
-/// [`Weekly`] are its two implementations.
-pub trait Cadence {
+/// between collecting the paper's daily and its weekly dataset, on top
+/// of what core's cadence already names (the dataset type among it).
+/// Every collection step is one body generic over this trait; core's
+/// [`Daily`] and [`Weekly`] markers are its two implementations.
+pub trait Cadence: ipactive_core::Cadence {
     /// The accumulator records fold into.
     type Builder: Send;
-    /// The immutable dataset a builder finishes into.
-    type Dataset: Send;
     /// Metric prefix of unsupervised pipeline runs. One registry can
     /// carry one daily and one weekly run side by side without the
     /// counter families colliding; reports read cumulative counters
@@ -333,18 +333,9 @@ pub trait Cadence {
     ) -> io::Result<()>;
 }
 
-/// The daily cadence: 112 days of per-address hits and UA samples.
-#[derive(Debug, Clone, Copy)]
-pub struct Daily;
-
-/// The weekly cadence: 52 weeks of per-address hit totals. A weekly
-/// log's [`Record::Hits`] carries the week index in its `day` field.
-#[derive(Debug, Clone, Copy)]
-pub struct Weekly;
-
+/// The daily log: 112 days of per-address hits and UA samples.
 impl Cadence for Daily {
     type Builder = DailyDatasetBuilder;
-    type Dataset = DailyDataset;
     const PIPELINE_PREFIX: &'static str = "pipeline.daily";
     const SUPERVISOR_PREFIX: &'static str = "supervisor.daily";
 
@@ -408,9 +399,10 @@ impl Cadence for Daily {
     }
 }
 
+/// The weekly log: 52 weeks of per-address hit totals. A weekly log's
+/// [`Record::Hits`] carries the week index in its `day` field.
 impl Cadence for Weekly {
     type Builder = WeeklyDatasetBuilder;
-    type Dataset = WeeklyDataset;
     const PIPELINE_PREFIX: &'static str = "pipeline.weekly";
     const SUPERVISOR_PREFIX: &'static str = "supervisor.weekly";
 

@@ -1230,6 +1230,8 @@ impl ProbeTarget for Universe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipactive_core::SlotMatrix;
+    use ipactive_net::AddrSet;
 
     fn tiny() -> Universe {
         Universe::generate(UniverseConfig::tiny(0xBEEF))
@@ -1400,10 +1402,10 @@ mod tests {
         // Daily window [offset, offset+days) maps to weeks
         // offset/7 .. (offset+days)/7. An address active in the daily
         // dataset must be active in the covering weekly range.
-        let daily_union = ds.all_active();
+        let daily_union: AddrSet = ds.all_active();
         let w0 = u.config().daily_offset / 7;
         let w1 = (u.config().daily_offset + u.config().daily_days).div_ceil(7);
-        let weekly_union = ws.window_union(w0..w1.min(ws.num_weeks));
+        let weekly_union: AddrSet = ws.window(w0..w1.min(ws.num_weeks));
         for addr in daily_union.iter() {
             assert!(weekly_union.contains(addr), "daily-active {addr} missing weekly");
         }

@@ -4,6 +4,8 @@
 use ipactive_cdnsim::{
     ua, AssignmentPolicy, Kernel, PolicySim, SeedMixer, Universe, UniverseConfig,
 };
+use ipactive_core::SlotMatrix;
+use ipactive_net::AddrSet;
 use ipactive_probe::ProbeTarget;
 use proptest::prelude::*;
 
@@ -429,8 +431,8 @@ proptest! {
         let w1 = (u.config().daily_offset + u.config().daily_days)
             .div_ceil(7)
             .min(weekly.num_weeks);
-        let weekly_union = weekly.window_union(w0..w1);
-        for addr in daily.all_active().iter() {
+        let weekly_union: AddrSet = weekly.window(w0..w1);
+        for addr in daily.all_active::<AddrSet>().iter() {
             prop_assert!(weekly_union.contains(addr));
         }
     }

@@ -58,8 +58,8 @@ pub fn fd_by_assignment(ds: &DailyDataset, ptr: &PtrTable, min_records: usize) -
 /// subtasks.
 ///
 /// `all_active` must be the union of every day's activity (what
-/// [`DailyDataset::all_active_as`] returns — or a cache's memoized
-/// copy). A block's filling degree over the full window is exactly
+/// [`SlotMatrix::all_active`](crate::SlotMatrix::all_active) returns
+/// — or a cache's memoized copy). A block's filling degree over the full window is exactly
 /// the number of its addresses in that union, so
 /// `all_active.count_in(block)` replaces the 256-row matrix walk of
 /// [`BlockRecord::filling_degree`](crate::BlockRecord::filling_degree)
@@ -219,6 +219,7 @@ pub fn blocks_with_hint(
 mod tests {
     use super::*;
     use crate::dataset::DailyDatasetBuilder;
+    use crate::SlotMatrix;
     use ipactive_dns::NamingScheme;
     use ipactive_net::Addr;
 
@@ -280,7 +281,7 @@ mod tests {
     fn fd_split_over_union_matches_matrix_walk() {
         let (ds, ptr) = fixture();
         let expect = fd_by_assignment(&ds, &ptr, 10);
-        let all: ipactive_net::TieredSet = ds.all_active_as();
+        let all: ipactive_net::TieredSet = ds.all_active();
         for pool in [Parallelism::serial(), Parallelism::new(3)] {
             let got = fd_by_assignment_over(&ds, &all, &ptr, 10, &pool);
             assert_eq!(got.all.samples(), expect.all.samples());

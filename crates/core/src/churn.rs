@@ -12,7 +12,8 @@
 //! * [`long_term`] — Table 2: appear/disappear between two two-month
 //!   unions, block-level bulkiness, and BGP attribution.
 
-use crate::dataset::{transpose64, DailyDataset, DailyWindows, WeeklyDataset, WeeklyWindows};
+use crate::cadence::{transpose64, Cadence, Daily, SlotMatrix, SlotRow, Weekly, Windows};
+use crate::dataset::{DailyDataset, WeeklyDataset};
 use crate::par::Parallelism;
 use crate::stats::{Ecdf, MinMedMax};
 use ipactive_bgp::{Asn, BgpTimeline};
@@ -75,7 +76,7 @@ pub fn daily_series(ds: &DailyDataset) -> Vec<DayChurn> {
     out
 }
 
-/// [`daily_series`] computed through a [`DailyWindows`] source, with
+/// [`daily_series`] computed through a daily [`Windows`] source, with
 /// the per-pair intersections split into chunk-range subtasks.
 ///
 /// The day sets are fetched up front in day order (so a memoizing
@@ -84,8 +85,8 @@ pub fn daily_series(ds: &DailyDataset) -> Vec<DayChurn> {
 /// [`ActiveSet::intersect_len`], since `up = |D_d| − |D_{d-1} ∩ D_d|`
 /// and `down = |D_{d-1}| − |D_{d-1} ∩ D_d|`. Agrees exactly with
 /// [`daily_series`] on the underlying dataset.
-pub fn daily_series_over<W: DailyWindows>(ds: &W, par: &Parallelism) -> Vec<DayChurn> {
-    let n = ds.num_days();
+pub fn daily_series_over<W: Windows<Cadence = Daily>>(ds: &W, par: &Parallelism) -> Vec<DayChurn> {
+    let n = ds.num_units();
     if n == 0 {
         return Vec::new();
     }
@@ -142,21 +143,35 @@ pub struct WindowChurn {
     pub down: MinMedMax,
 }
 
-/// Raw per-pair percentages for one window size.
-fn window_pair_percentages(ds: &DailyDataset, w: usize) -> (Vec<f64>, Vec<f64>) {
-    let n_windows = ds.num_days / w;
+impl WindowChurn {
+    /// The row of a `w`-unit window at cadence `C` from its per-pair
+    /// percentages. Pairs with an empty denominator window contribute
+    /// no percentage; a dataset can in principle leave none at all.
+    fn of<C: Cadence>(w: usize, up: &[f64], down: &[f64]) -> WindowChurn {
+        let zero = MinMedMax { min: 0.0, median: 0.0, max: 0.0 };
+        WindowChurn {
+            window_days: w * C::DAYS_PER_UNIT,
+            up: MinMedMax::of(up).unwrap_or(zero),
+            down: MinMedMax::of(down).unwrap_or(zero),
+        }
+    }
+}
+
+/// Raw per-pair percentages for one window size, by a scan of every
+/// address's row.
+fn window_pair_percentages<M: SlotMatrix>(ds: &M, w: usize) -> (Vec<f64>, Vec<f64>) {
+    let n_windows = ds.num_slots() / w;
+    let masks: Vec<M::Row> = (0..n_windows).map(|i| M::Row::span(i * w..(i + 1) * w)).collect();
+    let any = M::Row::span(0..ds.num_slots());
     // Per window: |union|; per pair: |W_{i+1} \ W_i| and |W_i \ W_{i+1}|.
     let mut sizes = vec![0u64; n_windows];
     let mut ups = vec![0u64; n_windows.saturating_sub(1)];
     let mut downs = vec![0u64; n_windows.saturating_sub(1)];
-    for rec in &ds.blocks {
-        for bits in rec.rows.iter() {
-            if bits.is_empty() {
-                continue;
-            }
+    for (_, rows) in ds.rows() {
+        for &bits in rows.iter().filter(|bits| bits.meets(any)) {
             let mut prev_in = false;
-            for i in 0..n_windows {
-                let cur_in = bits.any_in_range(i * w, (i + 1) * w);
+            for (i, &mask) in masks.iter().enumerate() {
+                let cur_in = bits.meets(mask);
                 if cur_in {
                     sizes[i] += 1;
                 }
@@ -184,27 +199,24 @@ fn window_pair_percentages(ds: &DailyDataset, w: usize) -> (Vec<f64>, Vec<f64>) 
     (up_pct, down_pct)
 }
 
-/// Computes Figure 4(b) for the given window sizes (paper: 1..=28).
+/// Computes Figure 4(b) for the given window sizes in units of the
+/// matrix's cadence (paper: 1..=28 days).
 ///
 /// Following Section 4.1: for window size `w` the dataset is split
-/// into `⌊days/w⌋` non-overlapping windows, each window's activity is
-/// the union of its days, the up percentage between windows `i` and
+/// into `⌊units/w⌋` non-overlapping windows, each window's activity is
+/// the union of its units, the up percentage between windows `i` and
 /// `i+1` is `100·|W_{i+1} ∖ W_i| / |W_{i+1}|`, and the down
-/// percentage is `100·|W_i ∖ W_{i+1}| / |W_i|`.
-pub fn window_sweep(ds: &DailyDataset, window_sizes: &[usize]) -> Vec<WindowChurn> {
+/// percentage is `100·|W_i ∖ W_{i+1}| / |W_i|`. Over the weekly
+/// dataset the same sweep extends the figure to month-of-weeks
+/// windows: churn does not decay with aggregation there either.
+/// `window_days` reports every size in days.
+pub fn window_sweep<M: SlotMatrix>(ds: &M, window_sizes: &[usize]) -> Vec<WindowChurn> {
     window_sizes
         .iter()
-        .filter(|&&w| w >= 1 && ds.num_days / w >= 2)
+        .filter(|&&w| w >= 1 && ds.num_slots() / w >= 2)
         .map(|&w| {
             let (up, down) = window_pair_percentages(ds, w);
-            // Pairs with an empty denominator window contribute no
-            // percentage; a dataset can in principle leave none at all.
-            let zero = MinMedMax { min: 0.0, median: 0.0, max: 0.0 };
-            WindowChurn {
-                window_days: w,
-                up: MinMedMax::of(&up).unwrap_or(zero),
-                down: MinMedMax::of(&down).unwrap_or(zero),
-            }
+            WindowChurn::of::<M::Cadence>(w, &up, &down)
         })
         .collect()
 }
@@ -240,7 +252,8 @@ fn pair_percentages_from_windows<S: ActiveSet>(
     (up_pct, down_pct)
 }
 
-/// [`window_sweep`] computed through a [`DailyWindows`] source.
+/// [`window_sweep`] computed through a [`Windows`] source of either
+/// cadence.
 ///
 /// Each window size fetches its window unions in order (one query per
 /// window, so a memoizing source's hit/miss counts stay a pure
@@ -248,115 +261,20 @@ fn pair_percentages_from_windows<S: ActiveSet>(
 /// single [`ActiveSet::intersect_len`]: `up = |W_{i+1}| − |W_i ∩
 /// W_{i+1}|`, `down = |W_i| − |W_i ∩ W_{i+1}|`. Agrees exactly with
 /// [`window_sweep`] on the underlying dataset.
-pub fn window_sweep_over<W: DailyWindows>(
+pub fn window_sweep_over<W: Windows>(
     ds: &W,
     window_sizes: &[usize],
     par: &Parallelism,
 ) -> Vec<WindowChurn> {
     window_sizes
         .iter()
-        .filter(|&&w| w >= 1 && ds.num_days() / w >= 2)
+        .filter(|&&w| w >= 1 && ds.num_units() / w >= 2)
         .map(|&w| {
-            let n_windows = ds.num_days() / w;
+            let n_windows = ds.num_units() / w;
             let windows: Vec<Arc<W::Set>> =
                 (0..n_windows).map(|i| ds.union(i * w..(i + 1) * w)).collect();
             let (up, down) = pair_percentages_from_windows(&windows, par);
-            let zero = MinMedMax { min: 0.0, median: 0.0, max: 0.0 };
-            WindowChurn {
-                window_days: w,
-                up: MinMedMax::of(&up).unwrap_or(zero),
-                down: MinMedMax::of(&down).unwrap_or(zero),
-            }
-        })
-        .collect()
-}
-
-/// Extends the Figure 4(b) sweep beyond the daily dataset: the same
-/// min/median/max up/down percentages computed over *week*-sized
-/// aggregation windows of the weekly dataset (window sizes in weeks).
-/// The paper's observation — churn does not decay with aggregation —
-/// holds out to month-of-weeks windows.
-pub fn weekly_window_sweep(ws: &WeeklyDataset, window_weeks: &[usize]) -> Vec<WindowChurn> {
-    let mut out = Vec::new();
-    for &w in window_weeks {
-        if w == 0 || ws.num_weeks / w < 2 {
-            continue;
-        }
-        let n_windows = ws.num_weeks / w;
-        let mut sizes = vec![0u64; n_windows];
-        let mut ups = vec![0u64; n_windows - 1];
-        let mut downs = vec![0u64; n_windows - 1];
-        let window_mask = |i: usize| -> u64 {
-            if w >= 64 {
-                u64::MAX
-            } else {
-                ((1u64 << w) - 1) << (i * w)
-            }
-        };
-        for (_, rows) in &ws.blocks {
-            for &bits in rows.iter() {
-                if bits == 0 {
-                    continue;
-                }
-                let mut prev_in = false;
-                for i in 0..n_windows {
-                    let cur_in = bits & window_mask(i) != 0;
-                    if cur_in {
-                        sizes[i] += 1;
-                    }
-                    if i > 0 {
-                        match (prev_in, cur_in) {
-                            (false, true) => ups[i - 1] += 1,
-                            (true, false) => downs[i - 1] += 1,
-                            _ => {}
-                        }
-                    }
-                    prev_in = cur_in;
-                }
-            }
-        }
-        let mut up_pct = Vec::new();
-        let mut down_pct = Vec::new();
-        for i in 0..n_windows - 1 {
-            if sizes[i + 1] > 0 {
-                up_pct.push(100.0 * ups[i] as f64 / sizes[i + 1] as f64);
-            }
-            if sizes[i] > 0 {
-                down_pct.push(100.0 * downs[i] as f64 / sizes[i] as f64);
-            }
-        }
-        let zero = MinMedMax { min: 0.0, median: 0.0, max: 0.0 };
-        out.push(WindowChurn {
-            window_days: w * 7,
-            up: MinMedMax::of(&up_pct).unwrap_or(zero),
-            down: MinMedMax::of(&down_pct).unwrap_or(zero),
-        });
-    }
-    out
-}
-
-/// [`weekly_window_sweep`] computed through a [`WeeklyWindows`]
-/// source — the weekly counterpart of [`window_sweep_over`], with the
-/// same query discipline and pair algebra.
-pub fn weekly_window_sweep_over<W: WeeklyWindows>(
-    ws: &W,
-    window_weeks: &[usize],
-    par: &Parallelism,
-) -> Vec<WindowChurn> {
-    window_weeks
-        .iter()
-        .filter(|&&w| w >= 1 && ws.num_weeks() / w >= 2)
-        .map(|&w| {
-            let n_windows = ws.num_weeks() / w;
-            let windows: Vec<Arc<W::Set>> =
-                (0..n_windows).map(|i| ws.union(i * w..(i + 1) * w)).collect();
-            let (up, down) = pair_percentages_from_windows(&windows, par);
-            let zero = MinMedMax { min: 0.0, median: 0.0, max: 0.0 };
-            WindowChurn {
-                window_days: w * 7,
-                up: MinMedMax::of(&up).unwrap_or(zero),
-                down: MinMedMax::of(&down).unwrap_or(zero),
-            }
+            WindowChurn::of::<W::Cadence>(w, &up, &down)
         })
         .collect()
 }
@@ -483,7 +401,7 @@ where
     Ecdf::new(medians)
 }
 
-/// [`per_as_churn`] computed through a [`DailyWindows`] source, with
+/// [`per_as_churn`] computed through a daily [`Windows`] source, with
 /// the block scan split into chunk-range subtasks.
 ///
 /// Instead of walking every address's day-bits, this form answers the
@@ -507,15 +425,15 @@ pub fn per_as_churn_over<W, F>(
     par: &Parallelism,
 ) -> Ecdf
 where
-    W: DailyWindows,
+    W: Windows<Cadence = Daily>,
     F: Fn(Block24) -> Option<Asn> + Sync,
 {
     let w = window_days;
-    let n_windows = ds.num_days() / w;
+    let n_windows = ds.num_units() / w;
     assert!(n_windows >= 2, "need at least two windows");
     let windows: Vec<Arc<W::Set>> =
         (0..n_windows).map(|i| ds.union(i * w..(i + 1) * w)).collect();
-    let all = ds.union(0..ds.num_days());
+    let all = ds.union(0..ds.num_units());
     let blocks = all.blocks24();
 
     // Count columns aligned to `blocks`: every window (and window
@@ -691,9 +609,9 @@ fn full_block_fraction<S: ActiveSet>(events: &S, other_period: &S) -> f64 {
 /// 43..52 ≈ Nov/Dec); `days_per_week` maps week indices onto the BGP
 /// timeline's day axis.
 ///
-/// Accepts any [`WeeklyWindows`] source, so the bench layer can pass
+/// Accepts any weekly [`Windows`] source, so the bench layer can pass
 /// a memoizing cache in place of the raw dataset.
-pub fn long_term<W: WeeklyWindows>(
+pub fn long_term<W: Windows<Cadence = Weekly>>(
     ws: &W,
     early: core::ops::Range<usize>,
     late: core::ops::Range<usize>,
@@ -810,7 +728,7 @@ mod tests {
             b.record_week(wk, y, 1);
         }
         let ws = b.finish();
-        let sweep = weekly_window_sweep(&ws, &[2, 8, 9]);
+        let sweep = window_sweep(&ws, &[2, 8, 9]);
         // w=9 produces <2 windows and is skipped; w=8 gives 1 window (skipped too).
         assert_eq!(sweep.len(), 1);
         let s = &sweep[0];
@@ -933,8 +851,8 @@ mod tests {
         b.record_week(7, a("10.0.3.3"), 1);
         let ws = b.finish();
         let sizes = [1usize, 2, 4, 8];
-        let expect = weekly_window_sweep(&ws, &sizes);
-        assert_eq!(weekly_window_sweep_over(&ws, &sizes, &Parallelism::new(2)), expect);
+        let expect = window_sweep(&ws, &sizes);
+        assert_eq!(window_sweep_over(&ws, &sizes, &Parallelism::new(2)), expect);
     }
 
     #[test]

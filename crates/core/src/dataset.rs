@@ -6,64 +6,16 @@
 //! 2015). [`DailyDataset`] and [`WeeklyDataset`] are the in-memory
 //! equivalents, organized per `/24` block so the spatio-temporal
 //! analyses of Section 5 read naturally off the activity matrices.
+//! Both are a [`SlotMatrix`], which reads every activity set off the
+//! rows; the two builders stay two types because their payloads
+//! differ (per-address medians and UA sets against per-week hit
+//! multisets).
 
+use crate::cadence::SlotMatrix;
 use crate::coverage::Coverage;
-use ipactive_net::{ActiveSet, Addr, AddrBits256, AddrSet, Block24, DayBits, SetBuilder};
+use ipactive_net::{ActiveSet, Addr, Block24, DayBits};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Source of window-union activity sets over a daily dataset.
-///
-/// Every figure and table of the paper is, at its core, a set query
-/// over the same activity matrix (Section 4.1's sliding windows). The
-/// analyses that consume whole-window unions ([`crate::events`],
-/// [`crate::churn::long_term`]) are generic over this trait so a
-/// caller can substitute a *memoized* provider — computing each
-/// distinct window once and sharing the `Arc` across figures —
-/// without the analysis code knowing about caching. [`DailyDataset`]
-/// implements it by computing fresh (the uncached baseline).
-pub trait DailyWindows {
-    /// The set backend window unions materialize into.
-    type Set: ActiveSet;
-    /// Length of the observation window in days.
-    fn num_days(&self) -> usize;
-    /// Union of active addresses over a day range.
-    fn union(&self, days: core::ops::Range<usize>) -> Arc<Self::Set>;
-}
-
-/// Weekly counterpart of [`DailyWindows`].
-pub trait WeeklyWindows {
-    /// The set backend window unions materialize into.
-    type Set: ActiveSet;
-    /// Number of weeks in the dataset.
-    fn num_weeks(&self) -> usize;
-    /// Union of addresses active in a week range.
-    fn union(&self, weeks: core::ops::Range<usize>) -> Arc<Self::Set>;
-}
-
-impl DailyWindows for DailyDataset {
-    type Set = AddrSet;
-
-    fn num_days(&self) -> usize {
-        self.num_days
-    }
-
-    fn union(&self, days: core::ops::Range<usize>) -> Arc<AddrSet> {
-        Arc::new(self.window_union(days))
-    }
-}
-
-impl WeeklyWindows for WeeklyDataset {
-    type Set = AddrSet;
-
-    fn num_weeks(&self) -> usize {
-        self.num_weeks
-    }
-
-    fn union(&self, weeks: core::ops::Range<usize>) -> Arc<AddrSet> {
-        Arc::new(self.window_union(weeks))
-    }
-}
 
 /// Per-address traffic summary over the daily window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,90 +117,10 @@ impl DailyDataset {
             .map(|i| &self.blocks[i])
     }
 
-    /// The set of addresses active on day `d`.
-    pub fn day_set(&self, d: usize) -> AddrSet {
-        self.day_set_as(d)
-    }
-
-    /// [`Self::day_set`] materialized into any [`ActiveSet`] backend.
-    ///
-    /// Streams each block's activity bitmap into the backend's
-    /// [`SetBuilder`], so there is no counting pre-pass and nothing is
-    /// allocated for inactive blocks — an empty day yields a genuinely
-    /// empty set, and a single-address day costs one sparse chunk.
-    pub fn day_set_as<S: ActiveSet>(&self, d: usize) -> S {
-        assert!(d < self.num_days, "day {d} outside window");
-        let mut b = <S::Builder>::new();
-        for rec in &self.blocks {
-            // Branch-free: extract bit `d` of each row straight into
-            // the block bitmap's words, so the 256-row scan reduces to
-            // shift/or chains the compiler can unroll and vectorize.
-            let mut words = [0u64; 4];
-            for (i, row) in rec.rows.iter().enumerate() {
-                words[i >> 6] |= ((row.bits() >> d) as u64 & 1) << (i & 63);
-            }
-            b.push_block(rec.block, &AddrBits256::from_words(words));
-        }
-        b.finish()
-    }
-
-    /// Every day's active set in one transposed pass: instead of
-    /// `num_days` scans that each read all 256 rows of every block,
-    /// each block's 256 × 128 activity matrix is transposed as 64 × 64
-    /// bit tiles (four host groups × two day halves, the second half
-    /// only when the window has one), which leaves every day's block
-    /// bitmap as four words to push. Element `d` equals
-    /// `day_set_as(d)` exactly (differentially pinned).
+    /// Every day's active set in one transposed pass — the daily
+    /// [`SlotMatrix::units_all`], under the name the benchmark links.
     pub fn day_sets_all<S: ActiveSet>(&self) -> Vec<S> {
-        let mut builders: Vec<S::Builder> =
-            (0..self.num_days).map(|_| <S::Builder>::new()).collect();
-        for rec in &self.blocks {
-            for (half, builders) in builders.chunks_mut(64).enumerate() {
-                let day_word = |i: usize| (rec.rows[i].bits() >> (64 * half)) as u64;
-                push_transposed(rec.block, day_word, builders);
-            }
-        }
-        builders.into_iter().map(|b| b.finish()).collect()
-    }
-
-    /// Union of active addresses over a day range (a "window" in the
-    /// Section 4.1 sense).
-    pub fn window_union(&self, days: core::ops::Range<usize>) -> AddrSet {
-        self.window_union_as(days)
-    }
-
-    /// [`Self::window_union`] materialized into any backend (see
-    /// [`Self::day_set_as`] for the construction strategy).
-    pub fn window_union_as<S: ActiveSet>(&self, days: core::ops::Range<usize>) -> S {
-        assert!(days.end <= self.num_days, "window outside dataset");
-        let width = days.end - days.start;
-        let mask: u128 = if width == 0 {
-            0
-        } else if width == DayBits::CAPACITY {
-            u128::MAX
-        } else {
-            ((1u128 << width) - 1) << days.start
-        };
-        let mut b = <S::Builder>::new();
-        for rec in &self.blocks {
-            // Branch-free window test per row (see `day_set_as`).
-            let mut words = [0u64; 4];
-            for (i, row) in rec.rows.iter().enumerate() {
-                words[i >> 6] |= ((row.bits() & mask != 0) as u64) << (i & 63);
-            }
-            b.push_block(rec.block, &AddrBits256::from_words(words));
-        }
-        b.finish()
-    }
-
-    /// All addresses active at least once in the window.
-    pub fn all_active(&self) -> AddrSet {
-        self.window_union(0..self.num_days)
-    }
-
-    /// [`Self::all_active`] materialized into any backend.
-    pub fn all_active_as<S: ActiveSet>(&self) -> S {
-        self.window_union_as(0..self.num_days)
+        self.units_all()
     }
 
     /// Total number of distinct active addresses.
@@ -717,72 +589,6 @@ impl PartialEq for WeeklyDataset {
 }
 
 impl WeeklyDataset {
-    /// The set of addresses active in week `w`.
-    pub fn week_set(&self, w: usize) -> AddrSet {
-        self.week_set_as(w)
-    }
-
-    /// [`Self::week_set`] materialized into any [`ActiveSet`] backend
-    /// (see [`DailyDataset::day_set_as`] for the construction strategy).
-    pub fn week_set_as<S: ActiveSet>(&self, w: usize) -> S {
-        assert!(w < self.num_weeks);
-        self.masked_union(1u64 << w)
-    }
-
-    /// Every week's active set in one transposed pass (the weekly
-    /// analogue of [`DailyDataset::day_sets_all`]: four 64 × 64 tiles
-    /// a block); element `w` equals `week_set_as(w)` exactly.
-    pub fn week_sets_all<S: ActiveSet>(&self) -> Vec<S> {
-        let mut builders: Vec<S::Builder> =
-            (0..self.num_weeks).map(|_| <S::Builder>::new()).collect();
-        for (block, rows) in &self.blocks {
-            push_transposed(*block, |i| rows[i], &mut builders);
-        }
-        builders.into_iter().map(|b| b.finish()).collect()
-    }
-
-    /// Union of addresses active in a week range.
-    pub fn window_union(&self, weeks: core::ops::Range<usize>) -> AddrSet {
-        self.window_union_as(weeks)
-    }
-
-    /// [`Self::window_union`] materialized into any backend.
-    pub fn window_union_as<S: ActiveSet>(&self, weeks: core::ops::Range<usize>) -> S {
-        assert!(weeks.end <= self.num_weeks);
-        let mask: u64 = if weeks.len() >= 64 {
-            u64::MAX
-        } else {
-            ((1u64 << weeks.len()) - 1) << weeks.start
-        };
-        self.masked_union(mask)
-    }
-
-    /// Streams every address whose week-bits intersect `mask` into the
-    /// backend's builder, block-wise.
-    fn masked_union<S: ActiveSet>(&self, mask: u64) -> S {
-        let mut b = <S::Builder>::new();
-        for (block, rows) in &self.blocks {
-            // Branch-free week-mask test per row (see
-            // [`DailyDataset::day_set_as`]).
-            let mut words = [0u64; 4];
-            for (i, &row) in rows.iter().enumerate() {
-                words[i >> 6] |= ((row & mask != 0) as u64) << (i & 63);
-            }
-            b.push_block(*block, &AddrBits256::from_words(words));
-        }
-        b.finish()
-    }
-
-    /// All addresses active in any week.
-    pub fn all_active(&self) -> AddrSet {
-        self.window_union(0..self.num_weeks)
-    }
-
-    /// [`Self::all_active`] materialized into any backend.
-    pub fn all_active_as<S: ActiveSet>(&self) -> S {
-        self.window_union_as(0..self.num_weeks)
-    }
-
     /// Year-scale filling degree of a block: addresses active in at
     /// least one week (the weekly analogue of the Section 5.1 FD).
     pub fn filling_degree(&self, block: Block24) -> u32 {
@@ -815,55 +621,6 @@ impl WeeklyDataset {
             .iter()
             .map(|(_, rows)| rows.iter().filter(|&&b| b != 0).count())
             .sum()
-    }
-}
-
-/// Transposes a 64 × 64 bit matrix in place: bit `c` of `m[r]` moves
-/// to bit `r` of `m[c]`. Each of the six rounds swaps the off-diagonal
-/// quarters of every `2j × 2j` sub-block (`j` = 32, 16, …, 1) with one
-/// shift-xor-mask step per row pair, so a tile costs 192 such steps
-/// whatever its density.
-pub(crate) fn transpose64(m: &mut [u64; 64]) {
-    let mut j = 32;
-    let mut mask = 0x0000_0000_FFFF_FFFF_u64;
-    while j != 0 {
-        for k in 0..64 {
-            if k & j == 0 {
-                let t = ((m[k] >> j) ^ m[k + j]) & mask;
-                m[k] ^= t << j;
-                m[k + j] ^= t;
-            }
-        }
-        j >>= 1;
-        mask ^= mask << j;
-    }
-}
-
-/// Pushes one block into per-slot set builders: `row(i)` is host `i`'s
-/// 64 slot bits (days or weeks), `builders[s]` slot `s`'s builder. The
-/// four 64-host tiles are transposed, so word `s` of tile `g` holds
-/// hosts `64g..64g + 64` in slot `s`, and every slot any host is
-/// active in gets its four words pushed. An all-zero tile is left as
-/// it is: its transpose is itself.
-fn push_transposed<B: SetBuilder>(block: Block24, row: impl Fn(usize) -> u64, builders: &mut [B]) {
-    let mut tiles = [[0u64; 64]; 4];
-    let mut touched = 0u64;
-    for (g, tile) in tiles.iter_mut().enumerate() {
-        let mut any = 0u64;
-        for (r, word) in tile.iter_mut().enumerate() {
-            *word = row(64 * g + r);
-            any |= *word;
-        }
-        if any != 0 {
-            transpose64(tile);
-        }
-        touched |= any;
-    }
-    while touched != 0 {
-        let s = touched.trailing_zeros() as usize;
-        touched &= touched - 1;
-        let words = [tiles[0][s], tiles[1][s], tiles[2][s], tiles[3][s]];
-        builders[s].push_block(block, &AddrBits256::from_words(words));
     }
 }
 
@@ -1046,6 +803,8 @@ impl WeeklyDatasetBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cadence::{transpose64, Windows};
+    use ipactive_net::AddrSet;
     use proptest::prelude::*;
 
     fn addr(s: &str) -> Addr {
@@ -1077,19 +836,19 @@ mod tests {
         assert_eq!(ds.blocks.len(), 2);
         assert!(ds.blocks[0].block < ds.blocks[1].block);
         assert_eq!(ds.total_active(), 3);
-        assert_eq!(ds.all_active().len(), 3);
+        assert_eq!(ds.all_active::<AddrSet>().len(), 3);
     }
 
     #[test]
     fn day_sets_and_window_unions() {
         let ds = tiny_daily();
-        let d0 = ds.day_set(0);
+        let d0: AddrSet = ds.unit(0);
         assert_eq!(d0.len(), 2);
         assert!(d0.contains(addr("10.0.0.1")) && d0.contains(addr("10.0.0.2")));
-        let d3 = ds.day_set(3);
+        let d3: AddrSet = ds.unit(3);
         assert_eq!(d3.len(), 2);
         assert!(d3.contains(addr("10.0.1.9")));
-        let w = ds.window_union(2..5);
+        let w: AddrSet = ds.window(2..5);
         assert!(w.contains(addr("10.0.0.2")) && w.contains(addr("10.0.1.9")));
         assert!(!w.contains(addr("10.0.0.1")));
     }
@@ -1190,16 +949,16 @@ mod tests {
     #[test]
     fn uncached_windows_traits_match_inherent_queries() {
         let ds = tiny_daily();
-        assert_eq!(DailyWindows::num_days(&ds), 7);
-        let via_trait = DailyWindows::union(&ds, 2..5);
-        assert_eq!(*via_trait, ds.window_union(2..5));
+        assert_eq!(ds.num_units(), 7);
+        let via_trait = ds.union(2..5);
+        assert_eq!(*via_trait, ds.window::<AddrSet>(2..5));
 
         let mut b = WeeklyDatasetBuilder::new(8);
         b.record_week(1, addr("10.0.0.1"), 3);
         b.record_week(6, addr("10.0.2.9"), 1);
         let ws = b.finish();
-        assert_eq!(WeeklyWindows::num_weeks(&ws), 8);
-        assert_eq!(*WeeklyWindows::union(&ws, 0..7), ws.window_union(0..7));
+        assert_eq!(ws.num_units(), 8);
+        assert_eq!(*ws.union(0..7), ws.window::<AddrSet>(0..7));
     }
 
     #[test]
@@ -1210,11 +969,11 @@ mod tests {
         b.record_week(10, addr("10.0.2.7"), 5);
         let ds = b.finish();
         assert_eq!(ds.total_active(), 2);
-        assert_eq!(ds.week_set(0).len(), 1);
-        assert_eq!(ds.week_set(1).len(), 0);
-        assert!(ds.week_set(51).contains(addr("10.0.0.1")));
-        assert_eq!(ds.window_union(0..52).len(), 2);
-        assert_eq!(ds.window_union(1..10).len(), 0);
+        assert_eq!(ds.unit::<AddrSet>(0).len(), 1);
+        assert_eq!(ds.unit::<AddrSet>(1).len(), 0);
+        assert!(ds.unit::<AddrSet>(51).contains(addr("10.0.0.1")));
+        assert_eq!(ds.window::<AddrSet>(0..52).len(), 2);
+        assert_eq!(ds.window::<AddrSet>(1..10).len(), 0);
         assert_eq!(*ds.week_hits[0], vec![100]);
         assert_eq!(*ds.week_hits[10], vec![5]);
     }
@@ -1242,7 +1001,7 @@ mod tests {
         let mut b = WeeklyDatasetBuilder::new(64);
         b.record_week(63, addr("10.0.0.1"), 1);
         let ds = b.finish();
-        assert_eq!(ds.window_union(0..64).len(), 1);
+        assert_eq!(ds.window::<AddrSet>(0..64).len(), 1);
     }
 
     /// The records behind `tiny_daily`, as a replayable list.
@@ -1799,7 +1558,7 @@ mod tests {
         b.record_hits(0, addr("10.0.0.1"), 5);
         b.record_hits(6, addr("10.0.1.9"), 1);
         let ds = b.finish();
-        let empty: TieredSet = ds.window_union_as(2..5); // quiet mid-window
+        let empty: TieredSet = ds.window(2..5); // quiet mid-window
         assert!(empty.is_empty());
         assert_eq!(empty.num_chunks(), 0);
         assert_eq!(empty.repr_census().total(), 0);
@@ -1808,7 +1567,7 @@ mod tests {
         let mut b = WeeklyDatasetBuilder::new(8);
         b.record_week(0, addr("10.0.0.1"), 3);
         let ws = b.finish();
-        let empty: TieredSet = ws.window_union_as(2..8);
+        let empty: TieredSet = ws.window(2..8);
         assert!(empty.is_empty());
         assert_eq!(empty.num_chunks(), 0);
     }
@@ -1819,7 +1578,7 @@ mod tests {
         let ds = tiny_daily();
         // Day 3 activates exactly {10.0.0.2, 10.0.1.9}: two blocks, one
         // address each — two sparse chunks, not two 256-bit bitmaps.
-        let d3: TieredSet = ds.day_set_as(3);
+        let d3: TieredSet = ds.unit(3);
         assert_eq!(d3.len(), 2);
         assert_eq!(d3.num_chunks(), 2);
         let census = d3.repr_census();
@@ -1827,7 +1586,7 @@ mod tests {
         assert_eq!(census.dense, 0);
         assert!(d3.contains(addr("10.0.1.9")));
         // Round-trip against the reference backend.
-        let oracle = ds.day_set(3);
+        let oracle: AddrSet = ds.unit(3);
         assert!(d3.iter().eq(oracle.iter()));
         // Heap cost stays proportional to membership, far below the
         // 2 × 256-entry worst case a counting pre-pass would reserve.
@@ -1854,8 +1613,8 @@ mod tests {
             let bulk_tiered: Vec<TieredSet> = ds.day_sets_all();
             assert_eq!(bulk_ref.len(), ds.num_days);
             for d in 0..ds.num_days {
-                assert_eq!(bulk_ref[d], ds.day_set_as::<AddrSet>(d), "day {d}");
-                assert_eq!(bulk_tiered[d], ds.day_set_as::<TieredSet>(d), "day {d}");
+                assert_eq!(bulk_ref[d], ds.unit::<AddrSet>(d), "day {d}");
+                assert_eq!(bulk_tiered[d], ds.unit::<TieredSet>(d), "day {d}");
             }
         }
 
@@ -1878,12 +1637,12 @@ mod tests {
         }
         edges.record_week(63, addr("10.0.5.0"), 1);
         for ds in [b.finish(), edges.finish()] {
-            let bulk_ref: Vec<AddrSet> = ds.week_sets_all();
-            let bulk_tiered: Vec<TieredSet> = ds.week_sets_all();
+            let bulk_ref: Vec<AddrSet> = ds.units_all();
+            let bulk_tiered: Vec<TieredSet> = ds.units_all();
             assert_eq!(bulk_ref.len(), ds.num_weeks);
             for w in 0..ds.num_weeks {
-                assert_eq!(bulk_ref[w], ds.week_set_as::<AddrSet>(w), "week {w}");
-                assert_eq!(bulk_tiered[w], ds.week_set_as::<TieredSet>(w), "week {w}");
+                assert_eq!(bulk_ref[w], ds.unit::<AddrSet>(w), "week {w}");
+                assert_eq!(bulk_tiered[w], ds.unit::<TieredSet>(w), "week {w}");
             }
         }
     }

@@ -3,23 +3,24 @@
 //!
 //! Every figure and table of the paper is a window query over the same
 //! two immutable activity matrices (Section 4.1's sliding windows), so
-//! [`AnalysisCtx`] memoizes the three query shapes — `day_set(d)`,
-//! `week_set(w)`, `window_union(range)` — as `Arc`-shared
-//! [`ActiveSet`] values keyed by their range. A set is computed at
-//! most once per session and then shared by reference across figures
-//! and across the worker threads of the bench crate's `Repro::run_all`.
+//! [`AnalysisCtx`] memoizes window unions — a one-unit window is a
+//! day's or a week's set — as `Arc`-shared [`ActiveSet`] values keyed
+//! by their range. A set is computed at most once per session and then
+//! shared by reference across figures and across the worker threads of
+//! the bench crate's `Repro::run_all`.
 //!
 //! ## Slot layout
 //!
 //! The key space is finite and known at construction: `d` days, `w`
 //! weeks, and every window `s..e` with `0 ≤ s < e ≤ d` (resp. `w`).
 //! So the cache is not a locked map but a flat, pre-keyed table of
-//! [`OnceLock`] slots, and there is one private type for it,
-//! `WindowCache`: a dataset, one slot per unit (day or week) and a
+//! [`OnceLock`] slots, and there is one type for it, [`WindowCache`]:
+//! one [`Cadence`]'s dataset, one slot per unit (day or week) and a
 //! triangular vector of multi-unit windows indexed by `window_slot`.
 //! The context holds it twice — over the daily dataset's days and the
-//! weekly dataset's weeks — and every query, budgeted or not, is one
-//! body on that type; `day_*`/`week_*` only pick the cache. A hit is
+//! weekly dataset's weeks — and [`AnalysisCtx::windows`] picks one by
+//! cadence. It is a [`Windows`] source, and every query, budgeted or
+//! not, is one body on it whatever the cadence. A hit is
 //! one lock-free `OnceLock::get`; a miss computes inside
 //! `get_or_init`, so racing readers of the same key block on the
 //! winner instead of each recomputing the set (the old mutex-map
@@ -61,16 +62,16 @@
 //! ## Deadline budgets
 //!
 //! The serving layer answers queries under a per-request wall-clock
-//! budget. [`AnalysisCtx::day_window_within`] /
-//! [`AnalysisCtx::week_window_within`] run the same composition as the
-//! unbudgeted queries but check a [`QueryBudget`] at every
+//! budget. [`WindowCache::window_within`] runs the same composition as
+//! the unbudgeted query but checks a [`QueryBudget`] at every
 //! slot-composition boundary; an exceeded budget returns
 //! [`DeadlineExceeded`] carrying how many units of the window had been
 //! composed — partial-progress provenance the serving layer forwards
 //! to the client. Cached answers are handed out even when the budget
 //! is already spent (a hit costs nothing).
 
-use crate::{DailyDataset, DailyWindows, WeeklyDataset, WeeklyWindows};
+use crate::cadence::{Cadence, Daily, SlotMatrix, Weekly, Windows};
+use crate::{DailyDataset, WeeklyDataset};
 use ipactive_net::{ActiveSet, TieredSet};
 use ipactive_obs::{Counter, Event, EventKind, Registry};
 use std::ops::Range;
@@ -139,50 +140,6 @@ fn window_slot(d_max: usize, s: usize, e: usize) -> usize {
     s * (2 * d_max - s + 1) / 2 + (e - s - 1)
 }
 
-/// What a [`WindowCache`] asks of the dataset it memoizes: its units
-/// (days of the daily dataset, weeks of the weekly one) and fresh,
-/// uncached unions over them.
-trait UnitSource {
-    /// Units in the dataset's window.
-    fn num_units(&self) -> usize;
-    /// The set active in unit `u`.
-    fn unit<S: ActiveSet>(&self, u: usize) -> S;
-    /// Every unit's set, from one transposed pass over the dataset.
-    fn units_all<S: ActiveSet>(&self) -> Vec<S>;
-    /// The union over `range`, computed fresh from the matrix.
-    fn window<S: ActiveSet>(&self, range: Range<usize>) -> S;
-}
-
-impl UnitSource for DailyDataset {
-    fn num_units(&self) -> usize {
-        self.num_days
-    }
-    fn unit<S: ActiveSet>(&self, d: usize) -> S {
-        self.day_set_as(d)
-    }
-    fn units_all<S: ActiveSet>(&self) -> Vec<S> {
-        self.day_sets_all()
-    }
-    fn window<S: ActiveSet>(&self, days: Range<usize>) -> S {
-        self.window_union_as(days)
-    }
-}
-
-impl UnitSource for WeeklyDataset {
-    fn num_units(&self) -> usize {
-        self.num_weeks
-    }
-    fn unit<S: ActiveSet>(&self, w: usize) -> S {
-        self.week_set_as(w)
-    }
-    fn units_all<S: ActiveSet>(&self) -> Vec<S> {
-        self.week_sets_all()
-    }
-    fn window<S: ActiveSet>(&self, weeks: Range<usize>) -> S {
-        self.window_union_as(weeks)
-    }
-}
-
 const HIT_ONE: u64 = 1 << 32;
 
 /// The accounting and switches one [`AnalysisCtx`] shares between its
@@ -210,6 +167,17 @@ struct Meter {
 }
 
 impl Meter {
+    fn new(registry: &Registry) -> Meter {
+        Meter {
+            registry: registry.clone(),
+            hits: registry.counter("engine.cache.hit"),
+            misses: registry.counter("engine.cache.miss"),
+            local: AtomicU64::new(0),
+            bypass: AtomicBool::new(false),
+            compose_stall_us: AtomicU64::new(0),
+        }
+    }
+
     fn record(&self, hit: bool) {
         if hit {
             self.hits.inc();
@@ -253,10 +221,14 @@ impl Meter {
     }
 }
 
-/// One dataset and its memoized sets — [`AnalysisCtx`] holds one over
-/// the daily dataset's days and one over the weekly dataset's weeks.
-struct WindowCache<S, D> {
-    data: Arc<D>,
+/// One cadence's dataset and its memoized sets: what
+/// [`AnalysisCtx::windows`] hands out, a [`Windows`] source that
+/// answers every union from the cache. [`AnalysisCtx`] holds one over
+/// the daily dataset's days and one over the weekly dataset's weeks,
+/// metering both into one account.
+pub struct WindowCache<S, C: Cadence> {
+    data: Arc<C::Dataset>,
+    meter: Arc<Meter>,
     /// One slot per unit (day or week).
     units: Vec<OnceLock<Arc<S>>>,
     /// Triangular window table (see [`window_slot`]); the length-1
@@ -265,12 +237,13 @@ struct WindowCache<S, D> {
     windows: Vec<OnceLock<Arc<S>>>,
 }
 
-impl<S: ActiveSet, D: UnitSource> WindowCache<S, D> {
+impl<S: ActiveSet, C: Cadence> WindowCache<S, C> {
     /// An empty cache over `data`.
-    fn new(data: Arc<D>) -> Self {
-        let n = data.num_units();
+    fn new(data: Arc<C::Dataset>, meter: &Arc<Meter>) -> Self {
+        let n = data.num_slots();
         WindowCache {
             data,
+            meter: meter.clone(),
             units: (0..n).map(|_| OnceLock::new()).collect(),
             windows: (0..n * (n + 1) / 2).map(|_| OnceLock::new()).collect(),
         }
@@ -282,12 +255,11 @@ impl<S: ActiveSet, D: UnitSource> WindowCache<S, D> {
     /// shared, not cloned data.
     ///
     /// # Panics
-    /// If `data` has fewer units than `prev`'s dataset (`cadence`
-    /// names it in the message).
-    fn carried_from(prev: &Self, data: Arc<D>, cadence: &str) -> Self {
-        let (n_old, n) = (prev.units.len(), data.num_units());
-        assert!(n_old <= n, "extended {cadence} dataset must not shrink ({n_old} -> {n})");
-        let fresh = WindowCache::new(data);
+    /// If `data` has fewer units than `prev`'s dataset.
+    fn carried_from(prev: &Self, data: Arc<C::Dataset>, meter: &Arc<Meter>) -> Self {
+        let (n_old, n) = (prev.units.len(), data.num_slots());
+        assert!(n_old <= n, "extended dataset must not shrink ({n_old} -> {n} {})", C::UNITS);
+        let fresh = WindowCache::new(data, meter);
         for (old, new) in prev.units.iter().zip(&fresh.units) {
             if let Some(set) = old.get() {
                 let _ = new.set(set.clone());
@@ -309,39 +281,30 @@ impl<S: ActiveSet, D: UnitSource> WindowCache<S, D> {
     }
 
     /// The set of unit `u`, memoized.
-    fn unit(&self, meter: &Meter, u: usize) -> Arc<S> {
-        if meter.bypass() {
+    fn unit(&self, u: usize) -> Arc<S> {
+        if self.meter.bypass() {
             return Arc::new(self.data.unit(u));
         }
-        meter.query_slot(&self.units[u], || Arc::new(self.data.unit(u)))
+        self.meter.query_slot(&self.units[u], || Arc::new(self.data.unit(u)))
     }
 
-    /// The union over `range`, memoized; a miss composes (see
-    /// [`WindowCache::compose_within`]) inside the slot's
-    /// `get_or_init`.
-    fn window(&self, meter: &Meter, range: Range<usize>) -> Arc<S> {
-        if meter.bypass() {
-            return Arc::new(self.data.window(range));
-        }
-        assert!(range.end <= self.units.len(), "window outside dataset");
-        match range.len() {
-            0 => return Arc::new(S::empty()),
-            // A one-unit window and the unit's set are the same query;
-            // give them the same cache slot.
-            1 => return self.unit(meter, range.start),
-            _ => {}
-        }
-        meter.query_slot(self.slot(range.start, range.end), || {
-            self.compose_within(meter, range.clone(), &QueryBudget::unlimited())
-                .expect("an unlimited budget never expires")
-        })
-    }
-
-    /// [`WindowCache::window`] under a deadline budget (semantics in
-    /// [`AnalysisCtx::day_window_within`]).
-    fn window_within(
+    /// The union over `range` under a deadline budget.
+    ///
+    /// A cached window is handed out even when the budget is already
+    /// spent (a hit costs nothing). A miss composes with the budget
+    /// checked at every slot boundary; running out returns
+    /// [`DeadlineExceeded`] with partial-progress provenance and
+    /// caches nothing. A successful budgeted miss publishes its set
+    /// into the same slot the unbudgeted query uses, so later queries
+    /// of either flavor hit.
+    ///
+    /// Metering: one hit per cached answer, one miss per call that
+    /// computed, nothing on `Err`. Unlike the unbudgeted
+    /// [`Windows::union`], two budgeted misses racing on one key may
+    /// both count a miss (abortable composition cannot run inside
+    /// `get_or_init`); the slot still keeps a single canonical set.
+    pub fn window_within(
         &self,
-        meter: &Meter,
         range: Range<usize>,
         budget: &QueryBudget,
     ) -> Result<Arc<S>, DeadlineExceeded> {
@@ -349,6 +312,7 @@ impl<S: ActiveSet, D: UnitSource> WindowCache<S, D> {
         if range.is_empty() {
             return Ok(Arc::new(S::empty()));
         }
+        let meter = &*self.meter;
         if range.len() == 1 {
             // Cached units are free; an uncached unit build is charged
             // against the budget as one boundary.
@@ -356,7 +320,7 @@ impl<S: ActiveSet, D: UnitSource> WindowCache<S, D> {
             if !cached && budget.expired() {
                 return Err(DeadlineExceeded { units_done: 0, units_total: 1 });
             }
-            return Ok(self.window(meter, range));
+            return Ok(self.union(range));
         }
         if meter.bypass() {
             if budget.expired() {
@@ -369,7 +333,7 @@ impl<S: ActiveSet, D: UnitSource> WindowCache<S, D> {
             meter.record(true);
             return Ok(set.clone());
         }
-        let set = self.compose_within(meter, range, budget)?;
+        let set = self.compose_within(range, budget)?;
         let _ = slot.set(set);
         meter.record(false);
         Ok(slot.get().expect("slot was just set").clone())
@@ -389,11 +353,10 @@ impl<S: ActiveSet, D: UnitSource> WindowCache<S, D> {
     /// boundary exactly like a genuinely slow set build.
     fn compose_within(
         &self,
-        meter: &Meter,
         range: Range<usize>,
         budget: &QueryBudget,
     ) -> Result<Arc<S>, DeadlineExceeded> {
-        let _span = meter.registry.span("engine.compose");
+        let _span = self.meter.registry.span("engine.compose");
         let units_total = range.len();
         let mut parts: Vec<Arc<S>> = Vec::new();
         let mut s = range.start;
@@ -409,7 +372,7 @@ impl<S: ActiveSet, D: UnitSource> WindowCache<S, D> {
                     s = e;
                 }
                 None => {
-                    meter.chaos_stall();
+                    self.meter.chaos_stall();
                     parts.push(self.units[s].get_or_init(|| Arc::new(self.data.unit(s))).clone());
                     s += 1;
                 }
@@ -436,6 +399,39 @@ impl<S: ActiveSet, D: UnitSource> WindowCache<S, D> {
     }
 }
 
+impl<S: ActiveSet, C: Cadence> Windows for WindowCache<S, C> {
+    type Cadence = C;
+    type Set = S;
+
+    fn num_units(&self) -> usize {
+        self.units.len()
+    }
+
+    /// The union over `range`, memoized; an empty or reversed range is
+    /// the empty set. A miss composes inside the slot's `get_or_init`
+    /// from the longest cached sub-windows merged in one
+    /// [`ActiveSet::union_many`] pass, so e.g. a 28-day window over a
+    /// sweep that already cached its two 14-day halves costs one 2-way
+    /// merge instead of a fresh matrix scan or a 28-way one.
+    fn union(&self, range: Range<usize>) -> Arc<S> {
+        if self.meter.bypass() {
+            return Arc::new(self.data.window(range));
+        }
+        assert!(range.end <= self.units.len(), "window outside dataset");
+        match range.len() {
+            0 => return Arc::new(S::empty()),
+            // A one-unit window and the unit's set are the same query;
+            // give them the same cache slot.
+            1 => return self.unit(range.start),
+            _ => {}
+        }
+        self.meter.query_slot(self.slot(range.start, range.end), || {
+            self.compose_within(range.clone(), &QueryBudget::unlimited())
+                .expect("an unlimited budget never expires")
+        })
+    }
+}
+
 /// Memoized window-query context over one daily and one weekly
 /// dataset.
 ///
@@ -446,9 +442,9 @@ impl<S: ActiveSet, D: UnitSource> WindowCache<S, D> {
 /// backend-independent, which is what the differential suite in the
 /// bench crate's `tests/engine.rs` pins.
 pub struct AnalysisCtx<S: ActiveSet = TieredSet> {
-    days: WindowCache<S, DailyDataset>,
-    weeks: WindowCache<S, WeeklyDataset>,
-    meter: Meter,
+    pub(crate) days: WindowCache<S, Daily>,
+    pub(crate) weeks: WindowCache<S, Weekly>,
+    meter: Arc<Meter>,
 }
 
 impl<S: ActiveSet> AnalysisCtx<S> {
@@ -468,28 +464,19 @@ impl<S: ActiveSet> AnalysisCtx<S> {
         weekly: Arc<WeeklyDataset>,
         registry: &Registry,
     ) -> Self {
-        AnalysisCtx::with_caches(WindowCache::new(daily), WindowCache::new(weekly), registry)
+        let meter = Arc::new(Meter::new(registry));
+        let (days, weeks) = (WindowCache::new(daily, &meter), WindowCache::new(weekly, &meter));
+        AnalysisCtx::with_caches(days, weeks, meter)
     }
 
     fn with_caches(
-        days: WindowCache<S, DailyDataset>,
-        weeks: WindowCache<S, WeeklyDataset>,
-        registry: &Registry,
+        days: WindowCache<S, Daily>,
+        weeks: WindowCache<S, Weekly>,
+        meter: Arc<Meter>,
     ) -> Self {
-        registry.gauge("engine.days").set(days.units.len() as i64);
-        registry.gauge("engine.weeks").set(weeks.units.len() as i64);
-        AnalysisCtx {
-            days,
-            weeks,
-            meter: Meter {
-                registry: registry.clone(),
-                hits: registry.counter("engine.cache.hit"),
-                misses: registry.counter("engine.cache.miss"),
-                local: AtomicU64::new(0),
-                bypass: AtomicBool::new(false),
-                compose_stall_us: AtomicU64::new(0),
-            },
-        }
+        meter.registry.gauge("engine.days").set(days.units.len() as i64);
+        meter.registry.gauge("engine.weeks").set(weeks.units.len() as i64);
+        AnalysisCtx { days, weeks, meter }
     }
 
     /// Builds the cache for a *grown* pair of datasets, carrying
@@ -516,9 +503,17 @@ impl<S: ActiveSet> AnalysisCtx<S> {
         weekly: Arc<WeeklyDataset>,
         registry: &Registry,
     ) -> Self {
-        let days = WindowCache::carried_from(&prev.days, daily, "daily");
-        let weeks = WindowCache::carried_from(&prev.weeks, weekly, "weekly");
-        AnalysisCtx::with_caches(days, weeks, registry)
+        let meter = Arc::new(Meter::new(registry));
+        let days = WindowCache::carried_from(&prev.days, daily, &meter);
+        let weeks = WindowCache::carried_from(&prev.weeks, weekly, &meter);
+        AnalysisCtx::with_caches(days, weeks, meter)
+    }
+
+    /// The memoized windows of cadence `C`: `windows::<Daily>()` over
+    /// the daily dataset's days, `windows::<Weekly>()` over the weekly
+    /// dataset's weeks.
+    pub fn windows<C: Cadence>(&self) -> &WindowCache<S, C> {
+        C::windows(self)
     }
 
     /// The daily dataset the context answers for.
@@ -531,73 +526,32 @@ impl<S: ActiveSet> AnalysisCtx<S> {
         &self.weeks.data
     }
 
-    /// Addresses active on day `d`, memoized.
-    pub fn day_set(&self, d: usize) -> Arc<S> {
-        self.days.unit(&self.meter, d)
-    }
-
-    /// Addresses active in week `w`, memoized.
-    pub fn week_set(&self, w: usize) -> Arc<S> {
-        self.weeks.unit(&self.meter, w)
-    }
-
-    /// Union of the day window `days`, memoized.
-    ///
-    /// A miss composes from the longest cached sub-windows merged in
-    /// one [`ActiveSet::union_many`] pass, so e.g. a 28-day window
-    /// over a sweep that already cached its two 14-day halves costs
-    /// one 2-way merge instead of a fresh matrix scan or a 28-way one.
+    /// `windows::<Daily>().union(days)`.
     pub fn day_window(&self, days: Range<usize>) -> Arc<S> {
-        self.days.window(&self.meter, days)
+        self.days.union(days)
     }
 
-    /// Union of the week window `weeks`, memoized (composition as in
-    /// [`AnalysisCtx::day_window`]).
+    /// `windows::<Weekly>().union(weeks)`.
     pub fn week_window(&self, weeks: Range<usize>) -> Arc<S> {
-        self.weeks.window(&self.meter, weeks)
+        self.weeks.union(weeks)
     }
 
-    /// [`AnalysisCtx::day_window`] under a deadline budget.
-    ///
-    /// A cached window is handed out even when the budget is already
-    /// spent (a hit costs nothing). A miss composes with the budget
-    /// checked at every slot boundary; running out returns
-    /// [`DeadlineExceeded`] with partial-progress provenance and
-    /// caches nothing. A successful budgeted miss publishes its set
-    /// into the same slot the unbudgeted query uses, so later queries
-    /// of either flavor hit.
-    ///
-    /// Metering: one hit per cached answer, one miss per call that
-    /// computed, nothing on `Err`. Unlike [`AnalysisCtx::day_window`],
-    /// two budgeted misses racing on one key may both count a miss
-    /// (abortable composition cannot run inside `get_or_init`); the
-    /// slot still keeps a single canonical set.
+    /// `windows::<Daily>().window_within(days, budget)`.
     pub fn day_window_within(
         &self,
         days: Range<usize>,
         budget: &QueryBudget,
     ) -> Result<Arc<S>, DeadlineExceeded> {
-        self.days.window_within(&self.meter, days, budget)
-    }
-
-    /// [`AnalysisCtx::week_window`] under a deadline budget; semantics
-    /// as in [`AnalysisCtx::day_window_within`].
-    pub fn week_window_within(
-        &self,
-        weeks: Range<usize>,
-        budget: &QueryBudget,
-    ) -> Result<Arc<S>, DeadlineExceeded> {
-        self.weeks.window_within(&self.meter, weeks, budget)
+        self.days.window_within(days, budget)
     }
 
     /// Union of all days — the figure suite's "CDN union".
     pub fn all_active(&self) -> Arc<S> {
-        self.day_window(0..self.days.units.len())
+        self.days.union(0..self.days.units.len())
     }
 
     /// Populates every day/week unit slot from one transposed pass per
-    /// dataset ([`DailyDataset::day_sets_all`] /
-    /// [`WeeklyDataset::week_sets_all`]) instead of `num_days +
+    /// dataset ([`SlotMatrix::units_all`]) instead of `num_days +
     /// num_weeks` separate matrix scans.
     ///
     /// Called once before a figure run so the first figure to touch a
@@ -657,30 +611,6 @@ impl<S: ActiveSet> AnalysisCtx<S> {
     }
 }
 
-impl<S: ActiveSet> DailyWindows for AnalysisCtx<S> {
-    type Set = S;
-
-    fn num_days(&self) -> usize {
-        self.days.units.len()
-    }
-
-    fn union(&self, days: Range<usize>) -> Arc<S> {
-        self.day_window(days)
-    }
-}
-
-impl<S: ActiveSet> WeeklyWindows for AnalysisCtx<S> {
-    type Set = S;
-
-    fn num_weeks(&self) -> usize {
-        self.weeks.units.len()
-    }
-
-    fn union(&self, weeks: Range<usize>) -> Arc<S> {
-        self.week_window(weeks)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -727,26 +657,24 @@ mod tests {
         // (however many day sets it materialized internally), the
         // repeat exactly 1 hit.
         assert_eq!(ctx.stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(*first, ctx.daily().window_union_as(0..5));
+        assert_eq!(*first, ctx.daily().window::<TieredSet>(0..5));
     }
 
     #[test]
     fn composed_windows_reuse_cached_day_sets() {
         let ctx = ctx();
-        for d in 0..5 {
-            ctx.day_set(d); // warm every day slot: 5 misses
-        }
-        ctx.reset_stats();
+        ctx.prewarm_units(); // fills every day slot, uncounted
+        let warmed = ctx.days.units[2].get().expect("prewarm fills the day slot").clone();
         let window = ctx.day_window(1..4);
         // The composed miss reads the warmed day slots uncounted: the
         // public ledger sees exactly the one window query.
         assert_eq!(ctx.stats(), CacheStats { hits: 0, misses: 1 });
-        assert_eq!(*window, ctx.daily().window_union_as(1..4));
+        assert_eq!(*window, ctx.daily().window::<TieredSet>(1..4));
         // Day slots were shared, not recomputed: querying one now is
         // a hit on the same Arc the composition consumed.
-        let day = ctx.day_set(2);
+        let day = ctx.day_window(2..3);
         assert_eq!(ctx.stats(), CacheStats { hits: 1, misses: 1 });
-        assert!(day.len() <= window.len());
+        assert!(Arc::ptr_eq(&day, &warmed));
     }
 
     #[test]
@@ -760,24 +688,46 @@ mod tests {
         // ledger still sees one miss.
         let window = ctx.day_window(0..5);
         assert_eq!(ctx.stats(), CacheStats { hits: 0, misses: 1 });
-        assert_eq!(*window, ctx.daily().window_union_as(0..5));
+        assert_eq!(*window, ctx.daily().window::<TieredSet>(0..5));
     }
 
     #[test]
     fn one_day_windows_share_the_day_set_slot() {
-        let ctx = ctx();
-        let via_window = ctx.day_window(2..3);
-        let via_day = ctx.day_set(2);
-        assert!(Arc::ptr_eq(&via_window, &via_day));
-        assert_eq!(ctx.stats().misses, 1);
+        // A one-unit window answers from the unit slot that
+        // composition and the prewarm fill, not from the window table.
+        fn composed<C: Cadence>() {
+            let ctx = ctx();
+            let windows = ctx.windows::<C>();
+            windows.union(1..4); // composes units 1, 2, 3 into their slots
+            ctx.reset_stats();
+            let unit = windows.union(2..3);
+            assert_eq!(ctx.stats(), CacheStats { hits: 1, misses: 0 }, "{}", C::UNITS);
+            let consumed = windows.units[2].get().expect("compose fills the unit slot");
+            assert!(Arc::ptr_eq(&unit, consumed), "{}", C::UNITS);
+        }
+        fn prewarmed<C: Cadence>() {
+            let ctx = ctx();
+            ctx.prewarm_units();
+            let windows = ctx.windows::<C>();
+            for u in 0..windows.num_units() {
+                let unit = windows.union(u..u + 1);
+                assert!(Arc::ptr_eq(&unit, windows.units[u].get().unwrap()), "{}", C::UNITS);
+            }
+            let n = windows.num_units() as u64;
+            assert_eq!(ctx.stats(), CacheStats { hits: n, misses: 0 }, "{}", C::UNITS);
+        }
+        composed::<Daily>();
+        composed::<Weekly>();
+        prewarmed::<Daily>();
+        prewarmed::<Weekly>();
     }
 
     #[test]
     fn weekly_queries_match_fresh_computation() {
         let ctx = ctx();
-        assert_eq!(*ctx.week_set(3), ctx.weekly().week_set_as(3));
-        assert_eq!(*ctx.week_window(0..4), ctx.weekly().window_union_as(0..4));
-        assert_eq!(*ctx.week_window(1..2), ctx.weekly().week_set_as(1));
+        assert_eq!(*ctx.week_window(3..4), ctx.weekly().unit::<TieredSet>(3));
+        assert_eq!(*ctx.week_window(0..4), ctx.weekly().window::<TieredSet>(0..4));
+        assert_eq!(*ctx.week_window(1..2), ctx.weekly().unit::<TieredSet>(1));
     }
 
     #[test]
@@ -806,7 +756,7 @@ mod tests {
             AnalysisCtx::new_with_obs(Arc::new(d.finish()), Arc::new(w.finish()), &reg);
         ctx.day_window(0..5);
         ctx.day_window(0..5);
-        ctx.week_set(1);
+        ctx.week_window(1..2);
         assert_eq!(ctx.stats(), CacheStats { hits: 1, misses: 2 });
         let snap = reg.snapshot(SnapshotMode::Deterministic);
         assert_eq!(snap.counter("engine.cache.hit"), 1);
@@ -838,7 +788,7 @@ mod tests {
         // so far (hits can never exceed queries issued, and the final
         // tally is exact).
         let ctx = Arc::new(ctx());
-        ctx.day_set(0); // 1 miss, slot warm
+        ctx.day_window(0..1); // 1 miss, slot warm
         const THREADS: usize = 8;
         const QUERIES: usize = 200;
         std::thread::scope(|scope| {
@@ -846,7 +796,7 @@ mod tests {
                 let ctx = Arc::clone(&ctx);
                 scope.spawn(move || {
                     for _ in 0..QUERIES {
-                        ctx.day_set(0);
+                        ctx.day_window(0..1);
                     }
                 });
             }
@@ -868,13 +818,52 @@ mod tests {
     #[test]
     fn trait_paths_route_through_the_cache() {
         let ctx = ctx();
-        let via_trait = DailyWindows::union(&ctx, 1..4);
+        let days = ctx.windows::<Daily>();
+        let via_trait = days.union(1..4);
         let direct = ctx.day_window(1..4);
         assert!(Arc::ptr_eq(&via_trait, &direct));
-        assert_eq!(DailyWindows::num_days(&ctx), 5);
-        assert_eq!(WeeklyWindows::num_weeks(&ctx), 4);
-        let wk = WeeklyWindows::union(&ctx, 0..2);
+        assert_eq!(days.num_units(), 5);
+        assert_eq!(ctx.windows::<Weekly>().num_units(), 4);
+        let wk = ctx.windows::<Weekly>().union(0..2);
         assert!(Arc::ptr_eq(&wk, &ctx.week_window(0..2)));
+    }
+
+    /// Empty, reversed and full-width windows answer alike on every
+    /// path — cached, bypassed and budgeted — on both cadences: the
+    /// first two the empty set, the last everything the matrix holds,
+    /// over a 128-day and a 64-week matrix active in both edge slots.
+    #[test]
+    fn empty_reversed_and_full_width_windows_answer_alike_on_every_path() {
+        fn check<C: Cadence>(ctx: &AnalysisCtx) {
+            let windows = ctx.windows::<C>();
+            let n = windows.num_units();
+            let (none, all) = (TieredSet::empty(), windows.data.all_active::<TieredSet>());
+            assert_eq!(all.len(), 2);
+            let spent = QueryBudget::within(Duration::ZERO);
+            for bypass in [false, true] {
+                ctx.set_bypass(bypass);
+                let reversed = Range { start: 5, end: 2 };
+                let cases = [(reversed, &none), (n..0, &none), (3..3, &none), (0..n, &all)];
+                for (range, want) in cases {
+                    let path = format!("{} {range:?}, bypass {bypass}", C::UNITS);
+                    assert_eq!(*windows.union(range.clone()), *want, "{path}");
+                    let budgeted = windows.window_within(range.clone(), &QueryBudget::unlimited());
+                    assert_eq!(*budgeted.unwrap(), *want, "budgeted {path}");
+                    if want.is_empty() {
+                        assert!(windows.window_within(range, &spent).unwrap().is_empty(), "{path}");
+                    }
+                }
+            }
+            ctx.set_bypass(false);
+        }
+        let (mut d, mut w) = (DailyDatasetBuilder::new(128), WeeklyDatasetBuilder::new(64));
+        for (slot, host) in [(0, "10.0.0.1"), (127, "10.0.9.255")] {
+            d.record_hits(slot, a(host), 1);
+            w.record_week(slot / 2, a(host), 1);
+        }
+        let ctx: AnalysisCtx = AnalysisCtx::new(Arc::new(d.finish()), Arc::new(w.finish()));
+        check::<Daily>(&ctx);
+        check::<Weekly>(&ctx);
     }
 
     /// Grows the 5-day context's dataset by appending a day and
@@ -894,7 +883,7 @@ mod tests {
     #[test]
     fn extended_from_carries_cached_slots_by_identity() {
         let prev = ctx();
-        let d0 = prev.day_set(0);
+        let d0 = prev.day_window(0..1);
         let w03 = prev.day_window(0..3);
         let wk = prev.week_window(0..4);
         let (daily, weekly) = grown_datasets();
@@ -902,7 +891,7 @@ mod tests {
         // Carried slots hand out the very same Arcs — a hit, not a
         // recomputation, and shared with readers of the old epoch.
         next.reset_stats();
-        assert!(Arc::ptr_eq(&next.day_set(0), &d0));
+        assert!(Arc::ptr_eq(&next.day_window(0..1), &d0));
         assert!(Arc::ptr_eq(&next.day_window(0..3), &w03));
         assert!(Arc::ptr_eq(&next.week_window(0..4), &wk));
         assert_eq!(next.stats().misses, 0, "carried slots must all hit");
@@ -934,13 +923,13 @@ mod tests {
         let ctx = ctx();
         let budget = QueryBudget::unlimited();
         let set = ctx.day_window_within(0..5, &budget).expect("unlimited budget");
-        assert_eq!(*set, ctx.daily().window_union_as(0..5));
+        assert_eq!(*set, ctx.daily().window::<TieredSet>(0..5));
         // The budgeted miss populated the shared slot: the unbudgeted
         // query now hits the same Arc.
         assert!(Arc::ptr_eq(&set, &ctx.day_window(0..5)));
         assert_eq!(ctx.stats(), CacheStats { hits: 1, misses: 1 });
-        let wk = ctx.week_window_within(0..4, &budget).unwrap();
-        assert_eq!(*wk, ctx.weekly().window_union_as(0..4));
+        let wk = ctx.windows::<Weekly>().window_within(0..4, &budget).unwrap();
+        assert_eq!(*wk, ctx.weekly().window::<TieredSet>(0..4));
         // Empty and one-unit windows stay budget-exempt when cached.
         assert!(ctx.day_window_within(0..0, &budget).unwrap().is_empty());
     }
@@ -960,10 +949,10 @@ mod tests {
         assert_eq!(err.units_total, 1);
         // ...but a cached answer is free even over budget.
         ctx.day_window(0..5);
-        ctx.day_set(2);
+        ctx.day_window(2..3);
         assert!(ctx.day_window_within(0..5, &spent).is_ok());
         assert!(ctx.day_window_within(2..3, &spent).is_ok());
-        assert!(ctx.week_window_within(0..4, &spent).is_err());
+        assert!(ctx.windows::<Weekly>().window_within(0..4, &spent).is_err());
     }
 
     #[test]
@@ -981,10 +970,10 @@ mod tests {
             }
             // On a heavily loaded machine the budget may survive the
             // stalls; the query must then be exact.
-            Ok(set) => assert_eq!(*set, ctx.daily().window_union_as(0..5)),
+            Ok(set) => assert_eq!(*set, ctx.daily().window::<TieredSet>(0..5)),
         }
         ctx.set_compose_stall(Duration::ZERO);
         let set = ctx.day_window_within(0..5, &QueryBudget::unlimited()).unwrap();
-        assert_eq!(*set, ctx.daily().window_union_as(0..5));
+        assert_eq!(*set, ctx.daily().window::<TieredSet>(0..5));
     }
 }

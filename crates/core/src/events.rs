@@ -1,6 +1,6 @@
 //! Event sizing and BGP correlation (Section 4.2, Figures 5(b), 5(c)).
 
-use crate::dataset::DailyWindows;
+use crate::cadence::{Daily, Windows};
 use crate::par::Parallelism;
 use ipactive_bgp::BgpTimeline;
 use ipactive_net::{ActiveSet, EventSizeHistogram};
@@ -22,9 +22,9 @@ pub enum EventDirection {
 /// computed (see [`ipactive_net::covering_mask`]); the histogram
 /// fractions over the display buckets reproduce the figure's bars.
 ///
-/// Accepts any [`DailyWindows`] source, so the bench layer can pass a
+/// Accepts any daily [`Windows`] source, so the bench layer can pass a
 /// memoizing cache in place of the raw dataset.
-pub fn event_sizes<W: DailyWindows>(
+pub fn event_sizes<W: Windows<Cadence = Daily>>(
     ds: &W,
     window_days: usize,
     direction: EventDirection,
@@ -41,13 +41,13 @@ pub fn event_sizes<W: DailyWindows>(
 /// then sizes its events independently; per-pair histograms merge by
 /// counter addition, so the aggregate is order-independent and equal
 /// to the serial result.
-pub fn event_sizes_par<W: DailyWindows>(
+pub fn event_sizes_par<W: Windows<Cadence = Daily>>(
     ds: &W,
     window_days: usize,
     direction: EventDirection,
     par: &Parallelism,
 ) -> EventSizeHistogram {
-    let n_windows = ds.num_days() / window_days;
+    let n_windows = ds.num_units() / window_days;
     if n_windows < 2 {
         return EventSizeHistogram::new();
     }
@@ -96,7 +96,7 @@ pub struct BgpCorrelation {
 /// `day_offset` maps dataset day 0 onto the BGP timeline's day axis
 /// (the paper's daily window starts mid-August; BGP days count from
 /// the start of the year).
-pub fn bgp_correlation<W: DailyWindows>(
+pub fn bgp_correlation<W: Windows<Cadence = Daily>>(
     ds: &W,
     window_days: usize,
     bgp: &BgpTimeline,
@@ -117,7 +117,7 @@ pub fn bgp_correlation<W: DailyWindows>(
 /// `|Cur ∩ Prev ∩ p|` affected steady addresses. The totals are the
 /// same integers the per-address membership walk produces, so the
 /// percentages agree exactly.
-pub fn bgp_correlation_par<W: DailyWindows>(
+pub fn bgp_correlation_par<W: Windows<Cadence = Daily>>(
     ds: &W,
     window_days: usize,
     bgp: &BgpTimeline,
@@ -125,7 +125,7 @@ pub fn bgp_correlation_par<W: DailyWindows>(
     par: &Parallelism,
 ) -> BgpCorrelation {
     let w = window_days;
-    let n_windows = ds.num_days() / w;
+    let n_windows = ds.num_units() / w;
     assert!(n_windows >= 2, "need at least two windows");
     let windows: Vec<Arc<W::Set>> =
         (0..n_windows).map(|i| ds.union(i * w..(i + 1) * w)).collect();
@@ -172,6 +172,7 @@ pub fn bgp_correlation_par<W: DailyWindows>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cadence::SlotMatrix;
     use crate::dataset::DailyDatasetBuilder;
     use ipactive_bgp::{Asn, BgpEvent, BgpEventKind, RoutingTable};
     use ipactive_net::{Addr, Block24};
@@ -338,9 +339,9 @@ mod tests {
         let (mut up_hit, mut up_all) = (0u64, 0u64);
         let (mut down_hit, mut down_all) = (0u64, 0u64);
         let (mut steady_hit, mut steady_all) = (0u64, 0u64);
-        let mut prev = ds.window_union(0..w);
+        let mut prev: ipactive_net::AddrSet = ds.window(0..w);
         for i in 1..n_windows {
-            let cur = ds.window_union(i * w..(i + 1) * w);
+            let cur: ipactive_net::AddrSet = ds.window(i * w..(i + 1) * w);
             let changes = bgp.changes_in((((i - 1) * w) as u16)..(((i + 1) * w) as u16));
             let count = |set: &ipactive_net::AddrSet| {
                 set.iter().filter(|&x| changes.affects(x)).count() as u64

@@ -12,6 +12,14 @@
 //! * [`WeeklyDataset`] — 52 weeks of activity bits and per-week
 //!   traffic multisets for the year-long view.
 //!
+//! Both are one activity matrix read at a [`Cadence`] — [`Daily`] or
+//! [`Weekly`]. Each is a [`SlotMatrix`]: 256 rows of slot bits per
+//! active `/24`, from which one body per query materializes a unit's
+//! set, a window union, every unit's set, or all activity. Analyses
+//! ask for window unions through one [`Windows`] trait, which a dataset
+//! answers fresh and [`AnalysisCtx::windows`] answers memoized; a
+//! daily-only analysis takes `W: Windows<Cadence = Daily>`.
+//!
 //! ## Analyses (paper section → module)
 //!
 //! | Paper | Module |
@@ -35,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod blocks;
+mod cadence;
 pub mod census;
 pub mod change;
 pub mod churn;
@@ -55,9 +64,10 @@ pub mod timeline;
 pub mod traffic;
 pub mod visibility;
 
+pub use cadence::{Cadence, Daily, SlotMatrix, SlotRow, Weekly, Windows};
 pub use coverage::Coverage;
-pub use engine::{AnalysisCtx, CacheStats, DeadlineExceeded, QueryBudget};
+pub use engine::{AnalysisCtx, CacheStats, DeadlineExceeded, QueryBudget, WindowCache};
 pub use dataset::{
-    BlockRecord, DailyDataset, DailyDatasetBuilder, DailyWindows, IpTraffic,
-    WeeklyDataset, WeeklyDatasetBuilder, WeeklyWindows,
+    BlockRecord, DailyDataset, DailyDatasetBuilder, IpTraffic, WeeklyDataset,
+    WeeklyDatasetBuilder,
 };

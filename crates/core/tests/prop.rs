@@ -7,11 +7,14 @@ use ipactive_core::churn::WeekDrift;
 use ipactive_core::geo::{self, CountryVisibility};
 use ipactive_core::visibility::VisibilitySplit;
 use ipactive_core::{blocks, change, churn, events, matrix, stats, traffic};
+use ipactive_core::{AnalysisCtx, Cadence, Daily, SlotMatrix, Weekly, Windows};
 use ipactive_core::{DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder};
-use ipactive_net::{ActiveSet, Addr, AddrSet, Block24, Prefix, TieredSet};
+use ipactive_net::{ActiveSet, Addr, AddrSet, Block24, Prefix, RefSet, TieredSet};
 use ipactive_rir::{subscriber_ranks, CountryCode, Delegation, DelegationDb, Rir};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
+use std::sync::Arc;
 
 const DAYS: usize = 12;
 
@@ -51,8 +54,8 @@ proptest! {
     fn daily_series_matches_set_difference(ds in arb_dataset()) {
         let series = churn::daily_series(&ds);
         for (d, point) in series.iter().enumerate().skip(1) {
-            let prev = ds.day_set(d - 1);
-            let cur = ds.day_set(d);
+            let prev = ds.unit::<AddrSet>(d - 1);
+            let cur = ds.unit::<AddrSet>(d);
             prop_assert_eq!(point.active, cur.len());
             prop_assert_eq!(point.up, cur.difference(&prev).len());
             prop_assert_eq!(point.down, prev.difference(&cur).len());
@@ -81,11 +84,11 @@ proptest! {
     /// never exceed it.
     #[test]
     fn window_unions_nest(ds in arb_dataset(), w in 1usize..=DAYS) {
-        let all = ds.all_active();
+        let all = ds.all_active::<AddrSet>();
         let n_windows = ds.num_days / w;
         let mut seen = ipactive_net::AddrSet::new();
         for i in 0..n_windows {
-            let win = ds.window_union(i * w..(i + 1) * w);
+            let win = ds.window::<AddrSet>(i * w..(i + 1) * w);
             prop_assert!(win.len() <= all.len());
             for a in win.iter() {
                 prop_assert!(all.contains(a));
@@ -107,9 +110,9 @@ proptest! {
         }
         let hist = events::event_sizes(&ds, w, events::EventDirection::Up);
         let mut expected = 0u64;
-        let mut prev = ds.window_union(0..w);
+        let mut prev = ds.window::<AddrSet>(0..w);
         for i in 1..n_windows {
-            let cur = ds.window_union(i * w..(i + 1) * w);
+            let cur = ds.window::<AddrSet>(i * w..(i + 1) * w);
             expected += cur.difference(&prev).len() as u64;
             prev = cur;
         }
@@ -211,9 +214,9 @@ fn always_on_address_never_churns() {
     let ds = b.finish();
     for w in 1..=DAYS / 2 {
         let n = ds.num_days / w;
-        let mut prev = ds.window_union(0..w);
+        let mut prev = ds.window::<AddrSet>(0..w);
         for i in 1..n {
-            let cur = ds.window_union(i * w..(i + 1) * w);
+            let cur = ds.window::<AddrSet>(i * w..(i + 1) * w);
             assert!(!cur.difference(&prev).contains(addr));
             assert!(!prev.difference(&cur).contains(addr));
             prev = cur;
@@ -240,33 +243,43 @@ fn arb_slot() -> impl Strategy<Value = usize> {
     prop_oneof![0usize..128, Just(0), Just(63), Just(64), Just(111), Just(127)]
 }
 
-/// A daily dataset over eight blocks and the paper's 112 days or any
-/// window up to 128, so both 64-day halves of the matrix are active.
+/// A daily dataset over eight blocks and the paper's 112 days, the
+/// full 128 or any window between, so both 64-day halves of the matrix
+/// are active — with, at times, a host active on every day.
 fn arb_daily() -> impl Strategy<Value = DailyDataset> {
     (
-        prop_oneof![Just(112usize), 1usize..=128],
+        prop_oneof![Just(112usize), Just(128), 1usize..=128],
         prop::collection::vec((0u32..8, arb_host(), arb_slot()), 0..400),
+        prop_oneof![Just(None), arb_host().prop_map(Some)],
     )
-        .prop_map(|(days, records)| {
+        .prop_map(|(days, records, always_on)| {
             let mut b = DailyDatasetBuilder::new(days);
             for (blk, host, day) in records {
                 b.record_hits(day % days, Block24::new(0x0A_0000 + blk).addr(host), 1);
+            }
+            for day in always_on.map_or(0..0, |_| 0..days) {
+                b.record_hits(day, Block24::new(0x0A_0007).addr(always_on.unwrap()), 1);
             }
             b.finish()
         })
 }
 
-/// A weekly dataset over eight blocks and the paper's 52 weeks or any
-/// count up to 64.
+/// A weekly dataset over eight blocks and the paper's 52 weeks, the
+/// full 64 or any count between — with, at times, a host active in
+/// every week.
 fn arb_weekly() -> impl Strategy<Value = WeeklyDataset> {
     (
-        prop_oneof![Just(52usize), 1usize..=64],
+        prop_oneof![Just(52usize), Just(64), 1usize..=64],
         prop::collection::vec((0u32..8, arb_host(), arb_slot(), 1u64..1_000), 0..400),
+        prop_oneof![Just(None), arb_host().prop_map(Some)],
     )
-        .prop_map(|(weeks, records)| {
+        .prop_map(|(weeks, records, always_on)| {
             let mut b = WeeklyDatasetBuilder::new(weeks);
             for (blk, host, week, hits) in records {
                 b.record_week(week % weeks, Block24::new(0x0A_0000 + blk).addr(host), hits);
+            }
+            for week in always_on.map_or(0..0, |_| 0..weeks) {
+                b.record_week(week, Block24::new(0x0A_0007).addr(always_on.unwrap()), 1);
             }
             b.finish()
         })
@@ -558,22 +571,107 @@ fn geo_equals_the_oracle<S: ActiveSet>(
     Ok(())
 }
 
+/// What the set differential needs of a cadence: every active address
+/// of a dataset with its unit bits, read off the dataset's own fields
+/// one address at a time, and an engine over the dataset.
+trait PerAddress: Cadence {
+    fn cells(ds: &Self::Dataset) -> Vec<(Addr, u128)>;
+    fn engine<S: ActiveSet>(ds: &Self::Dataset) -> AnalysisCtx<S>;
+}
+
+impl PerAddress for Daily {
+    fn cells(ds: &DailyDataset) -> Vec<(Addr, u128)> {
+        let rows = ds.blocks.iter().flat_map(|r| r.rows.iter().zip(0u8..=255).map(move |(bits, h)| {
+            (r.block.addr(h), bits.bits())
+        }));
+        rows.filter(|&(_, bits)| bits != 0).collect()
+    }
+
+    fn engine<S: ActiveSet>(ds: &DailyDataset) -> AnalysisCtx<S> {
+        let no_weeks = WeeklyDatasetBuilder::new(0).finish();
+        AnalysisCtx::new(Arc::new(ds.clone()), Arc::new(no_weeks))
+    }
+}
+
+impl PerAddress for Weekly {
+    fn cells(ws: &WeeklyDataset) -> Vec<(Addr, u128)> {
+        let rows = ws.blocks.iter().flat_map(|(block, rows)| {
+            rows.iter().zip(0u8..=255).map(move |(&bits, h)| (block.addr(h), u128::from(bits)))
+        });
+        rows.filter(|&(_, bits)| bits != 0).collect()
+    }
+
+    fn engine<S: ActiveSet>(ws: &WeeklyDataset) -> AnalysisCtx<S> {
+        let no_days = DailyDatasetBuilder::new(0).finish();
+        AnalysisCtx::new(Arc::new(no_days), Arc::new(ws.clone()))
+    }
+}
+
+/// The addresses active in any unit of `units`, one address at a time.
+fn oracle_window<S: ActiveSet>(cells: &[(Addr, u128)], units: Range<usize>) -> S {
+    let active = |bits: u128| units.clone().any(|u| bits >> u & 1 == 1);
+    S::from_sorted_vec(cells.iter().filter(|&&(_, bits)| active(bits)).map(|&(a, _)| a).collect())
+}
+
+/// One cadence, one backend: `unit`, `units_all`, `all_active` and
+/// `window` — empty, reversed, single-unit and full — equal the
+/// per-address oracle, and the engine's memoized [`Windows`] equal the
+/// union of the dataset's unit sets on every window, asked for start
+/// by start so each miss composes from the windows cached before it,
+/// and the empty set on every reversed one.
+fn slot_matrix_equals_the_oracle<C: PerAddress, S: ActiveSet>(
+    ds: &C::Dataset,
+) -> Result<(), TestCaseError> {
+    let (cells, n, units) = (C::cells(ds), ds.num_slots(), C::UNITS);
+    let bulk: Vec<S> = ds.units_all();
+    prop_assert_eq!(bulk.len(), n);
+    for (u, set) in bulk.iter().enumerate() {
+        let want: S = oracle_window(&cells, u..u + 1);
+        prop_assert_eq!(set, &want, "units_all, {} {}", units, u);
+        prop_assert_eq!(&ds.unit::<S>(u), &want, "unit, {} {}", units, u);
+    }
+    prop_assert_eq!(ds.all_active::<S>(), oracle_window::<S>(&cells, 0..n));
+    for range in [n / 2..n / 2, n..0, n / 2 + 1..n / 2, n - 1..n, 0..n] {
+        let want: S = oracle_window(&cells, range.clone());
+        prop_assert_eq!(ds.window::<S>(range.clone()), want, "{} {:?}", units, range);
+    }
+    let engine = C::engine::<S>(ds);
+    let windows = engine.windows::<C>();
+    prop_assert_eq!(windows.num_units(), n);
+    for s in 0..=n {
+        let mut joined = S::empty();
+        for e in s..=n {
+            if e > s {
+                joined = joined.union(&bulk[e - 1]);
+                prop_assert!(windows.union(e..s).is_empty(), "{} {}..{}", units, e, s);
+            }
+            prop_assert_eq!(&*windows.union(s..e), &joined, "{} {}..{}", units, s, e);
+        }
+    }
+    Ok(())
+}
+
+/// [`slot_matrix_equals_the_oracle`] on both backends.
+fn both_backends_equal_the_oracle<C: PerAddress>(ds: &C::Dataset) -> Result<(), TestCaseError> {
+    slot_matrix_equals_the_oracle::<C, TieredSet>(ds)?;
+    slot_matrix_equals_the_oracle::<C, RefSet>(ds)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Table 1's daily row, and the transposed bulk day sets, over
-    /// windows whose activity reaches both 64-day tiles.
+    /// Table 1's daily row, and every day set and day window on both
+    /// backends, fresh and memoized, over windows whose activity
+    /// reaches both 64-day tiles.
     #[test]
     fn daily_kernels_equal_their_oracles(ds in arb_daily()) {
         prop_assert_eq!(census::daily_census(&ds, origin), oracle_daily_census(&ds, origin));
-        let bulk: Vec<TieredSet> = ds.day_sets_all();
-        for (d, set) in bulk.iter().enumerate() {
-            prop_assert_eq!(set, &ds.day_set_as::<TieredSet>(d), "day {}", d);
-        }
+        both_backends_equal_the_oracle::<Daily>(&ds)?;
     }
 
     /// Table 1's weekly row, Fig 4(c), Fig 9(c)'s shares and Gini, and
-    /// the transposed bulk week sets.
+    /// every week set and week window on both backends, fresh and
+    /// memoized.
     #[test]
     fn weekly_kernels_equal_their_oracles(ws in arb_weekly()) {
         prop_assert_eq!(census::weekly_census(&ws, origin), oracle_weekly_census(&ws, origin));
@@ -583,10 +681,7 @@ proptest! {
         for hits in &ws.week_hits {
             prop_assert_eq!(stats::gini(hits), oracle_gini(hits));
         }
-        let bulk: Vec<TieredSet> = ws.week_sets_all();
-        for (w, set) in bulk.iter().enumerate() {
-            prop_assert_eq!(set, &ws.week_set_as::<TieredSet>(w), "week {}", w);
-        }
+        both_backends_equal_the_oracle::<Weekly>(&ws)?;
     }
 
     /// Fig 3(a) and 3(b) on both backends, with /24s split by longer

@@ -52,7 +52,8 @@
 
 use ipactive_core::coverage::clamp_fraction;
 use ipactive_core::{
-    AnalysisCtx, Coverage, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder,
+    AnalysisCtx, Cadence, Coverage, DailyDataset, DailyDatasetBuilder, WeeklyDataset,
+    WeeklyDatasetBuilder,
 };
 use ipactive_net::{Addr, DayBits, PrefixDensity};
 use ipactive_obs::{Event, EventKind, Registry};
@@ -161,30 +162,24 @@ impl EpochSnapshot {
         self.engine.weekly()
     }
 
-    /// Collection-completeness fraction of the *requested* day window:
-    /// the mean per-day feed fraction over `days`, where days beyond
-    /// the ingested horizon count as 0.0. Exactly 1.0 only when every
-    /// requested day is ingested and was collected from a full feed —
-    /// the condition for a non-degraded answer.
+    /// Collection-completeness fraction of the *requested* window of
+    /// `C`'s units: the mean per-day feed fraction over the days the
+    /// units span, where days beyond the ingested horizon count as
+    /// 0.0. Exactly 1.0 only when every requested day is ingested and
+    /// was collected from a full feed — the condition for a
+    /// non-degraded answer.
     ///
     /// The range comes off the wire unclamped, so the cost is bounded
-    /// by the ingested days, not by what the request names.
-    pub fn window_coverage(&self, days: Range<usize>) -> f64 {
-        if days.is_empty() {
+    /// by the ingested days, not by what the request names; any range
+    /// is answerable, since the unit-to-day mapping saturates and the
+    /// mean is taken over the requested length.
+    pub fn window_coverage<C: Cadence>(&self, units: Range<usize>) -> f64 {
+        if units.is_empty() {
             return 1.0;
         }
-        self.ingested_fraction_sum(days.clone()) / days.len() as f64
-    }
-
-    /// [`EpochSnapshot::window_coverage`] for a week window (weeks map
-    /// to their seven days). Any `weeks` is answerable: the mapping
-    /// saturates, and the mean is taken over the requested length.
-    pub fn week_window_coverage(&self, weeks: Range<usize>) -> f64 {
-        if weeks.is_empty() {
-            return 1.0;
-        }
-        let days = weeks.start.saturating_mul(7)..weeks.end.saturating_mul(7);
-        self.ingested_fraction_sum(days) / (weeks.len() as f64 * 7.0)
+        let days = units.start.saturating_mul(C::DAYS_PER_UNIT)
+            ..units.end.saturating_mul(C::DAYS_PER_UNIT);
+        self.ingested_fraction_sum(days) / (units.len() as f64 * C::DAYS_PER_UNIT as f64)
     }
 
     /// Sum of the feed fractions of the ingested days inside `days`.
@@ -400,6 +395,7 @@ impl Observatory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipactive_core::{Daily, Weekly};
     use ipactive_net::ActiveSet;
 
     fn reference_engine(logs: &[DayLog]) -> AnalysisCtx {
@@ -471,11 +467,11 @@ mod tests {
         obs.ingest_day(synthetic_day_log(1, 0));
         obs.ingest_day_with_coverage(synthetic_day_log(1, 1), 0.5);
         let snap = obs.pin();
-        assert_eq!(snap.window_coverage(0..1), 1.0);
-        assert!((snap.window_coverage(0..2) - 0.75).abs() < 1e-12);
+        assert_eq!(snap.window_coverage::<Daily>(0..1), 1.0);
+        assert!((snap.window_coverage::<Daily>(0..2) - 0.75).abs() < 1e-12);
         // A window reaching past the ingested horizon dilutes to zero
         // for the unknown days.
-        assert!((snap.window_coverage(0..4) - 1.5 / 4.0).abs() < 1e-12);
+        assert!((snap.window_coverage::<Daily>(0..4) - 1.5 / 4.0).abs() < 1e-12);
         assert_eq!(snap.coverage().num_slots(), 2);
         assert!(!snap.coverage().is_complete());
     }
@@ -489,12 +485,12 @@ mod tests {
         obs.ingest_day_with_coverage(synthetic_day_log(1, 1), f64::NAN);
         obs.ingest_day(synthetic_day_log(1, 2));
         let snap = obs.pin();
-        assert!((snap.window_coverage(0..3) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(snap.window_coverage(0..1), 1.0);
+        assert!((snap.window_coverage::<Daily>(0..3) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(snap.window_coverage::<Daily>(0..1), 1.0);
         assert_eq!(snap.coverage().get(0, 1), 0.0);
         obs.ingest_day_with_coverage(synthetic_day_log(1, 3), f64::INFINITY);
         obs.ingest_day_with_coverage(synthetic_day_log(1, 4), f64::NEG_INFINITY);
-        assert_eq!(obs.pin().window_coverage(3..5), 0.5);
+        assert_eq!(obs.pin().window_coverage::<Daily>(3..5), 0.5);
     }
 
     #[test]
@@ -503,11 +499,11 @@ mod tests {
         let obs: Observatory = Observatory::new(&reg);
         obs.ingest_days((0..14).map(|d| synthetic_day_log(1, d)).collect());
         let snap = obs.pin();
-        assert_eq!(snap.week_window_coverage(0..2), 1.0);
-        assert!((snap.week_window_coverage(0..4) - 0.5).abs() < 1e-12);
+        assert_eq!(snap.window_coverage::<Weekly>(0..2), 1.0);
+        assert!((snap.window_coverage::<Weekly>(0..4) - 0.5).abs() < 1e-12);
         // `weeks.end * 7` used to wrap to 12 here (a coverage of 1.0
         // in release, an overflow panic in debug).
-        assert!(snap.week_window_coverage(0..usize::MAX / 7 + 2) < 1e-15);
+        assert!(snap.window_coverage::<Weekly>(0..usize::MAX / 7 + 2) < 1e-15);
     }
 
     #[test]

@@ -36,13 +36,14 @@
 use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ipactive_core::QueryBudget;
+use ipactive_core::{Cadence, Daily, QueryBudget, Weekly, Windows};
 use ipactive_net::{ActiveSet, Addr, Prefix, PrefixDensity};
 use ipactive_obs::metrics::DECADE_BOUNDS;
 use ipactive_obs::{Counter, Event, EventKind, Registry, SnapshotMode};
@@ -458,7 +459,7 @@ fn answer(snap: &EpochSnapshot, req: &Request, registry: &Registry) -> Response 
         QueryKind::Status => Response {
             status: Status::Ok,
             value: snap.days() as u64,
-            coverage_ppm: ppm(snap.window_coverage(0..snap.days())),
+            coverage_ppm: ppm(snap.window_coverage::<Daily>(0..snap.days())),
             ..refusal
         },
         QueryKind::Telemetry => {
@@ -493,7 +494,7 @@ fn answer(snap: &EpochSnapshot, req: &Request, registry: &Registry) -> Response 
             // The density index answers prefix counts exactly in O(1);
             // `from_density` records the provenance all the same.
             let count = snap.density().count(Prefix::new(Addr::new(base), len));
-            let cov = snap.window_coverage(0..snap.days());
+            let cov = snap.window_coverage::<Daily>(0..snap.days());
             Response {
                 status: if cov >= 1.0 { Status::Ok } else { Status::Degraded },
                 value: count,
@@ -503,55 +504,40 @@ fn answer(snap: &EpochSnapshot, req: &Request, registry: &Registry) -> Response 
             }
         }
         QueryKind::DayWindow { start, end } => {
-            if start > end {
-                return refusal;
-            }
-            let (s, e) = (start as usize, end as usize);
-            // Clamp to the ingested horizon; the requested window's
-            // coverage already dilutes for the days we do not have.
-            let ce = e.min(snap.days());
-            let cs = s.min(ce);
-            registry.trace_span(req.trace, "engine.compose", format_args!("days {cs}..{ce}"));
-            let cov = snap.window_coverage(s..e);
-            let result = snap
-                .engine()
-                .day_window_within(cs..ce, &budget)
-                .map(|set| set.len() as u64);
-            shape_window(req, snap, cov, result)
+            answer_window::<Daily>(snap, req, registry, start..end, &budget)
         }
         QueryKind::WeekWindow { start, end } => {
-            if start > end {
-                return refusal;
-            }
-            let (s, e) = (start as usize, end as usize);
-            let ce = e.min(snap.weeks());
-            let cs = s.min(ce);
-            registry.trace_span(req.trace, "engine.compose", format_args!("weeks {cs}..{ce}"));
-            let cov = snap.week_window_coverage(s..e);
-            let result = snap
-                .engine()
-                .week_window_within(cs..ce, &budget)
-                .map(|set| set.len() as u64);
-            shape_window(req, snap, cov, result)
+            answer_window::<Weekly>(snap, req, registry, start..end, &budget)
         }
     }
 }
 
-/// Shared Ok/Degraded/DeadlineExceeded shaping for the two window
-/// query kinds. `result` is the budgeted engine answer over the
-/// *clamped* range; `cov` is coverage of the *requested* range, so a
-/// horizon clamp already shows up as `cov < 1.0`.
-fn shape_window(
-    req: &Request,
+/// Answers a window query over `C`'s units — a `DayWindow` or a
+/// `WeekWindow` — as Ok, Degraded or DeadlineExceeded. The engine
+/// composes the window clamped to the ingested horizon under
+/// `budget`; the coverage is that of the *requested* window, so a
+/// horizon clamp already shows up as coverage below 1.0.
+fn answer_window<C: Cadence>(
     snap: &EpochSnapshot,
-    cov: f64,
-    result: Result<u64, ipactive_core::DeadlineExceeded>,
+    req: &Request,
+    registry: &Registry,
+    units: Range<u64>,
+    budget: &QueryBudget,
 ) -> Response {
+    if units.start > units.end {
+        return unanswered(req, snap);
+    }
+    let (s, e) = (units.start as usize, units.end as usize);
+    let windows = snap.engine().windows::<C>();
+    let ce = e.min(windows.num_units());
+    let cs = s.min(ce);
+    registry.trace_span(req.trace, "engine.compose", format_args!("{} {cs}..{ce}", C::UNITS));
+    let cov = snap.window_coverage::<C>(s..e);
     let base = Response { coverage_ppm: ppm(cov), ..unanswered(req, snap) };
-    match result {
-        Ok(value) => Response {
+    match windows.window_within(cs..ce, budget) {
+        Ok(set) => Response {
             status: if cov >= 1.0 { Status::Ok } else { Status::Degraded },
-            value,
+            value: set.len() as u64,
             ..base
         },
         Err(partial) if req.allow_degraded => Response {
@@ -582,16 +568,14 @@ fn degraded_from_density(snap: &EpochSnapshot, req: &Request) -> Response {
     let (value, cov) = match req.kind {
         QueryKind::PrefixCount { base, len } if len <= PrefixDensity::MAX_LEN => (
             density.count(Prefix::new(Addr::new(base), len)),
-            snap.window_coverage(0..snap.days()),
+            snap.window_coverage::<Daily>(0..snap.days()),
         ),
-        QueryKind::DayWindow { start, end } if start <= end => (
-            density.total(),
-            snap.window_coverage(start as usize..end as usize),
-        ),
-        QueryKind::WeekWindow { start, end } if start <= end => (
-            density.total(),
-            snap.week_window_coverage(start as usize..end as usize),
-        ),
+        QueryKind::DayWindow { start, end } if start <= end => {
+            (density.total(), snap.window_coverage::<Daily>(start as usize..end as usize))
+        }
+        QueryKind::WeekWindow { start, end } if start <= end => {
+            (density.total(), snap.window_coverage::<Weekly>(start as usize..end as usize))
+        }
         QueryKind::Status => (snap.days() as u64, 1.0),
         // A telemetry/trace fetch that died mid-query has no density
         // fallback worth inventing; a degraded empty answer is honest.
@@ -899,6 +883,52 @@ mod tests {
             other => panic!("unexpected status {other:?}"),
         }
         server.shutdown();
+    }
+
+    /// Both window kinds answer through one handler, and what they say
+    /// is pinned as the two kinds always said it: the compose span
+    /// reads `days a..b` or `weeks a..b` over the range clamped to the
+    /// horizon, and the coverage is the requested window's — on an
+    /// exact answer, on a budget that runs out into the density
+    /// fallback, and on the density answer after a worker panic, which
+    /// composes nothing.
+    #[test]
+    fn window_kinds_trace_and_cover_as_pinned_on_every_answer_path() {
+        let (reg, obs) = served_observatory(15);
+        obs.set_compose_stall(Duration::from_millis(3));
+        let snap = obs.pin();
+        let traced = |id: u64, kind: QueryKind, budget_ms: u64| Request {
+            budget_ms,
+            allow_degraded: true,
+            trace: ipactive_obs::TraceContext::root(ipactive_obs::TraceId(0x7E57 + id)),
+            ..req(id, kind)
+        };
+        let composed = |r: &Request| -> Vec<String> {
+            let spans = reg.trace_spans(r.trace.trace.0).unwrap_or_default();
+            spans.into_iter().filter(|s| s.name == "engine.compose").map(|s| s.detail).collect()
+        };
+        // 15 days ingested, two weeks complete; a 1 ms budget dies at
+        // the second unit of a window no query has composed yet.
+        let cases = [
+            (traced(0, QueryKind::DayWindow { start: 3, end: 20 }, 0), "days 3..15", 705_882),
+            (traced(1, QueryKind::WeekWindow { start: 1, end: 3 }, 0), "weeks 1..2", 571_429),
+            (traced(2, QueryKind::DayWindow { start: 2, end: 20 }, 1), "days 2..15", 722_222),
+            (traced(3, QueryKind::WeekWindow { start: 0, end: 3 }, 1), "weeks 0..2", 714_286),
+        ];
+        for (r, detail, ppm) in cases {
+            let resp = answer(&snap, &r, &reg);
+            assert_eq!(composed(&r), [detail], "request {}", r.id);
+            let answered = (resp.status, resp.coverage_ppm, resp.from_density);
+            assert_eq!(answered, (Status::Degraded, ppm, r.budget_ms != 0), "request {}", r.id);
+            let fallback = degraded_from_density(&snap, &r);
+            assert_eq!(composed(&r), [detail], "the fallback composes nothing");
+            assert_eq!(
+                (fallback.status, fallback.coverage_ppm, fallback.from_density, fallback.value),
+                (Status::Degraded, ppm, true, snap.density().total()),
+                "request {}",
+                r.id
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use ipactive_core::{DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder};
+use ipactive_core::{Daily, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder};
 use ipactive_net::{ActiveSet, Addr, Block24};
 use ipactive_obs::{json, Registry};
 use ipactive_serve::{
@@ -146,7 +146,7 @@ fn an_empty_batch_publishes_the_same_data_again() {
     assert_eq!(after.epoch(), before.epoch() + 1);
     assert_eq!(**after.daily(), **before.daily());
     assert!(Arc::ptr_eq(after.weekly(), before.weekly()));
-    assert_eq!(after.window_coverage(0..8), 1.0);
+    assert_eq!(after.window_coverage::<Daily>(0..8), 1.0);
 }
 
 #[test]

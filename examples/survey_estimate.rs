@@ -10,13 +10,14 @@
 //! ```
 
 use ipactive::cdnsim::{Universe, UniverseConfig};
-use ipactive::core::{stats, visibility};
+use ipactive::core::{stats, visibility, SlotMatrix};
+use ipactive::net::AddrSet;
 use ipactive::probe::{IcmpScanner, ScanCampaign};
 
 fn main() {
     let universe = Universe::generate(UniverseConfig::small(77));
     let daily = universe.build_daily();
-    let cdn = daily.all_active();
+    let cdn: AddrSet = daily.all_active();
     println!("CDN passive view: {} active addresses", cdn.len());
 
     // Full 8-scan campaign (the paper's ICMP reference).

@@ -51,7 +51,7 @@ pub mod prelude {
         Weekly,
     };
     pub use ipactive_core::matrix::BlockMetrics;
-    pub use ipactive_core::{DailyDataset, DailyDatasetBuilder, WeeklyDataset};
+    pub use ipactive_core::{DailyDataset, DailyDatasetBuilder, SlotMatrix, WeeklyDataset};
     pub use ipactive_net::{Addr, AddrSet, Block24, Prefix};
     pub use ipactive_rir::{DelegationDb, Rir};
 }

@@ -4,7 +4,8 @@
 
 use ipactive::bgp::RoutingTable;
 use ipactive::cdnsim::{stream_pipeline, Cadence, Daily, Universe, UniverseConfig, Weekly};
-use ipactive::core::{DailyDataset, WeeklyDataset};
+use ipactive::core::{DailyDataset, SlotMatrix, WeeklyDataset};
+use ipactive::net::AddrSet;
 use ipactive::obs::Registry;
 use ipactive::core::{blocks, change, churn, demographics, events, hosts, traffic, visibility};
 use ipactive::dns::AssignmentHint;
@@ -186,7 +187,7 @@ fn demographics_are_bimodal_in_stu() {
 fn cdn_sees_more_addresses_than_probing() {
     let u = universe();
     let daily = u.build_daily();
-    let cdn = daily.all_active();
+    let cdn: AddrSet = daily.all_active();
     let icmp = ScanCampaign::new(9, 8).run_union(&u);
     let split = visibility::split_addrs(&cdn, &icmp);
     // Figure 2(a): a large CDN-only share at address granularity…
@@ -200,7 +201,7 @@ fn cdn_sees_more_addresses_than_probing() {
 fn icmp_only_space_is_substantially_infrastructure() {
     let u = universe();
     let daily = u.build_daily();
-    let cdn = daily.all_active();
+    let cdn: AddrSet = daily.all_active();
     let icmp = ScanCampaign::new(9, 8).run_union(&u);
     let icmp_only = icmp.difference(&cdn);
     let servers = PortScanner::new().scan_any(&u);
