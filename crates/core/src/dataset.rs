@@ -152,6 +152,8 @@ pub struct DailyDatasetBuilder {
     blocks: BlockTable<BlockAcc>,
     /// Medians found by selection over every snapshot so far.
     selected: u64,
+    /// Rank windows refilled over every snapshot so far.
+    refilled: u64,
 }
 
 /// Per-block accumulators found by position, not by hashing every
@@ -215,12 +217,16 @@ const ABSENT: u16 = u16::MAX;
 #[derive(Debug)]
 struct BlockAcc {
     /// Per-address accumulators in first-arrival order.
-    ips: Vec<(u8, IpAcc)>,
-    /// Position in `ips` of each host's accumulator, or [`ABSENT`].
+    ips: Vec<IpAcc>,
+    /// Position in `ips` of each host's accumulator, or [`ABSENT`] —
+    /// the one place that says which host an accumulator belongs to,
+    /// and read in host order.
     slot_of: [u16; 256],
     total_hits: u64,
     ua_samples: u64,
-    ua_hashes: std::collections::HashSet<u64>,
+    /// Sampled UA hashes as they arrive, duplicates and all; sorted and
+    /// deduplicated when a record is built or the builder is sealed.
+    ua_hashes: Vec<u64>,
 }
 
 impl Default for BlockAcc {
@@ -230,7 +236,7 @@ impl Default for BlockAcc {
             slot_of: [ABSENT; 256],
             total_hits: 0,
             ua_samples: 0,
-            ua_hashes: Default::default(),
+            ua_hashes: Vec::new(),
         }
     }
 }
@@ -241,15 +247,22 @@ impl BlockAcc {
         let slot = &mut self.slot_of[host as usize];
         if *slot == ABSENT {
             *slot = self.ips.len() as u16;
-            self.ips.push((host, IpAcc::default()));
+            self.ips.push(IpAcc::default());
         }
-        &mut self.ips[*slot as usize].1
+        &mut self.ips[*slot as usize]
+    }
+
+    /// Leaves each distinct UA hash once, in ascending order.
+    fn dedup_ua(&mut self) {
+        self.ua_hashes.sort_unstable();
+        self.ua_hashes.dedup();
     }
 
     /// The block's finished record; `None` for a block that never
     /// recorded a hit. `median` is how this build takes an address's
     /// median: kept current for a snapshot, once and for all for
-    /// `finish`.
+    /// `finish`. Hosts are walked in order, so `ip_traffic` is built
+    /// sorted.
     fn record(
         &mut self,
         block: Block24,
@@ -258,18 +271,22 @@ impl BlockAcc {
         if self.ips.is_empty() {
             return None;
         }
+        self.dedup_ua();
         let mut rows: Box<[DayBits; 256]> = Box::new([DayBits::new(); 256]);
         let mut ip_traffic = Vec::with_capacity(self.ips.len());
-        for (host, ip) in &mut self.ips {
-            rows[*host as usize] = ip.bits;
+        for (host, &slot) in self.slot_of.iter().enumerate() {
+            if slot == ABSENT {
+                continue;
+            }
+            let ip = &mut self.ips[slot as usize];
+            rows[host] = ip.bits;
             ip_traffic.push(IpTraffic {
-                host: *host,
+                host: host as u8,
                 days_active: ip.bits.count() as u8,
                 total_hits: ip.total,
                 median_daily_hits: median(ip),
             });
         }
-        ip_traffic.sort_unstable_by_key(|t| t.host);
         Some(BlockRecord {
             block,
             rows,
@@ -281,18 +298,24 @@ impl BlockAcc {
     }
 }
 
+/// Samples a tracked accumulator keeps ranked around its median.
+const WINDOW: usize = 6;
+
 /// One address's samples and their median — the sample a full sort
 /// would leave at `len / 2` — which is *maintained*, not recomputed.
 ///
 /// An accumulator starts untracked. Its first [`median`](Self::median)
-/// selects, counts the samples `below` and `equal` to what it found,
-/// and from then on the accumulator is tracked: a new day's sample
-/// moves one of the two counts in O(1), and the next `median` steps to
-/// the neighbouring value — one pass over the samples — only if rank
-/// `len / 2` has left `[below, below + equal)`. One insert moves the
-/// rank and the range by at most one each, so one step a day suffices.
-/// A second record for a day already present changes a sample in place
-/// and drops the accumulator back to untracked until the next `median`.
+/// selects, and from then on the accumulator is tracked: it keeps a
+/// *rank window*, the up to [`WINDOW`] samples of ranks
+/// `lo..lo + held` in ascending order, so the median is
+/// `win[hits.len() / 2 - lo]` whenever that rank is inside. A new day's
+/// sample lands below the window (`lo += 1`), above it (nothing moves),
+/// or inside it — it is inserted, and a full window drops whichever
+/// end lies farther from the median's rank — with no pass over the
+/// samples. Only when the median's rank has left the window does the
+/// next `median` refill it, by one selection. A second record for a
+/// day already present changes a sample in place and drops the
+/// accumulator back to untracked until the next `median`.
 #[derive(Debug, Default)]
 struct IpAcc {
     bits: DayBits,
@@ -300,25 +323,18 @@ struct IpAcc {
     /// to the `i`-th set bit of `bits`, so the day is not stored again.
     hits: Vec<u32>,
     total: u64,
-    /// While tracked, the sample `below` and `equal` are counted
-    /// against: the median whenever rank `len / 2` is inside
-    /// `[below, below + equal)`, which [`settle`](Self::settle) restores.
-    median: u32,
-    /// Samples less than `median`; at most 127 while tracked.
-    below: u8,
-    /// Samples equal to `median`, up to all 128; zero means untracked.
-    equal: u8,
+    /// While tracked, samples of consecutive ranks from `lo`, ascending.
+    win: [u32; WINDOW],
+    /// Samples ranked below `win[0]`.
+    lo: u8,
+    /// Samples in `win`; zero means untracked.
+    held: u8,
 }
 
 /// The element of `samples` a full sort would leave at `len / 2`.
 fn select_median(samples: &mut [u32]) -> u32 {
     let mid = samples.len() / 2;
     *samples.select_nth_unstable(mid).1
-}
-
-/// How many of `samples` satisfy `test`, without a branch per sample.
-fn count(samples: &[u32], test: impl Fn(u32) -> bool) -> u8 {
-    samples.iter().map(|&x| u32::from(test(x))).sum::<u32>() as u8
 }
 
 impl IpAcc {
@@ -335,15 +351,14 @@ impl IpAcc {
             let rank = self.bits.count_range(0, day) as usize;
             if self.bits.get(day) {
                 self.hits[rank] = self.hits[rank].saturating_add(hits);
-                self.equal = 0;
+                self.held = 0;
                 return;
             }
             self.hits.insert(rank, hits);
         }
         self.bits.set(day);
-        if self.equal != 0 {
-            self.below += u8::from(hits < self.median);
-            self.equal += u8::from(hits == self.median);
+        if self.held != 0 {
+            self.rank(hits);
         }
     }
 
@@ -356,56 +371,88 @@ impl IpAcc {
         self.total = self.total.saturating_add(other.total);
     }
 
-    /// Steps a tracked median to the neighbouring distinct sample until
-    /// rank `len / 2` is inside `[below, below + equal)` again. The
-    /// neighbour is the sample with the least wrapping distance past
-    /// the median: samples on the other side wrap to huge distances.
-    fn settle(&mut self) -> u32 {
-        let mid = self.hits.len() / 2;
-        loop {
-            let m = self.median;
-            if mid < self.below as usize {
-                let past = m - 1;
-                let gap = self.hits.iter().fold(u32::MAX, |gap, &x| gap.min(past.wrapping_sub(x)));
-                self.median = past - gap;
-                self.equal = count(&self.hits, |x| x == self.median);
-                self.below -= self.equal;
-            } else if mid >= self.below as usize + self.equal as usize {
-                let past = m + 1;
-                let gap = self.hits.iter().fold(u32::MAX, |gap, &x| gap.min(x.wrapping_sub(past)));
-                self.median = past + gap;
-                self.below += self.equal;
-                self.equal = count(&self.hits, |x| x == self.median);
-            } else {
-                return m;
-            }
+    /// Places a new sample, already in `hits`, against the window. A
+    /// window that reaches the least (greatest) sample takes a smaller
+    /// (greater) one in, since it can only rank first (last); a sample
+    /// tied with an end may rank on either side of it, and is taken in.
+    fn rank(&mut self, x: u32) {
+        let (lo, held) = (self.lo as usize, self.held as usize);
+        let bottom = lo == 0;
+        let top = lo + held == self.hits.len() - 1;
+        if x < self.win[0] && !bottom {
+            self.lo += 1;
+            return;
         }
+        if x > self.win[held - 1] && !top {
+            return;
+        }
+        let at = self.win[..held].partition_point(|&w| w < x);
+        let mut ranked = [0; WINDOW + 1];
+        ranked[..at].copy_from_slice(&self.win[..at]);
+        ranked[at] = x;
+        ranked[at + 1..=held].copy_from_slice(&self.win[at..held]);
+        let mid = self.hits.len() / 2;
+        if held < WINDOW {
+            self.win[..=held].copy_from_slice(&ranked[..=held]);
+            self.held += 1;
+        } else if 2 * mid > 2 * lo + WINDOW {
+            // Rank `mid` is nearer the top of `lo..=lo + WINDOW`, so the
+            // bottom goes.
+            self.win.copy_from_slice(&ranked[1..]);
+            self.lo += 1;
+        } else {
+            self.win.copy_from_slice(&ranked[..WINDOW]);
+        }
+    }
+
+    /// Ranks the samples copied into `scratch` (and reorders them): the
+    /// window becomes the up to [`WINDOW`] ranks around the median's,
+    /// three below it where there are three, and the median is read.
+    fn fill(&mut self, scratch: &mut [u32]) -> u32 {
+        let n = scratch.len();
+        let mid = n / 2;
+        let k = n.min(WINDOW);
+        let lo = mid.saturating_sub(WINDOW / 2).min(n - k);
+        let above = scratch.select_nth_unstable(lo).2;
+        if k >= 2 && k - 1 < above.len() {
+            above.select_nth_unstable(k - 2);
+        }
+        scratch[lo + 1..lo + k].sort_unstable();
+        self.win[..k].copy_from_slice(&scratch[lo..lo + k]);
+        (self.lo, self.held) = (lo as u8, k as u8);
+        self.win[mid - lo]
+    }
+
+    /// The median while it is inside a tracked window.
+    fn windowed(&self) -> Option<u32> {
+        let at = (self.hits.len() / 2).checked_sub(self.lo as usize)?;
+        (at < self.held as usize).then(|| self.win[at])
     }
 
     /// Median hits over the active days, leaving the accumulator
-    /// tracked. Untracked, it is found by selection on a copy in
-    /// `scratch` (`hits` keeps its day order) and `selected` counts it.
-    fn median(&mut self, scratch: &mut Vec<u32>, selected: &mut u64) -> u32 {
-        if self.equal != 0 {
-            return self.settle();
+    /// tracked. Read off the window when it is inside; otherwise ranked
+    /// from a copy in `scratch` (`hits` keeps its day order), and
+    /// `selected` counts it if the accumulator was untracked, `refilled`
+    /// if its window had merely been left behind.
+    fn median(&mut self, scratch: &mut Vec<u32>, selected: &mut u64, refilled: &mut u64) -> u32 {
+        if let Some(median) = self.windowed() {
+            return median;
+        }
+        if self.held == 0 {
+            *selected += 1;
+        } else {
+            *refilled += 1;
         }
         scratch.clear();
         scratch.extend_from_slice(&self.hits);
-        self.median = select_median(scratch);
-        self.below = count(&self.hits, |x| x < self.median);
-        self.equal = count(&self.hits, |x| x == self.median);
-        *selected += 1;
-        self.median
+        self.fill(scratch)
     }
 
-    /// Median hits of an accumulator that takes no more records:
-    /// untracked, it is selected in place, with no copy and no counts,
-    /// and `hits` loses its day order.
+    /// Median hits of an accumulator that takes no more records: read
+    /// off the window when it is inside, otherwise selected in place,
+    /// with no copy and no window, and `hits` loses its day order.
     fn last_median(&mut self) -> u32 {
-        if self.equal != 0 {
-            return self.settle();
-        }
-        select_median(&mut self.hits)
+        self.windowed().unwrap_or_else(|| select_median(&mut self.hits))
     }
 }
 
@@ -446,15 +493,14 @@ impl DailyDatasetBuilder {
     pub fn record_ua(&mut self, _day: usize, addr: Addr, ua_hash: u64) {
         let acc = self.blocks.acc(Block24::of(addr), BlockAcc::default);
         acc.ua_samples += 1;
-        acc.ua_hashes.insert(ua_hash);
+        acc.ua_hashes.push(ua_hash);
     }
 
     /// Folds another builder's accumulated records into this one, as
     /// if every record fed to `other` had been fed here instead.
     ///
-    /// The accumulators still hold per-day hit values and UA hash
-    /// sets, so overlapping blocks, addresses, and days combine
-    /// exactly. The
+    /// The accumulators still hold per-day hit values and UA hashes,
+    /// so overlapping blocks, addresses, and days combine exactly. The
     /// operation is commutative and associative up to `finish()`
     /// (which canonicalizes all ordering), which is what makes a
     /// sharded collector's result independent of merge order.
@@ -466,30 +512,35 @@ impl DailyDatasetBuilder {
             self.num_days, other.num_days,
             "cannot merge builders over different windows"
         );
-        self.blocks.merge(other.blocks, |mine, acc| {
+        self.blocks.merge(other.blocks, |mine, mut acc| {
             mine.total_hits = mine.total_hits.saturating_add(acc.total_hits);
             mine.ua_samples += acc.ua_samples;
-            mine.ua_hashes.extend(acc.ua_hashes);
-            for (host, ip) in acc.ips {
-                mine.ip(host).merge(ip);
+            mine.ua_hashes.append(&mut acc.ua_hashes);
+            for (host, &slot) in acc.slot_of.iter().enumerate() {
+                if slot != ABSENT {
+                    mine.ip(host as u8).merge(std::mem::take(&mut acc.ips[slot as usize]));
+                }
             }
         });
     }
 
     /// Does now, on the calling thread, the per-address work of
-    /// [`finish`](Self::finish): every median is selected and tracked,
+    /// [`finish`](Self::finish): every address gets its rank window,
     /// as a [`snapshot`](Self::snapshot) leaves it but uncounted by
-    /// [`medians_selected`](Self::medians_selected) — nothing was
-    /// published. A sharded collector seals each partial builder on the
-    /// thread that folded it, and the thread that merges them finishes
-    /// in O(blocks). A sealed builder is still a builder: a record or
-    /// merge reaching a sealed address steps or drops its median as
+    /// [`medians_selected`](Self::medians_selected) and
+    /// [`median_refills`](Self::median_refills) — nothing was
+    /// published — and every block's UA hashes are deduplicated. A
+    /// sharded collector seals each partial builder on the thread that
+    /// folded it, and the thread that merges them finishes in
+    /// O(blocks). A sealed builder is still a builder: a record or
+    /// merge reaching a sealed address moves or drops its window as
     /// after a snapshot, and the dataset is the same either way.
     pub fn seal(&mut self) {
-        let (mut scratch, mut uncounted) = (Vec::new(), 0);
+        let (mut scratch, mut selected, mut refilled) = (Vec::new(), 0, 0);
         for (_, acc) in &mut self.blocks.accs {
-            for (_, ip) in &mut acc.ips {
-                ip.median(&mut scratch, &mut uncounted);
+            acc.dedup_ua();
+            for ip in &mut acc.ips {
+                ip.median(&mut scratch, &mut selected, &mut refilled);
             }
         }
     }
@@ -516,18 +567,23 @@ impl DailyDatasetBuilder {
     /// every row it holds; later records never reach it.
     ///
     /// `&mut` because a snapshot starts tracking the median of every
-    /// address it reports: the first one selects it, and from then on
-    /// each new day's record keeps it current in O(1), with at most
-    /// one pass over the address's samples when the median moves. Only
-    /// a second record for an `(address, day)` already present drops
-    /// the tracking, and the next snapshot selects for that address
-    /// again ([`medians_selected`](Self::medians_selected) counts).
-    /// What a snapshot still pays for every block, moved or not, is
-    /// the copy of its rows and traffic summaries: O(addresses).
+    /// address it reports: the first one selects it and keeps the
+    /// samples ranked around it, and from then on each new day's record
+    /// moves that rank window in O(1) and the snapshot reads the median
+    /// off it, touching no sample. When the median has walked out of
+    /// its window the snapshot refills it with one selection
+    /// ([`median_refills`](Self::median_refills) counts). Only a second
+    /// record for an `(address, day)` already present drops the
+    /// tracking, and the next snapshot selects for that address again
+    /// ([`medians_selected`](Self::medians_selected) counts). What a
+    /// snapshot still pays for every block, moved or not, is the copy
+    /// of its rows and traffic summaries, walked in host order:
+    /// O(addresses), with no sort.
     pub fn snapshot(&mut self) -> DailyDataset {
-        let (mut scratch, selected) = (Vec::new(), &mut self.selected);
+        let (mut scratch, selected, refilled) =
+            (Vec::new(), &mut self.selected, &mut self.refilled);
         let accs = self.blocks.accs.iter_mut().map(|(block, acc)| (*block, acc));
-        Self::dataset(self.num_days, accs, |ip| ip.median(&mut scratch, selected))
+        Self::dataset(self.num_days, accs, |ip| ip.median(&mut scratch, selected, refilled))
     }
 
     /// How many medians [`snapshot`](Self::snapshot) has found by
@@ -536,6 +592,15 @@ impl DailyDatasetBuilder {
     /// record dropped its tracking — never one for a returning address.
     pub fn medians_selected(&self) -> u64 {
         self.selected
+    }
+
+    /// How many rank windows [`snapshot`](Self::snapshot) has refilled
+    /// since the builder was made: one each time a tracked address's
+    /// median had left the samples its window held. Not selections
+    /// ([`medians_selected`](Self::medians_selected)): the address was
+    /// tracked throughout.
+    pub fn median_refills(&self) -> u64 {
+        self.refilled
     }
 
     fn dataset<A: std::borrow::BorrowMut<BlockAcc>>(
@@ -1355,21 +1420,131 @@ mod tests {
     }
 
     #[test]
-    fn the_maintained_median_lives_in_the_accumulators_padding() {
-        // 64 with the `median: u32, stale: bool` cache it replaced:
-        // nothing is added per address, so no workload's memory moves.
-        assert_eq!(std::mem::size_of::<IpAcc>(), 64);
+    fn an_address_slot_is_80_bytes_with_its_rank_window() {
+        // Six ranked samples and their two counts. The host is not
+        // stored (`slot_of` says it), so these 80 bytes are an
+        // address's whole entry in its block's `ips`.
+        assert_eq!(std::mem::size_of::<IpAcc>(), 80);
+        assert_eq!(WINDOW, 6);
     }
+
+    #[test]
+    fn the_rank_window_refills_on_both_sides_and_never_selects_again() {
+        // One address a day for 128 days: a spread start, a run far
+        // below the median, a run far above it, then both by turns,
+        // with samples tied to either end of the window and saturated
+        // ones. After every add the median is read and checked against
+        // selection; only the first read may select.
+        let (mut ip, mut scratch) = (IpAcc::default(), Vec::new());
+        let (mut selected, mut refilled) = (0, 0);
+        let [mut below, mut above, mut low_ties, mut high_ties, mut saturated] = [0u64; 5];
+        for day in 0..128usize {
+            let (lo, held, n) = (ip.lo as usize, ip.held as usize, ip.hits.len());
+            let (bottom, top) = (ip.win[0], ip.win[held.max(1) - 1]);
+            let d = day as u32;
+            let x = match day {
+                0..20 => 1000 + d * 37 % 50,
+                20..60 if day % 4 == 0 && lo > 0 => bottom,
+                20..60 => d,
+                60..110 if day % 4 == 0 && lo + held < n => top,
+                60..110 if day % 5 == 0 => u32::MAX,
+                60..110 => 2_000_000 + d,
+                _ if day % 2 == 0 => 5,
+                _ => u32::MAX,
+            };
+            low_ties += u64::from(held > 0 && lo > 0 && x == bottom);
+            high_ties += u64::from(held > 0 && lo + held < n && x == top);
+            saturated += u64::from(x == u32::MAX);
+            ip.add(day, x);
+            let inside = (x >= bottom || lo == 0) && (x <= top || lo + held == n);
+            if held == WINDOW && inside {
+                // The end farther from the median went: the window the
+                // add kept leaves it at least as far from either end as
+                // the other would have.
+                let mid = (n + 1) as isize / 2;
+                let margin = |lo: usize| {
+                    let lo = lo as isize;
+                    (mid - lo).min(lo + WINDOW as isize - 1 - mid)
+                };
+                let kept = ip.lo as usize;
+                assert!(kept == lo || kept == lo + 1, "day {day}: moved by more than one");
+                let other = if kept == lo { lo + 1 } else { lo };
+                assert!(margin(kept) >= margin(other), "day {day}: kept {kept}.., not {other}..");
+            }
+            if ip.held != 0 && ip.windowed().is_none() {
+                let mid = ip.hits.len() / 2;
+                *if mid < ip.lo as usize { &mut below } else { &mut above } += 1;
+            }
+            let mut copy = ip.hits.clone();
+            let median = ip.median(&mut scratch, &mut selected, &mut refilled);
+            assert_eq!(median, select_median(&mut copy), "day {day}");
+            assert_eq!(selected, 1, "day {day}: a tracked address is never selected again");
+        }
+        assert_eq!(refilled, below + above);
+        for (what, count) in [
+            ("refills below", below),
+            ("refills above", above),
+            ("ties at the low end", low_ties),
+            ("ties at the high end", high_ties),
+            ("saturated samples", saturated),
+        ] {
+            assert!(count > 0, "the sequence has no {what}");
+        }
+    }
+
+    #[test]
+    fn ip_traffic_comes_out_in_host_order_without_a_sort() {
+        let block = Block24::new(0x0A_0000);
+        let hits = |h: u8| 1 + u64::from(h) % 7;
+        let ascending = |ds: &DailyDataset, what: &str| {
+            let hosts: Vec<u8> = ds.blocks[0].ip_traffic.iter().map(|t| t.host).collect();
+            assert_eq!(hosts.len(), 256, "{what}");
+            assert!(hosts.windows(2).all(|w| w[0] < w[1]), "{what}: {hosts:?}");
+        };
+        let descending: Vec<u8> = (0..=255).rev().collect();
+        // 167 is odd, so this visits every host once, out of order.
+        let scrambled: Vec<u8> = (0..=255u8).map(|i| i.wrapping_mul(167) ^ 0x5A).collect();
+        for (name, hosts) in [("descending", &descending), ("scrambled", &scrambled)] {
+            let mut b = DailyDatasetBuilder::new(3);
+            for (i, &h) in hosts.iter().enumerate() {
+                b.record_hits(i % 3, block.addr(h), hits(h));
+            }
+            ascending(&b.snapshot(), &format!("{name}, snapshot"));
+            ascending(&b.finish(), &format!("{name}, finish"));
+        }
+        // Two builders take alternate hosts, each against host order,
+        // are sealed and merged; the merge appends the other side's
+        // hosts after its own.
+        let (mut even, mut odd) = (DailyDatasetBuilder::new(3), DailyDatasetBuilder::new(3));
+        for &h in &descending {
+            let side = if h % 2 == 0 { &mut even } else { &mut odd };
+            side.record_hits(usize::from(h) % 3, block.addr(h), hits(h));
+        }
+        even.seal();
+        odd.seal();
+        odd.merge(even);
+        ascending(&odd.snapshot(), "sealed then merged, snapshot");
+        ascending(&odd.finish(), "sealed then merged, finish");
+    }
+
+    /// Shapes of sample sequence `shaped_hits` knows.
+    const SHAPES: u8 = 7;
 
     /// What a record of `raw` hits on `day` becomes under each shape
     /// of sample sequence the maintained median must get right.
     fn shaped_hits(shape: u8, day: usize, raw: u64) -> u64 {
+        let day = day as u64;
         match shape {
-            0 => raw,                         // 0..4: ties, and zero-hit records
-            1 => 1 + day as u64,              // strictly rising by day
-            2 => 200 - day as u64,            // strictly falling by day
-            3 => 7,                           // every sample equal
-            _ => u64::from(u32::MAX) - 1 + raw, // a second record saturates the day
+            0 => raw,                           // 0..4: ties, and zero-hit records
+            1 => 1 + day,                       // strictly rising by day
+            2 => 200 - day,                     // strictly falling by day
+            3 => 7,                             // every sample equal
+            4 => u64::from(u32::MAX) - 1 + raw, // a second record saturates the day
+            // Far below and far above the median by turns: each day's
+            // sample lands beyond one end of the rank window.
+            5 if day % 2 == 0 => 1 + raw,
+            5 => 3_000_000_000 + raw,
+            _ => 1 + (day * 2_654_435_761 + raw * 40_503) % 4_000_000_000, // wide, distinct
         }
     }
 
@@ -1407,13 +1582,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Every snapshot of a live builder — tracked medians, steps,
-        /// untrack and reselect — `==` the `finish()` of a fresh builder
-        /// fed the same records, which only ever selects.
+        /// Every snapshot of a live builder — medians read off rank
+        /// windows, refills, untrack and reselect — `==` the `finish()`
+        /// of a fresh builder fed the same records, which only ever
+        /// selects.
         #[test]
         fn maintained_medians_equal_selection_at_every_snapshot(
             span in prop_oneof![Just(128usize), 1usize..=128],
-            shape in 0u8..5,
+            shape in 0..SHAPES,
             backwards in any::<bool>(),
             every in 1usize..48,
             ops in prop::collection::vec((0u8..10, 0usize..128, 0u8..3, 0u64..4), 0..160),
@@ -1462,14 +1638,14 @@ mod tests {
 
         /// Sealing changes no dataset. Four leaves take the records
         /// dealt to them, each sealed at any points of its fold and
-        /// folded into again (a tracked median stepped or dropped, a
+        /// folded into again (a rank window moved or dropped, a
         /// sorted week reopened), then merged in any order, overlapping
         /// in blocks, addresses and days, with the partial merges
         /// sealed or not: `==` one unsealed builder fed everything.
         #[test]
         fn sealed_builders_finish_equal_to_one_unsealed_builder(
             span in prop_oneof![Just(128usize), 1usize..=128],
-            shape in 0u8..5,
+            shape in 0..SHAPES,
             recs in prop::collection::vec(
                 (0usize..128, 0u8..6, 0u64..4, 0usize..4, 0u8..6),
                 0..200,

@@ -11,17 +11,21 @@
 //! - the fold, O(day): one accumulator `add` per arriving record
 //!   (`serve.ingest.records`, `serve.ingest.weekly_records`);
 //! - the per-address medians, O(day): the daily builder *maintains*
-//!   each address's median — two rank counters beside it, bumped by
-//!   the day's sample, and at most one pass over that address's ≤ 128
-//!   samples when the median moves to its neighbour. A median is
-//!   selected from scratch only for an address the builder has not
-//!   reported before, or whose day took a second record
+//!   each address's median in a rank window — the six samples ranked
+//!   around it, sorted, and the count ranked below them — which the
+//!   day's sample moves in O(1) and the publish reads without touching
+//!   a sample. Only a median that has walked out of its window is
+//!   ranked again, by one selection over that address's ≤ 128 samples
+//!   (`serve.ingest.median_refills`: a few hundred of ~35 k tracked
+//!   addresses a day at the benchmark's scale). A median is selected
+//!   from scratch only for an address the builder has not reported
+//!   before, or whose day took a second record
 //!   (`serve.ingest.median_selects`: zero for a day of returning
 //!   addresses);
 //! - the rows and `ip_traffic` summaries of *every* block, rebuilt
-//!   into storage the snapshot owns: O(addresses), memcpy-class, about
-//!   a millisecond at the benchmark's scale — the part that is not
-//!   O(day) yet;
+//!   into storage the snapshot owns by walking each block's hosts in
+//!   order, so nothing is sorted: O(addresses), memcpy-class — the
+//!   part that is not O(day) yet;
 //! - a weekly snapshot one ingest in seven, sharing every closed week.
 //!
 //! The builders are order-insensitive and a snapshot is what
@@ -344,9 +348,10 @@ impl Observatory {
         }
 
         let prev = self.pin();
-        let selected = state.daily.medians_selected();
+        let (selected, refilled) = (state.daily.medians_selected(), state.daily.median_refills());
         let daily = Arc::new(state.daily.snapshot());
         let median_selects = state.daily.medians_selected() - selected;
+        let median_refills = state.daily.median_refills() - refilled;
         let weekly = if count / 7 > prev.weeks() {
             Arc::new(state.weekly.snapshot())
         } else {
@@ -370,10 +375,12 @@ impl Observatory {
         // Ingest cost as an exact count: every record is folded once
         // into each builder, whatever the history behind it, and a
         // median is selected from scratch only for an address new to
-        // the builder or one whose day took a second record.
+        // the builder or one whose day took a second record; a tracked
+        // one is refilled only when it has left its rank window.
         self.registry.counter("serve.ingest.records").add(records);
         self.registry.counter("serve.ingest.weekly_records").add(weekly_records);
         self.registry.counter("serve.ingest.median_selects").add(median_selects);
+        self.registry.counter("serve.ingest.median_refills").add(median_refills);
         self.registry.emit(
             Event::new(EventKind::EpochPublish)
                 .day(count as u16)

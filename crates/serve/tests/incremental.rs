@@ -289,6 +289,8 @@ fn telemetry_carries_the_ingest_counters() {
     let seen: HashSet<Addr> =
         (0..8).flat_map(|d| synthetic_day_log(5, d).hits).map(|(a, _)| a).collect();
     assert_eq!(counter("serve.ingest.median_selects"), Some(seen.len() as f64), "{body}");
+    // Present from the first publish, which has no window to refill.
+    assert_eq!(counter("serve.ingest.median_refills"), Some(0.0), "{body}");
 }
 
 #[test]
