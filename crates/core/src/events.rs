@@ -18,9 +18,12 @@ pub enum EventDirection {
 /// Builds the Figure 5(b) event-size histogram for one window size,
 /// aggregated over all consecutive window pairs in the dataset.
 ///
-/// For each per-address event, the smallest covering prefix mask is
-/// computed (see [`ipactive_net::covering_mask`]); the histogram
-/// fractions over the display buckets reproduce the figure's bars.
+/// Each per-address event counts once under its smallest covering
+/// prefix mask (defined by [`ipactive_net::covering_mask`]); a pair's
+/// counts come whole from [`ActiveSet::diff_mask_counts`], which sizes
+/// no event on its own. The histogram fractions over the display
+/// buckets reproduce the figure's bars. A window of zero days, or
+/// fewer than two windows, gives the empty histogram.
 ///
 /// Accepts any daily [`Windows`] source, so the bench layer can pass a
 /// memoizing cache in place of the raw dataset.
@@ -38,7 +41,7 @@ pub fn event_sizes<W: Windows<Cadence = Daily>>(
 /// The window unions are fetched up front in window order — the same
 /// query sequence the serial form issues, so a memoizing source's
 /// hit/miss counts are independent of the subtask schedule. Each pair
-/// then sizes its events independently; per-pair histograms merge by
+/// then counts its events independently; per-pair histograms merge by
 /// counter addition, so the aggregate is order-independent and equal
 /// to the serial result.
 pub fn event_sizes_par<W: Windows<Cadence = Daily>>(
@@ -47,7 +50,8 @@ pub fn event_sizes_par<W: Windows<Cadence = Daily>>(
     direction: EventDirection,
     par: &Parallelism,
 ) -> EventSizeHistogram {
-    let n_windows = ds.num_units() / window_days;
+    // A zero-day window has no pairs, like fewer than two windows.
+    let n_windows = ds.num_units().checked_div(window_days).unwrap_or(0);
     if n_windows < 2 {
         return EventSizeHistogram::new();
     }
@@ -58,8 +62,8 @@ pub fn event_sizes_par<W: Windows<Cadence = Daily>>(
         let mut hist = EventSizeHistogram::new();
         for k in range {
             let (prev, cur) = (&*windows[k], &*windows[k + 1]);
-            // Events stream out of the pair diff and straight into the
-            // histogram — no event set is materialized per pair.
+            // The pair's mask counts, taken whole — no event set is
+            // materialized and no event sized on its own.
             let pair = match direction {
                 EventDirection::Up => EventSizeHistogram::from_diff_events(cur, prev),
                 EventDirection::Down => EventSizeHistogram::from_diff_events(prev, cur),
@@ -229,6 +233,18 @@ mod tests {
     fn empty_dataset_yields_empty_histogram() {
         let ds = DailyDatasetBuilder::new(4).finish();
         assert_eq!(event_sizes(&ds, 2, EventDirection::Up).total(), 0);
+    }
+
+    #[test]
+    fn zero_day_window_yields_empty_histogram() {
+        let mut b = DailyDatasetBuilder::new(4);
+        b.record_hits(0, a("10.0.0.1"), 1);
+        b.record_hits(3, a("10.0.0.2"), 1);
+        let ds = b.finish();
+        for dir in [EventDirection::Up, EventDirection::Down] {
+            assert_eq!(event_sizes(&ds, 0, dir), EventSizeHistogram::new());
+            assert_eq!(event_sizes_par(&ds, 0, dir, &Parallelism::new(3)).total(), 0);
+        }
     }
 
     #[test]

@@ -5,10 +5,12 @@ use ipactive_bgp::Asn;
 use ipactive_core::census::{self, CensusRow};
 use ipactive_core::churn::WeekDrift;
 use ipactive_core::geo::{self, CountryVisibility};
+use ipactive_core::par::Parallelism;
 use ipactive_core::visibility::VisibilitySplit;
 use ipactive_core::{blocks, change, churn, events, matrix, stats, traffic};
 use ipactive_core::{AnalysisCtx, Cadence, Daily, SlotMatrix, Weekly, Windows};
 use ipactive_core::{DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder};
+use ipactive_net::{covering_mask, EventSizeHistogram};
 use ipactive_net::{ActiveSet, Addr, AddrSet, Block24, Prefix, RefSet, TieredSet};
 use ipactive_rir::{subscriber_ranks, CountryCode, Delegation, DelegationDb, Rir};
 use proptest::prelude::*;
@@ -651,6 +653,50 @@ fn slot_matrix_equals_the_oracle<C: PerAddress, S: ActiveSet>(
     Ok(())
 }
 
+/// Fig 5(b)'s histogram the way it was built before the per-/24
+/// counts: every event of every consecutive window pair streamed out
+/// of the pair and sized by its own covering-mask probe, over windows
+/// read one address at a time.
+fn oracle_event_sizes<S: ActiveSet>(
+    cells: &[(Addr, u128)],
+    n: usize,
+    w: usize,
+    direction: events::EventDirection,
+) -> EventSizeHistogram {
+    let mut hist = EventSizeHistogram::new();
+    if w == 0 {
+        return hist;
+    }
+    let windows: Vec<S> = (0..n / w).map(|i| oracle_window(cells, i * w..(i + 1) * w)).collect();
+    for pair in windows.windows(2) {
+        let (events, excl) = match direction {
+            events::EventDirection::Up => (&pair[1], &pair[0]),
+            events::EventDirection::Down => (&pair[0], &pair[1]),
+        };
+        events.for_each_difference(excl, |addr| hist.record(covering_mask(addr, excl)));
+    }
+    hist
+}
+
+/// [`events::event_sizes`] and its chunked form over the engine's
+/// windows on backend `S` equal [`oracle_event_sizes`] on `S`.
+fn event_sizes_equal_the_oracle<S: ActiveSet>(ds: &DailyDataset) -> Result<(), TestCaseError> {
+    let (cells, n) = (Daily::cells(ds), ds.num_slots());
+    let engine = Daily::engine::<S>(ds);
+    let (windows, par, backend) =
+        (engine.windows::<Daily>(), Parallelism::new(3), S::backend_name());
+    for w in (0..=4).chain([n / 2, n]) {
+        for direction in [events::EventDirection::Up, events::EventDirection::Down] {
+            let want = oracle_event_sizes::<S>(&cells, n, w, direction);
+            let serial = events::event_sizes(windows, w, direction);
+            prop_assert_eq!(serial, want.clone(), "{} {} {:?}", backend, w, direction);
+            let chunked = events::event_sizes_par(windows, w, direction, &par);
+            prop_assert_eq!(chunked, want, "{} {} {:?} chunked", backend, w, direction);
+        }
+    }
+    Ok(())
+}
+
 /// [`slot_matrix_equals_the_oracle`] on both backends.
 fn both_backends_equal_the_oracle<C: PerAddress>(ds: &C::Dataset) -> Result<(), TestCaseError> {
     slot_matrix_equals_the_oracle::<C, TieredSet>(ds)?;
@@ -694,6 +740,14 @@ proptest! {
     ) {
         geo_equals_the_oracle::<AddrSet>(&cdn, &icmp, &db)?;
         geo_equals_the_oracle::<TieredSet>(&cdn, &icmp, &db)?;
+    }
+
+    /// Fig 5(b) on both backends: up and down event sizes at windows
+    /// 0 to 4 days, half and full width, against the per-event walk.
+    #[test]
+    fn event_sizes_equal_their_oracles(ds in arb_dataset()) {
+        event_sizes_equal_the_oracle::<TieredSet>(&ds)?;
+        event_sizes_equal_the_oracle::<RefSet>(&ds)?;
     }
 
     /// The tail sum and the ranked pass over sorted hits equal selection

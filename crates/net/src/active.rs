@@ -158,16 +158,26 @@ pub trait ActiveSet:
     }
 
     /// Calls `f` with the covering mask of every event in `self \
-    /// other`, sized against `other` as the exclusion population —
-    /// the whole event-sizing inner loop of one window pair (up
+    /// other`, sized against `other` as the exclusion population (up
     /// events: `cur.diff_event_masks(&prev, …)`; down events swap the
-    /// operands). Events ascend, so chunked backends override this
-    /// with a single merge walk whose cursor into `other` doubles as
-    /// the covering-mask neighbor probe — no per-event binary search.
-    /// Must equal [`ActiveSet::covering_mask`] over
-    /// [`ActiveSet::for_each_difference`], in order.
+    /// operands), in event order: [`ActiveSet::covering_mask`] over
+    /// [`ActiveSet::for_each_difference`]. One probe per event; the
+    /// reference that [`ActiveSet::diff_mask_counts`] is defined by.
     fn diff_event_masks(&self, other: &Self, mut f: impl FnMut(u8)) {
         self.for_each_difference(other, |addr| f(other.covering_mask(addr)));
+    }
+
+    /// The covering-mask histogram of the events `self \ other` sized
+    /// against `other`: entry `m` counts the events whose smallest
+    /// covering prefix is a `/m` — the whole event-sizing inner loop of
+    /// one window pair. The default folds
+    /// [`ActiveSet::diff_event_masks`] and is the definition; chunked
+    /// backends override it with per-/24 counts that visit no event.
+    /// Must equal the default exactly.
+    fn diff_mask_counts(&self, other: &Self) -> [u64; 33] {
+        let mut counts = [0u64; 33];
+        self.diff_event_masks(other, |mask| counts[mask as usize] += 1);
+        counts
     }
 
     /// Approximate resident heap + inline size of this set, in bytes.

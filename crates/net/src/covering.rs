@@ -11,6 +11,13 @@
 //! Down events are symmetric with the roles of the two windows swapped,
 //! so callers pass "the snapshot in which the event population must be
 //! absent" as `exclusion`.
+//!
+//! [`covering_mask`] sizes one event; it is the definition. A figure
+//! never sizes events one at a time: [`EventSizeHistogram::from_diff_events`]
+//! takes a window pair's mask counts from
+//! [`ActiveSet::diff_mask_counts`], which the tiered backend counts a
+//! `/24` at a time — one mask for a whole block the exclusion lacks,
+//! free-block levels of the bitmap for a block both hold.
 
 use crate::{ActiveSet, Addr};
 
@@ -24,7 +31,9 @@ use crate::AddrSet;
 /// events the *later* one. Returns the mask length `m ∈ 0..=32`; the
 /// event then "affects" the prefix `Prefix::containing(addr, m)`.
 ///
-/// Runs in `O(32 · log n)` via binary-searched range-emptiness probes.
+/// The trait default grows the prefix one mask at a time through
+/// range-emptiness probes; the tiered backend answers with one
+/// directory search and its two nearest members.
 ///
 /// ```
 /// use ipactive_net::{covering_mask, Addr, AddrSet};
@@ -81,15 +90,13 @@ impl EventSizeHistogram {
 
     /// Builds the histogram for the event population `cur \ prev`,
     /// sized against `prev` as the exclusion set, without
-    /// materializing the events (see
-    /// [`ActiveSet::diff_event_masks`]); equal to
+    /// materializing or visiting the events: the counts are
+    /// [`ActiveSet::diff_mask_counts`]'s, equal to
     /// `from_events(&cur.difference(prev), prev)`. Down events swap
     /// the operands — the exclusion is always the window the events
     /// are absent from, which is exactly the subtracted one.
     pub fn from_diff_events<S: ActiveSet>(cur: &S, prev: &S) -> Self {
-        let mut h = Self::new();
-        cur.diff_event_masks(prev, |mask| h.record(mask));
-        h
+        EventSizeHistogram { counts: cur.diff_mask_counts(prev) }
     }
 
     /// Raw count for a mask length.

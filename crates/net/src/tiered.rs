@@ -594,13 +594,18 @@ impl TieredSet {
         }
     }
 
-    /// One merge walk over the two directories, calling `f(j, own,
-    /// bits)` for every member `bits` of `self \ other`, ascending,
-    /// without building a set — `j` and `own` being the position in
-    /// `other` that [`TieredSet::mask_at`] takes. Matching chunks diff
-    /// four words; either way the survivors are the set bits of one
-    /// bitmap.
-    fn diff_walk<'a>(&self, other: &'a Self, mut f: impl FnMut(usize, Option<View<'a>>, u32)) {
+    /// One merge walk over the two directories, calling `f(j, head, a,
+    /// own)` for every chunk `a` (directory word `head`) of `self` that
+    /// `other` does not hold identically — `own` being the same block's
+    /// chunk in `other`, if any, and `j` the first chunk of `other`
+    /// keyed at or after it: the position [`TieredSet::mask_at`] takes.
+    /// Identical chunks (the steady-block common case) have no
+    /// difference and are skipped without a word walk.
+    fn diff_chunks<'a>(
+        &'a self,
+        other: &'a Self,
+        mut f: impl FnMut(usize, u32, View<'a>, Option<View<'a>>),
+    ) {
         let mut j = 0;
         for (i, &head) in self.heads.iter().enumerate() {
             while j < other.heads.len() && other.heads[j] >> 8 < head >> 8 {
@@ -609,15 +614,52 @@ impl TieredSet {
             let a = self.view(i);
             let matched = other.heads.get(j).is_some_and(|&o| o >> 8 == head >> 8);
             let own = matched.then(|| other.view(j));
-            let survivors = match own {
-                // Identical chunk on both sides (the steady-block
-                // common case): no survivors, skip the word walk.
-                Some(b) if a == b => continue,
-                Some(b) => a.to_bits().difference(&b.to_bits()),
-                None => a.to_bits(),
-            };
-            for_each_bit(&survivors, |h| f(j, own, (head & !0xFF) | h as u32));
+            if own != Some(a) {
+                f(j, head, a, own);
+            }
         }
+    }
+}
+
+/// Adds to `counts` the covering masks of the events inside one /24 —
+/// the members of `chunk` that `excl` lacks, `excl` being non-empty —
+/// without sizing any event. Level `k` marks the hosts whose aligned
+/// `2^k`-block holds no member of `excl`: level 0 is `!excl`, and a
+/// block is free at `k + 1` when both of its halves are free at `k` —
+/// the level ANDed with itself, its halves swapped. An event's mask is
+/// `32 − k` for the largest level `k` that still marks it, so each
+/// level's events that the next one drops are counted there. The /24
+/// itself is never free (it holds `excl`), so every mask is /25 or
+/// longer.
+fn count_free_levels(chunk: &AddrBits256, excl: &AddrBits256, counts: &mut [u64; 33]) {
+    // Swaps the aligned halves of every `2^(k+1)`-bit group: inside
+    // each word up to 64-bit groups, whole words beyond.
+    fn swap_halves(k: usize, level: &AddrBits256) -> AddrBits256 {
+        const LOW: [u64; 6] = [
+            0x5555_5555_5555_5555,
+            0x3333_3333_3333_3333,
+            0x0F0F_0F0F_0F0F_0F0F,
+            0x00FF_00FF_00FF_00FF,
+            0x0000_FFFF_0000_FFFF,
+            0x0000_0000_FFFF_FFFF,
+        ];
+        let w = level.words();
+        AddrBits256::from_words(match k {
+            0..=5 => w.map(|x| (x >> (1 << k)) & LOW[k] | (x & LOW[k]) << (1 << k)),
+            6 => [w[1], w[0], w[3], w[2]],
+            _ => [w[2], w[3], w[0], w[1]],
+        })
+    }
+    let mut free = AddrBits256::full().difference(excl);
+    let mut left = chunk.intersect(&free);
+    for k in 0..8 {
+        let next = free.intersect(&swap_halves(k, &free));
+        counts[32 - k] += u64::from(left.difference(&next).count());
+        left = left.intersect(&next);
+        if left.is_empty() {
+            return;
+        }
+        free = next;
     }
 }
 
@@ -873,16 +915,24 @@ impl ActiveSet for TieredSet {
     }
 
     fn for_each_difference(&self, other: &Self, mut f: impl FnMut(Addr)) {
-        self.diff_walk(other, |_, _, bits| f(Addr::new(bits)));
+        self.diff_chunks(other, |_, head, a, own| {
+            let bits = a.to_bits();
+            let survivors = own.map_or(bits, |b| bits.difference(&b.to_bits()));
+            for_each_bit(&survivors, |h| f(Addr::new((head & !0xFF) | h as u32)));
+        });
     }
 
-    fn diff_event_masks(&self, other: &Self, mut f: impl FnMut(u8)) {
-        // The fused form of `for_each_difference` + `covering_mask`:
-        // events ascend, so the walk's cursor — the first exclusion
-        // chunk keyed at or after the event's block — is exactly the
-        // insertion point `covering_mask` would binary-search for, and
-        // the neighbor probes become cursor-local.
-        self.diff_walk(other, |j, own, bits| f(other.mask_at(j, own, bits)));
+    /// Counts a /24 at a time. A chunk `other` lacks has its neighbours
+    /// in other /24s, so all its members share the one mask `mask_at`
+    /// gives the block; a chunk both hold counts its events by
+    /// free-block level (`count_free_levels`).
+    fn diff_mask_counts(&self, other: &Self) -> [u64; 33] {
+        let mut counts = [0u64; 33];
+        self.diff_chunks(other, |j, head, a, own| match own {
+            None => counts[other.mask_at(j, None, head & !0xFF) as usize] += count_of(head) as u64,
+            Some(b) => count_free_levels(&a.to_bits(), &b.to_bits(), &mut counts),
+        });
+        counts
     }
 
     fn memory_bytes(&self) -> usize {
@@ -1235,14 +1285,96 @@ mod tests {
             let materialized: Vec<Addr> = a.difference(b).iter().collect();
             assert_eq!(streamed, materialized);
 
-            // The fused event-mask walk must equal sizing each
-            // streamed event against `b` with the plain covering mask
-            // (the trait-default path).
-            let mut fused = Vec::new();
-            a.diff_event_masks(b, |m| fused.push(m));
-            let unfused: Vec<u8> = materialized.iter().map(|&x| b.covering_mask(x)).collect();
-            assert_eq!(fused, unfused);
+            // The per-/24 mask counts must equal sizing each streamed
+            // event against `b` with the plain covering mask (the
+            // trait-default path).
+            let mut per_event = [0u64; 33];
+            materialized.iter().for_each(|&x| per_event[b.covering_mask(x) as usize] += 1);
+            assert_eq!(a.diff_mask_counts(b), per_event);
         }
+    }
+
+    /// `diff_mask_counts` against the per-event reference walk, which
+    /// the trait default runs.
+    fn assert_counts_match_the_walk(events: &TieredSet, excl: &TieredSet) -> [u64; 33] {
+        let mut walk = [0u64; 33];
+        events.diff_event_masks(excl, |m| walk[m as usize] += 1);
+        let counts = events.diff_mask_counts(excl);
+        assert_eq!(counts, walk);
+        assert_eq!(counts.iter().sum::<u64>(), events.difference(excl).len() as u64);
+        counts
+    }
+
+    #[test]
+    fn mask_counts_of_blocks_bounded_by_neighbouring_blocks() {
+        // Events fill blocks the exclusion lacks; its nearest members
+        // sit in adjacent or farther /24s, so each block shares one
+        // mask of /24 or shorter.
+        let lit = |key: u32, hosts: Range<u32>| hosts.map(move |h| Addr::new(key << 8 | h));
+        let events: TieredSet = lit(0x0A_0000, 0..256)
+            .chain(lit(0x0A_0004, 7..9))
+            .chain(lit(0x0A_0010, 3..4))
+            .collect();
+        let excl: TieredSet = [0x0A_0001u32, 0x0A_0006, 0x0A_0020]
+            .into_iter()
+            .map(|k| Addr::new(k << 8 | 9))
+            .collect();
+        let counts = assert_counts_match_the_walk(&events, &excl);
+        // 10.0.0.0/24 against 10.0.1.9: /24. 10.0.4.x between 10.0.1.9
+        // and 10.0.6.9: /23. 10.0.16.3 between 10.0.6.9 and 10.0.32.9: /20.
+        let mut want = [0u64; 33];
+        (want[24], want[23], want[20]) = (256, 2, 1);
+        assert_eq!(counts, want);
+    }
+
+    #[test]
+    fn mask_counts_at_every_distance_inside_a_block() {
+        // One exclusion member at host 0, events at distance 2^k: the
+        // event at host 2^k first shares a block with it at /(31 − k),
+        // so it sizes as /(32 − k) — every mask from /32 to /25.
+        let block = |hosts: &[u32]| -> TieredSet {
+            hosts.iter().map(|&h| Addr::new(0x0A00_0500 | h)).collect()
+        };
+        let excl = block(&[0]);
+        let events = block(&[1, 2, 4, 8, 16, 32, 64, 128]);
+        let counts = assert_counts_match_the_walk(&events, &excl);
+        let mut want = [0u64; 33];
+        (25..=32).for_each(|m| want[m] = 1);
+        assert_eq!(counts, want);
+        // The mirror image: the member at host 255, every other host
+        // an event.
+        let excl = block(&[255]);
+        let events = block(&(0..255).collect::<Vec<_>>());
+        let counts = assert_counts_match_the_walk(&events, &excl);
+        for k in 0..8 {
+            assert_eq!(counts[32 - k], 1 << k, "/{}", 32 - k);
+        }
+    }
+
+    #[test]
+    fn mask_counts_at_hosts_0_and_255() {
+        // Events at both ends of two blocks. The exclusion holds host
+        // 128 of the first, host 255 of the block before it and host 0
+        // of the block after the second.
+        let addrs = |v: &[u32]| -> TieredSet { v.iter().map(|&b| Addr::new(b)).collect() };
+        let events = addrs(&[0x0A00_0500, 0x0A00_05FF, 0x0A00_0600, 0x0A00_06FF]);
+        let excl = addrs(&[0x0A00_04FF, 0x0A00_0580, 0x0A00_0700]);
+        let counts = assert_counts_match_the_walk(&events, &excl);
+        // 10.0.5.0 grows to .0/25 and 10.0.5.255 to .192/26 around
+        // host 128; 10.0.6.0/24 shares its /23 with 10.0.7.0: /24 each.
+        let mut want = [0u64; 33];
+        (want[25], want[26], want[24]) = (1, 1, 2);
+        assert_eq!(counts, want);
+    }
+
+    #[test]
+    fn mask_counts_against_an_empty_exclusion_are_all_slash_0() {
+        let events: TieredSet = (0u32..600).map(|i| Addr::new(0x0A00_0000 + i * 3)).collect();
+        let counts = assert_counts_match_the_walk(&events, &TieredSet::new());
+        let mut want = [0u64; 33];
+        want[0] = 600;
+        assert_eq!(counts, want);
+        assert_eq!(TieredSet::new().diff_mask_counts(&events), [0; 33]);
     }
 
     #[test]

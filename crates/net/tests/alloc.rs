@@ -86,7 +86,7 @@ fn mixed(chunks: u32, salt: u32) -> TieredSet {
 
 /// Allocations of each operation over `chunks`-chunk operands, in the
 /// order of [`BUDGETS`].
-fn costs(chunks: u32) -> [u64; 6] {
+fn costs(chunks: u32) -> [u64; 7] {
     let operands: Vec<TieredSet> = (0..8).map(|salt| mixed(chunks, salt)).collect();
     let (a, b) = (&operands[0], &operands[1]);
     let census = a.repr_census();
@@ -100,6 +100,7 @@ fn costs(chunks: u32) -> [u64; 6] {
     let (clone, clone_allocs) = allocations(|| a.clone());
     let builder = mixed_builder(chunks, 0);
     let (built, finish_allocs) = allocations(|| builder.finish());
+    let (masks, masks_allocs) = allocations(|| a.diff_mask_counts(b));
 
     // The operations did real work on both tiers.
     assert!(union.num_chunks() > a.num_chunks() && many.num_chunks() >= union.num_chunks());
@@ -110,18 +111,30 @@ fn costs(chunks: u32) -> [u64; 6] {
     for set in [&union, &intersect, &difference, &many, &built] {
         assert!(set.is_canonical());
     }
-    [union_allocs, intersect_allocs, difference_allocs, many_allocs, clone_allocs, finish_allocs]
+    assert_eq!(masks.iter().sum::<u64>(), difference.len() as u64);
+    assert!(masks[..=24].iter().any(|&n| n > 0) && masks[25..].iter().any(|&n| n > 0));
+    [
+        union_allocs,
+        intersect_allocs,
+        difference_allocs,
+        many_allocs,
+        clone_allocs,
+        finish_allocs,
+        masks_allocs,
+    ]
 }
 
 /// Four arrays reserved, four trimmed; the k-way union adds its cursor
-/// table; a clone copies four arrays and `finish` trims four.
-const BUDGETS: [(&str, u64); 6] = [
+/// table; a clone copies four arrays and `finish` trims four; the
+/// event-size counts build nothing.
+const BUDGETS: [(&str, u64); 7] = [
     ("union", 8),
     ("intersect", 8),
     ("difference", 8),
     ("union_many of 8", 9),
     ("clone", 4),
     ("SetBuilder::finish", 4),
+    ("diff_mask_counts", 0),
 ];
 
 #[test]

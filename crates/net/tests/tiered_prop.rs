@@ -7,7 +7,8 @@
 //! length, ascending iteration, membership, prefix range counts, the
 //! O(1) density index — plus the tiered set's structural invariants
 //! (every chunk canonical for its contents, the arrays packed, and not
-//! a byte of capacity kept beyond them).
+//! a byte of capacity kept beyond them). Event sizing's per-/24 mask
+//! counts are held against the per-event walk the oracle runs.
 //!
 //! CI runs this with `PROPTEST_SEED=20160316 PROPTEST_CASES=10000`
 //! (the `setops-differential` job); the in-file default keeps debug
@@ -338,5 +339,27 @@ proptest! {
         let tiered: TieredSet = excl.iter().copied().filter(|&a| a != addr).collect();
         let oracle: RefSet = excl.iter().copied().filter(|&a| a != addr).collect();
         prop_assert_eq!(covering_mask(addr, &tiered), covering_mask(addr, &oracle));
+    }
+
+    /// The per-/24 event-size counts (Fig 5(b)'s kernel) equal the
+    /// per-event walk that defines them — `RefSet` runs the trait
+    /// default — in both operand orders and against an empty set on
+    /// either side.
+    #[test]
+    fn diff_mask_counts_match_the_per_event_walk(xs in arb_addr_vec(400), ys in arb_addr_vec(400)) {
+        let (xt, yt): (TieredSet, TieredSet) =
+            (xs.iter().copied().collect(), ys.iter().copied().collect());
+        let (xr, yr): (RefSet, RefSet) = (xs.into_iter().collect(), ys.into_iter().collect());
+        let (et, er) = (TieredSet::new(), RefSet::new());
+        for ((a, b), (ra, rb)) in [
+            ((&xt, &yt), (&xr, &yr)),
+            ((&yt, &xt), (&yr, &xr)),
+            ((&xt, &et), (&xr, &er)),
+            ((&et, &xt), (&er, &xr)),
+        ] {
+            let counts = a.diff_mask_counts(b);
+            prop_assert_eq!(counts, ra.diff_mask_counts(rb));
+            prop_assert_eq!(counts.iter().sum::<u64>(), ra.difference(rb).len() as u64);
+        }
     }
 }
