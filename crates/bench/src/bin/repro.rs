@@ -12,9 +12,9 @@
 //!
 //! `--jobs N` regenerates the full suite across up to `N` worker
 //! threads (clamped to the machine's cores) sharing the memoized
-//! activity-set cache, heavy figures scheduled first and idle cores
-//! lent to the running figures' chunked kernels; output is identical
-//! to the serial run, just faster. It applies to the full suite only.
+//! activity-set cache, heavy figures scheduled first; output is
+//! identical to the serial run, just faster. It applies to the full
+//! suite only.
 //! Per-figure wall time is the `figure.<name>` rows of `--profile`;
 //! the perf record is the benchmark package (`benchmark/`,
 //! EXPERIMENTS.md "Performance record").

@@ -20,7 +20,7 @@ use ipactive_cdnsim::{
     GrowthModel, PipelineReport, RetryPolicy, SupervisedReport, Universe, UniverseConfig, Weekly,
 };
 use ipactive_obs::{Registry, TraceContext, TraceId};
-use ipactive_core::par::Parallelism;
+use ipactive_core::par::claim_map;
 use ipactive_core::{
     blocks, census, change, churn, demographics, events, geo, hosts, matrix, timeline,
     traffic, visibility, DailyDataset, WeeklyDataset,
@@ -29,7 +29,6 @@ use ipactive_net::{ActiveSet, TieredSet};
 use ipactive_probe::{PortScanner, ScanCampaign, TracerouteCampaign};
 use ipactive_rir::{YearMonth, RIR_EXHAUSTION};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -405,14 +404,6 @@ impl<S: ActiveSet> Repro<S> {
 
     /// Runs one experiment by name, returning its report text.
     pub fn run(&self, name: &str) -> Option<String> {
-        self.run_with(name, &Parallelism::serial())
-    }
-
-    /// [`Repro::run`] with an explicit helper-thread budget for the
-    /// figure's chunked kernels. The chunk partition is a pure
-    /// function of the problem size (see [`ipactive_core::par`]), so the output is
-    /// byte-identical whatever the budget.
-    pub fn run_with(&self, name: &str, par: &Parallelism) -> Option<String> {
         Some(match name {
             "fig1" => self.fig1(),
             "table1" => self.table1(),
@@ -420,17 +411,17 @@ impl<S: ActiveSet> Repro<S> {
             "fig2b" => self.fig2b(),
             "fig3a" => self.fig3a(),
             "fig3b" => self.fig3b(),
-            "fig4a" => self.fig4a(par),
-            "fig4b" => self.fig4b(par),
+            "fig4a" => self.fig4a(),
+            "fig4b" => self.fig4b(),
             "fig4c" => self.fig4c(),
-            "fig5a" => self.fig5a(par),
-            "fig5b" => self.fig5b(par),
-            "fig5c" => self.fig5c(par),
+            "fig5a" => self.fig5a(),
+            "fig5b" => self.fig5b(),
+            "fig5c" => self.fig5c(),
             "table2" => self.table2(),
             "fig6" => self.fig6(),
             "fig7" => self.fig7(),
             "fig8a" => self.fig8a(),
-            "fig8b" => self.fig8b(par),
+            "fig8b" => self.fig8b(),
             "fig8c" => self.fig8c(),
             "fig9a" => self.fig9a(),
             "fig9b" => self.fig9b(),
@@ -644,8 +635,8 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 4(a): daily actives with up/down events.
-    pub fn fig4a(&self, par: &Parallelism) -> String {
-        let series = churn::daily_series_over(self.engine.windows::<Daily>(), par);
+    pub fn fig4a(&self) -> String {
+        let series = churn::daily_series(self.engine.windows::<Daily>());
         let mut out = header(
             "Figure 4(a) — daily active IPv4 addresses and up/down events",
             "paper: ~650M daily actives, ~55M daily up and down events, weekend dips",
@@ -675,7 +666,7 @@ impl<S: ActiveSet> Repro<S> {
             big(avg_down as u64),
             100.0 * avg_down / avg_active,
         );
-        let profile = churn::weekday_profile_from(&series);
+        let profile = churn::weekday_profile(&series);
         let weekday = profile[..5].iter().sum::<f64>() / 5.0;
         let weekend = profile[5..].iter().sum::<f64>() / 2.0;
         let _ = writeln!(
@@ -689,9 +680,9 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 4(b): churn vs aggregation window size.
-    pub fn fig4b(&self, par: &Parallelism) -> String {
+    pub fn fig4b(&self) -> String {
         let days = self.engine.windows::<Daily>();
-        let sweep = churn::window_sweep_over(days, &[1, 2, 3, 4, 7, 14, 21, 28], par);
+        let sweep = churn::window_sweep(days, &[1, 2, 3, 4, 7, 14, 21, 28]);
         let mut out = header(
             "Figure 4(b) — up/down event percentage vs aggregation window",
             "paper: ~8% daily, day-of-week spikes to 14%, plateau ≈5% for windows ≥7d",
@@ -716,7 +707,7 @@ impl<S: ActiveSet> Repro<S> {
         }
         // Extension beyond the paper's 28-day ceiling: the same sweep
         // over week-granularity windows of the weekly dataset.
-        for w in churn::window_sweep_over(self.engine.windows::<Weekly>(), &[4, 8, 13], par) {
+        for w in churn::window_sweep(self.engine.windows::<Weekly>(), &[4, 8, 13]) {
             let _ = writeln!(
                 out,
                 "  {:<8} {:>6.1} /{:>6.1} /{:>6.1} {:>6.1} /{:>6.1} /{:>6.1}  (weekly data)",
@@ -767,7 +758,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 5(a): per-AS median up-event percentage CDF.
-    pub fn fig5a(&self, par: &Parallelism) -> String {
+    pub fn fig5a(&self) -> String {
         let table = self.universe.bgp().base();
         let min_ips = self.min_as_ips();
         let mut out = header(
@@ -778,12 +769,11 @@ impl<S: ActiveSet> Repro<S> {
             if self.daily.num_days / window < 2 {
                 continue;
             }
-            let ecdf = churn::per_as_churn_over(
+            let ecdf = churn::per_as_churn(
                 self.engine.windows::<Daily>(),
                 window,
                 min_ips,
                 |b| table.origin_of(b.network()),
-                par,
             );
             if ecdf.is_empty() {
                 let _ =
@@ -801,7 +791,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 5(b): event size distribution by covering prefix mask.
-    pub fn fig5b(&self, par: &Parallelism) -> String {
+    pub fn fig5b(&self) -> String {
         let mut out = header(
             "Figure 5(b) — size of up events (smallest covering prefix mask)",
             "paper: 1d events >70% at /31–/32; 28d windows: >38% of events at masks ≤ /24",
@@ -816,7 +806,7 @@ impl<S: ActiveSet> Repro<S> {
                 continue;
             }
             let days = self.engine.windows::<Daily>();
-            let h = events::event_sizes_par(days, window, events::EventDirection::Up, par);
+            let h = events::event_sizes(days, window, events::EventDirection::Up);
             let b = h.figure5b_buckets();
             let _ = writeln!(
                 out,
@@ -833,7 +823,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 5(c): correlation of events with BGP changes.
-    pub fn fig5c(&self, par: &Parallelism) -> String {
+    pub fn fig5c(&self) -> String {
         let offset = self.universe.config().daily_offset as u16;
         let mut out = header(
             "Figure 5(c) — % of events coinciding with a BGP change",
@@ -845,7 +835,7 @@ impl<S: ActiveSet> Repro<S> {
                 continue;
             }
             let days = self.engine.windows::<Daily>();
-            let c = events::bgp_correlation_par(days, window, self.universe.bgp(), offset, par);
+            let c = events::bgp_correlation(days, window, self.universe.bgp(), offset);
             let _ = writeln!(
                 out,
                 "  {:<8} {:>7.2}% {:>7.2}% {:>7.2}%",
@@ -1016,15 +1006,9 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 8(b): filling degree by DNS-derived assignment class.
-    pub fn fig8b(&self, par: &Parallelism) -> String {
-        let all = self.engine.all_active();
-        let split = blocks::fd_by_assignment_over(
-            &self.daily,
-            &*all,
-            self.universe.ptr_table(),
-            16,
-            par,
-        );
+    pub fn fig8b(&self) -> String {
+        let days = self.engine.windows::<Daily>();
+        let split = blocks::fd_by_assignment(days, self.universe.ptr_table(), 16);
         let mut out = header(
             "Figure 8(b) — filling degree of /24s: static vs dynamic (PTR tags)",
             "paper: 75% of static /24s below FD 64; >80% of dynamic /24s above FD 250",
@@ -1343,28 +1327,19 @@ impl<S: ActiveSet> Repro<S> {
         self.router_set();
     }
 
-    /// Runs every experiment across up to `jobs` scoped worker
-    /// threads, heavy figures first.
+    /// Runs every experiment on up to `jobs` threads through
+    /// [`claim_map`], heavy figures first.
     ///
-    /// The worker count is clamped to the machine's cores (a `--jobs`
+    /// The thread count is clamped to the machine's cores (a `--jobs`
     /// above the core count used to oversubscribe a small box and run
-    /// *slower* than serial); the clamped-off budget, plus each
-    /// worker's core as it retires, feeds a shared [`Parallelism`]
-    /// pool that the still-running figures' chunked kernels draw
-    /// helper threads from — so the tail of the schedule, when few
-    /// figures remain, parallelizes *inside* the heavy figures
-    /// instead of idling. Workers pull `HEAVY_FIRST` indices off a
-    /// shared counter, but the report is always assembled in
-    /// [`EXPERIMENTS`] order: output is deterministic and
-    /// byte-identical to running each figure serially (pinned by
-    /// `tests/engine.rs`), and the cache hit/miss totals are a pure
-    /// function of the query set, independent of `jobs`.
+    /// *slower* than serial); at one thread the caller runs the suite
+    /// itself. Threads claim `HEAVY_FIRST` indices, but the report is
+    /// always assembled in [`EXPERIMENTS`] order: output is
+    /// deterministic and byte-identical to running each figure serially
+    /// (pinned by `tests/engine.rs`), and the cache hit/miss totals are
+    /// a pure function of the query set, independent of `jobs`.
     pub fn run_all(&self, jobs: usize) -> RunAllReport {
-        let jobs = jobs.max(1);
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let budget = jobs.min(cores);
-        let workers = budget.min(EXPERIMENTS.len());
-        let pool = Parallelism::new(budget - workers);
         let before = self.engine.stats();
         let started = Instant::now();
         // Bulk-build every day/week unit set up front (one transposed
@@ -1372,59 +1347,28 @@ impl<S: ActiveSet> Repro<S> {
         // absorb ~120 cold unit builds on their own clocks. Inside the
         // timed window: the cached pass pays for it honestly.
         self.engine.prewarm_units();
-        let mut slots: Vec<Option<FigureRun>> = Vec::new();
-        slots.resize_with(EXPERIMENTS.len(), || None);
-        let next = AtomicUsize::new(0);
         let suite_span = self.registry.span("repro.run_all");
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done = Vec::new();
-                        loop {
-                            let slot = next.fetch_add(1, Ordering::Relaxed);
-                            if slot >= HEAVY_FIRST.len() {
-                                break;
-                            }
-                            let i = HEAVY_FIRST[slot];
-                            let name = EXPERIMENTS[i];
-                            let _span = self.registry.span(format!("figure.{name}"));
-                            // Each figure gets its own trace, minted
-                            // from (seed, figure index) — structural
-                            // spans only, so the trace store stays
-                            // byte-identical whatever `jobs` is.
-                            let ftrace = TraceId::mint(self.seed ^ FIG_SALT, i as u64);
-                            let fctx = self
-                                .registry
-                                .trace_span(TraceContext::root(ftrace), "figure", name);
-                            let output = self
-                                .run_with(name, &pool)
-                                .expect("EXPERIMENTS entries are runnable");
-                            self.registry.trace_span(
-                                fctx,
-                                "figure.output",
-                                format!("bytes {}", output.len()),
-                            );
-                            done.push((i, FigureRun { name, output }));
-                        }
-                        // This worker's core is free now; lend it to the
-                        // kernels of whatever figures are still running.
-                        pool.release_tokens(1);
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, run) in handle.join().expect("figure worker panicked") {
-                    slots[i] = Some(run);
-                }
-            }
+        let (outputs, _) = claim_map(&HEAVY_FIRST, jobs.min(cores), || (), |(), i| {
+            let name = EXPERIMENTS[i];
+            let _span = self.registry.span(format!("figure.{name}"));
+            // Each figure gets its own trace, minted from (seed, figure
+            // index) — structural spans only, so the trace store stays
+            // byte-identical whatever `jobs` is.
+            let ftrace = TraceId::mint(self.seed ^ FIG_SALT, i as u64);
+            let fctx = self.registry.trace_span(TraceContext::root(ftrace), "figure", name);
+            let output = self.run(name).expect("EXPERIMENTS entries are runnable");
+            self.registry.trace_span(fctx, "figure.output", format!("bytes {}", output.len()));
+            output
         });
         drop(suite_span);
         let total_ms = started.elapsed().as_secs_f64() * 1e3;
         let after = self.engine.stats();
         RunAllReport {
-            figures: slots.into_iter().map(|s| s.expect("every figure ran")).collect(),
+            figures: EXPERIMENTS
+                .iter()
+                .zip(outputs)
+                .map(|(&name, output)| FigureRun { name, output })
+                .collect(),
             total_ms,
             cache: CacheStats {
                 hits: after.hits - before.hits,
@@ -1627,7 +1571,8 @@ impl<S: ActiveSet> Repro<S> {
 
         // Figure 4: churn magnitudes.
         {
-            let series = churn::daily_series(&self.daily);
+            let days = self.engine.windows::<Daily>();
+            let series = churn::daily_series(days);
             let avg_active: f64 =
                 series.iter().map(|p| p.active as f64).sum::<f64>() / series.len() as f64;
             let avg_up: f64 = series.iter().skip(1).map(|p| p.up as f64).sum::<f64>()
@@ -1638,7 +1583,7 @@ impl<S: ActiveSet> Repro<S> {
                 "daily churn near the paper's ~8% (3%..25%)",
                 ok((0.03..0.25).contains(&daily_churn), format!("{:.3}", daily_churn)),
             );
-            let sweep = churn::window_sweep(&*self.daily, &[7, 14]);
+            let sweep = churn::window_sweep(days, &[7, 14]);
             let plateau_alive = sweep.iter().all(|w| w.up.median > 0.5);
             push(
                 "fig4b",
@@ -1723,7 +1668,8 @@ impl<S: ActiveSet> Repro<S> {
                     format!("{:.3}", part.major_fraction()),
                 ),
             );
-            let split = blocks::fd_by_assignment(&self.daily, self.universe.ptr_table(), 16);
+            let days = self.engine.windows::<Daily>();
+            let split = blocks::fd_by_assignment(days, self.universe.ptr_table(), 16);
             if split.n_static < 5 || split.n_dynamic < 5 {
                 push("fig8b", "static blocks fill less than dynamic blocks",
                      CheckOutcome::Skip("too few tagged blocks".into()));
@@ -1898,7 +1844,7 @@ mod tests {
         let t1 = r.table1();
         assert!(t1.contains("Daily") && t1.contains("Weekly"));
         // Figure 4(b) includes the weekly-window extension rows.
-        let f4b = r.fig4b(&Parallelism::serial());
+        let f4b = r.fig4b();
         assert!(f4b.contains("(weekly data)"));
         // Figure 9(c) reports both the share trend and the Gini lens.
         let f9c = r.fig9c();

@@ -39,7 +39,8 @@
 //! order.
 
 use crate::supervisor::{supervise, FaultPlan, RetryPolicy};
-use crate::universe::{claim_map, fold_week, infallible, BlockEntry, Scratch, Universe};
+use crate::universe::{fold_week, infallible, BlockEntry, Scratch, Universe};
+use ipactive_core::par::claim_map;
 pub use ipactive_core::{Daily, Weekly};
 use ipactive_core::{
     Coverage, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder,

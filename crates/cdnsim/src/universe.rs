@@ -5,6 +5,7 @@ use crate::config::{AsKind, CountryProfile, UniverseConfig, COUNTRY_PROFILES};
 use crate::fastmath::{self, fast_exp, Kernel, LaneLoop};
 use crate::policy::{AssignmentPolicy, BlockProbeProfile, DayEntry, HostPopulation, PolicySim};
 use ipactive_bgp::{Asn, BgpEvent, BgpEventKind, BgpTimeline, RoutingTable};
+use ipactive_core::par::claim_map;
 use ipactive_core::{BlockRecord, DailyDataset, IpTraffic, WeeklyDataset};
 use ipactive_dns::{NamingScheme, PtrTable};
 use ipactive_net::{Addr, Block24, DayBits, Prefix};
@@ -14,7 +15,6 @@ use rand::RngExt;
 use std::cmp::Reverse;
 use std::convert::Infallible;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One Autonomous System of the synthetic Internet.
@@ -1156,53 +1156,6 @@ fn sweep_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
 }
 
-/// Runs `work` once per index in `order` on up to `threads` scoped
-/// threads and returns the results by index (`order` is a permutation
-/// of `0..order.len()`) plus each thread's state. A thread makes its
-/// state with `init`, then claims the next unclaimed position of
-/// `order` until none is left — so `order` decides what is started
-/// first and a thread that drew cheap work simply claims more.
-pub(crate) fn claim_map<S: Send, R: Send>(
-    order: &[usize],
-    threads: usize,
-    init: impl Fn() -> S + Sync,
-    work: impl Fn(&mut S, usize) -> R + Sync,
-) -> (Vec<R>, Vec<S>) {
-    // Relaxed: the counter only hands out positions; `order` was
-    // complete before any thread started and results travel back
-    // through `join`.
-    let next = AtomicUsize::new(0);
-    let run = || {
-        let mut state = init();
-        let mut done = Vec::new();
-        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-            done.push((i, work(&mut state, i)));
-        }
-        (state, done)
-    };
-    let threads = threads.min(order.len());
-    let per_thread = if threads <= 1 {
-        vec![run()]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(run)).collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("sweep thread panicked"))
-                .collect()
-        })
-    };
-    let mut results: Vec<Option<R>> = order.iter().map(|_| None).collect();
-    let mut states = Vec::with_capacity(per_thread.len());
-    for (state, done) in per_thread {
-        states.push(state);
-        for (i, result) in done {
-            results[i] = Some(result);
-        }
-    }
-    (results.into_iter().map(|r| r.expect("every index claimed once")).collect(), states)
-}
-
 impl ProbeTarget for Universe {
     fn icmp_response_probability(&self, addr: Addr) -> f64 {
         self.entry_of(Block24::of(addr))
@@ -1429,23 +1382,6 @@ mod tests {
                 assert_eq!(u.datasets_on(threads), one, "{threads} threads");
             }
         }
-    }
-
-    #[test]
-    fn claim_map_returns_results_by_index_whatever_the_claim_order() {
-        let order = [3usize, 0, 4, 1, 2];
-        for threads in [0, 1, 2, 8] {
-            let (squares, states) = claim_map(&order, threads, || 0usize, |claimed, i| {
-                *claimed += 1;
-                i * i
-            });
-            assert_eq!(squares, [0, 1, 4, 9, 16]);
-            assert_eq!(states.iter().sum::<usize>(), order.len());
-            assert!(states.len() <= threads.max(1));
-        }
-        let (none, states) = claim_map(&[], 4, || (), |(), i| i);
-        assert!(none.is_empty());
-        assert_eq!(states.len(), 1);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Addressing practice at block level (Sections 5.3–5.4,
 //! Figures 8(b) and 8(c)).
 
+use crate::cadence::{Daily, Windows};
 use crate::dataset::DailyDataset;
-use crate::par::Parallelism;
 use crate::stats::Ecdf;
 use ipactive_dns::{classify_block, AssignmentHint, PtrTable};
 use ipactive_net::{ActiveSet, Block24};
@@ -27,75 +27,26 @@ pub struct FdByAssignment {
 /// PTR-keyword-tagged static and dynamic subsets.
 ///
 /// `min_records` is the PTR coverage a block needs before it is
-/// tagged (consistency rule of [`classify_block`]).
-pub fn fd_by_assignment(ds: &DailyDataset, ptr: &PtrTable, min_records: usize) -> FdByAssignment {
+/// tagged (consistency rule of [`classify_block`]). A block's filling
+/// degree over the whole window is the number of its addresses in the
+/// union of every unit, so the per-block counts of that one set (the
+/// source's `union(0..num_units)` — a memoizing source's `all_active`)
+/// are the whole input.
+pub fn fd_by_assignment<W: Windows<Cadence = Daily>>(
+    ds: &W,
+    ptr: &PtrTable,
+    min_records: usize,
+) -> FdByAssignment {
     let mut all = Vec::new();
     let mut stat = Vec::new();
     let mut dyn_ = Vec::new();
-    for rec in &ds.blocks {
-        let fd = rec.filling_degree(0..ds.num_days);
-        if fd == 0 {
-            continue;
-        }
+    for (block, fd) in ds.union(0..ds.num_units()).block_counts() {
         all.push(fd as f64);
-        match classify_block(ptr, rec.block, min_records) {
+        match classify_block(ptr, block, min_records) {
             AssignmentHint::Static => stat.push(fd as f64),
             AssignmentHint::Dynamic => dyn_.push(fd as f64),
             AssignmentHint::Unknown => {}
         }
-    }
-    FdByAssignment {
-        n_static: stat.len(),
-        n_dynamic: dyn_.len(),
-        all: Ecdf::new(all),
-        static_blocks: Ecdf::new(stat),
-        dynamic_blocks: Ecdf::new(dyn_),
-    }
-}
-
-/// [`fd_by_assignment`] computed against a pre-materialized
-/// full-window union, with the block scan split into chunk-range
-/// subtasks.
-///
-/// `all_active` must be the union of every day's activity (what
-/// [`SlotMatrix::all_active`](crate::SlotMatrix::all_active) returns
-/// — or a cache's memoized copy). A block's filling degree over the full window is exactly
-/// the number of its addresses in that union, so
-/// `all_active.count_in(block)` replaces the 256-row matrix walk of
-/// [`BlockRecord::filling_degree`](crate::BlockRecord::filling_degree)
-/// and the result agrees exactly with [`fd_by_assignment`]. Chunk
-/// results concatenate in block order, preserving the serial Ecdf
-/// inputs.
-pub fn fd_by_assignment_over<S: ActiveSet>(
-    ds: &DailyDataset,
-    all_active: &S,
-    ptr: &PtrTable,
-    min_records: usize,
-    par: &Parallelism,
-) -> FdByAssignment {
-    let chunks = par.run(ds.blocks.len(), 64, |range| {
-        let mut all = Vec::new();
-        let mut stat = Vec::new();
-        let mut dyn_ = Vec::new();
-        for rec in &ds.blocks[range] {
-            let fd = all_active.count_in(rec.block.prefix()) as u32;
-            if fd == 0 {
-                continue;
-            }
-            all.push(fd as f64);
-            match classify_block(ptr, rec.block, min_records) {
-                AssignmentHint::Static => stat.push(fd as f64),
-                AssignmentHint::Dynamic => dyn_.push(fd as f64),
-                AssignmentHint::Unknown => {}
-            }
-        }
-        (all, stat, dyn_)
-    });
-    let (mut all, mut stat, mut dyn_) = (Vec::new(), Vec::new(), Vec::new());
-    for (a, s, d) in chunks {
-        all.extend(a);
-        stat.extend(s);
-        dyn_.extend(d);
     }
     FdByAssignment {
         n_static: stat.len(),
@@ -218,9 +169,10 @@ pub fn blocks_with_hint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::DailyDatasetBuilder;
-    use crate::SlotMatrix;
+    use crate::dataset::{DailyDatasetBuilder, WeeklyDatasetBuilder};
+    use crate::engine::AnalysisCtx;
     use ipactive_dns::NamingScheme;
+    use std::sync::Arc;
     use ipactive_net::Addr;
 
     fn a(s: &str) -> Addr {
@@ -280,15 +232,26 @@ mod tests {
     #[test]
     fn fd_split_over_union_matches_matrix_walk() {
         let (ds, ptr) = fixture();
-        let expect = fd_by_assignment(&ds, &ptr, 10);
-        let all: ipactive_net::TieredSet = ds.all_active();
-        for pool in [Parallelism::serial(), Parallelism::new(3)] {
-            let got = fd_by_assignment_over(&ds, &all, &ptr, 10, &pool);
-            assert_eq!(got.all.samples(), expect.all.samples());
-            assert_eq!(got.static_blocks.samples(), expect.static_blocks.samples());
-            assert_eq!(got.dynamic_blocks.samples(), expect.dynamic_blocks.samples());
-            assert_eq!(got.n_static, expect.n_static);
-            assert_eq!(got.n_dynamic, expect.n_dynamic);
+        // Each block's filling degree by a walk of its 256 rows.
+        let mut expect: [Vec<f64>; 3] = Default::default();
+        for rec in &ds.blocks {
+            let fd = rec.rows.iter().filter(|bits| !bits.is_empty()).count() as f64;
+            expect[0].push(fd);
+            match classify_block(&ptr, rec.block, 10) {
+                AssignmentHint::Static => expect[1].push(fd),
+                AssignmentHint::Dynamic => expect[2].push(fd),
+                AssignmentHint::Unknown => {}
+            }
+        }
+        let [all, stat, dyn_] = expect.map(|fds| Ecdf::new(fds).samples().to_vec());
+        let no_weeks = WeeklyDatasetBuilder::new(0).finish();
+        let engine: AnalysisCtx = AnalysisCtx::new(Arc::new(ds.clone()), Arc::new(no_weeks));
+        let days = engine.windows::<Daily>();
+        for got in [fd_by_assignment(&ds, &ptr, 10), fd_by_assignment(days, &ptr, 10)] {
+            assert_eq!(got.all.samples(), &all[..]);
+            assert_eq!(got.static_blocks.samples(), &stat[..]);
+            assert_eq!(got.dynamic_blocks.samples(), &dyn_[..]);
+            assert_eq!((got.n_static, got.n_dynamic), (stat.len(), dyn_.len()));
         }
     }
 

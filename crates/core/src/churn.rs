@@ -11,10 +11,15 @@
 //!   up-event percentages.
 //! * [`long_term`] — Table 2: appear/disappear between two two-month
 //!   unions, block-level bulkiness, and BGP attribution.
+//!
+//! The window analyses are set queries with one body each, generic over
+//! a [`Windows`] source: the bench layer passes the engine's memoized
+//! windows, and a library caller a bare dataset (every
+//! [`SlotMatrix`](crate::SlotMatrix) is a `Windows`). Their oracles,
+//! scans of every address's slot row, are in `tests/prop.rs`.
 
-use crate::cadence::{transpose64, Cadence, Daily, SlotMatrix, SlotRow, Weekly, Windows};
-use crate::dataset::{DailyDataset, WeeklyDataset};
-use crate::par::Parallelism;
+use crate::cadence::{transpose64, Cadence, Daily, Weekly, Windows};
+use crate::dataset::WeeklyDataset;
 use crate::stats::{Ecdf, MinMedMax};
 use ipactive_bgp::{Asn, BgpTimeline};
 use ipactive_net::{ActiveSet, AddrSet, Block24};
@@ -35,7 +40,12 @@ pub struct DayChurn {
     pub down: usize,
 }
 
-/// Computes the Figure 4(a) series from the activity matrices.
+/// Computes the Figure 4(a) series from a daily [`Windows`] source.
+///
+/// The day sets are fetched up front in day order (so a memoizing
+/// source sees one query per day); each pair `(d-1, d)` then needs
+/// only one [`ActiveSet::intersect_len`], since
+/// `up = |D_d| − |D_{d-1} ∩ D_d|` and `down = |D_{d-1}| − |D_{d-1} ∩ D_d|`.
 ///
 /// ```
 /// use ipactive_core::{churn, DailyDatasetBuilder};
@@ -47,78 +57,27 @@ pub struct DayChurn {
 /// assert_eq!(series[1].up, 1);   // 10.0.0.2 appeared
 /// assert_eq!(series[2].down, 2); // both gone on day 2
 /// ```
-pub fn daily_series(ds: &DailyDataset) -> Vec<DayChurn> {
-    let mut out: Vec<DayChurn> = (0..ds.num_days)
-        .map(|day| DayChurn { day, active: 0, up: 0, down: 0 })
-        .collect();
-    for rec in &ds.blocks {
-        for bits in rec.rows.iter() {
-            if bits.is_empty() {
-                continue;
-            }
-            let mut prev = false;
-            for (day, slot) in out.iter_mut().enumerate() {
-                let cur = bits.get(day);
-                if cur {
-                    slot.active += 1;
+pub fn daily_series<W: Windows<Cadence = Daily>>(ds: &W) -> Vec<DayChurn> {
+    let sets: Vec<Arc<W::Set>> = (0..ds.num_units()).map(|d| ds.union(d..d + 1)).collect();
+    (0..sets.len())
+        .map(|day| {
+            let active = sets[day].len();
+            let (up, down) = match day.checked_sub(1) {
+                None => (0, 0),
+                Some(prev) => {
+                    let inter = sets[prev].intersect_len(&sets[day]);
+                    (active - inter, sets[prev].len() - inter)
                 }
-                if day > 0 {
-                    match (prev, cur) {
-                        (false, true) => slot.up += 1,
-                        (true, false) => slot.down += 1,
-                        _ => {}
-                    }
-                }
-                prev = cur;
-            }
-        }
-    }
-    out
-}
-
-/// [`daily_series`] computed through a daily [`Windows`] source, with
-/// the per-pair intersections split into chunk-range subtasks.
-///
-/// The day sets are fetched up front in day order (so a memoizing
-/// source sees the same query sequence regardless of the subtask
-/// schedule); each pair `(d-1, d)` then needs only one
-/// [`ActiveSet::intersect_len`], since `up = |D_d| − |D_{d-1} ∩ D_d|`
-/// and `down = |D_{d-1}| − |D_{d-1} ∩ D_d|`. Agrees exactly with
-/// [`daily_series`] on the underlying dataset.
-pub fn daily_series_over<W: Windows<Cadence = Daily>>(ds: &W, par: &Parallelism) -> Vec<DayChurn> {
-    let n = ds.num_units();
-    if n == 0 {
-        return Vec::new();
-    }
-    let sets: Vec<Arc<W::Set>> = (0..n).map(|d| ds.union(d..d + 1)).collect();
-    let active: Vec<usize> = sets.iter().map(|s| s.len()).collect();
-    let pairs = par.run(n - 1, 8, |range| {
-        range
-            .map(|k| {
-                let d = k + 1;
-                let inter = sets[d - 1].intersect_len(&sets[d]);
-                (active[d] - inter, active[d - 1] - inter)
-            })
-            .collect::<Vec<(usize, usize)>>()
-    });
-    let mut out = vec![DayChurn { day: 0, active: active[0], up: 0, down: 0 }];
-    out.extend(pairs.into_iter().flatten().enumerate().map(|(k, (up, down))| {
-        DayChurn { day: k + 1, active: active[k + 1], up, down }
-    }));
-    out
+            };
+            DayChurn { day, active, up, down }
+        })
+        .collect()
 }
 
 /// Mean active addresses per day-of-week (index 0..=6; the universe
-/// treats 5 and 6 as the weekend). Figure 4(a)'s weekend dips, made
-/// quantitative.
-pub fn weekday_profile(ds: &DailyDataset) -> [f64; 7] {
-    weekday_profile_from(&daily_series(ds))
-}
-
-/// The day-of-week averages of [`weekday_profile`], computed from an
-/// already-materialized daily series (so a caller that has the
-/// Figure 4(a) series in hand does not scan the matrices twice).
-pub fn weekday_profile_from(series: &[DayChurn]) -> [f64; 7] {
+/// treats 5 and 6 as the weekend) of a [`daily_series`]. Figure 4(a)'s
+/// weekend dips, made quantitative.
+pub fn weekday_profile(series: &[DayChurn]) -> [f64; 7] {
     let mut sums = [0f64; 7];
     let mut counts = [0u32; 7];
     for p in series {
@@ -157,50 +116,8 @@ impl WindowChurn {
     }
 }
 
-/// Raw per-pair percentages for one window size, by a scan of every
-/// address's row.
-fn window_pair_percentages<M: SlotMatrix>(ds: &M, w: usize) -> (Vec<f64>, Vec<f64>) {
-    let n_windows = ds.num_slots() / w;
-    let masks: Vec<M::Row> = (0..n_windows).map(|i| M::Row::span(i * w..(i + 1) * w)).collect();
-    let any = M::Row::span(0..ds.num_slots());
-    // Per window: |union|; per pair: |W_{i+1} \ W_i| and |W_i \ W_{i+1}|.
-    let mut sizes = vec![0u64; n_windows];
-    let mut ups = vec![0u64; n_windows.saturating_sub(1)];
-    let mut downs = vec![0u64; n_windows.saturating_sub(1)];
-    for (_, rows) in ds.rows() {
-        for &bits in rows.iter().filter(|bits| bits.meets(any)) {
-            let mut prev_in = false;
-            for (i, &mask) in masks.iter().enumerate() {
-                let cur_in = bits.meets(mask);
-                if cur_in {
-                    sizes[i] += 1;
-                }
-                if i > 0 {
-                    match (prev_in, cur_in) {
-                        (false, true) => ups[i - 1] += 1,
-                        (true, false) => downs[i - 1] += 1,
-                        _ => {}
-                    }
-                }
-                prev_in = cur_in;
-            }
-        }
-    }
-    let mut up_pct = Vec::new();
-    let mut down_pct = Vec::new();
-    for i in 0..n_windows.saturating_sub(1) {
-        if sizes[i + 1] > 0 {
-            up_pct.push(100.0 * ups[i] as f64 / sizes[i + 1] as f64);
-        }
-        if sizes[i] > 0 {
-            down_pct.push(100.0 * downs[i] as f64 / sizes[i] as f64);
-        }
-    }
-    (up_pct, down_pct)
-}
-
 /// Computes Figure 4(b) for the given window sizes in units of the
-/// matrix's cadence (paper: 1..=28 days).
+/// source's cadence (paper: 1..=28 days).
 ///
 /// Following Section 4.1: for window size `w` the dataset is split
 /// into `⌊units/w⌋` non-overlapping windows, each window's activity is
@@ -209,72 +126,34 @@ fn window_pair_percentages<M: SlotMatrix>(ds: &M, w: usize) -> (Vec<f64>, Vec<f6
 /// percentage is `100·|W_i ∖ W_{i+1}| / |W_i|`. Over the weekly
 /// dataset the same sweep extends the figure to month-of-weeks
 /// windows: churn does not decay with aggregation there either.
-/// `window_days` reports every size in days.
-pub fn window_sweep<M: SlotMatrix>(ds: &M, window_sizes: &[usize]) -> Vec<WindowChurn> {
-    window_sizes
-        .iter()
-        .filter(|&&w| w >= 1 && ds.num_slots() / w >= 2)
-        .map(|&w| {
-            let (up, down) = window_pair_percentages(ds, w);
-            WindowChurn::of::<M::Cadence>(w, &up, &down)
-        })
-        .collect()
-}
-
-/// Per-pair up/down percentages from materialized window sets: the
-/// set-algebra form of the [`window_pair_percentages`] matrix scan,
-/// with the pair intersections split into chunk-range subtasks.
-fn pair_percentages_from_windows<S: ActiveSet>(
-    windows: &[Arc<S>],
-    par: &Parallelism,
-) -> (Vec<f64>, Vec<f64>) {
-    let n_windows = windows.len();
-    let sizes: Vec<u64> = windows.iter().map(|w| w.len() as u64).collect();
-    let inters: Vec<u64> = par
-        .run(n_windows - 1, 4, |range| {
-            range
-                .map(|i| windows[i].intersect_len(&windows[i + 1]) as u64)
-                .collect::<Vec<u64>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    let mut up_pct = Vec::new();
-    let mut down_pct = Vec::new();
-    for i in 0..n_windows - 1 {
-        if sizes[i + 1] > 0 {
-            up_pct.push(100.0 * (sizes[i + 1] - inters[i]) as f64 / sizes[i + 1] as f64);
-        }
-        if sizes[i] > 0 {
-            down_pct.push(100.0 * (sizes[i] - inters[i]) as f64 / sizes[i] as f64);
-        }
-    }
-    (up_pct, down_pct)
-}
-
-/// [`window_sweep`] computed through a [`Windows`] source of either
-/// cadence.
+/// `window_days` reports every size in days; sizes that leave fewer
+/// than two windows are skipped.
 ///
 /// Each window size fetches its window unions in order (one query per
 /// window, so a memoizing source's hit/miss counts stay a pure
 /// function of the sweep), then reduces every consecutive pair with a
 /// single [`ActiveSet::intersect_len`]: `up = |W_{i+1}| − |W_i ∩
-/// W_{i+1}|`, `down = |W_i| − |W_i ∩ W_{i+1}|`. Agrees exactly with
-/// [`window_sweep`] on the underlying dataset.
-pub fn window_sweep_over<W: Windows>(
-    ds: &W,
-    window_sizes: &[usize],
-    par: &Parallelism,
-) -> Vec<WindowChurn> {
+/// W_{i+1}|`, `down = |W_i| − |W_i ∩ W_{i+1}|`.
+pub fn window_sweep<W: Windows>(ds: &W, window_sizes: &[usize]) -> Vec<WindowChurn> {
     window_sizes
         .iter()
         .filter(|&&w| w >= 1 && ds.num_units() / w >= 2)
         .map(|&w| {
-            let n_windows = ds.num_units() / w;
             let windows: Vec<Arc<W::Set>> =
-                (0..n_windows).map(|i| ds.union(i * w..(i + 1) * w)).collect();
-            let (up, down) = pair_percentages_from_windows(&windows, par);
-            WindowChurn::of::<W::Cadence>(w, &up, &down)
+                (0..ds.num_units() / w).map(|i| ds.union(i * w..(i + 1) * w)).collect();
+            let mut up_pct = Vec::new();
+            let mut down_pct = Vec::new();
+            for pair in windows.windows(2) {
+                let (prev, cur) = (pair[0].len() as u64, pair[1].len() as u64);
+                let inter = pair[0].intersect_len(&pair[1]) as u64;
+                if cur > 0 {
+                    up_pct.push(100.0 * (cur - inter) as f64 / cur as f64);
+                }
+                if prev > 0 {
+                    down_pct.push(100.0 * (prev - inter) as f64 / prev as f64);
+                }
+            }
+            WindowChurn::of::<W::Cadence>(w, &up_pct, &down_pct)
         })
         .collect()
 }
@@ -340,96 +219,23 @@ pub fn year_drift(ws: &WeeklyDataset) -> Vec<WeekDrift> {
 /// universe never splits a `/24` across ASes, matching how the paper
 /// aggregates at `/24`-or-coarser granularity). Only ASes with at
 /// least `min_ips` distinct active addresses are included (paper:
-/// 1000).
-pub fn per_as_churn<F>(
-    ds: &DailyDataset,
-    window_days: usize,
-    min_ips: usize,
-    mut resolve: F,
-) -> Ecdf
+/// 1000). Panics unless the window leaves at least two windows.
+///
+/// The counts are per-block reads of the window sets: per `/24` block
+/// `b`, an AS gains `|All ∩ b|` active addresses, window `i`
+/// contributes `|W_i ∩ b|` to its size, and pair `i−1` contributes
+/// `|W_i ∩ b| − |W_{i−1} ∩ W_i ∩ b|` up events. They come as whole
+/// columns — [`ActiveSet::block_counts`] per window and
+/// [`ActiveSet::intersect_block_counts`] per adjacent pair,
+/// merge-aligned against the block list — and no intersection set is
+/// ever materialized.
+pub fn per_as_churn<W, F>(ds: &W, window_days: usize, min_ips: usize, mut resolve: F) -> Ecdf
 where
+    W: Windows<Cadence = Daily>,
     F: FnMut(Block24) -> Option<Asn>,
 {
     let w = window_days;
-    let n_windows = ds.num_days / w;
-    assert!(n_windows >= 2, "need at least two windows");
-    #[derive(Default)]
-    struct AsAcc {
-        active_ips: u64,
-        ups: Vec<u64>,   // per pair
-        sizes: Vec<u64>, // per window
-    }
-    let mut per_as: HashMap<Asn, AsAcc> = HashMap::new();
-    for rec in &ds.blocks {
-        let Some(asn) = resolve(rec.block) else { continue };
-        let acc = per_as.entry(asn).or_insert_with(|| AsAcc {
-            active_ips: 0,
-            ups: vec![0; n_windows - 1],
-            sizes: vec![0; n_windows],
-        });
-        for bits in rec.rows.iter() {
-            if bits.is_empty() {
-                continue;
-            }
-            acc.active_ips += 1;
-            let mut prev_in = false;
-            for i in 0..n_windows {
-                let cur_in = bits.any_in_range(i * w, (i + 1) * w);
-                if cur_in {
-                    acc.sizes[i] += 1;
-                }
-                if i > 0 && !prev_in && cur_in {
-                    acc.ups[i - 1] += 1;
-                }
-                prev_in = cur_in;
-            }
-        }
-    }
-    let mut medians = Vec::new();
-    for acc in per_as.values() {
-        if (acc.active_ips as usize) < min_ips {
-            continue;
-        }
-        let pcts: Vec<f64> = (0..acc.ups.len())
-            .filter(|&i| acc.sizes[i + 1] > 0)
-            .map(|i| 100.0 * acc.ups[i] as f64 / acc.sizes[i + 1] as f64)
-            .collect();
-        if let Some(m) = MinMedMax::of(&pcts) {
-            medians.push(m.median);
-        }
-    }
-    Ecdf::new(medians)
-}
-
-/// [`per_as_churn`] computed through a daily [`Windows`] source, with
-/// the block scan split into chunk-range subtasks.
-///
-/// Instead of walking every address's day-bits, this form answers the
-/// same questions with per-block counts against the window sets: per
-/// `/24` block `b`, an AS gains `|All ∩ b|` active addresses, window
-/// `i` contributes `|W_i ∩ b|` to its size, and pair `i−1`
-/// contributes `|W_i ∩ b| − |W_{i−1} ∩ W_i ∩ b|` up events. The
-/// counts come as whole columns — [`ActiveSet::block_counts`] per
-/// window and [`ActiveSet::intersect_block_counts`] per adjacent
-/// pair, merge-aligned against the block list — rather than
-/// per-(block, window) `count_in` searches, and no intersection set
-/// is ever materialized. Blocks with no activity contribute nothing
-/// in either form, and the medians/ECDF math is unchanged, so the
-/// result agrees exactly with [`per_as_churn`] on the underlying
-/// dataset.
-pub fn per_as_churn_over<W, F>(
-    ds: &W,
-    window_days: usize,
-    min_ips: usize,
-    resolve: F,
-    par: &Parallelism,
-) -> Ecdf
-where
-    W: Windows<Cadence = Daily>,
-    F: Fn(Block24) -> Option<Asn> + Sync,
-{
-    let w = window_days;
-    let n_windows = ds.num_units() / w;
+    let n_windows = ds.num_units().checked_div(w).unwrap_or(0);
     assert!(n_windows >= 2, "need at least two windows");
     let windows: Vec<Arc<W::Set>> =
         (0..n_windows).map(|i| ds.union(i * w..(i + 1) * w)).collect();
@@ -457,49 +263,25 @@ where
         .map(|i| align(windows[i - 1].intersect_block_counts(&windows[i])))
         .collect();
 
-    #[derive(Clone)]
     struct Acc {
         active_ips: u64,
         ups: Vec<u64>,   // per pair
         sizes: Vec<u64>, // per window
     }
-    let chunk_maps: Vec<HashMap<Asn, Acc>> = par.run(blocks.len(), 64, |range| {
-        let mut per_as: HashMap<Asn, Acc> = HashMap::new();
-        for bi in range {
-            let Some(asn) = resolve(blocks[bi]) else { continue };
-            let acc = per_as.entry(asn).or_insert_with(|| Acc {
-                active_ips: 0,
-                ups: vec![0; n_windows - 1],
-                sizes: vec![0; n_windows],
-            });
-            acc.active_ips += all_counts[bi] as u64;
-            for i in 0..n_windows {
-                let cur = win_counts[i][bi] as u64;
-                acc.sizes[i] += cur;
-                if i > 0 {
-                    acc.ups[i - 1] += cur - inter_counts[i - 1][bi] as u64;
-                }
-            }
-        }
-        per_as
-    });
     let mut per_as: HashMap<Asn, Acc> = HashMap::new();
-    for map in chunk_maps {
-        for (asn, acc) in map {
-            match per_as.entry(asn) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(acc);
-                }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    let mine = slot.get_mut();
-                    mine.active_ips += acc.active_ips;
-                    for (a, b) in mine.ups.iter_mut().zip(&acc.ups) {
-                        *a += b;
-                    }
-                    for (a, b) in mine.sizes.iter_mut().zip(&acc.sizes) {
-                        *a += b;
-                    }
-                }
+    for (bi, &block) in blocks.iter().enumerate() {
+        let Some(asn) = resolve(block) else { continue };
+        let acc = per_as.entry(asn).or_insert_with(|| Acc {
+            active_ips: 0,
+            ups: vec![0; n_windows - 1],
+            sizes: vec![0; n_windows],
+        });
+        acc.active_ips += all_counts[bi] as u64;
+        for i in 0..n_windows {
+            let cur = win_counts[i][bi] as u64;
+            acc.sizes[i] += cur;
+            if i > 0 {
+                acc.ups[i - 1] += cur - inter_counts[i - 1][bi] as u64;
             }
         }
     }
@@ -637,7 +419,9 @@ pub fn long_term<W: Windows<Cadence = Weekly>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{DailyDatasetBuilder, WeeklyDatasetBuilder};
+    use crate::cadence::{SlotMatrix, SlotRow};
+    use crate::dataset::{DailyDataset, DailyDatasetBuilder, WeeklyDatasetBuilder};
+    use crate::engine::AnalysisCtx;
     use ipactive_bgp::{BgpEvent, BgpEventKind, RoutingTable};
     use ipactive_net::Addr;
 
@@ -675,7 +459,7 @@ mod tests {
                 b.record_hits(d, a("10.0.0.1"), 1);
             }
         }
-        let profile = weekday_profile(&b.finish());
+        let profile = weekday_profile(&daily_series(&b.finish()));
         for (dow, &v) in profile.iter().enumerate() {
             let expect = if dow < 5 { 2.0 } else { 1.0 };
             assert!((v - expect).abs() < 1e-12, "dow {dow}");
@@ -800,9 +584,17 @@ mod tests {
         assert!(ecdf.is_empty());
     }
 
+    #[test]
+    #[should_panic(expected = "need at least two windows")]
+    fn per_as_churn_rejects_a_zero_day_window() {
+        let mut b = DailyDatasetBuilder::new(4);
+        b.record_hits(0, a("10.0.0.1"), 1);
+        per_as_churn(&b.finish(), 0, 1, |_| Some(Asn(9)));
+    }
+
     /// A 12-day dataset with steady, flickering, and one-shot
     /// addresses across three blocks — enough texture to exercise
-    /// every transition kind in the set-algebra kernel forms.
+    /// every transition kind in the set-algebra forms.
     fn churny_fixture() -> DailyDataset {
         let mut b = DailyDatasetBuilder::new(12);
         for d in 0..12 {
@@ -819,24 +611,96 @@ mod tests {
         b.finish()
     }
 
+    /// The engine over `ds`, whose memoized day windows every daily
+    /// analysis must read as it reads the bare dataset.
+    fn day_engine(ds: &DailyDataset) -> AnalysisCtx {
+        AnalysisCtx::new(Arc::new(ds.clone()), Arc::new(WeeklyDatasetBuilder::new(0).finish()))
+    }
+
+    /// Every active address's block and slot row, one `bool` per unit:
+    /// the matrix the set forms are scanned against.
+    fn matrix<M: SlotMatrix>(ds: &M) -> Vec<(Block24, Vec<bool>)> {
+        let n = ds.num_slots();
+        let unit = |row: M::Row, u: usize| row.meets(M::Row::span(u..u + 1));
+        let rows = ds.rows().flat_map(|(block, rows)| {
+            rows.iter().map(move |&row| (block, (0..n).map(|u| unit(row, u)).collect::<Vec<_>>()))
+        });
+        rows.filter(|(_, row)| row.contains(&true)).collect()
+    }
+
+    /// Whether `row` is active anywhere in window `i` of `w` units.
+    fn in_window(row: &[bool], w: usize, i: usize) -> bool {
+        row[i * w..(i + 1) * w].contains(&true)
+    }
+
+    /// Per-pair up and down percentages of `w`-unit windows over the
+    /// rows `m` of an `n`-unit matrix, counted row by row.
+    fn matrix_pair_percentages(m: &[&[bool]], n: usize, w: usize) -> (Vec<f64>, Vec<f64>) {
+        let count = |f: &dyn Fn(&[bool]) -> bool| m.iter().filter(|r| f(r)).count() as f64;
+        let (mut up, mut down) = (Vec::new(), Vec::new());
+        for i in 1..n / w {
+            let prev = count(&|r| in_window(r, w, i - 1));
+            let cur = count(&|r| in_window(r, w, i));
+            if cur > 0.0 {
+                up.push(100.0 * count(&|r| !in_window(r, w, i - 1) && in_window(r, w, i)) / cur);
+            }
+            if prev > 0.0 {
+                down.push(100.0 * count(&|r| in_window(r, w, i - 1) && !in_window(r, w, i)) / prev);
+            }
+        }
+        (up, down)
+    }
+
+    /// Fig 4(b) by a row scan per window size.
+    fn matrix_sweep<M: SlotMatrix>(ds: &M, sizes: &[usize]) -> Vec<WindowChurn> {
+        let (m, n) = (matrix(ds), ds.num_slots());
+        let rows: Vec<&[bool]> = m.iter().map(|(_, row)| &row[..]).collect();
+        let zero = MinMedMax { min: 0.0, median: 0.0, max: 0.0 };
+        let sizes = sizes.iter().filter(|&&w| w >= 1 && n / w >= 2);
+        sizes
+            .map(|&w| {
+                let (up, down) = matrix_pair_percentages(&rows, n, w);
+                WindowChurn {
+                    window_days: w * M::Cadence::DAYS_PER_UNIT,
+                    up: MinMedMax::of(&up).unwrap_or(zero),
+                    down: MinMedMax::of(&down).unwrap_or(zero),
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn daily_series_over_matches_matrix_scan() {
         let ds = churny_fixture();
-        let expect = daily_series(&ds);
-        for pool in [Parallelism::serial(), Parallelism::new(3)] {
-            assert_eq!(daily_series_over(&ds, &pool), expect);
+        let m = matrix(&ds);
+        let count = |f: &dyn Fn(&[bool]) -> bool| m.iter().filter(|(_, r)| f(r)).count();
+        let expect: Vec<DayChurn> = (0..ds.num_days)
+            .map(|day| DayChurn {
+                day,
+                active: count(&|r| r[day]),
+                up: count(&|r| day > 0 && !r[day - 1] && r[day]),
+                down: count(&|r| day > 0 && r[day - 1] && !r[day]),
+            })
+            .collect();
+        let series = daily_series(&ds);
+        assert_eq!(series, expect);
+        assert_eq!(daily_series(day_engine(&ds).windows::<Daily>()), expect);
+        let mut profile = [0f64; 7];
+        for (dow, p) in profile.iter_mut().enumerate() {
+            let active: Vec<usize> = (dow..ds.num_days).step_by(7).map(|d| count(&|r| r[d])).collect();
+            *p = active.iter().sum::<usize>() as f64 / active.len() as f64;
         }
-        assert_eq!(weekday_profile_from(&expect), weekday_profile(&ds));
+        assert_eq!(weekday_profile(&series), profile);
     }
 
     #[test]
     fn window_sweep_over_matches_matrix_scan() {
         let ds = churny_fixture();
         let sizes = [1usize, 2, 3, 4, 6, 12];
-        let expect = window_sweep(&ds, &sizes);
-        for pool in [Parallelism::serial(), Parallelism::new(3)] {
-            assert_eq!(window_sweep_over(&ds, &sizes, &pool), expect);
-        }
+        let expect = matrix_sweep(&ds, &sizes);
+        assert_eq!(expect.len(), 5); // 12 days leave one window of 12
+        assert_eq!(window_sweep(&ds, &sizes), expect);
+        assert_eq!(window_sweep(day_engine(&ds).windows::<Daily>(), &sizes), expect);
     }
 
     #[test]
@@ -851,8 +715,11 @@ mod tests {
         b.record_week(7, a("10.0.3.3"), 1);
         let ws = b.finish();
         let sizes = [1usize, 2, 4, 8];
-        let expect = window_sweep(&ws, &sizes);
-        assert_eq!(window_sweep_over(&ws, &sizes, &Parallelism::new(2)), expect);
+        let expect = matrix_sweep(&ws, &sizes);
+        assert_eq!(window_sweep(&ws, &sizes), expect);
+        let no_days = DailyDatasetBuilder::new(0).finish();
+        let engine: AnalysisCtx = AnalysisCtx::new(Arc::new(no_days), Arc::new(ws.clone()));
+        assert_eq!(window_sweep(engine.windows::<Weekly>(), &sizes), expect);
     }
 
     #[test]
@@ -861,14 +728,27 @@ mod tests {
         let resolve = |block: Block24| {
             Some(if block == Block24::of(a("10.0.0.0")) { Asn(1) } else { Asn(2) })
         };
-        let expect = per_as_churn(&ds, 2, 1, resolve);
-        for pool in [Parallelism::serial(), Parallelism::new(3)] {
-            let got = per_as_churn_over(&ds, 2, 1, resolve, &pool);
-            assert_eq!(got.samples(), expect.samples());
+        let (m, w) = (matrix(&ds), 2);
+        let mut per_as: HashMap<Asn, Vec<&[bool]>> = HashMap::new();
+        for (block, row) in &m {
+            per_as.entry(resolve(*block).unwrap()).or_default().push(row);
         }
-        // The min_ips filter applies identically.
-        let filtered = per_as_churn_over(&ds, 2, 100, resolve, &Parallelism::serial());
-        assert!(filtered.is_empty());
+        let expect = |min_ips: usize| {
+            let rows = per_as.values().filter(|rows| rows.len() >= min_ips);
+            let pcts = rows.map(|rows| matrix_pair_percentages(rows, ds.num_days, w).0);
+            let medians = pcts.filter_map(|pcts| MinMedMax::of(&pcts)).map(|m| m.median);
+            Ecdf::new(medians.collect()).samples().to_vec()
+        };
+        let engine = day_engine(&ds);
+        for min_ips in [1, 100] {
+            let want = expect(min_ips);
+            assert_eq!(per_as_churn(&ds, w, min_ips, resolve).samples(), &want[..]);
+            let days = engine.windows::<Daily>();
+            assert_eq!(per_as_churn(days, w, min_ips, resolve).samples(), &want[..]);
+        }
+        // Both ASes pass a filter of one; neither passes the min_ips filter.
+        assert_eq!(expect(1).len(), 2);
+        assert!(expect(100).is_empty());
     }
 
     #[test]

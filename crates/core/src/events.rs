@@ -1,7 +1,6 @@
 //! Event sizing and BGP correlation (Section 4.2, Figures 5(b), 5(c)).
 
 use crate::cadence::{Daily, Windows};
-use crate::par::Parallelism;
 use ipactive_bgp::BgpTimeline;
 use ipactive_net::{ActiveSet, EventSizeHistogram};
 use std::sync::Arc;
@@ -21,60 +20,35 @@ pub enum EventDirection {
 /// Each per-address event counts once under its smallest covering
 /// prefix mask (defined by [`ipactive_net::covering_mask`]); a pair's
 /// counts come whole from [`ActiveSet::diff_mask_counts`], which sizes
-/// no event on its own. The histogram fractions over the display
-/// buckets reproduce the figure's bars. A window of zero days, or
-/// fewer than two windows, gives the empty histogram.
+/// no event on its own, and pair histograms merge by counter addition.
+/// The histogram fractions over the display buckets reproduce the
+/// figure's bars. A window of zero days, or fewer than two windows,
+/// gives the empty histogram.
 ///
 /// Accepts any daily [`Windows`] source, so the bench layer can pass a
-/// memoizing cache in place of the raw dataset.
+/// memoizing cache in place of the raw dataset; the window unions are
+/// fetched in window order, one query each.
 pub fn event_sizes<W: Windows<Cadence = Daily>>(
     ds: &W,
     window_days: usize,
     direction: EventDirection,
 ) -> EventSizeHistogram {
-    event_sizes_par(ds, window_days, direction, &Parallelism::serial())
-}
-
-/// [`event_sizes`] with the window pairs split into chunk-range
-/// subtasks.
-///
-/// The window unions are fetched up front in window order — the same
-/// query sequence the serial form issues, so a memoizing source's
-/// hit/miss counts are independent of the subtask schedule. Each pair
-/// then counts its events independently; per-pair histograms merge by
-/// counter addition, so the aggregate is order-independent and equal
-/// to the serial result.
-pub fn event_sizes_par<W: Windows<Cadence = Daily>>(
-    ds: &W,
-    window_days: usize,
-    direction: EventDirection,
-    par: &Parallelism,
-) -> EventSizeHistogram {
     // A zero-day window has no pairs, like fewer than two windows.
     let n_windows = ds.num_units().checked_div(window_days).unwrap_or(0);
+    let mut hist = EventSizeHistogram::new();
     if n_windows < 2 {
-        return EventSizeHistogram::new();
+        return hist;
     }
     let windows: Vec<Arc<W::Set>> = (0..n_windows)
         .map(|i| ds.union(i * window_days..(i + 1) * window_days))
         .collect();
-    let chunk_hists = par.run(n_windows - 1, 2, |range| {
-        let mut hist = EventSizeHistogram::new();
-        for k in range {
-            let (prev, cur) = (&*windows[k], &*windows[k + 1]);
-            // The pair's mask counts, taken whole — no event set is
-            // materialized and no event sized on its own.
-            let pair = match direction {
-                EventDirection::Up => EventSizeHistogram::from_diff_events(cur, prev),
-                EventDirection::Down => EventSizeHistogram::from_diff_events(prev, cur),
-            };
-            hist.merge(&pair);
-        }
-        hist
-    });
-    let mut hist = EventSizeHistogram::new();
-    for h in &chunk_hists {
-        hist.merge(h);
+    for pair in windows.windows(2) {
+        let (prev, cur) = (&*pair[0], &*pair[1]);
+        let counts = match direction {
+            EventDirection::Up => EventSizeHistogram::from_diff_events(cur, prev),
+            EventDirection::Down => EventSizeHistogram::from_diff_events(prev, cur),
+        };
+        hist.merge(&counts);
     }
     hist
 }
@@ -99,77 +73,55 @@ pub struct BgpCorrelation {
 ///
 /// `day_offset` maps dataset day 0 onto the BGP timeline's day axis
 /// (the paper's daily window starts mid-August; BGP days count from
-/// the start of the year).
+/// the start of the year). Panics unless the window leaves at least
+/// two windows.
+///
+/// The counts are by prefix, not by address. Any two CIDR prefixes
+/// are nested or disjoint, so the *maximal* changed prefixes of a span
+/// partition the changed address space — and "events coinciding with
+/// a change" becomes a sum of prefix counts: per maximal prefix `p`,
+/// the pair contributes `|Cur ∩ p| − |Cur ∩ Prev ∩ p|` affected up
+/// events, `|Prev ∩ p| − |Cur ∩ Prev ∩ p|` affected down events, and
+/// `|Cur ∩ Prev ∩ p|` affected steady addresses. The totals are the
+/// same integers a per-address membership walk produces.
 pub fn bgp_correlation<W: Windows<Cadence = Daily>>(
     ds: &W,
     window_days: usize,
     bgp: &BgpTimeline,
     day_offset: u16,
 ) -> BgpCorrelation {
-    bgp_correlation_par(ds, window_days, bgp, day_offset, &Parallelism::serial())
-}
-
-/// [`bgp_correlation`] with the window pairs split into chunk-range
-/// subtasks, counting by prefix instead of walking every address.
-///
-/// Any two CIDR prefixes are nested or disjoint, so the *maximal*
-/// changed prefixes of a span partition the changed address space —
-/// and "events coinciding with a change" becomes a sum of prefix
-/// counts: per maximal prefix `p`, the pair contributes
-/// `|Cur ∩ p| − |Cur ∩ Prev ∩ p|` affected up events,
-/// `|Prev ∩ p| − |Cur ∩ Prev ∩ p|` affected down events, and
-/// `|Cur ∩ Prev ∩ p|` affected steady addresses. The totals are the
-/// same integers the per-address membership walk produces, so the
-/// percentages agree exactly.
-pub fn bgp_correlation_par<W: Windows<Cadence = Daily>>(
-    ds: &W,
-    window_days: usize,
-    bgp: &BgpTimeline,
-    day_offset: u16,
-    par: &Parallelism,
-) -> BgpCorrelation {
     let w = window_days;
-    let n_windows = ds.num_units() / w;
+    let n_windows = ds.num_units().checked_div(w).unwrap_or(0);
     assert!(n_windows >= 2, "need at least two windows");
     let windows: Vec<Arc<W::Set>> =
         (0..n_windows).map(|i| ds.union(i * w..(i + 1) * w)).collect();
     // [up_hit, up_all, down_hit, down_all, steady_hit, steady_all]
-    let chunk_totals = par.run(n_windows - 1, 2, |range| {
-        let mut t = [0u64; 6];
-        for k in range {
-            let (prev, cur) = (&windows[k], &windows[k + 1]);
-            let span_start = day_offset + (k * w) as u16;
-            let span_end = day_offset + ((k + 2) * w) as u16;
-            let changes = bgp.changes_in(span_start..span_end);
-            let inter = cur.intersect(prev);
-            let (cur_n, prev_n, inter_n) =
-                (cur.len() as u64, prev.len() as u64, inter.len() as u64);
-            for p in changes.maximal_prefixes() {
-                let c = cur.count_in(p) as u64;
-                let pv = prev.count_in(p) as u64;
-                let it = inter.count_in(p) as u64;
-                t[0] += c - it;
-                t[2] += pv - it;
-                t[4] += it;
-            }
-            t[1] += cur_n - inter_n;
-            t[3] += prev_n - inter_n;
-            t[5] += inter_n;
+    let mut t = [0u64; 6];
+    for (k, pair) in windows.windows(2).enumerate() {
+        let (prev, cur) = (&pair[0], &pair[1]);
+        let span_start = day_offset + (k * w) as u16;
+        let span_end = day_offset + ((k + 2) * w) as u16;
+        let changes = bgp.changes_in(span_start..span_end);
+        let inter = cur.intersect(prev);
+        let (cur_n, prev_n, inter_n) = (cur.len() as u64, prev.len() as u64, inter.len() as u64);
+        for p in changes.maximal_prefixes() {
+            let c = cur.count_in(p) as u64;
+            let pv = prev.count_in(p) as u64;
+            let it = inter.count_in(p) as u64;
+            t[0] += c - it;
+            t[2] += pv - it;
+            t[4] += it;
         }
-        t
-    });
-    let mut tot = [0u64; 6];
-    for t in chunk_totals {
-        for (a, b) in tot.iter_mut().zip(t) {
-            *a += b;
-        }
+        t[1] += cur_n - inter_n;
+        t[3] += prev_n - inter_n;
+        t[5] += inter_n;
     }
     let pct = |hit: u64, all: u64| if all == 0 { 0.0 } else { 100.0 * hit as f64 / all as f64 };
     BgpCorrelation {
         window_days,
-        up_pct: pct(tot[0], tot[1]),
-        down_pct: pct(tot[2], tot[3]),
-        steady_pct: pct(tot[4], tot[5]),
+        up_pct: pct(t[0], t[1]),
+        down_pct: pct(t[2], t[3]),
+        steady_pct: pct(t[4], t[5]),
     }
 }
 
@@ -179,7 +131,7 @@ mod tests {
     use crate::cadence::SlotMatrix;
     use crate::dataset::DailyDatasetBuilder;
     use ipactive_bgp::{Asn, BgpEvent, BgpEventKind, RoutingTable};
-    use ipactive_net::{Addr, Block24};
+    use ipactive_net::{covering_mask, Addr, AddrSet, Block24};
 
     fn a(s: &str) -> Addr {
         s.parse().unwrap()
@@ -243,13 +195,13 @@ mod tests {
         let ds = b.finish();
         for dir in [EventDirection::Up, EventDirection::Down] {
             assert_eq!(event_sizes(&ds, 0, dir), EventSizeHistogram::new());
-            assert_eq!(event_sizes_par(&ds, 0, dir, &Parallelism::new(3)).total(), 0);
         }
     }
 
     #[test]
     fn chunked_event_sizes_match_serial() {
-        // Many windows (8 of size 1) so the pair loop actually chunks.
+        // Many windows (8 of size 1), so the per-/24 counts merge
+        // across seven pairs.
         let mut b = DailyDatasetBuilder::new(8);
         for d in 0..8usize {
             b.record_hits(d, a("10.0.0.1"), 1); // steady
@@ -261,10 +213,19 @@ mod tests {
             }
         }
         let ds = b.finish();
+        let days: Vec<AddrSet> = (0..8).map(|d| ds.unit(d)).collect();
         for dir in [EventDirection::Up, EventDirection::Down] {
-            let serial = event_sizes(&ds, 1, dir);
-            let chunked = event_sizes_par(&ds, 1, dir, &Parallelism::new(3));
-            assert_eq!(serial, chunked);
+            // Every event sized on its own by its covering-mask probe.
+            let mut serial = EventSizeHistogram::new();
+            for pair in days.windows(2) {
+                let (events, excl) = match dir {
+                    EventDirection::Up => (&pair[1], &pair[0]),
+                    EventDirection::Down => (&pair[0], &pair[1]),
+                };
+                events.for_each_difference(excl, |addr| serial.record(covering_mask(addr, excl)));
+            }
+            assert!(serial.total() > 0);
+            assert_eq!(event_sizes(&ds, 1, dir), serial);
         }
     }
 
@@ -375,11 +336,18 @@ mod tests {
         }
         let pct = |h: u64, n: u64| if n == 0 { 0.0 } else { 100.0 * h as f64 / n as f64 };
 
-        for pool in [Parallelism::serial(), Parallelism::new(3)] {
-            let corr = bgp_correlation_par(&ds, w, &bgp, 0, &pool);
-            assert_eq!(corr.up_pct, pct(up_hit, up_all));
-            assert_eq!(corr.down_pct, pct(down_hit, down_all));
-            assert_eq!(corr.steady_pct, pct(steady_hit, steady_all));
-        }
+        let corr = bgp_correlation(&ds, w, &bgp, 0);
+        assert_eq!(corr.up_pct, pct(up_hit, up_all));
+        assert_eq!(corr.down_pct, pct(down_hit, down_all));
+        assert_eq!(corr.steady_pct, pct(steady_hit, steady_all));
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least two windows")]
+    fn bgp_correlation_rejects_a_zero_day_window() {
+        let mut b = DailyDatasetBuilder::new(4);
+        b.record_hits(0, a("10.0.0.1"), 1);
+        let bgp = BgpTimeline::new(RoutingTable::new());
+        bgp_correlation(&b.finish(), 0, &bgp, 0);
     }
 }

@@ -1,168 +1,61 @@
-//! Deterministic intra-figure parallelism.
+//! The workspace's one parallel driver.
 //!
-//! The figure kernels split their dominant loops (window pairs, block
-//! ranges, weeks) into *chunk-range subtasks*. The partition is a pure
-//! function of the problem size — [`chunk_count`] and [`chunk_range`]
-//! never consult thread counts or timing — so a kernel produces the
-//! same chunk results in the same order whether the chunks run on one
-//! thread or sixteen. Threads only decide *who* computes a chunk,
-//! never *what* the chunks are.
-//!
-//! [`Parallelism`] is a shared token budget: the figure scheduler in
-//! the bench crate hands each figure worker a clone, and a kernel
-//! spawns a scoped helper thread per token it can grab. With zero
-//! tokens (the serial baseline, or a machine with no spare cores) the
-//! calling thread simply works through the chunks itself.
+//! [`claim_map`] runs a list of independent jobs on a few scoped
+//! threads and hands the results back by index. Threads decide only
+//! *who* computes a job, never *what* the jobs are or where a result
+//! lands, so a caller whose jobs are pure functions of their index gets
+//! the same output on one thread or sixteen. The simulator's universe
+//! and pipeline sweeps and the figure suite's `run_all` all go through
+//! it; the analyses themselves are serial.
 
-use std::ops::Range;
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Hard cap on subtasks per kernel invocation; bounds scheduling
-/// overhead without affecting results (the partition is still pure).
-pub const MAX_SUBTASKS: usize = 16;
-
-/// Number of chunk-range subtasks a loop of `n` items splits into.
-///
-/// Pure in `n` and `min_chunk`: `1` when the loop is too small to be
-/// worth splitting (fewer than two minimum-size chunks), otherwise
-/// `⌊n / min_chunk⌋` capped at [`MAX_SUBTASKS`].
-pub fn chunk_count(n: usize, min_chunk: usize) -> usize {
-    let min_chunk = min_chunk.max(1);
-    if n < 2 * min_chunk {
-        1
+/// Runs `work` once per index in `order` on up to `threads` scoped
+/// threads and returns the results by index (`order` is a permutation
+/// of `0..order.len()`) plus each thread's state. A thread makes its
+/// state with `init`, then claims the next unclaimed position of
+/// `order` until none is left — so `order` decides what is started
+/// first and a thread that drew cheap work simply claims more. At one
+/// thread (or none) the caller works through `order` itself.
+pub fn claim_map<S: Send, R: Send>(
+    order: &[usize],
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize) -> R + Sync,
+) -> (Vec<R>, Vec<S>) {
+    // Relaxed: the counter only hands out positions; `order` was
+    // complete before any thread started and results travel back
+    // through `join`.
+    let next = AtomicUsize::new(0);
+    let run = || {
+        let mut state = init();
+        let mut done = Vec::new();
+        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            done.push((i, work(&mut state, i)));
+        }
+        (state, done)
+    };
+    let threads = threads.min(order.len());
+    let per_thread = if threads <= 1 {
+        vec![run()]
     } else {
-        (n / min_chunk).min(MAX_SUBTASKS)
-    }
-}
-
-/// The half-open item range of chunk `i` of `k` over `n` items: the
-/// standard balanced partition `[i·n/k, (i+1)·n/k)`.
-pub fn chunk_range(n: usize, k: usize, i: usize) -> Range<usize> {
-    debug_assert!(i < k);
-    i * n / k..(i + 1) * n / k
-}
-
-/// A shared budget of helper-thread tokens.
-///
-/// Cloning shares the budget (all clones draw from the same pool), so
-/// concurrently running figures compete for the same spare cores
-/// instead of oversubscribing the machine. A budget of zero tokens
-/// degrades every [`Parallelism::run`] into a serial loop over the
-/// same chunks.
-#[derive(Debug, Clone)]
-pub struct Parallelism(Arc<AtomicIsize>);
-
-impl Default for Parallelism {
-    fn default() -> Self {
-        Self::serial()
-    }
-}
-
-impl Parallelism {
-    /// A budget with no helper tokens: chunks all run on the caller.
-    pub fn serial() -> Self {
-        Parallelism(Arc::new(AtomicIsize::new(0)))
-    }
-
-    /// A budget of `tokens` helper threads shared by all clones.
-    pub fn new(tokens: usize) -> Self {
-        Parallelism(Arc::new(AtomicIsize::new(tokens as isize)))
-    }
-
-    /// Returns `tokens` to the pool (used by the figure scheduler when
-    /// a whole worker retires and its core frees up).
-    pub fn release_tokens(&self, tokens: usize) {
-        self.0.fetch_add(tokens as isize, Ordering::SeqCst);
-    }
-
-    fn try_acquire(&self) -> bool {
-        self.0
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                if v > 0 {
-                    Some(v - 1)
-                } else {
-                    None
-                }
-            })
-            .is_ok()
-    }
-
-    /// Acquires one token as an RAII guard, or `None` when the pool is
-    /// empty. The token returns to the pool when the guard drops — on
-    /// every exit path, including unwinding out of a panicking kernel,
-    /// so a caught panic can never permanently shrink the shared
-    /// budget.
-    fn acquire_guard(&self) -> Option<TokenGuard> {
-        if self.try_acquire() {
-            Some(TokenGuard(self.clone()))
-        } else {
-            None
-        }
-    }
-
-    /// Runs `f` over every chunk of `0..n` and returns the chunk
-    /// results in chunk order.
-    ///
-    /// The partition comes from [`chunk_count`]/[`chunk_range`] alone;
-    /// helper threads (at most one per available token, returned to
-    /// the pool as each helper exits) only steal whole chunks off a
-    /// shared counter. `f` must be a pure function of its range for
-    /// the caller to get deterministic output — which is exactly what
-    /// the figure kernels provide.
-    pub fn run<R, F>(&self, n: usize, min_chunk: usize, f: F) -> Vec<R>
-    where
-        R: Send + Sync,
-        F: Fn(Range<usize>) -> R + Sync,
-    {
-        let k = chunk_count(n, min_chunk);
-        if k <= 1 {
-            return vec![f(0..n)];
-        }
-        let slots: Vec<OnceLock<R>> = (0..k).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        // Claim a chunk off the shared counter, compute it, repeat.
-        let drain = |first: usize| {
-            let mut i = first;
-            while i < k {
-                let computed = f(chunk_range(n, k, i));
-                let _ = slots[i].set(computed);
-                i = next.fetch_add(1, Ordering::Relaxed);
-            }
-        };
         std::thread::scope(|scope| {
-            // Recruit one helper per free token, capped so an idle
-            // pool never spawns more workers than chunks. The caller
-            // counts as one worker and drains alongside them.
-            let mut helpers = 1usize;
-            while helpers < k {
-                let Some(token) = self.acquire_guard() else { break };
-                helpers += 1;
-                let (next_ref, drain_ref) = (&next, &drain);
-                scope.spawn(move || {
-                    // Hold the token for the helper's lifetime; the
-                    // guard returns it even if `f` panics mid-chunk
-                    // and the panic unwinds through `drain`.
-                    let _token = token;
-                    drain_ref(next_ref.fetch_add(1, Ordering::Relaxed));
-                });
-            }
-            drain(next.fetch_add(1, Ordering::Relaxed));
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every chunk ran to completion"))
-            .collect()
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(run)).collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("sweep thread panicked"))
+                .collect()
+        })
+    };
+    let mut results: Vec<Option<R>> = order.iter().map(|_| None).collect();
+    let mut states = Vec::with_capacity(per_thread.len());
+    for (state, done) in per_thread {
+        states.push(state);
+        for (i, result) in done {
+            results[i] = Some(result);
+        }
     }
-}
-
-/// RAII ownership of one helper token; returns it on drop.
-struct TokenGuard(Parallelism);
-
-impl Drop for TokenGuard {
-    fn drop(&mut self) {
-        self.0.release_tokens(1);
-    }
+    (results.into_iter().map(|r| r.expect("every index claimed once")).collect(), states)
 }
 
 #[cfg(test)]
@@ -170,109 +63,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chunk_count_is_pure_and_bounded() {
-        assert_eq!(chunk_count(0, 8), 1);
-        assert_eq!(chunk_count(15, 8), 1); // < 2 chunks of 8
-        assert_eq!(chunk_count(16, 8), 2);
-        assert_eq!(chunk_count(100, 8), 12);
-        assert_eq!(chunk_count(10_000, 8), MAX_SUBTASKS);
-        assert_eq!(chunk_count(5, 0), 5); // min_chunk clamps to 1
-    }
-
-    #[test]
-    fn chunk_ranges_tile_the_input_exactly() {
-        for n in [1usize, 7, 16, 100, 1001] {
-            for min_chunk in [1usize, 8, 64] {
-                let k = chunk_count(n, min_chunk);
-                let mut covered = 0usize;
-                for i in 0..k {
-                    let r = chunk_range(n, k, i);
-                    assert_eq!(r.start, covered, "n={n} k={k} i={i}");
-                    covered = r.end;
-                }
-                assert_eq!(covered, n);
-            }
+    fn claim_map_returns_results_by_index_whatever_the_claim_order() {
+        let order = [3usize, 0, 4, 1, 2];
+        for threads in [0, 1, 2, 8] {
+            let (squares, states) = claim_map(&order, threads, || 0usize, |claimed, i| {
+                *claimed += 1;
+                i * i
+            });
+            assert_eq!(squares, [0, 1, 4, 9, 16]);
+            assert_eq!(states.iter().sum::<usize>(), order.len());
+            assert!(states.len() <= threads.max(1));
         }
-    }
-
-    #[test]
-    fn serial_and_parallel_budgets_agree() {
-        let square_sums = |pool: &Parallelism| -> Vec<u64> {
-            pool.run(1000, 8, |r| r.map(|i| (i * i) as u64).sum())
-        };
-        let serial = square_sums(&Parallelism::serial());
-        let parallel = square_sums(&Parallelism::new(4));
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.len(), chunk_count(1000, 8));
-        let total: u64 = serial.iter().sum();
-        let expect: u64 = (0..1000u64).map(|i| i * i).sum();
-        assert_eq!(total, expect);
-    }
-
-    #[test]
-    fn tokens_are_returned_when_helpers_retire() {
-        let pool = Parallelism::new(3);
-        for _ in 0..5 {
-            let out = pool.run(640, 8, |r| r.len());
-            assert_eq!(out.iter().sum::<usize>(), 640);
-        }
-        // All three tokens must be back: acquire them explicitly.
-        assert!(pool.try_acquire() && pool.try_acquire() && pool.try_acquire());
-        assert!(!pool.try_acquire());
-        pool.release_tokens(3);
-    }
-
-    /// Payload type for the injected panic below; the quiet hook
-    /// suppresses exactly this type, so it can never hide a genuine
-    /// failure from another test in the binary.
-    struct InjectedChunkPanic;
-
-    fn quiet_injected_panics() {
-        static INSTALL: std::sync::Once = std::sync::Once::new();
-        INSTALL.call_once(|| {
-            let previous = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                if info.payload().downcast_ref::<InjectedChunkPanic>().is_none() {
-                    previous(info);
-                }
-            }));
-        });
-    }
-
-    #[test]
-    fn panicking_kernel_does_not_leak_helper_tokens() {
-        // Regression: helper tokens used to be released by straight-
-        // line code after the drain, so a panic unwinding out of `f`
-        // skipped the release and permanently shrank the shared pool.
-        quiet_injected_panics();
-        let pool = Parallelism::new(3);
-        for round in 0..4 {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.run(640, 8, |r| {
-                    if r.contains(&320) {
-                        std::panic::panic_any(InjectedChunkPanic);
-                    }
-                    r.len()
-                })
-            }));
-            assert!(caught.is_err(), "round {round}: the injected panic must propagate");
-            // Every token must be back in the pool after the unwind.
-            assert!(
-                pool.try_acquire() && pool.try_acquire() && pool.try_acquire(),
-                "round {round}: panic leaked a helper token"
-            );
-            assert!(!pool.try_acquire());
-            pool.release_tokens(3);
-        }
-        // And the pool still runs healthy kernels afterwards.
-        let out = pool.run(640, 8, |r| r.len());
-        assert_eq!(out.iter().sum::<usize>(), 640);
-    }
-
-    #[test]
-    fn small_inputs_run_as_one_chunk() {
-        let pool = Parallelism::new(8);
-        let out = pool.run(3, 8, |r| r.collect::<Vec<_>>());
-        assert_eq!(out, vec![vec![0, 1, 2]]);
+        let (none, states) = claim_map(&[], 4, || (), |(), i| i);
+        assert!(none.is_empty());
+        assert_eq!(states.len(), 1);
     }
 }

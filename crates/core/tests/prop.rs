@@ -3,12 +3,13 @@
 
 use ipactive_bgp::Asn;
 use ipactive_core::census::{self, CensusRow};
-use ipactive_core::churn::WeekDrift;
+use ipactive_core::churn::{DayChurn, WeekDrift, WindowChurn};
 use ipactive_core::geo::{self, CountryVisibility};
-use ipactive_core::par::Parallelism;
+use ipactive_core::stats::MinMedMax;
 use ipactive_core::visibility::VisibilitySplit;
 use ipactive_core::{blocks, change, churn, events, matrix, stats, traffic};
-use ipactive_core::{AnalysisCtx, Cadence, Daily, SlotMatrix, Weekly, Windows};
+use ipactive_dns::{classify_block, AssignmentHint, NamingScheme, PtrTable};
+use ipactive_core::{AnalysisCtx, Cadence, Daily, SlotMatrix, SlotRow, Weekly, Windows};
 use ipactive_core::{DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder};
 use ipactive_net::{covering_mask, EventSizeHistogram};
 use ipactive_net::{ActiveSet, Addr, AddrSet, Block24, Prefix, RefSet, TieredSet};
@@ -678,23 +679,278 @@ fn oracle_event_sizes<S: ActiveSet>(
     hist
 }
 
-/// [`events::event_sizes`] and its chunked form over the engine's
-/// windows on backend `S` equal [`oracle_event_sizes`] on `S`.
+/// [`events::event_sizes`] over the engine's windows on backend `S`
+/// equals [`oracle_event_sizes`] on `S`.
 fn event_sizes_equal_the_oracle<S: ActiveSet>(ds: &DailyDataset) -> Result<(), TestCaseError> {
     let (cells, n) = (Daily::cells(ds), ds.num_slots());
     let engine = Daily::engine::<S>(ds);
-    let (windows, par, backend) =
-        (engine.windows::<Daily>(), Parallelism::new(3), S::backend_name());
+    let (windows, backend) = (engine.windows::<Daily>(), S::backend_name());
     for w in (0..=4).chain([n / 2, n]) {
         for direction in [events::EventDirection::Up, events::EventDirection::Down] {
             let want = oracle_event_sizes::<S>(&cells, n, w, direction);
-            let serial = events::event_sizes(windows, w, direction);
-            prop_assert_eq!(serial, want.clone(), "{} {} {:?}", backend, w, direction);
-            let chunked = events::event_sizes_par(windows, w, direction, &par);
-            prop_assert_eq!(chunked, want, "{} {} {:?} chunked", backend, w, direction);
+            let got = events::event_sizes(windows, w, direction);
+            prop_assert_eq!(got, want, "{} {} {:?}", backend, w, direction);
         }
     }
     Ok(())
+}
+
+// Section 4's churn analyses and Fig 8(b) are set queries over a
+// `Windows` source. The bodies they replaced scanned every address's
+// slot row; they are kept below as the oracles the set forms must
+// equal, `f64`s included.
+
+/// Fig 4(a) by a scan of every address's day row.
+fn oracle_daily_series(ds: &DailyDataset) -> Vec<DayChurn> {
+    let mut out: Vec<DayChurn> = (0..ds.num_days)
+        .map(|day| DayChurn { day, active: 0, up: 0, down: 0 })
+        .collect();
+    for rec in &ds.blocks {
+        for bits in rec.rows.iter().filter(|bits| !bits.is_empty()) {
+            let mut prev = false;
+            for (day, slot) in out.iter_mut().enumerate() {
+                let cur = bits.get(day);
+                if cur {
+                    slot.active += 1;
+                }
+                if day > 0 {
+                    match (prev, cur) {
+                        (false, true) => slot.up += 1,
+                        (true, false) => slot.down += 1,
+                        _ => {}
+                    }
+                }
+                prev = cur;
+            }
+        }
+    }
+    out
+}
+
+/// Mean active addresses per day-of-week, read off the day rows.
+fn oracle_weekday_profile(ds: &DailyDataset) -> [f64; 7] {
+    let active = |day: usize| {
+        ds.blocks.iter().flat_map(|rec| rec.rows.iter()).filter(|bits| bits.get(day)).count()
+    };
+    let mut out = [0f64; 7];
+    for (dow, o) in out.iter_mut().enumerate() {
+        let days: Vec<usize> = (dow..ds.num_days).step_by(7).collect();
+        let sum = days.iter().fold(0f64, |sum, &day| sum + active(day) as f64);
+        *o = if days.is_empty() { 0.0 } else { sum / days.len() as f64 };
+    }
+    out
+}
+
+/// Raw per-pair up and down percentages for one window size, by a
+/// scan of every address's row.
+fn oracle_window_pair_percentages<M: SlotMatrix>(ds: &M, w: usize) -> (Vec<f64>, Vec<f64>) {
+    let n_windows = ds.num_slots() / w;
+    let masks: Vec<M::Row> = (0..n_windows).map(|i| M::Row::span(i * w..(i + 1) * w)).collect();
+    let any = M::Row::span(0..ds.num_slots());
+    // Per window: |union|; per pair: |W_{i+1} \ W_i| and |W_i \ W_{i+1}|.
+    let mut sizes = vec![0u64; n_windows];
+    let mut ups = vec![0u64; n_windows.saturating_sub(1)];
+    let mut downs = vec![0u64; n_windows.saturating_sub(1)];
+    for (_, rows) in ds.rows() {
+        for &bits in rows.iter().filter(|bits| bits.meets(any)) {
+            let mut prev_in = false;
+            for (i, &mask) in masks.iter().enumerate() {
+                let cur_in = bits.meets(mask);
+                if cur_in {
+                    sizes[i] += 1;
+                }
+                if i > 0 {
+                    match (prev_in, cur_in) {
+                        (false, true) => ups[i - 1] += 1,
+                        (true, false) => downs[i - 1] += 1,
+                        _ => {}
+                    }
+                }
+                prev_in = cur_in;
+            }
+        }
+    }
+    let mut up_pct = Vec::new();
+    let mut down_pct = Vec::new();
+    for i in 0..n_windows.saturating_sub(1) {
+        if sizes[i + 1] > 0 {
+            up_pct.push(100.0 * ups[i] as f64 / sizes[i + 1] as f64);
+        }
+        if sizes[i] > 0 {
+            down_pct.push(100.0 * downs[i] as f64 / sizes[i] as f64);
+        }
+    }
+    (up_pct, down_pct)
+}
+
+/// Fig 4(b) by a row scan per window size.
+fn oracle_window_sweep<M: SlotMatrix>(ds: &M, window_sizes: &[usize]) -> Vec<WindowChurn> {
+    let zero = MinMedMax { min: 0.0, median: 0.0, max: 0.0 };
+    window_sizes
+        .iter()
+        .filter(|&&w| w >= 1 && ds.num_slots() / w >= 2)
+        .map(|&w| {
+            let (up, down) = oracle_window_pair_percentages(ds, w);
+            WindowChurn {
+                window_days: w * M::Cadence::DAYS_PER_UNIT,
+                up: MinMedMax::of(&up).unwrap_or(zero),
+                down: MinMedMax::of(&down).unwrap_or(zero),
+            }
+        })
+        .collect()
+}
+
+/// Fig 5(a)'s per-AS medians by a walk of every address's day row.
+fn oracle_per_as_churn(
+    ds: &DailyDataset,
+    w: usize,
+    min_ips: usize,
+    mut resolve: impl FnMut(Block24) -> Option<Asn>,
+) -> Vec<f64> {
+    let n_windows = ds.num_days / w;
+    struct AsAcc {
+        active_ips: u64,
+        ups: Vec<u64>,   // per pair
+        sizes: Vec<u64>, // per window
+    }
+    let mut per_as: HashMap<Asn, AsAcc> = HashMap::new();
+    for rec in &ds.blocks {
+        let Some(asn) = resolve(rec.block) else { continue };
+        let acc = per_as.entry(asn).or_insert_with(|| AsAcc {
+            active_ips: 0,
+            ups: vec![0; n_windows - 1],
+            sizes: vec![0; n_windows],
+        });
+        for bits in rec.rows.iter().filter(|bits| !bits.is_empty()) {
+            acc.active_ips += 1;
+            let mut prev_in = false;
+            for i in 0..n_windows {
+                let cur_in = bits.any_in_range(i * w, (i + 1) * w);
+                if cur_in {
+                    acc.sizes[i] += 1;
+                }
+                if i > 0 && !prev_in && cur_in {
+                    acc.ups[i - 1] += 1;
+                }
+                prev_in = cur_in;
+            }
+        }
+    }
+    let mut medians = Vec::new();
+    for acc in per_as.values().filter(|acc| acc.active_ips as usize >= min_ips) {
+        let pcts: Vec<f64> = (0..acc.ups.len())
+            .filter(|&i| acc.sizes[i + 1] > 0)
+            .map(|i| 100.0 * acc.ups[i] as f64 / acc.sizes[i + 1] as f64)
+            .collect();
+        if let Some(m) = MinMedMax::of(&pcts) {
+            medians.push(m.median);
+        }
+    }
+    stats::Ecdf::new(medians).samples().to_vec()
+}
+
+/// Fig 8(b)'s three filling-degree samples (all, static, dynamic) by
+/// a walk of every block's 256 rows.
+fn oracle_fd_by_assignment(ds: &DailyDataset, ptr: &PtrTable, min_records: usize) -> [Vec<f64>; 3] {
+    let mut out: [Vec<f64>; 3] = Default::default();
+    for rec in &ds.blocks {
+        let fd = rec.filling_degree(0..ds.num_days);
+        if fd == 0 {
+            continue;
+        }
+        out[0].push(fd as f64);
+        match classify_block(ptr, rec.block, min_records) {
+            AssignmentHint::Static => out[1].push(fd as f64),
+            AssignmentHint::Dynamic => out[2].push(fd as f64),
+            AssignmentHint::Unknown => {}
+        }
+    }
+    out.map(|samples| stats::Ecdf::new(samples).samples().to_vec())
+}
+
+/// PTR naming over [`arb_daily`]'s eight blocks: no zone, a keyword
+/// zone of each kind, an opaque one, or a sparse one with a record for
+/// one host in `one_in`.
+fn arb_ptr() -> impl Strategy<Value = PtrTable> {
+    let scheme = (0usize..6, prop_oneof![Just(1u8), Just(16), Just(64)]);
+    prop::collection::vec(scheme, 8).prop_map(|schemes| {
+        let mut ptr = PtrTable::new();
+        for (blk, (kind, one_in)) in schemes.into_iter().enumerate() {
+            let domain = "isp.example".to_string();
+            let scheme = match kind {
+                0 => continue,
+                1 => NamingScheme::StaticKeyword { domain },
+                2 => NamingScheme::DynamicKeyword { domain },
+                3 => NamingScheme::PoolKeyword { domain },
+                4 => NamingScheme::Opaque { domain },
+                _ => NamingScheme::Partial {
+                    inner: Box::new(NamingScheme::StaticKeyword { domain }),
+                    one_in,
+                },
+            };
+            ptr.set_scheme(Block24::new(0x0A_0000 + blk as u32), scheme);
+        }
+        ptr
+    })
+}
+
+/// Fig 4(a), its weekday profile, the day sweep of Fig 4(b), Fig 5(a)
+/// at three windows and two AS filters, and Fig 8(b) over one daily
+/// source equal their row-scan oracles on the dataset behind it.
+fn daily_analyses_equal_the_oracles<W: Windows<Cadence = Daily>>(
+    days: &W,
+    ds: &DailyDataset,
+    ptr: &PtrTable,
+    min_records: usize,
+    source: &str,
+) -> Result<(), TestCaseError> {
+    let series = churn::daily_series(days);
+    prop_assert_eq!(&series, &oracle_daily_series(ds), "{}", source);
+    prop_assert_eq!(churn::weekday_profile(&series), oracle_weekday_profile(ds), "{}", source);
+    let n = ds.num_days;
+    let sizes = [1, 2, 3, 4, 7, 14, 21, 28, n / 3, n / 2, n];
+    let sweep = churn::window_sweep(days, &sizes);
+    prop_assert_eq!(sweep, oracle_window_sweep(ds, &sizes), "{}", source);
+    for w in [1, 7, 28].into_iter().filter(|&w| n / w >= 2) {
+        for min_ips in [1, 40] {
+            let got = churn::per_as_churn(days, w, min_ips, origin);
+            let want = oracle_per_as_churn(ds, w, min_ips, origin);
+            prop_assert_eq!(got.samples(), &want[..], "{} {}d >= {}", source, w, min_ips);
+        }
+    }
+    let split = blocks::fd_by_assignment(days, ptr, min_records);
+    let [all, stat, dyn_] = oracle_fd_by_assignment(ds, ptr, min_records);
+    prop_assert_eq!(split.all.samples(), &all[..], "{}", source);
+    prop_assert_eq!(split.static_blocks.samples(), &stat[..], "{}", source);
+    prop_assert_eq!(split.dynamic_blocks.samples(), &dyn_[..], "{}", source);
+    prop_assert_eq!((split.n_static, split.n_dynamic), (stat.len(), dyn_.len()), "{}", source);
+    Ok(())
+}
+
+/// The week sweep of Fig 4(b) over one weekly source equals its
+/// row-scan oracle on the dataset behind it.
+fn weekly_sweep_equals_the_oracle<W: Windows<Cadence = Weekly>>(
+    weeks: &W,
+    ws: &WeeklyDataset,
+    source: &str,
+) -> Result<(), TestCaseError> {
+    let sizes = [1, 2, 4, 8, 13, ws.num_weeks / 2, ws.num_weeks];
+    let sweep = churn::window_sweep(weeks, &sizes);
+    prop_assert_eq!(sweep, oracle_window_sweep(ws, &sizes), "{} weeks", source);
+    Ok(())
+}
+
+/// Both cadences' analyses on the engine's windows over backend `S`.
+fn engine_analyses_equal_the_oracles<S: ActiveSet>(
+    ds: &DailyDataset,
+    ws: &WeeklyDataset,
+    ptr: &PtrTable,
+    min_records: usize,
+) -> Result<(), TestCaseError> {
+    let engine = AnalysisCtx::<S>::new(Arc::new(ds.clone()), Arc::new(ws.clone()));
+    let (days, backend) = (engine.windows::<Daily>(), S::backend_name());
+    daily_analyses_equal_the_oracles(days, ds, ptr, min_records, backend)?;
+    weekly_sweep_equals_the_oracle(engine.windows::<Weekly>(), ws, backend)
 }
 
 /// [`slot_matrix_equals_the_oracle`] on both backends.
@@ -740,6 +996,22 @@ proptest! {
     ) {
         geo_equals_the_oracle::<AddrSet>(&cdn, &icmp, &db)?;
         geo_equals_the_oracle::<TieredSet>(&cdn, &icmp, &db)?;
+    }
+
+    /// Fig 4(a), 4(b) of both cadences, 5(a) and 8(b) on the engine's
+    /// windows over both backends and on the bare datasets, over
+    /// 112-day windows, tile-edge hosts and blocks of every PTR kind.
+    #[test]
+    fn churn_and_blocks_equal_their_oracles(
+        ds in arb_daily(),
+        ws in arb_weekly(),
+        ptr in arb_ptr(),
+        min_records in prop_oneof![Just(0usize), Just(1), Just(16), 0usize..=256],
+    ) {
+        daily_analyses_equal_the_oracles(&ds, &ds, &ptr, min_records, "dataset")?;
+        weekly_sweep_equals_the_oracle(&ws, &ws, "dataset")?;
+        engine_analyses_equal_the_oracles::<TieredSet>(&ds, &ws, &ptr, min_records)?;
+        engine_analyses_equal_the_oracles::<RefSet>(&ds, &ws, &ptr, min_records)?;
     }
 
     /// Fig 5(b) on both backends: up and down event sizes at windows
