@@ -28,13 +28,7 @@
 //! inspect metrics-check <SNAPSHOT.json> <SCHEMA.json>
 //! inspect trace <TRACES.json> [TRACE_ID] [--schema FILE]
 //! inspect slo-check <SERVE_RECORD.json> [--max-shed-rate F] [--max-p99-us F] [--max-burns N]
-//! inspect worker --root DIR --shard S --shards N --emitters E --epoch G --attempt A ...
 //! ```
-//!
-//! `worker` runs one distributed-collection shard grant (see
-//! [`ipactive_bench::worker_cli`]) — it is the process the healing
-//! coordinator spawns, exposed here so harnesses can drive a worker
-//! directly.
 //!
 //! `mkstore` persists a deterministic universe into a log-store
 //! directory as one manifest-journaled batch commit (`--corrupt` then
@@ -79,7 +73,6 @@ fn main() {
             Some("metrics-check") => run_metrics_check(&args[1..]),
             Some("trace") => run_trace(&args[1..]),
             Some("slo-check") => run_slo_check(&args[1..]),
-            Some("worker") => ipactive_bench::worker_cli::run(&args[1..]),
             _ => {}
         }
     }

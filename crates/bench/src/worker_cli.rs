@@ -1,12 +1,12 @@
-//! The shard-worker command line, shared by the `repro` binary's
-//! hidden `worker` mode and the `inspect worker` subcommand, so the
-//! coordinator can spawn either binary as its worker process.
+//! The shard-worker command line: the `repro` binary's hidden `worker`
+//! mode, which the coordinator spawns as the worker process of every
+//! grant.
 //!
 //! ```text
-//! ... worker --root DIR --shard S --shards N --emitters E
-//!            --epoch G --attempt A [--seed N] [--scale tiny|small|full]
-//!            [--pause-at POINT] [--stall]
-//!            [--trace-id HEX] [--parent-span SEQ]
+//! repro worker --root DIR --shard S --shards N --emitters E
+//!              --epoch G --attempt A [--seed N] [--scale tiny|small|full]
+//!              [--pause-at POINT] [--stall]
+//!              [--trace-id HEX] [--parent-span SEQ]
 //! ```
 //!
 //! `--pause-at` freezes the worker at a named injection point
@@ -29,7 +29,7 @@ use std::path::PathBuf;
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: worker --root DIR --shard S --shards N --emitters E --epoch G --attempt A\n              [--seed N] [--scale tiny|small|full] [--pause-at POINT] [--stall]\n              [--trace-id HEX] [--parent-span SEQ]"
+        "usage: repro worker --root DIR --shard S --shards N --emitters E --epoch G --attempt A\n                    [--seed N] [--scale tiny|small|full] [--pause-at POINT] [--stall]\n                    [--trace-id HEX] [--parent-span SEQ]"
     );
     std::process::exit(2);
 }
@@ -109,10 +109,10 @@ pub fn run(args: &[String]) -> ! {
     let registry = Registry::new();
     match run_worker(&RealFs, &cfg, pause_at, PauseStyle::Spin { write_marker: !stall }, &registry)
     {
-        Ok(run) => {
+        Ok(exit) => {
             // A Spin pause never returns, so reaching here with a
             // Paused exit is impossible; still, only Completed earns 0.
-            std::process::exit(if run.exit == WorkerExit::Completed { 0 } else { 1 })
+            std::process::exit(if exit == WorkerExit::Completed { 0 } else { 1 })
         }
         Err(e) => {
             eprintln!("error: worker shard {shard} attempt {attempt} failed: {e}");

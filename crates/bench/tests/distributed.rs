@@ -1,7 +1,7 @@
 //! Process-level crash harness: real workers, real `kill -9`.
 //!
 //! These tests drive [`ipactive_coord::run_processes`] against the
-//! actual `inspect` binary's `worker` mode — separate OS processes
+//! `repro` binary's hidden `worker` mode — separate OS processes
 //! committing leased store pairs on the real filesystem — and murder
 //! scheduled victims with genuine SIGKILL. The contract under test is
 //! the repo's distributed-collection headline:
@@ -12,21 +12,26 @@
 //! > deterministically.
 //!
 //! No wall-clock assertion anywhere: kills trigger on worker-written
-//! marker files, stalls on heartbeat *stagnation* (poll counts, not
-//! deadlines), so the suite cannot flake on a slow machine.
+//! marker files, stalls on heartbeat *stagnation* (a beat that has not
+//! moved for far longer than any honest gap), so the suite cannot
+//! flake on a slow machine. Each cell is also run through the
+//! in-process launcher ([`ipactive_coord::run_sim`]) on the same
+//! config, which must tell the same story byte for byte: that is what
+//! lets the in-process kill grid stand in for real processes.
 
 use ipactive_cdnsim::{shard_of, RetryPolicy, Universe, UniverseConfig};
 use ipactive_coord::{
-    run_processes, shard_dir, CoordConfig, DistributedOutcome, InjectionPoint, KillMode, KillPlan,
-    KillSpec,
+    run_processes, run_sim, shard_dir, CoordConfig, DistributedOutcome, InjectionPoint, KillMode,
+    KillPlan, KillSpec,
 };
+use ipactive_logfmt::SimFs;
 use ipactive_obs::{EventKind, Registry, SnapshotMode};
 use std::path::PathBuf;
 
 const SEED: u64 = 2015;
 
 fn worker_cmd() -> Vec<String> {
-    vec![env!("CARGO_BIN_EXE_inspect").to_string(), "worker".to_string()]
+    vec![env!("CARGO_BIN_EXE_repro").to_string(), "worker".to_string()]
 }
 
 fn extra_args() -> Vec<String> {
@@ -55,6 +60,32 @@ fn run(tag: &str, shards: usize, jobs: usize, plan: &KillPlan) -> (DistributedOu
     (out, registry)
 }
 
+/// Runs `cfg` and `plan` again through the in-process launcher and
+/// asserts it ends where the process run `(out, reg)` ended: the same
+/// render, datasets and coverage, the same deterministic journal and
+/// the same stitched traces.
+fn assert_in_process_run_matches(
+    tag: &str,
+    cfg: &CoordConfig,
+    plan: &KillPlan,
+    out: &DistributedOutcome,
+    reg: &Registry,
+) {
+    let sim_reg = Registry::new();
+    let sim = run_sim(&SimFs::new(), cfg, plan, &[], &sim_reg).expect("in-process run failed");
+    assert_eq!(sim.render(), out.render(), "{tag}: render diverged in-process");
+    assert_eq!(sim.daily, out.daily, "{tag}: daily diverged in-process");
+    assert_eq!(sim.weekly, out.weekly, "{tag}: weekly diverged in-process");
+    assert_eq!(sim.daily.coverage, out.daily.coverage, "{tag}: daily coverage diverged");
+    assert_eq!(sim.weekly.coverage, out.weekly.coverage, "{tag}: weekly coverage diverged");
+    assert_eq!(
+        sim_reg.snapshot(SnapshotMode::Deterministic).to_json(),
+        reg.snapshot(SnapshotMode::Deterministic).to_json(),
+        "{tag}: journal diverged in-process"
+    );
+    assert_eq!(sim_reg.traces_json(), reg.traces_json(), "{tag}: traces diverged in-process");
+}
+
 fn event_counts(registry: &Registry) -> Vec<(String, usize)> {
     let snap = registry.snapshot(SnapshotMode::Deterministic);
     [
@@ -73,7 +104,8 @@ fn event_counts(registry: &Registry) -> Vec<(String, usize)> {
 /// stall} victims are SIGKILLed at their announced pause points (or
 /// wedge-killed on beat stagnation), healed by regrant, and the
 /// merged result must be bit-identical to the direct in-process
-/// build — same blocks, same counts, full coverage.
+/// build — same blocks, same counts, full coverage — and each cell
+/// must end exactly where the in-process launcher ends it.
 #[test]
 fn kill_matrix_heals_to_the_in_process_datasets() {
     let universe = Universe::generate(UniverseConfig::tiny(SEED));
@@ -102,7 +134,8 @@ fn kill_matrix_heals_to_the_in_process_datasets() {
     ];
     for (tag, spec) in matrix {
         let plan = KillPlan::none().with(spec);
-        let (out, reg) = run(&format!("matrix-{tag}"), 2, 2, &plan);
+        let tag_root = format!("matrix-{tag}");
+        let (out, reg) = run(&tag_root, 2, 2, &plan);
         assert!(out.lost_shards.is_empty(), "{tag}: shard lost");
         assert_eq!(out.daily, ref_daily, "{tag}: daily diverged from in-process build");
         assert_eq!(out.weekly, ref_weekly, "{tag}: weekly diverged from in-process build");
@@ -118,6 +151,8 @@ fn kill_matrix_heals_to_the_in_process_datasets() {
         };
         assert_eq!(steals[0].detail, want, "{tag}");
         assert_eq!(snap.events_of(EventKind::FsckVerdict).count(), 2, "{tag}");
+        let same_cfg = cfg(fixture_root(&tag_root), 2, 2);
+        assert_in_process_run_matches(tag, &same_cfg, &plan, &out, &reg);
     }
 }
 
@@ -163,6 +198,7 @@ fn permanently_killed_shard_becomes_honest_coverage_loss() {
     let snap = registry.snapshot(SnapshotMode::Deterministic);
     assert_eq!(snap.events_of(EventKind::ShardLost).count(), 1);
     let _ = std::fs::remove_dir_all(&root);
+    assert_in_process_run_matches("permanent", &cfg, &plan, &out, &registry);
 }
 
 /// Coordinator determinism (the flake-proofing contract): the same
@@ -201,4 +237,39 @@ fn same_seed_and_kill_schedule_is_deterministic_across_reruns_and_jobs() {
         assert_eq!(out.render(), base.render(), "outcome render diverged");
         assert_eq!(event_counts(reg), event_counts(base_reg), "journal event counts diverged");
     }
+}
+
+/// An error return ends every worker the coordinator still holds.
+/// Shard 0's worker sleeps; shard 1's turns its daily store into a
+/// regular file and exits 1, so repairing its remains fails and the
+/// run returns `Err` while shard 0's worker is still running. That
+/// worker must be killed and reaped, not left writing under the root.
+#[test]
+fn an_error_return_kills_and_reaps_every_running_worker() {
+    const SCRIPT: &str = r#"
+while [ $# -gt 0 ]; do
+  case "$1" in --root) root=$2; shift ;; --shard) shard=$2; shift ;; esac
+  shift
+done
+if [ "$shard" = 0 ]; then
+  echo $$ > "$root/pid0.tmp" && mv "$root/pid0.tmp" "$root/pid0"
+  exec sleep 30
+fi
+until [ -e "$root/pid0" ]; do sleep 0.01; done
+mkdir -p "$root/shard-0001" && : > "$root/shard-0001/daily"
+exit 1
+"#;
+    let root = fixture_root("orphan");
+    let worker_cmd: Vec<String> = ["sh", "-c", SCRIPT, "w"].map(String::from).to_vec();
+    let cfg = cfg(root.clone(), 2, 2);
+    let result = run_processes(&cfg, &KillPlan::none(), &worker_cmd, &[], &Registry::new());
+    let pid = std::fs::read_to_string(root.join("pid0")).expect("shard 0 wrote its pid");
+    let pid = pid.trim();
+    let orphaned = std::path::Path::new(&format!("/proc/{pid}")).exists();
+    if orphaned {
+        let _ = std::process::Command::new("kill").args(["-9", pid]).status();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+    assert!(result.is_err(), "repairing a store that is a regular file must fail the run");
+    assert!(!orphaned, "worker {pid} outlived the failed run");
 }

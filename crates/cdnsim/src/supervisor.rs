@@ -38,25 +38,14 @@ use crate::pipeline::{
 };
 use ipactive_core::{Coverage, DailyDataset};
 use ipactive_logfmt::{FrameReader, QuarantinedFrame, ReadMode};
-use ipactive_obs::{Event, EventKind, Registry, TraceContext, TraceId};
+use ipactive_obs::{splitmix64, Event, EventKind, Registry, TraceContext, TraceId};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-/// SplitMix64 step — the same finalizer the pipeline's
-/// [`shard_of`](crate::shard_of) uses, reused here so every supervised
-/// decision (jitter, corruption sites, crash points) is a pure
-/// function of its inputs.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Folds shard and buffer indices into one seed word.
 fn mix(shard: usize, buffer: usize) -> u64 {
-    splitmix(((shard as u64) << 32) ^ buffer as u64)
+    splitmix64(((shard as u64) << 32) ^ buffer as u64)
 }
 
 /// Payload type carried by the panics the Crash fault injects. Private
@@ -146,7 +135,7 @@ impl RetryPolicy {
         // before the cap is applied.
         let exp = self.base_backoff.saturating_mul(1u32 << (attempt - 1).min(16));
         let span = (self.base_backoff.as_nanos() as u64).max(1);
-        let jitter = splitmix(self.seed ^ mix(shard, buffer) ^ u64::from(attempt)) % span;
+        let jitter = splitmix64(self.seed ^ mix(shard, buffer) ^ u64::from(attempt)) % span;
         exp.saturating_add(Duration::from_nanos(jitter)).min(self.max_backoff)
     }
 }
@@ -233,20 +222,20 @@ impl FaultPlan {
     /// are permanent; the rest clear after one or two attempts.
     pub fn scatter(seed: u64, shards: usize, buffers_per_shard: usize, count: usize) -> FaultPlan {
         let mut plan = FaultPlan::new(seed);
-        let mut state = splitmix(seed ^ 0xFA17);
+        let mut state = splitmix64(seed ^ 0xFA17);
         for i in 0..count {
-            state = splitmix(state.wrapping_add(i as u64 + 1));
+            state = splitmix64(state.wrapping_add(i as u64 + 1));
             let shard = (state % shards.max(1) as u64) as usize;
-            state = splitmix(state);
+            state = splitmix64(state);
             let buffer = (state % buffers_per_shard.max(1) as u64) as usize;
-            state = splitmix(state);
+            state = splitmix64(state);
             let kind = match state % 4 {
                 0 => FaultKind::Crash,
                 1 => FaultKind::Corrupt,
                 2 => FaultKind::Drop,
                 _ => FaultKind::Stall,
             };
-            state = splitmix(state);
+            state = splitmix64(state);
             let persist_attempts =
                 if state.is_multiple_of(4) { Fault::PERMANENT } else { 1 + (state % 2) as u32 };
             plan = plan.with_fault(Fault { shard, buffer, kind, persist_attempts });
@@ -270,9 +259,9 @@ fn corrupt_copy(buf: &[u8], seed: u64, shard: usize, buffer: usize) -> Vec<u8> {
         return dirty;
     }
     let flips = (dirty.len() / 64).max(4);
-    let mut state = splitmix(seed ^ mix(shard, buffer));
+    let mut state = splitmix64(seed ^ mix(shard, buffer));
     for _ in 0..flips {
-        state = splitmix(state);
+        state = splitmix64(state);
         let pos = (state % dirty.len() as u64) as usize;
         let mask = (state >> 32) as u8 | 1; // never a zero mask
         dirty[pos] ^= mask;
@@ -478,7 +467,7 @@ fn supervise_buffer<C: Cadence>(
             // — the checkpoint (the shard accumulator) never saw it.
             Some(FaultKind::Crash) => {
                 quiet_injected_panics();
-                let fuse = splitmix(plan.seed ^ mix(shard, buffer)) % 17;
+                let fuse = splitmix64(plan.seed ^ mix(shard, buffer)) % 17;
                 let crashed = catch_unwind(AssertUnwindSafe(|| {
                     let mut attempt_builder = C::new(slots);
                     let mut folded = 0u64;

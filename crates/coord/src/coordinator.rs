@@ -1,19 +1,22 @@
 //! The healing coordinator: grants shard leases, watches worker
 //! health, and repairs or abandons what dead workers leave behind.
 //!
-//! Two drivers share one resolution path:
+//! One grant loop runs every collection: it queues `(shard, attempt)`
+//! grants, holds up to [`CoordConfig::jobs`] of them, polls each until
+//! it is done or dead, resolves the dead, and merges the shards'
+//! stores. How a grant's worker runs is its launcher's business:
 //!
-//! * [`run_sim`] runs every grant in-process on a [`SimFs`], modeling
-//!   `kill -9` with [`SimFs::exit_process`] — the page cache survives,
-//!   faults and op numbering reset. Kills can strike at protocol
-//!   points (a [`KillPlan`]) or at *any single filesystem operation*
-//!   (an [`OpKill`]), which is what makes exhaustive kill grids cheap.
+//! * [`run_sim`] runs each grant in-process, to its end, on a
+//!   [`SimFs`], modeling `kill -9` with [`SimFs::exit_process`] — the
+//!   page cache survives, faults and op numbering reset. Kills can
+//!   strike at protocol points (a [`KillPlan`]) or at *any single
+//!   filesystem operation* (an [`OpKill`]), which is what makes
+//!   exhaustive kill grids cheap.
 //! * [`run_processes`] spawns each grant as a real OS process and
 //!   `kill -9`s the scheduled victims: a [`KillMode::Kill`] victim
 //!   freezes at its point and announces itself with a marker file; a
 //!   [`KillMode::Stall`] victim freezes silently and must be caught by
-//!   heartbeat stagnation (`wedge_polls` consecutive polls with no
-//!   beat movement).
+//!   heartbeat stagnation (no beat movement for 200 polls of 25 ms).
 //!
 //! Either way a dead grant is resolved identically: read the corpse's
 //! last heartbeat, journal the steal, `fsck --repair` both of its
@@ -23,10 +26,10 @@
 //! the merged grid plus a `quarantine/lost.why` sidecar), never as a
 //! silently smaller dataset.
 
-use crate::plan::{KillMode, KillPlan};
+use crate::plan::{KillMode, KillPlan, KillSpec};
 use crate::worker::{
-    clean_beats, daily_dir, holder_id, marker_path, run_worker, shard_dir, trace_path, weekly_dir,
-    PauseStyle, WorkerConfig, WorkerExit,
+    daily_dir, holder_id, marker_path, run_worker, shard_dir, trace_path, weekly_dir, PauseStyle,
+    WorkerConfig, WorkerExit,
 };
 use ipactive_cdnsim::{collect_store_checked, Daily, RetryPolicy, UniverseConfig, Weekly};
 use ipactive_core::{DailyDataset, WeeklyDataset};
@@ -40,10 +43,18 @@ use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The wait after a poll pass that resolved no grant.
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Polls' worth of beat stagnation that wedge-kill a scheduled stall
+/// victim; an unscheduled worker gets four times as long, so honest
+/// slowness is never misread as a wedge.
+const WEDGE_POLLS: u32 = 200;
 
 /// One distributed run's shape: the universe to replay, where shard
-/// directories live, and how patient the coordinator is.
+/// directories live, and how many grants run at once.
 #[derive(Debug, Clone)]
 pub struct CoordConfig {
     /// Universe every worker replays (workers regenerate it from the
@@ -58,40 +69,24 @@ pub struct CoordConfig {
     /// Regrant budget and backoff shape, shared with the in-process
     /// supervisor so both layers retry on the same terms.
     pub retry: RetryPolicy,
-    /// Max concurrently running worker processes
-    /// ([`run_processes`] only; the sim driver is sequential).
+    /// Max grants held at once: concurrent worker processes for
+    /// [`run_processes`]. [`run_sim`] runs each grant to its end as it
+    /// is granted, so it is sequential whatever this says.
     pub jobs: usize,
-    /// How often the process driver polls children
-    /// ([`run_processes`] only).
-    pub poll_interval: Duration,
-    /// Consecutive polls with a stagnant heartbeat before a worker is
-    /// declared wedged and killed. The product
-    /// `wedge_polls * poll_interval` must exceed any honest
-    /// inter-beat gap, so the default is generous.
-    pub wedge_polls: u32,
 }
 
 impl CoordConfig {
-    /// A config with default patience: sequential sim, one process
-    /// job, 25ms polls, 5s wedge deadline.
+    /// A config with default retries and one grant at a time.
     pub fn new(universe: UniverseConfig, root: PathBuf, shards: usize, emitters: usize) -> Self {
-        CoordConfig {
-            universe,
-            root,
-            shards,
-            emitters,
-            retry: RetryPolicy::default(),
-            jobs: 1,
-            poll_interval: Duration::from_millis(25),
-            wedge_polls: 200,
-        }
+        CoordConfig { universe, root, shards, emitters, retry: RetryPolicy::default(), jobs: 1 }
     }
 }
 
-/// A kill scheduled at an exact filesystem operation (sim driver
-/// only): grant `(shard, attempt)` dies the moment it issues its
-/// `at_op`-th operation. Sweeping `at_op` over a clean run's op count
-/// kills a worker at *every* reachable state.
+/// A kill scheduled at an exact filesystem operation ([`run_sim`]
+/// only: only a [`SimFs`] can strike one): grant `(shard, attempt)`
+/// dies the moment it issues its `at_op`-th operation. Sweeping
+/// `at_op` over a clean run's op count kills a worker at *every*
+/// reachable state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpKill {
     /// Victim shard.
@@ -169,110 +164,9 @@ const TRACE_SALT: u64 = 0xC0_0D17;
 
 /// Mints the trace id for grant `(shard, attempt)` of a run — a pure
 /// function of the universe seed and the grant's logical holder id,
-/// so both drivers (and later inspection tooling) derive the same id.
+/// so both launchers (and later inspection tooling) derive the same id.
 pub fn grant_trace_id(universe_seed: u64, shard: u32, attempt: u32) -> TraceId {
     TraceId::mint(universe_seed ^ TRACE_SALT, holder_id(shard, attempt))
-}
-
-/// Opens the grant's trace with a `coord.grant` root span (seq 1) and
-/// returns the context workers hang their spans off.
-fn open_grant_trace(
-    registry: &Registry,
-    universe_seed: u64,
-    shard: u32,
-    attempt: u32,
-    epoch: u64,
-) -> TraceContext {
-    let tid = grant_trace_id(universe_seed, shard, attempt);
-    registry.trace_span(
-        TraceContext::root(tid),
-        "coord.grant",
-        format!("shard {shard} attempt {attempt} epoch {epoch}"),
-    )
-}
-
-/// Stitches a worker-exported span tree (its `trace-AA.json`) into
-/// the coordinator's trace store. Import is idempotent by sequence
-/// number, so the in-process driver (which shares a registry with its
-/// workers) and the process driver (which does not) both end up with
-/// one coherent tree. Best-effort: a missing or torn file just means
-/// the worker died before its first export.
-fn import_worker_trace<F: Fs>(fs: &F, cfg: &CoordConfig, registry: &Registry, shard: u32, attempt: u32) {
-    use std::io::Read as _;
-    let path = trace_path(&cfg.root, shard, attempt);
-    let mut buf = Vec::new();
-    let Ok(mut f) = fs.open_read(&path) else { return };
-    if f.read_to_end(&mut buf).is_err() {
-        return;
-    }
-    if let Ok(doc) = String::from_utf8(buf) {
-        if let Ok((trace, spans)) = parse_trace_doc(&doc) {
-            registry.import_trace(trace, spans);
-        }
-    }
-}
-
-/// Reads the beat the grant `(shard, attempt)` last published, or 0
-/// if its lease never landed (or a different grant's lease is
-/// visible). A lease file that *exists but fails verification* is not
-/// silently conflated with "no lease": the corrupt file is moved into
-/// the shard's `quarantine/` directory with a `.why` sidecar and
-/// journaled, and only then does healing proceed from beat 0 — the
-/// same provenance discipline as `lost.why`.
-fn last_beat<F: Fs>(
-    fs: &F,
-    cfg: &CoordConfig,
-    registry: &Registry,
-    shard: u32,
-    attempt: u32,
-) -> u64 {
-    let sdir = shard_dir(&cfg.root, shard);
-    match read_lease(fs, &sdir, shard) {
-        Ok(LeaseRead::Held(l)) if l.holder == holder_id(shard, attempt) => l.beat,
-        Ok(LeaseRead::Corrupt(err)) => {
-            quarantine_corrupt_lease(fs, cfg, registry, shard, attempt, &err);
-            0
-        }
-        _ => 0,
-    }
-}
-
-/// Preserves the evidence of a corrupt lease: renames the file into
-/// the shard's `quarantine/` directory (which also makes the next
-/// poll read `Absent` instead of re-tripping on the same corpse),
-/// writes a `.why` sidecar naming the verification failure, and emits
-/// a `Quarantine` journal event. Best-effort on purpose — quarantine
-/// bookkeeping must never block healing.
-fn quarantine_corrupt_lease<F: Fs>(
-    fs: &F,
-    cfg: &CoordConfig,
-    registry: &Registry,
-    shard: u32,
-    attempt: u32,
-    err: &LeaseError,
-) {
-    let sdir = shard_dir(&cfg.root, shard);
-    let qdir = sdir.join("quarantine");
-    let name = Lease::file_name(shard);
-    let moved = fs
-        .create_dir_all(&qdir)
-        .and_then(|()| fs.rename(&Lease::path(&sdir, shard), &qdir.join(&name)))
-        .is_ok();
-    let sidecar = (|| {
-        let mut why = fs.create(&qdir.join(format!("{name}.why")))?;
-        why.write_all(
-            format!("shard {shard:04} attempt {attempt}: lease failed verification: {err}\n")
-                .as_bytes(),
-        )?;
-        why.sync_all()
-    })()
-    .is_ok();
-    registry.emit(
-        Event::new(EventKind::Quarantine).shard(shard).attempt(attempt).detail(format!(
-            "corrupt lease {name}: {err}{}",
-            if moved && sidecar { "" } else { " (quarantine bookkeeping incomplete)" }
-        )),
-    );
 }
 
 fn fsck_verdict(report: &FsckReport, cadence: &str) -> String {
@@ -289,112 +183,446 @@ fn fsck_verdict(report: &FsckReport, cadence: &str) -> String {
     }
 }
 
-/// The shared dead-grant resolution: journal the corpse's last beat
-/// and the steal, repair both stores, and decide regrant vs loss.
-/// Returns `true` if the shard should be regranted.
-fn resolve_dead<F: Fs>(
-    fs: &F,
-    cfg: &CoordConfig,
-    registry: &Registry,
-    shard: u32,
-    attempt: u32,
-    beat: u64,
-    reason: &str,
-) -> io::Result<bool> {
-    registry.emit(
-        Event::new(EventKind::WorkerHeartbeat).shard(shard).attempt(attempt).offset(beat),
-    );
-    registry.emit(
-        Event::new(EventKind::LeaseSteal).shard(shard).attempt(attempt).detail(reason),
-    );
-    // Stitch whatever span tree the corpse managed to export, then
-    // record the steal as part of the same trace — the post-mortem
-    // hangs off the grant, after the worker's own spans.
-    import_worker_trace(fs, cfg, registry, shard, attempt);
-    registry.trace_span(
-        TraceContext { trace: grant_trace_id(cfg.universe.seed, shard, attempt), span: 1 },
-        "coord.steal",
-        reason,
-    );
-    for (dir, cadence) in
-        [(daily_dir(&cfg.root, shard), "daily"), (weekly_dir(&cfg.root, shard), "weekly")]
-    {
-        let report = fsck(fs, &dir, true).map_err(store_io)?;
-        registry.emit(
-            Event::new(EventKind::FsckVerdict)
-                .shard(shard)
-                .attempt(attempt)
-                .detail(fsck_verdict(&report, cadence)),
+/// What a poll saw of a held grant.
+#[derive(Debug, Clone, Copy)]
+enum Seen {
+    /// Still at work.
+    Running,
+    /// Ended by itself; `clean` if it reported success.
+    Exited { clean: bool },
+    /// Killed at its pause point or for a wedge, for the journaled
+    /// reason.
+    Killed(&'static str),
+}
+
+/// How a grant's worker runs: the grant loop decides everything about
+/// a grant, a launcher starts its worker, says what became of it, and
+/// keeps time.
+trait Launcher {
+    /// A held grant; dropping one ends its worker.
+    type Grant;
+    /// Starts the worker of `grant`, whose scheduled death is `kill`.
+    fn launch(
+        &self,
+        grant: &WorkerConfig,
+        kill: Option<&KillSpec>,
+        registry: &Registry,
+    ) -> io::Result<Self::Grant>;
+    /// What became of the worker; `beat` reads its last published beat.
+    fn poll(&self, grant: &mut Self::Grant, beat: &dyn Fn() -> u64) -> io::Result<Seen>;
+    /// Lets `d` pass.
+    fn wait(&self, d: Duration);
+}
+
+/// One run's coordinator: the filesystem it reads and repairs, the
+/// run's shape, and the registry it journals and traces into.
+struct Coordinator<'a, F> {
+    fs: &'a F,
+    cfg: &'a CoordConfig,
+    registry: &'a Registry,
+}
+
+impl<F: Fs> Coordinator<'_, F> {
+    /// The grant loop: grants every shard, holds up to `cfg.jobs`
+    /// grants, resolves each as done or dead (regrant after a backoff,
+    /// or honest loss), and merges the shards' stores. It waits only
+    /// after a poll pass that resolved nothing.
+    fn drive<L: Launcher>(&self, launcher: &L, plan: &KillPlan) -> io::Result<DistributedOutcome> {
+        let (cfg, registry) = (self.cfg, self.registry);
+        self.fs.create_dir_all(&cfg.root)?;
+        let mut queue: VecDeque<(u32, u32)> = (0..cfg.shards as u32).map(|s| (s, 0)).collect();
+        // Dropped on every return, `?` included, ending each worker
+        // still held.
+        let mut held: Vec<(u32, u32, L::Grant)> = Vec::new();
+        let mut shard_reports: Vec<ShardReport> = Vec::new();
+        let mut lost_shards: Vec<u32> = Vec::new();
+        while shard_reports.len() < cfg.shards {
+            while held.len() < cfg.jobs.max(1) {
+                let Some((shard, attempt)) = queue.pop_front() else { break };
+                let epoch = u64::from(attempt) + 1;
+                registry.emit(
+                    Event::new(EventKind::WorkerSpawn).shard(shard).attempt(attempt).offset(epoch),
+                );
+                let grant = WorkerConfig {
+                    universe: cfg.universe.clone(),
+                    root: cfg.root.clone(),
+                    shard,
+                    shards: cfg.shards,
+                    emitters: cfg.emitters,
+                    epoch,
+                    attempt,
+                    trace: self.open_grant_trace(shard, attempt, epoch),
+                };
+                let kill = plan.for_grant(shard, attempt);
+                held.push((shard, attempt, launcher.launch(&grant, kill, registry)?));
+            }
+            let mut resolved = false;
+            let mut i = 0;
+            while i < held.len() {
+                let (shard, attempt) = (held[i].0, held[i].1);
+                let beat = || self.last_beat(shard, attempt);
+                let died = match launcher.poll(&mut held[i].2, &beat)? {
+                    Seen::Running => {
+                        i += 1;
+                        continue;
+                    }
+                    Seen::Exited { clean } => {
+                        (!clean || !self.stores_complete(shard)).then_some("holder exited")
+                    }
+                    Seen::Killed(reason) => Some(reason),
+                };
+                held.remove(i);
+                resolved = true;
+                let beat = beat();
+                let event = Event::new(EventKind::WorkerHeartbeat).shard(shard).attempt(attempt);
+                registry.emit(event.offset(beat));
+                self.import_worker_trace(shard, attempt);
+                let lost = match died {
+                    None => false,
+                    Some(reason) if self.resolve_dead(shard, attempt, reason)? => {
+                        launcher.wait(cfg.retry.backoff(shard as usize, 0, attempt + 1));
+                        queue.push_back((shard, attempt + 1));
+                        continue;
+                    }
+                    Some(_) => {
+                        lost_shards.push(shard);
+                        true
+                    }
+                };
+                let grants = attempt + 1;
+                shard_reports.push(ShardReport { shard, grants, lost, final_beat: beat });
+            }
+            if !resolved {
+                launcher.wait(POLL_INTERVAL);
+            }
+        }
+        shard_reports.sort_by_key(|r| r.shard);
+        lost_shards.sort_unstable();
+        let (daily, weekly) = self.merge_shards(&lost_shards)?;
+        Ok(DistributedOutcome { daily, weekly, shard_reports, lost_shards })
+    }
+
+    /// Opens the grant's trace with a `coord.grant` root span (seq 1)
+    /// and returns the context workers hang their spans off.
+    fn open_grant_trace(&self, shard: u32, attempt: u32, epoch: u64) -> TraceContext {
+        let tid = grant_trace_id(self.cfg.universe.seed, shard, attempt);
+        self.registry.trace_span(
+            TraceContext::root(tid),
+            "coord.grant",
+            format!("shard {shard} attempt {attempt} epoch {epoch}"),
+        )
+    }
+
+    /// Stitches a worker-exported span tree (its `trace-AA.json`) into
+    /// the coordinator's trace store. Import is idempotent by sequence
+    /// number, so an in-process grant (which shares a registry with
+    /// its coordinator) and a worker process (which does not) both end
+    /// up with one coherent tree. Best-effort: a missing or torn file
+    /// just means the worker died before its first export.
+    fn import_worker_trace(&self, shard: u32, attempt: u32) {
+        use std::io::Read as _;
+        let path = trace_path(&self.cfg.root, shard, attempt);
+        let mut buf = Vec::new();
+        let Ok(mut f) = self.fs.open_read(&path) else { return };
+        if f.read_to_end(&mut buf).is_err() {
+            return;
+        }
+        if let Ok(doc) = String::from_utf8(buf) {
+            if let Ok((trace, spans)) = parse_trace_doc(&doc) {
+                self.registry.import_trace(trace, spans);
+            }
+        }
+    }
+
+    /// Reads the beat the grant `(shard, attempt)` last published, or
+    /// 0 if its lease never landed (or a different grant's lease is
+    /// visible). A lease file that *exists but fails verification* is
+    /// not silently conflated with "no lease": the corrupt file is
+    /// moved into the shard's `quarantine/` directory with a `.why`
+    /// sidecar and journaled, and only then does healing proceed from
+    /// beat 0 — the same provenance discipline as `lost.why`.
+    fn last_beat(&self, shard: u32, attempt: u32) -> u64 {
+        match read_lease(self.fs, &shard_dir(&self.cfg.root, shard), shard) {
+            Ok(LeaseRead::Held(l)) if l.holder == holder_id(shard, attempt) => l.beat,
+            Ok(LeaseRead::Corrupt(err)) => {
+                self.quarantine_corrupt_lease(shard, attempt, &err);
+                0
+            }
+            _ => 0,
+        }
+    }
+
+    /// Preserves the evidence of a corrupt lease: renames the file
+    /// into the shard's `quarantine/` directory (which also makes the
+    /// next poll read `Absent` instead of re-tripping on the same
+    /// corpse), writes a `.why` sidecar naming the verification
+    /// failure, and emits a `Quarantine` journal event. Best-effort on
+    /// purpose — quarantine bookkeeping must never block healing.
+    fn quarantine_corrupt_lease(&self, shard: u32, attempt: u32, err: &LeaseError) {
+        let fs = self.fs;
+        let sdir = shard_dir(&self.cfg.root, shard);
+        let qdir = sdir.join("quarantine");
+        let name = Lease::file_name(shard);
+        let moved = fs
+            .create_dir_all(&qdir)
+            .and_then(|()| fs.rename(&Lease::path(&sdir, shard), &qdir.join(&name)))
+            .is_ok();
+        let sidecar = (|| {
+            let mut why = fs.create(&qdir.join(format!("{name}.why")))?;
+            why.write_all(
+                format!("shard {shard:04} attempt {attempt}: lease failed verification: {err}\n")
+                    .as_bytes(),
+            )?;
+            why.sync_all()
+        })()
+        .is_ok();
+        self.registry.emit(
+            Event::new(EventKind::Quarantine).shard(shard).attempt(attempt).detail(format!(
+                "corrupt lease {name}: {err}{}",
+                if moved && sidecar { "" } else { " (quarantine bookkeeping incomplete)" }
+            )),
         );
     }
-    if attempt < cfg.retry.max_retries {
-        return Ok(true);
+
+    /// The dead-grant resolution, after the loop journaled the
+    /// corpse's last beat and stitched its trace: journal the steal,
+    /// repair both stores, and decide regrant vs loss. Returns `true`
+    /// if the shard should be regranted.
+    fn resolve_dead(&self, shard: u32, attempt: u32, reason: &str) -> io::Result<bool> {
+        let (fs, cfg, registry) = (self.fs, self.cfg, self.registry);
+        registry.emit(
+            Event::new(EventKind::LeaseSteal).shard(shard).attempt(attempt).detail(reason),
+        );
+        // The post-mortem hangs off the grant, after the worker's own
+        // spans.
+        registry.trace_span(
+            TraceContext { trace: grant_trace_id(cfg.universe.seed, shard, attempt), span: 1 },
+            "coord.steal",
+            reason,
+        );
+        for (dir, cadence) in
+            [(daily_dir(&cfg.root, shard), "daily"), (weekly_dir(&cfg.root, shard), "weekly")]
+        {
+            let report = fsck(fs, &dir, true).map_err(store_io)?;
+            registry.emit(
+                Event::new(EventKind::FsckVerdict)
+                    .shard(shard)
+                    .attempt(attempt)
+                    .detail(fsck_verdict(&report, cadence)),
+            );
+        }
+        if attempt < cfg.retry.max_retries {
+            return Ok(true);
+        }
+        // Retries exhausted: the loss becomes first-class state — a
+        // journal event plus a quarantine sidecar in the shard
+        // directory explaining why its rows are zero in the merged
+        // coverage grid.
+        registry.emit(
+            Event::new(EventKind::ShardLost)
+                .shard(shard)
+                .attempt(attempt)
+                .detail("retries exhausted"),
+        );
+        let qdir = shard_dir(&cfg.root, shard).join("quarantine");
+        fs.create_dir_all(&qdir)?;
+        let mut why = fs.create(&qdir.join("lost.why"))?;
+        why.write_all(
+            format!("shard {shard:04} abandoned after {} grants: retries exhausted\n", attempt + 1)
+                .as_bytes(),
+        )?;
+        why.sync_all()?;
+        Ok(false)
     }
-    // Retries exhausted: the loss becomes first-class state — a
-    // journal event plus a quarantine sidecar in the shard directory
-    // explaining why its rows are zero in the merged coverage grid.
-    registry.emit(
-        Event::new(EventKind::ShardLost)
-            .shard(shard)
-            .attempt(attempt)
-            .detail("retries exhausted"),
-    );
-    let qdir = shard_dir(&cfg.root, shard).join("quarantine");
-    fs.create_dir_all(&qdir)?;
-    let mut why = fs.create(&qdir.join("lost.why"))?;
-    why.write_all(
-        format!("shard {shard:04} abandoned after {} grants: retries exhausted\n", attempt + 1)
-            .as_bytes(),
-    )?;
-    why.sync_all()?;
-    Ok(false)
+
+    /// Whether both of the shard's stores hold their full windows.
+    fn stores_complete(&self, shard: u32) -> bool {
+        let full = |dir: PathBuf, want: usize| match LogStore::open_on(self.fs.clone(), dir) {
+            Ok(store) => store.committed_days().len() == want,
+            Err(_) => false,
+        };
+        full(daily_dir(&self.cfg.root, shard), self.cfg.universe.daily_days)
+            && full(weekly_dir(&self.cfg.root, shard), self.cfg.universe.weeks)
+    }
+
+    /// Folds every shard's stores into one builder per cadence, in
+    /// shard order, and finishes each once. A lost shard has no store
+    /// to read and contributes a zeroed coverage row — the grid stays
+    /// `shards × window` so degradation is visible, not silent.
+    fn merge_shards(&self, lost: &[u32]) -> io::Result<(DailyDataset, WeeklyDataset)> {
+        let cfg = self.cfg;
+        let stores = |dir: fn(&Path, u32) -> PathBuf| {
+            (0..cfg.shards as u32)
+                .map(|shard| {
+                    if lost.contains(&shard) {
+                        return Ok(None);
+                    }
+                    LogStore::open_on(self.fs.clone(), dir(&cfg.root, shard)).map(Some)
+                })
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(store_io)
+        };
+        let (daily, _, _) =
+            collect_store_checked::<Daily>(&stores(daily_dir)?, cfg.universe.daily_days)
+                .map_err(store_io)?;
+        let (weekly, _, _) =
+            collect_store_checked::<Weekly>(&stores(weekly_dir)?, cfg.universe.weeks)
+                .map_err(store_io)?;
+        Ok((daily, weekly))
+    }
 }
 
-/// Whether both of the shard's stores hold their full windows.
-fn stores_complete<F: Fs>(fs: &F, cfg: &CoordConfig, shard: u32) -> bool {
-    let full = |dir: PathBuf, want: usize| match LogStore::open_on(fs.clone(), dir) {
-        Ok(store) => store.committed_days().len() == want,
-        Err(_) => false,
-    };
-    full(daily_dir(&cfg.root, shard), cfg.universe.daily_days)
-        && full(weekly_dir(&cfg.root, shard), cfg.universe.weeks)
+/// Runs each grant to its end inside [`Launcher::launch`] on a shared
+/// [`SimFs`]: every poll finds its grant over, so the loop never
+/// waits, and time is logical.
+struct InProcess<'a> {
+    fs: &'a SimFs,
+    op_kills: &'a [OpKill],
 }
 
-/// Folds every shard's stores into one builder per cadence, in shard
-/// order, and finishes each once. A lost shard has no store to read
-/// and contributes a zeroed coverage row — the grid stays `shards ×
-/// window` so degradation is visible, not silent.
-fn merge_shards<F: Fs>(
-    fs: &F,
-    cfg: &CoordConfig,
-    lost: &[u32],
-) -> io::Result<(DailyDataset, WeeklyDataset)> {
-    let stores = |dir: fn(&Path, u32) -> PathBuf| {
-        (0..cfg.shards as u32)
-            .map(|shard| {
-                if lost.contains(&shard) {
-                    return Ok(None);
-                }
-                LogStore::open_on(fs.clone(), dir(&cfg.root, shard)).map(Some)
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(store_io)
-    };
-    let (daily, _, _) = collect_store_checked::<Daily>(&stores(daily_dir)?, cfg.universe.daily_days)
-        .map_err(store_io)?;
-    let (weekly, _, _) = collect_store_checked::<Weekly>(&stores(weekly_dir)?, cfg.universe.weeks)
-        .map_err(store_io)?;
-    Ok((daily, weekly))
+impl Launcher for InProcess<'_> {
+    type Grant = Seen;
+
+    fn launch(
+        &self,
+        grant: &WorkerConfig,
+        kill: Option<&KillSpec>,
+        registry: &Registry,
+    ) -> io::Result<Seen> {
+        // A fresh process: no inherited faults, op numbers from 0.
+        self.fs.exit_process();
+        if let Some(k) =
+            self.op_kills.iter().find(|k| k.shard == grant.shard && k.attempt == grant.attempt)
+        {
+            // The kill is a power-cut *fault* (ops start failing at
+            // `at_op`) followed by `exit_process` below — which,
+            // unlike a real power cut, keeps the page cache. That is
+            // exactly `kill -9` mid-syscall.
+            let _ = self.fs.clone().with_fault(k.at_op, Inject::PowerCut);
+        }
+        let pause_at = kill.map(|k| k.point);
+        let exit = run_worker(self.fs, grant, pause_at, PauseStyle::ReturnEarly, registry);
+        // The grant is over either way; clear latched faults so
+        // coordinator I/O runs on a healthy filesystem.
+        self.fs.exit_process();
+        // A paused worker is the scheduled victim, which cannot spin
+        // in-process: its kill mode names the death.
+        Ok(match exit {
+            Ok(WorkerExit::Completed) => Seen::Exited { clean: true },
+            Ok(_) if kill.is_some_and(|k| k.mode == KillMode::Stall) => {
+                Seen::Killed("heartbeat stalled")
+            }
+            Ok(_) => Seen::Killed("holder exited"),
+            Err(_) => Seen::Exited { clean: false },
+        })
+    }
+
+    fn poll(&self, grant: &mut Seen, _beat: &dyn Fn() -> u64) -> io::Result<Seen> {
+        Ok(*grant)
+    }
+
+    fn wait(&self, _d: Duration) {}
 }
 
-/// Runs the whole distributed collection in-process on `fs`,
-/// sequentially, with `kill -9` modeled by [`SimFs::exit_process`].
-///
-/// Protocol-point kills come from `plan` (both [`KillMode`]s stop the
-/// worker at its point — an in-process worker cannot spin); op-level
-/// kills come from `op_kills`, each striking one grant at one
-/// filesystem operation. Everything journaled and written is a
-/// deterministic function of `(cfg, plan, op_kills)`.
+/// Spawns each grant as `worker_cmd + extra_args + structural args`.
+struct Processes<'a> {
+    worker_cmd: &'a [String],
+    extra_args: &'a [String],
+}
+
+/// A worker process. Dropping it kills and reaps the process (a no-op
+/// once it has been reaped), so no return path orphans a worker.
+struct WorkerProcess {
+    child: Child,
+    marker: PathBuf,
+    stall_victim: bool,
+    /// The highest beat seen, and since when.
+    beat: u64,
+    since: Instant,
+}
+
+impl Drop for WorkerProcess {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+impl Launcher for Processes<'_> {
+    type Grant = WorkerProcess;
+
+    fn launch(
+        &self,
+        grant: &WorkerConfig,
+        kill: Option<&KillSpec>,
+        _registry: &Registry,
+    ) -> io::Result<WorkerProcess> {
+        // The worker continues the grant's trace from `--parent-span`
+        // in its own registry and exports it for stitching.
+        let mut cmd = Command::new(&self.worker_cmd[0]);
+        cmd.args(&self.worker_cmd[1..])
+            .args(self.extra_args)
+            .arg("--root")
+            .arg(&grant.root)
+            .args(["--shard", &grant.shard.to_string()])
+            .args(["--shards", &grant.shards.to_string()])
+            .args(["--emitters", &grant.emitters.to_string()])
+            .args(["--epoch", &grant.epoch.to_string()])
+            .args(["--attempt", &grant.attempt.to_string()])
+            .args(["--trace-id", &grant.trace.trace.to_hex()])
+            .args(["--parent-span", &grant.trace.span.to_string()])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null());
+        if let Some(k) = kill {
+            cmd.args(["--pause-at", &k.point.to_string()]);
+            if k.mode == KillMode::Stall {
+                cmd.arg("--stall");
+            }
+        }
+        Ok(WorkerProcess {
+            child: cmd.spawn()?,
+            marker: marker_path(&grant.root, grant.shard, grant.attempt),
+            stall_victim: kill.is_some_and(|k| k.mode == KillMode::Stall),
+            beat: 0,
+            since: Instant::now(),
+        })
+    }
+
+    fn poll(&self, w: &mut WorkerProcess, beat: &dyn Fn() -> u64) -> io::Result<Seen> {
+        if let Some(status) = w.child.try_wait()? {
+            return Ok(Seen::Exited { clean: status.success() });
+        }
+        let reason = if RealFs.exists(&w.marker) {
+            // The victim announced it reached its pause point: answer
+            // with the real thing. SIGKILL, no shutdown.
+            "holder exited"
+        } else {
+            let now = beat();
+            if now > w.beat {
+                (w.beat, w.since) = (now, Instant::now());
+            }
+            let polls = if w.stall_victim { WEDGE_POLLS } else { 4 * WEDGE_POLLS };
+            if w.since.elapsed() < POLL_INTERVAL * polls {
+                return Ok(Seen::Running);
+            }
+            "heartbeat stalled"
+        };
+        w.child.kill()?;
+        w.child.wait()?;
+        Ok(Seen::Killed(reason))
+    }
+
+    fn wait(&self, d: Duration) {
+        std::thread::sleep(d);
+    }
+}
+
+/// Runs the whole distributed collection in-process on `fs`, one
+/// grant at a time. Protocol-point kills come from `plan` (both
+/// [`KillMode`]s stop the worker at its point), op-level kills from
+/// `op_kills`; everything journaled and written is a deterministic
+/// function of `(cfg, plan, op_kills)`.
 pub fn run_sim(
     fs: &SimFs,
     cfg: &CoordConfig,
@@ -402,113 +630,16 @@ pub fn run_sim(
     op_kills: &[OpKill],
     registry: &Registry,
 ) -> io::Result<DistributedOutcome> {
-    let mut shard_reports = Vec::new();
-    let mut lost_shards = Vec::new();
-    for shard in 0..cfg.shards as u32 {
-        let mut attempt = 0u32;
-        loop {
-            let epoch = u64::from(attempt) + 1;
-            registry.emit(
-                Event::new(EventKind::WorkerSpawn).shard(shard).attempt(attempt).offset(epoch),
-            );
-            // A fresh process: no inherited faults, op numbers from 0.
-            fs.exit_process();
-            if let Some(k) =
-                op_kills.iter().find(|k| k.shard == shard && k.attempt == attempt)
-            {
-                // The kill is a power-cut *fault* (ops start failing at
-                // `at_op`) followed by `exit_process` below — which,
-                // unlike a real power cut, keeps the page cache. That
-                // is exactly `kill -9` mid-syscall.
-                let _ = fs.clone().with_fault(k.at_op, Inject::PowerCut);
-            }
-            let pause_at = plan.for_grant(shard, attempt).map(|s| s.point);
-            let wcfg = WorkerConfig {
-                universe: cfg.universe.clone(),
-                root: cfg.root.clone(),
-                shard,
-                shards: cfg.shards,
-                emitters: cfg.emitters,
-                epoch,
-                attempt,
-                trace: open_grant_trace(registry, cfg.universe.seed, shard, attempt, epoch),
-            };
-            let result = run_worker(fs, &wcfg, pause_at, PauseStyle::ReturnEarly, registry);
-            // The grant is over either way; clear latched faults so
-            // coordinator I/O below runs on a healthy filesystem.
-            fs.exit_process();
-            let died = match result {
-                Ok(run) if run.exit == WorkerExit::Completed => {
-                    if stores_complete(fs, cfg, shard) {
-                        registry.emit(
-                            Event::new(EventKind::WorkerHeartbeat)
-                                .shard(shard)
-                                .attempt(attempt)
-                                .offset(run.beats),
-                        );
-                        shard_reports.push(ShardReport {
-                            shard,
-                            grants: attempt + 1,
-                            lost: false,
-                            final_beat: run.beats,
-                        });
-                        break;
-                    }
-                    Some("holder exited")
-                }
-                Ok(_paused) => Some(match plan.for_grant(shard, attempt).map(|s| s.mode) {
-                    Some(KillMode::Stall) => "heartbeat stalled",
-                    _ => "holder exited",
-                }),
-                Err(_) => Some("holder exited"),
-            };
-            if let Some(reason) = died {
-                let beat = last_beat(fs, cfg, registry, shard, attempt);
-                if resolve_dead(fs, cfg, registry, shard, attempt, beat, reason)? {
-                    attempt += 1;
-                    continue;
-                }
-                shard_reports.push(ShardReport {
-                    shard,
-                    grants: attempt + 1,
-                    lost: true,
-                    final_beat: beat,
-                });
-                lost_shards.push(shard);
-                break;
-            }
-        }
-    }
-    let (daily, weekly) = merge_shards(fs, cfg, &lost_shards)?;
-    Ok(DistributedOutcome { daily, weekly, shard_reports, lost_shards })
+    Coordinator { fs, cfg, registry }.drive(&InProcess { fs, op_kills }, plan)
 }
 
-struct Running {
-    shard: u32,
-    attempt: u32,
-    child: Child,
-    observed_beat: u64,
-    stagnant_polls: u32,
-    stall_victim: bool,
-}
-
-enum Resolution {
-    Done { beats: u64 },
-    Dead { beat: u64, reason: &'static str },
-}
-
-/// Runs the distributed collection as real OS processes.
-///
-/// Each grant is `worker_cmd + extra_args + structural args` (root,
-/// shard topology, epoch/attempt, and any scheduled pause flags);
-/// `extra_args` is where the caller threads universe parameters the
-/// worker CLI understands (e.g. `--scale tiny --seed 2015`). Up to
-/// `cfg.jobs` children run at once. Scheduled [`KillMode::Kill`]
-/// victims freeze at their point and write a marker file, which the
-/// poll loop answers with a real `SIGKILL`; [`KillMode::Stall`]
-/// victims freeze silently and are killed after `wedge_polls` polls
-/// of heartbeat stagnation. Dead grants resolve through the same
-/// path as [`run_sim`].
+/// Runs the distributed collection as real OS processes, up to
+/// `cfg.jobs` at once. Each grant is `worker_cmd + extra_args +
+/// structural args` (root, shard topology, epoch/attempt, trace and
+/// any scheduled pause flags); `extra_args` threads universe
+/// parameters the worker CLI understands (e.g. `--scale tiny --seed
+/// 2015`). On an error return every worker still running is killed
+/// and reaped first.
 pub fn run_processes(
     cfg: &CoordConfig,
     plan: &KillPlan,
@@ -517,153 +648,14 @@ pub fn run_processes(
     registry: &Registry,
 ) -> io::Result<DistributedOutcome> {
     assert!(!worker_cmd.is_empty(), "worker_cmd must name an executable");
-    let fs = RealFs;
-    fs.create_dir_all(&cfg.root)?;
-    let jobs = cfg.jobs.max(1);
-    let mut queue: VecDeque<(u32, u32)> = (0..cfg.shards as u32).map(|s| (s, 0)).collect();
-    let mut running: Vec<Running> = Vec::new();
-    let mut shard_reports: Vec<ShardReport> = Vec::new();
-    let mut lost_shards: Vec<u32> = Vec::new();
-
-    let spawn = |shard: u32, attempt: u32, registry: &Registry| -> io::Result<Running> {
-        let epoch = u64::from(attempt) + 1;
-        registry.emit(
-            Event::new(EventKind::WorkerSpawn).shard(shard).attempt(attempt).offset(epoch),
-        );
-        // Open the grant span here; the worker process continues the
-        // trace from `--parent-span` in its own registry and exports
-        // it for stitching.
-        let trace = open_grant_trace(registry, cfg.universe.seed, shard, attempt, epoch);
-        let mut cmd = Command::new(&worker_cmd[0]);
-        cmd.args(&worker_cmd[1..])
-            .args(extra_args)
-            .arg("--root")
-            .arg(&cfg.root)
-            .args(["--shard", &shard.to_string()])
-            .args(["--shards", &cfg.shards.to_string()])
-            .args(["--emitters", &cfg.emitters.to_string()])
-            .args(["--epoch", &epoch.to_string()])
-            .args(["--attempt", &attempt.to_string()])
-            .args(["--trace-id", &trace.trace.to_hex()])
-            .args(["--parent-span", &trace.span.to_string()])
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::null());
-        let mut stall_victim = false;
-        if let Some(spec) = plan.for_grant(shard, attempt) {
-            cmd.args(["--pause-at", &spec.point.to_string()]);
-            if spec.mode == KillMode::Stall {
-                cmd.arg("--stall");
-                stall_victim = true;
-            }
-        }
-        let child = cmd.spawn()?;
-        Ok(Running { shard, attempt, child, observed_beat: 0, stagnant_polls: 0, stall_victim })
-    };
-
-    while shard_reports.len() < cfg.shards {
-        while running.len() < jobs {
-            let Some((shard, attempt)) = queue.pop_front() else { break };
-            running.push(spawn(shard, attempt, registry)?);
-        }
-        std::thread::sleep(cfg.poll_interval);
-
-        let mut resolved: Vec<(usize, Resolution)> = Vec::new();
-        for (i, r) in running.iter_mut().enumerate() {
-            if let Some(status) = r.child.try_wait()? {
-                let beat = last_beat(&fs, cfg, registry, r.shard, r.attempt);
-                if status.success() && stores_complete(&fs, cfg, r.shard) {
-                    resolved.push((i, Resolution::Done { beats: beat }));
-                } else {
-                    resolved.push((i, Resolution::Dead { beat, reason: "holder exited" }));
-                }
-                continue;
-            }
-            let marker = marker_path(&cfg.root, r.shard, r.attempt);
-            if fs.exists(&marker) {
-                // The victim announced it reached its pause point:
-                // answer with the real thing. SIGKILL, no shutdown.
-                r.child.kill()?;
-                r.child.wait()?;
-                let beat = last_beat(&fs, cfg, registry, r.shard, r.attempt);
-                resolved.push((i, Resolution::Dead { beat, reason: "holder exited" }));
-                continue;
-            }
-            let beat = last_beat(&fs, cfg, registry, r.shard, r.attempt);
-            if beat > r.observed_beat {
-                r.observed_beat = beat;
-                r.stagnant_polls = 0;
-            } else {
-                r.stagnant_polls += 1;
-                // Only a scheduled stall victim is wedge-killed on the
-                // tight test deadline; an unscheduled worker gets the
-                // full (generous) budget so honest slowness is never
-                // misread as a wedge.
-                let budget = if r.stall_victim { cfg.wedge_polls } else { cfg.wedge_polls * 4 };
-                if r.stagnant_polls >= budget {
-                    r.child.kill()?;
-                    r.child.wait()?;
-                    resolved.push((i, Resolution::Dead { beat, reason: "heartbeat stalled" }));
-                }
-            }
-        }
-        // Resolve in descending index order so swap_remove stays valid.
-        resolved.sort_by_key(|r| std::cmp::Reverse(r.0));
-        for (i, resolution) in resolved {
-            let r = running.swap_remove(i);
-            match resolution {
-                Resolution::Done { beats } => {
-                    registry.emit(
-                        Event::new(EventKind::WorkerHeartbeat)
-                            .shard(r.shard)
-                            .attempt(r.attempt)
-                            .offset(beats),
-                    );
-                    import_worker_trace(&fs, cfg, registry, r.shard, r.attempt);
-                    shard_reports.push(ShardReport {
-                        shard: r.shard,
-                        grants: r.attempt + 1,
-                        lost: false,
-                        final_beat: beats,
-                    });
-                }
-                Resolution::Dead { beat, reason } => {
-                    if resolve_dead(&fs, cfg, registry, r.shard, r.attempt, beat, reason)? {
-                        std::thread::sleep(cfg.retry.backoff(
-                            r.shard as usize,
-                            0,
-                            r.attempt + 1,
-                        ));
-                        queue.push_back((r.shard, r.attempt + 1));
-                    } else {
-                        shard_reports.push(ShardReport {
-                            shard: r.shard,
-                            grants: r.attempt + 1,
-                            lost: true,
-                            final_beat: beat,
-                        });
-                        lost_shards.push(r.shard);
-                    }
-                }
-            }
-        }
-    }
-    shard_reports.sort_by_key(|r| r.shard);
-    lost_shards.sort_unstable();
-    let (daily, weekly) = merge_shards(&fs, cfg, &lost_shards)?;
-    Ok(DistributedOutcome { daily, weekly, shard_reports, lost_shards })
-}
-
-/// The beat a clean worker of this config ends on (re-exported for
-/// harness assertions).
-pub fn expected_clean_beats(cfg: &CoordConfig) -> u64 {
-    clean_beats(cfg.emitters)
+    Coordinator { fs: &RealFs, cfg, registry }.drive(&Processes { worker_cmd, extra_args }, plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{InjectionPoint, KillSpec};
+    use crate::worker::clean_beats;
 
     fn sim_cfg(root: &str, shards: usize) -> CoordConfig {
         CoordConfig::new(UniverseConfig::tiny(0x5EED), PathBuf::from(root), shards, 2)
@@ -697,7 +689,8 @@ mod tests {
         f.write_all(b"IPLSLE1\x0athis is not a lease").unwrap();
         f.sync_all().unwrap();
 
-        assert_eq!(last_beat(&fs, &cfg, &reg, 0, 0), 0, "healing proceeds from beat 0");
+        let coord = Coordinator { fs: &fs, cfg: &cfg, registry: &reg };
+        assert_eq!(coord.last_beat(0, 0), 0, "healing proceeds from beat 0");
         // The corpse was moved aside, with a sidecar naming the
         // verification failure — evidence preserved, not destroyed.
         assert!(!fs.exists(&lease_path), "corrupt lease must be moved, not left in place");
@@ -709,7 +702,7 @@ mod tests {
 
         // The rename makes the next poll read `Absent`: beat stays 0
         // and the quarantine is not re-tripped on the same corpse.
-        assert_eq!(last_beat(&fs, &cfg, &reg, 0, 0), 0);
+        assert_eq!(coord.last_beat(0, 0), 0);
         let snap = reg.snapshot(SnapshotMode::Deterministic);
         assert_eq!(snap.events_of(EventKind::Quarantine).count(), 1);
     }
@@ -725,7 +718,7 @@ mod tests {
         assert!(out.weekly.coverage.as_ref().unwrap().is_complete());
         for r in &out.shard_reports {
             assert_eq!(r.grants, 1);
-            assert_eq!(r.final_beat, expected_clean_beats(&cfg));
+            assert_eq!(r.final_beat, clean_beats(cfg.emitters));
         }
         assert_eq!(
             counts(&reg),

@@ -39,5 +39,5 @@ pub use coordinator::{
 pub use plan::{InjectionPoint, KillMode, KillPlan, KillSpec};
 pub use worker::{
     clean_beats, daily_dir, holder_id, marker_path, run_worker, shard_dir, trace_path, weekly_dir,
-    PauseStyle, WorkerConfig, WorkerExit, WorkerRun,
+    PauseStyle, WorkerConfig, WorkerExit,
 };

@@ -123,11 +123,6 @@ impl KillPlan {
             .iter()
             .find(|s| s.shard == shard && (s.attempt == attempt || s.attempt == u32::MAX))
     }
-
-    /// All scheduled deaths.
-    pub fn specs(&self) -> &[KillSpec] {
-        &self.specs
-    }
 }
 
 #[cfg(test)]

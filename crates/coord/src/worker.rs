@@ -1,14 +1,14 @@
 //! The shard worker: one process, one shard, one leased store pair.
 //!
-//! A worker replays its shard's retained edge buffers (via the
-//! supervisor's `emit_*_shard_buffers`) into per-day record batches
-//! and commits them atomically — daily cadence first, then weekly —
-//! into two manifest-journaled [`LogStore`] directories under its
-//! shard directory. Progress is heartbeated by republishing the
-//! shard's lease with a growing beat counter; the beat is a function
-//! of *replay progress* (buffers decoded, stores committed), never of
-//! wall-clock time, so a worker killed at a given protocol point
-//! always leaves the same beat behind.
+//! A worker replays its shard's retained edge buffers (emitted by
+//! `cdnsim::emit_shard_buffers::<C>` once per cadence) into per-day
+//! record batches and commits them atomically — daily cadence first,
+//! then weekly — into two manifest-journaled [`LogStore`] directories
+//! under its shard directory. Progress is heartbeated by
+//! republishing the shard's lease with a growing beat counter; the
+//! beat is a function of *replay progress* (buffers decoded, stores
+//! committed), never of wall-clock time, so a worker killed at a given
+//! protocol point always leaves the same beat behind.
 //!
 //! The worker is resumable by construction: a respawned grant opens
 //! the stores (whose `open` sweeps any tmp garbage its predecessor
@@ -114,15 +114,6 @@ pub enum WorkerExit {
     Paused(InjectionPoint),
 }
 
-/// Outcome of one worker run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerRun {
-    /// How the run ended.
-    pub exit: WorkerExit,
-    /// Final heartbeat value published.
-    pub beats: u64,
-}
-
 fn store_io(e: StoreError) -> io::Error {
     io::Error::other(e.to_string())
 }
@@ -147,7 +138,7 @@ pub fn run_worker<F: Fs>(
     pause_at: Option<InjectionPoint>,
     style: PauseStyle,
     registry: &Registry,
-) -> io::Result<WorkerRun> {
+) -> io::Result<WorkerExit> {
     let sdir = shard_dir(&cfg.root, cfg.shard);
     fs.create_dir_all(&sdir)?;
 
@@ -190,13 +181,13 @@ pub fn run_worker<F: Fs>(
     // Pauses here if `point` is this grant's scheduled stop. Returns
     // `Some` to propagate a ReturnEarly exit; a Spin pause never
     // comes back.
-    let pause = |fs: &F, point: InjectionPoint, beat: u64| -> io::Result<Option<WorkerRun>> {
+    let pause = |fs: &F, point: InjectionPoint| -> io::Result<Option<WorkerExit>> {
         if pause_at != Some(point) {
             return Ok(None);
         }
         export_trace(fs);
         match style {
-            PauseStyle::ReturnEarly => Ok(Some(WorkerRun { exit: WorkerExit::Paused(point), beats: beat })),
+            PauseStyle::ReturnEarly => Ok(Some(WorkerExit::Paused(point))),
             PauseStyle::Spin { write_marker } => {
                 if write_marker {
                     let mut m = fs.create(&marker_path(&cfg.root, cfg.shard, cfg.attempt))?;
@@ -213,8 +204,8 @@ pub fn run_worker<F: Fs>(
     // Beat 1: alive, lease acknowledged.
     beat += 1;
     publish(fs, beat)?;
-    if let Some(run) = pause(fs, InjectionPoint::Early, beat)? {
-        return Ok(run);
+    if let Some(exit) = pause(fs, InjectionPoint::Early)? {
+        return Ok(exit);
     }
 
     // Replay: regenerate the universe and this shard's retained
@@ -234,8 +225,8 @@ pub fn run_worker<F: Fs>(
         extend_batches(&mut daily_batches, buf, num_days);
         beat += 1;
         publish(fs, beat)?;
-        if let Some(run) = pause(fs, InjectionPoint::AfterBuffer(k as u32), beat)? {
-            return Ok(run);
+        if let Some(exit) = pause(fs, InjectionPoint::AfterBuffer(k as u32))? {
+            return Ok(exit);
         }
     }
     let mut weekly_batches: Vec<(u16, Vec<Record>)> =
@@ -245,13 +236,13 @@ pub fn run_worker<F: Fs>(
         beat += 1;
         publish(fs, beat)?;
         let point = InjectionPoint::AfterBuffer((cfg.emitters + k) as u32);
-        if let Some(run) = pause(fs, point, beat)? {
-            return Ok(run);
+        if let Some(exit) = pause(fs, point)? {
+            return Ok(exit);
         }
     }
 
-    if let Some(run) = pause(fs, InjectionPoint::PreCommit, beat)? {
-        return Ok(run);
+    if let Some(exit) = pause(fs, InjectionPoint::PreCommit)? {
+        return Ok(exit);
     }
 
     // Commit daily, then weekly. Each commit is atomic for its whole
@@ -265,8 +256,8 @@ pub fn run_worker<F: Fs>(
     registry.trace_span(run_ctx, "store.commit.daily", format!("days {num_days}"));
     beat += 1;
     publish(fs, beat)?;
-    if let Some(run) = pause(fs, InjectionPoint::MidCommit, beat)? {
-        return Ok(run);
+    if let Some(exit) = pause(fs, InjectionPoint::MidCommit)? {
+        return Ok(exit);
     }
 
     let mut weekly_store =
@@ -277,12 +268,12 @@ pub fn run_worker<F: Fs>(
     registry.trace_span(run_ctx, "store.commit.weekly", format!("weeks {num_weeks}"));
     beat += 1;
     publish(fs, beat)?;
-    if let Some(run) = pause(fs, InjectionPoint::PreExit, beat)? {
-        return Ok(run);
+    if let Some(exit) = pause(fs, InjectionPoint::PreExit)? {
+        return Ok(exit);
     }
 
     export_trace(fs);
-    Ok(WorkerRun { exit: WorkerExit::Completed, beats: beat })
+    Ok(WorkerExit::Completed)
 }
 
 /// The final beat a clean run of this topology publishes: alive + one
@@ -313,17 +304,16 @@ mod tests {
     fn worker_commits_both_cadences_and_beats_deterministically() {
         let fs = SimFs::new();
         let cfg = cfg("/run", 0);
-        let run =
+        let exit =
             run_worker(&fs, &cfg, None, PauseStyle::ReturnEarly, &Registry::new()).unwrap();
-        assert_eq!(run.exit, WorkerExit::Completed);
-        assert_eq!(run.beats, clean_beats(2));
+        assert_eq!(exit, WorkerExit::Completed);
         let daily = LogStore::open_on(fs.clone(), daily_dir(&cfg.root, 0)).unwrap();
         assert_eq!(daily.committed_days().len(), cfg.universe.daily_days);
         let weekly = LogStore::open_on(fs.clone(), weekly_dir(&cfg.root, 0)).unwrap();
         assert_eq!(weekly.committed_days().len(), cfg.universe.weeks);
         match read_lease(&fs, &shard_dir(&cfg.root, 0), 0).unwrap() {
             LeaseRead::Held(l) => {
-                assert_eq!(l.beat, run.beats);
+                assert_eq!(l.beat, clean_beats(2));
                 assert_eq!(l.epoch, 1);
                 assert_eq!(l.holder, holder_id(0, 0));
             }
@@ -335,7 +325,7 @@ mod tests {
     fn paused_worker_stops_with_the_scheduled_beat_and_respawn_heals() {
         let fs = SimFs::new();
         let cfg0 = cfg("/run", 1);
-        let run = run_worker(
+        let exit = run_worker(
             &fs,
             &cfg0,
             Some(InjectionPoint::MidCommit),
@@ -343,7 +333,7 @@ mod tests {
             &Registry::new(),
         )
         .unwrap();
-        assert_eq!(run.exit, WorkerExit::Paused(InjectionPoint::MidCommit));
+        assert_eq!(exit, WorkerExit::Paused(InjectionPoint::MidCommit));
         // Daily committed, weekly not: the mid-commit state.
         let daily = LogStore::open_on(fs.clone(), daily_dir(&cfg0.root, 1)).unwrap();
         assert_eq!(daily.committed_days().len(), cfg0.universe.daily_days);
@@ -351,9 +341,9 @@ mod tests {
         assert!(weekly.committed_days().is_empty());
         // Successor grant finishes the job.
         let cfg1 = WorkerConfig { epoch: 2, attempt: 1, ..cfg0.clone() };
-        let run =
+        let exit =
             run_worker(&fs, &cfg1, None, PauseStyle::ReturnEarly, &Registry::new()).unwrap();
-        assert_eq!(run.exit, WorkerExit::Completed);
+        assert_eq!(exit, WorkerExit::Completed);
         let weekly = LogStore::open_on(fs.clone(), weekly_dir(&cfg0.root, 1)).unwrap();
         assert_eq!(weekly.committed_days().len(), cfg0.universe.weeks);
     }
@@ -380,7 +370,7 @@ mod tests {
 
         // Killed mid-commit: the exported tree already covers the
         // daily commit but not the weekly one.
-        let run = run_worker(
+        let exit = run_worker(
             &fs,
             &wcfg,
             Some(InjectionPoint::MidCommit),
@@ -388,7 +378,7 @@ mod tests {
             &reg,
         )
         .unwrap();
-        assert_eq!(run.exit, WorkerExit::Paused(InjectionPoint::MidCommit));
+        assert_eq!(exit, WorkerExit::Paused(InjectionPoint::MidCommit));
         let doc = read_doc(&fs, &trace_path(&wcfg.root, 0, 0));
         let (trace, spans) = parse_trace_doc(&doc).unwrap();
         assert_eq!(trace, tid.0);
@@ -402,8 +392,8 @@ mod tests {
         // spans start after the handed-down parent seq.
         let reg2 = Registry::new();
         let wcfg2 = WorkerConfig { epoch: 2, attempt: 1, trace: granted, ..wcfg.clone() };
-        let run = run_worker(&fs, &wcfg2, None, PauseStyle::ReturnEarly, &reg2).unwrap();
-        assert_eq!(run.exit, WorkerExit::Completed);
+        let exit = run_worker(&fs, &wcfg2, None, PauseStyle::ReturnEarly, &reg2).unwrap();
+        assert_eq!(exit, WorkerExit::Completed);
         let doc2 = read_doc(&fs, &trace_path(&wcfg.root, 0, 1));
         let (_, spans2) = parse_trace_doc(&doc2).unwrap();
         assert!(spans2.iter().all(|s| s.seq > granted.span), "worker seqs follow the grant span");

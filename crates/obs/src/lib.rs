@@ -63,6 +63,18 @@ pub fn rate(count: u64, elapsed: std::time::Duration) -> f64 {
     }
 }
 
+/// One SplitMix64 step: the workspace's seeded mixer for every
+/// deterministic choice that must be a pure function of its inputs —
+/// trace ids, chaos residues, retry jitter, fault sites, synthetic
+/// load. (The simulator keeps its own inlined copy inside its kernel.)
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 /// One observability domain: a namespace of metrics, a span tree, and
 /// an event journal that snapshot together.
 ///

@@ -20,6 +20,7 @@
 //! so a later [`TraceStore::import`] interleaves both sides into one
 //! ordered tree without renumbering.
 
+use crate::splitmix64;
 use std::collections::BTreeMap;
 
 /// Hard cap on distinct traces retained by one [`TraceStore`]; later
@@ -29,13 +30,6 @@ pub const MAX_TRACES: usize = 1024;
 /// Hard cap on spans retained per trace; later spans are counted as
 /// truncated.
 pub const MAX_SPANS_PER_TRACE: usize = 128;
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// A 64-bit trace identifier. Zero is reserved for "no trace".
 ///
@@ -54,7 +48,7 @@ impl TraceId {
     /// populations from different layers (loadgen, coordinator,
     /// figures) disjoint in practice.
     pub fn mint(seed: u64, unit: u64) -> TraceId {
-        let id = splitmix(seed ^ splitmix(unit.wrapping_add(1)));
+        let id = splitmix64(seed ^ splitmix64(unit.wrapping_add(1)));
         TraceId(if id == 0 { 1 } else { id })
     }
 

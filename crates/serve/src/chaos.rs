@@ -10,6 +10,8 @@
 //! `panic_period = n` is guaranteed one panic in every `n` executed
 //! queries.
 
+use ipactive_obs::splitmix64;
+
 /// What the plan injects for one executed query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosAction {
@@ -38,13 +40,6 @@ pub struct ChaosPlan {
     pub stall_us: u64,
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 impl ChaosPlan {
     /// A plan that injects nothing.
     pub fn none() -> Self {
@@ -67,12 +62,12 @@ impl ChaosPlan {
     /// residue — a panicking worker never reaches the stall point.
     pub fn action(&self, seq: u64) -> ChaosAction {
         if self.panic_period != 0
-            && seq % self.panic_period == splitmix(self.seed) % self.panic_period
+            && seq % self.panic_period == splitmix64(self.seed) % self.panic_period
         {
             return ChaosAction::Panic;
         }
         if self.stall_period != 0
-            && seq % self.stall_period == splitmix(self.seed ^ 0x5741_4c4c) % self.stall_period
+            && seq % self.stall_period == splitmix64(self.seed ^ 0x5741_4c4c) % self.stall_period
         {
             return ChaosAction::Stall;
         }
@@ -159,7 +154,7 @@ mod tests {
         // With equal periods the stall residue may collide with the
         // panic residue; only assert stalls fire for a plan where the
         // residues differ.
-        if splitmix(3) % 5 != splitmix(3 ^ 0x5741_4c4c) % 5 {
+        if splitmix64(3) % 5 != splitmix64(3 ^ 0x5741_4c4c) % 5 {
             assert!(saw_stall);
         }
     }

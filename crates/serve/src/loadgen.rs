@@ -29,7 +29,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use ipactive_obs::metrics::DECADE_BOUNDS;
-use ipactive_obs::{TraceContext, TraceId};
+use ipactive_obs::{splitmix64, TraceContext, TraceId};
 
 use crate::pipe::duplex;
 use crate::server::Server;
@@ -147,18 +147,11 @@ impl LoadReport {
     }
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// The deterministic query mix: mostly day windows of varied width,
 /// some week windows when weeks exist, an occasional prefix count and
 /// status probe.
 pub fn query_mix(i: u64, seed: u64, days: u64, weeks: u64) -> QueryKind {
-    let r = splitmix(seed ^ i.wrapping_mul(0x517c_c1b7_2722_0a95));
+    let r = splitmix64(seed ^ i.wrapping_mul(0x517c_c1b7_2722_0a95));
     match r % 10 {
         0 => QueryKind::Status,
         1 => QueryKind::PrefixCount {

@@ -60,7 +60,7 @@ use ipactive_core::{
     WeeklyDatasetBuilder,
 };
 use ipactive_net::{Addr, DayBits, PrefixDensity};
-use ipactive_obs::{Event, EventKind, Registry};
+use ipactive_obs::{splitmix64, Event, EventKind, Registry};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -92,7 +92,7 @@ impl DayLog {
 /// in and out by day parity, a few are one-day visitors.
 pub fn synthetic_day_log(seed: u64, day: usize) -> DayLog {
     let mut log = DayLog::new();
-    let mut state = splitmix(seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(day as u64 + 1));
+    let mut state = splitmix64(seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(day as u64 + 1));
     let blocks = 24usize;
     for b in 0..blocks {
         let base = 0x0a00_0000u32 + ((b as u32) << 8);
@@ -108,20 +108,12 @@ pub fn synthetic_day_log(seed: u64, day: usize) -> DayLog {
         }
         // Visitors: a few seeded one-day addresses.
         for _ in 0..3 {
-            state = splitmix(state);
+            state = splitmix64(state);
             let h = 64 + (state % 128) as u32;
             log.record(Addr::new(base | h), 1 + state % 5);
         }
     }
     log
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// One published epoch: an immutable view of the datasets, the shared

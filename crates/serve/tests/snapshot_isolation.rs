@@ -17,7 +17,7 @@ use std::time::Duration;
 use ipactive_core::AnalysisCtx;
 use ipactive_core::{DailyDatasetBuilder, WeeklyDatasetBuilder};
 use ipactive_net::ActiveSet;
-use ipactive_obs::Registry;
+use ipactive_obs::{splitmix64, Registry};
 use ipactive_serve::{synthetic_day_log, DayLog, Observatory};
 
 const STORM_DAYS: usize = 12;
@@ -50,13 +50,6 @@ fn window_bytes(engine: &AnalysisCtx, s: usize, e: usize) -> Vec<u32> {
     engine.day_window(s..e).iter().map(|a| a.bits()).collect()
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Runs one full storm with `readers` concurrent reader threads:
 /// ingest publishes the twelve days one epoch at a time while readers
 /// pin epochs and check windows against the batch references the
@@ -79,7 +72,7 @@ fn storm(readers: usize) -> (Vec<u32>, usize) {
         let done = done.clone();
         handles.push(thread::spawn(move || {
             let mut checked = 0usize;
-            let mut state = splitmix(0xC0FFEE ^ r as u64);
+            let mut state = splitmix64(0xC0FFEE ^ r as u64);
             while !done.load(Ordering::SeqCst) || checked == 0 {
                 let snap = obs.pin();
                 let days = snap.days();
@@ -90,9 +83,9 @@ fn storm(readers: usize) -> (Vec<u32>, usize) {
                 // A deterministic-per-reader window inside the pinned
                 // horizon; the *reference* for it depends only on the
                 // pinned epoch's day count, never on later ingests.
-                state = splitmix(state);
+                state = splitmix64(state);
                 let s = (state % days as u64) as usize;
-                state = splitmix(state);
+                state = splitmix64(state);
                 let e = s + 1 + (state % (days - s) as u64) as usize;
                 let live: Vec<u32> =
                     snap.engine().day_window(s..e).iter().map(|a| a.bits()).collect();
