@@ -97,17 +97,30 @@ const SIN_2PI: [f64; 9] = [
     0.10422916220813984,
 ];
 
+/// `1.5 · 2⁵²`: adding it to a float below 2⁵¹ in magnitude rounds that
+/// float to the nearest integer, whose low bits then sit in the sum's.
+const SHIFTER: f64 = 6_755_399_441_055_744.0;
+
 /// `cos(2π·u)`, `u` in turns.
 ///
-/// The reduction is exact: `n = ⌊4u + ½⌉` quarter turns and `r = u − n/4`
+/// The reduction is exact: `n = ⌊4u + ½⌋` quarter turns and `r = u − n/4`
 /// with `|r| ≤ ⅛` (every draw is a multiple of 2⁻⁵³, so `r` is
-/// representable). Quarter turn `n` makes it `cos 2πr`, `−sin 2πr`,
-/// `−cos 2πr` or `sin 2πr`; one Taylor polynomial in `r²` takes its nine
-/// coefficients from the cosine or the sine table, and the sign is a bit.
+/// representable). `n` comes from the round-to-nearest shifter, less one
+/// where rounding went up, rather than from a float-to-integer cast,
+/// which is saturating and compiles to a scalar conversion per lane.
+/// Quarter turn `n` makes it `cos 2πr`, `−sin 2πr`, `−cos 2πr` or
+/// `sin 2πr`; one Taylor polynomial in `r²` takes its nine coefficients
+/// from the cosine or the sine table, and the sign is a bit. Every
+/// operation is a select or a straight-line step, so a loop of calls
+/// vectorizes whole.
 #[inline(always)]
 pub(crate) fn fast_cos_2pi(u: f64) -> f64 {
-    let n = (4.0 * u + 0.5) as i64;
-    let r = u - 0.25 * n as f64;
+    let x = 4.0 * u + 0.5;
+    let shifted = x + SHIFTER;
+    let nearest = shifted - SHIFTER;
+    let up = nearest > x;
+    let n = shifted.to_bits().wrapping_sub(up as u64);
+    let r = u - 0.25 * if up { nearest - 1.0 } else { nearest };
     let r2 = r * r;
     let odd = n & 1 != 0;
     let mut p = if odd { SIN_2PI[8] } else { COS_2PI[8] };
@@ -115,7 +128,7 @@ pub(crate) fn fast_cos_2pi(u: f64) -> f64 {
         p = p * r2 + if odd { SIN_2PI[k] } else { COS_2PI[k] };
     }
     let v = if odd { r * p } else { p };
-    let negative = (((n + 1) & 2) as u64) << 62;
+    let negative = (n.wrapping_add(1) & 2) << 62;
     f64::from_bits(v.to_bits() ^ negative)
 }
 
@@ -142,7 +155,6 @@ const EXP_TAYLOR: [f64; 12] = [
 /// polynomial to degree 13, and `2ᵏ` built from the shifter's low bits.
 #[inline(always)]
 pub(crate) fn fast_exp(y: f64) -> f64 {
-    const SHIFTER: f64 = 6_755_399_441_055_744.0; // 1.5 · 2⁵²
     let shifted = y * std::f64::consts::LOG2_E + SHIFTER;
     let k = shifted - SHIFTER;
     let r = (y - k * LN2_HI) - k * LN2_LO;
@@ -295,6 +307,35 @@ mod tests {
         for u in edges.chain(uniforms(2)) {
             let (fast, libm) = (fast_cos_2pi(u), (2.0 * PI * u).cos());
             assert!((fast - libm).abs() <= pow2(-48), "cos(2π·{u:e}): {fast:e} vs {libm:e}");
+        }
+    }
+
+    /// [`fast_cos_2pi`] with its quarter-turn index taken by a
+    /// float-to-integer cast, as it was before the shifter.
+    fn cos_2pi_by_cast(u: f64) -> f64 {
+        let n = (4.0 * u + 0.5) as i64;
+        let r = u - 0.25 * n as f64;
+        let r2 = r * r;
+        let odd = n & 1 != 0;
+        let mut p = if odd { SIN_2PI[8] } else { COS_2PI[8] };
+        for k in (0..8).rev() {
+            p = p * r2 + if odd { SIN_2PI[k] } else { COS_2PI[k] };
+        }
+        let v = if odd { r * p } else { p };
+        let negative = (((n + 1) & 2) as u64) << 62;
+        f64::from_bits(v.to_bits() ^ negative)
+    }
+
+    /// On `[−⅛, 9⁄8]`, `4u + ½` lies in `[0, 5]`, where truncation is
+    /// the floor the shifter takes: same index, same bits.
+    #[test]
+    fn fast_cos_2pi_indexes_quarter_turns_as_the_cast_did() {
+        // Every eighth of a turn, the domain's ends included, ± 1 ulp.
+        let edges = (-1..=9)
+            .flat_map(|k| one_ulp_around(k as f64 / 8.0))
+            .filter(|u| (-0.125..=1.125).contains(u));
+        for u in edges.chain(uniforms(2)) {
+            assert_eq!(fast_cos_2pi(u).to_bits(), cos_2pi_by_cast(u).to_bits(), "cos(2π·{u:e})");
         }
     }
 

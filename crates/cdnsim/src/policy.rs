@@ -27,7 +27,7 @@ use crate::config::CountryProfile;
 use crate::fastmath::{self, fast_cos_2pi, fast_exp, fast_ln, Kernel, LaneLoop};
 use ipactive_net::AddrBits256;
 use ipactive_probe::ServiceSet;
-use rand::RngExt;
+use rand::RngCore;
 
 /// Assignment policy of one `/24` block.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,6 +171,11 @@ struct DayDraws {
 /// the stack arrays [`DayDraws::each_online`] runs its loops over.
 const CHUNK: usize = 64;
 
+/// The `f64` lanes of one AVX-512 vector: [`HitLanes`] runs a chunk's
+/// subscribers rounded up to a multiple of it rather than all [`CHUNK`]
+/// lanes, so a block's last, partial chunk costs what it holds.
+const LANE_GROUP: usize = 8;
+
 impl DayDraws {
     fn new(seed: SeedMixer, institutional: bool, t: usize, kernel: Kernel) -> DayDraws {
         DayDraws {
@@ -201,11 +206,12 @@ impl DayDraws {
     }
 
     /// [`Self::each_online`] rounding first: each chunk's [`HitLanes`]
-    /// loop gives every lane its online coin and approximate variate,
-    /// then the online lanes are rounded in subscriber order — through
-    /// [`fastmath::round_clear`], or, for the rare variate within
-    /// [`fastmath::EDGE`] of a rounding boundary, through
-    /// [`Self::exact_hits`].
+    /// gives every lane its online coin and approximate variate, the
+    /// online lanes are gathered without a branch (the coins are as
+    /// unpredictable to a branch predictor as they are to anyone), and
+    /// then rounded in subscriber order — through [`fastmath::round_clear`], or, for the
+    /// rare variate within [`fastmath::EDGE`] of a rounding boundary,
+    /// through [`Self::exact_hits`].
     fn each_online_lanes(
         &self,
         subs: &[Subscriber],
@@ -215,13 +221,16 @@ impl DayDraws {
             let first = c * CHUNK;
             let mut lanes = HitLanes::new(self, first, chunk);
             self.kernel.run(&mut lanes);
-            for (i, sub) in chunk.iter().enumerate() {
-                if lanes.is_online[i] {
-                    let s = first + i;
-                    let hits = fastmath::round_clear(lanes.x[i])
-                        .unwrap_or_else(|| self.exact_hits(s, sub));
-                    place(s, sub, hits);
-                }
+            let (mut online, mut n) = ([0u8; CHUNK], 0);
+            for (i, &is_online) in lanes.is_online[..chunk.len()].iter().enumerate() {
+                online[n] = i as u8;
+                n += is_online as usize;
+            }
+            for &i in &online[..n] {
+                let (sub, s) = (&chunk[i as usize], first + i as usize);
+                let hits = fastmath::round_clear(lanes.x[i as usize])
+                    .unwrap_or_else(|| self.exact_hits(s, sub));
+                place(s, sub, hits);
             }
         }
     }
@@ -284,13 +293,26 @@ impl DayDraws {
 }
 
 /// One chunk of [`DayDraws::each_online_lanes`]: every lane's online
-/// coin and approximate hit variate, in one straight loop over all
-/// [`CHUNK`] lanes — offline lanes and lanes past the chunk's end
-/// included, since a lane costs less than a branch would.
+/// coin and approximate hit variate, over the chunk's subscribers
+/// rounded up to a whole vector of [`LANE_GROUP`] lanes — offline lanes
+/// and the few past the chunk's end included, since a lane costs less
+/// than a branch would.
+///
+/// A lane's variate is one long dependent chain (hash, `ln`, `√`,
+/// `cos`, `exp`), so [`Self::run`] takes it in four short stages over
+/// the chunk, each a loop whose iterations do not wait on one another:
+/// the draws and the coin, `√(−2 ln u₁)`, `cos 2πu₂`, and `exp`. Each
+/// lane still goes through the same operations in the same order, so
+/// its bits are those of one loop taking every lane through the whole
+/// chain.
 struct HitLanes {
     online: SeedMixer,
     hits: SeedMixer,
     first: u64,
+    /// How many lanes [`Self::run`] computes: a multiple of
+    /// [`LANE_GROUP`], at most [`CHUNK`]. The rest keep their offline
+    /// coin and a zero variate.
+    lanes: usize,
     /// What the online coin must fall below: the day's online rate, or
     /// −1 outside the subscriber's lifespan and past the chunk's end.
     threshold: [f64; CHUNK],
@@ -307,6 +329,7 @@ impl HitLanes {
             online: day.online,
             hits: day.hits,
             first: first as u64,
+            lanes: chunk.len().next_multiple_of(LANE_GROUP),
             threshold: [-1.0; CHUNK],
             intensity: [0.0; CHUNK],
             is_online: [false; CHUNK],
@@ -325,17 +348,48 @@ impl HitLanes {
 impl LaneLoop for HitLanes {
     #[inline(always)]
     fn run(&mut self) {
-        for i in 0..CHUNK {
+        // One body per whole number of vectors: every stage's trip count
+        // is a constant, so none ends in a scalar remainder loop.
+        match self.lanes {
+            8 => self.stages::<8>(),
+            16 => self.stages::<16>(),
+            24 => self.stages::<24>(),
+            32 => self.stages::<32>(),
+            40 => self.stages::<40>(),
+            48 => self.stages::<48>(),
+            56 => self.stages::<56>(),
+            _ => self.stages::<CHUNK>(),
+        }
+    }
+}
+
+impl HitLanes {
+    /// The four stages over the first `N` lanes.
+    #[inline(always)]
+    fn stages<const N: usize>(&mut self) {
+        let (mut radius, mut cosine) = ([0f64; N], [0f64; N]);
+        for i in 0..N {
             let s = self.first + i as u64;
-            let (u1, u2) = self.hits.child(s).two_units();
-            let radius = (-2.0 * fast_ln(u1.max(f64::MIN_POSITIVE))).sqrt();
-            self.x[i] = self.intensity[i] * fast_exp(0.9 * (radius * fast_cos_2pi(u2)));
+            (radius[i], cosine[i]) = self.hits.child(s).two_units();
             self.is_online[i] = self.online.child(s).unit() < self.threshold[i];
+        }
+        for r in &mut radius {
+            *r = (-2.0 * fast_ln(r.max(f64::MIN_POSITIVE))).sqrt();
+        }
+        for c in &mut cosine {
+            *c = fast_cos_2pi(*c);
+        }
+        for i in 0..N {
+            self.x[i] = self.intensity[i] * fast_exp(0.9 * (radius[i] * cosine[i]));
         }
     }
 }
 
 /// A seeded permutation of 0..=255 (Fisher–Yates).
+///
+/// Swap `i` takes `rng.random_range(0..=i)`, which is the generator's
+/// next word modulo `i + 1`; [`remainder`] gives that remainder with
+/// multiplications instead of a 64-bit division.
 fn permutation(seed: SeedMixer) -> [u8; 256] {
     let mut perm = [0u8; 256];
     for (i, p) in perm.iter_mut().enumerate() {
@@ -343,10 +397,36 @@ fn permutation(seed: SeedMixer) -> [u8; 256] {
     }
     let mut rng = seed.rng();
     for i in (1..256usize).rev() {
-        let j = rng.random_range(0..=i);
+        let j = remainder(rng.next_u64(), i + 1);
         perm.swap(i, j);
     }
     perm
+}
+
+/// `⌈2¹²⁸ / d⌉` for every divisor `d` in `2..=256` (entries 0 and 1 are
+/// unused).
+static RECIPROCALS: [u128; 257] = {
+    let mut table = [0; 257];
+    let mut d = 2;
+    while d <= 256 {
+        table[d] = u128::MAX / d as u128 + 1;
+        d += 1;
+    }
+    table
+};
+
+/// `x % d` for `d` in `2..=256`, without a division: the fractional part
+/// `f = c·x mod 2¹²⁸` of `x / d` in 128-bit fixed point (`c = ⌈2¹²⁸ / d⌉`),
+/// then `⌊f·d / 2¹²⁸⌋`. With 128 fraction bits for 64-bit numerators
+/// the remainder is exact for every `x` (Lemire, Kaser and Kurz, "Faster
+/// remainder by direct computation", 2019).
+#[inline]
+fn remainder(x: u64, d: usize) -> usize {
+    let fraction = RECIPROCALS[d].wrapping_mul(x as u128);
+    let d = d as u128;
+    // ⌊f·d / 2¹²⁸⌋ from f's two 64-bit halves; d ≤ 2⁸ keeps each
+    // product below 2⁷².
+    (((fraction >> 64) * d + ((fraction as u64 as u128 * d) >> 64)) >> 64) as usize
 }
 
 /// A policy bound to a block seed with per-subscriber state
@@ -887,27 +967,148 @@ mod tests {
         out
     }
 
+    /// The lane body as it was before its stages: one loop taking each
+    /// lane through the whole chain. [`HitLanes::run`] must give its bits.
+    struct Fused(HitLanes);
+
+    impl LaneLoop for Fused {
+        #[inline(always)]
+        fn run(&mut self) {
+            let lanes = &mut self.0;
+            for i in 0..CHUNK {
+                let s = lanes.first + i as u64;
+                let (u1, u2) = lanes.hits.child(s).two_units();
+                let radius = (-2.0 * fast_ln(u1.max(f64::MIN_POSITIVE))).sqrt();
+                lanes.x[i] = lanes.intensity[i] * fast_exp(0.9 * (radius * fast_cos_2pi(u2)));
+                lanes.is_online[i] = lanes.online.child(s).unit() < lanes.threshold[i];
+            }
+        }
+    }
+
+    /// The staged body, compiled for the baseline and, where the CPU has
+    /// AVX-512, through the wrapper, against the fused loop over all
+    /// [`CHUNK`] lanes: same coins, and the same variates to the bit on
+    /// every lane the stages run.
     #[test]
     fn the_avx512_wrapper_computes_the_bodys_bits() {
-        if Kernel::dispatched() != Kernel::Avx512 {
+        let wrapper = Kernel::dispatched() == Kernel::Avx512;
+        if !wrapper {
             eprintln!("no AVX-512 on this CPU: the wrapper never runs here");
-            return;
         }
-        let subs: Vec<Subscriber> = (0..400).map(|s| subscriber(seed(), s, 52)).collect();
-        for t in [0, 3, 5, 200, 363] {
-            let day = DayDraws::new(seed(), t % 2 == 1, t, Kernel::Avx512);
-            // Whole chunks, and the last one with 16 subscribers and 48
-            // lanes past its end.
-            for (c, chunk) in subs.chunks(CHUNK).enumerate() {
-                let mut body = HitLanes::new(&day, c * CHUNK, chunk);
-                body.run();
-                let mut wrapped = HitLanes::new(&day, c * CHUNK, chunk);
-                assert!(fastmath::run_on_avx512(&mut wrapped));
-                assert_eq!(body.is_online, wrapped.is_online, "day {t}, chunk {c}");
-                for (i, (a, b)) in body.x.iter().zip(&wrapped.x).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "day {t}, chunk {c}, lane {i}");
+        // 400 subscribers are six whole chunks and one of 16 with 48
+        // lanes past its end; the shorter lists end in chunks of other
+        // whole and partial vectors.
+        let lists: Vec<Vec<Subscriber>> = [400, 8, 24, 37, 40, 48, 56, 63]
+            .into_iter()
+            .map(|n| (0..n).map(|s| subscriber(seed(), s, 52)).collect())
+            .collect();
+        let days = [0, 3, 5, 200, 363].into_iter().flat_map(|t| [(t, false), (t, true)]);
+        for (t, institutional) in days {
+            let day = DayDraws::new(seed(), institutional, t, Kernel::Avx512);
+            for subs in &lists {
+                for (c, chunk) in subs.chunks(CHUNK).enumerate() {
+                    let lanes = || HitLanes::new(&day, c * CHUNK, chunk);
+                    let mut fused = Fused(lanes());
+                    fused.run();
+                    let mut staged = lanes();
+                    staged.run();
+                    let mut bodies = vec![("baseline", staged)];
+                    if wrapper {
+                        let mut wrapped = lanes();
+                        assert!(fastmath::run_on_avx512(&mut wrapped));
+                        bodies.push(("AVX-512", wrapped));
+                    }
+                    let at = format!(
+                        "day {t}, institutional {institutional}, {} subscribers, chunk {c}",
+                        subs.len()
+                    );
+                    for (body, lanes) in &bodies {
+                        assert_eq!(lanes.lanes, chunk.len().next_multiple_of(LANE_GROUP));
+                        assert_eq!(lanes.is_online, fused.0.is_online, "{body}, {at}");
+                        let run = lanes.x[..lanes.lanes].iter().zip(&fused.0.x);
+                        for (i, (a, b)) in run.enumerate() {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{body}, {at}, lane {i}");
+                        }
+                    }
                 }
             }
+        }
+    }
+
+    /// The stages' gain, as the dispatched kernel runs the lanes: best of
+    /// nine passes each, staged and fused interleaved, over 64 days of
+    /// six chunks. A debug build's timings say nothing, so CI runs it in
+    /// release with `--ignored`.
+    #[test]
+    #[ignore = "timing: run in release with --ignored"]
+    fn lane_stages_beat_the_fused_loop() {
+        use std::hint::black_box;
+        use std::time::{Duration, Instant};
+        const REPS: usize = 40;
+        let kernel = Kernel::dispatched();
+        if kernel != Kernel::Avx512 || cfg!(debug_assertions) {
+            eprintln!("kernel {kernel:?}, debug {}: nothing to time", cfg!(debug_assertions));
+            return;
+        }
+        let subs: Vec<Subscriber> = (0..384).map(|s| subscriber(seed(), s, 52)).collect();
+        let (mut staged, mut fused) = (Vec::new(), Vec::new());
+        for t in 0..64 {
+            let day = DayDraws::new(seed(), false, t, kernel);
+            for (c, chunk) in subs.chunks(CHUNK).enumerate() {
+                staged.push(HitLanes::new(&day, c * CHUNK, chunk));
+                fused.push(Fused(HitLanes::new(&day, c * CHUNK, chunk)));
+            }
+        }
+        fn pass(kernel: Kernel, lanes: &mut [impl LaneLoop]) -> Duration {
+            let start = Instant::now();
+            for _ in 0..REPS {
+                for lanes in lanes.iter_mut() {
+                    kernel.run(black_box(lanes));
+                }
+            }
+            start.elapsed()
+        }
+        let (mut best_staged, mut best_fused) = (Duration::MAX, Duration::MAX);
+        for _ in 0..9 {
+            best_fused = best_fused.min(pass(kernel, &mut fused));
+            best_staged = best_staged.min(pass(kernel, &mut staged));
+        }
+        let per_lane = |d: Duration| d.as_nanos() as f64 / (REPS * staged.len() * CHUNK) as f64;
+        let ratio = best_staged.as_secs_f64() / best_fused.as_secs_f64();
+        eprintln!(
+            "HitLanes under {kernel:?}: staged {:.2} ns a lane, fused {:.2} ({ratio:.3} ×)",
+            per_lane(best_staged),
+            per_lane(best_fused)
+        );
+        assert!(ratio <= 0.85, "staged lanes at {ratio:.3} × the fused loop's time");
+    }
+
+    #[test]
+    fn remainder_is_the_modulo_for_every_divisor_fisher_yates_takes() {
+        let root = SeedMixer::new(0x3E3);
+        for d in 2..=256usize {
+            let dd = d as u64;
+            let edges = [0, 1, dd - 1, dd, dd + 1, u64::MAX, u64::MAX - 1, u64::MAX / dd * dd];
+            let draws = (0..2_000).map(|i| root.child(d as u64).child(i).value());
+            for x in edges.into_iter().chain(edges.map(|e| e.wrapping_sub(dd))).chain(draws) {
+                assert_eq!(remainder(x, d), (x % dd) as usize, "{x} % {d}");
+            }
+        }
+    }
+
+    /// What `permutation` drew with `random_range` before it took the
+    /// remainder itself.
+    #[test]
+    fn permutation_draws_what_random_range_draws() {
+        use rand::RngExt;
+        for t in 0..200 {
+            let seed = seed().child(0xDA11).child(t);
+            let mut perm: [u8; 256] = std::array::from_fn(|i| i as u8);
+            let mut rng = seed.rng();
+            for i in (1..256usize).rev() {
+                perm.swap(i, rng.random_range(0..=i));
+            }
+            assert_eq!(permutation(seed), perm, "day {t}");
         }
     }
 

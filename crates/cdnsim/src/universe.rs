@@ -1048,16 +1048,7 @@ impl UaDay {
     /// first draw with `fast_exp(−λ)`, and only an entry whose draw is
     /// within [`fastmath::EDGE`] of that limit asks libm's `exp`.
     fn draws_lanes(&self, chunk: &[DayEntry]) -> [bool; UA_CHUNK] {
-        let mut lanes = UaLanes {
-            seed: self.seed,
-            host: [0; UA_CHUNK],
-            lambda: [0.0; UA_CHUNK],
-            verdict: [SKIPS; UA_CHUNK],
-        };
-        for (i, entry) in chunk.iter().enumerate() {
-            lanes.host[i] = entry.host as u64;
-            lanes.lambda[i] = self.lambda(entry);
-        }
+        let mut lanes = self.lanes(chunk);
         self.kernel.run(&mut lanes);
         let mut draws = [false; UA_CHUNK];
         for ((draws, entry), &verdict) in draws.iter_mut().zip(chunk).zip(&lanes.verdict) {
@@ -1069,6 +1060,21 @@ impl UaDay {
         }
         draws
     }
+
+    /// `chunk`'s lanes, undecided; lanes past its end have λ = 0.
+    fn lanes(&self, chunk: &[DayEntry]) -> UaLanes {
+        let mut lanes = UaLanes {
+            seed: self.seed,
+            host: [0; UA_CHUNK],
+            lambda: [0.0; UA_CHUNK],
+            verdict: [SKIPS; UA_CHUNK],
+        };
+        for (i, entry) in chunk.iter().enumerate() {
+            lanes.host[i] = entry.host as u64;
+            lanes.lambda[i] = self.lambda(entry);
+        }
+        lanes
+    }
 }
 
 /// [`UaLanes`]' verdicts: the first draw is at most `exp(−λ)`, so no
@@ -1079,7 +1085,10 @@ const SAMPLES: u8 = 1;
 const AT_EDGE: u8 = 2;
 
 /// One chunk of [`UaDay::draws_lanes`]: every lane's first draw against
-/// `fast_exp(−λ)`, in one straight loop over all [`UA_CHUNK`] lanes.
+/// `fast_exp(−λ)`, over all [`UA_CHUNK`] lanes, in three stages whose
+/// iterations do not wait on one another — the first draws, the limits,
+/// the verdicts. Each lane goes through the same operations in the same
+/// order as in one loop taking it through all three.
 struct UaLanes {
     seed: SeedMixer,
     host: [u64; UA_CHUNK],
@@ -1090,11 +1099,16 @@ struct UaLanes {
 impl LaneLoop for UaLanes {
     #[inline(always)]
     fn run(&mut self) {
-        for i in 0..UA_CHUNK {
-            let lambda = self.lambda[i];
-            let first = self.seed.child(self.host[i]).first_unit();
+        let (mut first, mut limit) = ([0f64; UA_CHUNK], [0f64; UA_CHUNK]);
+        for (first, &host) in first.iter_mut().zip(&self.host) {
+            *first = self.seed.child(host).first_unit();
+        }
+        for (limit, &lambda) in limit.iter_mut().zip(&self.lambda) {
             // λ ≥ 64 samples whatever the limit; keep `fast_exp` in range.
-            let limit = fast_exp((-lambda).max(-64.0));
+            *limit = fast_exp((-lambda).max(-64.0));
+        }
+        for i in 0..UA_CHUNK {
+            let (first, limit) = (first[i], limit[i]);
             let verdict = if (first - limit).abs() <= limit * fastmath::EDGE {
                 AT_EDGE
             } else if first > limit {
@@ -1102,7 +1116,7 @@ impl LaneLoop for UaLanes {
             } else {
                 SKIPS
             };
-            self.verdict[i] = if lambda >= 64.0 { SAMPLES } else { verdict };
+            self.verdict[i] = if self.lambda[i] >= 64.0 { SAMPLES } else { verdict };
         }
     }
 }
@@ -1250,6 +1264,61 @@ mod tests {
             for kernel in [Kernel::Lanes, Kernel::Avx512] {
                 assert_eq!(day(kernel).draws_lanes(&[entry])[0], libm, "{kernel:?}, host {host}");
             }
+        }
+    }
+
+    /// The lane body compiled for AVX-512 gives the baseline body's
+    /// verdicts: on every chunk of a tiny universe's year, and on chunks
+    /// of λ ≥ 64 and of first draws on their limits.
+    #[test]
+    fn the_ua_avx512_wrapper_computes_the_bodys_verdicts() {
+        if Kernel::dispatched() != Kernel::Avx512 {
+            eprintln!("no AVX-512 on this CPU: the wrapper never runs here");
+            return;
+        }
+        let same = |mut body: UaLanes, at: &dyn Fn() -> String| {
+            let mut wrapped = UaLanes { ..body };
+            body.run();
+            assert!(fastmath::run_on_avx512(&mut wrapped));
+            assert_eq!(body.verdict, wrapped.verdict, "{}", at());
+            body.verdict
+        };
+        let u = tiny();
+        let mut scratch = Scratch::new(&u);
+        let mut seen = [0usize; 3];
+        for e in &u.blocks {
+            infallible(u.walk_days(e, &mut scratch, 0..u.config.weeks * 7, |t, entries, _| {
+                let day = UaDay { kernel: Kernel::Avx512, ..u.ua_day(e, t) };
+                for (c, chunk) in entries.chunks(UA_CHUNK).enumerate() {
+                    let at = || format!("{}, day {t}, chunk {c}", e.block);
+                    let verdicts = same(day.lanes(chunk), &at);
+                    for &verdict in &verdicts[..chunk.len()] {
+                        seen[verdict as usize] += 1;
+                    }
+                }
+                Ok(())
+            }));
+        }
+        assert!(seen[SKIPS as usize] > 1_000 && seen[SAMPLES as usize] > 1_000, "{seen:?}");
+        let seed = SeedMixer::new(0x0A9E).child(3);
+        let heavy = UaDay { seed, sample_rate: 1.0, kernel: Kernel::Avx512 };
+        let entries: Vec<DayEntry> = (0..UA_CHUNK as u8)
+            .map(|host| DayEntry {
+                host,
+                hits: 64 + 1000 * host as u32,
+                pop: HostPopulation::Subscriber(7),
+            })
+            .collect();
+        assert_eq!(same(heavy.lanes(&entries), &|| "λ ≥ 64".into()), [SAMPLES; UA_CHUNK]);
+        for host in 0..=255u8 {
+            let lambda = -seed.child(host as u64).first_unit().ln();
+            let edge = UaLanes {
+                seed,
+                host: [host as u64; UA_CHUNK],
+                lambda: [lambda; UA_CHUNK],
+                verdict: [SKIPS; UA_CHUNK],
+            };
+            assert_eq!(same(edge, &|| format!("host {host}")), [AT_EDGE; UA_CHUNK]);
         }
     }
 
