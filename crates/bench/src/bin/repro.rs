@@ -10,11 +10,12 @@
 //! Use a release build for `--scale full` (the default). `--out`
 //! writes the combined report to a file as well as stdout.
 //!
-//! `--jobs N` regenerates the full suite across up to `N` worker
-//! threads (clamped to the machine's cores) sharing the memoized
-//! activity-set cache, heavy figures scheduled first; output is
-//! identical to the serial run, just faster. It applies to the full
-//! suite only.
+//! The full suite runs through `Repro::run_all` at every `--jobs`
+//! (stderr: one `[full suite in ...]` line); `--jobs N` spreads it over
+//! up to `N` threads (clamped to the machine's cores) sharing the
+//! memoized activity-set cache, heavy figures first, with output
+//! identical to one job. An explicit experiment list runs figure by
+//! figure, at one job.
 //! Per-figure wall time is the `figure.<name>` rows of `--profile`;
 //! the perf record is the benchmark package (`benchmark/`,
 //! EXPERIMENTS.md "Performance record").
@@ -202,9 +203,6 @@ fn main() {
     if jobs > 1 && !full_suite {
         usage("--jobs regenerates the full suite; drop the experiment list");
     }
-    if wanted.is_empty() {
-        wanted = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
-    }
 
     eprintln!("generating universe (seed {seed}, scale {scale:?}) ...");
     let start = std::time::Instant::now();
@@ -329,7 +327,7 @@ fn main() {
         std::process::exit(if failed > 0 { 1 } else { 0 });
     }
 
-    let combined = if jobs > 1 {
+    let combined = if full_suite {
         let report = repro.run_all(jobs);
         for f in &report.figures {
             println!("{}", f.output);

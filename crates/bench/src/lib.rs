@@ -8,7 +8,10 @@
 
 #![forbid(unsafe_code)]
 
+mod bands;
 pub mod worker_cli;
+
+pub use bands::{Check, CheckOutcome};
 
 // The analysis engine moved down into `ipactive-core` so the serving
 // layer can build on it without a bench dependency; re-exported here
@@ -404,6 +407,11 @@ impl<S: ActiveSet> Repro<S> {
 
     /// Runs one experiment by name, returning its report text.
     pub fn run(&self, name: &str) -> Option<String> {
+        self.record(name).map(|f| f.text)
+    }
+
+    /// Runs one experiment by name, returning its whole record.
+    fn record(&self, name: &str) -> Option<Figure> {
         Some(match name {
             "fig1" => self.fig1(),
             "table1" => self.table1(),
@@ -434,7 +442,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 1: monthly unique actives 2008–2016, regression, gap.
-    pub fn fig1(&self) -> String {
+    fn fig1(&self) -> Figure {
         let pts = monthly_counts(&GrowthModel { seed: self.seed, ..GrowthModel::default() });
         let fit = timeline::fit_until(&pts, YearMonth::new(2014, 1)).expect("series fits");
         let onset = timeline::detect_stagnation(&pts, &fit, 0.5, 24);
@@ -452,8 +460,10 @@ impl<S: ActiveSet> Repro<S> {
             big(fit.slope as u64),
             fit.r2
         );
+        out.measure("r2", fit.r2);
         if let Some(m) = onset {
             let _ = writeln!(out, "  stagnation onset detected: {m}");
+            out.measure("onset_year", f64::from(m.year));
         }
         if let Some(gap) = timeline::stagnation_gap(&pts, &fit, YearMonth::new(2015, 12)) {
             let _ = writeln!(out, "  2015-12 shortfall vs extrapolation: {:.1}%", gap * 100.0);
@@ -466,7 +476,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Table 1: dataset totals and per-snapshot averages.
-    pub fn table1(&self) -> String {
+    fn table1(&self) -> Figure {
         let table = self.universe.bgp().base();
         let resolve = |b: ipactive_net::Block24| table.origin_of(b.network());
         let d = census::daily_census(&self.daily, resolve);
@@ -493,11 +503,13 @@ impl<S: ActiveSet> Repro<S> {
                 big(row.ases_avg as u64),
             );
         }
+        out.measure("ips_total", d.ips_total as f64);
+        out.measure("ips_avg", d.ips_avg);
         out
     }
 
     /// Figure 2(a): visibility CDN vs ICMP at four granularities.
-    pub fn fig2a(&self) -> String {
+    fn fig2a(&self) -> Figure {
         let cdn = self.cdn_union();
         let icmp = self.icmp_union();
         let table = self.universe.bgp().base();
@@ -516,6 +528,8 @@ impl<S: ActiveSet> Repro<S> {
             "  {:<10} {:>10} {:>14} {:>14} {:>14}",
             "unit", "N", "CDN only", "CDN & ICMP", "ICMP only"
         );
+        out.measure("cdn_only_ip", rows[0].1.cdn_only_fraction());
+        out.measure("cdn_only_24", rows[1].1.cdn_only_fraction());
         for (label, s) in rows {
             let _ = writeln!(
                 out,
@@ -541,7 +555,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 2(b): classification of ICMP-only addresses.
-    pub fn fig2b(&self) -> String {
+    fn fig2b(&self) -> Figure {
         let cdn = self.cdn_union();
         let icmp_only = self.icmp_union().difference(&cdn);
         let c = visibility::classify_icmp_only(&icmp_only, self.server_set(), self.router_set());
@@ -569,11 +583,13 @@ impl<S: ActiveSet> Repro<S> {
             "  infrastructure fraction: {:.1}%",
             100.0 * c.infrastructure_fraction()
         );
+        out.measure("icmp_only", c.total() as f64);
+        out.measure("infrastructure", c.infrastructure_fraction());
         out
     }
 
     /// Figure 3(a): visibility by RIR.
-    pub fn fig3a(&self) -> String {
+    fn fig3a(&self) -> Figure {
         let cdn = self.cdn_union();
         let grouped = geo::by_rir(&*cdn, self.icmp_union(), self.universe.delegations());
         let mut out = header(
@@ -601,10 +617,10 @@ impl<S: ActiveSet> Repro<S> {
         out
     }
 
-    /// Figure 3(b): top countries, annotated with ITU ranks.
-    pub fn fig3b(&self) -> String {
+    /// Figure 3(b): top countries with ITU ranks (renders 11 of the top 16 its CN/JP rates read).
+    fn fig3b(&self) -> Figure {
         let cdn = self.cdn_union();
-        let rows = geo::top_countries(&*cdn, self.icmp_union(), self.universe.delegations(), 11);
+        let rows = geo::top_countries(&*cdn, self.icmp_union(), self.universe.delegations(), 16);
         let mut out = header(
             "Figure 3(b) — top countries with broadband/cellular subscriber ranks",
             "paper: CDN coverage tracks broadband rank; ICMP response ~80% CN vs ~25% JP",
@@ -614,7 +630,13 @@ impl<S: ActiveSet> Repro<S> {
             "  {:<4} {:>10} {:>10} {:>10} {:>11} {:>6} {:>6}",
             "cc", "seen", "CDN only", "ICMP only", "ICMP-resp", "bb#", "cell#"
         );
-        for r in rows {
+        // A rate needs a decent sample to be stable; below it, unrecorded.
+        for (name, cc) in [("icmp_response_cn", "CN"), ("icmp_response_jp", "JP")] {
+            if let Some(r) = rows.iter().find(|r| r.country.as_str() == cc && r.split.total() >= 5_000) {
+                out.measure(name, r.icmp_response_rate());
+            }
+        }
+        for r in rows.iter().take(11) {
             let (bb, cell) = r
                 .ranks
                 .map(|x| (x.broadband.to_string(), x.cellular.to_string()))
@@ -635,7 +657,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 4(a): daily actives with up/down events.
-    pub fn fig4a(&self) -> String {
+    fn fig4a(&self) -> Figure {
         let series = churn::daily_series(self.engine.windows::<Daily>());
         let mut out = header(
             "Figure 4(a) — daily active IPv4 addresses and up/down events",
@@ -666,6 +688,7 @@ impl<S: ActiveSet> Repro<S> {
             big(avg_down as u64),
             100.0 * avg_down / avg_active,
         );
+        out.measure("daily_churn", avg_up / avg_active);
         let profile = churn::weekday_profile(&series);
         let weekday = profile[..5].iter().sum::<f64>() / 5.0;
         let weekend = profile[5..].iter().sum::<f64>() / 2.0;
@@ -680,9 +703,12 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 4(b): churn vs aggregation window size.
-    pub fn fig4b(&self) -> String {
+    fn fig4b(&self) -> Figure {
         let days = self.engine.windows::<Daily>();
         let sweep = churn::window_sweep(days, &[1, 2, 3, 4, 7, 14, 21, 28]);
+        // Extension beyond the paper's 28-day ceiling: the same sweep
+        // over week-granularity windows of the weekly dataset.
+        let weeks = churn::window_sweep(self.engine.windows::<Weekly>(), &[4, 8, 13]);
         let mut out = header(
             "Figure 4(b) — up/down event percentage vs aggregation window",
             "paper: ~8% daily, day-of-week spikes to 14%, plateau ≈5% for windows ≥7d",
@@ -692,25 +718,16 @@ impl<S: ActiveSet> Repro<S> {
             "  {:<8} {:>23} {:>23}",
             "window", "up% (min/med/max)", "down% (min/med/max)"
         );
-        for w in sweep {
+        let rows = sweep.iter().map(|w| (w, "")).chain(weeks.iter().map(|w| (w, "  (weekly data)")));
+        for (w, note) in rows {
+            match (w.window_days, note) {
+                (7, "") => out.measure("up_median_7d", w.up.median),
+                (14, "") => out.measure("up_median_14d", w.up.median),
+                _ => {}
+            }
             let _ = writeln!(
                 out,
-                "  {:<8} {:>6.1} /{:>6.1} /{:>6.1} {:>6.1} /{:>6.1} /{:>6.1}",
-                format!("{}d", w.window_days),
-                w.up.min,
-                w.up.median,
-                w.up.max,
-                w.down.min,
-                w.down.median,
-                w.down.max
-            );
-        }
-        // Extension beyond the paper's 28-day ceiling: the same sweep
-        // over week-granularity windows of the weekly dataset.
-        for w in churn::window_sweep(self.engine.windows::<Weekly>(), &[4, 8, 13]) {
-            let _ = writeln!(
-                out,
-                "  {:<8} {:>6.1} /{:>6.1} /{:>6.1} {:>6.1} /{:>6.1} /{:>6.1}  (weekly data)",
+                "  {:<8} {:>6.1} /{:>6.1} /{:>6.1} {:>6.1} /{:>6.1} /{:>6.1}{note}",
                 format!("{}d", w.window_days),
                 w.up.min,
                 w.up.median,
@@ -724,7 +741,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 4(c): appear/disappear relative to the first week.
-    pub fn fig4c(&self) -> String {
+    fn fig4c(&self) -> Figure {
         let drift = churn::year_drift(&self.weekly);
         let mut out = header(
             "Figure 4(c) — weekly appearing/disappearing addresses vs week 0",
@@ -746,7 +763,9 @@ impl<S: ActiveSet> Repro<S> {
                 100.0 * d.disappear_frac,
             );
         }
+        out.measure("appear_first", drift[0].appear_frac);
         if let Some(last) = drift.last() {
+            out.measure("appear_last", last.appear_frac);
             let _ = writeln!(
                 out,
                 "  year-end drift: +{:.1}% / -{:.1}% of the week-0 population",
@@ -758,7 +777,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 5(a): per-AS median up-event percentage CDF.
-    pub fn fig5a(&self) -> String {
+    fn fig5a(&self) -> Figure {
         let table = self.universe.bgp().base();
         let min_ips = self.min_as_ips();
         let mut out = header(
@@ -791,7 +810,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 5(b): event size distribution by covering prefix mask.
-    pub fn fig5b(&self) -> String {
+    fn fig5b(&self) -> Figure {
         let mut out = header(
             "Figure 5(b) — size of up events (smallest covering prefix mask)",
             "paper: 1d events >70% at /31–/32; 28d windows: >38% of events at masks ≤ /24",
@@ -801,12 +820,25 @@ impl<S: ActiveSet> Repro<S> {
             "  {:<8} {:>8} {:>8} {:>8} {:>8} {:>8}",
             "window", ">=/16", "/17-20", "/21-24", "/25-28", "/29-32"
         );
-        for window in [1usize, 7, 28] {
+        let (long, extra) = self.long_window();
+        for window in [1usize, 7, 28].into_iter().chain(extra) {
             if self.daily.num_days / window < 2 {
                 continue;
             }
             let days = self.engine.windows::<Daily>();
             let h = events::event_sizes(days, window, events::EventDirection::Up);
+            if window == 1 {
+                out.measure("events_1d", h.total() as f64);
+                out.measure("bulky_1d", h.fraction_between(0, 28));
+                out.measure("single_1d", h.fraction_between(29, 32));
+            }
+            if window == long {
+                out.measure("events_long", h.total() as f64);
+                out.measure("bulky_long", h.fraction_between(0, 28));
+            }
+            if extra == Some(window) {
+                continue;
+            }
             let b = h.figure5b_buckets();
             let _ = writeln!(
                 out,
@@ -823,19 +855,27 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 5(c): correlation of events with BGP changes.
-    pub fn fig5c(&self) -> String {
+    fn fig5c(&self) -> Figure {
         let offset = self.universe.config().daily_offset as u16;
         let mut out = header(
             "Figure 5(c) — % of events coinciding with a BGP change",
             "paper: events correlate more than steady addresses, but all <2.5%",
         );
         let _ = writeln!(out, "  {:<8} {:>8} {:>8} {:>8}", "window", "up", "down", "steady");
-        for window in [1usize, 7, 28] {
+        let (long, extra) = self.long_window();
+        for window in [1usize, 7, 28].into_iter().chain(extra) {
             if self.daily.num_days / window < 2 {
                 continue;
             }
             let days = self.engine.windows::<Daily>();
             let c = events::bgp_correlation(days, window, self.universe.bgp(), offset);
+            if window == long {
+                out.measure("up_pct_long", c.up_pct);
+                out.measure("down_pct_long", c.down_pct);
+            }
+            if extra == Some(window) {
+                continue;
+            }
             let _ = writeln!(
                 out,
                 "  {:<8} {:>7.2}% {:>7.2}% {:>7.2}%",
@@ -849,7 +889,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Table 2: long-term appear/disappear with BGP attribution.
-    pub fn table2(&self) -> String {
+    fn table2(&self) -> Figure {
         let weeks = self.weekly.num_weeks;
         let span = (weeks / 6).max(2);
         let lt = churn::long_term(
@@ -889,6 +929,8 @@ impl<S: ActiveSet> Repro<S> {
         ] {
             let _ = writeln!(out, "  {:<28} {:>10.1}% {:>11.1}%", label, 100.0 * a, 100.0 * d);
         }
+        out.measure("appear_no_bgp_change", lt.appear_bgp.no_change);
+        out.measure("disappear_no_bgp_change", lt.disappear_bgp.no_change);
         // The bulkiest appearing ranges, compressed to CIDR prefixes.
         let mut prefixes = lt.appear.to_prefixes();
         prefixes.sort_by_key(|p| p.len());
@@ -914,7 +956,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 6: exemplar in-situ activity patterns.
-    pub fn fig6(&self) -> String {
+    fn fig6(&self) -> Figure {
         use ipactive_cdnsim::AssignmentPolicy as P;
         type PolicyPred = Box<dyn Fn(&ipactive_cdnsim::BlockEntry) -> bool>;
         let mut out = header(
@@ -949,7 +991,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 7: modified assignment practice exemplars.
-    pub fn fig7(&self) -> String {
+    fn fig7(&self) -> Figure {
         let mut out = header(
             "Figure 7 — modified assignment practice (mid-window reconfigurations)",
             "paper: temporally/spatially inconsistent patterns from reallocation or repurposing",
@@ -983,7 +1025,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 8(a): CDF of max monthly STU change.
-    pub fn fig8a(&self) -> String {
+    fn fig8a(&self) -> Figure {
         let month = self.month_days();
         let part = change::detect(&self.daily, month, change::DEFAULT_THRESHOLD);
         let ecdf = part.delta_ecdf();
@@ -1002,11 +1044,12 @@ impl<S: ActiveSet> Repro<S> {
             100.0 * part.major_fraction(),
             part.stable.len()
         );
+        out.measure("major_fraction", part.major_fraction());
         out
     }
 
     /// Figure 8(b): filling degree by DNS-derived assignment class.
-    pub fn fig8b(&self) -> String {
+    fn fig8b(&self) -> Figure {
         let days = self.engine.windows::<Daily>();
         let split = blocks::fd_by_assignment(days, self.universe.ptr_table(), 16);
         let mut out = header(
@@ -1020,6 +1063,12 @@ impl<S: ActiveSet> Repro<S> {
             split.n_dynamic,
             split.all.len()
         );
+        out.measure("tagged_static", split.n_static as f64);
+        out.measure("tagged_dynamic", split.n_dynamic as f64);
+        // An empty class has no median: NaN, which no bound admits.
+        let p50 = |e: &ipactive_core::stats::Ecdf| if e.is_empty() { f64::NAN } else { e.quantile(0.5) };
+        out.measure("static_p50", p50(&split.static_blocks));
+        out.measure("dynamic_p50", p50(&split.dynamic_blocks));
         let _ = writeln!(
             out,
             "  {:<10} {:>9} {:>9} {:>9} {:>9}",
@@ -1048,7 +1097,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 8(c): STU histogram of highly-filled blocks.
-    pub fn fig8c(&self) -> String {
+    fn fig8c(&self) -> Figure {
         let h = blocks::stu_histogram_high_fd(&self.daily, 250, 10);
         let p = blocks::potential_utilization(&self.daily);
         let mut out = header(
@@ -1070,11 +1119,13 @@ impl<S: ActiveSet> Repro<S> {
             big(p.high_fd_high_stu as u64),
             big(p.high_fd_low_stu as u64),
         );
+        out.measure("high_fd_blocks", h.total as f64);
+        out.measure("high_stu_fraction", h.fraction_ge(80.0));
         out
     }
 
     /// Figure 9(a): daily hits binned by days active.
-    pub fn fig9a(&self) -> String {
+    fn fig9a(&self) -> Figure {
         let bins = traffic::hits_by_days_active(&self.daily);
         let mut out = header(
             "Figure 9(a) — median daily hits per address, binned by days active",
@@ -1123,7 +1174,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 9(b): cumulative IP and traffic fractions.
-    pub fn fig9b(&self) -> String {
+    fn fig9b(&self) -> Figure {
         let c = traffic::cumulative_shares(&self.daily);
         let mut out = header(
             "Figure 9(b) — cumulative fraction of addresses and traffic by days active",
@@ -1149,11 +1200,13 @@ impl<S: ActiveSet> Repro<S> {
             100.0 * c.always_on_ip_fraction(),
             100.0 * c.always_on_traffic_fraction()
         );
+        out.measure("always_on_ips", c.always_on_ip_fraction());
+        out.measure("always_on_traffic", c.always_on_traffic_fraction());
         out
     }
 
     /// Figure 9(c): weekly traffic share of the top-10% addresses.
-    pub fn fig9c(&self) -> String {
+    fn fig9c(&self) -> Figure {
         let shares = traffic::weekly_top_share(&self.weekly, 0.1);
         let smooth = traffic::moving_average(&shares, 4);
         let mut out = header(
@@ -1174,6 +1227,8 @@ impl<S: ActiveSet> Repro<S> {
             }
         }
         let (first, last) = (smooth.first().unwrap(), smooth.last().unwrap());
+        out.measure("share_first", *first);
+        out.measure("share_last", *last);
         let _ = writeln!(
             out,
             "  trend: {:.1}% -> {:.1}% ({:+.1} points over the year)",
@@ -1189,7 +1244,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 10: UA samples vs unique UA strings per /24.
-    pub fn fig10(&self) -> String {
+    fn fig10(&self) -> Figure {
         let points = hosts::ua_scatter(&self.daily);
         let t = hosts::UaRegionThresholds::default();
         let mut counts = std::collections::HashMap::new();
@@ -1202,6 +1257,7 @@ impl<S: ActiveSet> Repro<S> {
             "paper: residential bulk; bot corner (high x, low y); gateway corner (high x+y)",
         );
         let _ = writeln!(out, "  blocks with UA samples: {}", points.len());
+        out.measure("ua_blocks", points.len() as f64);
         let _ = writeln!(
             out,
             "  log-log heat map (rows: unique-UA decade, cols: sample decade):"
@@ -1217,8 +1273,10 @@ impl<S: ActiveSet> Repro<S> {
         ] {
             let _ = writeln!(out, "  {:<8} {:>7}", label, counts.get(&region).copied().unwrap_or(0));
         }
+        out.measure("gateways", counts.get(&hosts::UaRegion::Gateway).copied().unwrap_or(0) as f64);
         if let Some(r) = hosts::log_correlation(&points) {
             let _ = writeln!(out, "  log-log correlation(samples, uniques): {r:.2}");
+            out.measure("log_correlation", r);
         }
         // The paper inspects the gateway corner with WHOIS: "more than
         // half of these blocks belong to ISPs located in Asia and ...
@@ -1252,7 +1310,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 11: the demographics cube.
-    pub fn fig11(&self) -> String {
+    fn fig11(&self) -> Figure {
         let feats = demographics::features(&self.daily);
         let cube = demographics::cube(&feats);
         let mut out = header(
@@ -1262,6 +1320,9 @@ impl<S: ActiveSet> Repro<S> {
         let marg = cube.stu_marginal();
         let _ = writeln!(out, "  STU marginal (bin 0 -> 9):");
         let total: u64 = marg.iter().sum();
+        out.measure("blocks", total as f64);
+        out.measure("low_stu", marg[..3].iter().sum::<u64>() as f64);
+        out.measure("high_stu", marg[7..].iter().sum::<u64>() as f64);
         for (i, &n) in marg.iter().enumerate() {
             let bar = "#".repeat((60 * n / total.max(1)) as usize);
             let _ = writeln!(
@@ -1281,7 +1342,7 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Figure 12: per-RIR demographic grids.
-    pub fn fig12(&self) -> String {
+    fn fig12(&self) -> Figure {
         let feats = demographics::features(&self.daily);
         let grids = demographics::per_rir(&feats, self.universe.delegations());
         let mut out = header(
@@ -1328,14 +1389,16 @@ impl<S: ActiveSet> Repro<S> {
     }
 
     /// Runs every experiment on up to `jobs` threads through
-    /// [`claim_map`], heavy figures first.
+    /// [`claim_map`], heavy figures first, keeping each figure's text
+    /// and measures in its [`FigureRun`] (`repro`'s full report and
+    /// [`Repro::validate`] both read this one pass).
     ///
     /// The thread count is clamped to the machine's cores (a `--jobs`
     /// above the core count used to oversubscribe a small box and run
     /// *slower* than serial); at one thread the caller runs the suite
     /// itself. Threads claim `HEAVY_FIRST` indices, but the report is
-    /// always assembled in [`EXPERIMENTS`] order: output is
-    /// deterministic and byte-identical to running each figure serially
+    /// always assembled in [`EXPERIMENTS`] order: text and measures are
+    /// deterministic and bit-identical to running each figure serially
     /// (pinned by `tests/engine.rs`), and the cache hit/miss totals are
     /// a pure function of the query set, independent of `jobs`.
     pub fn run_all(&self, jobs: usize) -> RunAllReport {
@@ -1348,7 +1411,7 @@ impl<S: ActiveSet> Repro<S> {
         // timed window: the cached pass pays for it honestly.
         self.engine.prewarm_units();
         let suite_span = self.registry.span("repro.run_all");
-        let (outputs, _) = claim_map(&HEAVY_FIRST, jobs.min(cores), || (), |(), i| {
+        let (records, _) = claim_map(&HEAVY_FIRST, jobs.min(cores), || (), |(), i| {
             let name = EXPERIMENTS[i];
             let _span = self.registry.span(format!("figure.{name}"));
             // Each figure gets its own trace, minted from (seed, figure
@@ -1356,19 +1419,15 @@ impl<S: ActiveSet> Repro<S> {
             // byte-identical whatever `jobs` is.
             let ftrace = TraceId::mint(self.seed ^ FIG_SALT, i as u64);
             let fctx = self.registry.trace_span(TraceContext::root(ftrace), "figure", name);
-            let output = self.run(name).expect("EXPERIMENTS entries are runnable");
-            self.registry.trace_span(fctx, "figure.output", format!("bytes {}", output.len()));
-            output
+            let figure = self.record(name).expect("EXPERIMENTS entries are runnable");
+            self.registry.trace_span(fctx, "figure.output", format!("bytes {}", figure.len()));
+            figure
         });
         drop(suite_span);
         let total_ms = started.elapsed().as_secs_f64() * 1e3;
         let after = self.engine.stats();
         RunAllReport {
-            figures: EXPERIMENTS
-                .iter()
-                .zip(outputs)
-                .map(|(&name, output)| FigureRun { name, output })
-                .collect(),
+            figures: EXPERIMENTS.iter().zip(records).map(|(&name, f)| f.run(name)).collect(),
             total_ms,
             cache: CacheStats {
                 hits: after.hits - before.hits,
@@ -1388,15 +1447,21 @@ impl<S: ActiveSet> Repro<S> {
             let _span = self.registry.span("repro.serial_uncached");
             EXPERIMENTS
                 .iter()
-                .map(|&name| {
-                    let output = self.run(name).expect("EXPERIMENTS entries are runnable");
-                    FigureRun { name, output }
-                })
+                .map(|&name| self.record(name).expect("EXPERIMENTS entries are runnable").run(name))
                 .collect()
         };
         let total_ms = started.elapsed().as_secs_f64() * 1e3;
         self.engine.set_bypass(false);
         RunAllReport { figures, total_ms, cache: CacheStats::default() }
+    }
+
+    /// Verifies the paper's qualitative findings against this
+    /// session's measurements — the executable form of EXPERIMENTS.md:
+    /// one [`Repro::run_all`] (at the machine's cores), then 22 bands
+    /// over the measures it recorded, one [`Check`] per band its guard
+    /// keeps. `repro validate` exits nonzero if any check fails.
+    pub fn validate(&self) -> Vec<Check> {
+        bands::evaluate(&self.run_all(usize::MAX).figures)
     }
 
     fn month_days(&self) -> usize {
@@ -1409,6 +1474,13 @@ impl<S: ActiveSet> Repro<S> {
         }
     }
 
+    /// The window Fig 5(b)/(c)'s claims set against one day (a quarter
+    /// of the days), and `Some` of it too when none of {1, 7, 28} is it.
+    fn long_window(&self) -> (usize, Option<usize>) {
+        let long = (self.daily.num_days / 4).max(2);
+        (long, (![1, 7, 28].contains(&long)).then_some(long))
+    }
+
     fn min_as_ips(&self) -> usize {
         // The paper filters ASes at 1000 IPs over a ~1B-address pool;
         // scale the filter with the universe.
@@ -1416,14 +1488,51 @@ impl<S: ActiveSet> Repro<S> {
     }
 }
 
-/// One figure's output inside a [`RunAllReport`]. (Its wall-clock is
-/// the `figure.<name>` span of the session registry.)
+/// One experiment computed once: the report text, and the named
+/// scalar measures its shape claims read. Formatting writes to the
+/// text, which the record derefs to.
+struct Figure {
+    text: String,
+    measures: Vec<(&'static str, f64)>,
+}
+
+impl Figure {
+    fn measure(&mut self, name: &'static str, value: f64) {
+        self.measures.push((name, value));
+    }
+
+    fn run(self, name: &'static str) -> FigureRun {
+        FigureRun { name, output: self.text, measures: self.measures }
+    }
+}
+
+impl std::fmt::Write for Figure {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.text.push_str(s);
+        Ok(())
+    }
+}
+
+impl std::ops::Deref for Figure {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
+
+/// One figure's record inside a [`RunAllReport`]: its text and its
+/// measures. (Its wall-clock is the `figure.<name>` span of the session
+/// registry.)
 #[derive(Debug, Clone)]
 pub struct FigureRun {
     /// The experiment identifier (an [`EXPERIMENTS`] entry).
     pub name: &'static str,
     /// The report text, exactly as [`Repro::run`] returned it.
     pub output: String,
+    /// The named scalars the figure measured while it rendered (e.g.
+    /// `fig2a`'s `cdn_only_ip`), in recording order: what
+    /// [`Repro::validate`]'s band table reads.
+    pub measures: Vec<(&'static str, f64)>,
 }
 
 /// Result of [`Repro::run_all`] / [`Repro::run_serial_uncached`]:
@@ -1447,336 +1556,8 @@ impl RunAllReport {
     }
 }
 
-/// Outcome of one shape check in [`Repro::validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckOutcome {
-    /// The paper-shape invariant held.
-    Pass,
-    /// The invariant failed; the string explains the measured values.
-    Fail(String),
-    /// Not enough data at this scale to evaluate the invariant.
-    Skip(String),
-}
-
-/// One named shape check.
-#[derive(Debug, Clone)]
-pub struct Check {
-    /// Which experiment the check belongs to.
-    pub experiment: &'static str,
-    /// What shape property is asserted.
-    pub claim: &'static str,
-    /// The outcome.
-    pub outcome: CheckOutcome,
-}
-
-impl<S: ActiveSet> Repro<S> {
-    /// Verifies the paper's qualitative findings against this
-    /// session's measurements — the executable form of EXPERIMENTS.md.
-    /// Returns one [`Check`] per claim; `repro validate` drives this
-    /// and exits nonzero if any check fails.
-    pub fn validate(&self) -> Vec<Check> {
-        let mut out = Vec::new();
-        let mut push = |experiment: &'static str, claim: &'static str, outcome: CheckOutcome| {
-            out.push(Check { experiment, claim, outcome });
-        };
-        fn ok(cond: bool, detail: String) -> CheckOutcome {
-            if cond {
-                CheckOutcome::Pass
-            } else {
-                CheckOutcome::Fail(detail)
-            }
-        }
-
-        // Figure 1: linear then stagnating growth.
-        {
-            let pts =
-                monthly_counts(&GrowthModel { seed: self.seed, ..GrowthModel::default() });
-            let fit = timeline::fit_until(&pts, YearMonth::new(2014, 1)).unwrap();
-            push("fig1", "pre-2014 growth is linear (r2 > 0.98)", ok(fit.r2 > 0.98, format!("r2={:.4}", fit.r2)));
-            let onset = timeline::detect_stagnation(&pts, &fit, 0.5, 24);
-            push("fig1", "stagnation onset detected near 2014", match onset {
-                Some(m) if (2014..=2015).contains(&m.year) => CheckOutcome::Pass,
-                other => CheckOutcome::Fail(format!("onset {other:?}")),
-            });
-        }
-
-        // Table 1: churn signature (IP totals exceed averages clearly).
-        {
-            let table = self.universe.bgp().base();
-            let d = census::daily_census(&self.daily, |b| table.origin_of(b.network()));
-            push(
-                "table1",
-                "distinct IPs over the window exceed the per-day average",
-                ok(d.ips_total as f64 > 1.1 * d.ips_avg, format!("{} vs {}", d.ips_total, d.ips_avg)),
-            );
-        }
-
-        // Figure 2: visibility structure.
-        {
-            let cdn = self.cdn_union();
-            let icmp = self.icmp_union();
-            let ip = visibility::split_addrs(&*cdn, icmp);
-            let blocks = visibility::split_blocks(&*cdn, icmp);
-            push(
-                "fig2a",
-                "CDN-only share is large at IP level",
-                ok(ip.cdn_only_fraction() > 0.25, format!("{:.2}", ip.cdn_only_fraction())),
-            );
-            push(
-                "fig2a",
-                "the blind spot shrinks when aggregating to /24s",
-                ok(
-                    blocks.cdn_only_fraction() < ip.cdn_only_fraction(),
-                    format!("{:.2} !< {:.2}", blocks.cdn_only_fraction(), ip.cdn_only_fraction()),
-                ),
-            );
-            let icmp_only = icmp.difference(&cdn);
-            let c = visibility::classify_icmp_only(&icmp_only, self.server_set(), self.router_set());
-            push(
-                "fig2b",
-                "a substantial share of ICMP-only space is infrastructure",
-                if c.total() < 50 {
-                    CheckOutcome::Skip(format!("only {} ICMP-only addrs", c.total()))
-                } else {
-                    ok(
-                        (0.15..=0.95).contains(&c.infrastructure_fraction()),
-                        format!("{:.2}", c.infrastructure_fraction()),
-                    )
-                },
-            );
-        }
-
-        // Figure 3(b): CN responds to ICMP far more than JP.
-        {
-            let cdn = self.cdn_union();
-            let rows = geo::top_countries(&*cdn, self.icmp_union(), self.universe.delegations(), 16);
-            // The per-country spread needs a decent sample before it
-            // stabilizes; small universes may only hold a handful of
-            // blocks per country.
-            let rate = |cc: &str| {
-                rows.iter()
-                    .find(|r| r.country.as_str() == cc && r.split.total() >= 5_000)
-                    .map(|r| r.icmp_response_rate())
-            };
-            match (rate("CN"), rate("JP")) {
-                (Some(cn), Some(jp)) => push(
-                    "fig3b",
-                    "ICMP response rate: CN well above JP",
-                    ok(cn > jp + 0.1, format!("CN {cn:.2} vs JP {jp:.2}")),
-                ),
-                _ => push("fig3b", "ICMP response rate: CN well above JP",
-                          CheckOutcome::Skip("per-country sample too small at this scale".into())),
-            }
-        }
-
-        // Figure 4: churn magnitudes.
-        {
-            let days = self.engine.windows::<Daily>();
-            let series = churn::daily_series(days);
-            let avg_active: f64 =
-                series.iter().map(|p| p.active as f64).sum::<f64>() / series.len() as f64;
-            let avg_up: f64 = series.iter().skip(1).map(|p| p.up as f64).sum::<f64>()
-                / (series.len() - 1) as f64;
-            let daily_churn = avg_up / avg_active;
-            push(
-                "fig4a",
-                "daily churn near the paper's ~8% (3%..25%)",
-                ok((0.03..0.25).contains(&daily_churn), format!("{:.3}", daily_churn)),
-            );
-            let sweep = churn::window_sweep(days, &[7, 14]);
-            let plateau_alive = sweep.iter().all(|w| w.up.median > 0.5);
-            push(
-                "fig4b",
-                "churn does not decay to zero at larger windows",
-                ok(plateau_alive, format!("{sweep:?}")),
-            );
-            let drift = churn::year_drift(&self.weekly);
-            let last = drift.last().unwrap();
-            push(
-                "fig4c",
-                "year-end drift exceeds 5% and grows",
-                ok(
-                    last.appear_frac > 0.05 && last.appear_frac > drift[0].appear_frac,
-                    format!("{:.3}", last.appear_frac),
-                ),
-            );
-        }
-
-        // Figure 5(b): bulkiness grows with aggregation window.
-        {
-            let days = self.engine.windows::<Daily>();
-            let h1 = events::event_sizes(days, 1, events::EventDirection::Up);
-            let w = (self.daily.num_days / 4).max(2);
-            let hw = events::event_sizes(days, w, events::EventDirection::Up);
-            if h1.total() < 100 || hw.total() < 100 {
-                push("fig5b", "long-window events are bulkier",
-                     CheckOutcome::Skip("too few events".into()));
-            } else {
-                push(
-                    "fig5b",
-                    "long-window events are bulkier",
-                    ok(
-                        hw.fraction_between(0, 28) > h1.fraction_between(0, 28),
-                        format!("{:.2} !> {:.2}", hw.fraction_between(0, 28), h1.fraction_between(0, 28)),
-                    ),
-                );
-                push(
-                    "fig5b",
-                    "daily events are dominated by single addresses",
-                    ok(h1.fraction_between(29, 32) > 0.5, format!("{:.2}", h1.fraction_between(29, 32))),
-                );
-            }
-        }
-
-        // Figure 5(c): BGP correlation ordering.
-        {
-            let offset = self.universe.config().daily_offset as u16;
-            let w = (self.daily.num_days / 4).max(2);
-            let days = self.engine.windows::<Daily>();
-            let c = events::bgp_correlation(days, w, self.universe.bgp(), offset);
-            push(
-                "fig5c",
-                "the vast majority of churn is invisible to BGP",
-                ok(c.up_pct < 25.0 && c.down_pct < 25.0, format!("{c:?}")),
-            );
-        }
-
-        // Table 2: long-term churn mostly BGP-silent.
-        {
-            let weeks = self.weekly.num_weeks;
-            let span = (weeks / 6).max(2);
-            let lt = churn::long_term(self.engine.windows::<Weekly>(), 0..span, weeks - span..weeks,
-                                      self.universe.bgp(), 7);
-            push(
-                "table2",
-                "most appearing/disappearing addresses see no BGP change",
-                ok(
-                    lt.appear_bgp.no_change > 0.7 && lt.disappear_bgp.no_change > 0.7,
-                    format!("{:?} / {:?}", lt.appear_bgp, lt.disappear_bgp),
-                ),
-            );
-        }
-
-        // Figure 8: addressing practice.
-        {
-            let part = change::detect(&self.daily, self.month_days(), change::DEFAULT_THRESHOLD);
-            push(
-                "fig8a",
-                "most blocks are stable within ±0.25 STU",
-                ok(
-                    (0.0..0.5).contains(&part.major_fraction()),
-                    format!("{:.3}", part.major_fraction()),
-                ),
-            );
-            let days = self.engine.windows::<Daily>();
-            let split = blocks::fd_by_assignment(days, self.universe.ptr_table(), 16);
-            if split.n_static < 5 || split.n_dynamic < 5 {
-                push("fig8b", "static blocks fill less than dynamic blocks",
-                     CheckOutcome::Skip("too few tagged blocks".into()));
-            } else {
-                push(
-                    "fig8b",
-                    "static blocks fill less than dynamic blocks",
-                    ok(
-                        split.static_blocks.quantile(0.5) < split.dynamic_blocks.quantile(0.5),
-                        format!(
-                            "static p50 {} vs dynamic p50 {}",
-                            split.static_blocks.quantile(0.5),
-                            split.dynamic_blocks.quantile(0.5)
-                        ),
-                    ),
-                );
-            }
-            let h = blocks::stu_histogram_high_fd(&self.daily, 250, 10);
-            push(
-                "fig8c",
-                "highly-filled pools skew to high utilization",
-                if h.total < 10 {
-                    CheckOutcome::Skip(format!("only {} high-FD blocks", h.total))
-                } else {
-                    ok(h.fraction_ge(80.0) > 0.3, format!("{:.2}", h.fraction_ge(80.0)))
-                },
-            );
-        }
-
-        // Figure 9: traffic concentration.
-        {
-            let shares = traffic::cumulative_shares(&self.daily);
-            push(
-                "fig9b",
-                "always-on addresses out-earn their headcount",
-                ok(
-                    shares.always_on_traffic_fraction() > 2.0 * shares.always_on_ip_fraction(),
-                    format!(
-                        "{:.2} !> 2x {:.2}",
-                        shares.always_on_traffic_fraction(),
-                        shares.always_on_ip_fraction()
-                    ),
-                ),
-            );
-            let weekly = traffic::weekly_top_share(&self.weekly, 0.1);
-            let smooth = traffic::moving_average(&weekly, 4);
-            push(
-                "fig9c",
-                "top-decile traffic share rises over the year",
-                ok(
-                    smooth.last().unwrap() > smooth.first().unwrap(),
-                    format!("{:.3} -> {:.3}", smooth.first().unwrap(), smooth.last().unwrap()),
-                ),
-            );
-        }
-
-        // Figure 10: UA regions.
-        {
-            let points = hosts::ua_scatter(&self.daily);
-            match hosts::log_correlation(&points) {
-                Some(r) => push(
-                    "fig10",
-                    "traffic and host diversity correlate",
-                    ok(r > 0.2, format!("r={r:.2}")),
-                ),
-                None => push("fig10", "traffic and host diversity correlate",
-                             CheckOutcome::Skip("not enough UA data".into())),
-            }
-            let t = hosts::UaRegionThresholds::default();
-            let gateways =
-                points.iter().filter(|p| hosts::classify(p, &t) == hosts::UaRegion::Gateway).count();
-            push(
-                "fig10",
-                "a gateway corner exists",
-                if points.len() < 50 {
-                    CheckOutcome::Skip("too few blocks with samples".into())
-                } else {
-                    ok(gateways > 0, format!("{gateways} gateways of {}", points.len()))
-                },
-            );
-        }
-
-        // Figure 11: bimodal STU.
-        {
-            let feats = demographics::features(&self.daily);
-            let cube = demographics::cube(&feats);
-            let marg = cube.stu_marginal();
-            let total: u64 = marg.iter().sum();
-            let low: u64 = marg[..3].iter().sum();
-            let high: u64 = marg[7..].iter().sum();
-            push(
-                "fig11",
-                "STU distribution is bimodal (mass in both extremes)",
-                if total < 50 {
-                    CheckOutcome::Skip(format!("only {total} blocks"))
-                } else {
-                    ok(low * 10 > total && high * 10 > total, format!("{marg:?}"))
-                },
-            );
-        }
-
-        out
-    }
-}
-
-fn header(title: &str, expectation: &str) -> String {
-    format!("\n== {title}\n   [{expectation}]\n")
+fn header(title: &str, expectation: &str) -> Figure {
+    Figure { text: format!("\n== {title}\n   [{expectation}]\n"), measures: Vec::new() }
 }
 
 /// Formats an integer with thousands separators.

@@ -2,10 +2,16 @@
 //! the parallel `run_all` must be invisible in the output — every
 //! figure byte-identical to a serial run with the cache bypassed.
 
-use ipactive_bench::{AnalysisCtx, Repro, Scale, EXPERIMENTS};
+use ipactive_bench::{AnalysisCtx, FigureRun, Repro, Scale, EXPERIMENTS};
 use ipactive_core::{Cadence, Daily, SlotMatrix, Weekly, Windows};
 use ipactive_net::{ActiveSet, AddrSet, TieredSet};
 use std::sync::Arc;
+
+/// A figure's measures as (name, bits): equal means same names, same
+/// order and bit-identical values.
+fn measure_bits(f: &FigureRun) -> Vec<(&'static str, u64)> {
+    f.measures.iter().map(|&(name, v)| (name, v.to_bits())).collect()
+}
 
 #[test]
 fn run_all_parallel_is_byte_identical_to_serial_uncached() {
@@ -18,6 +24,7 @@ fn run_all_parallel_is_byte_identical_to_serial_uncached() {
     for (b, c) in baseline.figures.iter().zip(&cached.figures) {
         assert_eq!(b.name, c.name, "report order must follow EXPERIMENTS");
         assert_eq!(b.output, c.output, "{} output diverged under the cache", b.name);
+        assert_eq!(measure_bits(b), measure_bits(c), "{} measures diverged under the cache", b.name);
     }
     assert_eq!(baseline.combined_output(), cached.combined_output());
     assert!(
@@ -35,6 +42,7 @@ fn run_all_output_follows_experiments_order_regardless_of_jobs() {
         assert_eq!(f1.name, name);
         assert_eq!(f7.name, name);
         assert_eq!(f1.output, f7.output);
+        assert_eq!(measure_bits(f1), measure_bits(f7), "{name} measures depend on jobs");
     }
     // The second pass answers every query from the first pass's cache.
     assert_eq!(many.cache.misses, 0, "warm run must not miss");
@@ -106,6 +114,7 @@ fn tiered_and_reference_backends_are_byte_identical() {
     for (t, r) in rt.figures.iter().zip(&rr.figures) {
         assert_eq!(t.name, r.name, "figure order diverged across backends");
         assert_eq!(t.output, r.output, "{} diverged across backends", t.name);
+        assert_eq!(measure_bits(t), measure_bits(r), "{} measures diverged across backends", t.name);
     }
     assert_eq!(rt.combined_output(), rr.combined_output());
     assert_eq!(rt.cache, rr.cache, "cache hit/miss counters diverged across backends");

@@ -6,9 +6,11 @@
 //! ```
 //!
 //! It generates the paper-geometry universe (~2.4 K blocks, 112 days,
-//! 52 weeks) and asserts every executable shape claim — the same gate
-//! `repro validate` provides as a binary, wired into the test harness
-//! for release pipelines with time to spare.
+//! 52 weeks), runs the figure suite once and asserts every executable
+//! shape claim — the 22 bands `Repro::validate` evaluates over the
+//! measures the figures record, the same gate `repro validate`
+//! provides as a binary — wired into the test harness for release
+//! pipelines with time to spare.
 
 use ipactive_bench::{CheckOutcome, Repro, Scale};
 
