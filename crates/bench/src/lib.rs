@@ -1410,7 +1410,9 @@ impl<S: ActiveSet> Repro<S> {
         // absorb ~120 cold unit builds on their own clocks. Inside the
         // timed window: the cached pass pays for it honestly.
         self.engine.prewarm_units();
-        let suite_span = self.registry.span("repro.run_all");
+        // No span is held open here: the calling thread works a share,
+        // and a span open on it would adopt the figures it happens to
+        // claim. `total_ms` is the suite's wall time.
         let (records, _) = claim_map(&HEAVY_FIRST, jobs.min(cores), || (), |(), i| {
             let name = EXPERIMENTS[i];
             let _span = self.registry.span(format!("figure.{name}"));
@@ -1423,7 +1425,6 @@ impl<S: ActiveSet> Repro<S> {
             self.registry.trace_span(fctx, "figure.output", format!("bytes {}", figure.len()));
             figure
         });
-        drop(suite_span);
         let total_ms = started.elapsed().as_secs_f64() * 1e3;
         let after = self.engine.stats();
         RunAllReport {

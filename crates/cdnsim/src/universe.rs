@@ -5,7 +5,7 @@ use crate::config::{AsKind, CountryProfile, UniverseConfig, COUNTRY_PROFILES};
 use crate::fastmath::{self, fast_exp, Kernel, LaneLoop};
 use crate::policy::{AssignmentPolicy, BlockProbeProfile, DayEntry, HostPopulation, PolicySim};
 use ipactive_bgp::{Asn, BgpEvent, BgpEventKind, BgpTimeline, RoutingTable};
-use ipactive_core::par::claim_map;
+use ipactive_core::par::{claim_map, sweep_threads};
 use ipactive_core::{BlockRecord, DailyDataset, IpTraffic, WeeklyDataset};
 use ipactive_dns::{NamingScheme, PtrTable};
 use ipactive_net::{Addr, Block24, DayBits, Prefix};
@@ -1163,11 +1163,6 @@ fn sample_ua(pop: &HostPopulation, rng: &mut rand::rngs::StdRng) -> u64 {
         }
         HostPopulation::Bot(key) => crate::ua::render_bot_hash(key),
     }
-}
-
-/// How many threads a sweep runs on.
-fn sweep_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
 }
 
 impl ProbeTarget for Universe {

@@ -13,9 +13,10 @@
 
 use crate::cadence::SlotMatrix;
 use crate::coverage::Coverage;
+use crate::par::{claim_map, sweep_threads};
 use ipactive_net::{ActiveSet, Addr, Block24, DayBits};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Per-address traffic summary over the daily window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,10 +147,21 @@ impl DailyDataset {
 /// One-shot callers [`finish`](Self::finish) it; a long-lived caller
 /// keeps it, [`grow`](Self::grow)s the window as days arrive, folds
 /// only the new records and publishes [`snapshot`](Self::snapshot)s.
-#[derive(Debug, Default)]
+///
+/// The accumulators sit in one table per shard, as many shards as a
+/// sweep has threads ([`sweep_threads`]); a block lives in shard
+/// `block % shards`, so every address has exactly one accumulator and
+/// [`record_days`](Self::record_days) folds the shards side by side.
+/// Every other entry point reaches a block's shard directly, on the
+/// calling thread.
+#[derive(Debug)]
 pub struct DailyDatasetBuilder {
     num_days: usize,
-    blocks: BlockTable<BlockAcc>,
+    shards: Vec<BlockTable<BlockAcc>>,
+    /// The block the last serial record (`record_hits`, `record_ua`)
+    /// named, with its shard and position there: [`BlockTable`]'s memo
+    /// one level up, so a block-major log pays no shard lookup either.
+    last: Option<(Block24, usize, usize)>,
     /// Medians found by selection over every snapshot so far.
     selected: u64,
     /// Rank windows refilled over every snapshot so far.
@@ -202,13 +214,24 @@ impl<A> BlockTable<A> {
     /// block both hold is combined by `both`.
     fn merge(&mut self, other: BlockTable<A>, mut both: impl FnMut(&mut A, A)) {
         for (block, acc) in other.accs {
-            let mut acc = Some(acc);
-            let at = self.position(block, || acc.take().expect("taken once"));
-            if let Some(acc) = acc {
-                both(&mut self.accs[at].1, acc);
-            }
+            self.take(block, acc, &mut both);
         }
     }
+
+    /// Takes one block's accumulator in: it moves over if the block is
+    /// new here, and is combined by `both` if not.
+    fn take(&mut self, block: Block24, acc: A, both: impl FnOnce(&mut A, A)) {
+        let mut acc = Some(acc);
+        let at = self.position(block, || acc.take().expect("taken once"));
+        if let Some(acc) = acc {
+            both(&mut self.accs[at].1, acc);
+        }
+    }
+}
+
+/// The shard of `shards` that holds `block`'s accumulator.
+fn shard_of(block: Block24, shards: usize) -> usize {
+    (block.id() % shards as u32) as usize
 }
 
 /// No address of the block at this host index has an accumulator yet.
@@ -242,6 +265,14 @@ impl Default for BlockAcc {
 }
 
 impl BlockAcc {
+    /// Records `hits` (> 0) successful requests from `host` on `day`.
+    fn record_hits(&mut self, day: usize, host: u8, hits: u64) {
+        self.total_hits = self.total_hits.saturating_add(hits);
+        let ip = self.ip(host);
+        ip.add(day, hits.min(u32::MAX as u64) as u32);
+        ip.total = ip.total.saturating_add(hits);
+    }
+
     /// The accumulator of address `host`, created on first use.
     fn ip(&mut self, host: u8) -> &mut IpAcc {
         let slot = &mut self.slot_of[host as usize];
@@ -456,11 +487,38 @@ impl IpAcc {
     }
 }
 
+impl Default for DailyDatasetBuilder {
+    fn default() -> Self {
+        DailyDatasetBuilder::new(0)
+    }
+}
+
 impl DailyDatasetBuilder {
     /// Creates a builder for a window of `num_days` days (≤ 128).
     pub fn new(num_days: usize) -> Self {
+        Self::with_shards(num_days, sweep_threads())
+    }
+
+    /// A builder whose blocks are dealt over `shards` tables (≥ 1).
+    fn with_shards(num_days: usize, shards: usize) -> Self {
         assert!(num_days <= DayBits::CAPACITY, "window exceeds {} days", DayBits::CAPACITY);
-        DailyDatasetBuilder { num_days, ..Default::default() }
+        let shards = (0..shards.max(1)).map(|_| BlockTable::default()).collect();
+        DailyDatasetBuilder { num_days, shards, last: None, selected: 0, refilled: 0 }
+    }
+
+    /// The accumulator of `block`, made if this is the block's first
+    /// record.
+    fn acc(&mut self, block: Block24) -> &mut BlockAcc {
+        let (shard, at) = match self.last {
+            Some((last, shard, at)) if last == block => (shard, at),
+            _ => {
+                let shard = shard_of(block, self.shards.len());
+                let at = self.shards[shard].position(block, BlockAcc::default);
+                self.last = Some((block, shard, at));
+                (shard, at)
+            }
+        };
+        &mut self.shards[shard].accs[at].1
     }
 
     /// Widens the window to `num_days` days, keeping everything
@@ -482,16 +540,60 @@ impl DailyDatasetBuilder {
         if hits == 0 {
             return; // activity is defined by successful requests
         }
-        let acc = self.blocks.acc(Block24::of(addr), BlockAcc::default);
-        acc.total_hits = acc.total_hits.saturating_add(hits);
-        let ip = acc.ip(addr.host_index());
-        ip.add(day, hits.min(u32::MAX as u64) as u32);
-        ip.total = ip.total.saturating_add(hits);
+        self.acc(Block24::of(addr)).record_hits(day, addr.host_index(), hits);
+    }
+
+    /// Records whole days at once — `days[i]` holds day
+    /// `first_day + i`'s `(addr, hits)` records — to the same effect as
+    /// passing each to [`record_hits`](Self::record_hits) in turn. Each
+    /// shard is one [`claim_map`] share, the calling thread working one
+    /// of them: a share reads the whole batch and folds its own blocks'
+    /// records in arrival order, so every accumulator takes the very
+    /// adds the serial fold would give it. `beside` runs as one more
+    /// share, claimed first: work of the caller's that owes nothing to
+    /// this builder (the observatory's weekly fold) shares the threads
+    /// instead of waiting for them.
+    ///
+    /// # Panics
+    /// If a day lies outside the window.
+    pub fn record_days(
+        &mut self,
+        first_day: usize,
+        days: &[&[(Addr, u64)]],
+        beside: impl FnOnce() + Send,
+    ) {
+        let end = first_day + days.len();
+        assert!(end <= self.num_days, "day {} outside window", end - 1);
+        let shards = self.shards.len();
+        // Each share takes what it folds through a lock no other share
+        // asks for.
+        let tables: Vec<Mutex<&mut BlockTable<BlockAcc>>> =
+            self.shards.iter_mut().map(Mutex::new).collect();
+        let beside = Mutex::new(Some(beside));
+        let order: Vec<usize> = std::iter::once(shards).chain(0..shards).collect();
+        claim_map(&order, shards, || (), |(), share| {
+            if share == shards {
+                if let Some(beside) = beside.lock().expect("share lock poisoned").take() {
+                    beside();
+                }
+                return;
+            }
+            let mut table = tables[share].lock().expect("share lock poisoned");
+            for (day, records) in (first_day..).zip(days) {
+                for &(addr, hits) in *records {
+                    let block = Block24::of(addr);
+                    if hits != 0 && shard_of(block, shards) == share {
+                        let acc = table.acc(block, BlockAcc::default);
+                        acc.record_hits(day, addr.host_index(), hits);
+                    }
+                }
+            }
+        });
     }
 
     /// Records one sampled User-Agent observation.
     pub fn record_ua(&mut self, _day: usize, addr: Addr, ua_hash: u64) {
-        let acc = self.blocks.acc(Block24::of(addr), BlockAcc::default);
+        let acc = self.acc(Block24::of(addr));
         acc.ua_samples += 1;
         acc.ua_hashes.push(ua_hash);
     }
@@ -512,16 +614,19 @@ impl DailyDatasetBuilder {
             self.num_days, other.num_days,
             "cannot merge builders over different windows"
         );
-        self.blocks.merge(other.blocks, |mine, mut acc| {
-            mine.total_hits = mine.total_hits.saturating_add(acc.total_hits);
-            mine.ua_samples += acc.ua_samples;
-            mine.ua_hashes.append(&mut acc.ua_hashes);
-            for (host, &slot) in acc.slot_of.iter().enumerate() {
-                if slot != ABSENT {
-                    mine.ip(host as u8).merge(std::mem::take(&mut acc.ips[slot as usize]));
+        let shards = self.shards.len();
+        for (block, acc) in other.shards.into_iter().flat_map(|table| table.accs) {
+            self.shards[shard_of(block, shards)].take(block, acc, |mine, mut acc| {
+                mine.total_hits = mine.total_hits.saturating_add(acc.total_hits);
+                mine.ua_samples += acc.ua_samples;
+                mine.ua_hashes.append(&mut acc.ua_hashes);
+                for (host, &slot) in acc.slot_of.iter().enumerate() {
+                    if slot != ABSENT {
+                        mine.ip(host as u8).merge(std::mem::take(&mut acc.ips[slot as usize]));
+                    }
                 }
-            }
-        });
+            });
+        }
     }
 
     /// Does now, on the calling thread, the per-address work of
@@ -537,7 +642,7 @@ impl DailyDatasetBuilder {
     /// after a snapshot, and the dataset is the same either way.
     pub fn seal(&mut self) {
         let (mut scratch, mut selected, mut refilled) = (Vec::new(), 0, 0);
-        for (_, acc) in &mut self.blocks.accs {
+        for (_, acc) in self.shards.iter_mut().flat_map(|table| &mut table.accs) {
             acc.dedup_ua();
             for ip in &mut acc.ips {
                 ip.median(&mut scratch, &mut selected, &mut refilled);
@@ -559,7 +664,8 @@ impl DailyDatasetBuilder {
         // Consuming, so each accumulator is freed as soon as its
         // record exists and the two never coexist in full — and a
         // median not yet known is selected in place, with no copy.
-        Self::dataset(self.num_days, self.blocks.accs.into_iter(), IpAcc::last_median)
+        let accs = self.shards.into_iter().flat_map(|table| table.accs);
+        Self::dataset(self.num_days, accs, IpAcc::last_median)
     }
 
     /// The dataset [`finish`](Self::finish) would produce now, with
@@ -578,11 +684,14 @@ impl DailyDatasetBuilder {
     /// ([`medians_selected`](Self::medians_selected) counts). What a
     /// snapshot still pays for every block, moved or not, is the copy
     /// of its rows and traffic summaries, walked in host order:
-    /// O(addresses), with no sort.
+    /// O(addresses), with no sort. That runs on the calling thread
+    /// alone, shard after shard, so the whole dataset comes from one
+    /// thread's heap.
     pub fn snapshot(&mut self) -> DailyDataset {
         let (mut scratch, selected, refilled) =
             (Vec::new(), &mut self.selected, &mut self.refilled);
-        let accs = self.blocks.accs.iter_mut().map(|(block, acc)| (*block, acc));
+        let accs = self.shards.iter_mut().flat_map(|table| &mut table.accs);
+        let accs = accs.map(|(block, acc)| (*block, acc));
         Self::dataset(self.num_days, accs, |ip| ip.median(&mut scratch, selected, refilled))
     }
 
@@ -1686,7 +1795,124 @@ mod tests {
             prop_assert_eq!(daily.finish(), one.0.finish());
             prop_assert_eq!(weekly.finish(), one.1.finish());
         }
+
+        /// Builders of 1, 2, 3 and 8 shards take batches of whole days
+        /// through `record_days` — batches land on any days, in any
+        /// order, with repeated `(address, day)` records and zero-hit
+        /// ones, and some batches go through `record_hits` instead, so
+        /// both paths must find a block in the same shard — and one
+        /// unsharded builder takes the same records one by one. At
+        /// every snapshot their datasets and their selection and refill
+        /// counts are equal, and so are their `finish()`es.
+        #[test]
+        fn sharded_record_days_equals_one_serial_builder(
+            span in prop_oneof![Just(128usize), 1usize..=128],
+            shape in 0..SHAPES,
+            batches in prop::collection::vec(
+                (
+                    0usize..128,
+                    1usize..9,
+                    prop::collection::vec((0usize..9, 0u8..12, 0u64..4), 0..60),
+                    any::<bool>(),
+                    0u8..4,
+                ),
+                0..12,
+            ),
+        ) {
+            // Two addresses in each of six blocks: enough records an
+            // address to fill, move and refill its rank window.
+            let addr = |a: u8| Block24::new(0x0A_0000 + u32::from(a % 6)).addr(a / 6);
+            let mut serial = DailyDatasetBuilder::with_shards(span, 1);
+            let mut sharded: Vec<DailyDatasetBuilder> =
+                SHARDS.iter().map(|&n| DailyDatasetBuilder::with_shards(span, n)).collect();
+            for (batch, (first, len, recs, snapshot, path)) in batches.into_iter().enumerate() {
+                let first = first % span;
+                let len = len.min(span - first);
+                let mut days = vec![Vec::new(); len];
+                for (offset, a, raw) in recs {
+                    let day = first + offset % len;
+                    days[offset % len].push((addr(a), shaped_hits(shape, day, raw)));
+                }
+                for (day, records) in (first..).zip(&days) {
+                    for &(a, hits) in records {
+                        serial.record_hits(day, a, hits);
+                    }
+                }
+                for builder in &mut sharded {
+                    if path == 0 {
+                        for (day, records) in (first..).zip(&days) {
+                            for &(a, hits) in records {
+                                builder.record_hits(day, a, hits);
+                            }
+                        }
+                    } else {
+                        let days: Vec<&[(Addr, u64)]> = days.iter().map(|d| &d[..]).collect();
+                        builder.record_days(first, &days, || ());
+                    }
+                }
+                if snapshot {
+                    let expect = serial.snapshot();
+                    for (builder, shards) in sharded.iter_mut().zip(SHARDS) {
+                        prop_assert_eq!(builder.snapshot(), expect.clone(), "{} shards, batch {}", shards, batch);
+                        prop_assert_eq!(
+                            (builder.medians_selected(), builder.median_refills()),
+                            (serial.medians_selected(), serial.median_refills()),
+                            "{} shards, batch {}", shards, batch
+                        );
+                    }
+                }
+            }
+            let expect = serial.finish();
+            for (builder, shards) in sharded.into_iter().zip(SHARDS) {
+                prop_assert_eq!(builder.finish(), expect.clone(), "{} shards", shards);
+            }
+        }
+
+        /// Leaves of 1, 2, 3 and 8 shards — whichever a record is dealt
+        /// to — each sealed at any points of its fold, merged in any
+        /// order into whichever leaf, the partial merges sealed or not:
+        /// the last builder's snapshot and `finish()` equal one
+        /// unsharded builder fed every record.
+        #[test]
+        fn sharded_builders_merge_and_seal_to_the_serial_dataset(
+            span in prop_oneof![Just(128usize), 1usize..=128],
+            shape in 0..SHAPES,
+            recs in prop::collection::vec(
+                (0usize..128, 0u8..24, 0u64..4, 0usize..4, 0u8..6),
+                0..200,
+            ),
+            mut order in any::<u64>(),
+        ) {
+            let addr = |a: u8| Block24::new(0x0A_0000 + u32::from(a % 6)).addr(a / 6);
+            let mut one = DailyDatasetBuilder::with_shards(span, 1);
+            let mut leaves: Vec<DailyDatasetBuilder> =
+                SHARDS.iter().map(|&n| DailyDatasetBuilder::with_shards(span, n)).collect();
+            for (raw_day, a, raw, leaf, then) in recs {
+                let day = raw_day % span;
+                let hits = shaped_hits(shape, day, raw);
+                one.record_hits(day, addr(a), hits);
+                leaves[leaf].record_hits(day, addr(a), hits);
+                if then == 0 {
+                    leaves[leaf].seal();
+                }
+            }
+            while leaves.len() > 1 {
+                let from = leaves.swap_remove(order as usize % leaves.len());
+                let into = (order >> 2) as usize % leaves.len();
+                leaves[into].merge(from);
+                if order >> 4 & 1 != 0 {
+                    leaves[into].seal();
+                }
+                order >>= 5;
+            }
+            let mut last = leaves.pop().expect("one builder left");
+            prop_assert_eq!(last.snapshot(), one.snapshot());
+            prop_assert_eq!(last.finish(), one.finish());
+        }
     }
+
+    /// Shard counts the sharded-builder properties run at.
+    const SHARDS: [usize; 4] = [1, 2, 3, 8];
 
     #[test]
     #[should_panic(expected = "window exceeds 128 days")]

@@ -1,22 +1,34 @@
 //! The workspace's one parallel driver.
 //!
-//! [`claim_map`] runs a list of independent jobs on a few scoped
-//! threads and hands the results back by index. Threads decide only
-//! *who* computes a job, never *what* the jobs are or where a result
-//! lands, so a caller whose jobs are pure functions of their index gets
-//! the same output on one thread or sixteen. The simulator's universe
-//! and pipeline sweeps and the figure suite's `run_all` all go through
-//! it; the analyses themselves are serial.
+//! [`claim_map`] runs a list of independent jobs on a few threads —
+//! the calling thread and scoped helpers beside it — and hands the
+//! results back by index. Threads decide only *who* computes a job,
+//! never *what* the jobs are or where a result lands, so a caller
+//! whose jobs are pure functions of their index gets the same output
+//! on one thread or sixteen. The simulator's universe and pipeline
+//! sweeps, the figure suite's `run_all` and the live daily builder's
+//! batch fold all go through it; the analyses themselves are serial.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// Runs `work` once per index in `order` on up to `threads` scoped
-/// threads and returns the results by index (`order` is a permutation
-/// of `0..order.len()`) plus each thread's state. A thread makes its
-/// state with `init`, then claims the next unclaimed position of
-/// `order` until none is left — so `order` decides what is started
-/// first and a thread that drew cheap work simply claims more. At one
-/// thread (or none) the caller works through `order` itself.
+/// How many threads a sweep runs on: the machine's parallelism, at
+/// most 16. Asked of the system once per process.
+pub fn sweep_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
+    })
+}
+
+/// Runs `work` once per index in `order` on up to `threads` threads
+/// and returns the results by index (`order` is a permutation of
+/// `0..order.len()`) plus each thread's state. The caller is always
+/// one of the `threads`: it spawns the other `threads - 1` as scoped
+/// helpers and then works beside them. A thread makes its state with
+/// `init`, then claims the next unclaimed position of `order` until
+/// none is left — so `order` decides what is started first and a
+/// thread that drew cheap work simply claims more.
 pub fn claim_map<S: Send, R: Send>(
     order: &[usize],
     threads: usize,
@@ -35,18 +47,14 @@ pub fn claim_map<S: Send, R: Send>(
         }
         (state, done)
     };
-    let threads = threads.min(order.len());
-    let per_thread = if threads <= 1 {
-        vec![run()]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(run)).collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("sweep thread panicked"))
-                .collect()
-        })
-    };
+    let helpers = threads.min(order.len()).saturating_sub(1);
+    let per_thread: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(run)).collect();
+        let mine = run();
+        std::iter::once(mine)
+            .chain(handles.into_iter().map(|handle| handle.join().expect("sweep thread panicked")))
+            .collect()
+    });
     let mut results: Vec<Option<R>> = order.iter().map(|_| None).collect();
     let mut states = Vec::with_capacity(per_thread.len());
     for (state, done) in per_thread {
@@ -74,6 +82,15 @@ mod tests {
             assert_eq!(states.iter().sum::<usize>(), order.len());
             assert!(states.len() <= threads.max(1));
         }
+        // Each worker's state is made on the worker, so the states name
+        // every thread that ran: the caller is one of the two.
+        let me = std::thread::current().id();
+        let (squares, workers) =
+            claim_map(&order, 2, || std::thread::current().id(), |_, i| i * i);
+        assert_eq!(squares, [0, 1, 4, 9, 16]);
+        assert_eq!(workers.len(), 2);
+        assert!(workers.contains(&me), "the calling thread works a share");
+        assert_ne!(workers[0], workers[1]);
         let (none, states) = claim_map(&[], 4, || (), |(), i| i);
         assert!(none.is_empty());
         assert_eq!(states.len(), 1);

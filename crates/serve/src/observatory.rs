@@ -9,7 +9,10 @@
 //! ingest does not grow with the history behind it. A publish costs:
 //!
 //! - the fold, O(day): one accumulator `add` per arriving record
-//!   (`serve.ingest.records`, `serve.ingest.weekly_records`);
+//!   (`serve.ingest.records`, `serve.ingest.weekly_records`), run on
+//!   every core — the daily builder's shards are folded side by side
+//!   by [`DailyDatasetBuilder::record_days`], and a week that
+//!   closes is folded as one more share beside them;
 //! - the per-address medians, O(day): the daily builder *maintains*
 //!   each address's median in a rank window — the six samples ranked
 //!   around it, sorted, and the count ranked below them — which the
@@ -25,7 +28,10 @@
 //! - the rows and `ip_traffic` summaries of *every* block, rebuilt
 //!   into storage the snapshot owns by walking each block's hosts in
 //!   order, so nothing is sorted: O(addresses), memcpy-class — the
-//!   part that is not O(day) yet;
+//!   part that is not O(day) yet. It runs on the ingest thread alone,
+//!   so every published dataset lives in that thread's heap; built on
+//!   a helper it cost a second allocator arena's worth of peak memory
+//!   and no time;
 //! - a weekly snapshot one ingest in seven, sharing every closed week.
 //!
 //! The builders are order-insensitive and a snapshot is what
@@ -306,37 +312,55 @@ impl Observatory {
             );
         }
 
-        // Fold only the arriving records into the live accumulators,
-        // through the very calls a batch build makes. Builders are
-        // order-insensitive and a snapshot is what `finish()` would
-        // return now, so each published dataset is *equal* to a batch
-        // build over every record so far — the byte-identity anchor.
-        // The expensive state (every materialized activity set)
-        // carries forward below instead of being recomputed.
+        // Fold only the arriving records into the live accumulators.
+        // Builders are order-insensitive and a snapshot is what
+        // `finish()` would return now, so each published dataset is
+        // *equal* to a batch build over every record so far — the
+        // byte-identity anchor. The expensive state (every
+        // materialized activity set) carries forward below instead of
+        // being recomputed.
         let state = &mut *state;
         let (mut records, mut weekly_records) = (0u64, 0u64);
         state.daily.grow(count);
-        for (d, (log, fraction)) in (first..).zip(batch) {
-            for &(addr, hits) in &log.hits {
-                state.daily.record_hits(d, addr, hits);
+        // One fold per week the batch reaches: its days go into the
+        // daily shards on every core and, if that completes the week,
+        // the week's seven logs go into the weekly builder as one more
+        // share beside them and are dropped.
+        let mut batch = batch.into_iter();
+        let mut day = first;
+        while day < count {
+            let (w, end) = (day / 7, (day / 7 * 7 + 7).min(count));
+            for (log, fraction) in batch.by_ref().take(end - day) {
+                records += log.hits.len() as u64;
+                state.fractions.push(clamp_fraction(fraction));
+                state.open_week.push(log);
             }
-            records += log.hits.len() as u64;
-            state.fractions.push(clamp_fraction(fraction));
-            state.open_week.push(log);
-            if state.open_week.len() == 7 {
-                let w = d / 7;
+            let closes = end % 7 == 0;
+            if closes {
                 state.weekly.grow(w + 1);
                 // One exact allocation for the week's multiset, which
                 // every later epoch shares.
-                let records = state.open_week.iter().map(|log| log.hits.len()).sum();
-                state.weekly.reserve_week(w, records);
-                for log in state.open_week.drain(..) {
-                    for &(addr, hits) in &log.hits {
-                        state.weekly.record_week(w, addr, hits);
-                    }
-                    weekly_records += log.hits.len() as u64;
-                }
+                let len = state.open_week.iter().map(|log| log.hits.len()).sum();
+                state.weekly.reserve_week(w, len);
+                weekly_records += len as u64;
             }
+            let open = &state.open_week;
+            let days: Vec<&[(Addr, u64)]> =
+                open[open.len() - (end - day)..].iter().map(|log| &log.hits[..]).collect();
+            let weekly = &mut state.weekly;
+            state.daily.record_days(day, &days, || {
+                if closes {
+                    for log in open {
+                        for &(addr, hits) in &log.hits {
+                            weekly.record_week(w, addr, hits);
+                        }
+                    }
+                }
+            });
+            if closes {
+                state.open_week.clear();
+            }
+            day = end;
         }
 
         let prev = self.pin();
