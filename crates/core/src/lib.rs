@@ -18,7 +18,10 @@
 //! set, a window union, every unit's set, or all activity. Analyses
 //! ask for window unions through one [`Windows`] trait, which a dataset
 //! answers fresh and [`AnalysisCtx::windows`] answers memoized; a
-//! daily-only analysis takes `W: Windows<Cadence = Daily>`.
+//! daily-only analysis takes `W: Windows<Cadence = Daily>`. A question
+//! that only counts a window's addresses needs no set: a
+//! [`WindowCensus`] holds every window's count of one cadence and grows
+//! by appending a column per unit.
 //!
 //! ## Analyses (paper section → module)
 //!
@@ -63,9 +66,11 @@ pub mod stats;
 pub mod timeline;
 pub mod traffic;
 pub mod visibility;
+mod window_census;
 
 pub use cadence::{Cadence, Daily, SlotMatrix, SlotRow, Weekly, Windows};
 pub use coverage::Coverage;
+pub use window_census::WindowCensus;
 pub use engine::{AnalysisCtx, CacheStats, DeadlineExceeded, QueryBudget, WindowCache};
 pub use dataset::{
     BlockRecord, DailyDataset, DailyDatasetBuilder, IpTraffic, WeeklyDataset,

@@ -17,7 +17,9 @@
 //!   cache slot the previous epoch materialized (appending a day adds
 //!   keys, it never invalidates a window), so readers pinned to an
 //!   older epoch are never disturbed and concurrent-ingest answers are
-//!   byte-identical to a batch build.
+//!   byte-identical to a batch build. Each epoch also carries a
+//!   [`WindowCensus`](ipactive_core::WindowCensus) per cadence, the
+//!   count of every window, extended by the new day's column.
 //! * [`wire`] — the length-prefixed binary protocol (varint frames
 //!   with a trailing CRC, the same idiom as `logfmt::lease`); frames
 //!   without a body are built in and parsed from the stack, and
@@ -25,13 +27,14 @@
 //!   transport delivered, in place.
 //! * [`Server`] — the threaded query front-end: a *bounded* admission
 //!   queue, filled and drained in batches, that load-sheds with an
-//!   explicit `Overloaded` response,
-//!   per-request deadline budgets checked at slot-composition
-//!   boundaries inside the engine, `catch_unwind` isolation per query
-//!   worker (panics journal a `query_panic` event and the request is
-//!   answered degraded, never dropped), and a degraded mode that
-//!   answers from the [`PrefixDensity`](ipactive_net::PrefixDensity)
-//!   approximation with a first-class coverage annotation.
+//!   explicit `Overloaded` response, window and prefix counts answered
+//!   exactly in O(1) from the epoch's census and density index (so no
+//!   budget runs out), `catch_unwind` isolation per query worker
+//!   (panics journal a `query_panic` event and the request is answered
+//!   degraded from the [`PrefixDensity`](ipactive_net::PrefixDensity)
+//!   approximation, never dropped), and a first-class coverage
+//!   annotation on every answer over a partial feed or past the
+//!   horizon.
 //! * [`ChaosPlan`] — seeded, deterministic fault injection (worker
 //!   panics, stalls) for the soak tests.
 //! * [`loadgen`] — the open-loop load generator behind

@@ -32,7 +32,13 @@
 //!   so every published dataset lives in that thread's heap; built on
 //!   a helper it cost a second allocator arena's worth of peak memory
 //!   and no time;
-//! - a weekly snapshot one ingest in seven, sharing every closed week.
+//! - a weekly snapshot one ingest in seven, sharing every closed week;
+//! - the window censuses, O(addresses) for a day: one pass over the
+//!   daily rows (and, when a week closes, the weekly rows) counts the
+//!   addresses each new unit adds to every window ending on it, and
+//!   appends that column to the previous epoch's [`WindowCensus`],
+//!   whose columns it shares. Every window answer is then a lookup; no
+//!   publish composes or caches a window set for the server.
 //!
 //! The builders are order-insensitive and a snapshot is what
 //! `finish()` would return at that moment, so the published dataset is
@@ -62,15 +68,13 @@
 
 use ipactive_core::coverage::clamp_fraction;
 use ipactive_core::{
-    AnalysisCtx, Cadence, Coverage, DailyDataset, DailyDatasetBuilder, WeeklyDataset,
-    WeeklyDatasetBuilder,
+    AnalysisCtx, Cadence, Coverage, Daily, DailyDataset, DailyDatasetBuilder, Weekly,
+    WeeklyDataset, WeeklyDatasetBuilder, WindowCensus,
 };
 use ipactive_net::{Addr, DayBits, PrefixDensity};
 use ipactive_obs::{splitmix64, Event, EventKind, Registry};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::Duration;
 
 /// One day of observed activity: `(address, successful requests)`
 /// records, in arrival order.
@@ -123,11 +127,14 @@ pub fn synthetic_day_log(seed: u64, day: usize) -> DayLog {
 }
 
 /// One published epoch: an immutable view of the datasets, the shared
-/// analysis cache, per-day coverage provenance, and a lazily built
-/// density approximation for degraded answers.
+/// analysis cache, the window censuses of both cadences, per-day
+/// coverage provenance, and a lazily built density approximation for
+/// degraded answers.
 pub struct EpochSnapshot {
     epoch: u64,
     engine: Arc<AnalysisCtx>,
+    day_census: WindowCensus<Daily>,
+    week_census: WindowCensus<Weekly>,
     /// Per-ingested-day collection completeness (1.0 = full feed).
     day_fractions: Arc<Vec<f64>>,
     density: OnceLock<Arc<PrefixDensity>>,
@@ -162,6 +169,16 @@ impl EpochSnapshot {
     /// The epoch's weekly dataset.
     pub fn weekly(&self) -> &Arc<WeeklyDataset> {
         self.engine.weekly()
+    }
+
+    /// The count of every window of the epoch's days.
+    pub fn day_census(&self) -> &WindowCensus<Daily> {
+        &self.day_census
+    }
+
+    /// The count of every window of the epoch's complete weeks.
+    pub fn week_census(&self) -> &WindowCensus<Weekly> {
+        &self.week_census
     }
 
     /// Collection-completeness fraction of the *requested* window of
@@ -227,9 +244,6 @@ pub struct Observatory {
     ingest: Mutex<IngestState>,
     current: RwLock<Arc<EpochSnapshot>>,
     registry: Registry,
-    /// Chaos stall (µs) applied to every published engine's budgeted
-    /// composition path; see [`AnalysisCtx::set_compose_stall`].
-    compose_stall_us: AtomicU64,
 }
 
 impl Observatory {
@@ -249,11 +263,12 @@ impl Observatory {
             current: RwLock::new(Arc::new(EpochSnapshot {
                 epoch: 0,
                 engine: Arc::new(engine),
+                day_census: WindowCensus::new(),
+                week_census: WindowCensus::new(),
                 day_fractions: Arc::new(Vec::new()),
                 density: OnceLock::new(),
             })),
             registry: registry.clone(),
-            compose_stall_us: AtomicU64::new(0),
         }
     }
 
@@ -368,18 +383,21 @@ impl Observatory {
         let daily = Arc::new(state.daily.snapshot());
         let median_selects = state.daily.medians_selected() - selected;
         let median_refills = state.daily.median_refills() - refilled;
-        let weekly = if count / 7 > prev.weeks() {
-            Arc::new(state.weekly.snapshot())
+        let day_census = prev.day_census.extended(&*daily);
+        let (weekly, week_census) = if count / 7 > prev.weeks() {
+            let weekly = Arc::new(state.weekly.snapshot());
+            let week_census = prev.week_census.extended(&*weekly);
+            (weekly, week_census)
         } else {
-            // No week closed: the weekly dataset carries over as it is.
-            prev.weekly().clone()
+            // No week closed: the weekly data carries over as it is.
+            (prev.weekly().clone(), prev.week_census.clone())
         };
         let engine = AnalysisCtx::extended_from(&prev.engine, daily, weekly, &self.registry);
-        let stall = self.compose_stall_us.load(Ordering::SeqCst);
-        engine.set_compose_stall(Duration::from_micros(stall));
         let snapshot = Arc::new(EpochSnapshot {
             epoch: prev.epoch + 1,
             engine: Arc::new(engine),
+            day_census,
+            week_census,
             day_fractions: Arc::new(state.fractions.clone()),
             density: OnceLock::new(),
         });
@@ -404,14 +422,6 @@ impl Observatory {
                 .detail(format!("published epoch {} with {count} days", snapshot.epoch)),
         );
         snapshot
-    }
-
-    /// Chaos injection: every epoch published from now on stalls its
-    /// *budgeted* composition path by `stall` per uncached unit build
-    /// (and the current epoch is updated in place). Zero disables.
-    pub fn set_compose_stall(&self, stall: Duration) {
-        self.compose_stall_us.store(stall.as_micros() as u64, Ordering::SeqCst);
-        self.pin().engine.set_compose_stall(stall);
     }
 }
 

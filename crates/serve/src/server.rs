@@ -6,16 +6,18 @@
 //!
 //! * admission queue full → [`Status::Overloaded`], written
 //!   immediately by the connection thread (the query never executes);
-//! * deadline expired mid-composition → [`Status::DeadlineExceeded`]
-//!   with `units_done / units_total` partial-progress provenance, or —
-//!   when the client set `allow_degraded` — a [`Status::Degraded`]
-//!   answer from the [`ipactive_net::PrefixDensity`]
-//!   approximation, flagged `from_density`;
 //! * window touching a partial feed or reaching past the ingested
 //!   horizon → exact value over what exists, [`Status::Degraded`] with
 //!   `coverage_ppm < 1_000_000`;
 //! * worker panic → caught per query, journaled as `query_panic`, and
-//!   the request is still answered (degraded, from density).
+//!   the request is still answered (degraded, from the
+//!   [`ipactive_net::PrefixDensity`] approximation, flagged
+//!   `from_density`).
+//!
+//! No query composes a set, so none can outlast its budget: a window
+//! is one lookup in the epoch's [`ipactive_core::WindowCensus`] and a
+//! prefix count one in its density index, both exact. Nothing answers
+//! [`Status::DeadlineExceeded`]; the status stays in the wire format.
 //!
 //! Nothing here returns a silently wrong answer: `Status::Ok` means
 //! "exact over fully ingested, fully covered data", full stop.
@@ -43,8 +45,8 @@ use std::sync::{Arc, Mutex, Once};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ipactive_core::{Cadence, Daily, QueryBudget, Weekly, Windows};
-use ipactive_net::{ActiveSet, Addr, Prefix, PrefixDensity};
+use ipactive_core::{Cadence, Daily, Weekly, WindowCensus};
+use ipactive_net::{Addr, Prefix, PrefixDensity};
 use ipactive_obs::metrics::DECADE_BOUNDS;
 use ipactive_obs::{Counter, Event, EventKind, Registry, SnapshotMode};
 
@@ -447,13 +449,8 @@ fn unanswered(req: &Request, snap: &EpochSnapshot) -> Response {
 
 /// Computes the honest answer for one request against one pinned
 /// epoch. Never panics on any decodable request: ranges are validated
-/// and clamped *before* the engine sees them.
+/// and clamped *before* a census or the density index sees them.
 fn answer(snap: &EpochSnapshot, req: &Request, registry: &Registry) -> Response {
-    let budget = if req.budget_ms == 0 {
-        QueryBudget::unlimited()
-    } else {
-        QueryBudget::within(Duration::from_millis(req.budget_ms))
-    };
     let refusal = unanswered(req, snap);
     match req.kind {
         QueryKind::Status => Response {
@@ -504,59 +501,39 @@ fn answer(snap: &EpochSnapshot, req: &Request, registry: &Registry) -> Response 
             }
         }
         QueryKind::DayWindow { start, end } => {
-            answer_window::<Daily>(snap, req, registry, start..end, &budget)
+            answer_window(snap, req, registry, start..end, snap.day_census())
         }
         QueryKind::WeekWindow { start, end } => {
-            answer_window::<Weekly>(snap, req, registry, start..end, &budget)
+            answer_window(snap, req, registry, start..end, snap.week_census())
         }
     }
 }
 
 /// Answers a window query over `C`'s units — a `DayWindow` or a
-/// `WeekWindow` — as Ok, Degraded or DeadlineExceeded. The engine
-/// composes the window clamped to the ingested horizon under
-/// `budget`; the coverage is that of the *requested* window, so a
-/// horizon clamp already shows up as coverage below 1.0.
+/// `WeekWindow` — as Ok or Degraded, exactly and in O(1) whatever its
+/// budget: `census` counts the window clamped to the ingested horizon.
+/// The coverage is that of the *requested* window, so a horizon clamp
+/// already shows up as coverage below 1.0.
 fn answer_window<C: Cadence>(
     snap: &EpochSnapshot,
     req: &Request,
     registry: &Registry,
     units: Range<u64>,
-    budget: &QueryBudget,
+    census: &WindowCensus<C>,
 ) -> Response {
     if units.start > units.end {
         return unanswered(req, snap);
     }
     let (s, e) = (units.start as usize, units.end as usize);
-    let windows = snap.engine().windows::<C>();
-    let ce = e.min(windows.num_units());
+    let ce = e.min(census.num_units());
     let cs = s.min(ce);
     registry.trace_span(req.trace, "engine.compose", format_args!("{} {cs}..{ce}", C::UNITS));
     let cov = snap.window_coverage::<C>(s..e);
-    let base = Response { coverage_ppm: ppm(cov), ..unanswered(req, snap) };
-    match windows.window_within(cs..ce, budget) {
-        Ok(set) => Response {
-            status: if cov >= 1.0 { Status::Ok } else { Status::Degraded },
-            value: set.len() as u64,
-            ..base
-        },
-        Err(partial) if req.allow_degraded => Response {
-            status: Status::Degraded,
-            // The density index covers the union of *all* days, an
-            // O(1) upper bound for any window — honest because it is
-            // flagged `from_density` with the partial progress.
-            value: snap.density().total(),
-            units_done: partial.units_done as u64,
-            units_total: partial.units_total as u64,
-            from_density: true,
-            ..base
-        },
-        Err(partial) => Response {
-            status: Status::DeadlineExceeded,
-            units_done: partial.units_done as u64,
-            units_total: partial.units_total as u64,
-            ..base
-        },
+    Response {
+        status: if cov >= 1.0 { Status::Ok } else { Status::Degraded },
+        value: census.count(cs..ce),
+        coverage_ppm: ppm(cov),
+        ..unanswered(req, snap)
     }
 }
 
@@ -596,6 +573,8 @@ mod tests {
     use super::*;
     use crate::observatory::synthetic_day_log;
     use crate::pipe::duplex;
+    use ipactive_core::SlotMatrix;
+    use ipactive_net::{ActiveSet, AddrSet};
     use ipactive_obs::{Registry, SnapshotMode};
     use std::collections::HashMap;
 
@@ -852,50 +831,68 @@ mod tests {
     }
 
     #[test]
-    fn expired_budgets_return_partial_progress_or_a_degraded_answer() {
-        let (_reg, obs) = served_observatory(10);
-        // Make every uncached unit build cost ~4ms so a 1ms budget
-        // reliably dies mid-composition.
-        obs.set_compose_stall(Duration::from_millis(4));
-        let server = Server::start(obs, ServeConfig::default());
-        let strict = Request {
-            id: 0,
-            kind: QueryKind::DayWindow { start: 0, end: 10 },
-            budget_ms: 1,
-            allow_degraded: false,
-            trace: ipactive_obs::TraceContext::NONE,
-        };
-        let soft = Request { id: 1, allow_degraded: true, ..strict };
-        let got = exchange(&server, &[strict, soft]);
-        match got[&0].status {
-            Status::DeadlineExceeded => {
-                assert!(got[&0].units_total >= 1);
-                assert!(got[&0].units_done < 10);
+    fn a_window_answer_is_exact_and_never_deadline_exceeded_under_any_budget_or_stall() {
+        let (_reg, obs) = served_observatory(14);
+        let snap = obs.pin();
+        // Counted off the datasets, so the engine caches no window.
+        let want = |kind| match kind {
+            QueryKind::DayWindow { start, end } => {
+                snap.daily().window::<AddrSet>(start as usize..end as usize).len() as u64
             }
-            // A cached window (filled by the other request racing
-            // ahead) legitimately answers exactly; tolerate it.
-            Status::Ok => {}
-            other => panic!("unexpected status {other:?}"),
+            QueryKind::WeekWindow { start, end } => {
+                snap.weekly().window::<AddrSet>(start as usize..end as usize).len() as u64
+            }
+            _ => unreachable!(),
+        };
+        let kinds = [
+            QueryKind::DayWindow { start: 0, end: 14 },
+            QueryKind::DayWindow { start: 3, end: 11 },
+            QueryKind::WeekWindow { start: 0, end: 2 },
+        ];
+        let wants: Vec<u64> = kinds.iter().map(|&k| want(k)).collect();
+        // Every unit the engine builds for a budgeted window now sleeps
+        // 50 ms first, and chaos holds every query 2 ms: a window
+        // composed under a budget of 1 or 5 ms would run out of it.
+        snap.engine().set_compose_stall(Duration::from_millis(50));
+        let server = Server::start(
+            obs,
+            ServeConfig {
+                chaos: ChaosPlan { seed: 9, panic_period: 0, stall_period: 1, stall_us: 2_000 },
+                ..ServeConfig::default()
+            },
+        );
+        let mut reqs = Vec::new();
+        for (k, &kind) in kinds.iter().enumerate() {
+            for (b, budget_ms) in [0, 1, 5].into_iter().enumerate() {
+                for allow_degraded in [false, true] {
+                    let id = (k * 6 + b * 2 + allow_degraded as usize) as u64;
+                    reqs.push(Request { budget_ms, allow_degraded, ..req(id, kind) });
+                }
+            }
         }
-        match got[&1].status {
-            Status::Degraded => assert!(got[&1].from_density),
-            Status::Ok => {}
-            other => panic!("unexpected status {other:?}"),
-        }
+        let got = exchange(&server, &reqs);
         server.shutdown();
+        assert_eq!(got.len(), reqs.len());
+        for r in &reqs {
+            let resp = &got[&r.id];
+            let k = r.id as usize / 6;
+            assert_eq!(
+                (resp.status, resp.value, resp.from_density, resp.units_done, resp.units_total),
+                (Status::Ok, wants[k], false, 0, 0),
+                "request {r:?}"
+            );
+        }
     }
 
     /// Both window kinds answer through one handler, and what they say
     /// is pinned as the two kinds always said it: the compose span
     /// reads `days a..b` or `weeks a..b` over the range clamped to the
     /// horizon, and the coverage is the requested window's — on an
-    /// exact answer, on a budget that runs out into the density
-    /// fallback, and on the density answer after a worker panic, which
-    /// composes nothing.
+    /// exact answer, budgeted or not, and on the density answer after a
+    /// worker panic, which composes nothing.
     #[test]
     fn window_kinds_trace_and_cover_as_pinned_on_every_answer_path() {
         let (reg, obs) = served_observatory(15);
-        obs.set_compose_stall(Duration::from_millis(3));
         let snap = obs.pin();
         let traced = |id: u64, kind: QueryKind, budget_ms: u64| Request {
             budget_ms,
@@ -907,19 +904,24 @@ mod tests {
             let spans = reg.trace_spans(r.trace.trace.0).unwrap_or_default();
             spans.into_iter().filter(|s| s.name == "engine.compose").map(|s| s.detail).collect()
         };
-        // 15 days ingested, two weeks complete; a 1 ms budget dies at
-        // the second unit of a window no query has composed yet.
+        // 15 days ingested, two weeks complete; a budget changes nothing.
         let cases = [
             (traced(0, QueryKind::DayWindow { start: 3, end: 20 }, 0), "days 3..15", 705_882),
             (traced(1, QueryKind::WeekWindow { start: 1, end: 3 }, 0), "weeks 1..2", 571_429),
             (traced(2, QueryKind::DayWindow { start: 2, end: 20 }, 1), "days 2..15", 722_222),
             (traced(3, QueryKind::WeekWindow { start: 0, end: 3 }, 1), "weeks 0..2", 714_286),
         ];
+        let exact = |kind| match kind {
+            QueryKind::DayWindow { start, .. } => snap.engine().day_window(start as usize..15),
+            QueryKind::WeekWindow { start, .. } => snap.engine().week_window(start as usize..2),
+            _ => unreachable!(),
+        };
         for (r, detail, ppm) in cases {
             let resp = answer(&snap, &r, &reg);
             assert_eq!(composed(&r), [detail], "request {}", r.id);
-            let answered = (resp.status, resp.coverage_ppm, resp.from_density);
-            assert_eq!(answered, (Status::Degraded, ppm, r.budget_ms != 0), "request {}", r.id);
+            let answered = (resp.status, resp.coverage_ppm, resp.from_density, resp.value);
+            let want = (Status::Degraded, ppm, false, exact(r.kind).len() as u64);
+            assert_eq!(answered, want, "request {}", r.id);
             let fallback = degraded_from_density(&snap, &r);
             assert_eq!(composed(&r), [detail], "the fallback composes nothing");
             assert_eq!(

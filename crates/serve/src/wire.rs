@@ -185,7 +185,9 @@ pub struct Request {
     pub id: u64,
     /// The computation being requested.
     pub kind: QueryKind,
-    /// Deadline budget in milliseconds; `0` means unlimited.
+    /// Deadline budget in milliseconds; `0` means unlimited. Every
+    /// query the server answers today is an O(1) lookup, so none
+    /// reaches its budget.
     pub budget_ms: u64,
     /// Whether a deadline overrun may be answered from the density
     /// approximation instead of failing with `DeadlineExceeded`.

@@ -1,4 +1,4 @@
-//! The pinned-seed chaos soak: stalled compositions, ingest bursts
+//! The pinned-seed chaos soak: stalled workers, ingest bursts
 //! mid-query, injected worker panics, and an overload flood — under
 //! all of which the server must uphold its contract:
 //!
@@ -31,10 +31,6 @@ fn pinned_seed_chaos_soak_answers_every_request_honestly() {
     let obs: Arc<Observatory> = Arc::new(Observatory::new(&registry));
     obs.ingest_days((0..BASE_DAYS).map(|d| synthetic_day_log(SOAK_SEED, d)).collect());
     let exact_base_window = obs.pin().engine().day_window(0..BASE_DAYS).len() as u64;
-
-    // Injected slot-build delays: every uncached unit on the budgeted
-    // path costs ~200us extra, so small budgets die mid-composition.
-    obs.set_compose_stall(Duration::from_micros(200));
     let chaos = ChaosPlan {
         seed: SOAK_SEED,
         panic_period: 17, // at least one panic per 17 executed queries
@@ -146,7 +142,6 @@ fn pinned_seed_chaos_soak_answers_every_request_honestly() {
     // After the storm: a fresh server over the same observatory, no
     // chaos, answers the original window exactly — degradation was a
     // mode, not a state.
-    obs.set_compose_stall(Duration::ZERO);
     let calm = Server::start(obs.clone(), ServeConfig::default());
     let (client, server_end) = duplex();
     let (srx, stx) = server_end.split();

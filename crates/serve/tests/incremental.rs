@@ -4,13 +4,18 @@
 //! the logs so far — while epochs pinned earlier keep the rows they
 //! were published with, and the ingest counters say each record was
 //! folded exactly once and each median selected from scratch only for
-//! an address the builder was not already tracking.
+//! an address the builder was not already tracking. The window
+//! censuses the server answers from, extended epoch by epoch, must
+//! count every window of both cadences as the engine's set has it, and
+//! equal a census built in one go over the published datasets.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use ipactive_core::{Daily, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder};
+use ipactive_core::{
+    Daily, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder, WindowCensus,
+};
 use ipactive_net::{ActiveSet, Addr, Block24};
 use ipactive_obs::{json, Registry};
 use ipactive_serve::{
@@ -71,6 +76,31 @@ fn arb_logs() -> impl Strategy<Value = Vec<DayLog>> {
     })
 }
 
+/// Every window of both cadences in `snap` counted by its census as
+/// the engine's union set has it, and each census equal to one built
+/// in one pass over the dataset it counts.
+fn censuses_count_the_engines_windows(snap: &EpochSnapshot) -> Result<(), TestCaseError> {
+    let (days, weeks) = (snap.day_census(), snap.week_census());
+    prop_assert_eq!((days.num_units(), weeks.num_units()), (snap.days(), snap.weeks()));
+    for e in 0..=snap.days() {
+        for s in 0..=e {
+            let want = snap.engine().day_window(s..e).len() as u64;
+            let at = snap.epoch();
+            prop_assert_eq!(days.count(s..e), want, "days {}..{} at epoch {}", s, e, at);
+        }
+    }
+    for e in 0..=snap.weeks() {
+        for s in 0..=e {
+            let want = snap.engine().week_window(s..e).len() as u64;
+            let at = snap.epoch();
+            prop_assert_eq!(weeks.count(s..e), want, "weeks {}..{} at epoch {}", s, e, at);
+        }
+    }
+    prop_assert_eq!(days, &WindowCensus::of(&**snap.daily()), "extended days != one pass");
+    prop_assert_eq!(weeks, &WindowCensus::of(&**snap.weekly()), "extended weeks != one pass");
+    Ok(())
+}
+
 /// An epoch pinned when it was published, with copies of what it held.
 struct Pinned {
     snap: Arc<EpochSnapshot>,
@@ -123,6 +153,7 @@ proptest! {
                     "no week closed, so the weekly dataset carries over as it is"
                 );
             }
+            censuses_count_the_engines_windows(&snap)?;
             pinned.push(Pinned { snap, daily, weekly });
         }
         // Every epoch pinned along the way still holds exactly what it
@@ -130,8 +161,26 @@ proptest! {
         for p in &pinned {
             prop_assert_eq!(&**p.snap.daily(), &p.daily, "epoch {} daily moved", p.snap.epoch());
             prop_assert_eq!(&**p.snap.weekly(), &p.weekly, "epoch {} weekly moved", p.snap.epoch());
+            prop_assert_eq!(p.snap.day_census(), &WindowCensus::of(&p.daily));
+            prop_assert_eq!(p.snap.week_census(), &WindowCensus::of(&p.weekly));
         }
     }
+}
+
+#[test]
+fn a_census_extended_day_by_day_equals_one_built_in_bulk() {
+    let logs: Vec<DayLog> = (0..30).map(|d| synthetic_day_log(13, d)).collect();
+    let (daily, weekly) = (Observatory::new(&Registry::new()), Observatory::new(&Registry::new()));
+    for log in &logs {
+        daily.ingest_day(log.clone());
+    }
+    let bulk = weekly.ingest_days(logs);
+    let one_by_one = daily.pin();
+    assert_eq!((one_by_one.epoch(), bulk.epoch()), (30, 1));
+    assert_eq!(one_by_one.day_census(), bulk.day_census());
+    assert_eq!(one_by_one.week_census(), bulk.week_census());
+    assert_eq!(bulk.week_census().num_units(), 4);
+    assert_eq!(bulk.day_census().count(0..30), bulk.engine().day_window(0..30).len() as u64);
 }
 
 #[test]
@@ -324,4 +373,7 @@ fn the_129th_day_is_refused_and_the_observatory_keeps_working() {
     let logs: Vec<DayLog> = (0..128).map(day).collect();
     assert_eq!((&**after.daily(), &**after.weekly()), (&batch(&logs).0, &batch(&logs).1));
     assert_eq!(after.engine().day_window(0..128).len(), 5);
+    assert_eq!(after.day_census().count(0..128), 5);
+    assert_eq!(after.day_census().count(127..128), 1, "day 127 is counted");
+    assert_eq!(after.week_census().count(0..18), 5);
 }
