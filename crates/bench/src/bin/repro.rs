@@ -361,15 +361,15 @@ fn main() {
 ///
 /// ```text
 /// repro serve-bench [--days N] [--requests N] [--rate R] [--workers N]
-///                   [--queue-depth N] [--budget-ms MS] [--seed N]
+///                   [--queue-depth N] [--seed N]
 ///                   [--stall-period K] [--stall-us US] [--out FILE]
 ///                   [--traces-out FILE] [--trace-requests N]
 /// ```
 ///
 /// `--stall-period K` holds the worker of every Kth executed query for
 /// `--stall-us` before the query starts (deterministic, seeded), so the
-/// admission queue, latency and shedding see realistic pressure; the
-/// query's deadline budget starts after the stall. Both default to off.
+/// admission queue, latency and shedding see realistic pressure. Both
+/// default to off.
 ///
 /// Before the open-loop storm, a closed-loop *traced pass* sends
 /// `--trace-requests` requests (default 16) each carrying a minted
@@ -389,7 +389,7 @@ fn serve_bench(args: &[String]) -> ! {
             eprintln!("error: {err}\n");
         }
         eprintln!("usage: repro serve-bench [--days N] [--requests N] [--rate R] [--workers N]");
-        eprintln!("                         [--queue-depth N] [--budget-ms MS] [--seed N]");
+        eprintln!("                         [--queue-depth N] [--seed N]");
         eprintln!("                         [--stall-period K] [--stall-us US] [--out FILE]");
         eprintln!("                         [--traces-out FILE] [--trace-requests N]");
         std::process::exit(if err.is_empty() { 0 } else { 2 });
@@ -399,7 +399,6 @@ fn serve_bench(args: &[String]) -> ! {
     let mut rate: f64 = 20_000.0;
     let mut workers: usize = 2;
     let mut queue_depth: usize = 64;
-    let mut budget_ms: u64 = 0;
     let mut seed: u64 = 2016;
     let mut stall_period: u64 = 0;
     let mut stall_us: u64 = 0;
@@ -425,7 +424,6 @@ fn serve_bench(args: &[String]) -> ! {
             }
             "--workers" => workers = num("--workers").max(1) as usize,
             "--queue-depth" => queue_depth = num("--queue-depth").max(1) as usize,
-            "--budget-ms" => budget_ms = num("--budget-ms"),
             "--seed" => seed = num("--seed"),
             "--stall-period" => stall_period = num("--stall-period"),
             "--stall-us" => stall_us = num("--stall-us"),
@@ -475,18 +473,14 @@ fn serve_bench(args: &[String]) -> ! {
     eprintln!(
         "open-loop load: {requests} requests at {rate:.0}/s against {workers} workers (queue {queue_depth}) ..."
     );
-    let report = loadgen::run(
-        &server,
-        &LoadgenConfig { requests, rate, budget_ms, allow_degraded: true, seed },
-    );
+    let report = loadgen::run(&server, &LoadgenConfig { requests, rate, seed });
     server.shutdown();
     eprintln!(
-        "served {} of {}: {} ok, {} degraded, {} deadline, {} shed ({:.1}% shed rate)",
+        "served {} of {}: {} ok, {} degraded, {} shed ({:.1}% shed rate)",
         report.answered(),
         report.sent,
         report.ok,
         report.degraded,
-        report.deadline_exceeded,
         report.overloaded,
         report.shed_rate * 100.0,
     );
@@ -504,7 +498,7 @@ fn serve_bench(args: &[String]) -> ! {
     let json = format!(
         concat!(
             "{{\"config\":{{\"days\":{},\"requests\":{},\"rate\":{:.1},\"workers\":{},",
-            "\"queue_depth\":{},\"budget_ms\":{},\"seed\":{},\"stall_period\":{},",
+            "\"queue_depth\":{},\"seed\":{},\"stall_period\":{},",
             "\"stall_us\":{},\"trace_requests\":{}}},\"report\":{},",
             "\"slo\":{{\"burns\":{},\"window_shed_ppm\":{},\"window_p99_us\":{},",
             "\"traced_linked\":{}}}}}\n"
@@ -514,7 +508,6 @@ fn serve_bench(args: &[String]) -> ! {
         rate,
         workers,
         queue_depth,
-        budget_ms,
         seed,
         stall_period,
         stall_us,

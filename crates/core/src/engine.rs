@@ -19,13 +19,13 @@
 //! triangular vector of multi-unit windows indexed by `window_slot`.
 //! The context holds it twice — over the daily dataset's days and the
 //! weekly dataset's weeks — and [`AnalysisCtx::windows`] picks one by
-//! cadence. It is a [`Windows`] source, and every query, budgeted or
-//! not, is one body on it whatever the cadence. A hit is
-//! one lock-free `OnceLock::get`; a miss computes inside
-//! `get_or_init`, so racing readers of the same key block on the
-//! winner instead of each recomputing the set (the old mutex-map
-//! design computed first and re-checked the map afterwards, wasting a
-//! full scan per racing loser). One-unit windows alias the unit slot;
+//! cadence. It is a [`Windows`] source, and every query is one body
+//! on it whatever the cadence. A hit is one lock-free
+//! `OnceLock::get`; a miss computes inside `get_or_init`, so racing
+//! readers of the same key block on the winner instead of each
+//! recomputing the set (the old mutex-map design computed first and
+//! re-checked the map afterwards, wasting a full scan per racing
+//! loser). One-unit windows alias the unit slot;
 //! a multi-unit window miss *composes*: starting at the window's left
 //! edge it repeatedly grabs the longest already-cached sub-window
 //! (falling back to the single unit set), then merges the pieces with
@@ -58,26 +58,15 @@
 //! slots through the new triangular layout), so publishing a new day
 //! costs zero recomputation of history and readers of the new epoch
 //! share the very same `Arc`s the old epoch handed out.
-//!
-//! ## Deadline budgets
-//!
-//! The serving layer answers queries under a per-request wall-clock
-//! budget. [`WindowCache::window_within`] runs the same composition as
-//! the unbudgeted query but checks a [`QueryBudget`] at every
-//! slot-composition boundary; an exceeded budget returns
-//! [`DeadlineExceeded`] carrying how many units of the window had been
-//! composed — partial-progress provenance the serving layer forwards
-//! to the client. Cached answers are handed out even when the budget
-//! is already spent (a hit costs nothing).
 
 use crate::cadence::{Cadence, Daily, SlotMatrix, Weekly, Windows};
 use crate::{DailyDataset, WeeklyDataset};
 use ipactive_net::{ActiveSet, TieredSet};
 use ipactive_obs::{Counter, Event, EventKind, Registry};
+use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
 
 /// Hit/miss accounting for one [`AnalysisCtx`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -88,46 +77,20 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// A per-query wall-clock compute budget.
-///
-/// Checked at slot-composition boundaries by the `*_within` queries;
-/// [`QueryBudget::unlimited`] never expires and makes the budgeted
-/// paths behave exactly like their unbudgeted counterparts.
+/// The argument of [`AnalysisCtx::day_window_within`]. The engine
+/// answers every window in full, so [`QueryBudget::unlimited`] is the
+/// only value there is. Kept by name for `benchmark/` (ROADMAP item 1).
 #[derive(Debug, Clone, Copy)]
 pub struct QueryBudget {
-    deadline: Option<Instant>,
+    _unlimited: (),
 }
 
 impl QueryBudget {
-    /// A budget that never expires.
+    /// The one budget: none. Kept by name for `benchmark/` (ROADMAP
+    /// item 1).
     pub fn unlimited() -> QueryBudget {
-        QueryBudget { deadline: None }
+        QueryBudget { _unlimited: () }
     }
-
-    /// A budget expiring `budget` from now.
-    pub fn within(budget: Duration) -> QueryBudget {
-        QueryBudget { deadline: Some(Instant::now() + budget) }
-    }
-
-    /// Whether the budget is spent.
-    pub fn expired(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-}
-
-/// A budgeted query ran out of time mid-composition.
-///
-/// Partial-progress provenance: `units_done` of `units_total`
-/// single-day (or single-week) spans of the requested window had been
-/// covered by cached sub-windows or freshly materialized units when
-/// the deadline fired. `units_done == units_total` means every piece
-/// was gathered but the final k-way merge had not run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeadlineExceeded {
-    /// Units of the window already composed.
-    pub units_done: usize,
-    /// Total units in the requested window.
-    pub units_total: usize,
 }
 
 /// Flat index of window `s..e` (`0 ≤ s < e ≤ d_max`) in a triangular
@@ -142,8 +105,8 @@ fn window_slot(d_max: usize, s: usize, e: usize) -> usize {
 
 const HIT_ONE: u64 = 1 << 32;
 
-/// The accounting and switches one [`AnalysisCtx`] shares between its
-/// two window caches.
+/// The accounting and the bypass switch one [`AnalysisCtx`] shares
+/// between its two window caches.
 struct Meter {
     registry: Registry,
     /// Run-wide observability counters (`engine.cache.hit` /
@@ -159,11 +122,6 @@ struct Meter {
     /// correctness at 2³² queries, far beyond a figure suite.
     local: AtomicU64,
     bypass: AtomicBool,
-    /// Chaos injection point (µs slept before each uncached unit
-    /// materialization on the *budgeted* paths); 0 = disabled. Lets
-    /// the chaos harness make `DeadlineExceeded` reachable
-    /// deterministically without slowing the unbudgeted hot path.
-    compose_stall_us: AtomicU64,
 }
 
 impl Meter {
@@ -174,7 +132,6 @@ impl Meter {
             misses: registry.counter("engine.cache.miss"),
             local: AtomicU64::new(0),
             bypass: AtomicBool::new(false),
-            compose_stall_us: AtomicU64::new(0),
         }
     }
 
@@ -211,13 +168,6 @@ impl Meter {
 
     fn bypass(&self) -> bool {
         self.bypass.load(Ordering::SeqCst)
-    }
-
-    fn chaos_stall(&self) {
-        let us = self.compose_stall_us.load(Ordering::Relaxed);
-        if us > 0 {
-            std::thread::sleep(Duration::from_micros(us));
-        }
     }
 }
 
@@ -288,82 +238,16 @@ impl<S: ActiveSet, C: Cadence> WindowCache<S, C> {
         self.meter.query_slot(&self.units[u], || Arc::new(self.data.unit(u)))
     }
 
-    /// The union over `range` under a deadline budget.
-    ///
-    /// A cached window is handed out even when the budget is already
-    /// spent (a hit costs nothing). A miss composes with the budget
-    /// checked at every slot boundary; running out returns
-    /// [`DeadlineExceeded`] with partial-progress provenance and
-    /// caches nothing. A successful budgeted miss publishes its set
-    /// into the same slot the unbudgeted query uses, so later queries
-    /// of either flavor hit.
-    ///
-    /// Metering: one hit per cached answer, one miss per call that
-    /// computed, nothing on `Err`. Unlike the unbudgeted
-    /// [`Windows::union`], two budgeted misses racing on one key may
-    /// both count a miss (abortable composition cannot run inside
-    /// `get_or_init`); the slot still keeps a single canonical set.
-    pub fn window_within(
-        &self,
-        range: Range<usize>,
-        budget: &QueryBudget,
-    ) -> Result<Arc<S>, DeadlineExceeded> {
-        assert!(range.end <= self.units.len(), "window outside dataset");
-        if range.is_empty() {
-            return Ok(Arc::new(S::empty()));
-        }
-        let meter = &*self.meter;
-        if range.len() == 1 {
-            // Cached units are free; an uncached unit build is charged
-            // against the budget as one boundary.
-            let cached = !meter.bypass() && self.units[range.start].get().is_some();
-            if !cached && budget.expired() {
-                return Err(DeadlineExceeded { units_done: 0, units_total: 1 });
-            }
-            return Ok(self.union(range));
-        }
-        if meter.bypass() {
-            if budget.expired() {
-                return Err(DeadlineExceeded { units_done: 0, units_total: range.len() });
-            }
-            return Ok(Arc::new(self.data.window(range)));
-        }
-        let slot = self.slot(range.start, range.end);
-        if let Some(set) = slot.get() {
-            meter.record(true);
-            return Ok(set.clone());
-        }
-        let set = self.compose_within(range, budget)?;
-        let _ = slot.set(set);
-        meter.record(false);
-        Ok(slot.get().expect("slot was just set").clone())
-    }
-
     /// Composes the union of `range` from cached material without
     /// touching the public hit/miss counters: greedily take the
     /// longest already-cached window starting at the cursor, else the
     /// (memoized, uncounted) single unit set, then one k-way merge.
     /// Probing the slot of `range` itself just reads `None`.
-    ///
-    /// The deadline is checked at every slot-composition boundary —
-    /// before each greedy step and before the final merge. The stall
-    /// injection point (see [`AnalysisCtx::set_compose_stall`]) fires
-    /// before each uncached unit materialization, *after* the boundary
-    /// check, so an injected stall is charged to the following
-    /// boundary exactly like a genuinely slow set build.
-    fn compose_within(
-        &self,
-        range: Range<usize>,
-        budget: &QueryBudget,
-    ) -> Result<Arc<S>, DeadlineExceeded> {
+    fn compose(&self, range: Range<usize>) -> Arc<S> {
         let _span = self.meter.registry.span("engine.compose");
-        let units_total = range.len();
         let mut parts: Vec<Arc<S>> = Vec::new();
         let mut s = range.start;
         while s < range.end {
-            if budget.expired() {
-                return Err(DeadlineExceeded { units_done: s - range.start, units_total });
-            }
             let longest =
                 (s + 2..=range.end).rev().find_map(|e| Some((self.slot(s, e).get()?, e)));
             match longest {
@@ -372,20 +256,16 @@ impl<S: ActiveSet, C: Cadence> WindowCache<S, C> {
                     s = e;
                 }
                 None => {
-                    self.meter.chaos_stall();
                     parts.push(self.units[s].get_or_init(|| Arc::new(self.data.unit(s))).clone());
                     s += 1;
                 }
             }
         }
         if parts.len() == 1 {
-            return Ok(parts.pop().expect("non-empty range composes at least one part"));
-        }
-        if budget.expired() {
-            return Err(DeadlineExceeded { units_done: units_total, units_total });
+            return parts.pop().expect("non-empty range composes at least one part");
         }
         let refs: Vec<&S> = parts.iter().map(|p| &**p).collect();
-        Ok(Arc::new(S::union_many(&refs)))
+        Arc::new(S::union_many(&refs))
     }
 
     /// Populates every unit slot from one transposed pass over the
@@ -425,10 +305,7 @@ impl<S: ActiveSet, C: Cadence> Windows for WindowCache<S, C> {
             1 => return self.unit(range.start),
             _ => {}
         }
-        self.meter.query_slot(self.slot(range.start, range.end), || {
-            self.compose_within(range.clone(), &QueryBudget::unlimited())
-                .expect("an unlimited budget never expires")
-        })
+        self.meter.query_slot(self.slot(range.start, range.end), || self.compose(range))
     }
 }
 
@@ -536,13 +413,14 @@ impl<S: ActiveSet> AnalysisCtx<S> {
         self.weeks.union(weeks)
     }
 
-    /// `windows::<Daily>().window_within(days, budget)`.
+    /// [`AnalysisCtx::day_window`], never `Err`. Kept by name for
+    /// `benchmark/` (ROADMAP item 1), whose hit-path probe calls it.
     pub fn day_window_within(
         &self,
         days: Range<usize>,
-        budget: &QueryBudget,
-    ) -> Result<Arc<S>, DeadlineExceeded> {
-        self.days.window_within(days, budget)
+        _budget: &QueryBudget,
+    ) -> Result<Arc<S>, Infallible> {
+        Ok(self.day_window(days))
     }
 
     /// Union of all days — the figure suite's "CDN union".
@@ -599,15 +477,6 @@ impl<S: ActiveSet> AnalysisCtx<S> {
                 "cache bypass disabled"
             }));
         }
-    }
-
-    /// Chaos injection: sleep `stall` before every uncached unit
-    /// materialization on the budgeted composition paths (zero
-    /// disables). Deterministic harnesses use this to make slow slot
-    /// builds — and therefore `DeadlineExceeded` — reachable on
-    /// demand; the unbudgeted hot path never consults it.
-    pub fn set_compose_stall(&self, stall: Duration) {
-        self.meter.compose_stall_us.store(stall.as_micros() as u64, Ordering::SeqCst);
     }
 }
 
@@ -829,17 +698,18 @@ mod tests {
     }
 
     /// Empty, reversed and full-width windows answer alike on every
-    /// path — cached, bypassed and budgeted — on both cadences: the
-    /// first two the empty set, the last everything the matrix holds,
-    /// over a 128-day and a 64-week matrix active in both edge slots.
+    /// path — cached, bypassed and, for days, `day_window_within` — on
+    /// both cadences: the first two the empty set, the last everything
+    /// the matrix holds, over a 128-day and a 64-week matrix active in
+    /// both edge slots.
     #[test]
     fn empty_reversed_and_full_width_windows_answer_alike_on_every_path() {
-        fn check<C: Cadence>(ctx: &AnalysisCtx) {
+        type Within<'a> = Option<&'a dyn Fn(Range<usize>) -> Arc<TieredSet>>;
+        fn check<C: Cadence>(ctx: &AnalysisCtx, within: Within) {
             let windows = ctx.windows::<C>();
             let n = windows.num_units();
             let (none, all) = (TieredSet::empty(), windows.data.all_active::<TieredSet>());
             assert_eq!(all.len(), 2);
-            let spent = QueryBudget::within(Duration::ZERO);
             for bypass in [false, true] {
                 ctx.set_bypass(bypass);
                 let reversed = Range { start: 5, end: 2 };
@@ -847,10 +717,8 @@ mod tests {
                 for (range, want) in cases {
                     let path = format!("{} {range:?}, bypass {bypass}", C::UNITS);
                     assert_eq!(*windows.union(range.clone()), *want, "{path}");
-                    let budgeted = windows.window_within(range.clone(), &QueryBudget::unlimited());
-                    assert_eq!(*budgeted.unwrap(), *want, "budgeted {path}");
-                    if want.is_empty() {
-                        assert!(windows.window_within(range, &spent).unwrap().is_empty(), "{path}");
+                    if let Some(within) = within {
+                        assert_eq!(*within(range), *want, "day_window_within {path}");
                     }
                 }
             }
@@ -862,8 +730,9 @@ mod tests {
             w.record_week(slot / 2, a(host), 1);
         }
         let ctx: AnalysisCtx = AnalysisCtx::new(Arc::new(d.finish()), Arc::new(w.finish()));
-        check::<Daily>(&ctx);
-        check::<Weekly>(&ctx);
+        let within = |days| ctx.day_window_within(days, &QueryBudget::unlimited()).unwrap();
+        check::<Daily>(&ctx, Some(&within));
+        check::<Weekly>(&ctx, None);
     }
 
     /// Grows the 5-day context's dataset by appending a day and
@@ -916,64 +785,5 @@ mod tests {
             small.weekly().clone(),
             &Registry::new(),
         );
-    }
-
-    #[test]
-    fn budgeted_queries_match_unbudgeted_and_cache_normally() {
-        let ctx = ctx();
-        let budget = QueryBudget::unlimited();
-        let set = ctx.day_window_within(0..5, &budget).expect("unlimited budget");
-        assert_eq!(*set, ctx.daily().window::<TieredSet>(0..5));
-        // The budgeted miss populated the shared slot: the unbudgeted
-        // query now hits the same Arc.
-        assert!(Arc::ptr_eq(&set, &ctx.day_window(0..5)));
-        assert_eq!(ctx.stats(), CacheStats { hits: 1, misses: 1 });
-        let wk = ctx.windows::<Weekly>().window_within(0..4, &budget).unwrap();
-        assert_eq!(*wk, ctx.weekly().window::<TieredSet>(0..4));
-        // Empty and one-unit windows stay budget-exempt when cached.
-        assert!(ctx.day_window_within(0..0, &budget).unwrap().is_empty());
-    }
-
-    #[test]
-    fn expired_budget_returns_partial_progress_provenance() {
-        let ctx = ctx();
-        let spent = QueryBudget::within(Duration::ZERO);
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(spent.expired());
-        let err = ctx.day_window_within(0..5, &spent).unwrap_err();
-        assert_eq!(err, DeadlineExceeded { units_done: 0, units_total: 5 });
-        // Nothing was cached by the failed query.
-        assert_eq!(ctx.stats(), CacheStats::default());
-        // An uncached single unit is also charged.
-        let err = ctx.day_window_within(2..3, &spent).unwrap_err();
-        assert_eq!(err.units_total, 1);
-        // ...but a cached answer is free even over budget.
-        ctx.day_window(0..5);
-        ctx.day_window(2..3);
-        assert!(ctx.day_window_within(0..5, &spent).is_ok());
-        assert!(ctx.day_window_within(2..3, &spent).is_ok());
-        assert!(ctx.windows::<Weekly>().window_within(0..4, &spent).is_err());
-    }
-
-    #[test]
-    fn compose_stall_makes_midflight_deadlines_reachable() {
-        let ctx = ctx();
-        // 5 uncached units at ≥2ms each against a ~3ms budget: the
-        // deadline fires at a slot boundary strictly inside the
-        // window, so the provenance shows genuine partial progress.
-        ctx.set_compose_stall(Duration::from_millis(2));
-        let budget = QueryBudget::within(Duration::from_millis(3));
-        match ctx.day_window_within(0..5, &budget) {
-            Err(err) => {
-                assert!(err.units_total == 5);
-                assert!(err.units_done < 5, "stall must abort before the window completes");
-            }
-            // On a heavily loaded machine the budget may survive the
-            // stalls; the query must then be exact.
-            Ok(set) => assert_eq!(*set, ctx.daily().window::<TieredSet>(0..5)),
-        }
-        ctx.set_compose_stall(Duration::ZERO);
-        let set = ctx.day_window_within(0..5, &QueryBudget::unlimited()).unwrap();
-        assert_eq!(*set, ctx.daily().window::<TieredSet>(0..5));
     }
 }

@@ -71,7 +71,7 @@ mod window_census;
 pub use cadence::{Cadence, Daily, SlotMatrix, SlotRow, Weekly, Windows};
 pub use coverage::Coverage;
 pub use window_census::WindowCensus;
-pub use engine::{AnalysisCtx, CacheStats, DeadlineExceeded, QueryBudget, WindowCache};
+pub use engine::{AnalysisCtx, CacheStats, QueryBudget, WindowCache};
 pub use dataset::{
     BlockRecord, DailyDataset, DailyDatasetBuilder, IpTraffic, WeeklyDataset,
     WeeklyDatasetBuilder,

@@ -21,8 +21,7 @@ pub enum ChaosAction {
     /// journaled `query_panic` + degraded answering).
     Panic,
     /// Hold the query worker before the query starts (exercises queue
-    /// pressure, latency and load shedding; the query's deadline
-    /// budget starts after the stall, so a stall never expires it).
+    /// pressure, latency and load shedding; the answer stays exact).
     Stall,
 }
 

@@ -28,8 +28,9 @@
 //! * [`Server`] — the threaded query front-end: a *bounded* admission
 //!   queue, filled and drained in batches, that load-sheds with an
 //!   explicit `Overloaded` response, window and prefix counts answered
-//!   exactly in O(1) from the epoch's census and density index (so no
-//!   budget runs out), `catch_unwind` isolation per query worker
+//!   exactly in O(1) from the epoch's census and density index (a
+//!   request's `budget_ms` and `allow_degraded` are ignored),
+//!   `catch_unwind` isolation per query worker
 //!   (panics journal a `query_panic` event and the request is answered
 //!   degraded from the [`PrefixDensity`](ipactive_net::PrefixDensity)
 //!   approximation, never dropped), and a first-class coverage

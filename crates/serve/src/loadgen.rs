@@ -4,8 +4,8 @@
 //! `i` at `start + i/rate` whether or not earlier responses have come
 //! back, so a slow server faces a growing backlog instead of a
 //! politely self-throttling client — the regime where load shedding
-//! and deadline budgets actually earn their keep (and where
-//! closed-loop generators famously under-report tail latency).
+//! actually earns its keep (and where closed-loop generators famously
+//! under-report tail latency).
 //!
 //! Latency is measured client-side (send to response, queue time
 //! included) and recorded into the obs histogram plane; quantiles come
@@ -49,23 +49,13 @@ pub struct LoadgenConfig {
     pub requests: u64,
     /// Target offered rate in requests per second.
     pub rate: f64,
-    /// Deadline budget per request in milliseconds (0 = unlimited).
-    pub budget_ms: u64,
-    /// Whether deadline overruns may be answered degraded.
-    pub allow_degraded: bool,
     /// Seed for the deterministic query mix.
     pub seed: u64,
 }
 
 impl Default for LoadgenConfig {
     fn default() -> Self {
-        LoadgenConfig {
-            requests: 200,
-            rate: 2_000.0,
-            budget_ms: 0,
-            allow_degraded: true,
-            seed: 1,
-        }
+        LoadgenConfig { requests: 200, rate: 2_000.0, seed: 1 }
     }
 }
 
@@ -80,8 +70,6 @@ pub struct LoadReport {
     pub ok: u64,
     /// Degraded answers (partial coverage or density-approximated).
     pub degraded: u64,
-    /// Deadline overruns that were not degradable.
-    pub deadline_exceeded: u64,
     /// Load-shed at admission.
     pub overloaded: u64,
     /// Malformed requests.
@@ -111,18 +99,17 @@ pub struct LoadReport {
 impl LoadReport {
     /// Responses received, all classes.
     pub fn answered(&self) -> u64 {
-        self.ok + self.degraded + self.deadline_exceeded + self.overloaded + self.bad_request
+        self.ok + self.degraded + self.overloaded + self.bad_request
     }
 
     /// The report as a single JSON object (hand-rolled; the repo
-    /// carries no JSON dependency). New keys append after the
-    /// original ones so existing readers keep working.
+    /// carries no JSON dependency).
     pub fn to_json(&self) -> String {
         let exemplars: Vec<String> =
             self.p99_exemplars.iter().map(|id| format!("\"{}\"", TraceId(*id).to_hex())).collect();
         format!(
             concat!(
-                "{{\"sent\":{},\"ok\":{},\"degraded\":{},\"deadline_exceeded\":{},",
+                "{{\"sent\":{},\"ok\":{},\"degraded\":{},",
                 "\"overloaded\":{},\"bad_request\":{},\"shed_rate\":{:.6},",
                 "\"p50_us\":{:.1},\"p90_us\":{:.1},\"p99_us\":{:.1},",
                 "\"elapsed_ms\":{},\"achieved_rate\":{:.1},",
@@ -131,7 +118,6 @@ impl LoadReport {
             self.sent,
             self.ok,
             self.degraded,
-            self.deadline_exceeded,
             self.overloaded,
             self.bad_request,
             self.shed_rate,
@@ -206,13 +192,7 @@ pub fn run(server: &Server, config: &LoadgenConfig) -> LoadReport {
             let kind = query_mix(i, cfg.seed, days, weeks);
             let root = TraceContext::root(TraceId::mint(cfg.seed ^ LOADGEN_TRACE_SALT, i));
             let trace = reg.trace_span(root, "client.request", kind.label());
-            let req = Request {
-                id: i,
-                kind,
-                budget_ms: cfg.budget_ms,
-                allow_degraded: cfg.allow_degraded,
-                trace,
-            };
+            let req = Request { id: i, kind, budget_ms: 0, allow_degraded: false, trace };
             let _ = slab[i as usize].set(Instant::now());
             if wire::write_request(&mut tx, &req).is_err() {
                 return; // server gone; receiver will see EOF
@@ -227,7 +207,6 @@ pub fn run(server: &Server, config: &LoadgenConfig) -> LoadReport {
         sent: config.requests,
         ok: 0,
         degraded: 0,
-        deadline_exceeded: 0,
         overloaded: 0,
         bad_request: 0,
         shed_rate: 0.0,
@@ -249,7 +228,6 @@ pub fn run(server: &Server, config: &LoadgenConfig) -> LoadReport {
                 match resp.status {
                     Status::Ok => report.ok += 1,
                     Status::Degraded => report.degraded += 1,
-                    Status::DeadlineExceeded => report.deadline_exceeded += 1,
                     Status::Overloaded => report.overloaded += 1,
                     Status::BadRequest => report.bad_request += 1,
                 }
@@ -424,8 +402,7 @@ mod tests {
         let report = LoadReport {
             sent: 10,
             ok: 7,
-            degraded: 1,
-            deadline_exceeded: 1,
+            degraded: 2,
             overloaded: 1,
             bad_request: 0,
             shed_rate: 0.1,

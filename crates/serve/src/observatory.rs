@@ -214,9 +214,8 @@ impl EpochSnapshot {
     }
 
     /// The all-days prefix-density index, built on first use from the
-    /// (cached) union of every ingested day. Degraded answers quote
-    /// counts from this O(1) approximation instead of composing sets
-    /// they have no budget for.
+    /// (cached) union of every ingested day. Prefix counts read it, and
+    /// the degraded answer after a worker panic quotes it.
     pub fn density(&self) -> Arc<PrefixDensity> {
         self.density
             .get_or_init(|| Arc::new(PrefixDensity::from_set(&*self.engine.all_active())))

@@ -3,18 +3,21 @@
 //! Frames reuse the `logfmt` lease idiom: a varint length prefix, the
 //! payload, then a little-endian CRC-32 of the payload. A torn or
 //! bit-flipped frame is *detected*, never half-parsed. Integers inside
-//! payloads are LEB128 varints; the layout is append-only so older
-//! clients keep working when trailing fields grow.
+//! payloads are LEB128 varints. A layout grows only at its trailer,
+//! with one exception: responses lost two always-zero progress varints
+//! after `coverage_ppm` when the deadline status was retired, so a
+//! response frame written before that does not decode today.
 //!
 //! ```text
 //! frame    := varint(payload_len) payload crc32(payload) as 4 LE bytes
 //! request  := 0x51 varint(id) kind:u8 varint(a) varint(b)
-//!             varint(budget_ms) flags:u8          ; flags bit0 = allow_degraded
+//!             varint(budget_ms) flags:u8          ; read and ignored
 //!             [varint(trace_id) varint(parent_span)]   ; absent = untraced
 //! response := 0x52 varint(id) varint(epoch) status:u8 varint(value)
-//!             varint(coverage_ppm) varint(units_done) varint(units_total)
+//!             varint(coverage_ppm)
 //!             flags:u8                            ; flags bit0 = from_density
 //!             [varint(trace_id) varint(body_len) body] ; absent = untraced, no body
+//! status   := 0 Ok | 1 Degraded | 3 Overloaded | 4 BadRequest  ; 2 is retired
 //! ```
 //!
 //! The bracketed trailers are the trace-context propagation added for
@@ -22,7 +25,8 @@
 //! `(trace_id, parent_span)` so server-side spans hang off the
 //! client's root, responses echo the trace id and may carry a JSON
 //! body (the `Telemetry` / `Trace` kinds). Decoders treat a missing
-//! trailer as "untraced / no body", so pre-trace peers interoperate.
+//! trailer as "untraced / no body", so a pre-trace client's requests
+//! still decode.
 //!
 //! Two readers, one format. [`read_request`] / [`read_response`] take
 //! one frame at a time from any `Read` and consume not a byte past it:
@@ -185,12 +189,11 @@ pub struct Request {
     pub id: u64,
     /// The computation being requested.
     pub kind: QueryKind,
-    /// Deadline budget in milliseconds; `0` means unlimited. Every
-    /// query the server answers today is an O(1) lookup, so none
-    /// reaches its budget.
+    /// Carried on the wire and ignored: every query is answered in
+    /// full. Kept by name for `benchmark/` (ROADMAP item 1).
     pub budget_ms: u64,
-    /// Whether a deadline overrun may be answered from the density
-    /// approximation instead of failing with `DeadlineExceeded`.
+    /// Carried on the wire (flags bit 0) and ignored. Kept by name for
+    /// `benchmark/` (ROADMAP item 1).
     pub allow_degraded: bool,
     /// Trace context propagated from the client
     /// ([`TraceContext::NONE`] for untraced requests): server-side
@@ -208,9 +211,6 @@ pub enum Status {
     /// either the window coverage is partial or the value came from the
     /// density approximation. Inspect `coverage_ppm` / `from_density`.
     Degraded,
-    /// The deadline budget expired and degraded answering was not
-    /// allowed; `units_done`/`units_total` carry partial progress.
-    DeadlineExceeded,
     /// The admission queue was full; the request was never executed.
     Overloaded,
     /// The request was malformed or out of range.
@@ -222,7 +222,6 @@ impl Status {
         match self {
             Status::Ok => 0,
             Status::Degraded => 1,
-            Status::DeadlineExceeded => 2,
             Status::Overloaded => 3,
             Status::BadRequest => 4,
         }
@@ -232,7 +231,6 @@ impl Status {
         Ok(match b {
             0 => Status::Ok,
             1 => Status::Degraded,
-            2 => Status::DeadlineExceeded,
             3 => Status::Overloaded,
             4 => Status::BadRequest,
             other => return Err(WireError::BadDiscriminant(other)),
@@ -255,10 +253,6 @@ pub struct Response {
     /// day in the window was fully fed; less annotates partial feeds or
     /// a clamped horizon.
     pub coverage_ppm: u64,
-    /// Composition units materialized before the answer (or deadline).
-    pub units_done: u64,
-    /// Composition units the full answer needed.
-    pub units_total: u64,
     /// True when `value` came from the [`PrefixDensity`]
     /// approximation rather than exact set composition.
     ///
@@ -279,10 +273,9 @@ impl Response {
 }
 
 /// Payload bytes kept on the stack: every frame without a body fits
-/// (the longest is a response's scalar fields — a magic, a status and
-/// a flags byte and eight varints of at most ten bytes), so writing or
-/// reading one allocates nothing. Below 128, so such a frame's length
-/// prefix is one byte.
+/// (the longest has three single bytes and six varints of at most ten
+/// bytes), so writing or reading one allocates nothing. Below 128, so
+/// such a frame's length prefix is one byte.
 const INLINE: usize = 96;
 
 /// A frame without a body, built in place on the stack: the length
@@ -337,8 +330,8 @@ fn take_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
     Ok(b)
 }
 
-/// Decodes an append-only trailing varint: an exhausted payload means
-/// the peer predates the field and the default (0) applies.
+/// Decodes a trailer varint: an exhausted payload means the peer
+/// predates the trailer and the default (0) applies.
 fn decode_u64_tail(buf: &mut &[u8]) -> Result<u64, WireError> {
     if buf.is_empty() {
         Ok(0)
@@ -391,8 +384,6 @@ fn decode_response(mut p: &[u8]) -> Result<Response, WireError> {
     let status = Status::from_discriminant(take_u8(&mut p)?)?;
     let value = decode_u64(&mut p)?;
     let coverage_ppm = decode_u64(&mut p)?;
-    let units_done = decode_u64(&mut p)?;
-    let units_total = decode_u64(&mut p)?;
     let flags = take_u8(&mut p)?;
     let trace_id = decode_u64_tail(&mut p)?;
     let body = match decode_u64_tail(&mut p)? {
@@ -412,8 +403,6 @@ fn decode_response(mut p: &[u8]) -> Result<Response, WireError> {
         status,
         value,
         coverage_ppm,
-        units_done,
-        units_total,
         from_density: flags & 1 != 0,
         trace_id,
         body,
@@ -626,8 +615,6 @@ pub fn write_response<W: Write + ?Sized>(w: &mut W, resp: &Response) -> io::Resu
     f.push(resp.status.discriminant());
     f.varint(resp.value);
     f.varint(resp.coverage_ppm);
-    f.varint(resp.units_done);
-    f.varint(resp.units_total);
     f.push(u8::from(resp.from_density));
     f.varint(resp.trace_id);
     match &resp.body {
@@ -727,8 +714,6 @@ mod tests {
             status: Status::Degraded,
             value: 123_456,
             coverage_ppm: 750_000,
-            units_done: 3,
-            units_total: 8,
             from_density: true,
             trace_id: 0,
             body: None,
@@ -758,10 +743,10 @@ mod tests {
         // No body and untraced, no body and traced, body and
         // untraced, body and traced.
         const RESPONSES: [&str; 4] = [
-            "0f522a0901c0c407b0e32d03080100002f19699a",
-            "13522a0901c0c407b0e32d030801effdb6f50d00b4b10907",
-            "22522a0900c0c407b0e32d03080000137b0a202022747261636573223a205b5d0a7d0a0a499ba6",
-            "2b52ffffffffffffffffff010901c0c407b0e32d03080105137b0a202022747261636573223a205b5d0a7d0a5f1081bd",
+            "0d522a0901c0c407b0e32d0100003f6583a5",
+            "11522a0901c0c407b0e32d01effdb6f50d0044410c18",
+            "20522a0900c0c407b0e32d0000137b0a202022747261636573223a205b5d0a7d0ad1cf1f89",
+            "2952ffffffffffffffffff010901c0c407b0e32d0105137b0a202022747261636573223a205b5d0a7d0a9db472b5",
         ];
         for (req, want) in sample_requests().iter().zip(REQUESTS) {
             let mut buf = Vec::new();
@@ -798,8 +783,6 @@ mod tests {
             status: Status::Degraded,
             value: 123_456,
             coverage_ppm: 750_000,
-            units_done: 3,
-            units_total: 8,
             from_density: true,
             trace_id: 0xDEAD_BEEF,
             body: None,
@@ -818,8 +801,6 @@ mod tests {
             status: Status::Ok,
             value: 0,
             coverage_ppm: Response::FULL_COVERAGE,
-            units_done: 0,
-            units_total: 0,
             from_density: false,
             trace_id: 5,
             body: Some("{\n  \"traces\": []\n}\n".to_string()),
@@ -856,9 +837,7 @@ mod tests {
         p.push(0); // Ok
         encode_u64(&mut p, 99); // value
         encode_u64(&mut p, Response::FULL_COVERAGE);
-        encode_u64(&mut p, 1);
-        encode_u64(&mut p, 1);
-        p.push(0);
+        p.push(0); // flags
         let mut buf = Vec::new();
         write_frame(&mut buf, &p).unwrap();
         let resp = read_response(&mut &buf[..]).unwrap().unwrap();
@@ -875,8 +854,6 @@ mod tests {
             status: Status::Ok,
             value: 0,
             coverage_ppm: 0,
-            units_done: 0,
-            units_total: 0,
             from_density: false,
             trace_id: 0,
             body: Some("abcdef".to_string()),
@@ -976,5 +953,19 @@ mod tests {
         write_frame(&mut buf, &p).unwrap();
         let err = read_request(&mut &buf[..]).unwrap_err();
         assert!(matches!(err, WireError::BadDiscriminant(9)), "got {err}");
+
+        // Status 2 was the deadline status; retired, it is no status.
+        let mut p = Vec::new();
+        p.push(RESPONSE_MAGIC);
+        encode_u64(&mut p, 5); // id
+        encode_u64(&mut p, 1); // epoch
+        p.push(2); // status
+        encode_u64(&mut p, 0); // value
+        encode_u64(&mut p, 0); // coverage_ppm
+        p.push(0); // flags
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &p).unwrap();
+        let err = read_response(&mut &buf[..]).unwrap_err();
+        assert!(matches!(err, WireError::BadDiscriminant(2)), "got {err}");
     }
 }

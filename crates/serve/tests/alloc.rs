@@ -79,8 +79,6 @@ fn widest_response(id: u64, body: Option<String>) -> Response {
         status: Status::Degraded,
         value: u64::MAX,
         coverage_ppm: u64::MAX,
-        units_done: u64::MAX,
-        units_total: u64::MAX,
         from_density: true,
         trace_id: u64::MAX,
         body,
@@ -121,8 +119,6 @@ fn a_frame_without_a_body_round_trips_without_allocating() {
         status: Status::Ok,
         value: 123_456,
         coverage_ppm: Response::FULL_COVERAGE,
-        units_done: 0,
-        units_total: 0,
         from_density: false,
         trace_id: 0,
         body: None,

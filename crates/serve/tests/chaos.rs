@@ -52,36 +52,20 @@ fn pinned_seed_chaos_soak_answers_every_request_honestly() {
         }
     });
 
-    // Phase A: paced open-loop load, one run that tolerates
-    // degradation and one that demands strict deadlines.
-    let soft = loadgen::run(
-        &server,
-        &LoadgenConfig {
-            requests: 150,
-            rate: 2_000.0,
-            budget_ms: 2,
-            allow_degraded: true,
-            seed: SOAK_SEED,
-        },
-    );
-    let strict = loadgen::run(
-        &server,
-        &LoadgenConfig {
-            requests: 150,
-            rate: 2_000.0,
-            budget_ms: 1,
-            allow_degraded: false,
-            seed: SOAK_SEED + 1,
-        },
-    );
+    // Phase A: two paced open-loop runs that differ only by seed, so
+    // each sees its own query mix.
+    let first =
+        loadgen::run(&server, &LoadgenConfig { requests: 150, rate: 2_000.0, seed: SOAK_SEED });
+    let second =
+        loadgen::run(&server, &LoadgenConfig { requests: 150, rate: 2_000.0, seed: SOAK_SEED + 1 });
     ingester.join().expect("ingester panicked");
 
     // Every issued request answered, no silent drops, only allowed
     // classes (loadgen already buckets by status; the sums must close).
-    assert_eq!(soft.answered(), 150, "soft run dropped answers: {soft:?}");
-    assert_eq!(strict.answered(), 150, "strict run dropped answers: {strict:?}");
-    assert_eq!(soft.bad_request, 0);
-    assert_eq!(strict.bad_request, 0);
+    assert_eq!(first.answered(), 150, "first run dropped answers: {first:?}");
+    assert_eq!(second.answered(), 150, "second run dropped answers: {second:?}");
+    assert_eq!(first.bad_request, 0);
+    assert_eq!(second.bad_request, 0);
 
     // Phase B: an unpaced flood over one connection against the
     // 8-deep queue must shed — explicitly, never by dropping.
@@ -125,10 +109,6 @@ fn pinned_seed_chaos_soak_answers_every_request_honestly() {
                 r.coverage_ppm < Response::FULL_COVERAGE || r.from_density,
                 "degraded without provenance: {r:?}"
             ),
-            Status::DeadlineExceeded => {
-                assert!(r.units_total >= 1);
-                assert!(r.units_done <= r.units_total);
-            }
             Status::Overloaded => {}
             Status::BadRequest => panic!("well-formed flood request got BadRequest"),
         }
@@ -172,11 +152,10 @@ fn pinned_seed_chaos_soak_answers_every_request_honestly() {
     assert_eq!(snap.counter("serve.requests"), sent_total);
     let worker_answers = snap.counter("serve.ok")
         + snap.counter("serve.degraded")
-        + snap.counter("serve.deadline")
         + snap.counter("serve.bad_request")
         + snap.counter("serve.overloaded");
     assert_eq!(worker_answers, executed + 1, "every executed query answered once");
-    assert_eq!(snap.counter("serve.shed") as usize, shed + soft.overloaded as usize + strict.overloaded as usize);
+    assert_eq!(snap.counter("serve.shed") as usize, shed + first.overloaded as usize + second.overloaded as usize);
     assert!(snap.counter("serve.panics") >= 1, "panic injection must have fired");
     let json = snap.to_json();
     for key in ["serve.latency_us", "serve.client.latency_us", "serve.epoch", "serve.days"] {
