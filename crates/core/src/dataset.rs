@@ -14,7 +14,8 @@
 use crate::cadence::SlotMatrix;
 use crate::coverage::Coverage;
 use crate::par::{claim_map, sweep_threads};
-use ipactive_net::{ActiveSet, Addr, Block24, DayBits};
+use crate::window_census::UnitHistograms;
+use ipactive_net::{ActiveSet, Addr, AddrBits256, Block24, DayBits};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -148,8 +149,13 @@ impl DailyDataset {
 /// keeps it, [`grow`](Self::grow)s the window as days arrive, folds
 /// only the new records and publishes [`snapshot`](Self::snapshot)s.
 ///
-/// The accumulators sit in one table per shard, as many shards as a
-/// sweep has threads ([`sweep_threads`]); a block lives in shard
+/// Each block is kept in the form a dataset publishes it, a
+/// [`BlockRecord`] brought up to date by every record that reaches
+/// it, beside the per-address samples its medians come from. So a
+/// snapshot copies blocks, and so does `finish`, freeing each as it goes.
+///
+/// The blocks sit in one table per shard, as many shards as a sweep
+/// has threads ([`sweep_threads`]); a block lives in shard
 /// `block % shards`, so every address has exactly one accumulator and
 /// [`record_days`](Self::record_days) folds the shards side by side.
 /// Every other entry point reaches a block's shard directly, on the
@@ -162,6 +168,9 @@ pub struct DailyDatasetBuilder {
     /// named, with its shard and position there: [`BlockTable`]'s memo
     /// one level up, so a block-major log pays no shard lookup either.
     last: Option<(Block24, usize, usize)>,
+    /// One past the latest day a hit record has named, or a
+    /// [`record_days`](Self::record_days) batch covered.
+    folded_to: usize,
     /// Medians found by selection over every snapshot so far.
     selected: u64,
     /// Rank windows refilled over every snapshot so far.
@@ -234,98 +243,134 @@ fn shard_of(block: Block24, shards: usize) -> usize {
     (block.id() % shards as u32) as usize
 }
 
-/// No address of the block at this host index has an accumulator yet.
+/// No address of the block at this host index has samples yet.
 const ABSENT: u16 = u16::MAX;
 
+/// One block as the builder keeps it: the record a dataset publishes,
+/// current after every record, and the samples behind its medians.
 #[derive(Debug)]
 struct BlockAcc {
-    /// Per-address accumulators in first-arrival order.
+    /// The published form. Its rows, totals, UA sample count and every
+    /// `ip_traffic` entry's `days_active` and `total_hits` are brought
+    /// up to date by each record; a median is current unless its host
+    /// is `stale`, and `ua_unique` once the UA hashes are deduplicated.
+    record: BlockRecord,
+    /// Per-address samples in first-arrival order, where a new address
+    /// moves nothing.
     ips: Vec<IpAcc>,
-    /// Position in `ips` of each host's accumulator, or [`ABSENT`] —
-    /// the one place that says which host an accumulator belongs to,
-    /// and read in host order.
+    /// Position in `ips` of each host's samples, or [`ABSENT`].
     slot_of: [u16; 256],
-    total_hits: u64,
-    ua_samples: u64,
-    /// Sampled UA hashes as they arrive, duplicates and all; sorted and
-    /// deduplicated when a record is built or the builder is sealed.
+    /// How many hosts with samples sort before each host: where the
+    /// host's entry sits in `record.ip_traffic`, which lists them in
+    /// host order.
+    below: [u8; 256],
+    /// Hosts whose published median may be out of date: the address is
+    /// untracked, or its median has left its rank window.
+    stale: AddrBits256,
+    /// Sampled UA hashes, duplicates and all, until deduplicated: never
+    /// fewer than `record.ua_unique`, and as many exactly when they are.
     ua_hashes: Vec<u64>,
 }
 
-impl Default for BlockAcc {
-    fn default() -> Self {
+impl BlockAcc {
+    fn new(block: Block24) -> Self {
         BlockAcc {
+            record: BlockRecord {
+                block,
+                rows: Box::new([DayBits::new(); 256]),
+                total_hits: 0,
+                ua_samples: 0,
+                ua_unique: 0,
+                ip_traffic: Vec::new(),
+            },
             ips: Vec::new(),
             slot_of: [ABSENT; 256],
-            total_hits: 0,
-            ua_samples: 0,
+            below: [0; 256],
+            stale: AddrBits256::new(),
             ua_hashes: Vec::new(),
         }
     }
-}
 
-impl BlockAcc {
-    /// Records `hits` (> 0) successful requests from `host` on `day`.
-    fn record_hits(&mut self, day: usize, host: u8, hits: u64) {
-        self.total_hits = self.total_hits.saturating_add(hits);
-        let ip = self.ip(host);
-        ip.add(day, hits.min(u32::MAX as u64) as u32);
-        ip.total = ip.total.saturating_add(hits);
+    /// Records `hits` (> 0) successful requests from `host` on `day`;
+    /// what [`IpAcc::add`] says of the day.
+    fn record_hits(&mut self, day: usize, host: u8, hits: u64) -> Option<usize> {
+        self.record.total_hits = self.record.total_hits.saturating_add(hits);
+        self.add(host, day, hits.min(u32::MAX as u64) as u32, hits)
     }
 
-    /// The accumulator of address `host`, created on first use.
-    fn ip(&mut self, host: u8) -> &mut IpAcc {
-        let slot = &mut self.slot_of[host as usize];
+    /// Where `host`'s samples sit in `ips` and its entry in
+    /// `record.ip_traffic`, both made on first use.
+    fn slot(&mut self, host: u8) -> (usize, usize) {
+        let host = usize::from(host);
+        let slot = &mut self.slot_of[host];
         if *slot == ABSENT {
             *slot = self.ips.len() as u16;
             self.ips.push(IpAcc::default());
-        }
-        &mut self.ips[*slot as usize]
-    }
-
-    /// Leaves each distinct UA hash once, in ascending order.
-    fn dedup_ua(&mut self) {
-        self.ua_hashes.sort_unstable();
-        self.ua_hashes.dedup();
-    }
-
-    /// The block's finished record; `None` for a block that never
-    /// recorded a hit. `median` is how this build takes an address's
-    /// median: kept current for a snapshot, once and for all for
-    /// `finish`. Hosts are walked in order, so `ip_traffic` is built
-    /// sorted.
-    fn record(
-        &mut self,
-        block: Block24,
-        median: &mut impl FnMut(&mut IpAcc) -> u32,
-    ) -> Option<BlockRecord> {
-        if self.ips.is_empty() {
-            return None;
-        }
-        self.dedup_ua();
-        let mut rows: Box<[DayBits; 256]> = Box::new([DayBits::new(); 256]);
-        let mut ip_traffic = Vec::with_capacity(self.ips.len());
-        for (host, &slot) in self.slot_of.iter().enumerate() {
-            if slot == ABSENT {
-                continue;
+            let traffic =
+                IpTraffic { host: host as u8, days_active: 0, total_hits: 0, median_daily_hits: 0 };
+            self.record.ip_traffic.insert(usize::from(self.below[host]), traffic);
+            for below in &mut self.below[host + 1..] {
+                *below += 1;
             }
-            let ip = &mut self.ips[slot as usize];
-            rows[host] = ip.bits;
-            ip_traffic.push(IpTraffic {
-                host: host as u8,
-                days_active: ip.bits.count() as u8,
-                total_hits: ip.total,
-                median_daily_hits: median(ip),
-            });
         }
-        Some(BlockRecord {
-            block,
-            rows,
-            total_hits: self.total_hits,
-            ua_samples: self.ua_samples,
-            ua_unique: self.ua_hashes.len() as u32,
-            ip_traffic,
-        })
+        (usize::from(*slot), usize::from(self.below[host]))
+    }
+
+    /// Adds `sample` to `day` of address `host`, whose total grows by
+    /// `hits`, and brings its published entry up to date: its row, day
+    /// count and total always, its median when the rank window holds
+    /// it, and its host is marked stale when not.
+    fn add(&mut self, host: u8, day: usize, sample: u32, hits: u64) -> Option<usize> {
+        let (slot, at) = self.slot(host);
+        let row = &mut self.record.rows[usize::from(host)];
+        let ip = &mut self.ips[slot];
+        let appended = ip.add(row, day, sample);
+        let traffic = &mut self.record.ip_traffic[at];
+        traffic.total_hits = traffic.total_hits.saturating_add(hits);
+        traffic.days_active = ip.hits.len() as u8;
+        match ip.windowed() {
+            Some(median) => traffic.median_daily_hits = median,
+            None => self.stale.set(host),
+        }
+        appended
+    }
+
+    /// Combines another accumulator of the same block: days active in
+    /// both sum their samples, the rest carry over.
+    fn merge(&mut self, mut other: BlockAcc) {
+        self.record.total_hits = self.record.total_hits.saturating_add(other.record.total_hits);
+        self.record.ua_samples += other.record.ua_samples;
+        self.ua_hashes.append(&mut other.ua_hashes);
+        for theirs in &other.record.ip_traffic {
+            let host = usize::from(theirs.host);
+            let samples = std::mem::take(&mut other.ips[usize::from(other.slot_of[host])].hits);
+            // The address's total moves over with its first sample.
+            let mut total = theirs.total_hits;
+            for (day, sample) in other.record.rows[host].iter().zip(samples) {
+                self.add(theirs.host, day, sample, std::mem::take(&mut total));
+            }
+        }
+    }
+
+    /// Brings every stale median up to date, as `median` takes it, and
+    /// deduplicates the UA hashes: the record is then what a dataset
+    /// publishes.
+    fn refresh(&mut self, median: &mut impl FnMut(&mut IpAcc) -> u32) {
+        if self.ua_hashes.len() != self.record.ua_unique as usize {
+            self.ua_hashes.sort_unstable();
+            self.ua_hashes.dedup();
+            self.record.ua_unique = self.ua_hashes.len() as u32;
+        }
+        for host in std::mem::take(&mut self.stale).iter().map(usize::from) {
+            let ip = &mut self.ips[usize::from(self.slot_of[host])];
+            self.record.ip_traffic[usize::from(self.below[host])].median_daily_hits = median(ip);
+        }
+    }
+
+    /// Whether the block has recorded a hit: a block with UA samples
+    /// alone publishes no record.
+    fn active(&self) -> bool {
+        !self.record.ip_traffic.is_empty()
     }
 }
 
@@ -334,6 +379,8 @@ const WINDOW: usize = 6;
 
 /// One address's samples and their median — the sample a full sort
 /// would leave at `len / 2` — which is *maintained*, not recomputed.
+/// The address's day bitmap is its row in the block's record, which
+/// every call that changes the samples is given.
 ///
 /// An accumulator starts untracked. Its first [`median`](Self::median)
 /// selects, and from then on the accumulator is tracked: it keeps a
@@ -349,11 +396,10 @@ const WINDOW: usize = 6;
 /// accumulator back to untracked until the next `median`.
 #[derive(Debug, Default)]
 struct IpAcc {
-    bits: DayBits,
     /// Hits per active day in ascending day order: `hits[i]` belongs
-    /// to the `i`-th set bit of `bits`, so the day is not stored again.
+    /// to the `i`-th set bit of the address's row, so the day is not
+    /// stored again.
     hits: Vec<u32>,
-    total: u64,
     /// While tracked, samples of consecutive ranks from `lo`, ascending.
     win: [u32; WINDOW],
     /// Samples ranked below `win[0]`.
@@ -369,37 +415,34 @@ fn select_median(samples: &mut [u32]) -> u32 {
 }
 
 impl IpAcc {
-    /// Adds `hits` to `day`'s sample, creating it if the day is new.
+    /// Adds `hits` to `day`'s sample, creating it if the day is new,
+    /// and sets `day` in `row`, the address's active days.
     ///
     /// A day later than every day present — each record of an address
     /// in any log an emitter writes — is set and appended: no rank to
-    /// count, nothing to shift. Any other order ranks and inserts; the
-    /// samples end up the same.
-    fn add(&mut self, day: usize, hits: u32) {
-        if self.bits.all_before(day) {
+    /// count, nothing to shift, and the address's latest day before it,
+    /// plus one, comes back (0 if it had none): a census column's
+    /// count. Any other order ranks and inserts, and `None` comes back;
+    /// the samples end up the same.
+    fn add(&mut self, row: &mut DayBits, day: usize, hits: u32) -> Option<usize> {
+        let appended = if row.all_before(day) {
             self.hits.push(hits);
+            Some((u128::BITS - row.bits().leading_zeros()) as usize)
         } else {
-            let rank = self.bits.count_range(0, day) as usize;
-            if self.bits.get(day) {
+            let rank = row.count_range(0, day) as usize;
+            if row.get(day) {
                 self.hits[rank] = self.hits[rank].saturating_add(hits);
                 self.held = 0;
-                return;
+                return None;
             }
             self.hits.insert(rank, hits);
-        }
-        self.bits.set(day);
+            None
+        };
+        row.set(day);
         if self.held != 0 {
             self.rank(hits);
         }
-    }
-
-    /// Combines another accumulator for the same address: days active
-    /// in both sum their hit counts, days active in one carry over.
-    fn merge(&mut self, other: IpAcc) {
-        for (day, hits) in other.bits.iter().zip(other.hits) {
-            self.add(day, hits);
-        }
-        self.total = self.total.saturating_add(other.total);
+        appended
     }
 
     /// Places a new sample, already in `hits`, against the window. A
@@ -503,7 +546,7 @@ impl DailyDatasetBuilder {
     fn with_shards(num_days: usize, shards: usize) -> Self {
         assert!(num_days <= DayBits::CAPACITY, "window exceeds {} days", DayBits::CAPACITY);
         let shards = (0..shards.max(1)).map(|_| BlockTable::default()).collect();
-        DailyDatasetBuilder { num_days, shards, last: None, selected: 0, refilled: 0 }
+        DailyDatasetBuilder { num_days, shards, last: None, folded_to: 0, selected: 0, refilled: 0 }
     }
 
     /// The accumulator of `block`, made if this is the block's first
@@ -513,7 +556,7 @@ impl DailyDatasetBuilder {
             Some((last, shard, at)) if last == block => (shard, at),
             _ => {
                 let shard = shard_of(block, self.shards.len());
-                let at = self.shards[shard].position(block, BlockAcc::default);
+                let at = self.shards[shard].position(block, || BlockAcc::new(block));
                 self.last = Some((block, shard, at));
                 (shard, at)
             }
@@ -540,6 +583,7 @@ impl DailyDatasetBuilder {
         if hits == 0 {
             return; // activity is defined by successful requests
         }
+        self.folded_to = self.folded_to.max(day + 1);
         self.acc(Block24::of(addr)).record_hits(day, addr.host_index(), hits);
     }
 
@@ -554,6 +598,22 @@ impl DailyDatasetBuilder {
     /// this builder (the observatory's weekly fold) shares the threads
     /// instead of waiting for them.
     ///
+    /// The fold also counts what the batch adds to a window census of
+    /// the builder's days ([`WindowCensus::appended`] takes it): each
+    /// record that puts its address on a day later than all it had is
+    /// one address gone active on that day after its previous active
+    /// day. Each share counts its own blocks and the shares' counts are
+    /// summed. They are the whole of days `first_day..` when the batch
+    /// starts after every day the builder has folded — no record named
+    /// one of its days and no batch covered one — since a share folds
+    /// its records day by day, so every record then lands on or after
+    /// its address's latest day. Otherwise a record may land earlier
+    /// and this returns `None`: a census must count the rows
+    /// ([`WindowCensus::extended`]).
+    ///
+    /// [`WindowCensus::appended`]: crate::WindowCensus::appended
+    /// [`WindowCensus::extended`]: crate::WindowCensus::extended
+    ///
     /// # Panics
     /// If a day lies outside the window.
     pub fn record_days(
@@ -561,9 +621,13 @@ impl DailyDatasetBuilder {
         first_day: usize,
         days: &[&[(Addr, u64)]],
         beside: impl FnOnce() + Send,
-    ) {
+    ) -> Option<UnitHistograms> {
         let end = first_day + days.len();
         assert!(end <= self.num_days, "day {} outside window", end - 1);
+        let after = self.folded_to <= first_day;
+        if !days.is_empty() {
+            self.folded_to = self.folded_to.max(end);
+        }
         let shards = self.shards.len();
         // Each share takes what it folds through a lock no other share
         // asks for.
@@ -571,7 +635,9 @@ impl DailyDatasetBuilder {
             self.shards.iter_mut().map(Mutex::new).collect();
         let beside = Mutex::new(Some(beside));
         let order: Vec<usize> = std::iter::once(shards).chain(0..shards).collect();
-        claim_map(&order, shards, || (), |(), share| {
+        // Each thread counts into histograms of its own.
+        let init = || UnitHistograms::new(first_day..end);
+        let (_, counts) = claim_map(&order, shards, init, |counts, share| {
             if share == shards {
                 if let Some(beside) = beside.lock().expect("share lock poisoned").take() {
                     beside();
@@ -579,22 +645,40 @@ impl DailyDatasetBuilder {
                 return;
             }
             let mut table = tables[share].lock().expect("share lock poisoned");
+            // Whether the block of the record before is this share's:
+            // a block-major log asks once a block, not once a record.
+            let mut mine = None;
             for (day, records) in (first_day..).zip(days) {
                 for &(addr, hits) in *records {
                     let block = Block24::of(addr);
-                    if hits != 0 && shard_of(block, shards) == share {
-                        let acc = table.acc(block, BlockAcc::default);
-                        acc.record_hits(day, addr.host_index(), hits);
+                    let ours = match mine {
+                        Some((last, ours)) if last == block => ours,
+                        _ => {
+                            let ours = shard_of(block, shards) == share;
+                            mine = Some((block, ours));
+                            ours
+                        }
+                    };
+                    if hits != 0 && ours {
+                        let acc = table.acc(block, || BlockAcc::new(block));
+                        if let Some(q) = acc.record_hits(day, addr.host_index(), hits) {
+                            counts.count(day, q);
+                        }
                     }
                 }
             }
         });
+        let sum = counts.into_iter().reduce(|mut sum, counts| {
+            sum.add(&counts);
+            sum
+        });
+        sum.filter(|_| after)
     }
 
     /// Records one sampled User-Agent observation.
     pub fn record_ua(&mut self, _day: usize, addr: Addr, ua_hash: u64) {
         let acc = self.acc(Block24::of(addr));
-        acc.ua_samples += 1;
+        acc.record.ua_samples += 1;
         acc.ua_hashes.push(ua_hash);
     }
 
@@ -614,24 +698,17 @@ impl DailyDatasetBuilder {
             self.num_days, other.num_days,
             "cannot merge builders over different windows"
         );
+        self.folded_to = self.folded_to.max(other.folded_to);
         let shards = self.shards.len();
         for (block, acc) in other.shards.into_iter().flat_map(|table| table.accs) {
-            self.shards[shard_of(block, shards)].take(block, acc, |mine, mut acc| {
-                mine.total_hits = mine.total_hits.saturating_add(acc.total_hits);
-                mine.ua_samples += acc.ua_samples;
-                mine.ua_hashes.append(&mut acc.ua_hashes);
-                for (host, &slot) in acc.slot_of.iter().enumerate() {
-                    if slot != ABSENT {
-                        mine.ip(host as u8).merge(std::mem::take(&mut acc.ips[slot as usize]));
-                    }
-                }
-            });
+            self.shards[shard_of(block, shards)].take(block, acc, BlockAcc::merge);
         }
     }
 
-    /// Does now, on the calling thread, the per-address work of
-    /// [`finish`](Self::finish): every address gets its rank window,
-    /// as a [`snapshot`](Self::snapshot) leaves it but uncounted by
+    /// Does now, on the calling thread, what [`finish`](Self::finish)
+    /// still has to do to a block: every stale median is brought up to
+    /// date and its address gets its rank window, as a
+    /// [`snapshot`](Self::snapshot) leaves it but uncounted by
     /// [`medians_selected`](Self::medians_selected) and
     /// [`median_refills`](Self::median_refills) — nothing was
     /// published — and every block's UA hashes are deduplicated. A
@@ -642,15 +719,20 @@ impl DailyDatasetBuilder {
     /// after a snapshot, and the dataset is the same either way.
     pub fn seal(&mut self) {
         let (mut scratch, mut selected, mut refilled) = (Vec::new(), 0, 0);
+        let mut median = |ip: &mut IpAcc| ip.median(&mut scratch, &mut selected, &mut refilled);
         for (_, acc) in self.shards.iter_mut().flat_map(|table| &mut table.accs) {
-            acc.dedup_ua();
-            for ip in &mut acc.ips {
-                ip.median(&mut scratch, &mut selected, &mut refilled);
-            }
+            acc.refresh(&mut median);
         }
     }
 
-    /// Finalizes into an immutable dataset.
+    /// Finalizes into an immutable dataset: each block's record is
+    /// copied out, once its stale medians are known — each selected in
+    /// place, with no copy of its samples — and the block is freed.
+    /// Copied, not moved, so that the dataset is allocated on the
+    /// calling thread: the records were made wherever the records
+    /// folded, and a collector's blocks moved out would keep that
+    /// thread's allocator arena from giving back what the fold used
+    /// (`collect_replay` peaked 11 MB higher when they were moved).
     ///
     /// Blocks that never recorded a hit are dropped, even if they
     /// accumulated UA samples: activity is defined by successful
@@ -661,38 +743,50 @@ impl DailyDatasetBuilder {
     /// survives, and the salvaged dataset must still agree with the
     /// clean one wherever activity agrees.
     pub fn finish(self) -> DailyDataset {
-        // Consuming, so each accumulator is freed as soon as its
-        // record exists and the two never coexist in full — and a
-        // median not yet known is selected in place, with no copy.
+        // Consuming, so each block is freed as soon as its record has
+        // been copied out.
         let accs = self.shards.into_iter().flat_map(|table| table.accs);
-        Self::dataset(self.num_days, accs, IpAcc::last_median)
+        let blocks = accs.filter_map(|(_, mut acc)| {
+            acc.refresh(&mut IpAcc::last_median);
+            acc.active().then(|| acc.record.clone())
+        });
+        Self::dataset(self.num_days, blocks.collect())
     }
 
     /// The dataset [`finish`](Self::finish) would produce now, with
     /// the builder left intact to take more records. The snapshot owns
     /// every row it holds; later records never reach it.
     ///
-    /// `&mut` because a snapshot starts tracking the median of every
-    /// address it reports: the first one selects it and keeps the
-    /// samples ranked around it, and from then on each new day's record
-    /// moves that rank window in O(1) and the snapshot reads the median
-    /// off it, touching no sample. When the median has walked out of
-    /// its window the snapshot refills it with one selection
-    /// ([`median_refills`](Self::median_refills) counts). Only a second
-    /// record for an `(address, day)` already present drops the
-    /// tracking, and the next snapshot selects for that address again
-    /// ([`medians_selected`](Self::medians_selected) counts). What a
-    /// snapshot still pays for every block, moved or not, is the copy
-    /// of its rows and traffic summaries, walked in host order:
-    /// O(addresses), with no sort. That runs on the calling thread
-    /// alone, shard after shard, so the whole dataset comes from one
-    /// thread's heap.
+    /// Every block already holds its published form, so a snapshot
+    /// does two things: it brings the stale medians up to date, and it
+    /// copies each block's record. `&mut` because a snapshot starts
+    /// tracking the median of every address it reports: the first one
+    /// selects it and keeps the samples ranked around it, and from then
+    /// on each new day's record moves that rank window in O(1) and
+    /// writes the median into the block's record as it folds. When the
+    /// median has walked out of its window the snapshot refills it with
+    /// one selection ([`median_refills`](Self::median_refills) counts).
+    /// Only a second record for an `(address, day)` already present
+    /// drops the tracking, and the next snapshot selects for that
+    /// address again ([`medians_selected`](Self::medians_selected)
+    /// counts). What a snapshot still pays for every block, moved or
+    /// not, is the copy of its rows and traffic summaries: two
+    /// allocations and a memcpy, with no walk over the hosts and no
+    /// sort within a block. That runs on the calling thread alone,
+    /// shard after shard, so the whole dataset comes from one thread's
+    /// heap.
     pub fn snapshot(&mut self) -> DailyDataset {
         let (mut scratch, selected, refilled) =
             (Vec::new(), &mut self.selected, &mut self.refilled);
-        let accs = self.shards.iter_mut().flat_map(|table| &mut table.accs);
-        let accs = accs.map(|(block, acc)| (*block, acc));
-        Self::dataset(self.num_days, accs, |ip| ip.median(&mut scratch, selected, refilled))
+        let mut median = |ip: &mut IpAcc| ip.median(&mut scratch, selected, refilled);
+        let mut blocks = Vec::with_capacity(self.shards.iter().map(|t| t.accs.len()).sum());
+        for (_, acc) in self.shards.iter_mut().flat_map(|table| &mut table.accs) {
+            acc.refresh(&mut median);
+            if acc.active() {
+                blocks.push(acc.record.clone());
+            }
+        }
+        Self::dataset(self.num_days, blocks)
     }
 
     /// How many medians [`snapshot`](Self::snapshot) has found by
@@ -712,14 +806,7 @@ impl DailyDatasetBuilder {
         self.refilled
     }
 
-    fn dataset<A: std::borrow::BorrowMut<BlockAcc>>(
-        num_days: usize,
-        accs: impl Iterator<Item = (Block24, A)>,
-        mut median: impl FnMut(&mut IpAcc) -> u32,
-    ) -> DailyDataset {
-        let mut blocks: Vec<BlockRecord> = accs
-            .filter_map(|(block, mut acc)| acc.borrow_mut().record(block, &mut median))
-            .collect();
+    fn dataset(num_days: usize, mut blocks: Vec<BlockRecord>) -> DailyDataset {
         blocks.sort_unstable_by_key(|r| r.block);
         DailyDataset { num_days, blocks, coverage: None }
     }
@@ -978,6 +1065,7 @@ impl WeeklyDatasetBuilder {
 mod tests {
     use super::*;
     use crate::cadence::{transpose64, Windows};
+    use crate::WindowCensus;
     use ipactive_net::AddrSet;
     use proptest::prelude::*;
 
@@ -1529,11 +1617,13 @@ mod tests {
     }
 
     #[test]
-    fn an_address_slot_is_80_bytes_with_its_rank_window() {
-        // Six ranked samples and their two counts. The host is not
-        // stored (`slot_of` says it), so these 80 bytes are an
-        // address's whole entry in its block's `ips`.
-        assert_eq!(std::mem::size_of::<IpAcc>(), 80);
+    fn an_address_slot_is_56_bytes_with_its_rank_window() {
+        // Its samples, six ranked ones and their two counts. The host,
+        // the active days and the total are not stored here: they are
+        // the address's `ip_traffic` entry and row in the block's
+        // record, which publishes them as they are.
+        assert_eq!(std::mem::size_of::<IpAcc>(), 56);
+        assert_eq!(std::mem::size_of::<IpTraffic>(), 16);
         assert_eq!(WINDOW, 6);
     }
 
@@ -1544,7 +1634,7 @@ mod tests {
         // with samples tied to either end of the window and saturated
         // ones. After every add the median is read and checked against
         // selection; only the first read may select.
-        let (mut ip, mut scratch) = (IpAcc::default(), Vec::new());
+        let (mut ip, mut row, mut scratch) = (IpAcc::default(), DayBits::new(), Vec::new());
         let (mut selected, mut refilled) = (0, 0);
         let [mut below, mut above, mut low_ties, mut high_ties, mut saturated] = [0u64; 5];
         for day in 0..128usize {
@@ -1564,7 +1654,7 @@ mod tests {
             low_ties += u64::from(held > 0 && lo > 0 && x == bottom);
             high_ties += u64::from(held > 0 && lo + held < n && x == top);
             saturated += u64::from(x == u32::MAX);
-            ip.add(day, x);
+            ip.add(&mut row, day, x);
             let inside = (x >= bottom || lo == 0) && (x <= top || lo + held == n);
             if held == WINDOW && inside {
                 // The end farther from the median went: the window the
@@ -1908,6 +1998,308 @@ mod tests {
             let mut last = leaves.pop().expect("one builder left");
             prop_assert_eq!(last.snapshot(), one.snapshot());
             prop_assert_eq!(last.finish(), one.finish());
+        }
+    }
+
+    /// The counting rule a builder's snapshots keep, applied the long
+    /// way: each address's samples in one map, and every address's
+    /// median taken at every snapshot and every seal — what a builder
+    /// that rebuilt each published block counted.
+    #[derive(Default)]
+    struct EveryAddress {
+        ips: std::collections::BTreeMap<Addr, (DayBits, IpAcc)>,
+        totals: std::collections::BTreeMap<Addr, u64>,
+        /// Blocks a hit or a UA sample has named.
+        blocks: std::collections::HashSet<Block24>,
+    }
+
+    impl EveryAddress {
+        fn add(&mut self, day: usize, a: Addr, sample: u32) {
+            self.blocks.insert(Block24::of(a));
+            let (row, ip) = self.ips.entry(a).or_default();
+            ip.add(row, day, sample);
+        }
+
+        fn record(&mut self, day: usize, a: Addr, hits: u64) {
+            if hits != 0 {
+                self.add(day, a, hits.min(u32::MAX as u64) as u32);
+                let total = self.totals.entry(a).or_default();
+                *total = total.saturating_add(hits);
+            }
+        }
+
+        /// A block new here moves over with its accumulators as they
+        /// are; the addresses of a block both hold take the other's
+        /// samples day by day.
+        fn merge(&mut self, other: EveryAddress) {
+            let held = std::mem::take(&mut self.blocks);
+            for (a, (row, ip)) in other.ips {
+                if !held.contains(&Block24::of(a)) {
+                    self.ips.insert(a, (row, ip));
+                    continue;
+                }
+                for (day, sample) in row.iter().zip(ip.hits) {
+                    self.add(day, a, sample);
+                }
+            }
+            self.blocks.extend(held.into_iter().chain(other.blocks));
+            for (a, hits) in other.totals {
+                let total = self.totals.entry(a).or_default();
+                *total = total.saturating_add(hits);
+            }
+        }
+
+        /// Every address's published entry holds the model's day count,
+        /// total and median, read off its own samples.
+        fn check(&self, published: &DailyDataset) -> Result<(), TestCaseError> {
+            let entries = published.ip_traffic().count();
+            prop_assert_eq!(entries, self.ips.len(), "published addresses");
+            for (&a, (row, ip)) in &self.ips {
+                let block = published.block(Block24::of(a));
+                let entry = block.and_then(|b| b.ip_traffic.iter().find(|t| t.host == a.host_index()));
+                let got = entry.map(|t| (t.days_active, t.total_hits, t.median_daily_hits));
+                let want = (row.count() as u8, self.totals[&a], ip.windowed().expect("just taken"));
+                prop_assert_eq!(got, Some(want), "{}", a);
+            }
+            Ok(())
+        }
+
+        /// Takes every address's median: how many were selected, and
+        /// how many refilled.
+        fn medians(&mut self) -> (u64, u64) {
+            let (mut scratch, mut selected, mut refilled) = (Vec::new(), 0, 0);
+            for (_, ip) in self.ips.values_mut() {
+                ip.median(&mut scratch, &mut selected, &mut refilled);
+            }
+            (selected, refilled)
+        }
+    }
+
+    /// A record as a builder took it.
+    #[derive(Debug, Clone, Copy)]
+    enum Fed {
+        Hits(usize, Addr, u64),
+        Ua(usize, Addr, u64),
+    }
+
+    /// A builder beside its [`EveryAddress`] model, the records it took
+    /// and the counts the model's snapshots made.
+    struct Modelled {
+        builder: DailyDatasetBuilder,
+        model: EveryAddress,
+        fed: Vec<Fed>,
+        counts: (u64, u64),
+    }
+
+    impl Modelled {
+        fn new(span: usize, shards: usize) -> Self {
+            let builder = DailyDatasetBuilder::with_shards(span, shards);
+            Modelled { builder, model: EveryAddress::default(), fed: Vec::new(), counts: (0, 0) }
+        }
+
+        fn hits(&mut self, day: usize, a: Addr, hits: u64) {
+            self.builder.record_hits(day, a, hits);
+            self.model.record(day, a, hits);
+            self.fed.push(Fed::Hits(day, a, hits));
+        }
+
+        fn ua(&mut self, day: usize, a: Addr, hash: u64) {
+            self.builder.record_ua(day, a, hash);
+            self.model.blocks.insert(Block24::of(a));
+            self.fed.push(Fed::Ua(day, a, hash));
+        }
+
+        /// `days[i]` through `record_days`, as day `first + i`; the
+        /// model takes the records day by day, as every share folds.
+        fn days(&mut self, first: usize, days: &[Vec<(Addr, u64)>]) -> Option<UnitHistograms> {
+            let batch: Vec<&[(Addr, u64)]> = days.iter().map(|d| &d[..]).collect();
+            let counted = self.builder.record_days(first, &batch, || ());
+            for (day, records) in (first..).zip(days) {
+                for &(a, hits) in records {
+                    self.model.record(day, a, hits);
+                    self.fed.push(Fed::Hits(day, a, hits));
+                }
+            }
+            counted
+        }
+
+        fn seal(&mut self) {
+            self.builder.seal();
+            self.model.medians();
+        }
+
+        fn merge(&mut self, other: Modelled) {
+            self.builder.merge(other.builder);
+            self.model.merge(other.model);
+            self.fed.extend(other.fed);
+        }
+
+        /// The builder's snapshot, after checking it against a fresh
+        /// build and its counts against the model's.
+        fn snapshot(&mut self, span: usize) -> Result<DailyDataset, TestCaseError> {
+            let got = self.builder.snapshot();
+            let (selected, refilled) = self.model.medians();
+            self.counts = (self.counts.0 + selected, self.counts.1 + refilled);
+            prop_assert_eq!(&got, &fresh_build(span, &self.fed), "{} records in", self.fed.len());
+            self.model.check(&got)?;
+            let counts = (self.builder.medians_selected(), self.builder.median_refills());
+            prop_assert_eq!(counts, self.counts, "selections and refills");
+            Ok(got)
+        }
+    }
+
+    /// A fresh serial builder's `finish()` over `fed`.
+    fn fresh_build(span: usize, fed: &[Fed]) -> DailyDataset {
+        let mut fresh = DailyDatasetBuilder::with_shards(span, 1);
+        for &rec in fed {
+            match rec {
+                Fed::Hits(day, a, hits) => fresh.record_hits(day, a, hits),
+                Fed::Ua(day, a, hash) => fresh.record_ua(day, a, hash),
+            }
+        }
+        fresh.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A live builder's published form — rows, day counts, totals
+        /// and medians brought up to date as records fold, stale
+        /// medians refreshed and blocks copied at a snapshot — `==` a
+        /// fresh serial builder's `finish()` over the same records at
+        /// every snapshot, and so does its own `finish()`; its
+        /// selection and refill counts are those of a builder that
+        /// takes every address's median at every snapshot. Records come
+        /// in order (each on its address's latest day or after it) or in
+        /// any order, repeat `(address, day)` pairs, carry zero hits,
+        /// sample UAs in a block without hits, and reach the builder
+        /// through `record_hits`, `record_ua`, `record_days` and the
+        /// merge of sealed or unsealed partial builders, at 1, 2, 3 and
+        /// 8 shards.
+        #[test]
+        fn the_published_form_equals_a_fresh_build_at_every_snapshot(
+            span in prop_oneof![Just(128usize), 1usize..=128],
+            shape in 0..SHAPES,
+            in_order in any::<bool>(),
+            shards in 0usize..4,
+            ops in prop::collection::vec(
+                (0u8..12, 0usize..128, 0u8..30, 0u64..4, 0usize..4),
+                0..100,
+            ),
+        ) {
+            // Four addresses in each of six blocks take hits; hosts of a
+            // seventh block only ever sample UAs.
+            let hit = |a: u8| Block24::new(0x0A_0000 + u32::from(a % 6)).addr(a % 24 / 6);
+            let ua = |a: u8| if a >= 24 { Block24::new(0x0A_0100).addr(a) } else { hit(a) };
+            let mut live = Modelled::new(span, SHARDS[shards]);
+            let mut side: Option<Modelled> = None;
+            let mut today = 0;
+            for (kind, raw_day, a, raw, leaf) in ops {
+                let day = if in_order {
+                    today = (today + raw_day % 2).min(span - 1);
+                    today
+                } else {
+                    raw_day % span
+                };
+                let target = side.as_mut().unwrap_or(&mut live);
+                match kind {
+                    0 => {
+                        live.snapshot(span)?;
+                    }
+                    1 => {
+                        let len = (1 + raw as usize % 3).min(span - day);
+                        let mut days = vec![Vec::new(); len];
+                        for i in 0..1 + usize::from(a % 7) {
+                            let offset = i % len;
+                            let hits = shaped_hits(shape, day + offset, (raw + i as u64) % 4);
+                            days[offset].push((hit(a.wrapping_add(5 * i as u8)), hits));
+                        }
+                        if in_order {
+                            today = day + len - 1;
+                        }
+                        live.days(day, &days);
+                    }
+                    2 => target.ua(day, ua(a), raw + u64::from(a % 3)),
+                    3 => match side.take() {
+                        None => side = Some(Modelled::new(span, SHARDS[leaf])),
+                        Some(other) => live.merge(other),
+                    },
+                    4 => target.seal(),
+                    _ => target.hits(day, hit(a), shaped_hits(shape, day, raw)),
+                }
+            }
+            if let Some(other) = side {
+                live.merge(other);
+            }
+            live.snapshot(span)?;
+            let fresh = fresh_build(span, &live.fed);
+            prop_assert_eq!(live.builder.finish(), fresh, "finish of the live builder");
+        }
+
+        /// Whenever `record_days` hands back histograms, the census
+        /// they extend equals one counted from a snapshot's rows, and
+        /// it hands them back for every batch that starts after the
+        /// days the builder holds. A batch that starts on or before one
+        /// of them — behind a later `record_hits` record, or anywhere
+        /// in the window — hands back none, and the census is counted
+        /// from the rows. Batches go through 1, 2, 3 and 8 shards, with
+        /// repeated `(address, day)` records and zero-hit ones.
+        #[test]
+        fn fold_counted_census_columns_equal_a_count_of_the_rows(
+            shape in 0..SHAPES,
+            shards in 0usize..4,
+            batches in prop::collection::vec(
+                (
+                    0u8..4,
+                    0usize..128,
+                    1usize..6,
+                    prop::collection::vec((0usize..6, 0u8..24, 0u64..4), 0..40),
+                ),
+                0..14,
+            ),
+        ) {
+            let addr = |a: u8| Block24::new(0x0A_0000 + u32::from(a % 6)).addr(a / 6);
+            let mut live = DailyDatasetBuilder::with_shards(0, SHARDS[shards]);
+            let mut census = WindowCensus::<crate::Daily>::new();
+            // One past the latest day a record named or a batch covered.
+            let (mut window, mut held) = (0, 0);
+            for (batch, (kind, raw_first, len, recs)) in batches.into_iter().enumerate() {
+                // At the end of the window, or anywhere in it.
+                let first = if kind < 2 { window } else { raw_first % (window + 1) };
+                let end = (first + len).min(128);
+                if end == first {
+                    continue;
+                }
+                window = window.max(end);
+                live.grow(window);
+                let mut days = vec![Vec::new(); end - first];
+                for (offset, a, raw) in recs {
+                    let offset = offset % (end - first);
+                    days[offset].push((addr(a), shaped_hits(shape, first + offset, raw)));
+                }
+                let counted = if kind == 3 {
+                    // A record past the batch's first day, then the batch.
+                    let late = (first + 1).min(end - 1);
+                    live.record_hits(late, addr(0), 1);
+                    held = held.max(late + 1);
+                    None
+                } else {
+                    Some(held <= first)
+                };
+                let batch_days: Vec<&[(Addr, u64)]> = days.iter().map(|d| &d[..]).collect();
+                let hist = live.record_days(first, &batch_days, || ());
+                held = end.max(held);
+                let rows = WindowCensus::of(&live.snapshot());
+                prop_assert_eq!(hist.is_some(), counted.unwrap_or(false), "batch {}", batch);
+                census = match hist {
+                    Some(hist) => {
+                        prop_assert_eq!(hist.units(), first..end);
+                        census.appended(&hist)
+                    }
+                    None => rows.clone(),
+                };
+                prop_assert_eq!(&census, &rows, "batch {} of days {}..{}", batch, first, end);
+            }
         }
     }
 

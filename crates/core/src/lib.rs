@@ -70,7 +70,7 @@ mod window_census;
 
 pub use cadence::{Cadence, Daily, SlotMatrix, SlotRow, Weekly, Windows};
 pub use coverage::Coverage;
-pub use window_census::WindowCensus;
+pub use window_census::{UnitHistograms, WindowCensus};
 pub use engine::{AnalysisCtx, CacheStats, QueryBudget, WindowCache};
 pub use dataset::{
     BlockRecord, DailyDataset, DailyDatasetBuilder, IpTraffic, WeeklyDataset,

@@ -14,8 +14,19 @@
 //! active on `u` whose last earlier active unit is `p` (or which has
 //! none) is new to exactly the windows `s..u + 1` with `s > p`, so
 //! column `u` is column `u - 1` plus the prefix sums of one histogram
-//! over `p`. Adding several units is still one pass over the rows: each
-//! row gives each of its new active units the unit before it.
+//! over `p`. The histograms of the new units, [`UnitHistograms`], come
+//! from either of two places, and [`WindowCensus::appended`] turns them
+//! into columns:
+//!
+//! - one pass over the rows, [`WindowCensus::extended`]: each row gives
+//!   each of its new active units the unit before it;
+//! - the fold that saw the addresses go active: a record that puts an
+//!   address on a unit later than all it had is one count, and
+//!   [`DailyDatasetBuilder::record_days`] returns the counts of the
+//!   days it folded whenever they are the whole of those days — so a
+//!   live daily census extends with no pass over the rows at all.
+//!
+//! [`DailyDatasetBuilder::record_days`]: crate::DailyDatasetBuilder::record_days
 
 use crate::cadence::{Cadence, SlotMatrix, SlotRow};
 use std::fmt;
@@ -63,7 +74,8 @@ impl<C: Cadence> WindowCensus<C> {
     /// This census grown to every unit of `matrix`, which must hold the
     /// units counted here unchanged and may add more after them. The
     /// columns counted already are shared, not copied; the new ones
-    /// cost one pass over the rows and a histogram per new unit.
+    /// cost one pass over the rows, which fills the new units'
+    /// [`UnitHistograms`], and then what [`Self::appended`] costs.
     ///
     /// # Panics
     /// If `matrix` has fewer units than this census.
@@ -71,29 +83,41 @@ impl<C: Cadence> WindowCensus<C> {
         let (first, end) = (self.num_units(), matrix.num_slots());
         assert!(first <= end, "a census only grows ({first} units, matrix of {end})");
         assert!(end <= 128, "a row holds at most 128 units");
-        let mut cols = self.cols.clone();
-        if first == end {
-            return WindowCensus { cols, cadence: PhantomData };
-        }
-        // `hist[(u - first) * end + q]`: addresses active on unit `u`
-        // whose last active unit before it is `q - 1` (`q = 0`: none).
-        let mut hist = vec![0u32; (end - first) * end];
-        let halves = end.div_ceil(64);
-        let new = (u128::MAX >> (128 - (end - first))) << first;
-        for (_, rows) in matrix.rows() {
-            for row in rows {
-                let bits = (0..halves).fold(0u128, |b, h| b | u128::from(row.word(h)) << (64 * h));
-                let mut fresh = bits & new;
-                while fresh != 0 {
-                    let u = fresh.trailing_zeros() as usize;
-                    fresh &= fresh - 1;
-                    let before = bits & ((1u128 << u) - 1);
-                    let q = (u128::BITS - before.leading_zeros()) as usize;
-                    hist[(u - first) * end + q] += 1;
+        let mut hist = UnitHistograms::new(first..end);
+        if first < end {
+            let halves = end.div_ceil(64);
+            let new = (u128::MAX >> (128 - (end - first))) << first;
+            for (_, rows) in matrix.rows() {
+                for row in rows {
+                    let bits =
+                        (0..halves).fold(0u128, |b, h| b | u128::from(row.word(h)) << (64 * h));
+                    let mut fresh = bits & new;
+                    while fresh != 0 {
+                        let u = fresh.trailing_zeros() as usize;
+                        fresh &= fresh - 1;
+                        let before = bits & ((1u128 << u) - 1);
+                        hist.count(u, (u128::BITS - before.leading_zeros()) as usize);
+                    }
                 }
             }
         }
-        for (u, hist) in (first..end).zip(hist.chunks_exact(end)) {
+        self.appended(&hist)
+    }
+
+    /// This census grown by the units `hist` counted, which must start
+    /// where this census ends: each new column is the one before it plus
+    /// the prefix sums of its unit's histogram, O(units²) for the lot
+    /// and nothing per address. The columns counted already are shared,
+    /// not copied.
+    ///
+    /// # Panics
+    /// If `hist` does not start at [`Self::num_units`].
+    pub fn appended(&self, hist: &UnitHistograms) -> Self {
+        let UnitHistograms { first, end, ref hist } = *hist;
+        assert_eq!(first, self.num_units(), "histograms must start where the census ends");
+        let mut cols = self.cols.clone();
+        for u in first..end {
+            let hist = &hist[(u - first) * end..][..end];
             let prev: &[u32] = cols.last().map_or(&[], |c| c);
             let mut new_here = 0u32;
             let col: Arc<[u32]> = (0..=u)
@@ -105,6 +129,67 @@ impl<C: Cadence> WindowCensus<C> {
             cols.push(col);
         }
         WindowCensus { cols, cadence: PhantomData }
+    }
+}
+
+/// What a run of new units adds to a census, before it is a column:
+/// for each unit `u` of `first..end`, how many addresses went active on
+/// `u` after their last active unit `q - 1` (`q = 0`: none before).
+/// [`WindowCensus::extended`] counts them in a pass over every row; a
+/// fold that sees each address go active on each new unit counts them
+/// as it goes ([`DailyDatasetBuilder::record_days`] does), and
+/// [`WindowCensus::appended`] turns either into columns.
+///
+/// [`DailyDatasetBuilder::record_days`]: crate::DailyDatasetBuilder::record_days
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnitHistograms {
+    first: usize,
+    end: usize,
+    /// `hist[(u - first) * end + q]`.
+    hist: Vec<u32>,
+}
+
+impl UnitHistograms {
+    /// Zero counts for `units`.
+    ///
+    /// # Panics
+    /// If `units` is reversed or ends past unit 128.
+    pub(crate) fn new(units: Range<usize>) -> Self {
+        let Range { start: first, end } = units;
+        assert!(first <= end && end <= 128, "units {first}..{end} outside a 128-unit row");
+        UnitHistograms { first, end, hist: vec![0; (end - first) * end] }
+    }
+
+    /// The units counted.
+    pub fn units(&self) -> Range<usize> {
+        self.first..self.end
+    }
+
+    /// Counts one address that went active on unit `u` after its last
+    /// active unit `q - 1`, or with none before it if `q` is 0.
+    ///
+    /// # Panics
+    /// If `u` is outside [`Self::units`] or `q > u`.
+    #[inline]
+    pub(crate) fn count(&mut self, u: usize, q: usize) {
+        assert!(
+            self.units().contains(&u) && q <= u,
+            "unit {u} after {q} is not a count of {:?}",
+            self.units()
+        );
+        self.hist[(u - self.first) * self.end + q] += 1;
+    }
+
+    /// Adds the counts of `other`, taken over the same units by someone
+    /// who saw other addresses.
+    ///
+    /// # Panics
+    /// If `other` counts other units.
+    pub(crate) fn add(&mut self, other: &UnitHistograms) {
+        assert_eq!(self.units(), other.units(), "histograms of different units");
+        for (mine, theirs) in self.hist.iter_mut().zip(&other.hist) {
+            *mine += theirs;
+        }
     }
 }
 

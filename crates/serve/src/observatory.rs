@@ -12,33 +12,42 @@
 //!   (`serve.ingest.records`, `serve.ingest.weekly_records`), run on
 //!   every core — the daily builder's shards are folded side by side
 //!   by [`DailyDatasetBuilder::record_days`], and a week that
-//!   closes is folded as one more share beside them;
+//!   closes is folded as one more share beside them. The daily builder
+//!   keeps each block in the form a dataset publishes it, so the same
+//!   `add` brings the block's record up to date: the address's row
+//!   bit, day count, total and, when its rank window holds it, its
+//!   median;
 //! - the per-address medians, O(day): the daily builder *maintains*
 //!   each address's median in a rank window — the six samples ranked
 //!   around it, sorted, and the count ranked below them — which the
-//!   day's sample moves in O(1) and the publish reads without touching
-//!   a sample. Only a median that has walked out of its window is
-//!   ranked again, by one selection over that address's ≤ 128 samples
-//!   (`serve.ingest.median_refills`: a few hundred of ~35 k tracked
-//!   addresses a day at the benchmark's scale). A median is selected
-//!   from scratch only for an address the builder has not reported
-//!   before, or whose day took a second record
+//!   day's sample moves in O(1) and the fold reads into the published
+//!   entry. Only a median that has walked out of its window is ranked
+//!   again at the publish, by one selection over that address's ≤ 128
+//!   samples (`serve.ingest.median_refills`: a few hundred of ~35 k
+//!   tracked addresses a day at the benchmark's scale). A median is
+//!   selected from scratch only for an address the builder has not
+//!   reported before, or whose day took a second record
 //!   (`serve.ingest.median_selects`: zero for a day of returning
 //!   addresses);
-//! - the rows and `ip_traffic` summaries of *every* block, rebuilt
-//!   into storage the snapshot owns by walking each block's hosts in
-//!   order, so nothing is sorted: O(addresses), memcpy-class — the
-//!   part that is not O(day) yet. It runs on the ingest thread alone,
-//!   so every published dataset lives in that thread's heap; built on
-//!   a helper it cost a second allocator arena's worth of peak memory
-//!   and no time;
+//! - a copy of every block's record — its rows and `ip_traffic`
+//!   summaries, two allocations and a memcpy a block, with no walk
+//!   over its hosts: O(addresses), memcpy-only, the one part that is
+//!   not O(day). It runs on the ingest thread alone, so every published
+//!   dataset lives in that thread's heap; built on a helper it cost a
+//!   second allocator arena's worth of peak memory and no time;
 //! - a weekly snapshot one ingest in seven, sharing every closed week;
-//! - the window censuses, O(addresses) for a day: one pass over the
-//!   daily rows (and, when a week closes, the weekly rows) counts the
-//!   addresses each new unit adds to every window ending on it, and
-//!   appends that column to the previous epoch's [`WindowCensus`],
-//!   whose columns it shares. Every window answer is then a lookup; no
-//!   publish composes or caches a window set for the server.
+//! - the window censuses, O(days) for a day: the fold counts, for each
+//!   new day, the addresses it adds to every window ending on it (each
+//!   record that puts its address on a later day than all it had is
+//!   one, after its previous active day), and
+//!   [`WindowCensus::appended`] turns the counts into a column appended
+//!   to the previous epoch's [`WindowCensus`], whose columns it
+//!   shares (`serve.ingest.census_fold_days` counts the days counted
+//!   so; a fold that cannot vouch for its counts leaves the column to
+//!   one pass over the daily rows). When a week closes, one pass over
+//!   the weekly rows extends the weekly census. Every window answer is
+//!   then a lookup; no publish composes or caches a window set for the
+//!   server.
 //!
 //! The builders are order-insensitive and a snapshot is what
 //! `finish()` would return at that moment, so the published dataset is
@@ -63,8 +72,9 @@
 //! reasoning as daily ones.
 //!
 //! Nothing else of the history is retained: no day log outlives its
-//! week, and what the builders keep per address is its day bitmap and
-//! one hit count per active day.
+//! week, and what the builders keep per address beyond its published
+//! summary and row is one hit count per active day and its rank
+//! window.
 
 use ipactive_core::coverage::clamp_fraction;
 use ipactive_core::{
@@ -334,7 +344,11 @@ impl Observatory {
         // materialized activity set) carries forward below instead of
         // being recomputed.
         let state = &mut *state;
+        let prev = self.pin();
         let (mut records, mut weekly_records) = (0u64, 0u64);
+        // The day census grows by the columns each fold counts, until a
+        // fold cannot vouch for its counts; then the rows are counted.
+        let mut day_census = Some(prev.day_census.clone());
         state.daily.grow(count);
         // One fold per week the batch reaches: its days go into the
         // daily shards on every core and, if that completes the week,
@@ -362,7 +376,7 @@ impl Observatory {
             let days: Vec<&[(Addr, u64)]> =
                 open[open.len() - (end - day)..].iter().map(|log| &log.hits[..]).collect();
             let weekly = &mut state.weekly;
-            state.daily.record_days(day, &days, || {
+            let counted = state.daily.record_days(day, &days, || {
                 if closes {
                     for log in open {
                         for &(addr, hits) in &log.hits {
@@ -371,18 +385,19 @@ impl Observatory {
                     }
                 }
             });
+            day_census = day_census.zip(counted).map(|(census, days)| census.appended(&days));
             if closes {
                 state.open_week.clear();
             }
             day = end;
         }
 
-        let prev = self.pin();
         let (selected, refilled) = (state.daily.medians_selected(), state.daily.median_refills());
         let daily = Arc::new(state.daily.snapshot());
         let median_selects = state.daily.medians_selected() - selected;
         let median_refills = state.daily.median_refills() - refilled;
-        let day_census = prev.day_census.extended(&*daily);
+        let census_fold_days = if day_census.is_some() { count - first } else { 0 };
+        let day_census = day_census.unwrap_or_else(|| prev.day_census.extended(&*daily));
         let (weekly, week_census) = if count / 7 > prev.weeks() {
             let weekly = Arc::new(state.weekly.snapshot());
             let week_census = prev.week_census.extended(&*weekly);
@@ -414,6 +429,9 @@ impl Observatory {
         self.registry.counter("serve.ingest.weekly_records").add(weekly_records);
         self.registry.counter("serve.ingest.median_selects").add(median_selects);
         self.registry.counter("serve.ingest.median_refills").add(median_refills);
+        // Days whose census column the fold counted, not a pass over
+        // the rows.
+        self.registry.counter("serve.ingest.census_fold_days").add(census_fold_days as u64);
         self.registry.emit(
             Event::new(EventKind::EpochPublish)
                 .day(count as u16)

@@ -5,9 +5,11 @@
 //! were published with, and the ingest counters say each record was
 //! folded exactly once and each median selected from scratch only for
 //! an address the builder was not already tracking. The window
-//! censuses the server answers from, extended epoch by epoch, must
-//! count every window of both cadences as the engine's set has it, and
-//! equal a census built in one go over the published datasets.
+//! censuses the server answers from, extended epoch by epoch — the day
+//! census by the columns the fold counts, which every epoch here takes,
+//! since days only ever append — must count every window of both
+//! cadences as the engine's set has it, and equal a census built in
+//! one go over the published datasets.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -115,6 +117,7 @@ proptest! {
     fn every_publish_equals_the_batch_build(logs in arb_logs(), steps in prop::collection::vec(arb_step(), 1..24)) {
         let registry = Registry::new();
         let obs: Observatory = Observatory::new(&registry);
+        let fold_days = || registry.counter("serve.ingest.census_fold_days").get();
         let mut ingested = 0usize;
         let mut pinned: Vec<Pinned> = Vec::new();
         // The plan repeats until the logs run out (an all-empty plan
@@ -122,6 +125,7 @@ proptest! {
         for step in steps.iter().cycle().take(64) {
             let left = &logs[ingested..];
             let before = obs.pin();
+            let folded_before = fold_days();
             let snap = match *step {
                 Step::Day | Step::PartialDay if left.is_empty() => break,
                 Step::Day => {
@@ -140,6 +144,11 @@ proptest! {
             };
             prop_assert_eq!(snap.epoch(), before.epoch() + 1);
             prop_assert_eq!(snap.days(), ingested);
+            prop_assert_eq!(
+                fold_days() - folded_before,
+                (snap.days() - before.days()) as u64,
+                "every new day's census column is counted by the fold"
+            );
             prop_assert_eq!(snap.weeks(), ingested / 7);
             let (daily, weekly) = batch(&logs[..ingested]);
             prop_assert_eq!(&**snap.daily(), &daily, "daily differs at {} days", ingested);
@@ -221,6 +230,33 @@ fn repeated_addresses_accumulate_and_zero_hit_records_stay_inactive() {
     assert_eq!(rec.ip_traffic[0].median_daily_hits, 6, "daily sums 3..=9");
     // One weekly value per non-zero record, as the batch build has it.
     assert_eq!(*snap.weekly().week_hits[0], vec![1, 2, 3, 3, 3, 3, 3, 3, 3, 3, 4, 5, 6]);
+    assert_eq!((&**snap.daily(), &**snap.weekly()), (&batch(&logs).0, &batch(&logs).1));
+}
+
+#[test]
+fn an_epoch_of_repeated_records_keeps_the_census_on_the_fold_path() {
+    let registry = Registry::new();
+    let obs: Observatory = Observatory::new(&registry);
+    let fold_days = || registry.counter("serve.ingest.census_fold_days").get();
+    let mut logs: Vec<DayLog> = (0..9).map(|d| synthetic_day_log(17, d)).collect();
+    obs.ingest_days(logs.clone());
+    assert_eq!(fold_days(), 9);
+    // Day 9 names every address of day 8 twice and one of them a third
+    // time: no address goes active on day 9 more than once.
+    let mut repeated = DayLog::new();
+    for _ in 0..2 {
+        for &(a, hits) in &logs[8].hits {
+            repeated.record(a, hits + 1);
+        }
+    }
+    repeated.record(logs[8].hits[0].0, 5);
+    logs.push(repeated.clone());
+    let snap = obs.ingest_day(repeated);
+    assert_eq!(fold_days(), 10, "repeated records still append");
+    for s in 0..=10 {
+        assert_eq!(snap.day_census().count(s..10), snap.engine().day_window(s..10).len() as u64);
+    }
+    assert_eq!(snap.day_census(), &WindowCensus::of(&**snap.daily()));
     assert_eq!((&**snap.daily(), &**snap.weekly()), (&batch(&logs).0, &batch(&logs).1));
 }
 
