@@ -8,11 +8,11 @@
 //!         [--workers N] [--collectors M] [--faults K]
 //! ```
 //!
-//! `--workers`/`--collectors` build the datasets through the sharded
-//! log pipeline (identical output, printed throughput) instead of the
-//! direct builders. `--faults K` uses the supervised pipeline with `K`
-//! deterministic injected faults and prints coverage, retry, and
-//! quarantine accounting — inspect a block of a degraded run to see
+//! `--workers`/`--collectors`/`--faults` build the session the way
+//! `repro` does ([`Cli::session`]): through the sharded log pipeline
+//! (identical output, printed throughput), or the supervised pipeline
+//! with `K` deterministic injected faults, printing coverage, retry,
+//! and quarantine accounting — inspect a block of a degraded run to see
 //! exactly what a lost shard looks like downstream.
 //!
 //! `BLOCK` is a `/24` network like `101.0.64.0`; `top` picks the
@@ -25,9 +25,8 @@
 //! inspect mkstore <DIR> [--seed N] [--scale tiny|small|full] [--corrupt]
 //! inspect fsck <DIR> [--repair]
 //! inspect metrics <DIR>
-//! inspect metrics-check <SNAPSHOT.json> <SCHEMA.json>
-//! inspect trace <TRACES.json> [TRACE_ID] [--schema FILE]
-//! inspect slo-check <SERVE_RECORD.json> [--max-shed-rate F] [--max-p99-us F] [--max-burns N]
+//! inspect check <DOC.json> [--schema FILE] [--max-shed-rate F] [--max-p99-us F] [--max-burns N]
+//! inspect trace <TRACES.json> [TRACE_ID]
 //! ```
 //!
 //! `mkstore` persists a deterministic universe into a log-store
@@ -44,106 +43,50 @@
 //! and prints the resulting deterministic metrics snapshot as JSON —
 //! store counters, damage events, and fsck verdicts all in one
 //! document, guaranteed to agree with `inspect fsck`'s report because
-//! both derive from the same pass. `metrics-check` validates a
-//! snapshot JSON document against a JSON-schema file (the CI
-//! `metrics-golden` job drives it).
+//! both derive from the same pass.
+//!
+//! `check` holds one JSON document to exactly the gates its command
+//! line names: `--schema` validates it against a JSON-schema file (a
+//! metrics snapshot or coordinator journal, a trace document), and the
+//! three ceilings gate a record written by `repro serve-bench --out`:
+//! the client-observed shed rate and p99, and the server's burned SLO
+//! windows.
 //!
 //! `trace` renders the span trees from a trace document — either a
 //! worker's exported single-trace file or the multi-trace document
 //! `repro serve-bench --traces-out` writes — as an indented tree, one
-//! line per span; name a `TRACE_ID` (hex) to print just that trace,
-//! and `--schema` additionally validates the document against a
-//! JSON-schema file. `slo-check` gates a record written by `repro
-//! serve-bench` (`--out serve_record.json`): the client-observed shed
-//! rate, p99, and (optionally) the server's burned SLO windows must
-//! stay inside the given ceilings.
+//! line per span; name a `TRACE_ID` (hex) to print just that trace.
 
-use ipactive_bench::{Repro, Scale};
+use ipactive_bench::cli::{die, Cli};
+use ipactive_bench::Scale;
 use ipactive_core::{matrix, outages, persistence};
 use ipactive_dns::classify_block;
 use ipactive_net::{ActiveSet, Addr, Block24};
 
 fn main() {
-    {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match args.first().map(String::as_str) {
-            Some("fsck") => run_fsck(&args[1..]),
-            Some("mkstore") => run_mkstore(&args[1..]),
-            Some("metrics") => run_metrics(&args[1..]),
-            Some("metrics-check") => run_metrics_check(&args[1..]),
-            Some("trace") => run_trace(&args[1..]),
-            Some("slo-check") => run_slo_check(&args[1..]),
-            _ => {}
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
+    match args.first().map(String::as_str) {
+        Some("fsck") => run_fsck(rest),
+        Some("mkstore") => run_mkstore(rest),
+        Some("metrics") => run_metrics(rest),
+        Some("check") => run_check(rest),
+        Some("trace") => run_trace(rest),
+        _ => {}
     }
-    let mut seed: u64 = 2015;
-    let mut scale = Scale::Small;
+    let mut cli = Cli::new(&args, usage).seeded(2015).scaled(Scale::Small).sharded();
     let mut truth = false;
-    let mut workers: Option<usize> = None;
-    let mut collectors: Option<usize> = None;
-    let mut faults: Option<usize> = None;
     let mut target: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in cli.by_ref() {
         match arg.as_str() {
-            "--seed" => {
-                seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--scale" => {
-                scale = match args.next().as_deref() {
-                    Some("tiny") => Scale::Tiny,
-                    Some("small") => Scale::Small,
-                    Some("full") => Scale::Full,
-                    _ => usage(),
-                };
-            }
             "--truth" => truth = true,
-            "--workers" => {
-                workers = args.next().and_then(|v| v.parse().ok()).filter(|&n: &usize| n >= 1);
-                if workers.is_none() {
-                    usage();
-                }
-            }
-            "--collectors" => {
-                collectors = args.next().and_then(|v| v.parse().ok()).filter(|&n: &usize| n >= 1);
-                if collectors.is_none() {
-                    usage();
-                }
-            }
-            "--faults" => {
-                faults = args.next().and_then(|v| v.parse().ok());
-                if faults.is_none() {
-                    usage();
-                }
-            }
-            "--help" | "-h" => usage(),
-            other if target.is_none() => target = Some(other.to_string()),
-            _ => usage(),
+            _ => operand(&mut target, arg),
         }
     }
     let target = target.unwrap_or_else(|| "top".to_string());
 
-    eprintln!("generating universe (seed {seed}, scale {scale:?}) ...");
-    let repro = if let Some(k) = faults {
-        let (w, c) = (workers.unwrap_or(1), collectors.unwrap_or(2));
-        match Repro::new_supervised(seed, scale, w, c, k) {
-            Ok((repro, summary)) => {
-                eprint!("{}", summary.render());
-                repro
-            }
-            Err(e) => {
-                eprintln!("error: supervised pipeline failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else if workers.is_some() || collectors.is_some() {
-        let (w, c) = (workers.unwrap_or(1), collectors.unwrap_or(1));
-        let (repro, summary) = Repro::new_via_pipeline(seed, scale, w, c);
-        eprint!("{}", summary.render());
-        repro
-    } else {
-        Repro::new(seed, scale)
-    };
+    eprintln!("generating universe (seed {}, scale {:?}) ...", cli.seed(), cli.scale());
+    let repro = cli.session();
     let daily = &repro.daily;
     // The engine's memoized union: the same set every figure shares.
     let active = repro.engine.all_active();
@@ -181,8 +124,7 @@ fn main() {
             .expect("universe has restructured blocks"),
         s => {
             let addr: Addr = s.parse().unwrap_or_else(|_| {
-                eprintln!("error: {s:?} is not an IPv4 address, 'top', or 'changed'");
-                std::process::exit(2);
+                die(2, format!("{s:?} is not an IPv4 address, 'top', or 'changed'"))
             });
             Block24::of(addr)
         }
@@ -282,77 +224,124 @@ fn main() {
     }
 }
 
-fn usage() -> ! {
+/// Prints the usage and exits 2. The error is not echoed: the usage
+/// lines are the whole message.
+fn usage(_err: &str) -> ! {
     eprintln!(
-        "usage: inspect <BLOCK|top|changed> [--seed N] [--scale tiny|small|full] [--truth]\n       [--workers N] [--collectors M] [--faults K]\n       inspect mkstore <DIR> [--seed N] [--scale tiny|small|full] [--corrupt]\n       inspect fsck <DIR> [--repair]\n       inspect metrics <DIR>\n       inspect metrics-check <SNAPSHOT.json> <SCHEMA.json>\n       inspect trace <TRACES.json> [TRACE_ID] [--schema FILE]\n       inspect slo-check <SERVE_RECORD.json> [--max-shed-rate F] [--max-p99-us F] [--max-burns N]"
+        "usage: inspect <BLOCK|top|changed> [--seed N] [--scale tiny|small|full] [--truth]\n       [--workers N] [--collectors M] [--faults K]\n       inspect mkstore <DIR> [--seed N] [--scale tiny|small|full] [--corrupt]\n       inspect fsck <DIR> [--repair]\n       inspect metrics <DIR>\n       inspect check <DOC.json> [--schema FILE] [--max-shed-rate F] [--max-p99-us F] [--max-burns N]\n       inspect trace <TRACES.json> [TRACE_ID]"
     );
     std::process::exit(2);
 }
 
-/// `inspect trace <TRACES.json> [TRACE_ID] [--schema FILE]` — render
-/// the span trees of a trace document as indented trees. Accepts both
-/// document shapes the system writes: a single-trace file (a worker's
-/// exported `trace-AA.json`, or a `Trace` wire response body) and the
+/// Takes `arg` as the operand `slot` names; a second operand, or an
+/// unknown flag, is a usage error.
+fn operand(slot: &mut Option<String>, arg: String) {
+    if slot.is_some() || arg.starts_with('-') {
+        usage("");
+    }
+    *slot = Some(arg);
+}
+
+/// The text of `path`; exits 2 when it cannot be read.
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| die(2, format!("cannot read {path}: {e}")))
+}
+
+/// The JSON document at `path`; exits 2 when it cannot be read or
+/// parsed.
+fn read_json(path: &str) -> ipactive_obs::json::Json {
+    ipactive_obs::json::parse(&read(path)).unwrap_or_else(|e| die(2, format!("{path}: {e}")))
+}
+
+/// A ceiling `check` can put on a `repro serve-bench` record: flag,
+/// field, what the reading is called, its unit and digits, and what its
+/// breach is called.
+type Ceiling = (&'static str, [&'static str; 2], &'static str, &'static str, usize, &'static str);
+
+/// The ceilings, in the order they print.
+const CEILINGS: [Ceiling; 3] = [
+    ("--max-shed-rate", ["report", "shed_rate"], "shed rate", "", 4, "shed rate"),
+    ("--max-p99-us", ["report", "p99_us"], "client p99", " us", 0, "client p99"),
+    ("--max-burns", ["slo", "burns"], "burned SLO windows", "", 0, "burned windows"),
+];
+
+/// `inspect check <DOC.json> [--schema FILE] [--max-shed-rate F]
+/// [--max-p99-us F] [--max-burns N]` — hold a document to exactly the
+/// gates named, and at least one must be: `--schema` validates it
+/// against a JSON-schema-subset file, and each of [`CEILINGS`] caps a
+/// reading of a `repro serve-bench` record. Exit status: 0 every gate
+/// holds, 1 a gate fails, 2 usage, or a document unreadable or missing
+/// a field a ceiling reads.
+fn run_check(args: &[String]) -> ! {
+    let mut cli = Cli::new(args, usage);
+    let (mut path, mut schema, mut ceilings) = (None, None::<String>, [None; 3]);
+    while let Some(arg) = cli.next() {
+        match CEILINGS.iter().position(|c| c.0 == arg) {
+            Some(i) => ceilings[i] = Some(cli.parse::<f64>(&arg, "a number")),
+            None if arg == "--schema" => schema = Some(cli.parse("--schema", "a path")),
+            None => operand(&mut path, arg),
+        }
+    }
+    let Some(path) = path else { usage("") };
+    if schema.is_none() && ceilings.iter().all(Option::is_none) {
+        usage("");
+    }
+    let doc = read_json(&path);
+    let mut failed = false;
+    if let Some(schema) = schema {
+        match ipactive_obs::json::check_schema(&doc, &read_json(&schema)) {
+            Ok(()) => println!("{path}: valid against {schema}"),
+            Err(e) => {
+                eprintln!("error: {path}: schema violation: {e}");
+                failed = true;
+            }
+        }
+    }
+    if ceilings.iter().all(Option::is_none) {
+        std::process::exit(i32::from(failed));
+    }
+    let mut breaches = 0usize;
+    for ((_, [obj, key], reading, unit, digits, breach), max) in CEILINGS.iter().zip(ceilings) {
+        let Some(max) = max else { continue };
+        let field = doc.get(obj).and_then(|o| o.get(key)).and_then(|x| x.as_f64());
+        let v =
+            field.unwrap_or_else(|| die(2, format!("{path}: missing numeric field {obj}.{key}")));
+        println!("{reading}: {v:.digits$}{unit} (gate: <= {max:.digits$}{unit})");
+        if v > max {
+            println!("FAIL  {breach} above the ceiling");
+            breaches += 1;
+        }
+    }
+    if breaches == 0 {
+        println!("slo-check: pass");
+    } else {
+        println!("slo-check: {breaches} breach(es)");
+    }
+    std::process::exit(i32::from(failed || breaches > 0));
+}
+
+/// `inspect trace <TRACES.json> [TRACE_ID]` — render the span trees of
+/// a trace document as indented trees. Accepts both document shapes the
+/// system writes: a single-trace file (a worker's exported
+/// `trace-AA.json`, or a `Trace` wire response body) and the
 /// multi-trace document from `repro serve-bench --traces-out` /
 /// [`ipactive_obs::Registry::traces_json`]. A hex `TRACE_ID` narrows
-/// the output to one trace; `--schema` first validates the document
-/// against a JSON-schema-subset file. Exit status: 0 rendered, 1 when
-/// the named trace is absent or the schema is violated, 2 unreadable.
+/// the output to one trace. Exit status: 0 rendered, 1 when the named
+/// trace is absent, 2 unreadable.
 fn run_trace(args: &[String]) -> ! {
-    let mut path: Option<&str> = None;
-    let mut wanted: Option<u64> = None;
-    let mut schema_path: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--schema" => match it.next() {
-                Some(p) => schema_path = Some(p),
-                None => usage(),
-            },
-            "--help" | "-h" => usage(),
-            other if path.is_none() && !other.starts_with('-') => path = Some(other),
-            other if wanted.is_none() && !other.starts_with('-') => {
-                wanted = match u64::from_str_radix(other, 16) {
-                    Ok(id) => Some(id),
-                    Err(_) => {
-                        eprintln!("error: {other:?} is not a hex trace id");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            _ => usage(),
-        }
+    let (mut path, mut id) = (None, None);
+    for arg in Cli::new(args, usage) {
+        operand(if path.is_none() { &mut path } else { &mut id }, arg);
     }
-    let Some(path) = path else { usage() };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(2);
+    let Some(path) = path else { usage("") };
+    let wanted = id.map(|id| {
+        u64::from_str_radix(&id, 16)
+            .unwrap_or_else(|_| die(2, format!("{id:?} is not a hex trace id")))
     });
-    if let Some(schema_path) = schema_path {
-        let schema_text = std::fs::read_to_string(schema_path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {schema_path}: {e}");
-            std::process::exit(2);
-        });
-        let schema = ipactive_obs::json::parse(&schema_text).unwrap_or_else(|e| {
-            eprintln!("error: {schema_path}: {e}");
-            std::process::exit(2);
-        });
-        let doc = ipactive_obs::json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        });
-        if let Err(e) = ipactive_obs::json::check_schema(&doc, &schema) {
-            eprintln!("error: {path}: schema violation: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("{path}: valid against {schema_path}");
-    }
     // Both document shapes (one trace object, or a list of them under
     // "traces") go through the parser `coord` imports worker files with.
-    let traces = ipactive_obs::trace::parse_traces(&text).unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(2);
-    });
+    let traces = ipactive_obs::trace::parse_traces(&read(&path))
+        .unwrap_or_else(|e| die(2, format!("{path}: {e}")));
     let mut printed = 0usize;
     for (trace, spans) in &traces {
         if wanted.is_some_and(|id| id != *trace) {
@@ -391,79 +380,6 @@ fn run_trace(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// `inspect slo-check <SERVE_RECORD.json> [--max-shed-rate F]
-/// [--max-p99-us F] [--max-burns N]` — gate a `repro serve-bench` record
-/// against declared service-level objectives: the client-observed
-/// shed rate (default ceiling 0.5) and p99 latency (default
-/// 1,000,000 us) from the `report` object, plus — when `--max-burns`
-/// is given — the server-side count of burned SLO windows from the
-/// `slo` object. Exit status: 0 pass, 1 breach, 2 unreadable.
-fn run_slo_check(args: &[String]) -> ! {
-    let mut path: Option<&str> = None;
-    let mut max_shed_rate = 0.5f64;
-    let mut max_p99_us = 1_000_000.0f64;
-    let mut max_burns: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut num = |flag: &str| -> f64 {
-            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("error: {flag} needs a number");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--max-shed-rate" => max_shed_rate = num("--max-shed-rate"),
-            "--max-p99-us" => max_p99_us = num("--max-p99-us"),
-            "--max-burns" => max_burns = Some(num("--max-burns")),
-            "--help" | "-h" => usage(),
-            other if path.is_none() && !other.starts_with('-') => path = Some(other),
-            _ => usage(),
-        }
-    }
-    let Some(path) = path else { usage() };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = ipactive_obs::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(2);
-    });
-    let field = |obj: &str, key: &str| -> f64 {
-        doc.get(obj).and_then(|o| o.get(key)).and_then(|x| x.as_f64()).unwrap_or_else(|| {
-            eprintln!("error: {path}: missing numeric field {obj}.{key}");
-            std::process::exit(2);
-        })
-    };
-    let shed_rate = field("report", "shed_rate");
-    let p99_us = field("report", "p99_us");
-    let mut failures = 0usize;
-    println!("shed rate: {shed_rate:.4} (gate: <= {max_shed_rate:.4})");
-    if shed_rate > max_shed_rate {
-        println!("FAIL  shed rate above the ceiling");
-        failures += 1;
-    }
-    println!("client p99: {p99_us:.0} us (gate: <= {max_p99_us:.0} us)");
-    if p99_us > max_p99_us {
-        println!("FAIL  client p99 above the ceiling");
-        failures += 1;
-    }
-    if let Some(max_burns) = max_burns {
-        let burns = field("slo", "burns");
-        println!("burned SLO windows: {burns:.0} (gate: <= {max_burns:.0})");
-        if burns > max_burns {
-            println!("FAIL  burned windows above the ceiling");
-            failures += 1;
-        }
-    }
-    if failures == 0 {
-        println!("slo-check: pass");
-        std::process::exit(0);
-    }
-    println!("slo-check: {failures} breach(es)");
-    std::process::exit(1);
-}
-
 /// `inspect metrics <DIR>` — read a store through an observability
 /// registry (tolerant day reads plus a dry fsck pass) and print the
 /// deterministic metrics snapshot. The fsck counters and events in
@@ -471,104 +387,41 @@ fn run_slo_check(args: &[String]) -> ! {
 /// that `inspect fsck` renders, so the two commands agree on counts
 /// by construction.
 fn run_metrics(args: &[String]) -> ! {
-    let mut dir: Option<&str> = None;
-    for arg in args {
-        match arg.as_str() {
-            "--help" | "-h" => usage(),
-            other if dir.is_none() && !other.starts_with('-') => dir = Some(other),
-            _ => usage(),
-        }
+    let mut dir = None;
+    for arg in Cli::new(args, usage) {
+        operand(&mut dir, arg);
     }
-    let Some(dir) = dir else { usage() };
+    let Some(dir) = dir else { usage("") };
     let registry = ipactive_obs::Registry::new();
-    let opened = ipactive_logfmt::LogStore::open_on_obs(ipactive_logfmt::RealFs, dir, &registry);
-    let store = match opened {
-        Ok(store) => store,
-        Err(e) => {
-            eprintln!("error: cannot open store at {dir}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let store = ipactive_logfmt::LogStore::open_on_obs(ipactive_logfmt::RealFs, &dir, &registry)
+        .unwrap_or_else(|e| die(2, format!("cannot open store at {dir}: {e}")));
     if let Err(e) = store.for_each_day(|_, _| {}) {
-        eprintln!("error: reading store days failed: {e}");
-        std::process::exit(2);
+        die(2, format!("reading store days failed: {e}"));
     }
-    let healthy = match ipactive_logfmt::fsck(store.fs(), store.dir(), false) {
-        Ok(report) => {
-            ipactive_logfmt::record_fsck(&registry, &report);
-            report.is_healthy()
-        }
-        Err(e) => {
-            eprintln!("error: fsck pass failed: {e}");
-            std::process::exit(2);
-        }
-    };
-    print!(
-        "{}",
-        registry.snapshot(ipactive_obs::SnapshotMode::Deterministic).to_json()
-    );
-    std::process::exit(if healthy { 0 } else { 1 });
-}
-
-/// `inspect metrics-check <SNAPSHOT.json> <SCHEMA.json>` — parse a
-/// metrics snapshot and validate it against a JSON-schema-subset
-/// document. Exit status: 0 valid, 1 invalid, 2 unreadable.
-fn run_metrics_check(args: &[String]) -> ! {
-    let (Some(snapshot_path), Some(schema_path), None) =
-        (args.first(), args.get(1), args.get(2))
-    else {
-        usage()
-    };
-    let read = |path: &str| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let parse = |path: &str, text: &str| {
-        ipactive_obs::json::parse(text).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let snapshot = parse(snapshot_path, &read(snapshot_path));
-    let schema = parse(schema_path, &read(schema_path));
-    match ipactive_obs::json::check_schema(&snapshot, &schema) {
-        Ok(()) => {
-            println!("{snapshot_path}: valid against {schema_path}");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: {snapshot_path}: schema violation: {e}");
-            std::process::exit(1);
-        }
-    }
+    let report = ipactive_logfmt::fsck(store.fs(), store.dir(), false)
+        .unwrap_or_else(|e| die(2, format!("fsck pass failed: {e}")));
+    ipactive_logfmt::record_fsck(&registry, &report);
+    print!("{}", registry.snapshot(ipactive_obs::SnapshotMode::Deterministic).to_json());
+    std::process::exit(i32::from(!report.is_healthy()));
 }
 
 /// `inspect fsck <DIR> [--repair]` — verify (and optionally repair) a
 /// log-store directory, printing the deterministic report to stdout.
 fn run_fsck(args: &[String]) -> ! {
-    let mut dir: Option<&str> = None;
+    let mut dir = None;
     let mut repair = false;
-    for arg in args {
+    for arg in Cli::new(args, usage) {
         match arg.as_str() {
             "--repair" => repair = true,
-            "--help" | "-h" => usage(),
-            other if dir.is_none() && !other.starts_with('-') => dir = Some(other),
-            _ => usage(),
+            _ => operand(&mut dir, arg),
         }
     }
-    let Some(dir) = dir else { usage() };
-    match ipactive_logfmt::fsck(&ipactive_logfmt::RealFs, std::path::Path::new(dir), repair) {
-        Ok(report) => {
-            print!("{}", report.render());
-            std::process::exit(if report.is_healthy() { 0 } else { 1 });
-        }
-        Err(e) => {
-            eprintln!("error: fsck failed: {e}");
-            std::process::exit(2);
-        }
-    }
+    let Some(dir) = dir else { usage("") };
+    let report =
+        ipactive_logfmt::fsck(&ipactive_logfmt::RealFs, std::path::Path::new(&dir), repair)
+            .unwrap_or_else(|e| die(2, format!("fsck failed: {e}")));
+    print!("{}", report.render());
+    std::process::exit(i32::from(!report.is_healthy()));
 }
 
 /// `inspect mkstore <DIR> [--seed N] [--scale ...] [--corrupt]` —
@@ -576,48 +429,22 @@ fn run_fsck(args: &[String]) -> ! {
 /// then applies a fixed damage pattern so CI can exercise
 /// `fsck --repair` against a golden report.
 fn run_mkstore(args: &[String]) -> ! {
-    let mut dir: Option<String> = None;
-    let mut seed: u64 = 2015;
-    let mut scale = Scale::Tiny;
+    let mut cli = Cli::new(args, usage).seeded(2015).scaled(Scale::Tiny);
+    let mut dir = None;
     let mut corrupt = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    for arg in cli.by_ref() {
         match arg.as_str() {
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => usage(),
-            },
-            "--scale" => {
-                scale = match it.next().map(String::as_str) {
-                    Some("tiny") => Scale::Tiny,
-                    Some("small") => Scale::Small,
-                    Some("full") => Scale::Full,
-                    _ => usage(),
-                };
-            }
             "--corrupt" => corrupt = true,
-            "--help" | "-h" => usage(),
-            other if dir.is_none() && !other.starts_with('-') => dir = Some(other.to_string()),
-            _ => usage(),
+            _ => operand(&mut dir, arg),
         }
     }
-    let Some(dir) = dir else { usage() };
-    let universe = ipactive_cdnsim::Universe::generate(scale.config(seed));
+    let Some(dir) = dir else { usage("") };
+    let universe = ipactive_cdnsim::Universe::generate(cli.scale().config(cli.seed()));
     let num_days = universe.config().daily_days;
-    let mut store = match ipactive_logfmt::LogStore::open(&dir) {
-        Ok(store) => store,
-        Err(e) => {
-            eprintln!("error: cannot open store at {dir}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let gen = match ipactive_cdnsim::persist_daily_atomic(&universe, &mut store) {
-        Ok(gen) => gen,
-        Err(e) => {
-            eprintln!("error: persist failed: {e}");
-            std::process::exit(2);
-        }
-    };
+    let mut store = ipactive_logfmt::LogStore::open(&dir)
+        .unwrap_or_else(|e| die(2, format!("cannot open store at {dir}: {e}")));
+    let gen = ipactive_cdnsim::persist_daily_atomic(&universe, &mut store)
+        .unwrap_or_else(|e| die(2, format!("persist failed: {e}")));
     eprintln!("committed {num_days} days (manifest generation {gen})");
     if corrupt {
         // A fixed damage pattern (independent of seed/scale knobs so
@@ -626,10 +453,8 @@ fn run_mkstore(args: &[String]) -> ! {
         let damage = |day: u16, f: &dyn Fn(&mut Vec<u8>)| {
             // The commit above wrote every day under `gen`.
             let path = store.dir().join(ipactive_logfmt::manifest::gen_day_file_name(day, gen));
-            let mut bytes = std::fs::read(&path).unwrap_or_else(|e| {
-                eprintln!("error: cannot read {}: {e}", path.display());
-                std::process::exit(2);
-            });
+            let mut bytes = std::fs::read(&path)
+                .unwrap_or_else(|e| die(2, format!("cannot read {}: {e}", path.display())));
             f(&mut bytes);
             std::fs::write(&path, bytes).expect("rewrite damaged day");
         };

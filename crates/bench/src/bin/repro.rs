@@ -3,7 +3,10 @@
 //! ```text
 //! repro [EXPERIMENT ...] [--seed N] [--scale tiny|small|full] [--out FILE]
 //!       [--workers N] [--collectors M] [--faults K] [--jobs N]
-//! repro list
+//!       [--distributed N] [--dist-jobs J] [--dist-root DIR] [--kill SHARD:POINT[:stall]]...
+//!       [--metrics-out FILE] [--metrics-deterministic] [--profile]
+//! repro list | repro validate [--seed N] [--scale ...]
+//! repro serve-bench [FLAGS]   (see `serve_bench` below)
 //! ```
 //!
 //! With no experiment arguments, runs all of them in paper order.
@@ -20,11 +23,18 @@
 //! the perf record is the benchmark package (`benchmark/`,
 //! EXPERIMENTS.md "Performance record").
 //!
+//! Every command line here — the experiment run, `serve-bench` and the
+//! hidden `worker` mode — is read by `ipactive_bench::cli::Cli`, the
+//! reader `inspect` uses too: a malformed value or an unknown flag is
+//! usage and exit 2.
+//!
 //! `--workers`/`--collectors` route dataset construction through the
 //! sharded log pipeline instead of the direct builders — the datasets
 //! are identical (the differential suite proves it), so every
 //! experiment is unaffected; the flags exist to exercise and time the
-//! collection path at scale.
+//! collection path at scale. `--faults` (below) and these two build
+//! the session through `Cli::session`, the one step `inspect` takes
+//! too; `--distributed` is `repro`'s alone.
 //!
 //! `--distributed N` builds the datasets through *process-level*
 //! distributed collection: `N` shard workers run as separate OS
@@ -53,6 +63,7 @@
 //! `--profile` prints the span timing tree (wall time per stage) to
 //! stderr at exit.
 
+use ipactive_bench::cli::{self, die, Cli};
 use ipactive_bench::{CheckOutcome, Repro, Scale, EXPERIMENTS};
 use ipactive_coord::{InjectionPoint, KillMode, KillPlan, KillSpec};
 use ipactive_obs::SnapshotMode;
@@ -75,23 +86,16 @@ fn parse_kill(spec: &str) -> Option<KillSpec> {
 }
 
 fn main() {
-    {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.first().map(String::as_str) {
         // Hidden worker mode: the distributed coordinator re-spawns
         // this same binary as `repro worker ...` for each shard grant.
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        if args.first().map(String::as_str) == Some("worker") {
-            ipactive_bench::worker_cli::run(&args[1..]);
-        }
-        if args.first().map(String::as_str) == Some("serve-bench") {
-            serve_bench(&args[1..]);
-        }
+        Some("worker") => ipactive_bench::worker_cli::run(&args[1..]),
+        Some("serve-bench") => serve_bench(&args[1..]),
+        _ => {}
     }
-    let mut seed: u64 = 2015;
-    let mut scale = Scale::Full;
+    let mut cli = Cli::new(&args, usage).seeded(2015).scaled(Scale::Full).sharded();
     let mut out_path: Option<String> = None;
-    let mut workers: Option<usize> = None;
-    let mut collectors: Option<usize> = None;
-    let mut faults: Option<usize> = None;
     let mut distributed: Option<usize> = None;
     let mut dist_jobs: usize = 2;
     let mut dist_root: Option<String> = None;
@@ -100,9 +104,9 @@ fn main() {
     let mut metrics_out: Option<String> = None;
     let mut metrics_deterministic = false;
     let mut profile = false;
+    let mut validate = false;
     let mut wanted: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
             "list" => {
                 for name in EXPERIMENTS {
@@ -110,171 +114,31 @@ fn main() {
                 }
                 return;
             }
-            "validate" => {
-                wanted.push("__validate__".to_string());
-            }
-            "--out" => {
-                out_path = Some(args.next().unwrap_or_else(|| usage("--out needs a path")));
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs an integer"));
-            }
-            "--scale" => {
-                scale = match args.next().as_deref() {
-                    Some("tiny") => Scale::Tiny,
-                    Some("small") => Scale::Small,
-                    Some("full") => Scale::Full,
-                    _ => usage("--scale needs tiny|small|full"),
-                };
-            }
-            "--workers" => {
-                workers = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage("--workers needs a positive integer")),
-                );
-            }
-            "--collectors" => {
-                collectors = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage("--collectors needs a positive integer")),
-                );
-            }
-            "--faults" => {
-                faults = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--faults needs a non-negative integer")),
-                );
-            }
-            "--distributed" => {
-                distributed = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage("--distributed needs a positive shard count")),
-                );
-            }
-            "--dist-jobs" => {
-                dist_jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--dist-jobs needs a positive integer"));
-            }
-            "--dist-root" => {
-                dist_root =
-                    Some(args.next().unwrap_or_else(|| usage("--dist-root needs a path")));
-            }
-            "--kill" => {
-                let spec = args.next().unwrap_or_else(|| usage("--kill needs SHARD:POINT"));
-                kills.push(
-                    parse_kill(&spec)
-                        .unwrap_or_else(|| usage("--kill needs SHARD:POINT[:stall]")),
-                );
-            }
-            "--jobs" => {
-                jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--jobs needs a positive integer"));
-            }
-            "--metrics-out" => {
-                metrics_out =
-                    Some(args.next().unwrap_or_else(|| usage("--metrics-out needs a path")));
-            }
+            "validate" => validate = true,
+            "--out" => out_path = Some(cli.parse("--out", "a path")),
+            "--distributed" => distributed = Some(cli.positive("--distributed")),
+            "--dist-jobs" => dist_jobs = cli.positive("--dist-jobs"),
+            "--dist-root" => dist_root = Some(cli.parse("--dist-root", "a path")),
+            "--kill" => kills.push(cli.value_with("--kill", "SHARD:POINT[:stall]", parse_kill)),
+            "--jobs" => jobs = cli.positive("--jobs"),
+            "--metrics-out" => metrics_out = Some(cli.parse("--metrics-out", "a path")),
             "--metrics-deterministic" => metrics_deterministic = true,
             "--profile" => profile = true,
-            "--help" | "-h" => {
-                usage("");
-            }
-            name if EXPERIMENTS.contains(&name) => wanted.push(name.to_string()),
+            name if EXPERIMENTS.contains(&name) => wanted.push(arg),
             other => usage(&format!("unknown experiment or flag: {other}")),
         }
     }
-    let full_suite = wanted.is_empty();
+    let full_suite = wanted.is_empty() && !validate;
     if jobs > 1 && !full_suite {
         usage("--jobs regenerates the full suite; drop the experiment list");
     }
 
+    let (seed, scale) = (cli.seed(), cli.scale());
     eprintln!("generating universe (seed {seed}, scale {scale:?}) ...");
     let start = std::time::Instant::now();
-    let repro = if let Some(shards) = distributed {
-        if faults.is_some() {
-            usage("--distributed and --faults are separate collection paths; pick one");
-        }
-        let emitters = workers.unwrap_or(2);
-        let exe = std::env::current_exe()
-            .unwrap_or_else(|e| {
-                eprintln!("error: cannot locate own executable: {e}");
-                std::process::exit(1);
-            })
-            .to_string_lossy()
-            .into_owned();
-        let worker_cmd = vec![exe, "worker".to_string()];
-        let (root, ephemeral) = match &dist_root {
-            Some(dir) => (std::path::PathBuf::from(dir), false),
-            None => (
-                std::env::temp_dir()
-                    .join(format!("ipactive-dist-{seed}-{}", std::process::id())),
-                true,
-            ),
-        };
-        let mut plan = KillPlan::none();
-        for spec in &kills {
-            plan = plan.with(*spec);
-        }
-        eprintln!(
-            "building datasets via distributed collection ({shards} worker processes x {emitters} emitters, {} scheduled kills) ...",
-            kills.len()
-        );
-        match Repro::new_distributed(
-            seed, scale, shards, emitters, dist_jobs, root.clone(), &worker_cmd, &plan,
-        ) {
-            Ok((repro, outcome)) => {
-                eprint!("{}", outcome.render());
-                if ephemeral {
-                    let _ = std::fs::remove_dir_all(&root);
-                }
-                repro
-            }
-            Err(e) => {
-                eprintln!("error: distributed collection failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else if let Some(k) = faults {
-        let w = workers.unwrap_or(1);
-        let c = collectors.unwrap_or(2);
-        eprintln!(
-            "building datasets via supervised pipeline ({w} workers x {c} collectors, {k} injected faults) ..."
-        );
-        match Repro::new_supervised(seed, scale, w, c, k) {
-            Ok((repro, summary)) => {
-                eprint!("{}", summary.render());
-                repro
-            }
-            Err(e) => {
-                eprintln!("error: supervised pipeline failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else if workers.is_some() || collectors.is_some() {
-        let w = workers.unwrap_or(1);
-        let c = collectors.unwrap_or(1);
-        eprintln!("building datasets via sharded pipeline ({w} workers x {c} collectors) ...");
-        let (repro, summary) = Repro::new_via_pipeline(seed, scale, w, c);
-        eprint!("{}", summary.render());
-        repro
-    } else {
-        Repro::new(seed, scale)
+    let repro = match distributed {
+        Some(shards) => distributed_session(&cli, shards, dist_jobs, dist_root, &kills),
+        None => cli.session(),
     };
     eprintln!(
         "universe ready in {:.1}s: {} /24 blocks, {} ASes, {} active addresses (daily)",
@@ -294,16 +158,12 @@ fn main() {
             } else {
                 SnapshotMode::Timed
             };
-            let json = repro.registry().snapshot(mode).to_json();
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("error: failed to write {path}: {e}");
-                std::process::exit(1);
-            }
+            cli::write(path, repro.registry().snapshot(mode).to_json());
             eprintln!("metrics snapshot ({}) written to {path}", mode.as_str());
         }
     };
 
-    if wanted.iter().any(|w| w == "__validate__") {
+    if validate {
         let checks = repro.validate();
         let mut failed = 0;
         for c in &checks {
@@ -324,7 +184,7 @@ fn main() {
             checks.iter().filter(|c| matches!(c.outcome, CheckOutcome::Skip(_))).count(),
         );
         finish_obs(&repro);
-        std::process::exit(if failed > 0 { 1 } else { 0 });
+        std::process::exit(i32::from(failed > 0));
     }
 
     let combined = if full_suite {
@@ -346,13 +206,58 @@ fn main() {
         combined
     };
     if let Some(path) = out_path {
-        if let Err(e) = std::fs::write(&path, combined) {
-            eprintln!("error: failed to write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write(&path, combined);
         eprintln!("report written to {path}");
     }
     finish_obs(&repro);
+}
+
+/// The session of `--distributed SHARDS`: process-level collection,
+/// `--workers` emitters per shard worker (2 by default), the
+/// coordinator's outcome printed to stderr. Exits 1 when collection
+/// fails.
+fn distributed_session(
+    cli: &Cli,
+    shards: usize,
+    jobs: usize,
+    root: Option<String>,
+    kills: &[KillSpec],
+) -> Repro {
+    let (seed, scale, sharding) = (cli.seed(), cli.scale(), cli.sharding());
+    if sharding.faults.is_some() {
+        usage("--distributed and --faults are separate collection paths; pick one");
+    }
+    let emitters = sharding.workers.unwrap_or(2);
+    let exe = std::env::current_exe()
+        .unwrap_or_else(|e| die(1, format!("cannot locate own executable: {e}")))
+        .to_string_lossy()
+        .into_owned();
+    let worker_cmd = vec![exe, "worker".to_string()];
+    let ephemeral = root.is_none();
+    let root = root.map(std::path::PathBuf::from).unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("ipactive-dist-{seed}-{}", std::process::id()))
+    });
+    let plan = kills.iter().fold(KillPlan::none(), |plan, spec| plan.with(*spec));
+    eprintln!(
+        "building datasets via distributed collection ({shards} worker processes x {emitters} emitters, {} scheduled kills) ...",
+        kills.len()
+    );
+    let (repro, outcome) = Repro::new_distributed(
+        seed,
+        scale,
+        shards,
+        emitters,
+        jobs,
+        root.clone(),
+        &worker_cmd,
+        &plan,
+    )
+    .unwrap_or_else(|e| die(1, format!("distributed collection failed: {e}")));
+    eprint!("{}", outcome.render());
+    if ephemeral {
+        let _ = std::fs::remove_dir_all(&root);
+    }
+    repro
 }
 
 /// `repro serve-bench` — stand up an in-process observatory server,
@@ -363,7 +268,7 @@ fn main() {
 /// repro serve-bench [--days N] [--requests N] [--rate R] [--workers N]
 ///                   [--queue-depth N] [--seed N]
 ///                   [--stall-period K] [--stall-us US] [--out FILE]
-///                   [--traces-out FILE] [--trace-requests N]
+///                   [--traces-out FILE]
 /// ```
 ///
 /// `--stall-period K` holds the worker of every Kth executed query for
@@ -372,73 +277,48 @@ fn main() {
 /// default to off.
 ///
 /// Before the open-loop storm, a closed-loop *traced pass* sends
-/// `--trace-requests` requests (default 16) each carrying a minted
-/// trace id, then writes the resulting span trees — byte-stable for a
-/// given seed — to `--traces-out` when given. The SLO monitor runs
-/// throughout with the default policy; the output JSON's `slo` object
-/// records the burn count and last-window gauges, which
-/// `inspect slo-check` gates in CI.
+/// [`TRACE_REQUESTS`] requests each carrying a minted trace id, then
+/// writes the resulting span trees — byte-stable for a given seed — to
+/// `--traces-out` when given. The SLO monitor runs throughout with the
+/// default policy; the output JSON's `slo` object records the burn
+/// count and last-window gauges, which `inspect check --max-burns`
+/// gates in CI.
 fn serve_bench(args: &[String]) -> ! {
     use ipactive_serve::{
         loadgen, synthetic_day_log, ChaosPlan, LoadgenConfig, Observatory, ServeConfig, Server,
         SloPolicy,
     };
 
-    let sb_usage = |err: &str| -> ! {
-        if !err.is_empty() {
-            eprintln!("error: {err}\n");
-        }
-        eprintln!("usage: repro serve-bench [--days N] [--requests N] [--rate R] [--workers N]");
-        eprintln!("                         [--queue-depth N] [--seed N]");
-        eprintln!("                         [--stall-period K] [--stall-us US] [--out FILE]");
-        eprintln!("                         [--traces-out FILE] [--trace-requests N]");
-        std::process::exit(if err.is_empty() { 0 } else { 2 });
-    };
+    let mut cli = Cli::new(args, usage).seeded(2016);
     let mut days: usize = 28;
     let mut requests: u64 = 2000;
     let mut rate: f64 = 20_000.0;
     let mut workers: usize = 2;
     let mut queue_depth: usize = 64;
-    let mut seed: u64 = 2016;
     let mut stall_period: u64 = 0;
     let mut stall_us: u64 = 0;
     let mut out: Option<String> = None;
     let mut traces_out: Option<String> = None;
-    let mut trace_requests: u64 = 16;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut num = |what: &str| -> u64 {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| sb_usage(&format!("{what} needs a non-negative integer")))
-        };
+    while let Some(arg) = cli.next() {
+        let count = "a non-negative integer";
         match arg.as_str() {
-            "--days" => days = num("--days") as usize,
-            "--requests" => requests = num("--requests"),
+            "--days" => days = cli.parse("--days", count),
+            "--requests" => requests = cli.parse("--requests", count),
             "--rate" => {
-                rate = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&r: &f64| r > 0.0)
-                    .unwrap_or_else(|| sb_usage("--rate needs a positive number"));
+                rate = cli.value_with("--rate", "a positive number", |v| {
+                    v.parse().ok().filter(|&r: &f64| r > 0.0)
+                })
             }
-            "--workers" => workers = num("--workers").max(1) as usize,
-            "--queue-depth" => queue_depth = num("--queue-depth").max(1) as usize,
-            "--seed" => seed = num("--seed"),
-            "--stall-period" => stall_period = num("--stall-period"),
-            "--stall-us" => stall_us = num("--stall-us"),
-            "--out" => {
-                out = Some(it.next().cloned().unwrap_or_else(|| sb_usage("--out needs a path")));
-            }
-            "--traces-out" => {
-                traces_out =
-                    Some(it.next().cloned().unwrap_or_else(|| sb_usage("--traces-out needs a path")));
-            }
-            "--trace-requests" => trace_requests = num("--trace-requests"),
-            "--help" | "-h" => sb_usage(""),
-            other => sb_usage(&format!("unknown flag: {other}")),
+            "--workers" => workers = cli.parse::<usize>("--workers", count).max(1),
+            "--queue-depth" => queue_depth = cli.parse::<usize>("--queue-depth", count).max(1),
+            "--stall-period" => stall_period = cli.parse("--stall-period", count),
+            "--stall-us" => stall_us = cli.parse("--stall-us", count),
+            "--out" => out = Some(cli.parse("--out", "a path")),
+            "--traces-out" => traces_out = Some(cli.parse("--traces-out", "a path")),
+            other => usage(&format!("unknown flag: {other}")),
         }
     }
+    let seed = cli.seed();
 
     let registry = ipactive_obs::Registry::new();
     let obs: std::sync::Arc<Observatory> = std::sync::Arc::new(Observatory::new(&registry));
@@ -453,23 +333,14 @@ fn serve_bench(args: &[String]) -> ! {
     // span trees it produces are a pure function of the seed, so the
     // traces file is written before the open-loop storm muddies the
     // registry with its own (also traced) requests.
-    let traced_linked = if trace_requests > 0 {
-        let linked = loadgen::traced_pass(&server, seed, trace_requests);
-        eprintln!(
-            "traced pass: {linked} of {trace_requests} responses echoed their minted trace id"
-        );
-        if let Some(path) = &traces_out {
-            let doc = registry.traces_json();
-            if let Err(e) = std::fs::write(path, &doc) {
-                eprintln!("error: failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("trace span trees written to {path}");
-        }
-        linked
-    } else {
-        0
-    };
+    let traced_linked = loadgen::traced_pass(&server, seed, TRACE_REQUESTS);
+    eprintln!(
+        "traced pass: {traced_linked} of {TRACE_REQUESTS} responses echoed their minted trace id"
+    );
+    if let Some(path) = &traces_out {
+        cli::write(path, registry.traces_json());
+        eprintln!("trace span trees written to {path}");
+    }
     eprintln!(
         "open-loop load: {requests} requests at {rate:.0}/s against {workers} workers (queue {queue_depth}) ..."
     );
@@ -511,7 +382,7 @@ fn serve_bench(args: &[String]) -> ! {
         seed,
         stall_period,
         stall_us,
-        trace_requests,
+        TRACE_REQUESTS,
         report.to_json(),
         burns,
         shed_ppm,
@@ -520,16 +391,17 @@ fn serve_bench(args: &[String]) -> ! {
     );
     match out {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("error: failed to write {path}: {e}");
-                std::process::exit(1);
-            }
+            cli::write(&path, &json);
             eprintln!("serve bench record written to {path}");
         }
         None => print!("{json}"),
     }
     std::process::exit(0);
 }
+
+/// Requests in `serve-bench`'s traced pass (the record's
+/// `config.trace_requests`).
+const TRACE_REQUESTS: u64 = 16;
 
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
@@ -540,7 +412,10 @@ fn usage(err: &str) -> ! {
     eprintln!("             [--distributed N] [--dist-jobs J] [--dist-root DIR] [--kill SHARD:POINT[:stall]]...");
     eprintln!("             [--metrics-out FILE] [--metrics-deterministic] [--profile]");
     eprintln!("       repro list | repro validate [--seed N] [--scale ...]");
-    eprintln!("       repro serve-bench --help   (observatory server load generator)");
+    eprintln!("       repro serve-bench [--days N] [--requests N] [--rate R] [--workers N]");
+    eprintln!("                         [--queue-depth N] [--seed N]");
+    eprintln!("                         [--stall-period K] [--stall-us US] [--out FILE]");
+    eprintln!("                         [--traces-out FILE]");
     eprintln!("experiments: {}", EXPERIMENTS.join(" "));
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

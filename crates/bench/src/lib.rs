@@ -9,6 +9,7 @@
 #![forbid(unsafe_code)]
 
 mod bands;
+pub mod cli;
 pub mod worker_cli;
 
 pub use bands::{Check, CheckOutcome};
@@ -63,6 +64,11 @@ impl Scale {
             Scale::Small => "small",
             Scale::Full => "full",
         }
+    }
+
+    /// The scale a CLI spelling names.
+    pub fn parse(name: &str) -> Option<Scale> {
+        [Scale::Tiny, Scale::Small, Scale::Full].into_iter().find(|s| s.name() == name)
     }
 }
 

@@ -16,10 +16,12 @@
 //! heartbeat stagnation. `--trace-id`/`--parent-span` continue the
 //! coordinator's grant trace across the process boundary: the worker
 //! records its spans after the handed-down parent sequence and
-//! exports them to `shard-SSSS/trace-AA.json` for stitching. Exit
-//! status: 0 when both stores committed; 1 on I/O failure; 2 on usage
-//! errors.
+//! exports them to `shard-SSSS/trace-AA.json` for stitching. The
+//! arguments go through the [`Cli`] reader `repro` uses, so `--seed`
+//! and `--scale` read exactly as they do there. Exit status: 0 when
+//! both stores committed; 1 on I/O failure; 2 on usage errors.
 
+use crate::cli::{die, Cli};
 use crate::Scale;
 use ipactive_coord::{run_worker, InjectionPoint, PauseStyle, WorkerConfig, WorkerExit};
 use ipactive_logfmt::RealFs;
@@ -27,7 +29,9 @@ use ipactive_obs::{Registry, TraceContext, TraceId};
 use std::path::PathBuf;
 
 fn usage(err: &str) -> ! {
-    eprintln!("error: {err}");
+    if !err.is_empty() {
+        eprintln!("error: {err}");
+    }
     eprintln!(
         "usage: repro worker --root DIR --shard S --shards N --emitters E --epoch G --attempt A\n                    [--seed N] [--scale tiny|small|full] [--pause-at POINT] [--stall]\n                    [--trace-id HEX] [--parent-span SEQ]"
     );
@@ -37,54 +41,31 @@ fn usage(err: &str) -> ! {
 /// Parses worker argv and runs the grant to completion (or to its
 /// scheduled pause). Never returns.
 pub fn run(args: &[String]) -> ! {
-    let mut seed: u64 = 2015;
-    let mut scale = Scale::Tiny;
+    let mut cli = Cli::new(args, usage).seeded(2015).scaled(Scale::Tiny);
     let mut root: Option<PathBuf> = None;
-    let mut shard: Option<u32> = None;
-    let mut shards: Option<usize> = None;
-    let mut emitters: Option<usize> = None;
-    let mut epoch: Option<u64> = None;
-    let mut attempt: Option<u32> = None;
+    let (mut shard, mut shards, mut emitters, mut epoch, mut attempt) =
+        (None, None, None, None, None);
     let mut pause_at: Option<InjectionPoint> = None;
     let mut stall = false;
     let mut trace_id = TraceId::NONE;
     let mut parent_span: u64 = 0;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = || it.next().cloned().unwrap_or_else(|| usage("missing value"));
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
-            "--seed" => seed = val().parse().unwrap_or_else(|_| usage("--seed needs an integer")),
-            "--scale" => {
-                scale = match val().as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    _ => usage("--scale needs tiny|small|full"),
-                }
-            }
-            "--root" => root = Some(PathBuf::from(val())),
-            "--shard" => shard = val().parse().ok(),
-            "--shards" => shards = val().parse().ok(),
-            "--emitters" => emitters = val().parse().ok(),
-            "--epoch" => epoch = val().parse().ok(),
-            "--attempt" => attempt = val().parse().ok(),
+            "--root" => root = Some(cli.parse("--root", "a path")),
+            "--shard" => shard = Some(cli.parse("--shard", "an integer")),
+            "--shards" => shards = Some(cli.parse("--shards", "an integer")),
+            "--emitters" => emitters = Some(cli.parse("--emitters", "an integer")),
+            "--epoch" => epoch = Some(cli.parse("--epoch", "an integer")),
+            "--attempt" => attempt = Some(cli.parse("--attempt", "an integer")),
             "--pause-at" => {
-                let v = val();
-                pause_at = Some(
-                    InjectionPoint::parse(&v)
-                        .unwrap_or_else(|| usage("--pause-at needs an injection point")),
-                )
+                pause_at =
+                    Some(cli.value_with("--pause-at", "an injection point", InjectionPoint::parse))
             }
             "--stall" => stall = true,
             "--trace-id" => {
-                trace_id = TraceId::from_hex(&val())
-                    .unwrap_or_else(|| usage("--trace-id needs a hex trace id"))
+                trace_id = cli.value_with("--trace-id", "a hex trace id", TraceId::from_hex)
             }
-            "--parent-span" => {
-                parent_span =
-                    val().parse().unwrap_or_else(|_| usage("--parent-span needs an integer"))
-            }
+            "--parent-span" => parent_span = cli.parse("--parent-span", "an integer"),
             other => usage(&format!("unknown worker flag: {other}")),
         }
     }
@@ -95,7 +76,7 @@ pub fn run(args: &[String]) -> ! {
     };
 
     let cfg = WorkerConfig {
-        universe: scale.config(seed),
+        universe: cli.scale().config(cli.seed()),
         root,
         shard,
         shards,
@@ -107,16 +88,10 @@ pub fn run(args: &[String]) -> ! {
     // The worker's span records live in a process-local registry; the
     // exported trace file is how they reach the coordinator.
     let registry = Registry::new();
-    match run_worker(&RealFs, &cfg, pause_at, PauseStyle::Spin { write_marker: !stall }, &registry)
-    {
-        Ok(exit) => {
-            // A Spin pause never returns, so reaching here with a
-            // Paused exit is impossible; still, only Completed earns 0.
-            std::process::exit(if exit == WorkerExit::Completed { 0 } else { 1 })
-        }
-        Err(e) => {
-            eprintln!("error: worker shard {shard} attempt {attempt} failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    let style = PauseStyle::Spin { write_marker: !stall };
+    let exit = run_worker(&RealFs, &cfg, pause_at, style, &registry)
+        .unwrap_or_else(|e| die(1, format!("worker shard {shard} attempt {attempt} failed: {e}")));
+    // A Spin pause never returns, so reaching here with a Paused exit
+    // is impossible; still, only Completed earns 0.
+    std::process::exit(i32::from(exit != WorkerExit::Completed))
 }

@@ -23,9 +23,10 @@
 //!   fault runs replay bit-identically.
 //! * **Fault injection as a library.** [`FaultPlan`] injects collector
 //!   crashes on the Nth buffer, deterministic frame corruption,
-//!   dropped buffers, and stalled collectors (modeled as the watchdog
-//!   firing after [`RetryPolicy::stall_timeout`]) — first-class API,
-//!   not test-only code, so operators can drill recovery paths.
+//!   dropped buffers, and stalled collectors (a stalled attempt is
+//!   charged like a dropped one and journaled as a stall; no timer
+//!   runs) — first-class API, not test-only code, so operators can
+//!   drill recovery paths.
 //! * **Graceful degradation.** When retries are exhausted the run
 //!   still completes: the final attempt salvages every frame that
 //!   survives CRC, quarantines the rest as [`DeadLetter`]s with
@@ -90,9 +91,6 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Upper bound on any single delay.
     pub max_backoff: Duration,
-    /// Watchdog deadline a stalled collector is charged with (the
-    /// stall fault models the watchdog firing after this long).
-    pub stall_timeout: Duration,
     /// Seed for the jitter stream.
     pub seed: u64,
 }
@@ -103,7 +101,6 @@ impl Default for RetryPolicy {
             max_retries: 3,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(50),
-            stall_timeout: Duration::from_millis(100),
             seed: 0x5EED_CAFE,
         }
     }
@@ -151,9 +148,10 @@ pub enum FaultKind {
     Corrupt,
     /// The buffer never arrives.
     Drop,
-    /// The collector hangs on the buffer until the supervisor's
-    /// watchdog fires ([`RetryPolicy::stall_timeout`]); modeled as a
-    /// deterministic timeout so fault runs stay replayable.
+    /// The collector hangs on the buffer. Modeled without a timer so
+    /// fault runs stay replayable: the attempt delivers nothing, is
+    /// charged exactly like a [`FaultKind::Drop`], and is journaled as
+    /// a stall.
     Stall,
 }
 
@@ -457,10 +455,9 @@ fn supervise_buffer<C: Cadence>(
         let active = fault.filter(|f| f.active(attempt)).map(|f| f.kind);
         let decoded = match active {
             // Drop: the buffer never arrives this attempt; nothing to
-            // decode. Stall: the collector hangs; the supervisor's
-            // watchdog fires after `stall_timeout` and the attempt is
-            // charged as a timeout. Modeled deterministically (no real
-            // thread race) so fault runs replay bit-identically.
+            // decode. Stall: the collector hangs, and the attempt is
+            // charged as a drop. Modeled deterministically (no timer,
+            // no thread race) so fault runs replay bit-identically.
             Some(FaultKind::Drop | FaultKind::Stall) => None,
             // The collector genuinely panics mid-decode; catch_unwind
             // contains it and the partial attempt builder is discarded

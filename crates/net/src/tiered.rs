@@ -996,7 +996,10 @@ impl PrefixDensity {
     /// Deepest indexed prefix length.
     pub const MAX_LEN: u8 = 24;
 
-    fn from_block_counts(blocks: impl Iterator<Item = (u32, u64)>) -> Self {
+    /// Builds the index from per-`/24` member counts keyed by
+    /// [`Block24::id`], in any order. A block with no members is left
+    /// out, as a set's index has no key for it.
+    pub fn from_block_counts(blocks: impl Iterator<Item = (u32, u64)>) -> Self {
         let mut levels: Vec<HashMap<u32, u64>> =
             (0..=Self::MAX_LEN).map(|_| HashMap::new()).collect();
         let mut total = 0u64;

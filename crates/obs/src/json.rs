@@ -4,7 +4,7 @@
 //! plane needs two JSON consumers: golden tests that want to assert
 //! on parsed snapshot structure rather than raw bytes, and the CI
 //! `metrics-golden` job that validates a snapshot against a
-//! checked-in schema (`inspect metrics-check`). This module is the
+//! checked-in schema (`inspect check --schema`). This module is the
 //! smallest implementation that serves both — a recursive-descent
 //! parser over the full JSON grammar and a checker for the JSON
 //! Schema subset the snapshot schema uses (`type`, `properties`,

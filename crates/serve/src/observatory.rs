@@ -71,6 +71,17 @@
 //! appends, so weekly cache slots carry forward under the same
 //! reasoning as daily ones.
 //!
+//! A served weekly dataset's `week_hits[w]` holds one value per
+//! non-zero day-log record of week `w`, not one per address-week: an
+//! address active on five days of the week contributes five values.
+//! The batch reference the tests and the benchmark build
+//! (`record_week` once per record) has the same rule, so the two stay
+//! equal, but it is not what [`WeeklyDataset::week_hits`] documents or
+//! what the simulator's weekly emitter writes (each address's weekly
+//! total). No served query reads `week_hits` today; summing per
+//! address before `record_week` has to change this fold and the
+//! benchmark's reference together.
+//!
 //! Nothing else of the history is retained: no day log outlives its
 //! week, and what the builders keep per address beyond its published
 //! summary and row is one hit count per active day and its rank
@@ -224,11 +235,18 @@ impl EpochSnapshot {
     }
 
     /// The all-days prefix-density index, built on first use from the
-    /// (cached) union of every ingested day. Prefix counts read it, and
-    /// the degraded answer after a worker panic quotes it.
+    /// daily blocks' own counts: a block's `ip_traffic` holds one entry
+    /// per address active on any ingested day, so the index costs
+    /// O(blocks) and composes no set. It equals the index of the
+    /// all-days union. Prefix counts read it, and the degraded answer
+    /// after a worker panic quotes it.
     pub fn density(&self) -> Arc<PrefixDensity> {
         self.density
-            .get_or_init(|| Arc::new(PrefixDensity::from_set(&*self.engine.all_active())))
+            .get_or_init(|| {
+                let blocks = &self.daily().blocks;
+                let counts = blocks.iter().map(|r| (r.block.id(), r.ip_traffic.len() as u64));
+                Arc::new(PrefixDensity::from_block_counts(counts.filter(|&(_, n)| n > 0)))
+            })
             .clone()
     }
 }
@@ -565,6 +583,7 @@ mod tests {
         let density = snap.density();
         assert!(Arc::ptr_eq(&density, &snap.density()), "density memoizes");
         assert_eq!(density.total(), snap.engine().all_active().len() as u64);
+        assert_eq!(*density, PrefixDensity::from_set(&*snap.engine().all_active()));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! census by the columns the fold counts, which every epoch here takes,
 //! since days only ever append — must count every window of both
 //! cadences as the engine's set has it, and equal a census built in
-//! one go over the published datasets.
+//! one go over the published datasets. The prefix-density index each
+//! epoch builds from its blocks' counts must equal the index of the
+//! engine's all-days union.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,7 +20,7 @@ use std::sync::Arc;
 use ipactive_core::{
     Daily, DailyDataset, DailyDatasetBuilder, WeeklyDataset, WeeklyDatasetBuilder, WindowCensus,
 };
-use ipactive_net::{ActiveSet, Addr, Block24};
+use ipactive_net::{ActiveSet, Addr, Block24, PrefixDensity};
 use ipactive_obs::{json, Registry};
 use ipactive_serve::{
     duplex, synthetic_day_log, wire, ChaosPlan, DayLog, EpochSnapshot, Observatory, QueryKind,
@@ -163,6 +165,12 @@ proptest! {
                 );
             }
             censuses_count_the_engines_windows(&snap)?;
+            prop_assert_eq!(
+                &*snap.density(),
+                &PrefixDensity::from_set(&*snap.engine().all_active()),
+                "the block-count density differs from the union's at {} days",
+                ingested
+            );
             pinned.push(Pinned { snap, daily, weekly });
         }
         // Every epoch pinned along the way still holds exactly what it
